@@ -30,7 +30,7 @@ import pytest
 
 from repro.designs.registry import build_flat
 from repro.sim import BatchSimulator
-from repro.sim.kernels import find_compiler
+from repro.sim.kernels import find_compiler, usable_cpu_count
 from repro.sim.kernels.native import threading_mode
 
 from conftest import write_result
@@ -43,7 +43,7 @@ THREADS = tuple(
 DESIGNS = tuple(
     os.environ.get("REPRO_BENCH_SCALING_DESIGNS", "Bubble_Sort,HVPeakF").split(",")
 )
-N_CORES = os.cpu_count() or 1
+N_CORES = usable_cpu_count()
 
 #: the speedup floor only binds in the regime the issue names: a compiled
 #: threaded kernel, >= 1024 lanes and enough physical cores to scale onto

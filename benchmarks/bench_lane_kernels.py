@@ -1,23 +1,21 @@
-"""Lane-kernel throughput: fused kernels vs the per-op NumPy batch path.
+"""Lane-kernel throughput: the native C kernel vs the per-op NumPy batch path.
 
 The batch backend's per-cycle cost is NumPy per-op dispatch — ~1 µs per
 fused expression per cycle, independent of lane count.  The kernel subsystem
 (:mod:`repro.sim.kernels`) collapses each module's settle and clock-edge
-phases into one call each: a C per-lane loop compiled via cffi (``native``)
-or a single fused exec-compiled NumPy pass (``numpy``).
+phases into one call each: a C per-lane loop compiled via cffi (``native``).
 
 This harness steps Fig. 3 designs for ``REPRO_BENCH_KERNEL_CYCLES`` cycles
 at ``REPRO_BENCH_KERNEL_LANES`` lanes and measures simulated
-lane-cycles/second for ``off`` (the per-op batch path), ``numpy`` and
-``native``.  It also runs the multi-seed power estimator — spec-driven
-stimulus tensors, vectorized macromodel observation — across all three
-backends and asserts the reports are bit-identical.
+lane-cycles/second for ``off`` (the per-op batch path) and ``native``.  It
+also runs the multi-seed power estimator — spec-driven stimulus tensors,
+vectorized macromodel observation — on both backends and asserts the
+reports are bit-identical.
 
 Acceptance (at >= 1024 lanes, C compiler available): the native kernel
 reaches >= 3x lane-cycles/sec over the per-op batch path on the measured
-Fig. 3 designs, and the NumPy kernel is never slower than the batch path.
-Writes ``benchmarks/results/lane_kernels.txt`` and the repo-root
-``BENCH_lane_kernels.json`` trajectory artifact.
+Fig. 3 designs.  Writes ``benchmarks/results/lane_kernels.txt`` and the
+repo-root ``BENCH_lane_kernels.json`` trajectory artifact.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ N_CYCLES = int(os.environ.get("REPRO_BENCH_KERNEL_CYCLES", "256"))
 DESIGNS = tuple(
     os.environ.get("REPRO_BENCH_KERNEL_DESIGNS", "Bubble_Sort,HVPeakF,DCT").split(",")
 )
-BACKENDS = ("off", "numpy", "native")
+BACKENDS = ("off", "native")
 
 #: the acceptance floor only binds in the regime the issue names
 ASSERT_SPEEDUP = N_LANES >= 1024 and find_compiler() is not None
@@ -67,20 +65,17 @@ def _lane_cycles_per_s(design_name: str, backend: str) -> float:
 
 def _format_table() -> str:
     lines = [
-        "Lane-kernel throughput — fused kernels vs per-op NumPy batch path",
+        "Lane-kernel throughput — native C kernel vs per-op NumPy batch path",
         f"({N_LANES} lanes x {N_CYCLES} simulated cycles per backend)",
         "",
-        f"{'design':16s} {'batch lc/s':>12s} {'numpy-kernel':>13s} {'native':>12s} "
-        f"{'numpy x':>8s} {'native x':>9s}",
+        f"{'design':16s} {'batch lc/s':>12s} {'native':>12s} {'native x':>9s}",
     ]
     for name, row in _ROWS.items():
         native = row.get("native")
         native_lcs = "{:,.0f}".format(native) if native else "n/a"
         native_speedup = "{:.2f}x".format(native / row["off"]) if native else "n/a"
         lines.append(
-            f"{name:16s} {row['off']:>12,.0f} {row['numpy']:>13,.0f} "
-            f"{native_lcs:>12s} "
-            f"{row['numpy'] / row['off']:>7.2f}x "
+            f"{name:16s} {row['off']:>12,.0f} {native_lcs:>12s} "
             f"{native_speedup:>9s}"
         )
     return "\n".join(lines)
@@ -90,7 +85,6 @@ def _metrics() -> dict:
     metrics = {"n_lanes": N_LANES, "n_cycles": N_CYCLES}
     for name, row in _ROWS.items():
         metrics[f"lane_cycles_per_s_{name}_off"] = round(row["off"], 1)
-        metrics[f"speedup_numpy_{name}"] = round(row["numpy"] / row["off"], 2)
         if row.get("native"):
             metrics[f"speedup_native_{name}"] = round(row["native"] / row["off"], 2)
     return metrics
@@ -98,19 +92,16 @@ def _metrics() -> dict:
 
 @pytest.mark.parametrize("design_name", DESIGNS)
 def test_lane_kernel_throughput(benchmark, design_name):
-    row = {backend: 0.0 for backend in ("off", "numpy")}
-    row["off"] = _lane_cycles_per_s(design_name, "off")
-    row["numpy"] = _lane_cycles_per_s(design_name, "numpy")
+    row = {"off": _lane_cycles_per_s(design_name, "off")}
     if find_compiler() is not None:
         row["native"] = _lane_cycles_per_s(design_name, "native")
     _ROWS[design_name] = row
 
     benchmark.pedantic(
-        lambda: _lane_cycles_per_s(design_name, "numpy"), rounds=1, iterations=1
+        lambda: _lane_cycles_per_s(design_name, "off"), rounds=1, iterations=1
     )
     benchmark.extra_info.update({
         "lane_cycles_per_s_off": round(row["off"], 1),
-        "speedup_numpy": round(row["numpy"] / row["off"], 2),
         **(
             {"speedup_native": round(row["native"] / row["off"], 2)}
             if row.get("native")
@@ -122,14 +113,6 @@ def test_lane_kernel_throughput(benchmark, design_name):
     write_result("lane_kernels.txt", _format_table(), metrics=_metrics(),
                  bench_name="lane_kernels")
 
-    # the NumPy-fusion fallback must never lose to the per-op path (15%
-    # tolerance: the two paths run near-identical NumPy work, so on a busy
-    # 1-core runner the comparison is noise-dominated); the native floor is
-    # the issue's acceptance bar
-    assert row["numpy"] >= 0.85 * row["off"], (
-        f"{design_name}: numpy kernel slower than the batch path "
-        f"({row['numpy']:,.0f} vs {row['off']:,.0f} lane-cycles/s)"
-    )
     if ASSERT_SPEEDUP and row.get("native"):
         assert row["native"] >= 3.0 * row["off"], (
             f"{design_name}: native kernel below the 3x floor "
@@ -151,8 +134,7 @@ def test_lane_kernel_reports_bit_identical():
             keep_cycle_trace=True,
         )
     reference = per_backend["off"]
-    for backend in ("numpy", "native"):
-        for expected, actual in zip(reference, per_backend[backend]):
-            assert expected.total_energy_fj == actual.total_energy_fj
-            assert expected.cycles == actual.cycles
-            assert expected.cycle_energy_fj == actual.cycle_energy_fj
+    for expected, actual in zip(reference, per_backend["native"]):
+        assert expected.total_energy_fj == actual.total_energy_fj
+        assert expected.cycles == actual.cycles
+        assert expected.cycle_energy_fj == actual.cycle_energy_fj

@@ -49,8 +49,8 @@ def _step_seconds(simulator: BatchSimulator) -> float:
 
 def _measure_hot_path() -> dict:
     module = build_flat(DESIGN)
-    simulator = BatchSimulator(module, N_LANES, kernel_backend="numpy")
-    simulator.step(cycles=8)  # warm kernel + program caches
+    simulator = BatchSimulator(module, N_LANES, kernel_backend="off")
+    simulator.step(cycles=8)  # warm the program caches
     best = {"enabled": float("inf"), "disabled": float("inf")}
     try:
         # interleave the two configurations so drift (thermal, page cache)

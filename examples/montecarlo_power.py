@@ -13,9 +13,10 @@ paper's single-workload numbers hide.
 At 8192+ lanes the dominant cost becomes NumPy per-op dispatch inside the
 batch simulator; the fused lane kernels (``repro.sim.kernels``) lift it —
 pass ``--kernel-backend native`` (or set ``REPRO_KERNEL_BACKEND=native``) to
-compile the whole settle/clock-edge into one C kernel via cffi, 3-5x the
-per-op path on this design.  Hosts without a C compiler transparently get
-the fused-NumPy kernel instead; results are bit-identical on every backend.
+compile the whole settle/clock-edge into one C kernel via cffi, several
+times the per-op path on this design.  Hosts without a C compiler
+transparently run the per-op path (``off``) instead; results are
+bit-identical on every backend.
 
 Run from the repository root:
 
@@ -69,7 +70,7 @@ def main() -> None:
     parser.add_argument("--lanes", type=int, default=DEFAULT_LANES,
                         help="independent stimulus seeds (one lane each)")
     parser.add_argument("--kernel-backend", default="auto",
-                        choices=("auto", "native", "numpy", "off"),
+                        choices=("auto", "native", "off"),
                         help="fused lane-kernel backend; 'native' compiles "
                              "the cycle into C (recommended at 8192+ lanes)")
     parser.add_argument("--kernel-threads", default=None,

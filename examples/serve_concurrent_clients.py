@@ -40,8 +40,7 @@ MAX_CYCLES = 200
 
 
 def _spec(seed: int, max_cycles: int = MAX_CYCLES) -> RunSpec:
-    return RunSpec(design=DESIGN, seed=seed, max_cycles=max_cycles,
-                   kernel_backend="numpy")
+    return RunSpec(design=DESIGN, seed=seed, max_cycles=max_cycles)
 
 
 async def client(server: PowerServer, seed: int):

@@ -38,7 +38,6 @@ def main() -> None:
         engines=("rtl",),
         seeds=tuple(range(4)),
         max_cycles=96,
-        kernel_backend="numpy",  # deterministic builds, no compiler needed
         n_workers=2,
     )
     result = sweep(spec)

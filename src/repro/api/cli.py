@@ -87,12 +87,12 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="simulation backend (default auto; batch = lane path)")
     parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS, default="auto",
                         help="fused lane-kernel backend for batch execution "
-                             "(native = C via cffi when a compiler exists, "
-                             "numpy = fused NumPy pass, off = per-op dispatch)")
+                             "(native = C via cffi, off = per-op dispatch; "
+                             "auto = native when a C compiler exists, else off)")
     parser.add_argument("--kernel-threads", type=_parse_kernel_threads,
                         default=None, metavar="N",
                         help="native-kernel worker threads across lane blocks "
-                             "(an integer, or 'auto' = min(cores, lanes/128); "
+                             "(an integer, or 'auto' = min(cpus, lanes/128); "
                              "default: the REPRO_KERNEL_THREADS env or auto; "
                              "any count is bit-identical)")
     parser.add_argument("--stimulus", default=None, metavar="SPEC",

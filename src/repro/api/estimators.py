@@ -225,6 +225,8 @@ class RTLEstimatorAdapter(_EngineAdapter):
     engine = "rtl"
 
     def estimate(self, spec: RunSpec) -> EstimateResult:
+        if spec.backend == "batch":
+            return self.estimate_many([spec])[0]
         self._check_spec(spec)
         est_span = obs.span("estimate", design=spec.design, engine=self.engine)
         start = time.perf_counter()
@@ -234,34 +236,23 @@ class RTLEstimatorAdapter(_EngineAdapter):
             testbench = self._resolve_testbench(spec)
         setup_s = time.perf_counter() - start
 
-        kernel_info = None
-        phase_s: Optional[Dict[str, float]] = None
-        if spec.backend == "batch":
-            report, backend, kernel_info, phase_s, profile = self._estimate_batch(
-                spec, flat, library, testbench
+        backend = "compiled" if spec.backend == "auto" else spec.backend
+        estimator = _get_rtl_estimator(flat, library, self.technology, backend)
+        with obs.span("estimate.simulate", design=spec.design, backend=backend):
+            report = estimator.estimate(
+                testbench,
+                max_cycles=spec.max_cycles,
+                keep_cycle_trace=spec.keep_cycle_trace,
+                profile=_profile_config(spec),
             )
-        else:
-            backend = "compiled" if spec.backend == "auto" else spec.backend
-            estimator = _get_rtl_estimator(flat, library, self.technology, backend)
-            with obs.span("estimate.simulate", design=spec.design,
-                          backend=backend):
-                report = estimator.estimate(
-                    testbench,
-                    max_cycles=spec.max_cycles,
-                    keep_cycle_trace=spec.keep_cycle_trace,
-                    profile=_profile_config(spec),
-                )
-            phase_s = {"simulate_s": report.estimation_time_s}
-            profile = estimator.last_profile
         metadata = {
             "n_monitored_components": report.notes.get("n_monitored_components"),
             "design": spec.design,
         }
-        if kernel_info is not None:
-            metadata.update(kernel_info)
         result = self._finish(
-            spec, report, backend, start, setup_s, metadata, phase_s,
-            profile=profile)
+            spec, report, backend, start, setup_s, metadata,
+            {"simulate_s": report.estimation_time_s},
+            profile=estimator.last_profile)
         est_span.set(backend=backend)
         est_span.end()
         return result
@@ -306,7 +297,8 @@ class RTLEstimatorAdapter(_EngineAdapter):
     def estimate_many(self, specs) -> list:
         """Multi-seed batch: all specs share design/engine, one lane per seed.
 
-        Returns one :class:`EstimateResult` per spec.  This is the fast path
+        Returns one :class:`EstimateResult` per spec (a single ``batch``
+        spec is a one-lane call, which is how :meth:`estimate` runs it).  This is the fast path
         the sweep runner uses; it degrades to per-spec scalar estimation when
         the lane path cannot run the module or its testbenches.
         """
@@ -395,45 +387,6 @@ class RTLEstimatorAdapter(_EngineAdapter):
             )
         many_span.end()
         return results
-
-    def _estimate_batch(self, spec, flat, library, testbench):
-        from repro.power.lane_estimator import BatchRTLPowerEstimator
-        from repro.sim.batch import BatchCompilationError, LaneStateError
-
-        try:
-            estimator = BatchRTLPowerEstimator(flat, library=library,
-                                               technology=self.technology,
-                                               kernel_backend=spec.kernel_backend,
-                                               kernel_threads=spec.kernel_threads)
-            reports = estimator.estimate_all(
-                [testbench],
-                max_cycles=spec.max_cycles,
-                keep_cycle_trace=spec.keep_cycle_trace,
-                profile=_profile_config(spec),
-            )
-            kernel_info = {
-                "kernel_backend": estimator.last_kernel_backend,
-                "kernel_decision": estimator.last_kernel_decision,
-                "kernel_threads": estimator.last_kernel_threads,
-            }
-            profile = (
-                estimator.last_profiles[0] if estimator.last_profiles else None
-            )
-            return (reports[0], "batch[1]", kernel_info,
-                    dict(estimator.last_phase_s), profile)
-        except (BatchCompilationError, LaneStateError):
-            estimator = _get_rtl_estimator(flat, library, self.technology, "compiled")
-            with obs.span("estimate.simulate", design=spec.design,
-                          backend="compiled"):
-                report = estimator.estimate(
-                    testbench,
-                    max_cycles=spec.max_cycles,
-                    keep_cycle_trace=spec.keep_cycle_trace,
-                    profile=_profile_config(spec),
-                )
-            return (report, "compiled", None,
-                    {"simulate_s": report.estimation_time_s},
-                    estimator.last_profile)
 
 
 class GateLevelEstimatorAdapter(_EngineAdapter):

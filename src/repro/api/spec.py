@@ -22,9 +22,10 @@ from repro.power.profile import PowerProfile
 from repro.power.report import PowerReport
 #: lane-kernel backends selectable by ``RunSpec.kernel_backend`` (the fused
 #: settle/clock-edge kernels of :mod:`repro.sim.kernels`; only consulted on
-#: the batch lane path — ``auto`` = NumPy fusion, ``native`` = C via cffi
-#: with graceful fallback, ``off`` = per-op NumPy dispatch); re-exported from
-#: the kernels package so the list cannot drift
+#: the batch lane path — ``auto`` = ``native`` when a C compiler is found,
+#: else ``off``; ``native`` = C via cffi, falling back to ``off`` without a
+#: working toolchain; ``off`` = per-op NumPy dispatch); re-exported from the
+#: kernels package so the list cannot drift
 from repro.sim.kernels import KERNEL_BACKENDS
 from repro.stim.spec import StimulusSpec
 
@@ -102,7 +103,7 @@ class RunSpec:
     #: fused lane-kernel backend for batch execution (see KERNEL_BACKENDS)
     kernel_backend: str = "auto"
     #: native-kernel worker count for batch execution (``None`` = the
-    #: ``REPRO_KERNEL_THREADS`` env / ``auto`` = min(cores, n_lanes/128));
+    #: ``REPRO_KERNEL_THREADS`` env / ``auto`` = min(cpus, n_lanes/128));
     #: any count is bit-identical — this is purely a throughput knob
     kernel_threads: Optional[int] = None
     library: str = "seed"

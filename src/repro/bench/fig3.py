@@ -276,9 +276,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     from repro.designs.registry import FIGURE3_ORDER
+    from repro.sim.kernels import usable_cpu_count
 
     parser = argparse.ArgumentParser(description="Run the Figure 3 study.")
-    parser.add_argument("--workers", type=int, default=max(1, (os.cpu_count() or 2) - 1),
+    parser.add_argument("--workers", type=int, default=max(1, usable_cpu_count() - 1),
                         help="process-pool shard workers (1 = serial)")
     parser.add_argument("--cache-dir", default=os.path.join(".", "benchmarks", "results", ".cache"),
                         help="on-disk result cache directory ('' disables caching)")

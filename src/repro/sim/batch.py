@@ -30,16 +30,16 @@ little-endian 60-bit limbs, and the common wide operators (logic, mux,
 concat/slice/extend, add/sub with limb carry/borrow chains, unsigned
 compares, reductions, registers, constants) are emitted limb-wise — so wide
 datapaths run on the vectorized batch path and lower into the fused
-native/NumPy kernels like narrow ones.  Wide components outside that set
+native kernels like narrow ones.  Wide components outside that set
 take the lane-scalar path with limb-assembled port values.  Only modules
 with nets wider than :data:`MAX_LIMB_WIDTH` still drop every component onto
 the lane-scalar path over an object-dtype store; in every mode batch
 execution never changes results — only speed.
 
 On top of the per-op NumPy execution here, :mod:`repro.sim.kernels` fuses a
-module's whole settle/clock-edge into single kernels (C via cffi, or one
-exec-compiled NumPy pass) — ``BatchSimulator(kernel_backend=...)`` selects
-them, with automatic per-module fallback to this path.
+module's whole settle/clock-edge into single C kernels (compiled, called via
+cffi) — ``BatchSimulator(kernel_backend=...)`` selects them, with automatic
+fallback to this path when the module cannot lower or no C toolchain exists.
 """
 
 from __future__ import annotations
@@ -1488,12 +1488,9 @@ class BatchProgram:
     #: cached kernel IR / unsupported-reason (see :meth:`kernel_ir`)
     _kernel_ir: object = None
     _kernel_unsupported: Optional[str] = None
-    #: requested backend -> compiled kernel; shared by simulators over this
-    #: program (safe: kernels rebind stale state pointers at every reset)
-    _kernel_cache: Optional[Dict[str, object]] = None
-    #: cached (backend, reason) resolution of kernel_backend="auto" on a
-    #: toolchain-less host (see BatchSimulator._resolve_auto_backend)
-    _auto_decision: Optional[Tuple[str, str]] = None
+    #: compiled native kernel, shared by simulators over this program (safe:
+    #: kernels rebind stale state pointers at every reset)
+    _kernel: object = None
 
     def reset_state(self) -> None:
         """Return every lane of every sequential component to its reset state."""
@@ -1821,44 +1818,41 @@ class BatchSimulator:
         self.schedule = schedule if schedule is not None else schedule_for(module)
         self.program = compile_module_batch(module, n_lanes, self.schedule)
         #: the fused kernel executing settle/clock_edge, or None (plain batch)
-        self.kernel: Optional["kernels.LaneKernel"] = None
-        #: resolved kernel backend actually in effect ("native"/"numpy"/"off")
+        self.kernel: Optional["kernels.NativeKernel"] = None
+        #: resolved kernel backend actually in effect ("native"/"off")
         self.kernel_backend = "off"
         #: why a requested kernel fell back to the plain batch path, if it did
         self.kernel_fallback: Optional[str] = None
         #: how the backend was chosen (notably what "auto" resolved to and why)
         self.kernel_decision = f"{requested} (requested)"
-        #: worker count the native/numpy kernel runs with (1 for off)
+        if requested == "auto":
+            if kernels.find_compiler() is not None:
+                requested, why = "native", "C toolchain found"
+            else:
+                requested, why = "off", "no C toolchain"
+            self.kernel_decision = f"auto -> {requested} ({why})"
+        #: worker count the native kernel runs with (1 for off)
         self.kernel_threads = 1
-        if requested != "off":
+        if requested == "native":
             try:
                 ir = self.program.kernel_ir()
-            except kernels.KernelUnsupportedError as error:
-                self.kernel_fallback = str(error)
-            else:
                 for holder in self.program.holders.values():
                     holder.unalias()
-                if self.program._kernel_cache is None:
-                    self.program._kernel_cache = {}
-                backend = requested
-                if requested == "auto":
-                    backend, why = self._resolve_auto_backend(ir, kernels)
-                    self.kernel_decision = f"auto -> {backend} ({why})"
-                if backend != "off":
-                    self.kernel = self.program._kernel_cache.get(backend)
-                    if self.kernel is None:
-                        self.kernel = kernels.compile_kernel(ir, n_lanes, backend)
-                        self.program._kernel_cache[backend] = self.kernel
-                    self.kernel_backend = self.kernel.backend
-        if self.kernel is not None and self.kernel_backend in ("native", "numpy"):
-            # both kernel backends fan lane blocks over a worker pool (OpenMP/
-            # pthreads for the C kernel, a ThreadPoolExecutor over sliced
-            # NumPy passes otherwise); any count is bit-identical
-            self.kernel_threads = kernels.resolve_kernel_threads(
-                kernel_threads, n_lanes
-            )
-            self.kernel.set_threads(self.kernel_threads)
-            self.kernel_threads = self.kernel.n_threads
+                if self.program._kernel is None:
+                    self.program._kernel = kernels.compile_kernel(ir, n_lanes)
+            except (kernels.KernelUnsupportedError,
+                    kernels.NativeToolchainError) as error:
+                self.kernel_fallback = str(error)
+            else:
+                self.kernel = self.program._kernel
+                self.kernel_backend = "native"
+                # lane blocks fan out over the kernel's OpenMP/pthread pool;
+                # any count is bit-identical
+                self.kernel_threads = kernels.resolve_kernel_threads(
+                    kernel_threads, n_lanes
+                )
+                self.kernel.set_threads(self.kernel_threads)
+                self.kernel_threads = self.kernel.n_threads
         self.cycle = 0
         self._v = np.zeros((self.program.n_slots, n_lanes), dtype=self.program.dtype)
         slot_of = self.program.slot_of
@@ -1876,51 +1870,6 @@ class BatchSimulator:
             name: limbs_of.get(port.net, 1) for name, port in module.ports.items()
         }
         self.reset()
-
-    def _resolve_auto_backend(self, ir, kernels) -> Tuple[str, str]:
-        """What ``kernel_backend="auto"`` should actually run, and why.
-
-        With a C toolchain, the native kernel wins essentially always — use
-        it.  Without one the fused NumPy kernel is a wash (or a mild loss) on
-        some designs, so time one fused settle against one per-op settle on a
-        scratch store and keep the kernel only when it is measurably ahead;
-        otherwise stay on the plain batch path.  The decision is cached on
-        the shared program so sibling simulators do not re-calibrate.
-        """
-        if kernels.find_compiler() is not None:
-            return "native", "C toolchain found"
-        cached = self.program._auto_decision
-        if cached is not None:
-            return cached
-        import time
-
-        kernel = self.program._kernel_cache.get("numpy")
-        if kernel is None:
-            kernel = kernels.compile_kernel(ir, self.n_lanes, "numpy")
-            self.program._kernel_cache["numpy"] = kernel
-        # settle only writes the value store (state commits live in the clock
-        # edge), so timing both paths on a scratch store perturbs nothing
-        scratch = np.zeros((self.program.n_slots, self.n_lanes),
-                           dtype=self.program.dtype)
-
-        def best_of(fn, reps: int = 3) -> float:
-            fn(scratch)  # warm: exec/alloc costs are not steady-state costs
-            best = float("inf")
-            for _ in range(reps):
-                start = time.perf_counter()
-                fn(scratch)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        fused = best_of(kernel.settle)
-        per_op = best_of(self.program.settle)
-        ratio = per_op / fused if fused > 0 else float("inf")
-        if ratio >= 1.1:  # keep the kernel only on a clear, repeatable win
-            decision = ("numpy", f"no toolchain; fused NumPy {ratio:.2f}x per-op")
-        else:
-            decision = ("off", f"no toolchain; fused NumPy a wash ({ratio:.2f}x)")
-        self.program._auto_decision = decision
-        return decision
 
     # -------------------------------------------------------------- control
     def reset(self) -> None:

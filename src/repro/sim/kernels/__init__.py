@@ -10,16 +10,13 @@ store:
    generated lane program (slot/state/memory access + a closed operator set),
 2. :mod:`repro.sim.kernels.native` prints the IR as C — a single per-lane
    loop of straight-line scalar code — compiled via the system C compiler and
-   called through cffi (cached per source hash), and
-3. :mod:`repro.sim.kernels.numpy_backend` prints the same IR as one fused,
-   exec-compiled NumPy pass — the portable fallback when no compiler exists.
+   called through cffi (cached per source hash).
 
 Backend selection (``KERNEL_BACKENDS``):
 
-* ``"auto"``   — the NumPy kernel when the module lowers, else plain batch,
-* ``"native"`` — the C kernel; falls back to the NumPy kernel without a
-  toolchain, and to plain batch when the module cannot lower,
-* ``"numpy"``  — the NumPy kernel, never invoking a compiler,
+* ``"auto"``   — the C kernel when a C compiler is found, else plain batch,
+* ``"native"`` — the C kernel; falls back to plain batch when the host has
+  no working toolchain or the module cannot lower,
 * ``"off"``    — the plain batch path (per-op NumPy dispatch).
 
 The environment variable ``REPRO_KERNEL_BACKEND`` sets the default for every
@@ -43,10 +40,9 @@ from repro.sim.kernels.native import (
     find_compiler,
     threading_mode,
 )
-from repro.sim.kernels.numpy_backend import NumpyKernel
 
 #: kernel backends selectable per simulator / RunSpec / CLI
-KERNEL_BACKENDS: Tuple[str, ...] = ("auto", "native", "numpy", "off")
+KERNEL_BACKENDS: Tuple[str, ...] = ("auto", "native", "off")
 
 #: environment variable providing the session-wide default backend
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
@@ -89,6 +85,17 @@ def resolve_kernel_backend(requested: Optional[str] = None) -> str:
     return requested
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one).
+
+    ``os.cpu_count()`` reports every CPU on the machine, which oversubscribes
+    cgroup- or taskset-restricted hosts; the affinity mask does not.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_kernel_threads(
     requested: Optional[Union[int, str]] = None,
     n_lanes: Optional[int] = None,
@@ -96,18 +103,17 @@ def resolve_kernel_threads(
     """Validate and default the kernel worker count.
 
     ``None`` reads ``REPRO_KERNEL_THREADS`` (defaulting to ``auto``).
-    ``"auto"`` means ``min(cores, n_lanes // BLOCK_LANES)`` clamped to at
-    least 1 — one worker per 128-lane block, never more than the host has
-    cores.  Lane blocks are independent, so any resolved count is
-    bit-identical to single-threaded execution.
+    ``"auto"`` means ``min(cpus, n_lanes // BLOCK_LANES)`` clamped to at
+    least 1 — one worker per 128-lane block, never more than the process may
+    run on (:func:`usable_cpu_count`).  Lane blocks are independent, so any
+    resolved count is bit-identical to single-threaded execution.
     """
     if requested is None:
         requested = os.environ.get(KERNEL_THREADS_ENV, "").strip() or "auto"
     if isinstance(requested, str):
         if requested == "auto":
-            cores = os.cpu_count() or 1
             blocks = max(1, (n_lanes or 0) // BLOCK_LANES)
-            return max(1, min(cores, blocks))
+            return min(usable_cpu_count(), blocks)
         try:
             requested = int(requested)
         except ValueError:
@@ -122,30 +128,18 @@ def resolve_kernel_threads(
     return int(requested)
 
 
-LaneKernel = Union[NativeKernel, NumpyKernel]
+def compile_kernel(ir: KernelIR, n_lanes: int) -> NativeKernel:
+    """Compile extracted IR into a native (C) lane kernel.
 
-
-def compile_kernel(ir: KernelIR, n_lanes: int, backend: str) -> LaneKernel:
-    """Compile extracted IR with the chosen backend (``native``/``numpy``/``auto``).
-
-    ``native`` degrades gracefully to the NumPy kernel when the host has no C
-    toolchain (or the compile fails); ``auto`` means the NumPy kernel.  Raises
-    :class:`ValueError` for ``off`` — the caller decides what "no kernel"
-    means.
+    Raises :class:`NativeToolchainError` when the host has no working C
+    toolchain — the caller decides what "no kernel" means.
     """
     from repro.resilience.faults import maybe_inject
 
     maybe_inject("kernel")
-    _KERNEL_BUILDS.inc(backend=backend)
-    with obs.span("kernel.compile", backend=backend, n_lanes=n_lanes):
-        if backend == "native":
-            try:
-                return NativeKernel(ir, n_lanes)
-            except NativeToolchainError:
-                return NumpyKernel(ir, n_lanes)
-        if backend in ("numpy", "auto"):
-            return NumpyKernel(ir, n_lanes)
-        raise ValueError(f"cannot compile a kernel for backend {backend!r}")
+    _KERNEL_BUILDS.inc(backend="native")
+    with obs.span("kernel.compile", backend="native", n_lanes=n_lanes):
+        return NativeKernel(ir, n_lanes)
 
 
 __all__ = [
@@ -155,14 +149,13 @@ __all__ = [
     "KERNEL_THREADS_ENV",
     "KernelIR",
     "KernelUnsupportedError",
-    "LaneKernel",
     "NativeKernel",
     "NativeToolchainError",
-    "NumpyKernel",
     "compile_kernel",
     "extract_ir",
     "find_compiler",
     "resolve_kernel_backend",
     "resolve_kernel_threads",
     "threading_mode",
+    "usable_cpu_count",
 ]

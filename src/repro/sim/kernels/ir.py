@@ -11,12 +11,9 @@ them a compiler IR in disguise — this module makes the IR explicit.
 environment) into a small typed expression IR: slot reads/writes, per-lane
 state rows, constant-table lookups, per-lane memory access, and a closed set
 of arithmetic/logic/select operators, each typed ``i64`` or ``bool``.  The
-two kernel code generators consume nothing but this IR:
-
-* :mod:`repro.sim.kernels.numpy_backend` prints it back into one fused
-  NumPy pass (settle + clock edge in a single compiled function), and
-* :mod:`repro.sim.kernels.native` prints it as C — one per-lane loop of
-  straight-line scalar code — compiled via ``cc`` and called through cffi.
+kernel code generator, :mod:`repro.sim.kernels.native`, consumes nothing but
+this IR: it prints it as C — one per-lane loop of straight-line scalar code
+— compiled via ``cc`` and called through cffi.
 
 Extraction is *conservative*: any statement outside the closed grammar (in
 practice, the lane-scalar fallback calls emitted for subclassed or

@@ -38,8 +38,8 @@ Correctness notes:
   is preserved from the lane program), so the two-phase clock-edge semantics
   hold lane by lane — and blocks only ever touch their own lanes.
 
-When no C compiler is available, callers fall back to the NumPy kernel
-backend (see :func:`repro.sim.kernels.compile_kernel`).
+When no C compiler is available, callers fall back to the plain batch path
+(see :class:`repro.sim.batch.BatchSimulator`).
 """
 
 from __future__ import annotations

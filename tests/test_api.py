@@ -197,6 +197,44 @@ def test_batch_backend_matches_scalar_single_run(rtl_result):
     )
 
 
+def test_single_batch_estimate_is_a_one_lane_estimate_many(monkeypatch):
+    """``estimate`` on a batch spec keeps its result shape, and the scalar
+    fallback for modules the lane path cannot run still reports compiled."""
+    spec = RunSpec(design=DESIGN, engine="rtl", seed=3, max_cycles=CYCLES,
+                   backend="batch", kernel_backend="off")
+    adapter = RTLEstimatorAdapter()
+    result = adapter.estimate(spec)
+    assert result.backend == "batch[1]"
+    assert result.spec == spec
+    assert result.metadata["kernel_backend"] == "off"
+    assert result.metadata["kernel_decision"] == "off (requested)"
+    assert result.metadata["kernel_threads"] == 1
+    assert set(result.metadata["phase_s"]) == {
+        "setup_s", "lane_build_s", "simulate_s", "macromodel_eval_s", "total_s",
+    }
+    many = adapter.estimate_many([spec])[0]
+    assert many.report.total_energy_fj == result.report.total_energy_fj
+
+    from repro.power import lane_estimator
+    from repro.sim.batch import BatchCompilationError, LaneStateError
+
+    for error in (BatchCompilationError, LaneStateError):
+        def refuse(*args, _error=error, **kwargs):
+            raise _error("lane path unavailable")
+
+        monkeypatch.setattr(lane_estimator.BatchRTLPowerEstimator, "__init__",
+                            refuse)
+        fallback = adapter.estimate(spec)
+        assert fallback.backend == "compiled"
+        assert fallback.spec == spec
+        assert set(fallback.metadata["phase_s"]) == {
+            "setup_s", "simulate_s", "total_s",
+        }
+        assert fallback.report.total_energy_fj == pytest.approx(
+            result.report.total_energy_fj, rel=1e-9
+        )
+
+
 @pytest.mark.parametrize("design", ["binary_search", "Ispq"])
 def test_multi_seed_batch_matches_scalar_per_seed(design):
     """Lane count never changes results: N lanes == N scalar runs."""

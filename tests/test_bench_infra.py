@@ -474,6 +474,25 @@ def test_gate_dirs_and_cli_exit_codes(tmp_path):
         gate.gate_dirs(base, curr, names=["nope"])
 
 
+def test_gate_reports_retired_numpy_kernel_metrics_as_info(tmp_path):
+    """Baselines recorded with the retired fused-NumPy kernel column gate
+    cleanly against a fresh lane-kernel run that no longer measures it."""
+    gate = _gate()
+    with open(os.path.join(_REPO_ROOT, "BENCH_lane_kernels.json")) as handle:
+        current = json.load(handle)["metrics"]
+    assert not any(name.startswith("speedup_numpy_") for name in current)
+    retired = {"speedup_numpy_Bubble_Sort": 0.95, "speedup_numpy_DCT": 0.99,
+               "speedup_numpy_HVPeakF": 0.99}
+    base = str(tmp_path / "base")
+    curr = str(tmp_path / "curr")
+    _write_bench(base, "lane_kernels", {**current, **retired})
+    _write_bench(curr, "lane_kernels", current)
+    findings = gate.gate_dirs(base, curr)
+    severity = {f.metric: f.severity for f in findings}
+    assert {severity[name] for name in retired} == {"info"}
+    assert gate.main(["--baseline-dir", base, "--current-dir", curr]) == 0
+
+
 def test_gate_self_check_against_committed_baselines():
     """The committed BENCH_*.json files gate cleanly against themselves."""
     gate = _gate()

@@ -5,7 +5,8 @@ The scale-out work trades nothing for speed, and these tests pin that down:
 * **Thread invariance** — the threaded native kernel partitions lanes into
   disjoint blocks, so any ``kernel_threads`` count must leave a bit-identical
   value store, for every registry design, under driven input sequences and
-  under compiled spec stimulus alike.
+  under compiled spec stimulus alike; ``auto`` never asks for more workers
+  than the process may run on.
 * **Limb-store parity** — 61..240-bit nets moved from the object-dtype
   whole-module fallback onto int64 limb arrays; forcing a module back onto
   the object store (the old exact-arithmetic oracle) must reproduce the limb
@@ -17,6 +18,8 @@ The scale-out work trades nothing for speed, and these tests pin that down:
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -32,7 +35,11 @@ from repro.power import (
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.sim import BatchSimulator
-from repro.sim.kernels import find_compiler
+from repro.sim.kernels import (
+    find_compiler,
+    resolve_kernel_threads,
+    usable_cpu_count,
+)
 from repro.stim import SpecTestbench
 from repro.stim.driver import BatchStimulusDriver
 
@@ -120,33 +127,31 @@ def test_thread_count_invariance_under_spec_stimulus(design_name):
 
 
 #: enough lanes for 3 BLOCK_LANES=128 blocks (the last one a remainder), so
-#: the threaded fused-NumPy kernel genuinely splits work across workers
+#: the threaded kernel genuinely splits work across workers
 N_LANES_WIDE = 300
 
 
-def _numpy_simulator(design_name, n_threads, n_lanes=N_LANES_WIDE):
+def _numpy_reference_simulator(design_name, n_lanes=N_LANES_WIDE):
+    """The plain per-op NumPy batch path, the oracle every kernel must match."""
     simulator = BatchSimulator(
-        build_flat(design_name), n_lanes,
-        kernel_backend="numpy", kernel_threads=n_threads,
+        build_flat(design_name), n_lanes, kernel_backend="off"
     )
-    assert simulator.kernel_backend == "numpy"
+    assert simulator.kernel_backend == "off"
     simulator.reset()
     return simulator
 
 
+@needs_cc
 @pytest.mark.parametrize("design_name", sorted(all_designs()))
 def test_numpy_thread_count_bit_invariance(design_name):
-    """The threaded fused-NumPy kernel is bit-identical to its serial self."""
+    """Driven runs across 3 lane blocks: every thread count of the native
+    kernel leaves the same value store as the plain NumPy batch path."""
     rng = np.random.default_rng(hash(design_name) % (2**32))
     sequences = _input_sequences(
         build_flat(design_name), rng, n_lanes=N_LANES_WIDE, n_cycles=8
     )
 
-    def run(n_threads):
-        simulator = _numpy_simulator(design_name, n_threads)
-        if n_threads > 1:
-            # 300 lanes = 3 blocks: the multi-thread runs really fan out
-            assert simulator.kernel_threads == min(n_threads, 3)
+    def run(simulator):
         for cycle in range(8):
             simulator.set_inputs(
                 {name: sequences[name][cycle] for name in sequences}
@@ -156,43 +161,58 @@ def test_numpy_thread_count_bit_invariance(design_name):
         simulator.settle()
         return simulator._v.copy()
 
-    reference = run(THREAD_COUNTS[0])
-    for n_threads in THREAD_COUNTS[1:]:
-        assert np.array_equal(reference, run(n_threads)), (
-            f"{design_name}: {n_threads}-thread numpy store differs from "
-            f"serial"
+    reference = run(_numpy_reference_simulator(design_name))
+    for n_threads in THREAD_COUNTS:
+        simulator = _native_simulator(design_name, n_threads, N_LANES_WIDE)
+        assert simulator.kernel_threads == n_threads
+        assert np.array_equal(reference, run(simulator)), (
+            f"{design_name}: {n_threads}-thread native store differs from "
+            f"the NumPy batch path"
         )
 
 
+@needs_cc
 @pytest.mark.parametrize("design_name", SPEC_DESIGNS)
 def test_numpy_thread_invariance_under_spec_stimulus(design_name):
-    """Spec-driven fused-NumPy runs are thread-count invariant too."""
+    """Spec-driven runs across 2 lane blocks match the NumPy batch path at
+    every thread count too."""
     spec = get_design(design_name).make_stimulus_spec().replace(n_cycles=8)
 
-    def run(n_threads):
-        simulator = _numpy_simulator(design_name, n_threads, n_lanes=200)
+    def run(simulator):
         BatchStimulusDriver(simulator, spec).run()
         return simulator._v.copy()
 
-    reference = run(THREAD_COUNTS[0])
-    for n_threads in THREAD_COUNTS[1:]:
-        assert np.array_equal(reference, run(n_threads)), (
-            f"{design_name}: {n_threads}-thread numpy spec-driven store "
-            f"differs from serial"
+    reference = run(_numpy_reference_simulator(design_name, n_lanes=200))
+    for n_threads in THREAD_COUNTS:
+        simulator = _native_simulator(design_name, n_threads, n_lanes=200)
+        assert np.array_equal(reference, run(simulator)), (
+            f"{design_name}: {n_threads}-thread native spec-driven store "
+            f"differs from the NumPy batch path"
         )
 
 
-def test_numpy_threads_resolve_from_environment(monkeypatch):
-    """REPRO_KERNEL_THREADS drives the numpy kernel like the native one."""
+@needs_cc
+def test_threads_resolve_from_environment(monkeypatch):
+    """REPRO_KERNEL_THREADS sets the worker count of the native kernel."""
     monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
-    simulator = BatchSimulator(
-        build_flat("binary_search"), N_LANES_WIDE, kernel_backend="numpy"
-    )
+    simulator = _native_simulator("binary_search", None, N_LANES_WIDE)
     assert simulator.kernel_threads == 2
     assert simulator.kernel.n_threads == 2
 
 
-def test_numpy_thread_switch_roundtrip_is_bit_identical():
+def test_auto_threads_count_only_usable_cpus(monkeypatch):
+    """``auto`` counts the CPUs the process may run on, not the machine's."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpu_count() == 1
+    assert resolve_kernel_threads("auto", n_lanes=1024) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert resolve_kernel_threads("auto", n_lanes=1024) == 3
+    assert resolve_kernel_threads("auto", n_lanes=256) == 2
+
+
+@needs_cc
+def test_thread_switch_roundtrip_is_bit_identical():
     """One simulator flipping threaded -> serial keeps producing the same
     store as a never-threaded run (mode switches can't corrupt state)."""
     rng = np.random.default_rng(11)
@@ -201,7 +221,9 @@ def test_numpy_thread_switch_roundtrip_is_bit_identical():
     )
 
     def run(thread_schedule):
-        simulator = _numpy_simulator("binary_search", thread_schedule[0])
+        simulator = _native_simulator(
+            "binary_search", thread_schedule[0], N_LANES_WIDE
+        )
         for cycle in range(12):
             simulator.kernel.set_threads(
                 thread_schedule[cycle % len(thread_schedule)]
@@ -258,7 +280,7 @@ def test_limb_store_matches_object_store_oracle():
 
 
 @pytest.mark.parametrize(
-    "backend", ["off", "numpy"] + (["native"] if find_compiler() else [])
+    "backend", ["off"] + (["native"] if find_compiler() else [])
 )
 def test_wide_checksum_estimator_parity_vs_scalar(backend):
     """Lane power reports on a limb-store design match the scalar estimator."""

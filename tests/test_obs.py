@@ -27,6 +27,10 @@ from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.serve import HttpFrontend, PowerServer
 from repro.sim import batch, kernels
 
+needs_cc = pytest.mark.skipif(
+    kernels.find_compiler() is None, reason="no C compiler on this host"
+)
+
 DESIGN = "binary_search"
 MAX_CYCLES = 64
 
@@ -34,7 +38,7 @@ MAX_CYCLES = 64
 def _spec(seed=0, **overrides):
     overrides.setdefault("design", DESIGN)
     overrides.setdefault("max_cycles", MAX_CYCLES)
-    overrides.setdefault("kernel_backend", "numpy")
+    overrides.setdefault("kernel_backend", "off")
     return RunSpec(seed=seed, **overrides)
 
 
@@ -165,10 +169,11 @@ def test_span_noop_when_tracing_off(tmp_path):
     assert span.end() >= 0.0
 
 
+@needs_cc
 def test_build_count_aliases_still_increment():
     before = batch.PROGRAM_BUILD_COUNT, kernels.KERNEL_BUILD_COUNT
     batch._BATCH_CACHE.clear()
-    estimate(_spec(seed=0, backend="batch"))
+    estimate(_spec(seed=0, backend="batch", kernel_backend="native"))
     assert batch.PROGRAM_BUILD_COUNT == before[0] + 1
     assert kernels.KERNEL_BUILD_COUNT == before[1] + 1
 
@@ -195,13 +200,14 @@ def test_cache_counters_register_hits_and_misses(tmp_path):
 
 
 # ---------------------------------------------------- cross-process merging
+@needs_cc
 def test_sweep_trace_merges_worker_pids(tracing, tmp_path):
     spec = SweepSpec(
         designs=(DESIGN, "DCT"),
         engines=("rtl",),
         seeds=(0, 1),
         max_cycles=MAX_CYCLES,
-        kernel_backend="numpy",
+        kernel_backend="native",
         n_workers=2,
     )
     result = sweep(spec)
@@ -227,7 +233,7 @@ def test_worker_counter_deltas_merge_into_parent():
         engines=("rtl",),
         seeds=(0, 1),
         max_cycles=MAX_CYCLES,
-        kernel_backend="numpy",
+        kernel_backend="off",
         n_workers=2,
     )
     sweep(spec)
@@ -317,7 +323,7 @@ def test_run_cli_trace_flag(tmp_path, capsys):
     trace_path = tmp_path / "run.json"
     code = cli_main([
         "run", "--design", DESIGN, "--max-cycles", str(MAX_CYCLES),
-        "--kernel-backend", "numpy", "--trace", str(trace_path),
+        "--kernel-backend", "off", "--trace", str(trace_path),
     ])
     # the flag must not leave tracing on for later tests
     obs.disable()

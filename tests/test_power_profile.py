@@ -161,7 +161,6 @@ def test_profile_sums_match_total_on_every_design(design):
     ("compiled", "auto"),
     ("interp", "auto"),
     ("batch", "off"),
-    ("batch", "numpy"),
     ("batch", "native"),
 ])
 def test_profile_parity_across_backends(backend, kernel_backend):

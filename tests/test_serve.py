@@ -33,17 +33,22 @@ from repro.serve import (
     run_stdio,
 )
 from repro.serve.protocol import JobRecord
-from repro.sim import batch
+from repro.sim import batch, kernels
+
+needs_cc = pytest.mark.skipif(
+    kernels.find_compiler() is None, reason="no C compiler on this host"
+)
 
 DESIGN = "binary_search"
 MAX_CYCLES = 96
 
 
 def _spec(seed=0, **overrides):
-    """A cheap lane-friendly spec; numpy kernel keeps builds deterministic."""
+    """A cheap lane-friendly spec on the plain batch path (no C toolchain
+    needed); tests that count kernel builds ask for ``native`` explicitly."""
     overrides.setdefault("design", DESIGN)
     overrides.setdefault("max_cycles", MAX_CYCLES)
-    overrides.setdefault("kernel_backend", "numpy")
+    overrides.setdefault("kernel_backend", "off")
     return RunSpec(seed=seed, **overrides)
 
 
@@ -72,7 +77,7 @@ def test_coalesce_key_separates_machine_shaping_fields():
     assert coalesce_key(_spec(seed=0, max_cycles=97)) != coalesce_key(base)
     assert coalesce_key(_spec(seed=0, design="DCT")) != coalesce_key(base)
     assert coalesce_key(
-        _spec(seed=0, kernel_backend="off")
+        _spec(seed=0, kernel_backend="native")
     ) != coalesce_key(base)
     assert coalesce_key(
         _spec(seed=0, kernel_threads=2)
@@ -127,10 +132,11 @@ def test_coalescing_queue_groups_by_key_in_arrival_order():
 # ------------------------------------------------- coalesced execution
 
 
+@needs_cc
 def test_concurrent_compatible_jobs_share_one_build():
     """8 concurrent clients, one program compile, one kernel build."""
     _fresh_programs()
-    specs = [_spec(seed=s) for s in range(8)]
+    specs = [_spec(seed=s, kernel_backend="native") for s in range(8)]
 
     async def go():
         async with PowerServer(coalesce_window_s=0.05) as server:
@@ -339,7 +345,7 @@ def test_server_and_sweep_share_one_result_store(tmp_path):
             designs=(DESIGN,),
             seeds=(0,),
             max_cycles=MAX_CYCLES,
-            kernel_backend="numpy",
+            kernel_backend="off",
             cache_dir=cache_dir,
         )
     )
@@ -365,7 +371,7 @@ def test_server_and_sweep_share_one_result_store(tmp_path):
             designs=(DESIGN,),
             seeds=(0, 1),
             max_cycles=MAX_CYCLES,
-            kernel_backend="numpy",
+            kernel_backend="off",
             cache_dir=cache_dir,
         )
     )

@@ -3,14 +3,14 @@
 The kernel subsystem (:mod:`repro.sim.kernels`) must never change results —
 only speed.  These tests pin that down three ways:
 
-* bit-parity of the plain batch path vs the NumPy kernel vs the native (C)
-  kernel across every registry design, the instrumented power hardware, and
-  spec-driven stimulus tensors,
+* bit-parity of the plain batch path vs the native (C) kernel across every
+  registry design, the instrumented power hardware, and spec-driven stimulus
+  tensors,
 * automatic per-module fallback for everything the IR cannot express
-  (subclassed components on the lane-scalar path, >60-bit object-dtype
+  (subclassed components on the lane-scalar path, >240-bit object-dtype
   stores), and
-* graceful degradation from the native backend to the NumPy kernel on hosts
-  without a C compiler.
+* graceful degradation from ``native`` and ``auto`` to the plain batch path
+  on hosts without a working C compiler.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ from repro.netlist import NetlistBuilder, flatten
 from repro.power import build_seed_library
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.sim import BatchSimulator, Simulator
-from repro.sim.kernels import (
-    KernelUnsupportedError,
-    NumpyKernel,
-    compile_kernel,
-    find_compiler,
-    resolve_kernel_backend,
-)
+from repro.sim import batch
+from repro.sim.kernels import find_compiler, native, resolve_kernel_backend
 from repro.sim.kernels.native import NativeKernel
 from repro.stim import SpecTestbench, UniformSpec
 from repro.stim.spec import StimulusSpec
@@ -43,7 +38,8 @@ needs_cc = pytest.mark.skipif(
     find_compiler() is None, reason="no C compiler on this host"
 )
 
-KERNEL_CASES = ["numpy"] + (["native"] if find_compiler() is not None else [])
+#: kernel backends checked against the plain batch path ("off")
+KERNEL_CASES = [pytest.param("native", marks=needs_cc)]
 
 
 def _sequences(module, rng, n_cycles=N_CYCLES, n_lanes=N_LANES):
@@ -110,14 +106,14 @@ def test_instrumented_power_hardware_kernel_parity(backend):
     _assert_rows_equal(reference, candidate, f"instrumented/{backend}")
 
 
+@needs_cc
 def test_kernel_vs_scalar_simulator_parity():
     """The native kernel path matches the scalar reference simulator lane by lane."""
     design = get_design("HVPeakF")
     build = lambda: flatten(design.build())  # noqa: E731
     sequences = _sequences(build(), np.random.default_rng(11))
-    backend = "native" if find_compiler() is not None else "numpy"
-    simulator, rows = _run(build, sequences, backend)
-    assert simulator.kernel_backend == backend
+    simulator, rows = _run(build, sequences, "native")
+    assert simulator.kernel_backend == "native"
     for lane in range(N_LANES):
         scalar = Simulator(build())
         for cycle in range(N_CYCLES):
@@ -193,7 +189,7 @@ def _module_with_unfusable_component():
 
 def test_unfusable_component_falls_back_to_plain_batch():
     module = _module_with_unfusable_component()
-    simulator = BatchSimulator(flatten(module), N_LANES, kernel_backend="numpy")
+    simulator = BatchSimulator(flatten(module), N_LANES, kernel_backend="native")
     assert simulator.kernel is None
     assert simulator.kernel_backend == "off"
     assert "fallback" in simulator.kernel_fallback
@@ -243,7 +239,7 @@ def test_very_wide_object_store_falls_back_to_plain_batch():
 
 def test_unsupported_reason_is_cached_on_the_program():
     module = flatten(_module_with_unfusable_component())
-    first = BatchSimulator(module, 2, kernel_backend="numpy")
+    first = BatchSimulator(module, 2, kernel_backend="native")
     second = BatchSimulator(module, 2, kernel_backend="native")
     assert first.kernel_fallback == second.kernel_fallback
     assert first.program is second.program
@@ -258,8 +254,8 @@ def test_unsupported_reason_is_cached_on_the_program():
 def test_resolve_kernel_backend_env_default(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
     assert resolve_kernel_backend(None) == "auto"
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-    assert resolve_kernel_backend(None) == "numpy"
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "native")
+    assert resolve_kernel_backend(None) == "native"
     assert resolve_kernel_backend("off") == "off"
     with pytest.raises(ValueError, match="unknown kernel backend"):
         resolve_kernel_backend("fpga")
@@ -270,9 +266,33 @@ def test_env_variable_selects_simulator_default(monkeypatch):
     module = flatten(get_design("Bubble_Sort").build())
     simulator = BatchSimulator(module, 2)
     assert simulator.kernel is None and simulator.kernel_backend == "off"
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "native")
     simulator = BatchSimulator(module, 2)
-    assert simulator.kernel_backend == "numpy"
+    assert simulator.kernel_decision == "native (requested)"
+
+
+def test_retired_numpy_kernel_is_rejected_everywhere(monkeypatch, capsys):
+    """RunSpec, SweepSpec, the CLI flag and the env default all refuse the
+    deleted fused-NumPy kernel backend, listing the valid ones."""
+    from repro.api import RunSpec, SweepSpec
+    from repro.api.cli import main as cli_main
+
+    retired = "numpy"
+    listing = "auto, native, off"
+    with pytest.raises(ValueError, match=listing):
+        RunSpec(design="binary_search", kernel_backend=retired)
+    with pytest.raises(ValueError, match=listing):
+        SweepSpec(designs=("binary_search",), kernel_backend=retired)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", retired)
+    with pytest.raises(ValueError, match=listing):
+        resolve_kernel_backend(None)
+    with pytest.raises(ValueError, match=listing):
+        BatchSimulator(build_flat("binary_search"), 2)
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--design", "binary_search", "--kernel-backend", retired])
+    assert exit_info.value.code == 2
+    assert "choose from 'auto', 'native', 'off'" in capsys.readouterr().err
 
 
 def _fresh_pipeline_module(width=9):
@@ -285,14 +305,18 @@ def _fresh_pipeline_module(width=9):
     return flatten(builder.build())
 
 
-def test_native_without_compiler_degrades_to_numpy_kernel(monkeypatch):
-    """A no-compiler host still gets the fused NumPy kernel from "native"."""
+def test_native_without_compiler_degrades_to_off(monkeypatch):
+    """A no-compiler host runs "native" and "auto" on the plain batch path."""
     monkeypatch.setenv("REPRO_KERNEL_CC", "definitely-not-a-compiler")
     assert find_compiler() is None
     module = _fresh_pipeline_module()
     simulator = BatchSimulator(module, N_LANES, kernel_backend="native")
-    assert isinstance(simulator.kernel, NumpyKernel)
-    assert simulator.kernel_backend == "numpy"
+    assert simulator.kernel is None
+    assert simulator.kernel_backend == "off"
+    assert "no C compiler found" in simulator.kernel_fallback
+    auto = BatchSimulator(module, N_LANES, kernel_backend="auto")
+    assert auto.kernel_backend == "off"
+    assert auto.kernel_decision == "auto -> off (no C toolchain)"
     rng = np.random.default_rng(3)
     sequences = _sequences(module, rng)
     rows = []
@@ -303,6 +327,31 @@ def test_native_without_compiler_degrades_to_numpy_kernel(monkeypatch):
         simulator.clock_edge()
     _, reference = _run(lambda: _fresh_pipeline_module(), sequences, "off")
     _assert_rows_equal(reference, rows, "no-compiler fallback")
+
+
+def test_non_compiler_toolchain_runs_off_with_identical_reports(monkeypatch):
+    """REPRO_KERNEL_CC naming a command that is not a compiler: the kernel
+    build fails, so "auto" and "native" both run the plain batch path and
+    report exactly what "off" reports."""
+    from repro.api import RunSpec, estimate
+
+    base = RunSpec(design="HVPeakF", backend="batch", max_cycles=64, seed=2)
+    reference = estimate(base.replace(kernel_backend="off"))
+    monkeypatch.setenv("REPRO_KERNEL_CC", "false")
+    if find_compiler() is None:
+        pytest.skip("no 'false' command on this host")
+    # force real compiles: no cached programs, kernels or .so handles
+    monkeypatch.setattr(batch, "_BATCH_CACHE", type(batch._BATCH_CACHE)())
+    monkeypatch.setattr(native, "_LIB_CACHE", {})
+    monkeypatch.setattr(native, "_THREADING_MODE", "serial")
+    expected = reference.report.to_dict()
+    expected.pop("estimation_time_s")
+    for kernel_backend in ("auto", "native"):
+        result = estimate(base.replace(kernel_backend=kernel_backend))
+        assert result.metadata["kernel_backend"] == "off"
+        actual = result.report.to_dict()
+        actual.pop("estimation_time_s")
+        assert actual == expected
 
 
 @needs_cc
@@ -423,8 +472,8 @@ def test_runspec_validates_kernel_backend():
         RunSpec(design="binary_search", kernel_backend="cuda")
     with pytest.raises(ValueError, match="unknown kernel backend"):
         SweepSpec(designs=("binary_search",), kernel_backend="cuda")
-    sweep = SweepSpec(designs=("binary_search",), seeds=(0, 1), kernel_backend="numpy")
-    assert all(s.kernel_backend == "numpy" for s in sweep.run_specs())
+    sweep = SweepSpec(designs=("binary_search",), seeds=(0, 1), kernel_backend="native")
+    assert all(s.kernel_backend == "native" for s in sweep.run_specs())
 
 
 @pytest.mark.parametrize("backend", KERNEL_CASES)
@@ -454,7 +503,7 @@ def test_uniform_spec_stimulus_kernel_parity_on_lane_view_loop():
         )
 
     reference = reports("off")
-    candidate = reports("numpy")
+    candidate = reports("native")
     for expected, actual in zip(reference, candidate):
         assert expected.total_energy_fj == actual.total_energy_fj
         assert expected.cycle_energy_fj == actual.cycle_energy_fj
