@@ -251,8 +251,7 @@ class RTLEstimatorAdapter(_EngineAdapter):
         }
         result = self._finish(
             spec, report, backend, start, setup_s, metadata,
-            {"simulate_s": report.estimation_time_s},
-            profile=estimator.last_profile)
+            dict(estimator.last_phase_s), profile=estimator.last_profile)
         est_span.set(backend=backend)
         est_span.end()
         return result

@@ -157,7 +157,7 @@ class GateLevelPowerEstimator:
             collector = WindowedEnergyCollector(
                 names=[c.name for c in observed],
                 types=[c.type_name for c in observed],
-                window_cycles=profile.resolved_window(default=1),
+                window_cycles=profile.resolved_window(),
                 max_windows=profile.max_windows,
             )
         observer = _GateLevelObserver(

@@ -5,9 +5,12 @@ style sweep runs the *same* flat module under N independent stimulus seeds; the
 scalar :class:`~repro.power.rtl_estimator.RTLPowerEstimator` would simulate the
 design N times.  This estimator instead lowers the design once into lane form
 (:mod:`repro.sim.batch`) and advances all N testbenches together — one settle
-per cycle for every lane — evaluating each component's power macromodel with
-one vectorized pass over ``(n_lanes,)`` port-value arrays per cycle
-(:meth:`~repro.power.macromodel.PowerMacromodel.evaluate_lanes`).
+per cycle for every lane.  Power observation is block-deferred: each cycle
+only gathers the monitored nets of every lane (one fancy index over the value
+store), and :class:`~repro.power.block.BlockEvaluator` turns a block of
+cycles into per-component energies in one vectorized pass — the same
+evaluator the scalar estimator uses, so each lane's energies equal a scalar
+run's bit for bit.
 
 Interactive testbenches drive their lane through a
 :class:`~repro.sim.batch.LaneView`: stimulus is collected per lane and applied
@@ -35,12 +38,8 @@ import numpy as np
 from repro import obs
 from repro.netlist.module import Module
 from repro.power.library import PowerModelLibrary
-from repro.power.macromodel import LinearTransitionModel
-from repro.power.profile import (
-    DEFAULT_WINDOW_TARGET,
-    PowerProfile,
-    ProfileConfig,
-)
+from repro.power.block import BlockEvaluator
+from repro.power.profile import PowerProfile, ProfileConfig
 from repro.power.report import ComponentPower, PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
@@ -49,125 +48,51 @@ from repro.sim.testbench import Testbench
 
 
 class _MacromodelObserver:
-    """Per-cycle macromodel observation, vectorized across components.
+    """Per-cycle lane gather feeding a :class:`~repro.power.block.BlockEvaluator`.
 
-    The per-component observation loop (one dict build + one
-    ``evaluate_lanes`` call per monitored component per cycle) dominated
-    spec-driven sweeps at low lane counts.  This observer gathers every
-    monitored port column **once** per cycle (one fancy index over the value
-    store), XORs against the previous cycle's gather in one pass, and keeps
-    only the per-port bit-unpack + matvec per component — in exactly the
-    order :meth:`LinearTransitionModel.evaluate_lanes` uses, so energies stay
-    bit-identical to the per-component path.  Models that are not plain
-    :class:`LinearTransitionModel` instances (LUT models, subclasses) and
-    object-dtype stores keep the generic per-component evaluation, fed from
-    the same gathered rows.
+    Each cycle: one fancy index over the value store for every net the
+    evaluator reads, plus ``evaluate_lanes`` for the generic components
+    (limb-store ports assembled into exact Python ints); the evaluator does
+    the rest a block at a time.
     """
 
-    def __init__(
-        self,
-        monitored,
-        slot_of,
-        store_is_object: bool,
-        limbs_of=None,
-    ) -> None:
-        limbs_of = limbs_of or {}
-        slots: List[int] = []
-        slot_row: Dict[int, int] = {}
-
-        def row_of(slot: int) -> int:
-            if slot not in slot_row:
-                slot_row[slot] = len(slots)
-                slots.append(slot)
-            return slot_row[slot]
-
-        #: (component name, base energy, [(row, shifts, coeffs), ...])
-        self._fast = []
-        #: (component name, model, [(port, rows), ...], wide) — generic
-        #: evaluation; multi-row ports are limb-store nets, assembled per
-        #: cycle.  ``wide`` components feed *every* port as exact Python ints
-        #: so :meth:`LinearTransitionModel.evaluate_lanes` takes its per-bit
-        #: object path for all of them — the sequential coefficient
-        #: accumulation order of the scalar ``evaluate``, keeping reports
-        #: bit-identical to the scalar estimator (the int64 matvec path sums
-        #: in a different float order).
-        self._generic = []
-        #: component names in monitored order — cycle totals sum in this
-        #: order so the cycle-energy trace matches the scalar observer's
-        self._order = []
-        for component, model in monitored:
-            binding = {}
-            for p in list(component.input_ports) + list(component.output_ports):
-                if p.net is None:
-                    continue
-                slot = slot_of[p.net]
-                n_limbs = limbs_of.get(p.net, 1)
-                binding[p.name] = tuple(row_of(slot + k) for k in range(n_limbs))
-            wide = any(len(rows) > 1 for rows in binding.values())
-            self._order.append(component.name)
-            if type(model) is LinearTransitionModel and not store_is_object and not wide:
-                entries = [
-                    (binding[port][0], shifts, coeffs)
-                    for port, shifts, coeffs in model._lane_tables()
-                    if port in binding  # unbound ports observe as constant 0
-                ]
-                self._fast.append((component.name, model.base_energy_fj, entries))
-            else:
-                self._generic.append(
-                    (component.name, model, sorted(binding.items()), wide)
-                )
-        self._rows = np.asarray(slots, dtype=np.intp)
-        self._prev = None
+    def __init__(self, monitored, program, n_lanes: int,
+                 keep_cycle_trace: bool = True, collector=None) -> None:
+        self.block = BlockEvaluator(monitored, n_lanes, keep_cycle_trace, collector)
+        slot_of, limbs_of = program.slot_of, program.limbs_of
+        self._rows = np.asarray([slot_of[net] for net in self.block.nets], dtype=np.intp)
+        #: (model, [(port, store rows), ...]) per generic component
+        self._generic = [
+            (model, [
+                (p.name, range(slot_of[p.net], slot_of[p.net] + limbs_of.get(p.net, 1)))
+                for p in list(component.input_ports) + list(component.output_ports)
+                if p.net is not None
+            ])
+            for component, model in self.block.generic
+        ]
+        self._previous: Optional[list] = None
 
     @staticmethod
-    def _gather_port(gathered: np.ndarray, rows, as_object: bool = False) -> np.ndarray:
+    def _port_value(v: np.ndarray, rows) -> np.ndarray:
         """One port's per-lane values; limb-store ports assemble Python ints."""
-        if len(rows) == 1:
-            row = gathered[rows[0]]
-            return row.astype(object) if as_object else row
-        value = gathered[rows[0]].astype(object)
+        value = v[rows[0]].astype(object if len(rows) > 1 else v.dtype)  # a copy
         for k in range(1, len(rows)):
-            value = value | (gathered[rows[k]].astype(object) << (LIMB_BITS * k))
+            value = value | (v[rows[k]].astype(object) << (LIMB_BITS * k))
         return value
 
-    def observe(
-        self,
-        v: np.ndarray,
-        active_f: np.ndarray,
-        energy_by_component: Dict[str, np.ndarray],
-    ) -> np.ndarray:
-        """Accumulate this cycle's per-component energies; returns the total."""
-        n_lanes = v.shape[1]
-        cur = v[self._rows]  # one (n_ports, n_lanes) gather (a copy)
-        prev = self._prev if self._prev is not None else cur
-        per_component: Dict[str, np.ndarray] = {}
-        if self._fast:
-            toggles = prev ^ cur  # one XOR for every monitored port
-            for name, base, entries in self._fast:
-                energies = np.full(n_lanes, base, dtype=np.float64)
-                for row, shifts, coeffs in entries:
-                    bits = (toggles[row][..., None] >> shifts) & 1
-                    energies += bits @ coeffs
-                energies *= active_f
-                energy_by_component[name] += energies
-                per_component[name] = energies
-        for name, model, ports, wide in self._generic:
-            current = {
-                port: self._gather_port(cur, rows, wide) for port, rows in ports
-            }
-            previous = {
-                port: self._gather_port(prev, rows, wide) for port, rows in ports
-            }
-            energies = model.evaluate_lanes(previous, current) * active_f
-            energy_by_component[name] += energies
-            per_component[name] = energies
-        # cycle totals accumulate in monitored order, matching the scalar
-        # observer's per-cycle sum bit for bit
-        total = np.zeros(n_lanes, dtype=np.float64)
-        for name in self._order:
-            total += per_component[name]
-        self._prev = cur
-        return total
+    def observe(self, v: np.ndarray, active_f: np.ndarray) -> None:
+        """Record this cycle's monitored values (``active_f`` masks lanes)."""
+        currents = [
+            {port: self._port_value(v, rows) for port, rows in ports}
+            for _, ports in self._generic
+        ]
+        generic = [
+            model.evaluate_lanes(previous, current)
+            for (model, _), previous, current in zip(
+                self._generic, self._previous or currents, currents)
+        ]
+        self._previous = currents
+        self.block.push(v[self._rows], generic, active_f)
 
 
 class BatchRTLPowerEstimator:
@@ -274,21 +199,12 @@ class BatchRTLPowerEstimator:
                 )
 
         is_object = simulator.program.dtype is object
-        # default window: the finest width yielding ~DEFAULT_WINDOW_TARGET
-        # windows over the known cycle budget (per-cycle windows on a long
-        # run would only coalesce away)
         known = [limit for limit in limits if limit is not None]
-        default_window = (
-            max(1, -(-max(known) // DEFAULT_WINDOW_TARGET))
-            if len(known) == len(limits)
-            else 1
-        )
         collector = self._scalar._make_collector(
-            profile, n_lanes=n_lanes, default_window=default_window
+            profile, max(known) if len(known) == n_lanes else None, n_lanes=n_lanes
         )
         observer = _MacromodelObserver(
-            self.monitored, simulator.program.slot_of, is_object,
-            simulator.program.limbs_of,
+            self.monitored, simulator.program, n_lanes, keep_cycle_trace, collector
         )
 
         input_keys = simulator._input_keys
@@ -297,21 +213,6 @@ class BatchRTLPowerEstimator:
 
         active = np.ones(n_lanes, dtype=bool)
         lane_cycles = [0] * n_lanes
-        # one (n_components, n_lanes) matrix of running energies whose rows
-        # back the per-component dict as views — the profile collector reads
-        # window deltas straight off it at boundaries, so profiling adds no
-        # per-cycle work to this loop
-        energy_matrix = np.zeros(
-            (len(self.monitored), n_lanes), dtype=np.float64
-        )
-        energy_by_component = {
-            component.name: energy_matrix[i]
-            for i, (component, _) in enumerate(self.monitored)
-        }
-        cycle_energy: List[np.ndarray] = []
-        # running per-lane peak cycle energy — masked lanes observe exact
-        # zeros, so the vectorized max never picks up post-finish cycles
-        peak_energy = np.zeros(n_lanes, dtype=np.float64)
 
         #: spec-backed lanes all run the same cycle-determined workload (one
         #: spec, equal limits, no checks), so their stop cycle is computed
@@ -325,8 +226,8 @@ class BatchRTLPowerEstimator:
             )
 
         # one span for the whole drive/settle/observe loop — never per cycle;
-        # the observer's share is accumulated with two clock reads per cycle
-        # against its NumPy-heavy gather/matvec body
+        # the observer's share (gathers plus block flushes) is accumulated
+        # with two clock reads per cycle
         sim_span = obs.span(
             "lanes.simulate", module=self.module.name, n_lanes=n_lanes)
         macromodel_s = 0.0
@@ -381,17 +282,11 @@ class BatchRTLPowerEstimator:
 
             simulator.settle()
 
-            # observe: one gather + XOR across all monitored ports, then one
-            # bit-unpack + matvec per (component, port) — see _MacromodelObserver
-            active_f = active.astype(np.float64)
+            # observe: gather the monitored values; the block evaluator
+            # turns them into energies every block_cycles cycles
             t_observe = time.perf_counter()
-            total_this_cycle = observer.observe(v, active_f, energy_by_component)
+            observer.observe(v, active.astype(np.float64))
             macromodel_s += time.perf_counter() - t_observe
-            np.maximum(peak_energy, total_this_cycle, out=peak_energy)
-            if keep_cycle_trace:
-                cycle_energy.append(total_this_cycle)
-            if collector is not None:
-                collector.end_cycle_cumulative(energy_matrix)
 
             if uniform_stop is not None:
                 simulator.clock_edge()
@@ -415,6 +310,10 @@ class BatchRTLPowerEstimator:
                 active[lane] = False
 
         simulator.settle()
+        t_observe = time.perf_counter()
+        block = observer.block
+        block.flush()
+        macromodel_s += time.perf_counter() - t_observe
         elapsed = time.perf_counter() - start
         sim_span.set(cycles=simulator.cycle,
                      macromodel_eval_s=round(macromodel_s, 6))
@@ -424,13 +323,8 @@ class BatchRTLPowerEstimator:
             "simulate_s": elapsed - build_s,
             "macromodel_eval_s": macromodel_s,
         }
-        trace = (
-            np.stack(cycle_energy, axis=0)
-            if cycle_energy
-            else np.zeros((0, n_lanes), dtype=np.float64)
-        )
+        trace = block.cycle_trace()
         if collector is not None:
-            collector.finish_cumulative(energy_matrix)
             self.last_profiles = collector.lane_profiles(
                 design=self.module.name,
                 estimator=self.name,
@@ -443,8 +337,8 @@ class BatchRTLPowerEstimator:
         driver_name = "array" if driver is not None else "lane-view"
         return [
             self._build_lane_report(
-                lane, lane_cycles[lane], energy_by_component, trace,
-                float(peak_energy[lane]), elapsed / n_lanes, n_lanes,
+                lane, lane_cycles[lane], block.totals, trace,
+                float(block.peak[lane]), elapsed / n_lanes, n_lanes,
                 keep_cycle_trace, driver_name,
             )
             for lane in range(n_lanes)
@@ -487,7 +381,7 @@ class BatchRTLPowerEstimator:
         self,
         lane: int,
         cycles: int,
-        energy_by_component: Dict[str, np.ndarray],
+        totals: np.ndarray,
         trace: np.ndarray,
         peak_energy_fj: float,
         elapsed_s: float,
@@ -498,8 +392,7 @@ class BatchRTLPowerEstimator:
         technology = self.technology
         components: Dict[str, ComponentPower] = {}
         total_energy = 0.0
-        for component, _ in self.monitored:
-            energy = float(energy_by_component[component.name][lane])
+        for (component, _), energy in zip(self.monitored, totals[:, lane].tolist()):
             total_energy += energy
             components[component.name] = ComponentPower(
                 name=component.name,

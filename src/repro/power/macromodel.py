@@ -128,49 +128,54 @@ class LinearTransitionModel(PowerMacromodel):
         return energy
 
     def evaluate_lanes(self, previous: Mapping[str, object], current: Mapping[str, object]):
-        """Vectorized per-lane energies: one bit-unpack + matvec per port.
+        """Per-lane :meth:`evaluate`: one masked add per monitored bit.
 
-        Exactly :meth:`evaluate` applied lane-wise (same coefficients, same
-        toggle indicators), so batch sweeps reproduce scalar estimates
-        bit-for-bit.
+        Accumulates in :meth:`evaluate`'s order (base, then every port's bits
+        in ascending order), so each lane equals the scalar result exactly,
+        for int64 arrays and exact Python-int (``object``) arrays alike.
+        Plain models go through :mod:`repro.power.block` instead; this path
+        serves subclasses and ports too wide for an int64 lane.
         """
         import numpy as np
 
         n_lanes = len(np.asarray(next(iter(current.values())))) if current else 0
         energies = np.full(n_lanes, self.base_energy_fj, dtype=np.float64)
-        for port, shifts, coeffs in self._lane_tables():
+        for port, coeffs in self.coefficients.items():
             # missing ports observe as constant 0, as in the scalar evaluate
             toggles = np.asarray(previous.get(port, 0)) ^ np.asarray(current.get(port, 0))
-            if toggles.dtype == object:
-                # >60-bit lane stores hold exact Python ints: per-bit loop
-                for bit, coeff in zip(shifts, coeffs):
-                    energies += coeff * ((toggles >> int(bit)) & 1).astype(np.float64)
-                continue
-            bits = (toggles[..., None] >> shifts) & 1  # (n_lanes, width)
-            energies += bits @ coeffs
+            for bit, coeff in enumerate(coeffs):
+                if coeff:
+                    energies += coeff * ((toggles >> bit) & 1).astype(np.float64)
         return energies
 
-    def _lane_tables(self):
-        """Per-port (shifts, coefficient-vector) tables for the lane path.
+    def byte_tables(self):
+        """Per-port coefficient sums for every byte pattern, built once.
 
-        Built once per model; ports whose coefficients are all zero are
-        dropped entirely (they cannot contribute energy).  Coefficients are
+        Returns ``[(port, tables), ...]`` in :attr:`coefficients` order, where
+        ``tables[j][b]`` is the energy of toggle pattern ``b`` on bits
+        ``8j .. 8j+7`` of ``port`` — its set bits' coefficients summed in
+        ascending bit order.  The float counterpart of the per-byte tables
+        of :class:`~repro.core.power_model_hw.HardwarePowerModel`.  Ports
+        whose coefficients are all zero are dropped; coefficients are
         treated as immutable after construction, as everywhere else.
         """
-        tables = getattr(self, "_lane_tables_cache", None)
+        tables = getattr(self, "_byte_tables_cache", None)
         if tables is None:
             import numpy as np
 
+            patterns = np.arange(256)
             tables = []
             for port, coeffs in self.coefficients.items():
                 if not any(coeffs):
                     continue
-                tables.append((
-                    port,
-                    np.arange(len(coeffs), dtype=np.int64),
-                    np.asarray(coeffs, dtype=np.float64),
-                ))
-            self._lane_tables_cache = tables
+                padded = np.zeros(-(-len(coeffs) // 8) * 8)
+                padded[:len(coeffs)] = coeffs
+                padded = padded.reshape(-1, 8)
+                table = np.zeros((len(padded), 256))
+                for bit in range(8):
+                    table += padded[:, bit:bit + 1] * ((patterns >> bit) & 1)
+                tables.append((port, table))
+            self._byte_tables_cache = tables
         return tables
 
     # --------------------------------------------------- canonical flat view

@@ -13,10 +13,11 @@ breakdowns, Chrome-trace counter events).
 Two pieces:
 
 * :class:`WindowedEnergyCollector` — the streaming accumulator the
-  simulation observers feed.  Observers add per-component energies into the
-  current window buffer (scalar floats or ``(n_lanes,)`` NumPy rows — one
-  vectorized add per component per cycle, never per-lane Python) and call
-  :meth:`~WindowedEnergyCollector.end_cycle`.  When the committed window
+  simulation observers feed.  Observers either add per-component energies
+  into the current window buffer and call
+  :meth:`~WindowedEnergyCollector.end_cycle`, or hand over a whole block of
+  per-cycle energies (scalar or ``(n_lanes,)`` per component) with
+  :meth:`~WindowedEnergyCollector.add_block`.  When the committed window
   count reaches ``max_windows`` adjacent windows merge pairwise and the
   window width doubles, so an arbitrarily long run costs a fixed amount of
   memory while window sums stay exact.
@@ -65,10 +66,11 @@ class ProfileConfig:
     """How an estimator should collect its windowed profile.
 
     ``window_cycles`` is the *initial* window width in cycles (``None`` =
-    the engine's natural granularity: one cycle on the software estimators,
-    the strobe period on the emulation platform); the effective width in the
-    resulting profile may be a power-of-two multiple when the run was long
-    enough to trigger coalescing against ``max_windows``.
+    the engine's natural granularity: see :meth:`resolved_window` for the
+    software estimators, the strobe period on the emulation platform); the
+    effective width in the resulting profile may be a power-of-two multiple
+    when the run was long enough to trigger coalescing against
+    ``max_windows``.
     """
 
     window_cycles: Optional[int] = None
@@ -84,18 +86,27 @@ class ProfileConfig:
                 f"max_windows must be >= 2, got {self.max_windows}"
             )
 
-    def resolved_window(self, default: int = 1) -> int:
-        return self.window_cycles if self.window_cycles is not None else default
+    def resolved_window(self, budget: Optional[int] = None) -> int:
+        """The initial width for a run of at most ``budget`` cycles.
+
+        The requested width, else the finest width giving about
+        :data:`DEFAULT_WINDOW_TARGET` windows over a known budget, else one
+        cycle — the same answer for a scalar run and a lane block.
+        """
+        if self.window_cycles is not None:
+            return self.window_cycles
+        if budget is None:
+            return 1
+        return max(1, -(-budget // DEFAULT_WINDOW_TARGET))
 
 
 class WindowedEnergyCollector:
     """Streaming ``(window × component)`` energy accumulator, bounded memory.
 
-    ``n_lanes=None`` collects scalar per-cycle energies (the scalar RTL,
-    gate-level and emulation observers); an integer collects ``(n_lanes,)``
-    rows per component (the lane estimator), one vectorized add per
-    component per cycle.  Component order is fixed at construction and is
-    the row order of every emitted profile.
+    ``n_lanes=None`` collects scalar energies (the scalar RTL, gate-level
+    and emulation observers); an integer collects ``(n_lanes,)`` rows per
+    component (the lane estimator).  Component order is fixed at
+    construction and is the row order of every emitted profile.
     """
 
     def __init__(
@@ -126,8 +137,6 @@ class WindowedEnergyCollector:
         self.buf = np.zeros(shape, dtype=np.float64)
         self._windows: List[np.ndarray] = []
         self._in_window = 0
-        # cumulative-mode state: running totals at the last window boundary
-        self._snapshot: Optional[np.ndarray] = None
         #: total cycles observed
         self.cycles = 0
 
@@ -143,40 +152,30 @@ class WindowedEnergyCollector:
         self.cycles += 1
         self._in_window += 1
         if self._in_window >= self.window_cycles:
-            self._windows.append(self.buf.copy())
-            self.buf[:] = 0.0
-            self._in_window = 0
-            if len(self._windows) >= self.max_windows:
-                self._coalesce()
+            self._commit()
 
-    def end_cycle_cumulative(self, totals: np.ndarray) -> None:
-        """``end_cycle`` for observers that maintain *running* totals.
+    def _commit(self) -> None:
+        self._windows.append(self.buf.copy())
+        self.buf[:] = 0.0
+        self._in_window = 0
+        if len(self._windows) >= self.max_windows:
+            self._coalesce()
 
-        The batch lane loop already accumulates every component's energy
-        into one ``(n_components, n_lanes)`` matrix; rather than mirroring
-        those adds into :attr:`buf` (per-component per-cycle work), this
-        mode commits the delta of ``totals`` since the previous window
-        boundary — profiling costs nothing off boundaries.  Use either
-        this or :meth:`add`/:meth:`end_cycle` on one collector, not both.
+    def add_block(self, energies: np.ndarray) -> None:
+        """Ingest a ``(cycles, components[, lanes])`` block of per-cycle energies.
+
+        One vectorized sum per window segment; boundaries (and coalescing)
+        may land anywhere in the block.
         """
-        self.cycles += 1
-        self._in_window += 1
-        if self._in_window >= self.window_cycles:
-            if self._snapshot is None:
-                self._snapshot = np.zeros_like(totals)
-            self._windows.append(totals - self._snapshot)
-            np.copyto(self._snapshot, totals)
-            self._in_window = 0
-            if len(self._windows) >= self.max_windows:
-                self._coalesce()
-
-    def finish_cumulative(self, totals: np.ndarray) -> None:
-        """Fold the open partial window into :attr:`buf` (cumulative mode)."""
-        if self._in_window:
-            if self._snapshot is None:
-                self.buf[:] = totals
-            else:
-                self.buf[:] = totals - self._snapshot
+        start, n = 0, len(energies)
+        while start < n:
+            take = min(n - start, self.window_cycles - self._in_window)
+            self.buf += energies[start:start + take].sum(axis=0)
+            start += take
+            self.cycles += take
+            self._in_window += take
+            if self._in_window >= self.window_cycles:
+                self._commit()
 
     def _coalesce(self) -> None:
         # merge adjacent pairs and double the granularity: window sums are
@@ -305,12 +304,13 @@ class PowerProfile:
     def __post_init__(self) -> None:
         if len(self.component_names) != len(self.component_types):
             raise ValueError("component names and types must align")
-        for row in self.energy_fj:
-            if len(row) != len(self.component_names):
-                raise ValueError(
-                    f"profile row has {len(row)} entries for "
-                    f"{len(self.component_names)} components"
-                )
+        # one C-level pass: lane blocks emit hundreds of profiles per run
+        widths = set(map(len, self.energy_fj)) - {len(self.component_names)}
+        if widths:
+            raise ValueError(
+                f"profile row has {widths.pop()} entries for "
+                f"{len(self.component_names)} components"
+            )
 
     # ----------------------------------------------------------- geometry
     @property

@@ -2,10 +2,12 @@
 
 This is the baseline algorithm power emulation accelerates: simulate the
 design cycle by cycle, observe every RTL component's input/output values, and
-evaluate its power macromodel in software each cycle, accumulating energy per
-component.  Commercial tools such as PowerTheater and NEC's internal RTL power
-estimator implement exactly this loop (plus I/O and reporting); their absolute
-runtimes are modelled separately in :mod:`repro.power.commercial`.
+evaluate its power macromodel in software, accumulating energy per component.
+Evaluation is block-deferred (:mod:`repro.power.block`): the observer gathers
+the monitored values each cycle and the macromodels run over a block of
+cycles at a time.  Commercial tools such as PowerTheater and NEC's internal
+RTL power estimator implement this loop (plus I/O and reporting); their
+absolute runtimes are modelled separately in :mod:`repro.power.commercial`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.netlist.components import Component
 from repro.netlist.module import Module
+from repro.power.block import BlockEvaluator
 from repro.power.library import PowerModelLibrary, build_seed_library
 from repro.power.macromodel import PowerMacromodel
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
@@ -25,53 +28,42 @@ from repro.sim.testbench import Testbench
 
 
 class _MacromodelObserver(SimulationObserver):
-    """Simulator observer that evaluates macromodels every cycle.
+    """Simulator observer feeding a :class:`~repro.power.block.BlockEvaluator`.
 
-    Always tracks per-component totals and the running peak cycle energy;
-    the full per-cycle list is kept only when ``keep_cycle_trace`` so long
-    runs stay bounded in memory.  An optional
-    :class:`~repro.power.profile.WindowedEnergyCollector` receives each
-    component's energy every cycle for the windowed profile.
+    Each cycle it gathers the monitored nets with one getter call and
+    evaluates only the generic components (see :mod:`repro.power.block`);
+    the evaluator does the rest a block at a time.  ``eval_s`` is the time
+    spent here and in the final flush.
     """
 
     def __init__(
         self,
         estimator: "RTLPowerEstimator",
+        simulator: Simulator,
         keep_cycle_trace: bool = True,
         collector: Optional[WindowedEnergyCollector] = None,
     ) -> None:
-        self.estimator = estimator
-        self.keep_cycle_trace = keep_cycle_trace
-        self.collector = collector
-        self.energy_by_component: Dict[str, float] = {}
-        self.cycle_energy: List[float] = []
-        self.peak_cycle_energy_fj = 0.0
+        self.block = BlockEvaluator(
+            estimator.monitored, keep_cycle_trace=keep_cycle_trace, collector=collector
+        )
+        self._gather = simulator.net_getter(self.block.nets)
         self._previous_io: Dict[Component, Dict[str, int]] = {}
-
-    def on_reset(self, simulator: Simulator) -> None:
-        self.energy_by_component = {c.name: 0.0 for c, _ in self.estimator.monitored}
-        self.cycle_energy = []
-        self.peak_cycle_energy_fj = 0.0
-        self._previous_io = {}
+        self.eval_s = 0.0
 
     def on_cycle(self, simulator: Simulator, cycle: int) -> None:
-        collector = self.collector
-        total_this_cycle = 0.0
-        for row, (component, model) in enumerate(self.estimator.monitored):
+        start = time.perf_counter()
+        generic = []
+        for component, model in self.block.generic:
             current = simulator.component_io_values(component)
-            previous = self._previous_io.get(component, current)
-            energy = model.evaluate(previous, current)
+            generic.append(model.evaluate(self._previous_io.get(component, current), current))
             self._previous_io[component] = current
-            self.energy_by_component[component.name] += energy
-            total_this_cycle += energy
-            if collector is not None:
-                collector.add(row, energy)
-        if total_this_cycle > self.peak_cycle_energy_fj:
-            self.peak_cycle_energy_fj = total_this_cycle
-        if self.keep_cycle_trace:
-            self.cycle_energy.append(total_this_cycle)
-        if collector is not None:
-            collector.end_cycle()
+        self.block.push(self._gather(), generic)
+        self.eval_s += time.perf_counter() - start
+
+    def on_finish(self, simulator: Simulator) -> None:
+        start = time.perf_counter()
+        self.block.flush()
+        self.eval_s += time.perf_counter() - start
 
 
 class RTLPowerEstimator:
@@ -105,6 +97,9 @@ class RTLPowerEstimator:
             self.monitored.append((component, self.library.lookup(component)))
         #: windowed profile from the most recent profiled :meth:`estimate`
         self.last_profile: Optional[PowerProfile] = None
+        #: wall-clock phases of the last :meth:`estimate`: ``simulate_s`` and
+        #: its ``macromodel_eval_s`` slice (observer gathers, block flushes)
+        self.last_phase_s: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ API
     def estimate(
@@ -122,14 +117,15 @@ class RTLPowerEstimator:
         """
         start = time.perf_counter()
         simulator = Simulator(self.module, backend=self.backend)
-        collector = self._make_collector(profile)
+        budget = max_cycles if max_cycles is not None else testbench.max_cycles
+        collector = self._make_collector(profile, budget)
         observer = _MacromodelObserver(
-            self, keep_cycle_trace=keep_cycle_trace, collector=collector
+            self, simulator, keep_cycle_trace=keep_cycle_trace, collector=collector
         )
-        observer.on_reset(simulator)
         simulator.add_observer(observer)
         simulation = simulator.run(testbench, max_cycles=max_cycles)
         elapsed = time.perf_counter() - start
+        self.last_phase_s = {"simulate_s": elapsed, "macromodel_eval_s": observer.eval_s}
         self.last_profile = (
             collector.profile(
                 design=self.module.name,
@@ -145,15 +141,16 @@ class RTLPowerEstimator:
     def _make_collector(
         self,
         profile: Optional[ProfileConfig],
+        budget: Optional[int],
         n_lanes: Optional[int] = None,
-        default_window: int = 1,
     ) -> Optional[WindowedEnergyCollector]:
+        """The profile collector for a run of at most ``budget`` cycles."""
         if profile is None:
             return None
         return WindowedEnergyCollector(
             names=[c.name for c, _ in self.monitored],
             types=[c.type_name for c, _ in self.monitored],
-            window_cycles=profile.resolved_window(default=default_window),
+            window_cycles=profile.resolved_window(budget),
             max_windows=profile.max_windows,
             n_lanes=n_lanes,
         )
@@ -174,10 +171,10 @@ class RTLPowerEstimator:
         keep_cycle_trace: bool,
     ) -> PowerReport:
         technology = self.technology
+        block = observer.block
         components: Dict[str, ComponentPower] = {}
         total_energy = 0.0
-        for component, _ in self.monitored:
-            energy = observer.energy_by_component.get(component.name, 0.0)
+        for (component, _), energy in zip(self.monitored, block.totals[:, 0].tolist()):
             total_energy += energy
             components[component.name] = ComponentPower(
                 name=component.name,
@@ -189,7 +186,7 @@ class RTLPowerEstimator:
             )
         average_power = technology.energy_to_power_mw(total_energy / cycles if cycles else 0.0)
         peak_power = (
-            technology.energy_to_power_mw(observer.peak_cycle_energy_fj)
+            technology.energy_to_power_mw(float(block.peak[0]))
             if cycles
             else 0.0
         )
@@ -202,7 +199,7 @@ class RTLPowerEstimator:
             average_power_mw=average_power,
             peak_power_mw=peak_power,
             components=components,
-            cycle_energy_fj=list(observer.cycle_energy) if keep_cycle_trace else [],
+            cycle_energy_fj=block.cycle_trace()[:, 0].tolist() if keep_cycle_trace else [],
             estimation_time_s=elapsed_s,
             notes={"n_monitored_components": len(self.monitored)},
         )

@@ -24,9 +24,11 @@ and the emulation platform run unchanged — just faster.
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.netlist.module import Module
 from repro.netlist.nets import Net
@@ -130,6 +132,7 @@ class Simulator:
         #: subscripting by the keys stored in the precomputed bindings below,
         #: which is all the hot accessors need.
         self._store = self._v if program is not None else self.values
+        self._key = key
         # Precompute port->key bindings once; evaluation is the hot loop.
         self._io_bindings = {}
         for component in module.components.values():
@@ -217,6 +220,14 @@ class Simulator:
         snapshot = {name: store[key] for name, key in in_binding}
         snapshot.update({name: store[key] for name, key in out_binding})
         return snapshot
+
+    def net_getter(self, nets: Sequence[Net]) -> Callable[[], Tuple[int, ...]]:
+        """A no-argument callable returning the current values of ``nets``:
+        one :func:`operator.itemgetter` over the value store."""
+        keys = [self._key(net) for net in nets]
+        get = operator.itemgetter(*keys) if len(keys) > 1 else (
+            lambda store: tuple(store[key] for key in keys))
+        return functools.partial(get, self._store)
 
     # ------------------------------------------------------------ execution
     def settle(self) -> None:

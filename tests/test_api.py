@@ -228,7 +228,7 @@ def test_single_batch_estimate_is_a_one_lane_estimate_many(monkeypatch):
         assert fallback.backend == "compiled"
         assert fallback.spec == spec
         assert set(fallback.metadata["phase_s"]) == {
-            "setup_s", "simulate_s", "total_s",
+            "setup_s", "simulate_s", "macromodel_eval_s", "total_s",
         }
         assert fallback.report.total_energy_fj == pytest.approx(
             result.report.total_energy_fj, rel=1e-9
