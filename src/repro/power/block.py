@@ -13,9 +13,10 @@ read of the results, :meth:`BlockEvaluator.flush` evaluates the whole
    :meth:`~repro.power.macromodel.LinearTransitionModel.byte_tables`;
 3. sum per component, in order, starting from the base energy;
 4. apply the active-lane mask;
-5. fold the per-cycle ``(components × cycles × lanes)`` energies, in cycle
-   order, into the totals, the peak, the cycle trace and the profile
-   collector.
+5. fold the per-cycle ``(components × cycles × lanes)`` energies into the
+   peak and the cycle trace, and accumulate them, in cycle order, into
+   running totals; the profile collector takes its windows as differences
+   of those running totals.
 
 Every sum runs in an order fixed by the model alone, never by the block
 length or the lane count, so a scalar run and each lane of a batch run of
@@ -60,7 +61,6 @@ class BlockEvaluator:
         n_lanes: Optional[int] = None,
         keep_cycle_trace: bool = True,
         collector: Optional[WindowedEnergyCollector] = None,
-        block_cycles: Optional[int] = None,
     ) -> None:
         self.n_lanes = n_lanes
         self.keep_cycle_trace = keep_cycle_trace
@@ -100,7 +100,7 @@ class BlockEvaluator:
         self._generic_pos = np.array(generic_pos, dtype=np.intp)
         self.n_components = len(monitored)
         width = max(len(self.nets), self.n_components, 1)
-        self.block_cycles = block_cycles or max(1, BLOCK_ELEMENTS // (width * self._lanes))
+        self.block_cycles = max(1, BLOCK_ELEMENTS // (width * self._lanes))
 
         self._values: list = []
         self._generic_energy: list = []
@@ -156,18 +156,13 @@ class BlockEvaluator:
         np.maximum(self._peak, total.max(axis=0), out=self._peak)
         if self.keep_cycle_trace:
             self._trace.append(total)
-        if self.collector is not None:
-            per_cycle = energy.transpose(1, 0, 2)
-            self.collector.add_block(per_cycle if self.n_lanes is not None else per_cycle[:, :, 0])
-        # totals add the cycles one by one, in order: one accumulate when the
-        # cycle axis is contiguous (one lane), else one add per cycle
+        # running totals: the previous block's, then the cycles one by one,
+        # in order; the collector commits its windows as their differences
         energy[:, 0] += self._totals
-        if lanes == 1:
-            self._totals = np.add.accumulate(energy, axis=1)[:, -1]
-        else:
-            self._totals = energy[:, 0].copy()
-            for cycle in range(1, k):
-                self._totals += energy[:, cycle]
+        running = np.add.accumulate(energy, axis=1, out=energy)
+        self._totals = running[:, -1].copy()
+        if self.collector is not None:
+            self.collector.add_running(running if self.n_lanes is not None else running[:, :, 0])
         self._values.clear()
         self._generic_energy.clear()
         self._masks.clear()

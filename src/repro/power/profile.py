@@ -16,8 +16,9 @@ Two pieces:
   simulation observers feed.  Observers either add per-component energies
   into the current window buffer and call
   :meth:`~WindowedEnergyCollector.end_cycle`, or hand over a whole block of
-  per-cycle energies (scalar or ``(n_lanes,)`` per component) with
-  :meth:`~WindowedEnergyCollector.add_block`.  When the committed window
+  per-component running totals (scalar or ``(n_lanes,)`` per cycle) with
+  :meth:`~WindowedEnergyCollector.add_running`, which commits windows as
+  differences at their boundaries.  When the committed window
   count reaches ``max_windows`` adjacent windows merge pairwise and the
   window width doubles, so an arbitrarily long run costs a fixed amount of
   memory while window sums stay exact.
@@ -137,6 +138,8 @@ class WindowedEnergyCollector:
         self.buf = np.zeros(shape, dtype=np.float64)
         self._windows: List[np.ndarray] = []
         self._in_window = 0
+        # running totals at the last window boundary (:meth:`add_running`)
+        self._snapshot = np.zeros(shape, dtype=np.float64)
         #: total cycles observed
         self.cycles = 0
 
@@ -152,30 +155,34 @@ class WindowedEnergyCollector:
         self.cycles += 1
         self._in_window += 1
         if self._in_window >= self.window_cycles:
-            self._commit()
+            self._commit(self.buf.copy())
+            self.buf[:] = 0.0
 
-    def _commit(self) -> None:
-        self._windows.append(self.buf.copy())
-        self.buf[:] = 0.0
+    def add_running(self, running: np.ndarray) -> None:
+        """Ingest a block of *running* totals, ``(components, cycles[, lanes])``.
+
+        ``running[:, j]`` is each component's energy from the start of the
+        run through the block's cycle ``j``.  Windows commit as differences
+        of running totals at their boundaries, which may land anywhere in
+        the block, so the cost is per window, not per cycle.  Use either
+        this or :meth:`add`/:meth:`end_cycle` on one collector, not both.
+        """
+        n, done = running.shape[1], 0
+        while done + self.window_cycles - self._in_window <= n:
+            done += self.window_cycles - self._in_window
+            boundary = running[:, done - 1]
+            self._commit(boundary - self._snapshot)
+            self._snapshot = boundary.copy()
+        self._in_window += n - done
+        self.cycles += n
+        # the open window
+        np.subtract(running[:, -1], self._snapshot, out=self.buf)
+
+    def _commit(self, window: np.ndarray) -> None:
+        self._windows.append(window)
         self._in_window = 0
         if len(self._windows) >= self.max_windows:
             self._coalesce()
-
-    def add_block(self, energies: np.ndarray) -> None:
-        """Ingest a ``(cycles, components[, lanes])`` block of per-cycle energies.
-
-        One vectorized sum per window segment; boundaries (and coalescing)
-        may land anywhere in the block.
-        """
-        start, n = 0, len(energies)
-        while start < n:
-            take = min(n - start, self.window_cycles - self._in_window)
-            self.buf += energies[start:start + take].sum(axis=0)
-            start += take
-            self.cycles += take
-            self._in_window += take
-            if self._in_window >= self.window_cycles:
-                self._commit()
 
     def _coalesce(self) -> None:
         # merge adjacent pairs and double the granularity: window sums are

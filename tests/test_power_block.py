@@ -15,7 +15,6 @@ evaluation in both RTL estimators.  Two contracts:
 
 from __future__ import annotations
 
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,7 +75,9 @@ def test_block_evaluator_matches_linear_model_evaluate(
 ):
     rng = np.random.default_rng(seed)
     lanes = 1 if n_lanes is None else n_lanes
-    evaluator = BlockEvaluator(monitored, n_lanes=n_lanes, block_cycles=block)
+    evaluator = BlockEvaluator(monitored, n_lanes=n_lanes)
+    if block is not None:
+        evaluator.block_cycles = block
     assert not evaluator.generic
     values = {
         p.net: rng.integers(0, 1 << p.net.width, size=(n_cycles, lanes))
@@ -173,6 +174,16 @@ def test_evaluate_lanes_equals_scalar_evaluate_exactly():
 
 
 # ------------------------------------------------------ engine exactness
+def _fixed_blocks(monkeypatch, block):
+    """Make both estimators evaluate in blocks of ``block`` cycles."""
+    def make(*args, **kwargs):
+        evaluator = BlockEvaluator(*args, **kwargs)
+        evaluator.block_cycles = block
+        return evaluator
+    monkeypatch.setattr(lane_estimator, "BlockEvaluator", make)
+    monkeypatch.setattr(rtl_estimator, "BlockEvaluator", make)
+
+
 def _signature(report):
     return (
         report.cycles,
@@ -211,9 +222,7 @@ def test_block_length_never_changes_results(monkeypatch):
     scalar_want = RTLPowerEstimator(entry.build()).estimate(
         entry.make_testbench(0), max_cycles=40)
     for block in (1, 7):
-        fixed = functools.partial(BlockEvaluator, block_cycles=block)
-        monkeypatch.setattr(lane_estimator, "BlockEvaluator", fixed)
-        monkeypatch.setattr(rtl_estimator, "BlockEvaluator", fixed)
+        _fixed_blocks(monkeypatch, block)
         got = BatchRTLPowerEstimator(entry.build(), kernel_backend="off").estimate_all(
             [entry.make_testbench(s) for s in seeds], max_cycles=40)
         assert [_signature(r) for r in got] == [_signature(r) for r in want]
@@ -223,7 +232,7 @@ def test_block_length_never_changes_results(monkeypatch):
 
 
 # ------------------------------------------------------- profile windows
-def test_collector_blocks_split_at_windows_and_coalesce_mid_block():
+def test_collector_running_blocks_split_at_windows_and_coalesce_mid_block():
     rng = np.random.default_rng(5)
     energies = rng.uniform(0.0, 4.0, size=(101, 3, 2))
     streamed = WindowedEnergyCollector(["a", "b", "c"], ["x"] * 3,
@@ -234,8 +243,9 @@ def test_collector_blocks_split_at_windows_and_coalesce_mid_block():
         streamed.end_cycle()
     blocked = WindowedEnergyCollector(["a", "b", "c"], ["x"] * 3,
                                       window_cycles=3, max_windows=4, n_lanes=2)
+    running = np.add.accumulate(energies, axis=0).transpose(1, 0, 2)
     for start in range(0, 101, 13):  # 13-cycle blocks: windows land mid-block
-        blocked.add_block(energies[start:start + 13])
+        blocked.add_running(running[:, start:start + 13])
     assert blocked.window_cycles == streamed.window_cycles > 3
     assert blocked.cycles == 101
     np.testing.assert_allclose(blocked.matrix(), streamed.matrix(), rtol=REL)
@@ -246,9 +256,7 @@ def test_collector_blocks_split_at_windows_and_coalesce_mid_block():
 def test_profile_window_sums_match_totals_when_window_does_not_divide_block(
     monkeypatch,
 ):
-    fixed = functools.partial(BlockEvaluator, block_cycles=5)
-    monkeypatch.setattr(rtl_estimator, "BlockEvaluator", fixed)
-    monkeypatch.setattr(lane_estimator, "BlockEvaluator", fixed)
+    _fixed_blocks(monkeypatch, 5)
     entry = get_design("DCT")
     config = ProfileConfig(window_cycles=3, max_windows=4)
     scalar = RTLPowerEstimator(entry.build())
