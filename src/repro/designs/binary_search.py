@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import JobsTestbench
 from repro.designs import stimuli
 
 #: default table size (entries) and data width
@@ -129,44 +129,30 @@ def build(depth: int = DEFAULT_DEPTH, width: int = DEFAULT_WIDTH,
     return module
 
 
-class BinarySearchTestbench(Testbench):
+class BinarySearchTestbench(JobsTestbench):
     """Searches a sequence of keys and checks found/index against the table."""
 
     def __init__(self, module: Module, keys: Sequence[int], name: str = "binary_search_tb") -> None:
-        super().__init__(name)
+        keys = list(keys)
+        super().__init__(len(keys), name)
         self.table: List[int] = list(module.attributes["table"])
-        self.keys = list(keys)
-        self._key_index = 0
-        self._searching = False
-        self._checked = 0
+        self.keys = keys
         self.max_cycles = 40 * max(1, len(self.keys))
 
-    def drive(self, cycle: int, simulator):
-        if self._key_index >= len(self.keys):
-            return {"start": 0}
-        if not self._searching:
-            self._searching = True
-            return {"start": 1, "key": self.keys[self._key_index]}
-        return {"start": 0, "key": self.keys[self._key_index]}
+    def job_inputs(self, job):
+        return {"key": self.keys[job]} if job < len(self.keys) else {}
 
-    def check(self, cycle: int, simulator) -> None:
-        if self._searching and simulator.get_output("done"):
-            key = self.keys[self._key_index]
-            found = simulator.get_output("found")
-            index = simulator.get_output("index")
-            if key in self.table:
-                assert found == 1, f"key {key} should have been found"
-                assert self.table[index] == key, (
-                    f"index {index} holds {self.table[index]}, expected {key}"
-                )
-            else:
-                assert found == 0, f"key {key} reported found but is absent"
-            self._checked += 1
-            self._key_index += 1
-            self._searching = False
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return self._key_index >= len(self.keys)
+    def verify(self, job, dut) -> None:
+        key = self.keys[job]
+        found = dut.output("found")
+        index = dut.output("index")
+        if key in self.table:
+            assert found == 1, f"key {key} should have been found"
+            assert self.table[index] == key, (
+                f"index {index} holds {self.table[index]}, expected {key}"
+            )
+        else:
+            assert found == 0, f"key {key} reported found but is absent"
 
     def captured(self):
         return {"searches_checked": self._checked}

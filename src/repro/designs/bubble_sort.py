@@ -16,11 +16,11 @@ for ``done`` and verifies the memory contents are sorted.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import JobsTestbench
 from repro.designs import stimuli
 
 DEFAULT_DEPTH = 32
@@ -139,44 +139,22 @@ def cycles_per_sort(depth: int) -> int:
     return 6 * comparisons + 3 * depth + 10
 
 
-class BubbleSortTestbench(Testbench):
+class BubbleSortTestbench(JobsTestbench):
     """Loads data, runs the sort, verifies the memory is sorted."""
 
     def __init__(self, data: Sequence[int], name: str = "bubble_sort_tb") -> None:
-        super().__init__(name)
+        super().__init__(1, name)
         self.data = list(data)
-        self._started = False
         self.max_cycles = cycles_per_sort(len(self.data)) * 3 + 100
 
-    def bind(self, simulator) -> None:
-        memory = self._memory(simulator)
-        memory.load(self.data)
-        self._started = False
+    def job_memories(self, job):
+        return [("array", 0, self.data)]
 
-    @staticmethod
-    def _memory(simulator):
-        # the memory keeps its name through flatten() / instrumentation prefixes
-        for name, component in simulator.module.components.items():
-            if component.type_name == "memory" and name.endswith("array"):
-                return component
-        raise KeyError("sort memory not found in simulated module")
-
-    def drive(self, cycle: int, simulator):
-        if not self._started:
-            self._started = True
-            return {"start": 1}
-        return {"start": 0}
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return bool(simulator.get_output("done"))
-
-    def check(self, cycle: int, simulator) -> None:
-        if simulator.get_output("done"):
-            memory = self._memory(simulator)
-            contents = [memory.read_word(i) for i in range(len(self.data))]
-            assert contents == sorted(self.data), "memory is not sorted after done"
-            self.capture("sorted", contents)
-            self.capture("swaps", simulator.get_output("swaps"))
+    def verify(self, job, dut) -> None:
+        contents = dut.memory("array", len(self.data))
+        assert contents == sorted(self.data), "memory is not sorted after done"
+        self.capture("sorted", contents)
+        self.capture("swaps", dut.output("swaps"))
 
 
 def testbench(depth: int = DEFAULT_DEPTH, seed: int = 11,

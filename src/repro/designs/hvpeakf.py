@@ -13,12 +13,14 @@ of video peaking filters used in display pipelines.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Sequence
+
+import numpy as np
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.netlist.signals import to_signed
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import StreamTestbench
 from repro.designs import stimuli
 
 #: peaking gain and normalization shift: y = center + (GAIN * high) >> SHIFT
@@ -43,6 +45,18 @@ def reference_filter(pixels: Sequence[int]) -> List[int]:
         outputs.append(max(0, min(255, y)))
         d2, d1 = d1, x
     return outputs
+
+
+def filter_lanes(pixels: np.ndarray) -> np.ndarray:
+    """:func:`reference_filter` of every column of a ``(cycles, lanes)``
+    pixel array at once."""
+    x = pixels.astype(np.int64)
+    d1 = np.zeros_like(x)
+    d1[1:] = x[:-1]
+    d2 = np.zeros_like(x)
+    d2[2:] = x[:-2]
+    high = 2 * d1 - x - d2
+    return np.clip(d1 + ((GAIN * high) >> SHIFT), 0, 255)
 
 
 def build() -> Module:
@@ -95,33 +109,34 @@ def build() -> Module:
     return module
 
 
-class PeakingFilterTestbench(Testbench):
-    """Streams pixels and checks the output against the software reference."""
+class PeakingFilterTestbench(StreamTestbench):
+    """Streams pixels and checks the output against the software reference.
+
+    The output for input pixel ``k`` appears one cycle later (registered
+    output), flagged by ``valid_out``.
+    """
+
+    idle = {"valid": 0}
+    latency = 1
+    gate = "valid_out"
+    tail = 2
+    item = "pixel"
 
     def __init__(self, pixels: Sequence[int], name: str = "hvpeakf_tb") -> None:
-        super().__init__(name)
-        self.pixels = list(pixels)
-        self.expected = reference_filter(self.pixels)
+        super().__init__({"pixel": pixels, "valid": 1}, name)
+        self.pixels = self.streams["pixel"]
         self.max_cycles = len(self.pixels) + 4
-        self._checked = 0
 
-    def drive(self, cycle: int, simulator):
-        if cycle < len(self.pixels):
-            return {"pixel": self.pixels[cycle], "valid": 1}
-        return {"valid": 0}
+    @cached_property
+    def expected(self) -> List[int]:
+        return reference_filter(self.pixels)
 
-    def check(self, cycle: int, simulator) -> None:
-        # output for input pixel k appears one cycle later (registered output)
-        if simulator.get_output("valid_out") and 1 <= cycle <= len(self.pixels):
-            expected = self.expected[cycle - 1]
-            actual = simulator.get_output("pixel_out")
-            assert actual == expected, (
-                f"pixel {cycle - 1}: expected {expected}, got {actual}"
-            )
-            self._checked += 1
+    def reference(self):
+        return {"pixel_out": self.expected}
 
-    def finished(self, cycle: int, simulator) -> bool:
-        return cycle + 1 >= len(self.pixels) + 2
+    @classmethod
+    def golden_lanes(cls, testbenches, streams, n_items):
+        return {"pixel_out": filter_lanes(streams["pixel"][:n_items])}
 
     def captured(self):
         return {"pixels_checked": self._checked}

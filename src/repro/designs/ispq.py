@@ -23,7 +23,7 @@ from typing import List, Sequence
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
 from repro.netlist.signals import from_signed, to_signed
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import JobsTestbench
 from repro.designs import stimuli
 
 COEFF_WIDTH = 12
@@ -130,60 +130,27 @@ def build() -> Module:
     return module
 
 
-class IspqTestbench(Testbench):
+class IspqTestbench(JobsTestbench):
     """Dequantizes blocks and compares against the software reference."""
 
     def __init__(self, blocks: Sequence[Sequence[int]], qp: int = 12,
                  name: str = "ispq_tb") -> None:
-        super().__init__(name)
-        self.blocks = [list(block) for block in blocks]
+        blocks = [list(block) for block in blocks]
+        super().__init__(len(blocks), name)
+        self.blocks = blocks
         self.qp = qp
         self.expected = [reference_dequant(block, qp) for block in self.blocks]
-        self._block_index = 0
-        self._started = False
-        self._checked = 0
         self.max_cycles = (CYCLES_PER_BLOCK + 30) * max(1, len(self.blocks))
 
-    def _memory(self, simulator, suffix: str):
-        for name, component in simulator.module.components.items():
-            if component.type_name == "memory" and name.endswith(suffix):
-                return component
-        raise KeyError(f"memory {suffix!r} not found")
+    def job_inputs(self, job):
+        return {"qp": self.qp}
 
-    def _load_block(self, simulator) -> None:
-        block = self.blocks[self._block_index]
-        self._memory(simulator, "in_mem").load(
-            [from_signed(v, COEFF_WIDTH) for v in block]
-        )
+    def job_memories(self, job):
+        return [("in_mem", 0, [from_signed(v, COEFF_WIDTH) for v in self.blocks[job]])]
 
-    def bind(self, simulator) -> None:
-        self._block_index = 0
-        self._started = False
-        self._checked = 0
-        self._load_block(simulator)
-
-    def drive(self, cycle: int, simulator):
-        if self._block_index >= len(self.blocks):
-            return {"start": 0, "qp": self.qp}
-        if not self._started:
-            self._started = True
-            return {"start": 1, "qp": self.qp}
-        return {"start": 0, "qp": self.qp}
-
-    def check(self, cycle: int, simulator) -> None:
-        if self._started and simulator.get_output("done"):
-            out_mem = self._memory(simulator, "out_mem")
-            actual = [to_signed(out_mem.read_word(i), COEFF_WIDTH) for i in range(64)]
-            expected = self.expected[self._block_index]
-            assert actual == expected, f"block {self._block_index}: dequant mismatch"
-            self._checked += 1
-            self._block_index += 1
-            self._started = False
-            if self._block_index < len(self.blocks):
-                self._load_block(simulator)
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return self._block_index >= len(self.blocks)
+    def verify(self, job, dut) -> None:
+        actual = [to_signed(word, COEFF_WIDTH) for word in dut.memory("out_mem", 64)]
+        assert actual == self.expected[job], f"block {job}: dequant mismatch"
 
     def captured(self):
         return {"blocks_checked": self._checked}

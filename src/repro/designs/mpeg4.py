@@ -33,8 +33,8 @@ from typing import List, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.netlist.signals import from_signed, to_signed
-from repro.sim.testbench import Testbench
+from repro.netlist.signals import from_signed
+from repro.sim.declarative import JobsTestbench
 from repro.designs import stimuli
 from repro.designs.ispq import reference_dequant
 from repro.designs.transform import reference_transform
@@ -348,17 +348,17 @@ def build() -> Module:
     return module
 
 
-class Mpeg4Testbench(Testbench):
+class Mpeg4Testbench(JobsTestbench):
     """Decodes blocks and compares the frame store with the software reference."""
 
     def __init__(self, blocks: Sequence[Sequence[int]],
                  predictions: Sequence[Sequence[int]], qp: int = 8,
                  name: str = "mpeg4_tb") -> None:
-        super().__init__(name)
         if len(blocks) != len(predictions):
             raise ValueError("need one prediction block per coefficient block")
         if len(blocks) > FRAME_BLOCKS:
             raise ValueError(f"at most {FRAME_BLOCKS} blocks per run")
+        super().__init__(len(blocks), name)
         self.symbol_blocks = [list(block) for block in blocks]
         self.predictions = [list(p) for p in predictions]
         self.qp = qp
@@ -366,58 +366,23 @@ class Mpeg4Testbench(Testbench):
             reference_decode_block(symbols, prediction, qp)
             for symbols, prediction in zip(self.symbol_blocks, self.predictions)
         ]
-        self._block_index = 0
-        self._started = False
-        self._checked = 0
         self.max_cycles = (CYCLES_PER_BLOCK + 200) * max(1, len(blocks))
 
-    def _memory(self, simulator, suffix: str):
-        for name, component in simulator.module.components.items():
-            if component.type_name == "memory" and name.endswith(suffix):
-                return component
-        raise KeyError(f"memory {suffix!r} not found")
+    def job_inputs(self, job):
+        return {"qp": self.qp, "block_index": job % FRAME_BLOCKS}
 
-    def _load_block(self, simulator) -> None:
-        symbols = self.symbol_blocks[self._block_index]
-        words = stimuli.vld_encode(symbols, word_bits=WORD_BITS)
-        self._memory(simulator, "bitstream_mem").load(words)
-        self._memory(simulator, "pred_mem").load(
-            self.predictions[self._block_index], offset=self._block_index * 64
+    def job_memories(self, job):
+        words = stimuli.vld_encode(self.symbol_blocks[job], word_bits=WORD_BITS)
+        return [("bitstream_mem", 0, words),
+                ("pred_mem", job * 64, self.predictions[job])]
+
+    def verify(self, job, dut) -> None:
+        actual = dut.memory("frame_mem", 64, offset=job * 64)
+        expected = self.expected[job]
+        assert actual == expected, (
+            f"block {job}: decoded pixels mismatch "
+            f"(first diff at {next(i for i in range(64) if actual[i] != expected[i])})"
         )
-
-    def bind(self, simulator) -> None:
-        self._block_index = 0
-        self._started = False
-        self._checked = 0
-        self._load_block(simulator)
-
-    def drive(self, cycle: int, simulator):
-        base = {"qp": self.qp, "block_index": self._block_index % FRAME_BLOCKS}
-        if self._block_index >= len(self.symbol_blocks):
-            return dict(base, start=0)
-        if not self._started:
-            self._started = True
-            return dict(base, start=1)
-        return dict(base, start=0)
-
-    def check(self, cycle: int, simulator) -> None:
-        if self._started and simulator.get_output("done"):
-            frame = self._memory(simulator, "frame_mem")
-            offset = self._block_index * 64
-            actual = [frame.read_word(offset + i) for i in range(64)]
-            expected = self.expected[self._block_index]
-            assert actual == expected, (
-                f"block {self._block_index}: decoded pixels mismatch "
-                f"(first diff at {next(i for i in range(64) if actual[i] != expected[i])})"
-            )
-            self._checked += 1
-            self._block_index += 1
-            self._started = False
-            if self._block_index < len(self.symbol_blocks):
-                self._load_block(simulator)
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return self._block_index >= len(self.symbol_blocks)
 
     def captured(self):
         return {"blocks_checked": self._checked}

@@ -19,12 +19,12 @@ Interface: ``start``/``done``; the testbench loads ``in_mem`` and reads
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
 from repro.netlist.signals import from_signed, to_signed
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import JobsTestbench
 from repro.designs import stimuli
 
 #: element widths
@@ -203,63 +203,28 @@ def build_transform(name: str, forward: bool) -> Module:
     return module
 
 
-class TransformTestbench(Testbench):
+class TransformTestbench(JobsTestbench):
     """Runs one or more blocks through the engine and checks the outputs."""
 
     def __init__(self, blocks: Sequence[Sequence[int]], forward: bool,
                  name: str = "transform_tb") -> None:
-        super().__init__(name)
-        self.blocks = [list(block) for block in blocks]
+        blocks = [list(block) for block in blocks]
+        super().__init__(len(blocks), name)
+        self.blocks = blocks
         self.forward = forward
         self.expected = [reference_transform(block, forward) for block in self.blocks]
-        self._block_index = 0
-        self._started = False
-        self._checked_blocks = 0
         self.max_cycles = (cycles_per_block() + 50) * max(1, len(self.blocks))
 
-    # ------------------------------------------------------------- plumbing
-    def _memory(self, simulator, suffix: str):
-        for name, component in simulator.module.components.items():
-            if component.type_name == "memory" and name.endswith(suffix):
-                return component
-        raise KeyError(f"memory {suffix!r} not found")
+    def job_memories(self, job):
+        return [("in_mem", 0, [from_signed(v, IN_WIDTH) for v in self.blocks[job]])]
 
-    def _load_block(self, simulator) -> None:
-        memory = self._memory(simulator, "in_mem")
-        block = self.blocks[self._block_index]
-        memory.load([from_signed(v, IN_WIDTH) for v in block])
-
-    def bind(self, simulator) -> None:
-        self._block_index = 0
-        self._started = False
-        self._checked_blocks = 0
-        self._load_block(simulator)
-
-    def drive(self, cycle: int, simulator):
-        if self._block_index >= len(self.blocks):
-            return {"start": 0}
-        if not self._started:
-            self._started = True
-            return {"start": 1}
-        return {"start": 0}
-
-    def check(self, cycle: int, simulator) -> None:
-        if self._started and simulator.get_output("done"):
-            out_mem = self._memory(simulator, "out_mem")
-            actual = [to_signed(out_mem.read_word(i), OUT_WIDTH) for i in range(64)]
-            expected = self.expected[self._block_index]
-            assert actual == expected, (
-                f"block {self._block_index}: transform mismatch "
-                f"(first diff at {next(i for i in range(64) if actual[i] != expected[i])})"
-            )
-            self._checked_blocks += 1
-            self._block_index += 1
-            self._started = False
-            if self._block_index < len(self.blocks):
-                self._load_block(simulator)
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return self._block_index >= len(self.blocks)
+    def verify(self, job, dut) -> None:
+        actual = [to_signed(word, OUT_WIDTH) for word in dut.memory("out_mem", 64)]
+        expected = self.expected[job]
+        assert actual == expected, (
+            f"block {job}: transform mismatch "
+            f"(first diff at {next(i for i in range(64) if actual[i] != expected[i])})"
+        )
 
     def captured(self):
-        return {"blocks_checked": self._checked_blocks}
+        return {"blocks_checked": self._checked}

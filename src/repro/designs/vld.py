@@ -15,11 +15,11 @@ The testbench loads ``bitstream_mem`` and reads ``out_mem`` via the backdoor.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import JobsTestbench
 from repro.designs import stimuli
 
 WORD_BITS = 16
@@ -121,45 +121,26 @@ def build(bitstream_depth: int = BITSTREAM_DEPTH, output_depth: int = OUTPUT_DEP
     return module
 
 
-class VldTestbench(Testbench):
+class VldTestbench(JobsTestbench):
     """Encodes a symbol stream, decodes it in hardware and compares."""
 
     def __init__(self, symbols: Sequence[int], name: str = "vld_tb") -> None:
-        super().__init__(name)
+        super().__init__(1, name)
         self.symbols = list(symbols)
         self.words = stimuli.vld_encode(self.symbols, word_bits=WORD_BITS)
-        self._started = False
         self.max_cycles = CYCLES_PER_SYMBOL * len(self.symbols) + len(self.words) * 3 + 100
 
-    def _memory(self, simulator, suffix: str):
-        for name, component in simulator.module.components.items():
-            if component.type_name == "memory" and name.endswith(suffix):
-                return component
-        raise KeyError(f"memory {suffix!r} not found")
+    def job_memories(self, job):
+        return [("bitstream_mem", 0, self.words)]
 
-    def bind(self, simulator) -> None:
-        self._memory(simulator, "bitstream_mem").load(self.words)
-        self._started = False
-
-    def drive(self, cycle: int, simulator):
-        if not self._started:
-            self._started = True
-            return {"start": 1}
-        return {"start": 0}
-
-    def check(self, cycle: int, simulator) -> None:
-        if simulator.get_output("done"):
-            count = simulator.get_output("count")
-            assert count == len(self.symbols), (
-                f"decoded {count} symbols, expected {len(self.symbols)}"
-            )
-            out_mem = self._memory(simulator, "out_mem")
-            decoded = [out_mem.read_word(i) for i in range(count)]
-            assert decoded == self.symbols, "decoded symbol stream mismatch"
-            self.capture("decoded", decoded)
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return bool(simulator.get_output("done"))
+    def verify(self, job, dut) -> None:
+        count = dut.output("count")
+        assert count == len(self.symbols), (
+            f"decoded {count} symbols, expected {len(self.symbols)}"
+        )
+        decoded = dut.memory("out_mem", count)
+        assert decoded == self.symbols, "decoded symbol stream mismatch"
+        self.capture("decoded", decoded)
 
 
 def testbench(n_symbols: int = 120, seed: int = 8) -> VldTestbench:

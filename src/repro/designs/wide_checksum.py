@@ -15,11 +15,12 @@ design on the fused batch + kernel paths in the registry, CLI and sweeps.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Dict, List, Sequence
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.sim.testbench import Testbench
+from repro.sim.declarative import StreamTestbench
 
 #: state/datapath width: three 60-bit limbs in the lane store
 WIDTH = 168
@@ -101,34 +102,28 @@ def build() -> Module:
     return module
 
 
-class WideChecksumTestbench(Testbench):
-    """Streams words and checks every output against the software reference."""
+class WideChecksumTestbench(StreamTestbench):
+    """Streams words and checks every output against the software reference.
+
+    The datapath is combinational: word ``k``'s outputs settle in cycle ``k``.
+    """
+
+    idle = {"valid": 0}
+    item = "word"
 
     def __init__(self, words: Sequence[int], name: str = "wide_checksum_tb") -> None:
-        super().__init__(name)
-        self.words = list(words)
-        self.expected = reference_checksum(self.words)
+        super().__init__({"data": words, "valid": 1}, name)
+        self.words = self.streams["data"]
         self.max_cycles = len(self.words) + 2
-        self._checked = 0
 
-    def drive(self, cycle: int, simulator):
-        if cycle < len(self.words):
-            return {"data": self.words[cycle], "valid": 1}
-        return {"valid": 0}
+    @cached_property
+    def expected(self) -> List[Dict[str, int]]:
+        return reference_checksum(self.words)
 
-    def check(self, cycle: int, simulator) -> None:
-        # the datapath is combinational: word k's outputs settle in cycle k
-        if cycle < len(self.words):
-            expected = self.expected[cycle]
-            for key, want in expected.items():
-                got = simulator.get_output(key)
-                assert got == want, (
-                    f"word {cycle} output {key}: expected {want}, got {got}"
-                )
-            self._checked += 1
-
-    def finished(self, cycle: int, simulator) -> bool:
-        return cycle + 1 >= len(self.words)
+    def reference(self):
+        if not self.expected:
+            return {}
+        return {port: [out[port] for out in self.expected] for port in self.expected[0]}
 
     def captured(self):
         return {"words_checked": self._checked}

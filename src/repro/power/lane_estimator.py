@@ -12,20 +12,17 @@ cycles into per-component energies in one vectorized pass — the same
 evaluator the scalar estimator uses, so each lane's energies equal a scalar
 run's bit for bit.
 
-Interactive testbenches drive their lane through a
-:class:`~repro.sim.batch.LaneView`: stimulus is collected per lane and applied
-as per-lane slot writes, output checks read single lane values, and memory
-backdoor loads land in that lane's private state.  Lanes that finish early are
-masked out of the energy accumulation (and stop being driven/checked), so each
-lane's report is identical to what a scalar run of the same testbench would
-produce — lane count changes speed, never results.
-
-Spec-backed testbenches (:class:`~repro.stim.testbench.SpecTestbench` sharing
-one :class:`~repro.stim.spec.StimulusSpec`) skip the per-lane LaneView drive
-loop entirely: their stimulus compiles into chunked lane tensors
-(:mod:`repro.stim.compile`) written straight into the value store, one NumPy
-row per port per cycle — the same values the per-lane loop would produce,
-minus its ``O(n_lanes)`` Python overhead per cycle.
+A block of testbenches runs through one lane form
+(:meth:`~repro.sim.testbench.Testbench.lanes`) that drives, checks and
+finishes every lane each cycle: whole-block NumPy row operations for the
+registry testbenches (:mod:`repro.sim.declarative`) and for spec-backed
+testbenches sharing one :class:`~repro.stim.spec.StimulusSpec` (the array
+driver, :mod:`repro.stim.driver`), and a per-lane
+:class:`~repro.sim.batch.LaneView` loop for any other testbench.  Lanes
+that finish early, or reach their cycle budget, are masked out of the
+energy accumulation, so each lane's report is identical to what a scalar
+run of the same testbench would produce — lane count changes speed, never
+results.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from repro.power.report import ComponentPower, PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.batch import LIMB_BITS, BatchSimulator
-from repro.sim.testbench import Testbench
+from repro.sim.testbench import Testbench, lane_form
 
 
 class _MacromodelObserver:
@@ -136,10 +133,11 @@ class BatchRTLPowerEstimator:
         self.last_kernel_threads: Optional[int] = None
         #: wall-clock phase breakdown of the last estimate_all —
         #: ``lane_build_s`` (simulator + program + kernel compilation),
-        #: ``simulate_s`` (the drive/settle/observe loop) and
-        #: ``macromodel_eval_s`` (time inside the observer, a slice of
-        #: simulate_s); shared across lanes, surfaced through
-        #: ``EstimateResult.metadata["phase_s"]``
+        #: ``simulate_s`` (the drive/settle/observe loop),
+        #: ``macromodel_eval_s`` (time inside the observer) and
+        #: ``testbench_s`` (time inside the lane form: bind, drive, check,
+        #: finish) — both slices of simulate_s; shared across lanes,
+        #: surfaced through ``EstimateResult.metadata["phase_s"]``
         self.last_phase_s: Dict[str, float] = {}
         #: per-lane windowed profiles from the last profiled estimate_all,
         #: aligned with the returned report list (None when not profiling)
@@ -156,13 +154,13 @@ class BatchRTLPowerEstimator:
     ) -> List[PowerReport]:
         """Run every testbench in its own lane and report power per lane.
 
-        ``use_array_driver`` controls the stimulus path for spec-backed
-        testbenches: ``None`` (default) prefers the vectorized array driver
-        whenever every testbench is a :class:`SpecTestbench` sharing one
-        spec, ``False`` forces the per-lane LaneView drive loop (the
-        benchmark baseline), ``True`` requires the array driver and raises
-        :class:`ValueError` when the testbenches are not spec-backed.
-        Results are identical either way.
+        The testbenches run through one lane form
+        (:func:`~repro.sim.testbench.lane_form`): a whole-block NumPy form
+        when their type declares one, else the per-lane LaneView loop.
+        ``use_array_driver=False`` forces the per-lane loop (the benchmark
+        baseline); ``True`` requires the spec-backed array driver
+        (:class:`SpecTestbench` instances sharing one spec) and raises
+        :class:`ValueError` otherwise.  Results are identical either way.
         """
         n_lanes = len(testbenches)
         if n_lanes == 0:
@@ -177,152 +175,83 @@ class BatchRTLPowerEstimator:
         self.last_kernel_backend = simulator.kernel_backend
         self.last_kernel_decision = simulator.kernel_decision
         self.last_kernel_threads = simulator.kernel_threads
-        views = [simulator.lane_view(lane) for lane in range(n_lanes)]
-        for testbench, view in zip(testbenches, views):
-            testbench.bind(view)
 
         limits = [
             max_cycles if max_cycles is not None else tb.max_cycles
             for tb in testbenches
         ]
-        driver = None
-        if use_array_driver is not False:
-            # the array path stops every lane at one uniform cycle, so it
-            # also requires equal per-lane budgets (a caller can retarget a
-            # testbench's max_cycles after construction)
-            if len(set(limits)) == 1:
-                driver = self._make_array_driver(testbenches, simulator)
-            if use_array_driver is True and driver is None:
+        known = [limit for limit in limits if limit is not None]
+        horizon = max(known) if len(known) == n_lanes else None
+        t_bench = time.perf_counter()
+        if use_array_driver is False:
+            lanes = Testbench.lanes(testbenches, simulator, horizon)
+        else:
+            lanes = lane_form(testbenches, simulator, horizon)
+            if use_array_driver is True and lanes.name != "array":
                 raise ValueError(
                     "use_array_driver=True needs SpecTestbench instances "
-                    "sharing one StimulusSpec and equal cycle budgets"
+                    "sharing one StimulusSpec"
                 )
+        testbench_s = time.perf_counter() - t_bench
 
-        is_object = simulator.program.dtype is object
-        known = [limit for limit in limits if limit is not None]
-        collector = self._scalar._make_collector(
-            profile, max(known) if len(known) == n_lanes else None, n_lanes=n_lanes
-        )
+        collector = self._scalar._make_collector(profile, horizon, n_lanes=n_lanes)
         observer = _MacromodelObserver(
             self.monitored, simulator.program, n_lanes, keep_cycle_trace, collector
         )
-
-        input_keys = simulator._input_keys
-        input_limbs = simulator._port_limbs
         v = simulator._v
+        #: the cycle each lane stops at: its budget until it finishes
+        stop = np.array([
+            limit if limit is not None else np.iinfo(np.int64).max
+            for limit in limits
+        ], dtype=np.int64)
+        active = stop > 0
 
-        active = np.ones(n_lanes, dtype=bool)
-        lane_cycles = [0] * n_lanes
-
-        #: spec-backed lanes all run the same cycle-determined workload (one
-        #: spec, equal limits, no checks), so their stop cycle is computed
-        #: once and the per-lane budget/check/finished loops are skipped
-        uniform_stop: Optional[int] = None
-        if driver is not None:
-            uniform_stop = (
-                driver.n_cycles
-                if limits[0] is None
-                else min(limits[0], driver.n_cycles)
-            )
-
-        # one span for the whole drive/settle/observe loop — never per cycle;
-        # the observer's share (gathers plus block flushes) is accumulated
-        # with two clock reads per cycle
+        # one span for the whole loop — never per cycle; the observer's and
+        # the lane form's shares are accumulated with clock reads per cycle
         sim_span = obs.span(
             "lanes.simulate", module=self.module.name, n_lanes=n_lanes)
         macromodel_s = 0.0
-
+        clock = time.perf_counter
         while active.any():
             cycle = simulator.cycle
-            if uniform_stop is not None:
-                if cycle >= uniform_stop:
-                    for lane in np.flatnonzero(active):
-                        lane_cycles[lane] = cycle
-                    active[:] = False
-                    break
-            else:
-                # per-lane cycle budget (mirrors the scalar run loop's limit
-                # check)
-                for lane in np.flatnonzero(active):
-                    limit = limits[lane]
-                    if limit is not None and cycle >= limit:
-                        active[lane] = False
-                        lane_cycles[lane] = cycle
-                if not active.any():
-                    break
-
-            if driver is not None:
-                # array driver: one vectorized row write per driven port
-                if cycle < driver.n_cycles:
-                    driver.apply(cycle)
-            else:
-                # drive: collect each active lane's stimulus into per-lane writes
-                for lane in np.flatnonzero(active):
-                    lane_stimulus = testbenches[lane].drive(cycle, views[lane])
-                    if not lane_stimulus:
-                        continue
-                    for name, value in lane_stimulus.items():
-                        try:
-                            slot, width = input_keys[name]
-                        except KeyError:
-                            valid = ", ".join(sorted(input_keys)) or "<none>"
-                            raise KeyError(
-                                f"module {self.module.name!r} has no input port "
-                                f"{name!r}; valid input ports: {valid}"
-                            ) from None
-                        masked = int(value) & ((1 << width) - 1)
-                        n_limbs = input_limbs[name]
-                        if n_limbs > 1:
-                            for k in range(n_limbs):
-                                v[slot + k, lane] = (masked >> (LIMB_BITS * k)) & (
-                                    (1 << LIMB_BITS) - 1
-                                )
-                        else:
-                            v[slot, lane] = masked if is_object else np.int64(masked)
-
+            t0 = clock()
+            lanes.drive(cycle, active)
+            t1 = clock()
             simulator.settle()
-
             # observe: gather the monitored values; the block evaluator
             # turns them into energies every block_cycles cycles
-            t_observe = time.perf_counter()
+            t2 = clock()
             observer.observe(v, active.astype(np.float64))
-            macromodel_s += time.perf_counter() - t_observe
-
-            if uniform_stop is not None:
-                simulator.clock_edge()
-                simulator.cycle += 1
-                if cycle + 1 >= uniform_stop:
-                    for lane in range(n_lanes):
-                        lane_cycles[lane] = cycle + 1
-                    active[:] = False
-                continue
-
-            # check/finish each active lane, then take the shared clock edge
-            finishing = []
-            for lane in np.flatnonzero(active):
-                testbenches[lane].check(cycle, views[lane])
-                if testbenches[lane].finished(cycle, views[lane]):
-                    finishing.append(lane)
-                    lane_cycles[lane] = cycle + 1
+            t3 = clock()
+            finishing = active & lanes.check(cycle, active)
+            t4 = clock()
+            testbench_s += (t1 - t0) + (t4 - t3)
+            macromodel_s += t3 - t2
             simulator.clock_edge()
             simulator.cycle += 1
-            for lane in finishing:
-                active[lane] = False
+            stop[finishing] = cycle + 1
+            active = stop > simulator.cycle
+        t_close = clock()
+        lanes.close()
+        testbench_s += clock() - t_close
 
         simulator.settle()
-        t_observe = time.perf_counter()
+        t_observe = clock()
         block = observer.block
         block.flush()
-        macromodel_s += time.perf_counter() - t_observe
-        elapsed = time.perf_counter() - start
+        macromodel_s += clock() - t_observe
+        elapsed = clock() - start
         sim_span.set(cycles=simulator.cycle,
-                     macromodel_eval_s=round(macromodel_s, 6))
+                     macromodel_eval_s=round(macromodel_s, 6),
+                     testbench_s=round(testbench_s, 6))
         sim_span.end()
         self.last_phase_s = {
             "lane_build_s": build_s,
             "simulate_s": elapsed - build_s,
             "macromodel_eval_s": macromodel_s,
+            "testbench_s": testbench_s,
         }
+        lane_cycles = stop.tolist()
         trace = block.cycle_trace()
         if collector is not None:
             self.last_profiles = collector.lane_profiles(
@@ -334,49 +263,16 @@ class BatchRTLPowerEstimator:
             )
         else:
             self.last_profiles = None
-        driver_name = "array" if driver is not None else "lane-view"
         return [
             self._build_lane_report(
                 lane, lane_cycles[lane], block.totals, trace,
                 float(block.peak[lane]), elapsed / n_lanes, n_lanes,
-                keep_cycle_trace, driver_name,
+                keep_cycle_trace, lanes.name,
             )
             for lane in range(n_lanes)
         ]
 
     # -------------------------------------------------------------- helpers
-    @staticmethod
-    def _make_array_driver(testbenches: Sequence[Testbench], simulator):
-        """A :class:`~repro.stim.driver.BatchStimulusDriver` when every
-        testbench is spec-backed.
-
-        Returns ``None`` unless all testbenches are
-        :class:`~repro.stim.testbench.SpecTestbench` instances sharing one
-        :class:`~repro.stim.spec.StimulusSpec` (seeds may differ — each
-        becomes one lane).  The driver compiles the very streams a scalar
-        ``SpecTestbench`` run would pull, so switching drivers never changes
-        results.  Subclasses are excluded — they may override ``check``/
-        ``finished``, which the array-driven loop does not call — and take
-        the per-lane LaneView path instead.
-        """
-        from repro.stim.driver import BatchStimulusDriver
-        from repro.stim.testbench import SpecTestbench
-
-        if not all(type(tb) is SpecTestbench for tb in testbenches):
-            return None
-        spec = testbenches[0].spec
-        if any(tb.spec != spec for tb in testbenches[1:]):
-            return None
-        if any(
-            port.is_input and port.net in simulator.program.limbs_of
-            for port in simulator.module.ports.values()
-        ):
-            # limb-store input ports need per-limb writes; the array driver's
-            # int64 stream rows cannot represent them, so drive per lane
-            return None
-        return BatchStimulusDriver(
-            simulator, spec, seeds=[tb.seed for tb in testbenches]
-        )
     def _build_lane_report(
         self,
         lane: int,

@@ -1929,16 +1929,20 @@ class BatchSimulator:
             value = value | (self._v[slot + k].astype(object) << (LIMB_BITS * k))
         return value
 
-    def set_input(self, name: str, value: ArrayLike) -> None:
-        """Drive a module input: one scalar for all lanes, or a per-lane array."""
+    def _input_port(self, name: str) -> Tuple[int, int]:
+        """``(slot, width)`` of an input port; unknown names list the valid ones."""
         try:
-            slot, width = self._input_keys[name]
+            return self._input_keys[name]
         except KeyError:
             valid = ", ".join(sorted(self._input_keys)) or "<none>"
             raise KeyError(
                 f"module {self.module.name!r} has no input port {name!r}; "
                 f"valid input ports: {valid}"
             ) from None
+
+    def set_input(self, name: str, value: ArrayLike) -> None:
+        """Drive a module input: one scalar for all lanes, or a per-lane array."""
+        slot, width = self._input_port(name)
         n_limbs = self._port_limbs[name]
         if n_limbs > 1:
             self._write_limbs(slot, n_limbs, width, value)
@@ -1948,6 +1952,19 @@ class BatchSimulator:
     def set_inputs(self, inputs: Mapping[str, ArrayLike]) -> None:
         for name, value in inputs.items():
             self.set_input(name, value)
+
+    def set_lane_inputs(self, lane: int, inputs: Mapping[str, int]) -> None:
+        """Drive module inputs of one lane only, one scalar value per port."""
+        v = self._v
+        for name, value in inputs.items():
+            slot, width = self._input_port(name)
+            masked = int(value) & ((1 << width) - 1)
+            n_limbs = self._port_limbs[name]
+            if n_limbs == 1:
+                v[slot, lane] = masked
+            else:
+                for k in range(n_limbs):
+                    v[slot + k, lane] = (masked >> (LIMB_BITS * k)) & _LIMB_MASK
 
     def get_output(self, name: str) -> np.ndarray:
         """Per-lane values of a module output port (as of the last settle)."""

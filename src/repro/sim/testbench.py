@@ -8,12 +8,26 @@ check outputs along the way.  The same testbench object drives
 * the emulation platform model (:mod:`repro.core.emulator`), mirroring the
   paper's setup where "the testbench can be executed within a simulator, or it
   can be mapped to the FPGA platform along with the design itself".
+
+On a :class:`~repro.sim.batch.BatchSimulator` a block of testbenches runs
+through one *lane form* (:meth:`Testbench.lanes`): an object built once per
+lane block that drives, checks and finishes every lane per cycle.  The
+default, :class:`LaneLoop`, calls each lane's own testbench through a
+:class:`~repro.sim.batch.LaneView`; testbench types that declare their
+workload as data (:mod:`repro.sim.declarative`, the stimulus-spec driver)
+replace it with whole-block NumPy row operations.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
+
+import numpy as np
+
+#: scalar protocol methods; a subclass redefining any of them without its
+#: own lane form falls back to the per-lane loop (see __init_subclass__)
+_SCALAR_PROTOCOL = frozenset({"bind", "drive", "check", "finished"})
 
 
 class Testbench:
@@ -25,6 +39,24 @@ class Testbench:
     def __init__(self, name: str = "testbench") -> None:
         self.name = name
         self._captured: Dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # an inherited lane form never calls the subclass's new methods
+        if "lanes" not in cls.__dict__ and _SCALAR_PROTOCOL & cls.__dict__.keys():
+            cls.lanes = Testbench.__dict__["lanes"]
+
+    @classmethod
+    def lanes(cls, testbenches: Sequence["Testbench"], simulator,
+              cycles: Optional[int] = None) -> "LaneLoop":
+        """The lane form of a block of this type's testbenches, one per lane.
+
+        ``cycles`` bounds how many cycles any lane can run (``None``: no
+        bound).  The default runs each testbench through its lane's
+        :class:`~repro.sim.batch.LaneView`; subclasses that declare their
+        workload as data return a whole-block form instead.
+        """
+        return LaneLoop(testbenches, simulator)
 
     def bind(self, simulator) -> None:
         """Called once before the run starts; override to initialize memories etc."""
@@ -48,6 +80,62 @@ class Testbench:
 
     def capture(self, key: str, value) -> None:
         self._captured[key] = value
+
+
+def lane_form(testbenches: Sequence[Testbench], simulator,
+              cycles: Optional[int] = None):
+    """The lane form running ``testbenches`` (lane ``i`` = ``testbenches[i]``).
+
+    Testbenches of one type run through that type's :meth:`Testbench.lanes`;
+    a mix of types runs through the per-lane :class:`LaneLoop`.
+    """
+    kind = type(testbenches[0])
+    if any(type(tb) is not kind for tb in testbenches):
+        kind = Testbench
+    return kind.lanes(testbenches, simulator, cycles)
+
+
+class LaneLoop:
+    """The default lane form: each lane's own testbench, called per lane.
+
+    Every lane form offers the same protocol to the lane estimator's cycle
+    loop: ``drive(cycle, active)`` writes this cycle's inputs, then, after
+    the settle, ``check(cycle, active)`` checks the settled outputs and
+    returns which lanes finish (a bool or a per-lane bool array);
+    ``close()`` runs once after the last cycle.  ``active`` masks the lanes
+    still running.  Here each active lane's testbench runs its scalar
+    ``drive``/``check``/``finished`` against a
+    :class:`~repro.sim.batch.LaneView` — O(lanes) Python calls per cycle,
+    the path for testbenches that declare no lane form of their own.
+    """
+
+    #: reported as the lane reports' ``stimulus_driver`` note
+    name = "lane-view"
+
+    def __init__(self, testbenches: Sequence[Testbench], simulator) -> None:
+        self.testbenches = list(testbenches)
+        self.simulator = simulator
+        self.views = [simulator.lane_view(lane) for lane in range(len(self.testbenches))]
+        for testbench, view in zip(self.testbenches, self.views):
+            testbench.bind(view)
+
+    def drive(self, cycle: int, active: np.ndarray) -> None:
+        write = self.simulator.set_lane_inputs
+        for lane in np.flatnonzero(active).tolist():
+            stimulus = self.testbenches[lane].drive(cycle, self.views[lane])
+            if stimulus:
+                write(lane, stimulus)
+
+    def check(self, cycle: int, active: np.ndarray) -> np.ndarray:
+        done = np.zeros(len(self.testbenches), dtype=bool)
+        for lane in np.flatnonzero(active).tolist():
+            testbench, view = self.testbenches[lane], self.views[lane]
+            testbench.check(cycle, view)
+            done[lane] = testbench.finished(cycle, view)
+        return done
+
+    def close(self) -> None:
+        return None
 
 
 class VectorTestbench(Testbench):

@@ -5,16 +5,18 @@ to a :class:`~repro.sim.batch.BatchSimulator`: each cycle it writes one
 ``(n_lanes,)`` row per driven port directly into the simulator's value store —
 a handful of NumPy assignments — instead of the per-lane
 :class:`~repro.sim.batch.LaneView` Python drive loop (one ``drive()`` dict,
-one port iteration and one masked int write *per lane* per cycle).  This is
-the piece ROADMAP.md called out as bounding lane-sweep speedup at low lane
-counts; the multi-seed power estimator
-(:class:`~repro.power.lane_estimator.BatchRTLPowerEstimator`) uses exactly
-this write path whenever its testbenches are spec-backed.
+one port iteration and one masked int write *per lane* per cycle).  It is
+the lane form of :class:`~repro.stim.testbench.SpecTestbench` (see
+:meth:`~repro.sim.testbench.Testbench.lanes`): the multi-seed power
+estimator (:class:`~repro.power.lane_estimator.BatchRTLPowerEstimator`)
+drives every block of spec-backed lanes sharing one spec through it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sim.batch import LIMB_BITS, _LIMB_MASK, BatchSimulator
 from repro.stim.compile import CHUNK_CYCLES, CompiledStimulus
@@ -31,6 +33,9 @@ class BatchStimulusDriver:
     ``O(n_ports)`` NumPy row writes.  The driver assumes a freshly-reset
     simulator (stimulus cycles count from 0).
     """
+
+    #: reported as the lane reports' ``stimulus_driver`` note
+    name = "array"
 
     def __init__(
         self,
@@ -79,6 +84,18 @@ class BatchStimulusDriver:
                 column = values[index]
                 for k in range(n_limbs):
                     v[slot + k] = (column >> (LIMB_BITS * k)) & _LIMB_MASK
+
+    # lane form protocol (see repro.sim.testbench.LaneLoop)
+    def drive(self, cycle: int, active: np.ndarray) -> None:
+        if cycle < self.n_cycles:
+            self.apply(cycle)
+
+    def check(self, cycle: int, active: np.ndarray) -> bool:
+        """Every lane finishes with the spec's last cycle."""
+        return cycle + 1 >= self.n_cycles
+
+    def close(self) -> None:
+        return None
 
     def run(
         self,

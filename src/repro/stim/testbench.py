@@ -13,7 +13,7 @@ a pile of these testbenches for one vectorized array driver.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.sim.testbench import Testbench
 from repro.stim.compile import CompiledStimulus
@@ -44,14 +44,25 @@ class SpecTestbench(Testbench):
         }
 
     def bind(self, simulator) -> None:
-        """Restart the run; compilation is lazy (first ``drive`` call).
-
-        Laziness matters on the lane path: the batch estimator binds every
-        testbench but then drives all lanes from one shared
-        :class:`~repro.stim.driver.BatchStimulusDriver`, so the per-lane
-        single-seed compile would be pure waste.
-        """
+        """Restart the run; compilation is lazy (first ``drive`` call), so a
+        testbench bound but never driven compiles nothing."""
         self._compiled = None
+
+    @classmethod
+    def lanes(cls, testbenches: Sequence["SpecTestbench"], simulator,
+              cycles: Optional[int] = None):
+        """One :class:`~repro.stim.driver.BatchStimulusDriver` for a block of
+        testbenches sharing one spec (seeds may differ: each is one lane);
+        any other block takes the per-lane loop.  No testbench is bound or
+        compiled: the driver compiles every lane's stream itself."""
+        spec = testbenches[0].spec
+        if any(tb.spec != spec for tb in testbenches[1:]):
+            return super().lanes(testbenches, simulator, cycles)
+        from repro.stim.driver import BatchStimulusDriver
+
+        return BatchStimulusDriver(
+            simulator, spec, seeds=[tb.seed for tb in testbenches]
+        )
 
     # --------------------------------------------------------------- driving
     def drive(self, cycle: int, simulator) -> Mapping[str, int]:

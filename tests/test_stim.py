@@ -278,8 +278,9 @@ def test_array_driver_equals_laneview_loop_exactly():
         )
 
 
-def test_array_driver_requires_equal_lane_budgets():
-    """Retargeted per-lane max_cycles must fall back to the LaneView loop."""
+def test_array_driver_honours_per_lane_budgets():
+    """Retargeted per-lane max_cycles stay on the array driver: each lane
+    stops at its own budget, exactly as on the LaneView loop."""
     flat = build_flat("HVPeakF")
     spec = get_design("HVPeakF").make_stimulus_spec().replace(n_cycles=16)
     estimator = BatchRTLPowerEstimator(flat, library=build_seed_library())
@@ -290,13 +291,14 @@ def test_array_driver_requires_equal_lane_budgets():
         return tbs
 
     auto = estimator.estimate_all(testbenches())
+    forced = estimator.estimate_all(testbenches(), use_array_driver=True)
     loop = estimator.estimate_all(testbenches(), use_array_driver=False)
     assert [r.cycles for r in auto] == [r.cycles for r in loop] == [16, 8]
-    assert all(r.notes["stimulus_driver"] == "lane-view" for r in auto)
-    for a, b in zip(auto, loop):
-        assert a.total_energy_fj == b.total_energy_fj
-    with pytest.raises(ValueError, match="equal cycle budgets"):
-        estimator.estimate_all(testbenches(), use_array_driver=True)
+    assert all(r.notes["stimulus_driver"] == "array" for r in auto + forced)
+    assert all(r.notes["stimulus_driver"] == "lane-view" for r in loop)
+    for a, b, c in zip(auto, forced, loop):
+        assert a.total_energy_fj == b.total_energy_fj == c.total_energy_fj
+        assert a.cycle_energy_fj == c.cycle_energy_fj
 
 
 def test_spec_testbench_bind_is_lazy():
