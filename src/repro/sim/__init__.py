@@ -6,7 +6,12 @@ topological order, then all sequential components capture and commit their
 next state.  Two backends execute that schedule — the default ``"compiled"``
 backend code-generates it into slot-indexed straight-line Python once per
 module (:mod:`repro.sim.compiled`), while ``"interp"`` is the reference
-interpreter kept as the correctness oracle and benchmark baseline.  Observers (signal traces, power estimators, the emulated power
+interpreter kept as the correctness oracle and benchmark baseline.  The
+schedule is lowered once (:mod:`repro.sim.codegen`) and printed for two
+targets: that scalar program, and the lane program of
+:class:`BatchSimulator` (:mod:`repro.sim.batch`), which runs many stimulus
+lanes per pass and lowers on to native C kernels (:mod:`repro.sim.kernels`).
+Observers (signal traces, power estimators, the emulated power
 aggregator readback) hook into the end of the combinational settle phase of
 every cycle — exactly the instant at which the paper's power strobe samples
 component inputs/outputs.

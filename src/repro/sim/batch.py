@@ -1,18 +1,20 @@
 """Lane-vectorized batch simulation: N independent stimuli per pass.
 
 The paper's characterization library and Monte-Carlo style sweeps run the
-*same* netlist over many independent stimulus vectors.  PR 1's slot-indexed
+*same* netlist over many independent stimulus vectors.  The slot-indexed
 compiled programs are shape-stable — every cycle executes the same
-straight-line slot reads/writes — so this module lowers the same levelized
-schedule a second time into *lane* form: the value store becomes one
-``(n_slots, n_lanes)`` int64 NumPy array whose row ``i`` holds net ``i``'s
-value in every lane, and every fused component becomes one masked elementwise
-array expression.  One ``settle``/``clock_edge`` pass then advances all
-``n_lanes`` independent simulations at once.
+straight-line slot reads/writes — so the one combinational lowering of
+:mod:`repro.sim.codegen` is printed here for a second target,
+:class:`LaneEmitter`: the value store becomes one ``(n_slots, n_lanes)``
+int64 NumPy array whose row ``i`` holds net ``i``'s value in every lane, and
+every fused component becomes one masked elementwise array expression.  One
+``settle``/``clock_edge`` pass then advances all ``n_lanes`` independent
+simulations at once.
 
-Sequential state is also lane-vectorized: registers, counters, accumulators
-and the power-estimation components keep ``(n_lanes,)`` state arrays in small
-holder objects bound into the generated code; memories and register files
+Sequential state is lane-vectorized by this module's own state-source,
+capture and commit emitters: registers, counters, accumulators and the
+power-estimation components keep ``(n_lanes,)`` state arrays in small holder
+objects bound into the generated code; memories and register files
 keep ``(depth, n_lanes)`` storage with fancy-indexed reads and masked-scatter
 writes, and FSM controllers keep per-lane state-index arrays with their
 transition table unrolled into priority-ordered masked selects.  Components
@@ -54,7 +56,16 @@ import numpy as np
 from repro import obs
 from repro.netlist.module import Module
 from repro.netlist.nets import Net
-from repro.sim.codegen import SourceEmitter, _mask, _signed
+from repro.sim.codegen import (
+    _LOGIC_EXPRS,
+    SourceEmitter,
+    _mask,
+    _signed,
+    comb_emitters,
+    commit_pairs,
+    emit_state_constant,
+    state_output,
+)
 from repro.sim.scheduler import Schedule, module_mutation_key, schedule_for
 
 #: widest net (in bits) representable in an int64 lane with headroom for the
@@ -408,360 +419,98 @@ class LaneComponent:
             states[lane] = {k: val for k, val in attrs.items() if k[0] == "_"}
 
 
-# ---------------------------------------------------------------------------
-# Batch emitters.  Expressions operate on v rows ((n_lanes,) views); writing
-# through ``v[slot] = ...`` copies into the row, so row targets never alias.
-# Holder-attribute targets rebind references instead — any RHS that could be
-# a bare row view gets ``+ 0`` appended to force a fresh array.
-# ---------------------------------------------------------------------------
-
-
-def _b_adder(em: SourceEmitter, c, holders=None) -> bool:
-    a, b = em.req(c, "a"), em.req(c, "b")
-    if a is None or b is None:
-        return False
-    terms = f"{a} + {b}"
-    if c.with_carry_in:
-        cin = em.opt(c, "cin", 0)
-        if cin != "0":
-            terms += f" + {cin}"
-    y = em.out(c, "y")
-    cout = em.out(c, "cout") if c.with_carry_out else None
-    mask = _mask(c.width)
-    if cout is not None:
-        em.emit(f"_t = {terms}")
-        if y is not None:
-            em.emit(f"v[{y}] = _t & {mask}")
-        em.emit(f"v[{cout}] = (_t >> {c.width}) & 1")
-    elif y is not None:
-        em.emit(f"v[{y}] = ({terms}) & {mask}")
-    return True
-
-
-def _b_subtractor(em: SourceEmitter, c, holders=None) -> bool:
-    a, b = em.req(c, "a"), em.req(c, "b")
-    if a is None or b is None:
-        return False
-    y = em.out(c, "y")
-    borrow = em.out(c, "borrow") if c.with_borrow_out else None
-    mask = _mask(c.width)
-    if borrow is not None:
-        em.emit(f"_t = {a} - {b}")
-        if y is not None:
-            em.emit(f"v[{y}] = _t & {mask}")
-        em.emit(f"v[{borrow}] = _t < 0")
-    elif y is not None:
-        em.emit(f"v[{y}] = ({a} - {b}) & {mask}")
-    return True
-
-
-def _b_addsub(em: SourceEmitter, c, holders=None) -> bool:
-    a, b, sub = em.req(c, "a"), em.req(c, "b"), em.req(c, "sub")
-    if a is None or b is None or sub is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        mask = _mask(c.width)
-        em.emit(f"v[{y}] = _where({sub} & 1, {a} - {b}, {a} + {b}) & {mask}")
-    return True
-
-
-def _b_multiplier(em: SourceEmitter, c, holders=None) -> bool:
-    if c.width_a + c.width_b > MAX_LANE_WIDTH + 2:
-        return False  # product could overflow an int64 lane
-    a, b = em.req(c, "a"), em.req(c, "b")
-    if a is None or b is None:
-        return False
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    mask = _mask(c.width_y)
-    if c.signed:
-        a = _signed(a, c.width_a)
-        b = _signed(b, c.width_b)
-    em.emit(f"v[{y}] = ({a} * {b}) & {mask}")
-    return True
-
-
-def _b_comparator(em: SourceEmitter, c, holders=None) -> bool:
-    a, b = em.req(c, "a"), em.req(c, "b")
-    if a is None or b is None:
-        return False
-    if c.signed:
-        a = _signed(a, c.width)
-        b = _signed(b, c.width)
-    em.emit(f"_a = {a}")
-    em.emit(f"_b = {b}")
-    for port, op in (("lt", "<"), ("eq", "=="), ("gt", ">")):
-        slot = em.out(c, port)
-        if slot is not None:
-            em.emit(f"v[{slot}] = _a {op} _b")
-    return True
-
-
-def _b_absval(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        em.emit(f"v[{y}] = _abs({_signed(a, c.width)})")
-    return True
-
-
-def _b_saturator(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    if c.signed:
-        lo = -(1 << (c.width_out - 1))
-        hi = (1 << (c.width_out - 1)) - 1
-        mask = _mask(c.width_out)
-        lo_enc = lo & mask
-        em.emit(f"_t = {_signed(a, c.width_in)}")
-        em.emit(f"v[{y}] = _where(_t < {lo}, {lo_enc}, _where(_t > {hi}, {hi}, _t & {mask}))")
-    else:
-        hi = _mask(c.width_out)
-        em.emit(f"v[{y}] = _minimum({a}, {hi})")
-    return True
-
-
-def _b_shifter_const(em: SourceEmitter, c, holders=None) -> bool:
-    if c.direction == "left" and c.width + c.amount > MAX_LANE_WIDTH + 2:
-        return False
-    if c.direction != "left" and c.amount > 62:
-        return False
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    mask = _mask(c.width)
-    if c.direction == "left":
-        em.emit(f"v[{y}] = ({a} << {c.amount}) & {mask}")
-    elif c.arithmetic:
-        em.emit(f"v[{y}] = ({_signed(a, c.width)} >> {c.amount}) & {mask}")
-    else:
-        em.emit(f"v[{y}] = {a} >> {c.amount}")
-    return True
-
-
-def _b_shifter_var(em: SourceEmitter, c, holders=None) -> bool:
-    amount_port = c.ports.get("amount")
-    if amount_port is None:
-        return False
-    max_amount = (1 << amount_port.width) - 1
-    if c.direction == "left" and c.width + max_amount > MAX_LANE_WIDTH + 2:
-        return False
-    if max_amount > 62:
-        return False  # numpy shifts past the word size are undefined
-    a, amount = em.req(c, "a"), em.req(c, "amount")
-    if a is None or amount is None:
-        return False
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    mask = _mask(c.width)
-    if c.direction == "left":
-        em.emit(f"v[{y}] = ({a} << {amount}) & {mask}")
-    elif c.arithmetic:
-        em.emit(f"v[{y}] = ({_signed(a, c.width)} >> {amount}) & {mask}")
-    else:
-        em.emit(f"v[{y}] = {a} >> {amount}")
-    return True
-
-
-def _b_mux(em: SourceEmitter, c, holders=None) -> bool:
-    sel = em.req(c, "sel")
-    if sel is None:
-        return False
-    rows = []
-    for i in range(c.n_inputs):
-        expr = em.req(c, f"d{i}")
-        if expr is None:
-            return False
-        rows.append(expr)
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    if c.n_inputs == 2:
-        em.emit(f"v[{y}] = _where({sel} & 1, {rows[1]}, {rows[0]})")
-    else:
-        em.emit(f"_s = _minimum({sel}, {c.n_inputs - 1})")
-        em.emit(f"v[{y}] = _stack(({', '.join(rows)}))[_s, _lidx]")
-    return True
-
-
-_B_LOGIC_EXPRS = {
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "nand": "({a} & {b}) ^ {m}",
-    "nor": "({a} | {b}) ^ {m}",
-    "xnor": "({a} ^ {b}) ^ {m}",
-}
-
-
-def _b_logic(em: SourceEmitter, c, holders=None) -> bool:
-    a, b = em.req(c, "a"), em.req(c, "b")
-    if a is None or b is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        em.emit(f"v[{y}] = {_B_LOGIC_EXPRS[c.op].format(a=a, b=b, m=_mask(c.width))}")
-    return True
-
-
-def _b_not(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        em.emit(f"v[{y}] = {a} ^ {_mask(c.width)}")
-    return True
-
-
-def _b_reduce(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    if c.op == "and":
-        em.emit(f"v[{y}] = {a} == {_mask(c.width)}")
-    elif c.op == "or":
-        em.emit(f"v[{y}] = {a} != 0")
-    else:
-        em.emit(f"v[{y}] = _popcount({a}) & 1")
-    return True
-
-
-def _b_concat(em: SourceEmitter, c, holders=None) -> bool:
-    parts = []
-    shift = 0
-    for i, width in enumerate(c.widths):
-        expr = em.req(c, f"i{i}")
-        if expr is None:
-            return False
-        parts.append(expr if shift == 0 else f"({expr} << {shift})")
-        shift += width
-    y = em.out(c, "y")
-    if y is not None:
-        em.emit(f"v[{y}] = " + " | ".join(parts))
-    return True
-
-
-def _b_slice(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        shifted = a if c.low == 0 else f"({a} >> {c.low})"
-        em.emit(f"v[{y}] = {shifted} & {_mask(c.width_out)}")
-    return True
-
-
-def _b_extend(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        if c.signed:
-            em.emit(f"v[{y}] = {_signed(a, c.width_in)} & {_mask(c.width_out)}")
-        else:
-            em.emit(f"v[{y}] = {a}")
-    return True
-
-
-def _b_decoder(em: SourceEmitter, c, holders=None) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
-    y = em.out(c, "y")
-    if y is not None:
-        em.emit(f"v[{y}] = _one << {a}")
-    return True
-
-
-def _b_rom(em: SourceEmitter, c, holders=None) -> bool:
-    y = em.out(c, "rdata")
-    if y is not None:
-        uid = em.uid()
-        contents = em.bind(f"_rom{uid}", np.asarray(c.contents, dtype=np.int64))
-        addr = em.opt(c, "addr", 0)
-        em.emit(f"v[{y}] = {contents}[{addr} % {c.depth}]")
-    return True
-
-
 def _lane_addr(expr: str, depth: int) -> str:
     """Per-lane address expression, coerced to an array even when constant."""
     return f"(_lidx * 0 + ({expr}) % {depth})"
 
 
-def _b_regfile_read(em: SourceEmitter, c, holders) -> bool:
-    name = em.bind(f"_s{em.uid()}", holders[c])
-    for i in range(c.n_read_ports):
-        slot = em.out(c, f"rdata{i}")
-        if slot is not None:
-            addr = em.opt(c, f"raddr{i}", 0)
-            em.emit(f"v[{slot}] = {name}.mem[{_lane_addr(addr, c.depth)}, _lidx]")
-    return True
+class LaneEmitter(SourceEmitter):
+    """Target: ``n_lanes`` simulations, one ``(n_lanes,)`` int64 row per slot.
+
+    Expressions operate on v rows; writing through ``v[slot] = ...`` copies
+    into the row, so row targets never alias.  Holder-attribute targets rebind
+    references instead — any RHS that could be a bare row view gets ``+ 0``
+    appended to force a fresh array.
+    """
+
+    one = "_one"
+
+    def __init__(self, slot_of: Dict[Net, int], limbs_of: Dict[Net, int], holders) -> None:
+        super().__init__(slot_of)
+        #: wide net -> limb count (first limb at slot_of[net])
+        self.limbs_of = limbs_of
+        #: component -> per-lane state holder; KeyError when it has none
+        self.holders = holders
+
+    def fits(self, bits: int) -> bool:
+        # int64 lanes keep 2 bits of headroom over MAX_LANE_WIDTH, and NumPy
+        # shifts past the word size are undefined
+        return bits <= MAX_LANE_WIDTH + 2
+
+    def flag(self, cond: str) -> str:
+        return f"({cond})"
+
+    def nonzero(self, expr: str) -> str:
+        return f"({expr} != 0)"
+
+    def select(self, cond: str, if_true: str, if_false: str) -> str:
+        return f"_where({cond}, {if_true}, {if_false})"
+
+    def minimum(self, a: str, b: str) -> str:
+        return f"_minimum({a}, {b})"
+
+    def popcount(self, expr: str) -> str:
+        return f"_popcount({expr})"
+
+    def table(self, values) -> np.ndarray:
+        return np.asarray(values, dtype=np.int64)
+
+    def state_ref(self, component) -> str:
+        return self.bind(f"_s{self.uid()}", self.holders[component])
+
+    def read_row(self, state: str, addr: str, depth: int) -> str:
+        return f"{state}.mem[{_lane_addr(addr, depth)}, _lidx]"
+
+    def emit_abs(self, slot: int, expr: str) -> None:
+        self.emit(f"v[{slot}] = _abs({expr})")
+
+    def emit_mux(self, slot: int, sel: str, data_slots: List[int]) -> None:
+        rows = [f"v[{row}]" for row in data_slots]
+        if len(rows) == 2:
+            self.emit(f"v[{slot}] = _where({sel} & 1, {rows[1]}, {rows[0]})")
+        else:
+            self.emit(f"_s = _minimum({sel}, {len(rows) - 1})")
+            self.emit(f"v[{slot}] = _stack(({', '.join(rows)}))[_s, _lidx]")
 
 
-def _b_memory_async_read(em: SourceEmitter, c, holders) -> bool:
-    if c.sync_read:
-        return False
-    slot = em.out(c, "rdata")
-    if slot is not None:
-        name = em.bind(f"_s{em.uid()}", holders[c])
-        addr = em.opt(c, "addr", 0)
-        em.emit(f"v[{slot}] = {name}.mem[{_lane_addr(addr, c.depth)}, _lidx]")
-    return True
+# ---------------------------------------------------------------------------
+# Lane emitters for sequential components (the combinational kinds share
+# repro.sim.codegen's emitters through LaneEmitter).
+# ---------------------------------------------------------------------------
 
 
 # --------------------------------------------------------- state sources
 
-
-def _b_state_register_like(em: SourceEmitter, c, holders) -> bool:
-    slot = em.out(c, "q")
-    if slot is not None:
-        name = em.bind(f"_s{em.uid()}", holders[c])
-        em.emit(f"v[{slot}] = {name}.state")
-    return True
+_lane_state_q = state_output("q", "state")
 
 
-def _b_state_constant(em: SourceEmitter, c, holders) -> bool:
-    slot = em.out(c, "y")
-    if slot is not None:
-        em.emit(f"v[{slot}] = {c.value}")
-    return True
-
-
-def _b_state_memory(em: SourceEmitter, c, holders) -> bool:
+def _b_state_memory(em: LaneEmitter, c) -> bool:
     if not c.sync_read:
         return False
     slot = em.out(c, "rdata")
     if slot is not None:
-        name = em.bind(f"_s{em.uid()}", holders[c])
+        name = em.state_ref(c)
         em.emit(f"v[{slot}] = {name}.read_reg")
     return True
 
 
-def _b_state_fsm(em: SourceEmitter, c, holders) -> bool:
+def _b_state_fsm(em: LaneEmitter, c) -> bool:
     from repro.netlist.signals import mask_value
 
     outs = em.connected_outputs(c)
     if not outs:
         return True
-    name = em.bind(f"_s{em.uid()}", holders[c])
+    name = em.state_ref(c)
     for port, slot in outs:
         table = [
             mask_value(c.moore_outputs.get(state, {}).get(port, 0), c.output_widths[port])
@@ -772,38 +521,14 @@ def _b_state_fsm(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_state_power_model(em: SourceEmitter, c, holders) -> bool:
-    slot = em.out(c, "energy")
-    if slot is not None:
-        name = em.bind(f"_s{em.uid()}", holders[c])
-        em.emit(f"v[{slot}] = {name}.output")
-    return True
-
-
-def _b_state_aggregator(em: SourceEmitter, c, holders) -> bool:
-    slot = em.out(c, "total")
-    if slot is not None:
-        name = em.bind(f"_s{em.uid()}", holders[c])
-        em.emit(f"v[{slot}] = {name}.a")
-    return True
-
-
-def _b_state_strobe(em: SourceEmitter, c, holders) -> bool:
-    slot = em.out(c, "strobe")
-    if slot is not None:
-        name = em.bind(f"_s{em.uid()}", holders[c])
-        em.emit(f"v[{slot}] = {name}.b")
-    return True
-
-
 # --------------------------------------------------------------- captures
 
 
-def _b_capture_register(em: SourceEmitter, c, holders) -> bool:
+def _b_capture_register(em: LaneEmitter, c) -> bool:
     d = em.req(c, "d")
     if d is None:
         return False
-    s = em.bind(f"_s{em.uid()}", holders[c])
+    s = em.state_ref(c)
     clr = em.req(c, "clear") if c.has_clear else None
     en = em.req(c, "en") if c.has_enable else None
     if clr is not None and en is not None:
@@ -820,13 +545,13 @@ def _b_capture_register(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_counter(em: SourceEmitter, c, holders) -> bool:
+def _b_capture_counter(em: LaneEmitter, c) -> bool:
     load = em.req(c, "load") if c.has_load else None
     d = em.req(c, "d") if c.has_load else None
     if load is not None and d is None:
         return False
     en = em.req(c, "en")
-    s = em.bind(f"_s{em.uid()}", holders[c])
+    s = em.state_ref(c)
     if en is None and load is None:
         # en unconnected (reads as 0) and no load: the counter never moves
         em.emit(f"{s}.pending = {s}.state + 0")
@@ -843,12 +568,12 @@ def _b_capture_counter(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_accumulator(em: SourceEmitter, c, holders) -> bool:
+def _b_capture_accumulator(em: LaneEmitter, c) -> bool:
     d = em.req(c, "d")
     en = em.req(c, "en")
     if en is not None and d is None:
         return False
-    s = em.bind(f"_s{em.uid()}", holders[c])
+    s = em.state_ref(c)
     clr = em.req(c, "clear")
     add = f"({s}.state + {d}) & {_mask(c.width)}"
     if clr is not None and en is not None:
@@ -862,8 +587,8 @@ def _b_capture_accumulator(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_aggregator(em: SourceEmitter, c, holders) -> bool:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_capture_aggregator(em: LaneEmitter, c) -> bool:
+    s = em.state_ref(c)
     terms = [em.req(c, f"e{i}") for i in range(c.n_inputs)]
     total = " + ".join(t for t in terms if t is not None) or "0"
     clr = em.req(c, "clear")
@@ -875,8 +600,8 @@ def _b_capture_aggregator(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_fsm(em: SourceEmitter, c, holders) -> bool:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_capture_fsm(em: LaneEmitter, c) -> bool:
+    s = em.state_ref(c)
     em.emit(f"_st = {s}.state")
     em.emit("_pend = _st + 0")
     em.emit("_open = _st >= 0")  # all-True: no transition matched yet
@@ -898,8 +623,8 @@ def _b_capture_fsm(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_memory(em: SourceEmitter, c, holders) -> bool:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_capture_memory(em: LaneEmitter, c) -> bool:
+    s = em.state_ref(c)
     addr = em.opt(c, "addr", 0)
     we = em.req(c, "we")
     wdata = em.opt(c, "wdata", 0)
@@ -912,8 +637,8 @@ def _b_capture_memory(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_regfile(em: SourceEmitter, c, holders) -> bool:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_capture_regfile(em: LaneEmitter, c) -> bool:
+    s = em.state_ref(c)
     we = em.req(c, "we")
     waddr = em.opt(c, "waddr", 0)
     wdata = em.opt(c, "wdata", 0)
@@ -924,11 +649,11 @@ def _b_capture_regfile(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_power_model(em: SourceEmitter, c, holders) -> bool:
+def _b_capture_power_model(em: LaneEmitter, c) -> bool:
     if c.sample_on_strobe_only:
         return False  # paper-literal sampling stays on the lane-scalar path
     uid = em.uid()
-    s = em.bind(f"_s{uid}", holders[c])
+    s = em.bind(f"_s{uid}", em.holders[c])
     strobe = em.opt(c, "strobe", 0)
     em.emit(f"_e = {c.base_code}")
     for index, (port_name, in_name, _, tables) in enumerate(c._chunked):
@@ -951,8 +676,8 @@ def _b_capture_power_model(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _b_capture_strobe(em: SourceEmitter, c, holders) -> bool:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_capture_strobe(em: LaneEmitter, c) -> bool:
+    s = em.state_ref(c)
     en = em.req(c, "enable")
     if c.period == 1:
         count, strobe = "0", "1"
@@ -973,25 +698,11 @@ def _b_capture_strobe(em: SourceEmitter, c, holders) -> bool:
 
 # ---------------------------------------------------------------- commits
 
-
-def _b_commit_state(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
-    em.emit(f"{s}.state = {s}.pending")
+_lane_commit_state = commit_pairs(("state", "pending"))
 
 
-def _b_commit_aggregator(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
-    em.emit(f"{s}.a = {s}.pending_a")
-
-
-def _b_commit_strobe(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
-    em.emit(f"{s}.a = {s}.pending_a")
-    em.emit(f"{s}.b = {s}.pending_b")
-
-
-def _b_commit_memory(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_commit_memory(em: LaneEmitter, c) -> None:
+    s = em.state_ref(c)
     if c.sync_read:
         em.emit(f"{s}.read_reg = {s}.pending_read")
     if c.ports["we"].net is not None:
@@ -999,15 +710,15 @@ def _b_commit_memory(em: SourceEmitter, c, holders) -> None:
         em.emit(f"{s}.mem[{s}.w_addr[_msk], _lidx[_msk]] = {s}.w_data[_msk]")
 
 
-def _b_commit_regfile(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_commit_regfile(em: LaneEmitter, c) -> None:
+    s = em.state_ref(c)
     if c.ports["we"].net is not None:
         em.emit(f"_msk = {s}.w_en != 0")
         em.emit(f"{s}.mem[{s}.w_addr[_msk], _lidx[_msk]] = {s}.w_data[_msk]")
 
 
-def _b_commit_power_model(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _b_commit_power_model(em: LaneEmitter, c) -> None:
+    s = em.state_ref(c)
     em.emit(f"{s}.prev = {s}.pending_prev")
     em.emit(f"{s}.pending_prev = list({s}.prev)")
     em.emit(f"{s}.accumulated = {s}.pending_accumulated")
@@ -1023,7 +734,7 @@ def _b_commit_power_model(em: SourceEmitter, c, holders) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _l_in(em: SourceEmitter, c, port_name: str) -> Optional[Tuple[List[str], int]]:
+def _l_in(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[str], int]]:
     """Per-limb slot expressions plus net width of an input; None if unbound."""
     port = c.ports.get(port_name)
     if port is None or port.net is None:
@@ -1033,7 +744,7 @@ def _l_in(em: SourceEmitter, c, port_name: str) -> Optional[Tuple[List[str], int
     return [f"v[{slot + k}]" for k in range(n_limbs)], port.net.width
 
 
-def _l_out(em: SourceEmitter, c, port_name: str) -> Optional[Tuple[List[int], int]]:
+def _l_out(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[int], int]]:
     """Per-limb slots plus net width of an output; None when unconnected."""
     port = c.ports.get(port_name)
     if port is None or port.net is None:
@@ -1044,7 +755,7 @@ def _l_out(em: SourceEmitter, c, port_name: str) -> Optional[Tuple[List[int], in
 
 
 def _l_gather(
-    em: SourceEmitter,
+    em: LaneEmitter,
     items: List[Tuple[str, int, int]],
     out_slots: List[int],
     out_width: int,
@@ -1073,7 +784,7 @@ def _l_gather(
         em.emit(f"v[{slot}] = " + (" | ".join(parts) if parts else "0"))
 
 
-def _bl_logic(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_logic(em: LaneEmitter, c) -> bool:
     a, b = _l_in(em, c, "a"), _l_in(em, c, "b")
     if a is None or b is None or len(a[0]) != len(b[0]):
         return False
@@ -1082,12 +793,12 @@ def _bl_logic(em: SourceEmitter, c, holders=None) -> bool:
         return True
     masks = _limb_masks(c.width)
     for k, slot in enumerate(y[0]):
-        expr = _B_LOGIC_EXPRS[c.op].format(a=a[0][k], b=b[0][k], m=masks[k])
+        expr = _LOGIC_EXPRS[c.op].format(a=a[0][k], b=b[0][k], m=masks[k])
         em.emit(f"v[{slot}] = {expr}")
     return True
 
 
-def _bl_not(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_not(em: LaneEmitter, c) -> bool:
     a = _l_in(em, c, "a")
     if a is None:
         return False
@@ -1100,7 +811,7 @@ def _bl_not(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_adder(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_adder(em: LaneEmitter, c) -> bool:
     a, b = _l_in(em, c, "a"), _l_in(em, c, "b")
     if a is None or b is None or len(a[0]) != len(b[0]):
         return False
@@ -1134,7 +845,7 @@ def _bl_adder(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_subtractor(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_subtractor(em: LaneEmitter, c) -> bool:
     a, b = _l_in(em, c, "a"), _l_in(em, c, "b")
     if a is None or b is None or len(a[0]) != len(b[0]):
         return False
@@ -1163,7 +874,7 @@ def _bl_subtractor(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_comparator(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_comparator(em: LaneEmitter, c) -> bool:
     if c.signed:
         return False  # signed wide compares stay on the lane-scalar path
     a, b = _l_in(em, c, "a"), _l_in(em, c, "b")
@@ -1189,7 +900,7 @@ def _bl_comparator(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_mux(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_mux(em: LaneEmitter, c) -> bool:
     sel = em.req(c, "sel")
     if sel is None:
         return False
@@ -1216,7 +927,7 @@ def _bl_mux(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_reduce(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_reduce(em: LaneEmitter, c) -> bool:
     a = _l_in(em, c, "a")
     if a is None:
         return False
@@ -1237,7 +948,7 @@ def _bl_reduce(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_concat(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_concat(em: LaneEmitter, c) -> bool:
     items: List[Tuple[str, int, int]] = []
     shift = 0
     for i, width in enumerate(c.widths):
@@ -1253,7 +964,7 @@ def _bl_concat(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_slice(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_slice(em: LaneEmitter, c) -> bool:
     a = _l_in(em, c, "a")
     if a is None:
         return False
@@ -1268,7 +979,7 @@ def _bl_slice(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_extend(em: SourceEmitter, c, holders=None) -> bool:
+def _bl_extend(em: LaneEmitter, c) -> bool:
     if c.signed:
         return False  # wide sign-extension stays on the lane-scalar path
     a = _l_in(em, c, "a")
@@ -1285,7 +996,7 @@ def _bl_extend(em: SourceEmitter, c, holders=None) -> bool:
     return True
 
 
-def _bl_state_constant(em: SourceEmitter, c, holders) -> bool:
+def _bl_state_constant(em: LaneEmitter, c) -> bool:
     y = _l_out(em, c, "y")
     if y is not None:
         for k, slot in enumerate(y[0]):
@@ -1293,20 +1004,20 @@ def _bl_state_constant(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _bl_state_register(em: SourceEmitter, c, holders) -> bool:
+def _bl_state_register(em: LaneEmitter, c) -> bool:
     y = _l_out(em, c, "q")
     if y is not None:
-        s = em.bind(f"_s{em.uid()}", holders[c])
+        s = em.state_ref(c)
         for k, slot in enumerate(y[0]):
             em.emit(f"v[{slot}] = {s}.state[{k}]")
     return True
 
 
-def _bl_capture_register(em: SourceEmitter, c, holders) -> bool:
+def _bl_capture_register(em: LaneEmitter, c) -> bool:
     d = _l_in(em, c, "d")
     if d is None or len(d[0]) != _limb_count(c.width):
         return False
-    s = em.bind(f"_s{em.uid()}", holders[c])
+    s = em.state_ref(c)
     clr = em.req(c, "clear") if c.has_clear else None
     en = em.req(c, "en") if c.has_enable else None
     for k, d_expr in enumerate(d[0]):
@@ -1325,8 +1036,8 @@ def _bl_capture_register(em: SourceEmitter, c, holders) -> bool:
     return True
 
 
-def _bl_commit_register(em: SourceEmitter, c, holders) -> None:
-    s = em.bind(f"_s{em.uid()}", holders[c])
+def _bl_commit_register(em: LaneEmitter, c) -> None:
+    s = em.state_ref(c)
     em.emit(f"{s}.state = {s}.pending")
     em.emit(f"{s}.pending = list({s}.state)")
 
@@ -1347,38 +1058,17 @@ def _batch_tables() -> tuple:
     from repro.netlist import sequential as seq
     from repro.netlist.fsm import FSMController
 
-    comb = {
-        comps.Adder: _b_adder,
-        comps.Subtractor: _b_subtractor,
-        comps.AddSub: _b_addsub,
-        comps.Multiplier: _b_multiplier,
-        comps.Comparator: _b_comparator,
-        comps.AbsoluteValue: _b_absval,
-        comps.Saturator: _b_saturator,
-        comps.ShifterConst: _b_shifter_const,
-        comps.ShifterVar: _b_shifter_var,
-        comps.Mux: _b_mux,
-        comps.LogicOp: _b_logic,
-        comps.NotOp: _b_not,
-        comps.ReduceOp: _b_reduce,
-        comps.Concat: _b_concat,
-        comps.Slice: _b_slice,
-        comps.Extend: _b_extend,
-        comps.Decoder: _b_decoder,
-        seq.ROM: _b_rom,
-        seq.RegisterFile: _b_regfile_read,
-        seq.Memory: _b_memory_async_read,
-    }
+    comb = comb_emitters()
     state = {
-        seq.Register: _b_state_register_like,
-        seq.Counter: _b_state_register_like,
-        seq.Accumulator: _b_state_register_like,
+        seq.Register: _lane_state_q,
+        seq.Counter: _lane_state_q,
+        seq.Accumulator: _lane_state_q,
         seq.Memory: _b_state_memory,
-        comps.Constant: _b_state_constant,
+        comps.Constant: emit_state_constant,
         FSMController: _b_state_fsm,
-        HardwarePowerModel: _b_state_power_model,
-        PowerAggregator: _b_state_aggregator,
-        PowerStrobeGenerator: _b_state_strobe,
+        HardwarePowerModel: state_output("energy", "output"),
+        PowerAggregator: state_output("total", "a"),
+        PowerStrobeGenerator: state_output("strobe", "b"),
     }
     capture = {
         seq.Register: _b_capture_register,
@@ -1392,15 +1082,15 @@ def _batch_tables() -> tuple:
         PowerStrobeGenerator: _b_capture_strobe,
     }
     commit = {
-        seq.Register: _b_commit_state,
-        seq.Counter: _b_commit_state,
-        seq.Accumulator: _b_commit_state,
+        seq.Register: _lane_commit_state,
+        seq.Counter: _lane_commit_state,
+        seq.Accumulator: _lane_commit_state,
         seq.Memory: _b_commit_memory,
         seq.RegisterFile: _b_commit_regfile,
-        FSMController: _b_commit_state,
+        FSMController: _lane_commit_state,
         HardwarePowerModel: _b_commit_power_model,
-        PowerAggregator: _b_commit_aggregator,
-        PowerStrobeGenerator: _b_commit_strobe,
+        PowerAggregator: commit_pairs(("a", "pending_a")),
+        PowerStrobeGenerator: commit_pairs(("a", "pending_a"), ("b", "pending_b")),
     }
 
     def make_holder(component):
@@ -1540,8 +1230,6 @@ def _generate_batch_source(
         comb_table = state_table = capture_table = {}
         commit_table = {}
         limb_comb = limb_state = limb_capture = limb_commit = {}
-    em = SourceEmitter(slot_of)
-    em.limbs_of = limbs_of
 
     # components touching any multi-limb net dispatch to the limb emitters
     wide_components = set()
@@ -1567,7 +1255,7 @@ def _generate_batch_source(
 
     def commit_for(component):
         table = limb_commit if component in wide_components else commit_table
-        return table.get(type(component), _b_commit_state)
+        return table.get(type(component), _lane_commit_state)
 
     holders: Dict[object, object] = {}
     lane_components: Dict[object, LaneComponent] = {}
@@ -1599,7 +1287,7 @@ def _generate_batch_source(
                 raise KeyError(component)
             return holder
 
-    holder_map = _Holders()
+    em = LaneEmitter(slot_of, limbs_of, _Holders())
 
     def emit_fallback(component, method: str) -> None:
         wrapper = lane_component_for(component)
@@ -1612,15 +1300,14 @@ def _generate_batch_source(
     # (and any combinational path) on the lane-scalar path, so per-lane holder
     # state and the component's own scalar state never mix.
     fallback_sequential = set()
-    scratch = SourceEmitter(slot_of)
-    scratch.limbs_of = limbs_of
+    scratch = LaneEmitter(slot_of, limbs_of, em.holders)
     for component in schedule.sequential:
         emitter = capture_for(component)
         fused = False
         if emitter is not None:
             scratch.lines = []
             try:
-                fused = emitter(scratch, component, holder_map)
+                fused = emitter(scratch, component)
             except KeyError:
                 fused = False
         if not fused:
@@ -1633,7 +1320,7 @@ def _generate_batch_source(
         done = False
         if component not in fallback_sequential and emitter is not None:
             try:
-                done = emitter(em, component, holder_map)
+                done = emitter(em, component)
             except KeyError:
                 done = False
         if done:
@@ -1645,7 +1332,7 @@ def _generate_batch_source(
         if (
             component not in fallback_sequential
             and emitter is not None
-            and emitter(em, component, holder_map)
+            and emitter(em, component)
         ):
             em.n_fused += 1
         else:
@@ -1664,12 +1351,12 @@ def _generate_batch_source(
             # commits, so this is equivalent to the two-phase scalar order
             emit_fallback(component, "clock_edge")
             continue
-        done = capture_for(component)(em, component, holder_map)
+        done = capture_for(component)(em, component)
         assert done, f"capture dry run and emission disagree for {component!r}"
         em.n_fused += 1
         fused_sequential.append(component)
     for component in fused_sequential:
-        commit_for(component)(em, component, holder_map)
+        commit_for(component)(em, component)
     if not body:
         body.append("pass")
     lines.extend("    " + line for line in body)
@@ -1831,7 +1518,7 @@ class BatchSimulator:
             else:
                 requested, why = "off", "no C toolchain"
             self.kernel_decision = f"auto -> {requested} ({why})"
-        #: worker count the native kernel runs with (1 for off)
+        #: worker count this simulator's native kernel calls run with (1 for off)
         self.kernel_threads = 1
         if requested == "native":
             try:
@@ -1847,12 +1534,11 @@ class BatchSimulator:
                 self.kernel = self.program._kernel
                 self.kernel_backend = "native"
                 # lane blocks fan out over the kernel's OpenMP/pthread pool;
-                # any count is bit-identical
+                # any count is bit-identical.  The kernel is shared by every
+                # simulator of this program, so each call passes this count.
                 self.kernel_threads = kernels.resolve_kernel_threads(
                     kernel_threads, n_lanes
                 )
-                self.kernel.set_threads(self.kernel_threads)
-                self.kernel_threads = self.kernel.n_threads
         self.cycle = 0
         self._v = np.zeros((self.program.n_slots, n_lanes), dtype=self.program.dtype)
         slot_of = self.program.slot_of
@@ -1998,26 +1684,26 @@ class BatchSimulator:
     def settle(self) -> None:
         """Propagate combinational logic in every lane."""
         if self.kernel is not None:
-            self.kernel.settle(self._v)
+            self.kernel.settle(self._v, self.kernel_threads)
         else:
             self.program.settle(self._v)
 
     def clock_edge(self) -> None:
         """Capture and commit the next sequential state in every lane."""
         if self.kernel is not None:
-            self.kernel.clock_edge(self._v)
+            self.kernel.clock_edge(self._v, self.kernel_threads)
         else:
             self.program.clock_edge(self._v)
 
     def step(self, inputs: Optional[Mapping[str, ArrayLike]] = None, cycles: int = 1) -> None:
         """Advance all lanes by ``cycles`` clock cycles."""
-        kernel = self.kernel
+        kernel, n_threads = self.kernel, self.kernel_threads
         for _ in range(cycles):
             if inputs:
                 self.set_inputs(inputs)
             if kernel is not None:
                 # one fused settle+edge call per cycle (lanes are independent)
-                kernel.cycle(self._v)
+                kernel.cycle(self._v, n_threads)
             else:
                 self.settle()
                 self.clock_edge()

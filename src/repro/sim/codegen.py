@@ -1,4 +1,4 @@
-"""Slot-indexed code generation for the compiled simulation backend.
+"""One combinational lowering, printed for two simulation targets.
 
 :func:`generate_source` lowers a levelized :class:`~repro.sim.scheduler.Schedule`
 into the source of two plain Python functions over a flat list ``v`` of net
@@ -18,13 +18,23 @@ power models, anything user-defined) fall back to a pre-bound
 so any component that simulates on the interpreter also simulates compiled,
 just with less of the speedup.
 
+The combinational emitters here are written once, against the small target
+interface of :class:`SourceEmitter`, and print every combinational component
+kind for both targets: :class:`ScalarEmitter` (Python ints in a slot list,
+this module) and :class:`~repro.sim.batch.LaneEmitter` (NumPy ``(n_lanes,)``
+rows of the lane store, :mod:`repro.sim.batch`).  A target only spells what
+differs: 0/1 ints vs bool arrays, ``a if c else b`` vs ``_where``, how a ROM
+table or a memory row is bound and read, the lane store's int64 width guards,
+and the mux algorithm.  Sequential state sources, captures and commits keep
+one emitter set per target, because their state layouts differ.
+
 Fusion keys off the concrete component class (not ``type_name``), so a
 subclass with an overridden ``evaluate`` is never fused incorrectly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netlist.nets import Net
 
@@ -46,13 +56,17 @@ def _signed(expr: str, width: int) -> str:
 
 
 class SourceEmitter:
-    """Accumulates generated lines plus the exec environment they reference."""
+    """Accumulates generated lines plus the exec environment they reference.
+
+    Subclasses are the code-generation targets: they implement the target
+    interface below, which is all the shared combinational emitters need.
+    """
+
+    #: the literal 1 as a left-shift operand (one-hot decoder)
+    one = "1"
 
     def __init__(self, slot_of: Dict[Net, int]) -> None:
         self.slot_of = slot_of
-        #: wide net -> limb count; populated by the batch compiler when the
-        #: module uses the limb-array store (scalar codegen leaves it empty)
-        self.limbs_of: Dict[Net, int] = {}
         self.env: Dict[str, object] = {}
         self.lines: List[str] = []
         self.n_fused = 0
@@ -110,14 +124,97 @@ class SourceEmitter:
             if p.net is not None
         ]
 
+    # ----------------------------------------------------- target interface
+    def fits(self, bits: int) -> bool:
+        """Whether a ``bits``-wide intermediate (or shift amount) is exact."""
+        raise NotImplementedError
+
+    def flag(self, cond: str) -> str:
+        """The 0/1 value of a comparison."""
+        raise NotImplementedError
+
+    def nonzero(self, expr: str) -> str:
+        """The 0/1 value of ``expr != 0``."""
+        raise NotImplementedError
+
+    def select(self, cond: str, if_true: str, if_false: str) -> str:
+        raise NotImplementedError
+
+    def minimum(self, a: str, b: str) -> str:
+        raise NotImplementedError
+
+    def popcount(self, expr: str) -> str:
+        raise NotImplementedError
+
+    def table(self, values: Sequence[int]) -> object:
+        """The object a lookup table (ROM contents) is bound as."""
+        raise NotImplementedError
+
+    def state_ref(self, component) -> str:
+        """Bind and name the object holding ``component``'s sequential state."""
+        raise NotImplementedError
+
+    def read_row(self, state: str, addr: str, depth: int) -> str:
+        """Read of a memory/register-file row through :meth:`state_ref`."""
+        raise NotImplementedError
+
+    def emit_abs(self, slot: int, expr: str) -> None:
+        """``v[slot] = |expr|`` for a signed ``expr``."""
+        raise NotImplementedError
+
+    def emit_mux(self, slot: int, sel: str, data_slots: List[int]) -> None:
+        """``v[slot] = v[data_slots[min(sel, n - 1)]]``."""
+        raise NotImplementedError
+
+
+class ScalarEmitter(SourceEmitter):
+    """Target: one simulation, Python ints in a flat slot list."""
+
+    def fits(self, bits: int) -> bool:
+        return True  # Python ints never overflow
+
+    def flag(self, cond: str) -> str:
+        return f"(1 if {cond} else 0)"
+
+    def nonzero(self, expr: str) -> str:
+        return f"(1 if {expr} else 0)"
+
+    def select(self, cond: str, if_true: str, if_false: str) -> str:
+        return f"({if_true} if {cond} else {if_false})"
+
+    def minimum(self, a: str, b: str) -> str:
+        return f"({a} if {a} <= {b} else {b})"
+
+    def popcount(self, expr: str) -> str:
+        return f"({expr}).bit_count()"
+
+    def table(self, values: Sequence[int]) -> object:
+        return values
+
+    def state_ref(self, component) -> str:
+        return self.bind(f"_c{self.uid()}", component)
+
+    def read_row(self, state: str, addr: str, depth: int) -> str:
+        return f"{state}._state[{addr} % {depth}]"
+
+    def emit_abs(self, slot: int, expr: str) -> None:
+        self.emit(f"_t = {expr}")
+        self.emit(f"v[{slot}] = -_t if _t < 0 else _t")
+
+    def emit_mux(self, slot: int, sel: str, data_slots: List[int]) -> None:
+        table = self.bind(f"_mx{self.uid()}", tuple(data_slots))
+        last = len(data_slots) - 1
+        self.emit(f"_s = {sel}")
+        self.emit(f"if _s > {last}: _s = {last}")
+        self.emit(f"v[{slot}] = v[{table}[_s]]")
+
     # ------------------------------------------------------------ fallbacks
     def fallback_evaluate(self, component, empty_inputs: bool = False) -> None:
         """Generic path: bound ``evaluate`` call fed by an inline dict literal."""
         outs = self.connected_outputs(component)
         if not outs:
             return
-        uid = self.uid()
-        name = self.bind(f"_ev{uid}", component.evaluate)
+        name = self.bind(f"_ev{self.uid()}", component.evaluate)
         if empty_inputs:
             args = "{}"
         else:
@@ -131,8 +228,7 @@ class SourceEmitter:
         self.n_fallback += 1
 
     def fallback_capture(self, component) -> None:
-        uid = self.uid()
-        name = self.bind(f"_cap{uid}", component.capture)
+        name = self.bind(f"_cap{self.uid()}", component.capture)
         items = ", ".join(
             f"{port!r}: v[{slot}]" for port, slot in self.connected_inputs(component)
         )
@@ -141,8 +237,9 @@ class SourceEmitter:
 
 
 # ---------------------------------------------------------------------------
-# Combinational (levelized) component emitters.  Each returns True when it
-# fused the component; False defers to the generic fallback.
+# Combinational (levelized) component emitters, shared by both targets.  Each
+# returns True when it fused the component; False defers to the target's
+# generic fallback.
 # ---------------------------------------------------------------------------
 
 
@@ -178,7 +275,7 @@ def _emit_subtractor(em: SourceEmitter, c) -> bool:
         em.emit(f"_t = {a} - {b}")
         if y is not None:
             em.emit(f"v[{y}] = _t & {mask}")
-        em.emit(f"v[{borrow}] = 1 if _t < 0 else 0")
+        em.emit(f"v[{borrow}] = {em.flag('_t < 0')}")
     elif y is not None:
         em.emit(f"v[{y}] = ({a} - {b}) & {mask}")
     return True
@@ -190,12 +287,14 @@ def _emit_addsub(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        mask = _mask(c.width)
-        em.emit(f"v[{y}] = (({a} - {b}) if {sub} & 1 else ({a} + {b})) & {mask}")
+        result = em.select(f"{sub} & 1", f"{a} - {b}", f"{a} + {b}")
+        em.emit(f"v[{y}] = {result} & {_mask(c.width)}")
     return True
 
 
 def _emit_multiplier(em: SourceEmitter, c) -> bool:
+    if not em.fits(c.width_a + c.width_b):
+        return False  # the full product would overflow the target's word
     a, b = em.req(c, "a"), em.req(c, "b")
     if a is None or b is None:
         return False
@@ -222,7 +321,7 @@ def _emit_comparator(em: SourceEmitter, c) -> bool:
     for port, op in (("lt", "<"), ("eq", "=="), ("gt", ">")):
         slot = em.out(c, port)
         if slot is not None:
-            em.emit(f"v[{slot}] = 1 if _a {op} _b else 0")
+            em.emit(f"v[{slot}] = {em.flag(f'_a {op} _b')}")
     return True
 
 
@@ -233,8 +332,7 @@ def _emit_absval(em: SourceEmitter, c) -> bool:
     y = em.out(c, "y")
     if y is not None:
         # |to_signed(a)| <= 2^(width-1) always fits the unsigned output range.
-        em.emit(f"_t = {_signed(a, c.width)}")
-        em.emit(f"v[{y}] = -_t if _t < 0 else _t")
+        em.emit_abs(y, _signed(a, c.width))
     return True
 
 
@@ -249,41 +347,24 @@ def _emit_saturator(em: SourceEmitter, c) -> bool:
         lo = -(1 << (c.width_out - 1))
         hi = (1 << (c.width_out - 1)) - 1
         mask = _mask(c.width_out)
-        lo_enc = lo & mask
         em.emit(f"_t = {_signed(a, c.width_in)}")
-        em.emit(f"v[{y}] = {lo_enc} if _t < {lo} else ({hi} if _t > {hi} else _t & {mask})")
+        upper = em.select(f"_t > {hi}", str(hi), f"_t & {mask}")
+        em.emit(f"v[{y}] = {em.select(f'_t < {lo}', str(lo & mask), upper)}")
     else:
-        hi = _mask(c.width_out)
-        em.emit(f"v[{y}] = {a} if {a} <= {hi} else {hi}")
+        em.emit(f"v[{y}] = {em.minimum(a, str(_mask(c.width_out)))}")
     return True
 
 
-def _emit_shifter_const(em: SourceEmitter, c) -> bool:
-    a = em.req(c, "a")
-    if a is None:
-        return False
+def _emit_shift(em: SourceEmitter, c, a: str, amount, max_amount: int) -> bool:
+    """Shifter body shared by the constant- and variable-amount kinds."""
+    left = c.direction == "left"
+    if not em.fits(max_amount + (c.width if left else 0)):
+        return False  # result bits (or the shift amount) exceed the word
     y = em.out(c, "y")
     if y is None:
         return True
     mask = _mask(c.width)
-    if c.direction == "left":
-        em.emit(f"v[{y}] = ({a} << {c.amount}) & {mask}")
-    elif c.arithmetic:
-        em.emit(f"v[{y}] = ({_signed(a, c.width)} >> {c.amount}) & {mask}")
-    else:
-        em.emit(f"v[{y}] = {a} >> {c.amount}")
-    return True
-
-
-def _emit_shifter_var(em: SourceEmitter, c) -> bool:
-    a, amount = em.req(c, "a"), em.req(c, "amount")
-    if a is None or amount is None:
-        return False
-    y = em.out(c, "y")
-    if y is None:
-        return True
-    mask = _mask(c.width)
-    if c.direction == "left":
+    if left:
         em.emit(f"v[{y}] = ({a} << {amount}) & {mask}")
     elif c.arithmetic:
         em.emit(f"v[{y}] = ({_signed(a, c.width)} >> {amount}) & {mask}")
@@ -292,25 +373,26 @@ def _emit_shifter_var(em: SourceEmitter, c) -> bool:
     return True
 
 
+def _emit_shifter_const(em: SourceEmitter, c) -> bool:
+    a = em.req(c, "a")
+    return a is not None and _emit_shift(em, c, a, c.amount, c.amount)
+
+
+def _emit_shifter_var(em: SourceEmitter, c) -> bool:
+    a, amount = em.req(c, "a"), em.req(c, "amount")
+    if a is None or amount is None:
+        return False
+    return _emit_shift(em, c, a, amount, _mask(c.ports["amount"].width))
+
+
 def _emit_mux(em: SourceEmitter, c) -> bool:
     sel = em.req(c, "sel")
-    if sel is None:
+    data = [c.ports[f"d{i}"].net for i in range(c.n_inputs)]
+    if sel is None or any(net is None for net in data):
         return False
-    data_slots = []
-    for i in range(c.n_inputs):
-        expr = em.req(c, f"d{i}")
-        if expr is None:
-            return False
-        data_slots.append(em.slot_of[c.ports[f"d{i}"].net])
     y = em.out(c, "y")
-    if y is None:
-        return True
-    uid = em.uid()
-    table = em.bind(f"_mx{uid}", tuple(data_slots))
-    last = c.n_inputs - 1
-    em.emit(f"_s = {sel}")
-    em.emit(f"if _s > {last}: _s = {last}")
-    em.emit(f"v[{y}] = v[{table}[_s]]")
+    if y is not None:
+        em.emit_mux(y, sel, [em.slot_of[net] for net in data])
     return True
 
 
@@ -353,11 +435,11 @@ def _emit_reduce(em: SourceEmitter, c) -> bool:
     if y is None:
         return True
     if c.op == "and":
-        em.emit(f"v[{y}] = 1 if {a} == {_mask(c.width)} else 0")
+        em.emit(f"v[{y}] = {em.flag(f'{a} == {_mask(c.width)}')}")
     elif c.op == "or":
-        em.emit(f"v[{y}] = 1 if {a} else 0")
+        em.emit(f"v[{y}] = {em.nonzero(a)}")
     else:
-        em.emit(f"v[{y}] = ({a}).bit_count() & 1")
+        em.emit(f"v[{y}] = {em.popcount(a)} & 1")
     return True
 
 
@@ -406,28 +488,26 @@ def _emit_decoder(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        em.emit(f"v[{y}] = 1 << {a}")
+        em.emit(f"v[{y}] = {em.one} << {a}")
     return True
 
 
 def _emit_rom(em: SourceEmitter, c) -> bool:
     y = em.out(c, "rdata")
     if y is not None:
-        uid = em.uid()
-        contents = em.bind(f"_rom{uid}", c.contents)
+        contents = em.bind(f"_rom{em.uid()}", em.table(c.contents))
         addr = em.opt(c, "addr", 0)
         em.emit(f"v[{y}] = {contents}[{addr} % {c.depth}]")
     return True
 
 
 def _emit_regfile_read(em: SourceEmitter, c) -> bool:
-    uid = em.uid()
-    state = em.bind(f"_c{uid}", c)
+    state = em.state_ref(c)
     for i in range(c.n_read_ports):
         slot = em.out(c, f"rdata{i}")
         if slot is not None:
             addr = em.opt(c, f"raddr{i}", 0)
-            em.emit(f"v[{slot}] = {state}._state[{addr} % {c.depth}]")
+            em.emit(f"v[{slot}] = {em.read_row(state, addr, c.depth)}")
     return True
 
 
@@ -436,28 +516,43 @@ def _emit_memory_async_read(em: SourceEmitter, c) -> bool:
         return False
     slot = em.out(c, "rdata")
     if slot is not None:
-        uid = em.uid()
-        state = em.bind(f"_c{uid}", c)
+        state = em.state_ref(c)
         addr = em.opt(c, "addr", 0)
-        em.emit(f"v[{slot}] = {state}._state[{addr} % {c.depth}]")
+        em.emit(f"v[{slot}] = {em.read_row(state, addr, c.depth)}")
     return True
 
 
 # ---------------------------------------------------------------------------
 # State-source emitters (outputs produced before combinational evaluation).
+# The factories and the constant emitter serve both targets; the rest are the
+# scalar target's.
 # ---------------------------------------------------------------------------
 
 
-def _emit_state_register_like(em: SourceEmitter, c) -> bool:
-    slot = em.out(c, "q")
-    if slot is not None:
-        uid = em.uid()
-        obj = em.bind(f"_c{uid}", c)
-        em.emit(f"v[{slot}] = {obj}._state")
-    return True
+def state_output(port: str, attr: str) -> Callable[[SourceEmitter, object], bool]:
+    """State-source emitter driving ``port`` from one state attribute."""
+
+    def emit(em: SourceEmitter, c) -> bool:
+        slot = em.out(c, port)
+        if slot is not None:
+            em.emit(f"v[{slot}] = {em.state_ref(c)}.{attr}")
+        return True
+
+    return emit
 
 
-def _emit_state_constant(em: SourceEmitter, c) -> bool:
+def commit_pairs(*pairs: Tuple[str, str]) -> Callable[[SourceEmitter, object], None]:
+    """Commit emitter assigning each ``(state, pending)`` attribute pair."""
+
+    def commit(em: SourceEmitter, c) -> None:
+        obj = em.state_ref(c)
+        for state, pending in pairs:
+            em.emit(f"{obj}.{state} = {obj}.{pending}")
+
+    return commit
+
+
+def emit_state_constant(em: SourceEmitter, c) -> bool:
     slot = em.out(c, "y")
     if slot is not None:
         em.emit(f"v[{slot}] = {c.value}")
@@ -469,8 +564,7 @@ def _emit_state_memory(em: SourceEmitter, c) -> bool:
         return False
     slot = em.out(c, "rdata")
     if slot is not None:
-        uid = em.uid()
-        obj = em.bind(f"_c{uid}", c)
+        obj = em.state_ref(c)
         em.emit(f"v[{slot}] = {obj}._read_reg")
     return True
 
@@ -496,33 +590,6 @@ def _emit_state_fsm(em: SourceEmitter, c) -> bool:
     return True
 
 
-def _emit_state_power_model(em: SourceEmitter, c) -> bool:
-    slot = em.out(c, "energy")
-    if slot is not None:
-        uid = em.uid()
-        obj = em.bind(f"_c{uid}", c)
-        em.emit(f"v[{slot}] = {obj}._output")
-    return True
-
-
-def _emit_state_aggregator(em: SourceEmitter, c) -> bool:
-    slot = em.out(c, "total")
-    if slot is not None:
-        uid = em.uid()
-        obj = em.bind(f"_c{uid}", c)
-        em.emit(f"v[{slot}] = {obj}._total")
-    return True
-
-
-def _emit_state_strobe(em: SourceEmitter, c) -> bool:
-    slot = em.out(c, "strobe")
-    if slot is not None:
-        uid = em.uid()
-        obj = em.bind(f"_c{uid}", c)
-        em.emit(f"v[{slot}] = {obj}._strobe")
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Sequential capture emitters (clock edge, before commit).
 # ---------------------------------------------------------------------------
@@ -532,8 +599,7 @@ def _emit_capture_register(em: SourceEmitter, c) -> bool:
     d = em.req(c, "d")
     if d is None:
         return False
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     clr = em.req(c, "clear") if c.has_clear else None
     # an unconnected enable defaults to 1 in Register.capture
     en = em.req(c, "en") if c.has_enable else None
@@ -558,8 +624,7 @@ def _emit_capture_counter(em: SourceEmitter, c) -> bool:
     if load is not None and em.req(c, "d") is None:
         return False
     en = em.req(c, "en")
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     indent = 0
     if load is not None:
         em.emit(f"if {load} & 1:")
@@ -587,8 +652,7 @@ def _emit_capture_accumulator(em: SourceEmitter, c) -> bool:
     en = em.req(c, "en")
     if en is not None and d is None:
         return False
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     clr = em.req(c, "clear")
     add = f"({obj}._state + {d}) & {_mask(c.width)}"
     if clr is not None and en is not None:
@@ -608,8 +672,7 @@ def _emit_capture_accumulator(em: SourceEmitter, c) -> bool:
 
 
 def _emit_capture_memory(em: SourceEmitter, c) -> bool:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     addr = em.opt(c, "addr", 0)
     we = em.req(c, "we")
     wdata = em.opt(c, "wdata", 0)
@@ -623,8 +686,7 @@ def _emit_capture_memory(em: SourceEmitter, c) -> bool:
 
 
 def _emit_capture_regfile(em: SourceEmitter, c) -> bool:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     we = em.req(c, "we")
     if we is None:
         em.emit(f"{obj}._pending_write = None")
@@ -638,8 +700,7 @@ def _emit_capture_regfile(em: SourceEmitter, c) -> bool:
 
 
 def _emit_capture_aggregator(em: SourceEmitter, c) -> bool:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     terms = [em.req(c, f"e{i}") for i in range(c.n_inputs)]
     total = " + ".join(t for t in terms if t is not None) or "0"
     clr = em.req(c, "clear")
@@ -695,8 +756,7 @@ def _emit_capture_power_model(em: SourceEmitter, c) -> bool:
 
 
 def _emit_capture_strobe(em: SourceEmitter, c) -> bool:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
+    obj = em.state_ref(c)
     # an unconnected enable defaults to 1 in PowerStrobeGenerator.capture
     en = em.req(c, "enable")
     indent = 0
@@ -721,40 +781,12 @@ def _emit_capture_strobe(em: SourceEmitter, c) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Commit emitters: inline the trivial commits, bound-method call otherwise.
+# Commits: the trivial ones inline (commit_pairs), bound-method call otherwise.
 # ---------------------------------------------------------------------------
 
 
-def _commit_state(em: SourceEmitter, c) -> None:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
-    em.emit(f"{obj}._state = {obj}._pending")
-
-
-def _commit_aggregator(em: SourceEmitter, c) -> None:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
-    em.emit(f"{obj}._total = {obj}._pending")
-
-
-def _commit_power_model(em: SourceEmitter, c) -> None:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
-    em.emit(f"{obj}._previous = {obj}._pending_previous")
-    em.emit(f"{obj}._accumulated = {obj}._pending_accumulated")
-    em.emit(f"{obj}._output = {obj}._pending_output")
-
-
-def _commit_strobe(em: SourceEmitter, c) -> None:
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
-    em.emit(f"{obj}._count = {obj}._pending_count")
-    em.emit(f"{obj}._strobe = {obj}._pending_strobe")
-
-
 def _commit_generic(em: SourceEmitter, c) -> None:
-    uid = em.uid()
-    name = em.bind(f"_cm{uid}", c.commit)
+    name = em.bind(f"_cm{em.uid()}", c.commit)
     em.emit(f"{name}()")
 
 
@@ -793,16 +825,17 @@ def _tables() -> tuple:
         seq.RegisterFile: _emit_regfile_read,
         seq.Memory: _emit_memory_async_read,
     }
+    register_q = state_output("q", "_state")
     state = {
-        seq.Register: _emit_state_register_like,
-        seq.Counter: _emit_state_register_like,
-        seq.Accumulator: _emit_state_register_like,
+        seq.Register: register_q,
+        seq.Counter: register_q,
+        seq.Accumulator: register_q,
         seq.Memory: _emit_state_memory,
-        comps.Constant: _emit_state_constant,
+        comps.Constant: emit_state_constant,
         FSMController: _emit_state_fsm,
-        HardwarePowerModel: _emit_state_power_model,
-        PowerAggregator: _emit_state_aggregator,
-        PowerStrobeGenerator: _emit_state_strobe,
+        HardwarePowerModel: state_output("energy", "_output"),
+        PowerAggregator: state_output("total", "_total"),
+        PowerStrobeGenerator: state_output("strobe", "_strobe"),
     }
     capture = {
         seq.Register: _emit_capture_register,
@@ -814,17 +847,29 @@ def _tables() -> tuple:
         PowerAggregator: _emit_capture_aggregator,
         PowerStrobeGenerator: _emit_capture_strobe,
     }
+    commit_state = commit_pairs(("_state", "_pending"))
     commit = {
-        seq.Register: _commit_state,
-        seq.Counter: _commit_state,
-        seq.Accumulator: _commit_state,
-        PowerAggregator: _commit_aggregator,
-        FSMController: _commit_state,
-        HardwarePowerModel: _commit_power_model,
-        PowerStrobeGenerator: _commit_strobe,
+        seq.Register: commit_state,
+        seq.Counter: commit_state,
+        seq.Accumulator: commit_state,
+        PowerAggregator: commit_pairs(("_total", "_pending")),
+        FSMController: commit_state,
+        HardwarePowerModel: commit_pairs(
+            ("_previous", "_pending_previous"),
+            ("_accumulated", "_pending_accumulated"),
+            ("_output", "_pending_output"),
+        ),
+        PowerStrobeGenerator: commit_pairs(
+            ("_count", "_pending_count"), ("_strobe", "_pending_strobe")
+        ),
     }
     _TABLES = (comb, state, capture, commit)
     return _TABLES
+
+
+def comb_emitters() -> dict:
+    """Component class -> combinational emitter, shared by both targets."""
+    return _tables()[0]
 
 
 def generate_source(
@@ -836,7 +881,7 @@ def generate_source(
     objects (components, bound methods, lookup tables) the source refers to.
     """
     comb_table, state_table, capture_table, commit_table = _tables()
-    em = SourceEmitter(slot_of)
+    em = ScalarEmitter(slot_of)
 
     lines: List[str] = ["def _settle(v):"]
     em.lines = body = []

@@ -10,9 +10,10 @@ function per module, plus a matching ``clock_edge`` that captures/commits
 sequential state without dict churn.
 
 Compilation happens once per module per process: :func:`compile_module` keeps
-a weak per-module cache (invalidated when the module's component/net counts
-change), so registry designs that are re-simulated dozens of times across the
-benchmark suite pay for ``levelize()`` + codegen exactly once.
+a weak per-module cache (invalidated when the module's
+:func:`~repro.sim.scheduler.module_mutation_key` changes), so registry
+designs that are re-simulated dozens of times across the benchmark suite pay
+for ``levelize()`` + codegen exactly once.
 
 :class:`SlotValues` keeps the public ``Simulator.values`` mapping (keyed by
 :class:`~repro.netlist.nets.Net`) working on top of the slot list, so
@@ -82,7 +83,7 @@ class SlotValues(MutableMapping):
         return len(self._slot_of)
 
 
-#: module -> ((n_components, n_nets), schedule, program); weak so modules
+#: module -> (module_mutation_key, schedule, program); weak so modules
 #: (and the component objects their programs close over) can be collected.
 _PROGRAM_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = weakref.WeakKeyDictionary()
 
@@ -103,7 +104,7 @@ def compile_module(module: Module, schedule: Optional[Schedule] = None) -> Compi
         namespace = dict(env)
         namespace["__builtins__"] = {}
         exec(code, namespace)
-    except Exception as error:  # pragma: no cover - defensive
+    except Exception as error:
         raise CompilationError(
             f"failed to compile module {module.name!r}: {error}"
         ) from error
@@ -123,10 +124,3 @@ def compile_module(module: Module, schedule: Optional[Schedule] = None) -> Compi
         pass
     return program
 
-
-def try_compile(module: Module, schedule: Optional[Schedule] = None) -> Optional[CompiledProgram]:
-    """Best-effort compile: None (interpreter fallback) instead of raising."""
-    try:
-        return compile_module(module, schedule)
-    except Exception:
-        return None

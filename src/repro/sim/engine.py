@@ -8,8 +8,8 @@ behaviour:
   code-generated once per module into straight-line, allocation-free Python
   (:mod:`repro.sim.compiled`).  Simple components are fused into masked
   integer expressions; complex ones fall back to pre-bound
-  ``evaluate``/``capture`` calls.  If code generation fails for any reason
-  the simulator silently falls back to the interpreter.
+  ``evaluate``/``capture`` calls.  If code generation fails the simulator
+  runs on the interpreter and records why in ``Simulator.backend_fallback``.
 * ``"interp"`` — the original reference interpreter: per component and per
   cycle, a ``{port_name: value}`` dict is built and the virtual
   ``Component.evaluate`` is invoked.  It is kept both as the correctness
@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.netlist.module import Module
 from repro.netlist.nets import Net
 from repro.netlist.signals import mask_value
-from repro.sim.compiled import SlotValues, try_compile
+from repro.sim.compiled import CompilationError, SlotValues, compile_module
 from repro.sim.scheduler import Schedule, schedule_for
 
 
@@ -110,7 +110,14 @@ class Simulator:
         self.cycle = 0
         self.observers: List[SimulationObserver] = []
 
-        program = try_compile(module, self.schedule) if backend == "compiled" else None
+        #: why ``backend="compiled"`` fell back to the interpreter, if it did
+        self.backend_fallback: Optional[str] = None
+        program = None
+        if backend == "compiled":
+            try:
+                program = compile_module(module, self.schedule)
+            except CompilationError as error:
+                self.backend_fallback = str(error)
         if program is not None:
             self.backend = "compiled"
             self._program = program

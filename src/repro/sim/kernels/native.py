@@ -521,24 +521,23 @@ class NativeKernel:
         self._elem_ptr_type = _ELEM_TYPES[ir.dtype] + " *"
         self._vid: Optional[int] = None
         self._vp = None
-        #: worker count passed to the generated driver (1 = serial loop)
-        self.n_threads = 1
+        #: worker count the scratch buffer has stripes for: the largest count
+        #: any call asked for (simulators sharing this kernel pass their own)
+        self.max_threads = 1
 
-    def set_threads(self, n_threads: int) -> None:
-        """Set the worker count for subsequent kernel calls.
+    def _scratch_for(self, n_threads: int):
+        """Scratch pointer with one block-sized stripe per worker.
 
-        Each worker gets its own scratch stripe, so the scratch buffer grows
-        with the thread count; results stay bit-identical for any ``n`` since
-        workers own disjoint lane blocks.
+        Results stay bit-identical for any ``n_threads`` since workers own
+        disjoint lane blocks.
         """
-        n_threads = max(1, int(n_threads))
-        if n_threads == self.n_threads:
-            return
-        rows = scratch_rows(self.ir)
-        if rows and n_threads > self._scratch.size // (rows * BLOCK_LANES):
-            self._scratch = np.zeros(rows * BLOCK_LANES * n_threads, dtype=np.int64)
-            self._W = self._ffi.cast("long long *", self._scratch.ctypes.data)
-        self.n_threads = n_threads
+        if n_threads > self.max_threads:
+            rows = scratch_rows(self.ir)
+            if rows:
+                self._scratch = np.zeros(rows * BLOCK_LANES * n_threads, dtype=np.int64)
+                self._W = self._ffi.cast("long long *", self._scratch.ctypes.data)
+            self.max_threads = n_threads
+        return self._W
 
     def rebind(self) -> None:
         """Re-capture pointers to the holders' *current* state arrays.
@@ -582,14 +581,15 @@ class NativeKernel:
             self._vref = v  # keep the store alive while its pointer is cached
         return self._vp
 
-    def settle(self, v: np.ndarray) -> None:
-        self._lib.settle(self._v_pointer(v), self._S, self._M, self._W,
-                         v.shape[1], self.n_threads)
+    # each call runs with the caller's worker count (1 = serial loop)
+    def settle(self, v: np.ndarray, n_threads: int = 1) -> None:
+        self._lib.settle(self._v_pointer(v), self._S, self._M,
+                         self._scratch_for(n_threads), v.shape[1], n_threads)
 
-    def clock_edge(self, v: np.ndarray) -> None:
-        self._lib.clock_edge(self._v_pointer(v), self._S, self._M, self._W,
-                             v.shape[1], self.n_threads)
+    def clock_edge(self, v: np.ndarray, n_threads: int = 1) -> None:
+        self._lib.clock_edge(self._v_pointer(v), self._S, self._M,
+                             self._scratch_for(n_threads), v.shape[1], n_threads)
 
-    def cycle(self, v: np.ndarray) -> None:
-        self._lib.cycle(self._v_pointer(v), self._S, self._M, self._W,
-                        v.shape[1], self.n_threads)
+    def cycle(self, v: np.ndarray, n_threads: int = 1) -> None:
+        self._lib.cycle(self._v_pointer(v), self._S, self._M,
+                        self._scratch_for(n_threads), v.shape[1], n_threads)

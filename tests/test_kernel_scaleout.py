@@ -197,7 +197,7 @@ def test_threads_resolve_from_environment(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
     simulator = _native_simulator("binary_search", None, N_LANES_WIDE)
     assert simulator.kernel_threads == 2
-    assert simulator.kernel.n_threads == 2
+    assert simulator.kernel.max_threads >= 2
 
 
 def test_auto_threads_count_only_usable_cpus(monkeypatch):
@@ -225,9 +225,7 @@ def test_thread_switch_roundtrip_is_bit_identical():
             "binary_search", thread_schedule[0], N_LANES_WIDE
         )
         for cycle in range(12):
-            simulator.kernel.set_threads(
-                thread_schedule[cycle % len(thread_schedule)]
-            )
+            simulator.kernel_threads = thread_schedule[cycle % len(thread_schedule)]
             simulator.set_inputs(
                 {name: sequences[name][cycle] for name in sequences}
             )
@@ -237,6 +235,56 @@ def test_thread_switch_roundtrip_is_bit_identical():
         return simulator._v.copy()
 
     assert np.array_equal(run((1,)), run((2, 1, 3)))
+
+
+class _ThreadSpy:
+    """Wraps a kernel's cffi library; records the worker count of each call."""
+
+    def __init__(self, lib) -> None:
+        self._lib = lib
+        self.calls = []
+
+    def __getattr__(self, name):
+        function = getattr(self._lib, name)
+
+        def call(*args):
+            self.calls.append(args[-1])  # the driver's last argument
+            return function(*args)
+
+        return call
+
+
+@needs_cc
+def test_simulators_sharing_a_kernel_keep_their_own_thread_counts():
+    """Simulators of one program share its kernel, yet each runs with, and
+    reports, its own worker count, and both give bit-identical results."""
+    module = build_flat("HVPeakF")
+    n_lanes = 256
+    sequences = _input_sequences(
+        module, np.random.default_rng(23), n_lanes=n_lanes, n_cycles=N_CYCLES
+    )
+    first = BatchSimulator(module, n_lanes, kernel_backend="native", kernel_threads=2)
+    second = BatchSimulator(module, n_lanes, kernel_backend="native", kernel_threads=1)
+    if first.kernel_backend != "native":
+        pytest.skip(f"native kernel unavailable ({first.kernel_fallback})")
+    assert first.kernel is second.kernel
+    spy = _ThreadSpy(first.kernel._lib)
+    first.kernel._lib = spy
+    stores = {}
+    try:
+        for simulator, n_threads in ((first, 2), (second, 1), (first, 2)):
+            assert simulator.kernel_threads == n_threads
+            spy.calls.clear()
+            simulator.reset()
+            for cycle in range(N_CYCLES):
+                simulator.step({name: sequences[name][cycle] for name in sequences})
+            simulator.settle()
+            assert set(spy.calls) == {n_threads}
+            stores.setdefault(n_threads, []).append(simulator._v.copy())
+    finally:
+        first.kernel._lib = spy._lib
+    reference = stores[1][0]
+    assert all(np.array_equal(reference, store) for store in stores[2])
 
 
 # ---------------------------------------------------------------------------

@@ -185,3 +185,21 @@ def test_interp_backend_still_available():
     assert simulator.backend == "interp"
     assert simulator._program is None
     assert isinstance(simulator.values, dict)
+
+
+def test_compile_failure_falls_back_to_interp_with_reason(monkeypatch):
+    """A failed code generation runs on the interpreter and records why."""
+
+    def broken_generate_source(*args):
+        raise RuntimeError("emitter exploded")
+
+    monkeypatch.setattr("repro.sim.compiled.generate_source", broken_generate_source)
+    module = flatten(get_design("binary_search").build())  # no cached program
+    simulator = Simulator(module)
+    assert simulator.backend == "interp"
+    assert "emitter exploded" in simulator.backend_fallback
+    assert simulator.backend_fallback.startswith("failed to compile module")
+    monkeypatch.undo()
+    recovered = Simulator(module)
+    assert recovered.backend == "compiled"
+    assert recovered.backend_fallback is None
