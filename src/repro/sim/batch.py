@@ -11,15 +11,19 @@ every fused component becomes one masked elementwise array expression.  One
 ``settle``/``clock_edge`` pass then advances all ``n_lanes`` independent
 simulations at once.
 
-Sequential state is lane-vectorized by this module's own state-source,
-capture and commit emitters: registers, counters, accumulators and the
-power-estimation components keep ``(n_lanes,)`` state arrays in small holder
-objects bound into the generated code; memories and register files
-keep ``(depth, n_lanes)`` storage with fancy-indexed reads and masked-scatter
-writes, and FSM controllers keep per-lane state-index arrays with their
-transition table unrolled into priority-ordered masked selects.  Components
-that cannot be expressed as elementwise array code — subclassed or
-user-defined types, and the ``sample_on_strobe_only`` power model — fall
+The sequential lowering is shared too.  Registers, counters, accumulators,
+FSM controllers and the power-estimation components keep their state in a
+:class:`LaneRows` holder bound into the generated code: ``(n_lanes,)`` rows
+named after the component's own state attributes (``_state``, ``_pending``,
+``_total``, ...), so codegen's state-source, capture and commit emitters
+print the same attribute references for both targets.  Each target lowers
+only the kinds whose state layouts differ: here memories and register files
+keep ``(depth, n_lanes)`` storage (:class:`LaneMemoryState`) with
+fancy-indexed reads and masked-scatter writes, FSM controllers keep per-lane
+state *indices* with their transition table unrolled into priority-ordered
+masked selects, and power models keep one row per monitored port.
+Components that cannot be expressed as elementwise array code — subclassed
+or user-defined types, and the ``sample_on_strobe_only`` power model — fall
 back to a *lane-aware scalar* path: the component's own scalar
 ``evaluate``/``capture``/``commit`` runs once per lane with its private
 per-lane state snapshot swapped in, so exotic components stay exactly as
@@ -49,11 +53,15 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
+from repro.netlist import components as comps
+from repro.netlist import sequential as seq
+from repro.netlist.fsm import FSMController
 from repro.netlist.module import Module
 from repro.netlist.nets import Net
 from repro.sim.codegen import (
@@ -61,10 +69,8 @@ from repro.sim.codegen import (
     SourceEmitter,
     _mask,
     _signed,
-    comb_emitters,
-    commit_pairs,
-    emit_state_constant,
-    state_output,
+    emitter_tables,
+    register_next,
 )
 from repro.sim.scheduler import Schedule, module_mutation_key, schedule_for
 
@@ -115,95 +121,74 @@ def _popcount_u64(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class LaneState:
-    """(n_lanes,) state/pending arrays for a register-like component.
+class LaneRows:
+    """Per-lane state of one fused sequential component, as named rows.
 
-    ``reset`` refills the arrays *in place* (here and in every holder below):
-    native kernels capture stable pointers to these arrays at bind time, so a
-    reset must never re-allocate them.
+    Each field is an ``(n_lanes,)`` int64 row, or a list of rows (one per
+    power-model port or register limb), named after the component's own
+    state attribute (``_state``, ``_pending``, ``_total``, ``_count``, ...)
+    and built from its reset value (a list of reset values for a row list).
+    The sequential emitters of :mod:`repro.sim.codegen` therefore print one
+    attribute reference for both targets.  Captures rebind fields (and row
+    list entries) to fresh arrays; commits rebind them too, and the kernel
+    IR extractor lowers a row-list swap (``_state = _pending`` then
+    ``_pending = list(_state)``) to per-row copies.
+
+    ``reset`` refills the rows *in place* (here and in
+    :class:`LaneMemoryState`): native kernels capture stable pointers to
+    these arrays at bind time, so a reset must never re-allocate them.
     """
 
-    __slots__ = ("state", "pending", "_n", "_reset_value")
-
-    def __init__(self, n_lanes: int, reset_value: int = 0) -> None:
-        self._n = n_lanes
-        self._reset_value = reset_value
-        self.state = np.full(n_lanes, reset_value, dtype=np.int64)
-        self.pending = self.state.copy()
+    def __init__(self, n_lanes: int, **resets: Union[int, List[int]]) -> None:
+        self._resets = resets
+        for name, reset in resets.items():
+            if isinstance(reset, list):
+                setattr(self, name, [np.full(n_lanes, r, dtype=np.int64) for r in reset])
+            else:
+                setattr(self, name, np.full(n_lanes, reset, dtype=np.int64))
 
     def reset(self) -> None:
-        self.state[...] = self._reset_value
-        self.pending[...] = self._reset_value
+        for name, reset in self._resets.items():
+            value = getattr(self, name)
+            if isinstance(reset, list):
+                for row, r in zip(value, reset):
+                    row[...] = r
+            else:
+                value[...] = reset
 
     def unalias(self) -> None:
-        """Split state/pending arrays re-aliased by the batch commit swap.
+        """Split rows re-aliased by the batch commit.
 
-        The generated batch commit (``s.state = s.pending``) rebinds rather
-        than copies, so after a plain-path run both names can refer to one
-        array.  Kernels bind rows to fixed addresses, so they re-split the
-        pairs before binding (values are preserved).
+        The generated batch commit (``s._state = s._pending``) rebinds rather
+        than copies, so after a plain-path run two fields can name one array.
+        Kernels bind rows to fixed addresses, so they re-split the rows
+        before binding (values are preserved).
         """
-        if self.pending is self.state:
-            self.pending = self.state.copy()
+        seen = set()
 
+        def split(row: np.ndarray) -> np.ndarray:
+            if id(row) in seen:
+                row = row.copy()
+            seen.add(id(row))
+            return row
 
-class LanePairState:
-    """Two named (n_lanes,) state/pending array pairs (strobe, aggregator)."""
+        for name, reset in self._resets.items():
+            value = getattr(self, name)
+            if isinstance(reset, list):
+                setattr(self, name, [split(row) for row in value])
+            else:
+                setattr(self, name, split(value))
 
-    __slots__ = ("a", "b", "pending_a", "pending_b", "_n", "_reset_a", "_reset_b")
-
-    def __init__(self, n_lanes: int, reset_a: int = 0, reset_b: int = 0) -> None:
-        self._n = n_lanes
-        self._reset_a = reset_a
-        self._reset_b = reset_b
-        self.a = np.full(n_lanes, reset_a, dtype=np.int64)
-        self.b = np.full(n_lanes, reset_b, dtype=np.int64)
-        self.pending_a = self.a.copy()
-        self.pending_b = self.b.copy()
-
-    def reset(self) -> None:
-        self.a[...] = self._reset_a
-        self.b[...] = self._reset_b
-        self.pending_a[...] = self._reset_a
-        self.pending_b[...] = self._reset_b
-
-    def unalias(self) -> None:
-        if self.pending_a is self.a:
-            self.pending_a = self.a.copy()
-        if self.pending_b is self.b:
-            self.pending_b = self.b.copy()
-
-
-class LanePowerState:
-    """Per-lane state of a fused :class:`HardwarePowerModel`."""
-
-    __slots__ = ("prev", "pending_prev", "accumulated", "output",
-                 "pending_accumulated", "pending_output", "_n", "_n_ports")
-
-    def __init__(self, n_lanes: int, n_ports: int) -> None:
-        self._n = n_lanes
-        self._n_ports = n_ports
-        zeros = lambda: np.zeros(n_lanes, dtype=np.int64)  # noqa: E731
-        self.prev = [zeros() for _ in range(n_ports)]
-        self.pending_prev = [zeros() for _ in range(n_ports)]
-        self.accumulated = zeros()
-        self.output = zeros()
-        self.pending_accumulated = zeros()
-        self.pending_output = zeros()
-
-    def reset(self) -> None:
-        for array in (*self.prev, *self.pending_prev, self.accumulated,
-                      self.output, self.pending_accumulated, self.pending_output):
-            array[...] = 0
-
-    def unalias(self) -> None:
-        for index, (prev, pending) in enumerate(zip(self.prev, self.pending_prev)):
-            if pending is prev:
-                self.pending_prev[index] = prev.copy()
-        if self.pending_accumulated is self.accumulated:
-            self.pending_accumulated = self.accumulated.copy()
-        if self.pending_output is self.output:
-            self.pending_output = self.output.copy()
+    def lane_values(self, lane: int) -> Dict[str, object]:
+        """One lane's value of every field (a list of ints for a row list)."""
+        values: Dict[str, object] = {}
+        for name, reset in self._resets.items():
+            value = getattr(self, name)
+            if isinstance(reset, list):
+                values[name] = [int(row[lane]) for row in value]
+            else:
+                values[name] = int(value[lane])
+        return values
 
 
 class LaneMemoryState:
@@ -215,82 +200,28 @@ class LaneMemoryState:
     writes can never collide).
     """
 
-    __slots__ = ("mem", "read_reg", "pending_read", "w_en", "w_addr", "w_data",
+    __slots__ = ("mem", "_read_reg", "_pending_read", "w_en", "w_addr", "w_data",
                  "_n", "_initial")
 
     def __init__(self, n_lanes: int, initial) -> None:
         self._n = n_lanes
         self._initial = np.asarray(initial, dtype=np.int64)
         self.mem = np.tile(self._initial[:, None], (1, n_lanes))
-        self.read_reg = np.zeros(n_lanes, dtype=np.int64)
-        self.pending_read = np.zeros(n_lanes, dtype=np.int64)
+        self._read_reg = np.zeros(n_lanes, dtype=np.int64)
+        self._pending_read = np.zeros(n_lanes, dtype=np.int64)
         self.w_en = np.zeros(n_lanes, dtype=np.int64)
         self.w_addr = np.zeros(n_lanes, dtype=np.int64)
         self.w_data = np.zeros(n_lanes, dtype=np.int64)
 
     def reset(self) -> None:
         self.mem[...] = self._initial[:, None]
-        for array in (self.read_reg, self.pending_read, self.w_en,
+        for array in (self._read_reg, self._pending_read, self.w_en,
                       self.w_addr, self.w_data):
             array[...] = 0
 
     def unalias(self) -> None:
-        if self.pending_read is self.read_reg:
-            self.pending_read = self.read_reg.copy()
-
-
-class LaneFSMState:
-    """Per-lane state-index array of a fused :class:`FSMController`."""
-
-    __slots__ = ("state", "pending", "_n", "_reset_index")
-
-    def __init__(self, n_lanes: int, reset_index: int) -> None:
-        self._n = n_lanes
-        self._reset_index = reset_index
-        self.state = np.full(n_lanes, reset_index, dtype=np.int64)
-        self.pending = self.state.copy()
-
-    def reset(self) -> None:
-        self.state[...] = self._reset_index
-        self.pending[...] = self._reset_index
-
-    def unalias(self) -> None:
-        if self.pending is self.state:
-            self.pending = self.state.copy()
-
-
-class LaneLimbState:
-    """Per-lane limb arrays (little-endian 60-bit limbs) of a wide register.
-
-    ``state``/``pending`` are *lists* of ``(n_lanes,)`` int64 arrays — one per
-    limb — following the :class:`LanePowerState` list-field idiom: captures
-    rebind whole limb entries (always to fresh arrays), and the commit swaps
-    the lists (``state = pending`` then ``pending = list(state)``), which the
-    kernel IR extractor lowers to per-row copies.
-    """
-
-    __slots__ = ("state", "pending", "_n", "_reset_limbs")
-
-    def __init__(self, n_lanes: int, reset_value: int, n_limbs: int) -> None:
-        self._n = n_lanes
-        self._reset_limbs = [
-            (int(reset_value) >> (LIMB_BITS * k)) & _LIMB_MASK
-            for k in range(n_limbs)
-        ]
-        self.state = [
-            np.full(n_lanes, limb, dtype=np.int64) for limb in self._reset_limbs
-        ]
-        self.pending = [array.copy() for array in self.state]
-
-    def reset(self) -> None:
-        for k, limb in enumerate(self._reset_limbs):
-            self.state[k][...] = limb
-            self.pending[k][...] = limb
-
-    def unalias(self) -> None:
-        for k, (state, pending) in enumerate(zip(self.state, self.pending)):
-            if pending is state:
-                self.pending[k] = state.copy()
+        if self._pending_read is self._read_reg:
+            self._pending_read = self._read_reg.copy()
 
 
 class LaneComponent:
@@ -482,247 +413,115 @@ class LaneEmitter(SourceEmitter):
             self.emit(f"_s = _minimum({sel}, {len(rows) - 1})")
             self.emit(f"v[{slot}] = _stack(({', '.join(rows)}))[_s, _lidx]")
 
+    def own(self, expr: str, like: str = "") -> str:
+        return f"{expr} + {like} * 0" if like else f"{expr} + 0"
 
-# ---------------------------------------------------------------------------
-# Lane emitters for sequential components (the combinational kinds share
-# repro.sim.codegen's emitters through LaneEmitter).
-# ---------------------------------------------------------------------------
+    # ---------------------------------------------- per-target sequential
+    def state_fsm(self, c) -> bool:
+        from repro.netlist.signals import mask_value
 
-
-# --------------------------------------------------------- state sources
-
-_lane_state_q = state_output("q", "state")
-
-
-def _b_state_memory(em: LaneEmitter, c) -> bool:
-    if not c.sync_read:
-        return False
-    slot = em.out(c, "rdata")
-    if slot is not None:
-        name = em.state_ref(c)
-        em.emit(f"v[{slot}] = {name}.read_reg")
-    return True
-
-
-def _b_state_fsm(em: LaneEmitter, c) -> bool:
-    from repro.netlist.signals import mask_value
-
-    outs = em.connected_outputs(c)
-    if not outs:
+        outs = self.connected_outputs(c)
+        if not outs:
+            return True
+        s = self.state_ref(c)
+        for port, slot in outs:
+            table = [
+                mask_value(c.moore_outputs.get(state, {}).get(port, 0),
+                           c.output_widths[port])
+                for state in c.states
+            ]
+            tname = self.bind(f"_ft{self.uid()}", np.asarray(table, dtype=np.int64))
+            self.emit(f"v[{slot}] = {tname}[{s}._state]")
         return True
-    name = em.state_ref(c)
-    for port, slot in outs:
-        table = [
-            mask_value(c.moore_outputs.get(state, {}).get(port, 0), c.output_widths[port])
-            for state in c.states
-        ]
-        tname = em.bind(f"_ft{em.uid()}", np.asarray(table, dtype=np.int64))
-        em.emit(f"v[{slot}] = {tname}[{name}.state]")
-    return True
 
-
-# --------------------------------------------------------------- captures
-
-
-def _b_capture_register(em: LaneEmitter, c) -> bool:
-    d = em.req(c, "d")
-    if d is None:
-        return False
-    s = em.state_ref(c)
-    clr = em.req(c, "clear") if c.has_clear else None
-    en = em.req(c, "en") if c.has_enable else None
-    if clr is not None and en is not None:
-        em.emit(
-            f"{s}.pending = _where({clr} & 1, {c.reset_value}, "
-            f"_where({en} & 1, {d}, {s}.state))"
-        )
-    elif clr is not None:
-        em.emit(f"{s}.pending = _where({clr} & 1, {c.reset_value}, {d})")
-    elif en is not None:
-        em.emit(f"{s}.pending = _where({en} & 1, {d}, {s}.state)")
-    else:
-        em.emit(f"{s}.pending = {d} + 0")
-    return True
-
-
-def _b_capture_counter(em: LaneEmitter, c) -> bool:
-    load = em.req(c, "load") if c.has_load else None
-    d = em.req(c, "d") if c.has_load else None
-    if load is not None and d is None:
-        return False
-    en = em.req(c, "en")
-    s = em.state_ref(c)
-    if en is None and load is None:
-        # en unconnected (reads as 0) and no load: the counter never moves
-        em.emit(f"{s}.pending = {s}.state + 0")
+    def capture_fsm(self, c) -> bool:
+        """Priority-ordered masked selects over per-lane state indices."""
+        s = self.state_ref(c)
+        self.emit(f"_st = {s}._state")
+        self.emit("_pend = _st + 0")
+        self.emit("_open = _st >= 0")  # all-True: no transition matched yet
+        for transition in c.transitions:
+            src = c.state_index[transition.source]
+            tgt = c.state_index[transition.target]
+            conds = [f"(_st == {src})", "_open"]
+            for guard in transition.guards:
+                expr = self.req(c, guard.signal)
+                if expr is None:
+                    expr = "0"  # unconnected status input reads as 0
+                if guard.signed:
+                    expr = _signed(expr, c.input_widths[guard.signal])
+                conds.append(f"(({expr}) {guard.op} {guard.value})")
+            self.emit(f"_c = {' & '.join(conds)}")
+            self.emit(f"_pend = _where(_c, {tgt}, _pend)")
+            self.emit("_open = _open & ~_c")
+        self.emit(f"{s}._pending = _pend")
         return True
-    em.emit(f"_t = {s}.state + 1")
-    if c.wrap_at is not None:
-        em.emit(f"_t = _where(_t >= {c.wrap_at}, 0, _t)")
-    em.emit(f"_t = _t & {_mask(c.width)}")
-    counted = f"_where({en} & 1, _t, {s}.state)" if en is not None else f"{s}.state + 0"
-    if load is not None:
-        em.emit(f"{s}.pending = _where({load} & 1, {d} & {_mask(c.width)}, {counted})")
-    else:
-        em.emit(f"{s}.pending = {counted}")
-    return True
 
+    def _capture_write(self, s: str, c, addr_port: str) -> None:
+        """Latch a storage write (address ``_ad``) for the masked-scatter commit."""
+        we = self.req(c, "we")
+        self.emit(f"_ad = {_lane_addr(self.opt(c, addr_port, 0), c.depth)}")
+        self.emit(f"{s}.w_addr = _ad")
+        self.emit(f"{s}.w_en = {we} & 1" if we is not None else f"{s}.w_en = _ad * 0")
+        self.emit(f"{s}.w_data = _ad * 0 + ({self.opt(c, 'wdata', 0)})")
 
-def _b_capture_accumulator(em: LaneEmitter, c) -> bool:
-    d = em.req(c, "d")
-    en = em.req(c, "en")
-    if en is not None and d is None:
-        return False
-    s = em.state_ref(c)
-    clr = em.req(c, "clear")
-    add = f"({s}.state + {d}) & {_mask(c.width)}"
-    if clr is not None and en is not None:
-        em.emit(f"{s}.pending = _where({clr} & 1, 0, _where({en} & 1, {add}, {s}.state))")
-    elif clr is not None:
-        em.emit(f"{s}.pending = _where({clr} & 1, 0, {s}.state)")
-    elif en is not None:
-        em.emit(f"{s}.pending = _where({en} & 1, {add}, {s}.state)")
-    else:
-        em.emit(f"{s}.pending = {s}.state + 0")
-    return True
+    def capture_memory(self, c) -> bool:
+        s = self.state_ref(c)
+        self._capture_write(s, c, "addr")
+        # read-before-write semantics for the registered read port
+        self.emit(f"{s}._pending_read = {s}.mem[_ad, _lidx]")
+        return True
 
+    def capture_regfile(self, c) -> bool:
+        self._capture_write(self.state_ref(c), c, "waddr")
+        return True
 
-def _b_capture_aggregator(em: LaneEmitter, c) -> bool:
-    s = em.state_ref(c)
-    terms = [em.req(c, f"e{i}") for i in range(c.n_inputs)]
-    total = " + ".join(t for t in terms if t is not None) or "0"
-    clr = em.req(c, "clear")
-    add = f"({s}.a + {total}) & {_mask(c.total_width)}"
-    if clr is not None:
-        em.emit(f"{s}.pending_a = _where({clr} & 1, 0, {add})")
-    else:
-        em.emit(f"{s}.pending_a = {add}")
-    return True
+    def capture_power_model(self, c) -> bool:
+        if c.sample_on_strobe_only:
+            return False  # paper-literal sampling stays on the lane-scalar path
+        uid = self.uid()
+        s = self.bind(f"_s{uid}", self.holders[c])
+        strobe = self.opt(c, "strobe", 0)
+        self.emit(f"_e = {c.base_code}")
+        for index, (port_name, in_name, _, tables) in enumerate(c._chunked):
+            cur = self.opt(c, in_name, 0)
+            self.emit(f"_t = {s}._previous[{index}] ^ {cur}")
+            self.emit(f"{s}._pending_previous[{index}] = {cur} + 0")
+            for chunk, table in enumerate(tables):
+                tname = self.bind(f"_tb{uid}_{self.uid()}", np.asarray(table, dtype=np.int64))
+                if chunk == 0:
+                    index_expr = "_t" if len(tables) == 1 else "_t & 255"
+                else:
+                    index_expr = f"(_t >> {8 * chunk}) & 255"
+                # table[0] is always 0, so charging untoggled lanes adds
+                # nothing — the vectorized form of the scalar `if _t:` guard
+                self.emit(f"_e = _e + {tname}[{index_expr}]")
+        self.emit(f"_a = {s}._accumulated + _e")
+        self.emit(f"_sb = {strobe} & 1")
+        self.emit(f"{s}._pending_output = _where(_sb, _a & {_mask(c.energy_width)}, 0)")
+        self.emit(f"{s}._pending_accumulated = _where(_sb, 0, _a)")
+        return True
 
+    def _commit_write(self, s: str, c) -> None:
+        if c.ports["we"].net is not None:
+            self.emit(f"_msk = {s}.w_en != 0")
+            self.emit(f"{s}.mem[{s}.w_addr[_msk], _lidx[_msk]] = {s}.w_data[_msk]")
 
-def _b_capture_fsm(em: LaneEmitter, c) -> bool:
-    s = em.state_ref(c)
-    em.emit(f"_st = {s}.state")
-    em.emit("_pend = _st + 0")
-    em.emit("_open = _st >= 0")  # all-True: no transition matched yet
-    for transition in c.transitions:
-        src = c.state_index[transition.source]
-        tgt = c.state_index[transition.target]
-        conds = [f"(_st == {src})", "_open"]
-        for guard in transition.guards:
-            expr = em.req(c, guard.signal)
-            if expr is None:
-                expr = "0"  # unconnected status input reads as 0
-            if guard.signed:
-                expr = _signed(expr, c.input_widths[guard.signal])
-            conds.append(f"(({expr}) {guard.op} {guard.value})")
-        em.emit(f"_c = {' & '.join(conds)}")
-        em.emit(f"_pend = _where(_c, {tgt}, _pend)")
-        em.emit("_open = _open & ~_c")
-    em.emit(f"{s}.pending = _pend")
-    return True
+    def commit_memory(self, c) -> None:
+        s = self.state_ref(c)
+        if c.sync_read:
+            self.emit(f"{s}._read_reg = {s}._pending_read")
+        self._commit_write(s, c)
 
+    def commit_regfile(self, c) -> None:
+        self._commit_write(self.state_ref(c), c)
 
-def _b_capture_memory(em: LaneEmitter, c) -> bool:
-    s = em.state_ref(c)
-    addr = em.opt(c, "addr", 0)
-    we = em.req(c, "we")
-    wdata = em.opt(c, "wdata", 0)
-    em.emit(f"_ad = {_lane_addr(addr, c.depth)}")
-    em.emit(f"{s}.w_addr = _ad")
-    em.emit(f"{s}.w_en = {we} & 1" if we is not None else f"{s}.w_en = _ad * 0")
-    em.emit(f"{s}.w_data = _ad * 0 + ({wdata})")
-    # read-before-write semantics for the registered read port
-    em.emit(f"{s}.pending_read = {s}.mem[_ad, _lidx]")
-    return True
-
-
-def _b_capture_regfile(em: LaneEmitter, c) -> bool:
-    s = em.state_ref(c)
-    we = em.req(c, "we")
-    waddr = em.opt(c, "waddr", 0)
-    wdata = em.opt(c, "wdata", 0)
-    em.emit(f"_ad = {_lane_addr(waddr, c.depth)}")
-    em.emit(f"{s}.w_addr = _ad")
-    em.emit(f"{s}.w_en = {we} & 1" if we is not None else f"{s}.w_en = _ad * 0")
-    em.emit(f"{s}.w_data = _ad * 0 + ({wdata})")
-    return True
-
-
-def _b_capture_power_model(em: LaneEmitter, c) -> bool:
-    if c.sample_on_strobe_only:
-        return False  # paper-literal sampling stays on the lane-scalar path
-    uid = em.uid()
-    s = em.bind(f"_s{uid}", em.holders[c])
-    strobe = em.opt(c, "strobe", 0)
-    em.emit(f"_e = {c.base_code}")
-    for index, (port_name, in_name, _, tables) in enumerate(c._chunked):
-        cur = em.opt(c, in_name, 0)
-        em.emit(f"_t = {s}.prev[{index}] ^ {cur}")
-        em.emit(f"{s}.pending_prev[{index}] = {cur} + 0")
-        for chunk, table in enumerate(tables):
-            tname = em.bind(f"_tb{uid}_{em.uid()}", np.asarray(table, dtype=np.int64))
-            if chunk == 0:
-                index_expr = "_t" if len(tables) == 1 else "_t & 255"
-            else:
-                index_expr = f"(_t >> {8 * chunk}) & 255"
-            # table[0] is always 0, so charging untoggled lanes adds nothing —
-            # the vectorized form of the scalar emitter's `if _t:` guard
-            em.emit(f"_e = _e + {tname}[{index_expr}]")
-    em.emit(f"_a = {s}.accumulated + _e")
-    em.emit(f"_sb = {strobe} & 1")
-    em.emit(f"{s}.pending_output = _where(_sb, _a & {_mask(c.energy_width)}, 0)")
-    em.emit(f"{s}.pending_accumulated = _where(_sb, 0, _a)")
-    return True
-
-
-def _b_capture_strobe(em: LaneEmitter, c) -> bool:
-    s = em.state_ref(c)
-    en = em.req(c, "enable")
-    if c.period == 1:
-        count, strobe = "0", "1"
-    else:
-        em.emit(f"_t = {s}.a + 1")
-        em.emit(f"_t = _where(_t >= {c.period}, 0, _t)")
-        count, strobe = "_t", f"(_t == {c.period - 1}) * 1"
-    if en is not None:
-        em.emit(f"_en = {en} & 1")
-        em.emit(f"{s}.pending_a = _where(_en, {count}, {s}.a)")
-        em.emit(f"{s}.pending_b = _where(_en, {strobe}, 0)")
-    else:
-        # an unconnected enable defaults to 1 in PowerStrobeGenerator.capture
-        em.emit(f"{s}.pending_a = {count} + {s}.a * 0")
-        em.emit(f"{s}.pending_b = {strobe} + {s}.b * 0")
-    return True
-
-
-# ---------------------------------------------------------------- commits
-
-_lane_commit_state = commit_pairs(("state", "pending"))
-
-
-def _b_commit_memory(em: LaneEmitter, c) -> None:
-    s = em.state_ref(c)
-    if c.sync_read:
-        em.emit(f"{s}.read_reg = {s}.pending_read")
-    if c.ports["we"].net is not None:
-        em.emit(f"_msk = {s}.w_en != 0")
-        em.emit(f"{s}.mem[{s}.w_addr[_msk], _lidx[_msk]] = {s}.w_data[_msk]")
-
-
-def _b_commit_regfile(em: LaneEmitter, c) -> None:
-    s = em.state_ref(c)
-    if c.ports["we"].net is not None:
-        em.emit(f"_msk = {s}.w_en != 0")
-        em.emit(f"{s}.mem[{s}.w_addr[_msk], _lidx[_msk]] = {s}.w_data[_msk]")
-
-
-def _b_commit_power_model(em: LaneEmitter, c) -> None:
-    s = em.state_ref(c)
-    em.emit(f"{s}.prev = {s}.pending_prev")
-    em.emit(f"{s}.pending_prev = list({s}.prev)")
-    em.emit(f"{s}.accumulated = {s}.pending_accumulated")
-    em.emit(f"{s}.output = {s}.pending_output")
+    def commit_power_model(self, c) -> None:
+        s = self.state_ref(c)
+        self.emit(f"{s}._previous = {s}._pending_previous")
+        self.emit(f"{s}._pending_previous = list({s}._previous)")
+        self.emit(f"{s}._accumulated = {s}._pending_accumulated")
+        self.emit(f"{s}._output = {s}._pending_output")
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +808,7 @@ def _bl_state_register(em: LaneEmitter, c) -> bool:
     if y is not None:
         s = em.state_ref(c)
         for k, slot in enumerate(y[0]):
-            em.emit(f"v[{slot}] = {s}.state[{k}]")
+            em.emit(f"v[{slot}] = {s}._state[{k}]")
     return True
 
 
@@ -1022,100 +821,23 @@ def _bl_capture_register(em: LaneEmitter, c) -> bool:
     en = em.req(c, "en") if c.has_enable else None
     for k, d_expr in enumerate(d[0]):
         reset_limb = (c.reset_value >> (LIMB_BITS * k)) & _LIMB_MASK
-        if clr is not None and en is not None:
-            em.emit(
-                f"{s}.pending[{k}] = _where({clr} & 1, {reset_limb}, "
-                f"_where({en} & 1, {d_expr}, {s}.state[{k}]))"
-            )
-        elif clr is not None:
-            em.emit(f"{s}.pending[{k}] = _where({clr} & 1, {reset_limb}, {d_expr})")
-        elif en is not None:
-            em.emit(f"{s}.pending[{k}] = _where({en} & 1, {d_expr}, {s}.state[{k}])")
-        else:
-            em.emit(f"{s}.pending[{k}] = {d_expr} + 0")
+        nxt = register_next(em, d_expr, f"{s}._state[{k}]", reset_limb, en, clr)
+        em.emit(f"{s}._pending[{k}] = {nxt}")
     return True
 
 
 def _bl_commit_register(em: LaneEmitter, c) -> None:
     s = em.state_ref(c)
-    em.emit(f"{s}.state = {s}.pending")
-    em.emit(f"{s}.pending = list({s}.state)")
+    em.emit(f"{s}._state = {s}._pending")
+    em.emit(f"{s}._pending = list({s}._state)")
 
 
-_BATCH_TABLES: Optional[tuple] = None
-
-
-def _batch_tables() -> tuple:
-    """Lazily resolved class-keyed dispatch tables (avoids import cycles)."""
-    global _BATCH_TABLES
-    if _BATCH_TABLES is not None:
-        return _BATCH_TABLES
-
-    from repro.core.aggregator import PowerAggregator
-    from repro.core.power_model_hw import HardwarePowerModel
-    from repro.core.strobe import PowerStrobeGenerator
-    from repro.netlist import components as comps
-    from repro.netlist import sequential as seq
-    from repro.netlist.fsm import FSMController
-
-    comb = comb_emitters()
-    state = {
-        seq.Register: _lane_state_q,
-        seq.Counter: _lane_state_q,
-        seq.Accumulator: _lane_state_q,
-        seq.Memory: _b_state_memory,
-        comps.Constant: emit_state_constant,
-        FSMController: _b_state_fsm,
-        HardwarePowerModel: state_output("energy", "output"),
-        PowerAggregator: state_output("total", "a"),
-        PowerStrobeGenerator: state_output("strobe", "b"),
-    }
-    capture = {
-        seq.Register: _b_capture_register,
-        seq.Counter: _b_capture_counter,
-        seq.Accumulator: _b_capture_accumulator,
-        seq.Memory: _b_capture_memory,
-        seq.RegisterFile: _b_capture_regfile,
-        FSMController: _b_capture_fsm,
-        HardwarePowerModel: _b_capture_power_model,
-        PowerAggregator: _b_capture_aggregator,
-        PowerStrobeGenerator: _b_capture_strobe,
-    }
-    commit = {
-        seq.Register: _lane_commit_state,
-        seq.Counter: _lane_commit_state,
-        seq.Accumulator: _lane_commit_state,
-        seq.Memory: _b_commit_memory,
-        seq.RegisterFile: _b_commit_regfile,
-        FSMController: _lane_commit_state,
-        HardwarePowerModel: _b_commit_power_model,
-        PowerAggregator: commit_pairs(("a", "pending_a")),
-        PowerStrobeGenerator: commit_pairs(("a", "pending_a"), ("b", "pending_b")),
-    }
-
-    def make_holder(component):
-        if isinstance(component, seq.Register):
-            return lambda n: LaneState(n, component.reset_value)
-        if isinstance(component, (seq.Counter, seq.Accumulator)):
-            return lambda n: LaneState(n, 0)
-        if isinstance(component, (seq.Memory, seq.RegisterFile)):
-            return lambda n: LaneMemoryState(n, component._initial)
-        if isinstance(component, FSMController):
-            reset_index = component.state_index[component.reset_state]
-            return lambda n: LaneFSMState(n, reset_index)
-        if isinstance(component, PowerAggregator):
-            return lambda n: LanePairState(n, 0, 0)
-        if isinstance(component, PowerStrobeGenerator):
-            strobe0 = 1 if component.period == 1 else 0
-            return lambda n: LanePairState(n, 0, strobe0)
-        if isinstance(component, HardwarePowerModel):
-            return lambda n: LanePowerState(n, len(component._chunked))
-        return None
-
-    # limb-wise emitters for components touching a wide (multi-limb) net;
-    # anything missing here takes the lane-scalar path with limb-assembled
-    # port values, so wide modules stay exactly as correct either way
-    limb_comb = {
+#: limb-wise emitters for components touching a wide (multi-limb) net, one
+#: table per phase (comb, state, capture, commit); anything missing here
+#: takes the lane-scalar path with limb-assembled port values, so wide
+#: modules stay exactly as correct either way
+_LIMB_TABLES = (
+    {
         comps.Adder: _bl_adder,
         comps.Subtractor: _bl_subtractor,
         comps.Comparator: _bl_comparator,
@@ -1126,25 +848,49 @@ def _batch_tables() -> tuple:
         comps.Concat: _bl_concat,
         comps.Slice: _bl_slice,
         comps.Extend: _bl_extend,
-    }
-    limb_state = {
-        seq.Register: _bl_state_register,
-        comps.Constant: _bl_state_constant,
-    }
-    limb_capture = {seq.Register: _bl_capture_register}
-    limb_commit = {seq.Register: _bl_commit_register}
+    },
+    {seq.Register: _bl_state_register, comps.Constant: _bl_state_constant},
+    {seq.Register: _bl_capture_register},
+    {seq.Register: _bl_commit_register},
+)
 
-    def make_limb_holder(component):
-        if isinstance(component, seq.Register):
-            n_limbs = _limb_count(component.width)
-            return lambda n: LaneLimbState(n, component.reset_value, n_limbs)
+
+def _make_holder(component, n_lanes: int, wide: bool):
+    """The per-lane state of a fused sequential component, or None.
+
+    Row names and reset values follow the component's own state attributes.
+    """
+    from repro.core.aggregator import PowerAggregator
+    from repro.core.power_model_hw import HardwarePowerModel
+    from repro.core.strobe import PowerStrobeGenerator
+
+    if isinstance(component, seq.Register):
+        reset = component.reset_value
+        if wide:
+            reset = [(reset >> (LIMB_BITS * k)) & _LIMB_MASK
+                     for k in range(_limb_count(component.width))]
+        return LaneRows(n_lanes, _state=reset, _pending=reset)
+    if wide:
         return None
-
-    _BATCH_TABLES = (
-        comb, state, capture, commit, make_holder,
-        limb_comb, limb_state, limb_capture, limb_commit, make_limb_holder,
-    )
-    return _BATCH_TABLES
+    if isinstance(component, (seq.Counter, seq.Accumulator)):
+        return LaneRows(n_lanes, _state=0, _pending=0)
+    if isinstance(component, (seq.Memory, seq.RegisterFile)):
+        return LaneMemoryState(n_lanes, component._initial)
+    if isinstance(component, FSMController):
+        reset = component.state_index[component.reset_state]
+        return LaneRows(n_lanes, _state=reset, _pending=reset)
+    if isinstance(component, PowerAggregator):
+        return LaneRows(n_lanes, _total=0, _pending=0)
+    if isinstance(component, PowerStrobeGenerator):
+        strobe = 1 if component.period == 1 else 0
+        return LaneRows(n_lanes, _count=0, _strobe=strobe,
+                        _pending_count=0, _pending_strobe=strobe)
+    if isinstance(component, HardwarePowerModel):
+        ports = [0] * len(component._chunked)
+        return LaneRows(n_lanes, _previous=ports, _pending_previous=ports,
+                        _accumulated=0, _output=0,
+                        _pending_accumulated=0, _pending_output=0)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1224,14 +970,10 @@ def _generate_batch_source(
     n_lanes: int,
     force_fallback: bool,
 ) -> Tuple[str, Dict[str, object], int, int, Dict[object, object], List[LaneComponent]]:
-    (comb_table, state_table, capture_table, commit_table, make_holder,
-     limb_comb, limb_state, limb_capture, limb_commit, make_limb_holder) = _batch_tables()
-    if force_fallback:
-        comb_table = state_table = capture_table = {}
-        commit_table = {}
-        limb_comb = limb_state = limb_capture = limb_commit = {}
+    tables = ({}, {}, {}, {}) if force_fallback else emitter_tables()
 
-    # components touching any multi-limb net dispatch to the limb emitters
+    # components touching any multi-limb net (none on the object-dtype
+    # store) dispatch to the limb emitters
     wide_components = set()
     if limbs_of:
         for component in module.components.values():
@@ -1241,37 +983,14 @@ def _generate_batch_source(
             ):
                 wide_components.add(component)
 
-    def comb_for(component):
-        table = limb_comb if component in wide_components else comb_table
-        return table.get(type(component))
+    comb, state, capture, commit = range(4)
 
-    def state_for(component):
-        table = limb_state if component in wide_components else state_table
+    def emitter_for(phase: int, component):
+        table = (_LIMB_TABLES if component in wide_components else tables)[phase]
         return table.get(type(component))
-
-    def capture_for(component):
-        table = limb_capture if component in wide_components else capture_table
-        return table.get(type(component))
-
-    def commit_for(component):
-        table = limb_commit if component in wide_components else commit_table
-        return table.get(type(component), _lane_commit_state)
 
     holders: Dict[object, object] = {}
     lane_components: Dict[object, LaneComponent] = {}
-
-    def holder_for(component):
-        if component not in holders:
-            if force_fallback:
-                factory = None
-            elif component in wide_components:
-                factory = make_limb_holder(component)
-            else:
-                factory = make_holder(component)
-            if factory is None:
-                return None
-            holders[component] = factory(n_lanes)
-        return holders[component]
 
     def lane_component_for(component) -> LaneComponent:
         if component not in lane_components:
@@ -1281,11 +1000,15 @@ def _generate_batch_source(
         return lane_components[component]
 
     class _Holders:
+        """Component -> per-lane state, built on first use."""
+
         def __getitem__(self, component):
-            holder = holder_for(component)
-            if holder is None:
-                raise KeyError(component)
-            return holder
+            if component not in holders:
+                holder = _make_holder(component, n_lanes, component in wide_components)
+                if holder is None:
+                    raise KeyError(component)
+                holders[component] = holder
+            return holders[component]
 
     em = LaneEmitter(slot_of, limbs_of, _Holders())
 
@@ -1302,7 +1025,7 @@ def _generate_batch_source(
     fallback_sequential = set()
     scratch = LaneEmitter(slot_of, limbs_of, em.holders)
     for component in schedule.sequential:
-        emitter = capture_for(component)
+        emitter = emitter_for(capture, component)
         fused = False
         if emitter is not None:
             scratch.lines = []
@@ -1316,7 +1039,7 @@ def _generate_batch_source(
     lines: List[str] = ["def _settle(v):"]
     em.lines = body = []
     for component in schedule.state_sources:
-        emitter = state_for(component)
+        emitter = emitter_for(state, component)
         done = False
         if component not in fallback_sequential and emitter is not None:
             try:
@@ -1328,7 +1051,7 @@ def _generate_batch_source(
         else:
             emit_fallback(component, "state_outputs")
     for component in schedule.ordered:
-        emitter = comb_for(component)
+        emitter = emitter_for(comb, component)
         if (
             component not in fallback_sequential
             and emitter is not None
@@ -1351,12 +1074,12 @@ def _generate_batch_source(
             # commits, so this is equivalent to the two-phase scalar order
             emit_fallback(component, "clock_edge")
             continue
-        done = capture_for(component)(em, component)
+        done = emitter_for(capture, component)(em, component)
         assert done, f"capture dry run and emission disagree for {component!r}"
         em.n_fused += 1
         fused_sequential.append(component)
     for component in fused_sequential:
-        commit_for(component)(em, component)
+        emitter_for(commit, component)(em, component)
     if not body:
         body.append("pass")
     lines.extend("    " + line for line in body)
@@ -1731,7 +1454,8 @@ class _LaneSequentialProxy:
     ``write_word``).  In a :class:`BatchSimulator` that state lives in per-lane
     holders (or per-lane snapshot dicts for fallback components), not on the
     component object, so this proxy reroutes those accessors to one lane's
-    private state.  Plain data attributes (``type_name``, ``width``, ``depth``,
+    private state, and runs property getters (``value``, an FSM's ``state``)
+    against it.  Plain data attributes (``type_name``, ``width``, ``depth``,
     ...) pass through; any other method would silently touch the *scalar*
     state shared by all lanes, so it raises :class:`LaneStateError` instead.
     """
@@ -1787,6 +1511,25 @@ class _LaneSequentialProxy:
         }
         return result
 
+    def _lane_state(self) -> Dict[str, object]:
+        """This lane's state attributes in the component's own scalar form."""
+        component, lane, holder = self._component, self._lane, self._holder
+        if isinstance(holder, LaneRows):
+            state = {}
+            for name, value in holder.lane_values(lane).items():
+                if isinstance(component, FSMController):
+                    value = component.states[value]  # rows hold state indices
+                elif isinstance(value, list):
+                    if not isinstance(component, seq.Register):
+                        continue  # power-model port rows: no scalar form here
+                    value = sum(limb << (LIMB_BITS * k) for k, limb in enumerate(value))
+                state[name] = value
+            return state
+        wrapper = self._lane_component
+        if wrapper is not None and wrapper.lane_states is not None:
+            return wrapper.lane_states[lane]
+        return {}
+
     # ------------------------------------------------------ attribute access
     def __getattr__(self, name: str):
         if name.startswith("__"):
@@ -1798,6 +1541,17 @@ class _LaneSequentialProxy:
                 f"{self._component.name!r} is not supported; lane state lives "
                 f"in the batch program, not on the component"
             )
+        prop = getattr(type(self._component), name, None)
+        if isinstance(prop, property):
+            # run the getter against this lane's state, never the scalar one
+            public = {k: v for k, v in vars(self._component).items() if k[0] != "_"}
+            try:
+                return prop.fget(SimpleNamespace(**public, **self._lane_state()))
+            except AttributeError as error:
+                raise LaneStateError(
+                    f"property {name!r} of component {self._component.name!r} "
+                    f"reads state a lane view cannot express ({error})"
+                ) from None
         value = getattr(self._component, name)
         if callable(value) and name not in self._SAFE_METHODS:
             raise LaneStateError(

@@ -1,4 +1,4 @@
-"""One combinational lowering, printed for two simulation targets.
+"""One lowering, printed for two simulation targets.
 
 :func:`generate_source` lowers a levelized :class:`~repro.sim.scheduler.Schedule`
 into the source of two plain Python functions over a flat list ``v`` of net
@@ -10,23 +10,27 @@ values ("slots"):
 * ``_clock_edge(v)`` — sequential capture followed by commit, without any
   per-cycle dict construction for the common storage elements.
 
-Simple components (adders, muxes, logic gates, comparators, shifters, slices,
-ROMs, registers, counters, ...) are fused into masked integer expressions that
-read and write slots directly.  Complex components (FSM controllers, hardware
-power models, anything user-defined) fall back to a pre-bound
-``evaluate``/``capture`` call fed by an inline dict literal over slot reads —
-so any component that simulates on the interpreter also simulates compiled,
-just with less of the speedup.
+Components are fused into masked integer expressions that read and write
+slots directly.  What cannot fuse (an FSM controller's capture on this
+target, the ``sample_on_strobe_only`` power model, anything user-defined)
+falls back to a pre-bound ``evaluate``/``capture`` call fed by an inline
+dict literal over slot reads — so any component that simulates on the
+interpreter also simulates compiled, just with less of the speedup.
 
-The combinational emitters here are written once, against the small target
-interface of :class:`SourceEmitter`, and print every combinational component
-kind for both targets: :class:`ScalarEmitter` (Python ints in a slot list,
-this module) and :class:`~repro.sim.batch.LaneEmitter` (NumPy ``(n_lanes,)``
-rows of the lane store, :mod:`repro.sim.batch`).  A target only spells what
-differs: 0/1 ints vs bool arrays, ``a if c else b`` vs ``_where``, how a ROM
-table or a memory row is bound and read, the lane store's int64 width guards,
-and the mux algorithm.  Sequential state sources, captures and commits keep
-one emitter set per target, because their state layouts differ.
+The emitters here are written once, against the small target interface of
+:class:`SourceEmitter`, and print every component kind for both targets:
+:class:`ScalarEmitter` (Python ints in a slot list, this module) and
+:class:`~repro.sim.batch.LaneEmitter` (NumPy ``(n_lanes,)`` rows of the lane
+store, :mod:`repro.sim.batch`).  A target only spells what differs: 0/1 ints
+vs bool arrays, ``a if c else b`` vs ``_where``, how a ROM table or a memory
+row is bound and read, the lane store's int64 width guards, the mux
+algorithm, and whether a value kept in state must be copied.  Sequential
+emitters read and write the component's own state attribute names
+(``_state``, ``_pending``, ``_total``, ...): the scalar target binds the
+component itself, the lane target a holder whose rows carry the same names.
+Only the kinds whose state layouts differ (FSM state name vs index, tuple
+pending write vs masked scatter, port-keyed dict vs row list) are lowered by
+each target itself, through one entry of the same dispatch table.
 
 Fusion keys off the concrete component class (not ``type_name``), so a
 subclass with an overridden ``evaluate`` is never fused incorrectly.
@@ -59,7 +63,7 @@ class SourceEmitter:
     """Accumulates generated lines plus the exec environment they reference.
 
     Subclasses are the code-generation targets: they implement the target
-    interface below, which is all the shared combinational emitters need.
+    interface below, which is all the shared emitters need.
     """
 
     #: the literal 1 as a left-shift operand (one-hot decoder)
@@ -166,6 +170,21 @@ class SourceEmitter:
         """``v[slot] = v[data_slots[min(sel, n - 1)]]``."""
         raise NotImplementedError
 
+    def own(self, expr: str, like: str = "") -> str:
+        """``expr`` as a value a state attribute may keep.
+
+        Lane holder fields rebind rather than copy, so the lane target forces
+        a fresh row; a constant ``expr`` takes the shape of the row ``like``.
+        """
+        raise NotImplementedError
+
+    # Each target also lowers the sequential kinds whose state layouts
+    # differ (FSM state name vs index, tuple pending write vs masked scatter,
+    # port-keyed dict vs row list): ``state_fsm``, ``capture_fsm``,
+    # ``capture_memory``, ``capture_regfile``, ``capture_power_model``
+    # (True when fused, like every emitter) and ``commit_memory``,
+    # ``commit_regfile``, ``commit_power_model``.
+
 
 class ScalarEmitter(SourceEmitter):
     """Target: one simulation, Python ints in a flat slot list."""
@@ -234,6 +253,111 @@ class ScalarEmitter(SourceEmitter):
         )
         self.emit(f"{name}({{{items}}})")
         self.n_fallback += 1
+
+    def commit_generic(self, component) -> None:
+        name = self.bind(f"_cm{self.uid()}", component.commit)
+        self.emit(f"{name}()")
+
+    commit_memory = commit_regfile = commit_generic
+
+    # ---------------------------------------------- per-target sequential
+    def own(self, expr: str, like: str = "") -> str:
+        return expr
+
+    def state_fsm(self, c) -> bool:
+        from repro.netlist.signals import mask_value
+
+        outs = self.connected_outputs(c)
+        if not outs:
+            return True
+        table = {
+            state: tuple(
+                mask_value(assigns.get(port, 0), c.output_widths[port])
+                for port, _ in outs
+            )
+            for state, assigns in c.moore_outputs.items()
+        }
+        uid = self.uid()
+        obj = self.bind(f"_c{uid}", c)
+        tbl = self.bind(f"_ft{uid}", table)
+        self.emit(f"_o = {tbl}[{obj}._state]")
+        for index, (_, slot) in enumerate(outs):
+            self.emit(f"v[{slot}] = _o[{index}]")
+        return True
+
+    def capture_fsm(self, c) -> bool:
+        return False  # the guard walk stays on the component's own capture
+
+    def capture_memory(self, c) -> bool:
+        obj = self.state_ref(c)
+        addr = self.opt(c, "addr", 0)
+        we = self.req(c, "we")
+        wdata = self.opt(c, "wdata", 0)
+        self.emit(f"_t = {addr} % {c.depth}")
+        if we is not None:
+            self.emit(f"{obj}._pending_write = (_t, {wdata}) if {we} & 1 else None")
+        else:
+            self.emit(f"{obj}._pending_write = None")
+        self.emit(f"{obj}._pending_read = {obj}._state[_t]")
+        return True
+
+    def capture_regfile(self, c) -> bool:
+        obj = self.state_ref(c)
+        we = self.req(c, "we")
+        if we is None:
+            self.emit(f"{obj}._pending_write = None")
+        else:
+            waddr = self.opt(c, "waddr", 0)
+            wdata = self.opt(c, "wdata", 0)
+            self.emit(
+                f"{obj}._pending_write = ({waddr} % {c.depth}, {wdata}) "
+                f"if {we} & 1 else None"
+            )
+        return True
+
+    def capture_power_model(self, c) -> bool:
+        """Fully inline the hardware power model's toggle-counting capture.
+
+        Reads monitored slots directly (they carry already-masked values) and
+        charges energy via the model's per-byte coefficient tables, with a
+        fixed number of table reads per port unrolled at compile time.
+        """
+        if c.sample_on_strobe_only:
+            return False  # paper-literal sampling stays on the reference capture
+        uid = self.uid()
+        obj = self.bind(f"_c{uid}", c)
+        strobe = self.opt(c, "strobe", 0)
+        self.emit(f"_e = {c.base_code}")
+        self.emit(f"_p = {obj}._previous")
+        self.emit("_np = {}")
+        for port_name, in_name, _, tables in c._chunked:
+            cur = self.opt(c, in_name, 0)
+            self.emit(f"_t = _p[{port_name!r}] ^ {cur}")
+            self.emit(f"_np[{port_name!r}] = {cur}")
+            reads = []
+            for chunk, table in enumerate(tables):
+                tname = self.bind(f"_tb{uid}_{self.uid()}", table)
+                if chunk == 0:
+                    index = "_t" if len(tables) == 1 else "_t & 255"
+                else:
+                    index = f"(_t >> {8 * chunk}) & 255"
+                reads.append(f"{tname}[{index}]")
+            self.emit("if _t:")
+            self.emit("_e += " + " + ".join(reads), indent=1)
+        self.emit(f"_a = {obj}._accumulated + _e")
+        self.emit(f"if {strobe} & 1:")
+        self.emit(f"{obj}._pending_output = _a & {_mask(c.energy_width)}", indent=1)
+        self.emit(f"{obj}._pending_accumulated = 0", indent=1)
+        self.emit("else:")
+        self.emit(f"{obj}._pending_output = 0", indent=1)
+        self.emit(f"{obj}._pending_accumulated = _a", indent=1)
+        self.emit(f"{obj}._pending_previous = _np")
+        return True
+
+    def commit_power_model(self, c) -> None:
+        obj = self.state_ref(c)
+        for attr in ("_previous", "_accumulated", "_output"):
+            self.emit(f"{obj}.{attr} = {obj}._pending{attr}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +647,12 @@ def _emit_memory_async_read(em: SourceEmitter, c) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# State-source emitters (outputs produced before combinational evaluation).
-# The factories and the constant emitter serve both targets; the rest are the
-# scalar target's.
+# Sequential emitters, shared by both targets: state sources (outputs
+# produced before combinational evaluation), captures (clock edge, before
+# commit) and commits.  They read and write the component's own state
+# attribute names (``_state``, ``_pending``, ``_total``, ...), which the lane
+# target's holders share.  Kinds whose state layouts differ between targets
+# dispatch to the target's own method through :func:`_per_target`.
 # ---------------------------------------------------------------------------
 
 
@@ -552,6 +679,11 @@ def commit_pairs(*pairs: Tuple[str, str]) -> Callable[[SourceEmitter, object], N
     return commit
 
 
+def _per_target(method: str) -> Callable[[SourceEmitter, object], object]:
+    """Dispatch-table entry for a kind each target lowers itself."""
+    return lambda em, c: getattr(em, method)(c)
+
+
 def emit_state_constant(em: SourceEmitter, c) -> bool:
     slot = em.out(c, "y")
     if slot is not None:
@@ -559,235 +691,108 @@ def emit_state_constant(em: SourceEmitter, c) -> bool:
     return True
 
 
-def _emit_state_memory(em: SourceEmitter, c) -> bool:
-    if not c.sync_read:
-        return False
-    slot = em.out(c, "rdata")
-    if slot is not None:
-        obj = em.state_ref(c)
-        em.emit(f"v[{slot}] = {obj}._read_reg")
-    return True
+_memory_read_reg = state_output("rdata", "_read_reg")
 
 
-def _emit_state_fsm(em: SourceEmitter, c) -> bool:
-    from repro.netlist.signals import mask_value
-
-    outs = em.connected_outputs(c)
-    if not outs:
-        return True
-    table = {
-        state: tuple(
-            mask_value(assigns.get(port, 0), c.output_widths[port]) for port, _ in outs
-        )
-        for state, assigns in c.moore_outputs.items()
-    }
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
-    tbl = em.bind(f"_ft{uid}", table)
-    em.emit(f"_o = {tbl}[{obj}._state]")
-    for index, (_, slot) in enumerate(outs):
-        em.emit(f"v[{slot}] = _o[{index}]")
-    return True
+def _state_memory(em: SourceEmitter, c) -> bool:
+    # an asynchronous read port is levelized with the combinational logic
+    return c.sync_read and _memory_read_reg(em, c)
 
 
-# ---------------------------------------------------------------------------
-# Sequential capture emitters (clock edge, before commit).
-# ---------------------------------------------------------------------------
+def register_next(em: SourceEmitter, d: str, held: str, reset_value: int,
+                  en: Optional[str], clr: Optional[str]) -> str:
+    """A register's next value: clear, else load ``d`` if enabled, else hold."""
+    nxt = d
+    if en is not None:
+        nxt = em.select(f"{en} & 1", d, held)
+    if clr is not None:
+        nxt = em.select(f"{clr} & 1", str(reset_value), nxt)
+    return em.own(d) if nxt == d else nxt
 
 
-def _emit_capture_register(em: SourceEmitter, c) -> bool:
+def _capture_register(em: SourceEmitter, c) -> bool:
     d = em.req(c, "d")
     if d is None:
         return False
     obj = em.state_ref(c)
-    clr = em.req(c, "clear") if c.has_clear else None
     # an unconnected enable defaults to 1 in Register.capture
     en = em.req(c, "en") if c.has_enable else None
-    if clr is not None and en is not None:
-        em.emit(f"if {clr} & 1:")
-        em.emit(f"{obj}._pending = {c.reset_value}", indent=1)
-        em.emit(f"elif {en} & 1:")
-        em.emit(f"{obj}._pending = {d}", indent=1)
-        em.emit("else:")
-        em.emit(f"{obj}._pending = {obj}._state", indent=1)
-    elif clr is not None:
-        em.emit(f"{obj}._pending = {c.reset_value} if {clr} & 1 else {d}")
-    elif en is not None:
-        em.emit(f"{obj}._pending = {d} if {en} & 1 else {obj}._state")
-    else:
-        em.emit(f"{obj}._pending = {d}")
+    clr = em.req(c, "clear") if c.has_clear else None
+    nxt = register_next(em, d, f"{obj}._state", c.reset_value, en, clr)
+    em.emit(f"{obj}._pending = {nxt}")
     return True
 
 
-def _emit_capture_counter(em: SourceEmitter, c) -> bool:
+def _capture_counter(em: SourceEmitter, c) -> bool:
     load = em.req(c, "load") if c.has_load else None
-    if load is not None and em.req(c, "d") is None:
+    d = em.req(c, "d") if c.has_load else None
+    if load is not None and d is None:
         return False
     en = em.req(c, "en")
     obj = em.state_ref(c)
-    indent = 0
-    if load is not None:
-        em.emit(f"if {load} & 1:")
-        em.emit(f"{obj}._pending = {em.req(c, 'd')}", indent=1)
-        em.emit(f"elif ({en} & 1):" if en is not None else "elif 0:")
-        indent = 1
-    elif en is not None:
-        em.emit(f"if {en} & 1:")
-        indent = 1
-    if en is not None or load is not None:
-        em.emit(f"_t = {obj}._state + 1", indent=indent)
-        if c.wrap_at is not None:
-            em.emit(f"if _t >= {c.wrap_at}: _t = 0", indent=indent)
-        em.emit(f"{obj}._pending = _t & {_mask(c.width)}", indent=indent)
-        em.emit("else:", indent=indent - 1)
-        em.emit(f"{obj}._pending = {obj}._state", indent=indent)
-    else:
+    held = em.own(f"{obj}._state")
+    if en is None and load is None:
         # en unconnected (reads as 0) and no load: the counter never moves
-        em.emit(f"{obj}._pending = {obj}._state")
+        em.emit(f"{obj}._pending = {held}")
+        return True
+    mask = _mask(c.width)
+    em.emit(f"_t = {obj}._state + 1")
+    if c.wrap_at is not None:
+        em.emit(f"_t = {em.select(f'_t >= {c.wrap_at}', '0', '_t')}")
+    em.emit(f"_t = _t & {mask}")
+    nxt = held if en is None else em.select(f"{en} & 1", "_t", f"{obj}._state")
+    if load is not None:
+        nxt = em.select(f"{load} & 1", f"{d} & {mask}", nxt)
+    em.emit(f"{obj}._pending = {nxt}")
     return True
 
 
-def _emit_capture_accumulator(em: SourceEmitter, c) -> bool:
+def _capture_accumulator(em: SourceEmitter, c) -> bool:
     d = em.req(c, "d")
     en = em.req(c, "en")
     if en is not None and d is None:
         return False
     obj = em.state_ref(c)
+    held = nxt = f"{obj}._state"
+    if en is not None:
+        nxt = em.select(f"{en} & 1", f"({held} + {d}) & {_mask(c.width)}", nxt)
     clr = em.req(c, "clear")
-    add = f"({obj}._state + {d}) & {_mask(c.width)}"
-    if clr is not None and en is not None:
-        em.emit(f"if {clr} & 1:")
-        em.emit(f"{obj}._pending = 0", indent=1)
-        em.emit(f"elif {en} & 1:")
-        em.emit(f"{obj}._pending = {add}", indent=1)
-        em.emit("else:")
-        em.emit(f"{obj}._pending = {obj}._state", indent=1)
-    elif clr is not None:
-        em.emit(f"{obj}._pending = 0 if {clr} & 1 else {obj}._state")
-    elif en is not None:
-        em.emit(f"{obj}._pending = {add} if {en} & 1 else {obj}._state")
-    else:
-        em.emit(f"{obj}._pending = {obj}._state")
+    if clr is not None:
+        nxt = em.select(f"{clr} & 1", "0", nxt)
+    em.emit(f"{obj}._pending = {em.own(held) if nxt == held else nxt}")
     return True
 
 
-def _emit_capture_memory(em: SourceEmitter, c) -> bool:
-    obj = em.state_ref(c)
-    addr = em.opt(c, "addr", 0)
-    we = em.req(c, "we")
-    wdata = em.opt(c, "wdata", 0)
-    em.emit(f"_t = {addr} % {c.depth}")
-    if we is not None:
-        em.emit(f"{obj}._pending_write = (_t, {wdata}) if {we} & 1 else None")
-    else:
-        em.emit(f"{obj}._pending_write = None")
-    em.emit(f"{obj}._pending_read = {obj}._state[_t]")
-    return True
-
-
-def _emit_capture_regfile(em: SourceEmitter, c) -> bool:
-    obj = em.state_ref(c)
-    we = em.req(c, "we")
-    if we is None:
-        em.emit(f"{obj}._pending_write = None")
-    else:
-        waddr = em.opt(c, "waddr", 0)
-        wdata = em.opt(c, "wdata", 0)
-        em.emit(
-            f"{obj}._pending_write = ({waddr} % {c.depth}, {wdata}) if {we} & 1 else None"
-        )
-    return True
-
-
-def _emit_capture_aggregator(em: SourceEmitter, c) -> bool:
+def _capture_aggregator(em: SourceEmitter, c) -> bool:
     obj = em.state_ref(c)
     terms = [em.req(c, f"e{i}") for i in range(c.n_inputs)]
     total = " + ".join(t for t in terms if t is not None) or "0"
+    nxt = f"({obj}._total + {total}) & {_mask(c.total_width)}"
     clr = em.req(c, "clear")
-    add = f"({obj}._total + {total}) & {_mask(c.total_width)}"
     if clr is not None:
-        em.emit(f"if {clr} & 1:")
-        em.emit(f"{obj}._pending = 0", indent=1)
-        em.emit("else:")
-        em.emit(f"{obj}._pending = {add}", indent=1)
-    else:
-        em.emit(f"{obj}._pending = {add}")
+        nxt = em.select(f"{clr} & 1", "0", nxt)
+    em.emit(f"{obj}._pending = {nxt}")
     return True
 
 
-def _emit_capture_power_model(em: SourceEmitter, c) -> bool:
-    """Fully inline the hardware power model's toggle-counting capture.
-
-    Reads monitored slots directly (they carry already-masked values) and
-    charges energy via the model's per-byte coefficient tables, with a fixed
-    number of table reads per port unrolled at compile time.
-    """
-    if c.sample_on_strobe_only:
-        return False  # paper-literal sampling stays on the reference capture
-    uid = em.uid()
-    obj = em.bind(f"_c{uid}", c)
-    strobe = em.opt(c, "strobe", 0)
-    em.emit(f"_e = {c.base_code}")
-    em.emit(f"_p = {obj}._previous")
-    em.emit("_np = {}")
-    for port_name, in_name, _, tables in c._chunked:
-        cur = em.opt(c, in_name, 0)
-        em.emit(f"_t = _p[{port_name!r}] ^ {cur}")
-        em.emit(f"_np[{port_name!r}] = {cur}")
-        reads = []
-        for chunk, table in enumerate(tables):
-            tname = em.bind(f"_tb{uid}_{em.uid()}", table)
-            if chunk == 0:
-                index = "_t" if len(tables) == 1 else "_t & 255"
-            else:
-                index = f"(_t >> {8 * chunk}) & 255"
-            reads.append(f"{tname}[{index}]")
-        em.emit("if _t:")
-        em.emit("_e += " + " + ".join(reads), indent=1)
-    em.emit(f"_a = {obj}._accumulated + _e")
-    em.emit(f"if {strobe} & 1:")
-    em.emit(f"{obj}._pending_output = _a & {_mask(c.energy_width)}", indent=1)
-    em.emit(f"{obj}._pending_accumulated = 0", indent=1)
-    em.emit("else:")
-    em.emit(f"{obj}._pending_output = 0", indent=1)
-    em.emit(f"{obj}._pending_accumulated = _a", indent=1)
-    em.emit(f"{obj}._pending_previous = _np")
-    return True
-
-
-def _emit_capture_strobe(em: SourceEmitter, c) -> bool:
+def _capture_strobe(em: SourceEmitter, c) -> bool:
     obj = em.state_ref(c)
-    # an unconnected enable defaults to 1 in PowerStrobeGenerator.capture
-    en = em.req(c, "enable")
-    indent = 0
-    if en is not None:
-        em.emit(f"if {en} & 1:")
-        indent = 1
     if c.period == 1:
-        em.emit(f"{obj}._pending_count = 0", indent=indent)
-        em.emit(f"{obj}._pending_strobe = 1", indent=indent)
+        count, strobe = "0", "1"
     else:
-        em.emit(f"_t = {obj}._count + 1", indent=indent)
-        em.emit(f"if _t >= {c.period}: _t = 0", indent=indent)
-        em.emit(f"{obj}._pending_count = _t", indent=indent)
-        em.emit(
-            f"{obj}._pending_strobe = 1 if _t == {c.period - 1} else 0", indent=indent
-        )
+        em.emit(f"_t = {obj}._count + 1")
+        em.emit(f"_t = {em.select(f'_t >= {c.period}', '0', '_t')}")
+        count, strobe = "_t", f"(_t == {c.period - 1}) * 1"
+    en = em.req(c, "enable")
     if en is not None:
-        em.emit("else:")
-        em.emit(f"{obj}._pending_count = {obj}._count", indent=1)
-        em.emit(f"{obj}._pending_strobe = 0", indent=1)
+        em.emit(f"_en = {en} & 1")
+        em.emit(f"{obj}._pending_count = {em.select('_en', count, f'{obj}._count')}")
+        em.emit(f"{obj}._pending_strobe = {em.select('_en', strobe, '0')}")
+    else:
+        # an unconnected enable defaults to 1 in PowerStrobeGenerator.capture
+        em.emit(f"{obj}._pending_count = {em.own(count, f'{obj}._count')}")
+        em.emit(f"{obj}._pending_strobe = {em.own(strobe, f'{obj}._strobe')}")
     return True
-
-
-# ---------------------------------------------------------------------------
-# Commits: the trivial ones inline (commit_pairs), bound-method call otherwise.
-# ---------------------------------------------------------------------------
-
-
-def _commit_generic(em: SourceEmitter, c) -> None:
-    name = em.bind(f"_cm{em.uid()}", c.commit)
-    em.emit(f"{name}()")
 
 
 def _tables() -> tuple:
@@ -830,35 +835,34 @@ def _tables() -> tuple:
         seq.Register: register_q,
         seq.Counter: register_q,
         seq.Accumulator: register_q,
-        seq.Memory: _emit_state_memory,
+        seq.Memory: _state_memory,
         comps.Constant: emit_state_constant,
-        FSMController: _emit_state_fsm,
+        FSMController: _per_target("state_fsm"),
         HardwarePowerModel: state_output("energy", "_output"),
         PowerAggregator: state_output("total", "_total"),
         PowerStrobeGenerator: state_output("strobe", "_strobe"),
     }
     capture = {
-        seq.Register: _emit_capture_register,
-        seq.Counter: _emit_capture_counter,
-        seq.Accumulator: _emit_capture_accumulator,
-        seq.Memory: _emit_capture_memory,
-        seq.RegisterFile: _emit_capture_regfile,
-        HardwarePowerModel: _emit_capture_power_model,
-        PowerAggregator: _emit_capture_aggregator,
-        PowerStrobeGenerator: _emit_capture_strobe,
+        seq.Register: _capture_register,
+        seq.Counter: _capture_counter,
+        seq.Accumulator: _capture_accumulator,
+        seq.Memory: _per_target("capture_memory"),
+        seq.RegisterFile: _per_target("capture_regfile"),
+        FSMController: _per_target("capture_fsm"),
+        HardwarePowerModel: _per_target("capture_power_model"),
+        PowerAggregator: _capture_aggregator,
+        PowerStrobeGenerator: _capture_strobe,
     }
     commit_state = commit_pairs(("_state", "_pending"))
     commit = {
         seq.Register: commit_state,
         seq.Counter: commit_state,
         seq.Accumulator: commit_state,
-        PowerAggregator: commit_pairs(("_total", "_pending")),
+        seq.Memory: _per_target("commit_memory"),
+        seq.RegisterFile: _per_target("commit_regfile"),
         FSMController: commit_state,
-        HardwarePowerModel: commit_pairs(
-            ("_previous", "_pending_previous"),
-            ("_accumulated", "_pending_accumulated"),
-            ("_output", "_pending_output"),
-        ),
+        HardwarePowerModel: _per_target("commit_power_model"),
+        PowerAggregator: commit_pairs(("_total", "_pending")),
         PowerStrobeGenerator: commit_pairs(
             ("_count", "_pending_count"), ("_strobe", "_pending_strobe")
         ),
@@ -867,9 +871,10 @@ def _tables() -> tuple:
     return _TABLES
 
 
-def comb_emitters() -> dict:
-    """Component class -> combinational emitter, shared by both targets."""
-    return _tables()[0]
+def emitter_tables() -> tuple:
+    """``(comb, state, capture, commit)``: component class -> emitter, one
+    table per phase, shared by both targets."""
+    return _tables()
 
 
 def generate_source(
@@ -911,7 +916,7 @@ def generate_source(
         else:
             em.n_fused += 1
     for component in schedule.sequential:
-        committer = commit_table.get(type(component), _commit_generic)
+        committer = commit_table.get(type(component), ScalarEmitter.commit_generic)
         committer(em, component)
     if not body:
         body.append("pass")

@@ -3,8 +3,9 @@
 The batch backend (:mod:`repro.sim.batch`) and the gate-level simulator
 (:mod:`repro.gates.gatesim`) both lower their schedules into *lane programs*:
 straight-line NumPy source over a ``(n_slots, n_lanes)`` value store, with
-per-lane sequential state held in small holder objects bound into the exec
-environment.  Those programs are shape-stable and branch-free, which makes
+per-lane sequential state held in holder objects bound into the exec
+environment: named ``(n_lanes,)`` rows, lists of such rows, and
+``(depth, n_lanes)`` memories.  Those programs are shape-stable and branch-free, which makes
 them a compiler IR in disguise — this module makes the IR explicit.
 
 :func:`extract_ir` parses a generated lane program (source + exec
@@ -450,9 +451,10 @@ class _Extractor:
                 out.append(SetState(self._state_row(holder, name, None), self.expr(node.value)))
                 return
             if isinstance(live, list):
-                # the power-model commit pair: `prev = pending_prev` swaps the
-                # row lists, then `pending_prev = list(prev)` re-aliases.  In
-                # value semantics that is a per-row copy plus a no-op.
+                # a row-list commit (power-model ports, register limbs):
+                # `_state = _pending` swaps the row lists, then
+                # `_pending = list(_state)` re-aliases.  In value semantics
+                # that is a per-row copy plus a no-op.
                 if (
                     isinstance(node.value, ast.Call)
                     and isinstance(node.value.func, ast.Name)

@@ -18,10 +18,12 @@ from repro.designs.registry import all_designs, get_design
 from repro.netlist import NetlistBuilder, flatten
 from repro.netlist.components import Component
 from repro.netlist.fsm import FSMController
-from repro.netlist.sequential import Memory
+from repro.core import PowerAggregator
+from repro.netlist.sequential import Accumulator, Counter, Memory, Register
 from repro.power import build_seed_library
 from repro.sim import BatchSimulator, Simulator, compile_module_batch
 from repro.sim.batch import LaneComponent
+from repro.sim.kernels import find_compiler
 
 N_LANES = 3
 N_CYCLES = 32
@@ -296,3 +298,68 @@ def test_lane_component_reset_isolates_lanes():
     first, second = wrapper.lane_states
     assert first["_state"] == [1, 2, 3, 4]
     assert first["_state"] is not second["_state"], "lanes must not share storage"
+
+
+class _ShadowRegister(Register):
+    """Subclassed register: runs on the lane-scalar fallback."""
+
+
+def _module_with_state_properties(register_cls):
+    """Every stock kind with a state-reading property."""
+    b = NetlistBuilder("props")
+    d, d61 = b.input("d", 8), b.input("d61", 61)
+    en, go = b.input("en", 1), b.input("go", 1)
+    fsm = FSMController("fsm", ["IDLE", "RUN"], {"go": 1}, {"busy": 1},
+                        {"RUN": {"busy": 1}})
+    fsm.when("IDLE", "RUN", go=1)
+    components = {
+        "reg": (register_cls("reg", 8, reset_value=5), {"d": d}),
+        "wide": (Register("wide", 61, reset_value=7), {"d": d61}),
+        "count": (Counter("count", 8), {"en": en}),
+        "acc": (Accumulator("acc", 8), {"d": d, "en": en}),
+        "agg": (PowerAggregator("agg", 1, 8, 12), {"e0": d}),
+        "fsm": (fsm, {"go": go}),
+    }
+    for name, (component, inputs) in components.items():
+        b.module.add_component(component)
+        b.drive(name, **inputs)
+        for port in component.output_ports:
+            net = b.module.add_net(f"{name}_{port.name}", port.width)
+            component.connect(port.name, net)
+            b.output(f"{name}_{port.name}", net)
+    return flatten(b.build())
+
+
+@pytest.mark.parametrize("backend", [
+    "off",
+    pytest.param("native", marks=pytest.mark.skipif(
+        find_compiler() is None, reason="no C compiler on this host")),
+])
+@pytest.mark.parametrize("register_cls", [Register, _ShadowRegister])
+def test_lane_view_properties_read_lane_state(backend, register_cls):
+    """``value``/``state``/``state_code`` through a lane view read that lane
+    (from its holder row, or its fallback snapshot), not the scalar component
+    every lane shares."""
+    module = _module_with_state_properties(register_cls)
+    simulator = BatchSimulator(module, 3, kernel_backend=backend)
+    fused = register_cls is Register
+    assert simulator.kernel_backend == (backend if fused else "off")
+    assert (simulator.program.n_fallback == 0) == fused
+    d = [1, 2, 3]
+    d61 = [(1 << 60) + 9, 3, (1 << 61) - 1]
+    simulator.set_inputs({"d": np.array(d), "d61": np.array(d61, dtype=object),
+                          "en": 1, "go": np.array([0, 1, 1])})
+    simulator.step(cycles=2)
+    simulator.settle()
+    assert list(simulator.get_output("reg_q")) == d
+    for lane in range(3):
+        view = simulator.lane_view(lane).module.components
+        assert view["reg"].value == d[lane]
+        assert view["wide"].value == d61[lane]
+        assert view["count"].value == 2
+        assert view["acc"].value == 2 * d[lane]
+        assert view["agg"].value == 2 * d[lane]
+        assert view["fsm"].state == ("IDLE", "RUN", "RUN")[lane]
+        assert view["fsm"].state_code == (0, 1, 1)[lane]
+        assert [p.name for p in view["reg"].input_ports] == ["d"]
+

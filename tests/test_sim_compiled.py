@@ -18,6 +18,7 @@ from repro.core.instrument import instrument
 from repro.designs.registry import all_designs, build_flat, get_design
 from repro.netlist import NetlistBuilder, flatten
 from repro.netlist.components import Component
+from repro.netlist.fsm import FSMController
 from repro.power import build_seed_library
 from repro.sim import (
     SimulationObserver,
@@ -26,7 +27,9 @@ from repro.sim import (
     compile_module,
     schedule_for,
 )
+from repro.sim.batch import compile_module_batch
 from repro.sim.compiled import SlotValues
+from repro.sim.kernels.native import generate_c_source
 
 
 class _OutputRecorder(SimulationObserver):
@@ -80,12 +83,29 @@ def test_backend_parity_instrumented(design_name):
     assert compiled[5] == interp[5]  # per-component accumulators
 
 
-def test_registry_designs_fully_compile():
-    """Every registry design runs on the compiled backend (no interp fallback)."""
+def _fusion_modules():
     for name in sorted(all_designs()):
-        simulator = Simulator(build_flat(name))
-        assert simulator.backend == "compiled"
-        assert simulator._program.n_fused > 0
+        yield name, build_flat(name)
+    library = build_seed_library()
+    yield "DCT instrumented", instrument(
+        get_design("DCT").build(), library, InstrumentationConfig()
+    ).module
+
+
+def test_registry_designs_fully_compile():
+    """Every registry design (and an instrumented one) runs on the compiled
+    backend, fuses every component but its FSM controllers there, fuses every
+    component in its lane program, and lowers to a native kernel."""
+    for name, module in _fusion_modules():
+        simulator = Simulator(module)
+        assert simulator.backend == "compiled", name
+        scalar = simulator._program
+        n_fsm = sum(isinstance(c, FSMController) for c in module.components.values())
+        assert scalar.n_fallback == n_fsm, name
+        lane = compile_module_batch(module, 4)
+        assert lane.n_fallback == 0, name
+        assert lane.n_fused == scalar.n_fused + scalar.n_fallback, name
+        assert generate_c_source(lane.kernel_ir()), name
 
 
 class _OpaqueXor(Component):

@@ -367,7 +367,7 @@ def test_native_kernel_compiles_once_per_structure():
 def test_native_kernel_rebinds_after_sibling_plain_path_run():
     """reset() re-captures state pointers a sibling plain-path run detached.
 
-    The plain batch commit *rebinds* holder arrays (``s.state = s.pending``),
+    The plain batch commit *rebinds* holder arrays (``s._state = s._pending``),
     so a native kernel bound earlier to the same cached program would keep
     pointing at the detached arrays — two identical runs would accumulate
     instead of repeating.  ``reset()`` must re-split and re-bind.

@@ -1,27 +1,35 @@
-"""Per-kind parity of the shared combinational emitters across every engine.
+"""Per-kind parity of the shared emitters across every engine.
 
-One small module per combinational component kind, built through
+One small module per component kind, built through
 :class:`repro.netlist.NetlistBuilder`, runs on the ``interp`` oracle, the
 compiled scalar backend, the lane program (``off``) and the native kernel at
 1 and 129 lanes (129 = one full 128-lane kernel block plus a tail).  Widths
 sit on the lane target's guards: multiplier ``width_a + width_b`` and shift
 reaches of 62 (fused) and 63 (lane-scalar), and 60/61-bit nets on either side
-of the limb-store boundary.  Each case also states whether its lane program
-fuses, so a guard that moves shows up here even when results still agree.
+of the limb-store boundary.  Sequential kinds run for more cycles, with
+their optional inputs left unconnected in turn (an unconnected enable reads
+as 1 on a register and strobe generator but as 0 on a counter or
+accumulator).  Each case also states whether its lane program fuses, so a
+guard that moves shows up here even when results still agree.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import (FixedPointFormat, HardwarePowerModel, PowerAggregator,
+                        PowerStrobeGenerator)
 from repro.netlist import NetlistBuilder, flatten
 from repro.netlist import components as comps
 from repro.netlist import sequential as seq
+from repro.netlist.fsm import FSMController, Guard
+from repro.power.macromodel import LinearTransitionModel
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.kernels import find_compiler
 
@@ -30,17 +38,23 @@ MAX_LANES = max(LANE_COUNTS)
 #: lanes whose inputs hypothesis draws; the rest come from a drawn seed
 DRAWN_LANES = 8
 N_CYCLES = 3
+#: cycles of the sequential cases: enough for counters to wrap and strobes
+#: of period 4 to fire twice
+SEQ_CYCLES = 8
 HAS_CC = find_compiler() is not None
 
 
-def _unit(name, *components):
+def _unit(name, *components, unconnected=frozenset()):
     """A module around ``components``: same-named inputs are shared module
-    inputs, every output becomes a module output ``<index>_<port>``."""
+    inputs, except those in ``unconnected``, which stay open; every output
+    becomes a module output ``<index>_<port>``."""
     b = NetlistBuilder(name)
     inputs = {}
     for index, component in enumerate(components):
         b.module.add_component(component)
         for port in component.input_ports:
+            if port.name in unconnected:
+                continue
             if port.name not in inputs:
                 inputs[port.name] = b.input(port.name, port.width)
             b.drive(component.name, **{port.name: inputs[port.name]})
@@ -60,9 +74,63 @@ def _reduce(width):
     return [comps.ReduceOp(f"r_{op}", op, width) for op in ("and", "or", "xor")]
 
 
+def _registers(width, reset_value):
+    """One register per enable/clear combination, sharing d/en/clear."""
+    return [seq.Register(f"r{en}{clr}", width, reset_value, bool(en), bool(clr))
+            for en in (0, 1) for clr in (0, 1)]
+
+
+def _counters():
+    return [seq.Counter("plain", 8), seq.Counter("load", 8, has_load=True),
+            seq.Counter("wrap", 8, wrap_at=5), seq.Counter("both", 8, True, 3),
+            seq.Counter("narrow", 2)]
+
+
+def _fsm():
+    """A Moore FSM whose guards compare a signed input, plus an unsigned one."""
+    fsm = FSMController("u", ["idle", "neg", "big", "done"], {"x": 8, "go": 1},
+                        {"o": 4, "p": 2},
+                        {"neg": {"o": 9}, "big": {"o": 15, "p": 2}, "done": {"p": 3}})
+    fsm.add_transition("idle", "neg", [Guard("x", "<", -3, signed=True),
+                                       Guard("go", "==", 1)])
+    fsm.add_transition("idle", "big", [Guard("x", ">=", 100)])
+    fsm.add_transition("neg", "done", [Guard("x", ">", 5, signed=True)])
+    fsm.otherwise("big", "idle")
+    fsm.when("done", "idle", go=0)
+    return [fsm]
+
+
+def _power_model(sample_on_strobe_only):
+    """A power model over a 12-bit and a 9-bit port (two byte tables each)."""
+    widths = {"a": 12, "y": 9}
+    coeffs = {"a": [1.5 + i for i in range(12)], "y": [0.25 * i for i in range(9)]}
+    model = LinearTransitionModel("thing", widths, coeffs, base_energy_fj=2.0)
+    fmt = FixedPointFormat.for_coefficients([0.25, 12.5, 2.0], bits=10)
+    return [HardwarePowerModel("u", model, fmt, energy_width=14,
+                               sample_on_strobe_only=sample_on_strobe_only)]
+
+
+def _strobes():
+    return [PowerStrobeGenerator("p1", 1), PowerStrobeGenerator("p4", 4)]
+
+
 ROM_WORDS = [0, 1, (1 << 60) - 1, 12345678901, 7, 1 << 59]
 
-#: id -> (component factory, whether the lane program fuses every component)
+
+class Case(NamedTuple):
+    factory: Callable[[], list]
+    #: whether the lane program fuses every component
+    lane_fused: bool
+    #: input ports left unconnected
+    unconnected: frozenset = frozenset()
+    n_cycles: int = N_CYCLES
+
+
+def _seq(factory, lane_fused=True, unconnected=()):
+    return Case(factory, lane_fused, frozenset(unconnected), SEQ_CYCLES)
+
+
+#: id -> Case; the combinational kinds give only (factory, lane_fused)
 CASES = {
     "adder60": (lambda: [comps.Adder("u", 60, True, True)], True),
     "adder61": (lambda: [comps.Adder("u", 61, True, True)], True),
@@ -118,14 +186,41 @@ CASES = {
                                             initial=ROM_WORDS)], True),
     "memory_async60": (lambda: [seq.Memory("u", 60, 6, sync_read=False,
                                            initial=ROM_WORDS)], True),
+    "register8": _seq(lambda: _registers(8, 5)),
+    "register8_en_open": _seq(lambda: _registers(8, 5), unconnected={"en"}),
+    "register8_clear_open": _seq(lambda: _registers(8, 5), unconnected={"clear"}),
+    "register61": _seq(lambda: _registers(61, (1 << 61) - 3)),
+    "counter8": _seq(_counters),
+    "counter8_en_open": _seq(_counters, unconnected={"en"}),
+    "accumulator12": _seq(lambda: [seq.Accumulator("u", 12)]),
+    "accumulator12_en_open": _seq(lambda: [seq.Accumulator("u", 12)],
+                                  unconnected={"en"}),
+    "accumulator12_clear_open": _seq(lambda: [seq.Accumulator("u", 12)],
+                                     unconnected={"clear"}),
+    "accumulator12_both_open": _seq(lambda: [seq.Accumulator("u", 12)],
+                                    unconnected={"en", "clear"}),
+    "memory_sync60": _seq(lambda: [seq.Memory("u", 60, 6, initial=ROM_WORDS)]),
+    "memory_sync60_we_open": _seq(lambda: [seq.Memory("u", 60, 6, initial=ROM_WORDS)],
+                                  unconnected={"we"}),
+    "regfile8": _seq(lambda: [seq.RegisterFile("u", 8, 5, n_read_ports=2,
+                                               initial=[3, 1, 4, 1, 5])]),
+    "fsm_signed_guard": _seq(_fsm),
+    "aggregator": _seq(lambda: [PowerAggregator("u", 3, 16, 20)], unconnected={"e1"}),
+    "aggregator_clear_open": _seq(lambda: [PowerAggregator("u", 2, 16, 17)],
+                                  unconnected={"clear"}),
+    "strobe": _seq(_strobes),
+    "strobe_enable_open": _seq(_strobes, unconnected={"enable"}),
+    "power_model": _seq(lambda: _power_model(False)),
+    "power_model_strobe_only": _seq(lambda: _power_model(True), lane_fused=False),
 }
+CASES = {case: Case(*entry) for case, entry in CASES.items()}
 
 
 @functools.lru_cache(maxsize=None)
 def _engines(case: str):
     """Fresh module per engine (flattened modules carry scalar state)."""
-    factory, lane_fused = CASES[case]
-    build = lambda: _unit(case, *factory())  # noqa: E731
+    factory, lane_fused, unconnected, _ = CASES[case]
+    build = lambda: _unit(case, *factory(), unconnected=unconnected)  # noqa: E731
     scalar = {backend: Simulator(build(), backend=backend)
               for backend in ("interp", "compiled")}
     assert scalar["compiled"].backend == "compiled"
@@ -144,11 +239,11 @@ def _engines(case: str):
     return scalar, lanes
 
 
-def _stimulus(data, module):
+def _stimulus(data, module, n_cycles):
     """Per-cycle ``{port: [value per lane]}`` for MAX_LANES lanes."""
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     cycles = []
-    for _ in range(N_CYCLES):
+    for _ in range(n_cycles):
         inputs = {}
         for name, port in module.ports.items():
             if not port.is_input:
@@ -200,7 +295,7 @@ def _lane_traces(simulator, cycles):
 @given(data=st.data())
 def test_kind_parity_across_engines(case, data):
     scalar, lanes = _engines(case)
-    cycles = _stimulus(data, scalar["interp"].module)
+    cycles = _stimulus(data, scalar["interp"].module, CASES[case].n_cycles)
     oracle = [_scalar_trace(scalar["interp"], cycles, lane) for lane in range(MAX_LANES)]
     compiled = [_scalar_trace(scalar["compiled"], cycles, lane) for lane in range(MAX_LANES)]
     assert compiled == oracle, f"{case}: compiled differs from interp"
