@@ -247,6 +247,7 @@ class RTLEstimatorAdapter(_EngineAdapter):
             )
         metadata = {
             "n_monitored_components": report.notes.get("n_monitored_components"),
+            "macromodel_eval": "block",
             "design": spec.design,
         }
         result = self._finish(
@@ -328,19 +329,9 @@ class RTLEstimatorAdapter(_EngineAdapter):
             flat = self._resolve_flat(first)
             testbenches = [self._resolve_testbench(spec) for spec in specs]
         setup_s = time.perf_counter() - start
-        # lane-mates may disagree on profiling: collect at the finest
-        # requested window and rebin coarser requests per result afterwards;
-        # a lane with no preference leaves the window to the engine default
-        profile_cfg = None
-        wanting = [s for s in specs if s.power_profile]
-        if wanting:
-            explicit = [
-                s.profile_window for s in wanting
-                if s.profile_window is not None
-            ]
-            profile_cfg = ProfileConfig(window_cycles=(
-                min(explicit) if len(explicit) == len(wanting) else None
-            ))
+        # lane-mates may disagree on profiling: each lane collects with its
+        # own config, as its scalar run would
+        profile_cfgs = [_profile_config(spec) for spec in specs]
         try:
             estimator = BatchRTLPowerEstimator(flat, library=library,
                                                technology=self.technology,
@@ -350,7 +341,7 @@ class RTLEstimatorAdapter(_EngineAdapter):
                 testbenches,
                 max_cycles=first.max_cycles,
                 keep_cycle_trace=any(s.keep_cycle_trace for s in specs),
-                profile=profile_cfg,
+                profile=profile_cfgs if any(profile_cfgs) else None,
             )
             backend = f"batch[{len(specs)}]"
         except (BatchCompilationError, LaneStateError) as error:
@@ -370,15 +361,10 @@ class RTLEstimatorAdapter(_EngineAdapter):
                 "kernel_backend": estimator.last_kernel_backend,
                 "kernel_decision": estimator.last_kernel_decision,
                 "kernel_threads": estimator.last_kernel_threads,
+                "macromodel_eval": estimator.last_macromodel_eval,
                 "design": spec.design,
             }
-            profile = None
-            if spec.power_profile and estimator.last_profiles:
-                profile = estimator.last_profiles[lane]
-                wanted = spec.profile_window
-                if (wanted is not None and wanted > profile.window_cycles
-                        and wanted % profile.window_cycles == 0):
-                    profile = profile.rebin(wanted)
+            profile = estimator.last_profiles[lane] if estimator.last_profiles else None
             results.append(
                 self._finish(spec, report, backend, start, setup_s / len(specs),
                              metadata, dict(estimator.last_phase_s),

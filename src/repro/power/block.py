@@ -26,6 +26,31 @@ they differ by float rounding only (rel 1e-12).  Components whose model is
 not a plain ``LinearTransitionModel``, or with a port wider than an int64
 lane (:data:`~repro.sim.batch.MAX_LANE_WIDTH`), are *generic*: the caller
 evaluates them per cycle and pushes their energies alongside.
+
+On a native lane kernel the same plan runs in C, once per cycle, next to
+the design (:class:`NativeEvaluator`): every kernel translation unit carries
+a design-independent ``observe`` entry point
+(:mod:`repro.sim.kernels.native`) that reads the monitored nets straight
+from the value store, driven by :meth:`BlockEvaluator.flat_plan`.  Per lane
+it performs flush's float operations in flush's order:
+
+* a component's energy is its base plus one table lookup per chunk, in
+  chunk order (a generic component's energy is the pushed one);
+* that energy is multiplied by the 0/1 lane mask;
+* the cycle total sums the components in monitored order, from 0.0;
+* each running total adds the cycle's energy (``+=``), cycle after cycle;
+* ``peak = max(peak, total)``.
+
+So totals, peak, trace and profile windows equal the block evaluator's bit
+for bit.  One shortcut changes no output: a chunk whose byte is zero in
+every lane of a 128-lane block is skipped.  It would add ``table[0]``, a
+zero (the C code checks), and adding a zero can at most turn a component's
+``-0.0`` into ``+0.0``; the cycle and running totals start at ``+0.0``, so
+they are never ``-0.0`` and absorb either sign alike.  The kernels compile
+with ``-ffp-contract=off``, so no multiply-add is fused: one would round
+``energy * mask`` and its addition once instead of twice (exact only while
+the mask is 0/1).  The block evaluator stays the path of the ``off`` kernel
+backend and of the scalar estimator.
 """
 
 from __future__ import annotations
@@ -37,6 +62,7 @@ import numpy as np
 from repro.power.macromodel import LinearTransitionModel
 from repro.power.profile import WindowedEnergyCollector
 from repro.sim.batch import MAX_LANE_WIDTH
+from repro.sim.kernels import BLOCK_LANES
 
 #: elements of a block's largest buffer (cycles × nets or components ×
 #: lanes); the block length follows from it.  Small enough that the
@@ -60,11 +86,12 @@ class BlockEvaluator:
         monitored: Sequence[tuple],
         n_lanes: Optional[int] = None,
         keep_cycle_trace: bool = True,
-        collector: Optional[WindowedEnergyCollector] = None,
+        collectors: Sequence[WindowedEnergyCollector] = (),
     ) -> None:
         self.n_lanes = n_lanes
         self.keep_cycle_trace = keep_cycle_trace
-        self.collector = collector
+        #: profile collectors, all fed the same running totals
+        self.collectors = list(collectors)
         self._lanes = 1 if n_lanes is None else n_lanes
         #: nets whose values :meth:`push` takes, in row order
         self.nets: List = []
@@ -109,6 +136,36 @@ class BlockEvaluator:
         self._totals = np.zeros((self.n_components, self._lanes))
         self._peak = np.zeros(self._lanes)
         self._trace: List[np.ndarray] = []
+
+    def flat_plan(self) -> Dict[str, np.ndarray]:
+        """The evaluation plan as flat arrays, in :meth:`flush`'s order.
+
+        Per chunk its net row (``chunk_net``), the bit offset of its byte
+        (``chunk_shift``) and its 256 energies (``chunk_table``); per
+        component, in monitored order, its chunks
+        ``component_chunk[c]:component_chunk[c + 1]``, its base energy and
+        its generic row (``component_generic``, -1 for a table component).
+        """
+        n = self.n_components
+        component_chunk = np.zeros(n + 1, dtype=np.int64)
+        component_base = np.zeros(n)
+        component_generic = np.full(n, -1, dtype=np.int64)
+        component_generic[self._generic_pos] = np.arange(len(self.generic))
+        chunks = []
+        for index, base, component_chunks in self._fast:
+            component_base[index] = base
+            component_chunk[index + 1] = len(component_chunks)
+            chunks.extend(component_chunks)
+        np.cumsum(component_chunk, out=component_chunk)
+        return {
+            "chunk_net": np.array([row for row, _, _ in chunks], dtype=np.int64),
+            "chunk_shift": np.array([8 * byte for _, byte, _ in chunks], dtype=np.int64),
+            "chunk_table": np.array([table for _, _, table in chunks],
+                                    dtype=np.float64).reshape(len(chunks), 256),
+            "component_chunk": component_chunk,
+            "component_base": component_base,
+            "component_generic": component_generic,
+        }
 
     # ----------------------------------------------------------- per cycle
     def push(self, values, generic_energy=(), active=None) -> None:
@@ -161,8 +218,8 @@ class BlockEvaluator:
         energy[:, 0] += self._totals
         running = np.add.accumulate(energy, axis=1, out=energy)
         self._totals = running[:, -1].copy()
-        if self.collector is not None:
-            self.collector.add_running(running if self.n_lanes is not None else running[:, :, 0])
+        for collector in self.collectors:
+            collector.add_running(running if self.n_lanes is not None else running[:, :, 0])
         self._values.clear()
         self._generic_energy.clear()
         self._masks.clear()
@@ -186,3 +243,117 @@ class BlockEvaluator:
         if not self._trace:
             return np.zeros((0, self._lanes))
         return np.concatenate(self._trace)
+
+
+class NativeEvaluator:
+    """:class:`BlockEvaluator`'s plan evaluated each cycle by a lane kernel.
+
+    Every native lane kernel carries a design-independent ``observe`` entry
+    point (:mod:`repro.sim.kernels.native`); each :meth:`push` runs one cycle
+    of it straight over the kernel's value store, from the block evaluator's
+    :meth:`~BlockEvaluator.flat_plan`.  It performs flush's float operations
+    in flush's order, so totals, peak, cycle trace and profile windows equal
+    the block evaluator's bit for bit.  Generic components are still
+    evaluated by the caller, which pushes their ``(lanes,)`` energies.
+    """
+
+    def __init__(self, block: BlockEvaluator, kernel, rows: np.ndarray) -> None:
+        lanes = block.n_lanes
+        self.n_lanes = lanes
+        self.keep_cycle_trace = block.keep_cycle_trace
+        self.collectors = block.collectors
+        self._kernel = kernel
+        self._rows = np.asarray(rows, dtype=np.int64)
+        self._store: Optional[np.ndarray] = None
+        # the C side's lane arrays are padded to whole blocks of lanes
+        self._padded = -(-lanes // BLOCK_LANES) * BLOCK_LANES
+        self._generic = np.zeros((len(block.generic), self._padded))
+        self._mask = np.zeros(self._padded)
+        self._running = np.zeros((block.n_components, self._padded))
+        self._peak = np.zeros(self._padded)
+        n_nets = len(block.nets)
+        #: the arrays the C plan points at, kept alive with it
+        self._arrays = dict(
+            block.flat_plan(),
+            net_slot=self._rows,
+            generic=self._generic,
+            mask=self._mask,
+            previous=np.zeros((n_nets, self._padded), dtype=np.int64),
+            running=self._running,
+            peak=self._peak,
+            toggles=np.zeros((n_nets, BLOCK_LANES), dtype=np.uint64),
+            toggled=np.zeros(n_nets, dtype=np.uint64),
+        )
+        self._plan = kernel.observe_plan(
+            n_lanes=lanes, n_nets=n_nets, n_components=block.n_components,
+            **self._arrays)
+        # the cycle trace fills fixed-size chunks, one row per cycle
+        self._trace: List[np.ndarray] = []
+        self._trace_rows = max(1, BLOCK_ELEMENTS // self._padded)
+        self._filled = self._trace_rows
+        self.cycles = 0
+        # the collectors see the running totals at each window boundary
+        self._fed = 0
+        self._feed_at = self._next_feed()
+
+    def _next_feed(self) -> int:
+        if not self.collectors:
+            return -1
+        return self.cycles + min(c.cycles_to_boundary for c in self.collectors)
+
+    def _feed(self) -> None:
+        for collector in self.collectors:
+            collector.advance(self.cycles - self._fed, self.totals)
+        self._fed = self.cycles
+        self._feed_at = self._next_feed()
+
+    def _check_store(self, v: np.ndarray) -> None:
+        """The C code reads ``v`` at these rows, this lane count and dtype."""
+        rows = int(self._rows.max(initial=-1)) + 1
+        if (v.ndim != 2 or v.shape[0] < rows or v.shape[1] != self.n_lanes
+                or v.dtype != self._kernel.ir.dtype):
+            raise ValueError(
+                f"value store {v.dtype} {v.shape} is not a ({rows}+, "
+                f"{self.n_lanes}) {self._kernel.ir.dtype} lane store"
+            )
+        self._store = v
+
+    def push(self, v: np.ndarray, generic_energy=(), active=None) -> None:
+        """Evaluate one cycle of the store ``v`` (``active`` masks lanes)."""
+        if v is not self._store:
+            self._check_store(v)
+        lanes = self.n_lanes
+        for row, energy in zip(self._generic, generic_energy):
+            row[:lanes] = energy
+        self._mask[:lanes] = 1.0 if active is None else active
+        if self.keep_cycle_trace and self._filled == self._trace_rows:
+            self._trace.append(np.empty((self._trace_rows, self._padded)))
+            self._plan.trace = self._kernel.c_array(self._trace[-1])
+            self._plan.trace_row = self._filled = 0
+        self._kernel.observe(v, self._plan)
+        self._filled += 1
+        self.cycles += 1
+        if self.cycles == self._feed_at:
+            self._feed()
+
+    def flush(self) -> None:
+        """Hand the cycles since the last window boundary to the collectors."""
+        if self.collectors and self.cycles > self._fed:
+            self._feed()
+
+    @property
+    def totals(self) -> np.ndarray:
+        """``(n_components, lanes)`` energy per monitored component (fJ)."""
+        return self._running[:, :self.n_lanes]
+
+    @property
+    def peak(self) -> np.ndarray:
+        """``(lanes,)`` largest single-cycle total energy (fJ)."""
+        return self._peak[:self.n_lanes]
+
+    def cycle_trace(self) -> np.ndarray:
+        """``(cycles, lanes)`` total energy per cycle (needs ``keep_cycle_trace``)."""
+        if not self._trace:
+            return np.zeros((0, self.n_lanes))
+        rows = self._trace[:-1] + [self._trace[-1][:self._filled]]
+        return np.concatenate(rows)[:, :self.n_lanes]

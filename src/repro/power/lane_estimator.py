@@ -5,12 +5,17 @@ style sweep runs the *same* flat module under N independent stimulus seeds; the
 scalar :class:`~repro.power.rtl_estimator.RTLPowerEstimator` would simulate the
 design N times.  This estimator instead lowers the design once into lane form
 (:mod:`repro.sim.batch`) and advances all N testbenches together — one settle
-per cycle for every lane.  Power observation is block-deferred: each cycle
-only gathers the monitored nets of every lane (one fancy index over the value
-store), and :class:`~repro.power.block.BlockEvaluator` turns a block of
-cycles into per-component energies in one vectorized pass — the same
-evaluator the scalar estimator uses, so each lane's energies equal a scalar
-run's bit for bit.
+per cycle for every lane.  Power observation runs next to the design: on a
+native lane kernel the kernel's own ``observe`` entry point evaluates the
+macromodels in C each cycle, straight from the value store
+(:class:`~repro.power.block.NativeEvaluator`); on the ``off`` backend each
+cycle gathers the monitored nets of every lane (one fancy index over the
+value store) and :class:`~repro.power.block.BlockEvaluator` turns a block of
+cycles into per-component energies in one vectorized pass — the evaluator
+the scalar estimator uses.  Both run one plan in one float order, so each
+lane's energies equal a scalar run's bit for bit on either backend.
+``_MacromodelObserver.observe`` stays the per-cycle entry point of the
+layer whichever evaluator runs.
 
 A block of testbenches runs through one lane form
 (:meth:`~repro.sim.testbench.Testbench.lanes`) that drives, checks and
@@ -35,8 +40,8 @@ import numpy as np
 from repro import obs
 from repro.netlist.module import Module
 from repro.power.library import PowerModelLibrary
-from repro.power.block import BlockEvaluator
-from repro.power.profile import PowerProfile, ProfileConfig
+from repro.power.block import BlockEvaluator, NativeEvaluator
+from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
 from repro.power.report import ComponentPower, PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
@@ -45,19 +50,24 @@ from repro.sim.testbench import Testbench, lane_form
 
 
 class _MacromodelObserver:
-    """Per-cycle lane gather feeding a :class:`~repro.power.block.BlockEvaluator`.
+    """Per-cycle power observation of every lane: the layer's entry point.
 
-    Each cycle: one fancy index over the value store for every net the
-    evaluator reads, plus ``evaluate_lanes`` for the generic components
-    (limb-store ports assembled into exact Python ints); the evaluator does
-    the rest a block at a time.
+    On a native lane kernel a :class:`~repro.power.block.NativeEvaluator`
+    evaluates the table components in C each cycle, straight from the value
+    store (``evaluator == "native"``); otherwise each cycle gathers the
+    monitored nets with one fancy index over the store and a
+    :class:`~repro.power.block.BlockEvaluator` evaluates a block of cycles
+    at a time (``"block"``).  Either way ``evaluate_lanes`` runs here for
+    the generic components (limb-store ports assembled into exact Python
+    ints), and :attr:`block` holds the results.
     """
 
-    def __init__(self, monitored, program, n_lanes: int,
-                 keep_cycle_trace: bool = True, collector=None) -> None:
-        self.block = BlockEvaluator(monitored, n_lanes, keep_cycle_trace, collector)
+    def __init__(self, monitored, simulator: BatchSimulator,
+                 keep_cycle_trace: bool = True, collectors=()) -> None:
+        block = BlockEvaluator(monitored, simulator.n_lanes, keep_cycle_trace, collectors)
+        program = simulator.program
         slot_of, limbs_of = program.slot_of, program.limbs_of
-        self._rows = np.asarray([slot_of[net] for net in self.block.nets], dtype=np.intp)
+        rows = np.asarray([slot_of[net] for net in block.nets], dtype=np.intp)
         #: (model, [(port, store rows), ...]) per generic component
         self._generic = [
             (model, [
@@ -65,9 +75,17 @@ class _MacromodelObserver:
                 for p in list(component.input_ports) + list(component.output_ports)
                 if p.net is not None
             ])
-            for component, model in self.block.generic
+            for component, model in block.generic
         ]
         self._previous: Optional[list] = None
+        #: which evaluator runs the macromodels: "native" or "block"
+        self.evaluator = "block" if simulator.kernel is None else "native"
+        if simulator.kernel is None:
+            self.block = block
+            self._rows = rows
+        else:
+            self.block = NativeEvaluator(block, simulator.kernel, rows)
+            self._rows = None  # the kernel reads the store itself
 
     @staticmethod
     def _port_value(v: np.ndarray, rows) -> np.ndarray:
@@ -79,17 +97,19 @@ class _MacromodelObserver:
 
     def observe(self, v: np.ndarray, active_f: np.ndarray) -> None:
         """Record this cycle's monitored values (``active_f`` masks lanes)."""
-        currents = [
-            {port: self._port_value(v, rows) for port, rows in ports}
-            for _, ports in self._generic
-        ]
-        generic = [
-            model.evaluate_lanes(previous, current)
-            for (model, _), previous, current in zip(
-                self._generic, self._previous or currents, currents)
-        ]
-        self._previous = currents
-        self.block.push(v[self._rows], generic, active_f)
+        generic = []
+        if self._generic:
+            currents = [
+                {port: self._port_value(v, rows) for port, rows in ports}
+                for _, ports in self._generic
+            ]
+            generic = [
+                model.evaluate_lanes(previous, current)
+                for (model, _), previous, current in zip(
+                    self._generic, self._previous or currents, currents)
+            ]
+            self._previous = currents
+        self.block.push(v if self._rows is None else v[self._rows], generic, active_f)
 
 
 class BatchRTLPowerEstimator:
@@ -140,8 +160,12 @@ class BatchRTLPowerEstimator:
         #: surfaced through ``EstimateResult.metadata["phase_s"]``
         self.last_phase_s: Dict[str, float] = {}
         #: per-lane windowed profiles from the last profiled estimate_all,
-        #: aligned with the returned report list (None when not profiling)
-        self.last_profiles: Optional[List[PowerProfile]] = None
+        #: aligned with the returned report list (None when not profiling,
+        #: and for each lane that asked for no profile)
+        self.last_profiles: Optional[List[Optional[PowerProfile]]] = None
+        #: which evaluator ran the last estimate_all's macromodels:
+        #: "native" (in the lane kernel) or "block"
+        self.last_macromodel_eval: Optional[str] = None
 
     # ------------------------------------------------------------------ API
     def estimate_all(
@@ -150,7 +174,7 @@ class BatchRTLPowerEstimator:
         max_cycles: Optional[int] = None,
         keep_cycle_trace: bool = True,
         use_array_driver: Optional[bool] = None,
-        profile: Optional[ProfileConfig] = None,
+        profile: Union[ProfileConfig, Sequence[Optional[ProfileConfig]], None] = None,
     ) -> List[PowerReport]:
         """Run every testbench in its own lane and report power per lane.
 
@@ -161,6 +185,10 @@ class BatchRTLPowerEstimator:
         baseline); ``True`` requires the spec-backed array driver
         (:class:`SpecTestbench` instances sharing one spec) and raises
         :class:`ValueError` otherwise.  Results are identical either way.
+
+        ``profile`` is one :class:`ProfileConfig` for every lane or one per
+        lane (``None`` = that lane collects no profile); each lane's profile
+        equals what a scalar run with its config collects.
         """
         n_lanes = len(testbenches)
         if n_lanes == 0:
@@ -194,10 +222,21 @@ class BatchRTLPowerEstimator:
                 )
         testbench_s = time.perf_counter() - t_bench
 
-        collector = self._scalar._make_collector(profile, horizon, n_lanes=n_lanes)
+        # one collector per distinct resolved window, each lane's resolved
+        # against its own budget as a scalar run would; all see the same
+        # running totals
+        configs = list(profile) if isinstance(profile, (list, tuple)) else [profile] * n_lanes
+        collectors: Dict[tuple, WindowedEnergyCollector] = {}
+        lanes_of: Dict[tuple, List[int]] = {}
+        for lane, (config, limit) in enumerate(zip(configs, limits)):
+            if config is not None:
+                key = (config.resolved_window(limit), config.max_windows)
+                if key not in collectors:
+                    collectors[key] = self._scalar._make_collector(config, limit, n_lanes)
+                lanes_of.setdefault(key, []).append(lane)
         observer = _MacromodelObserver(
-            self.monitored, simulator.program, n_lanes, keep_cycle_trace, collector
-        )
+            self.monitored, simulator, keep_cycle_trace, collectors.values())
+        self.last_macromodel_eval = observer.evaluator
         v = simulator._v
         #: the cycle each lane stops at: its budget until it finishes
         stop = np.array([
@@ -205,11 +244,14 @@ class BatchRTLPowerEstimator:
             for limit in limits
         ], dtype=np.int64)
         active = stop > 0
+        for collector in collectors.values():
+            collector.lane_stops = stop
 
         # one span for the whole loop — never per cycle; the observer's and
         # the lane form's shares are accumulated with clock reads per cycle
         sim_span = obs.span(
-            "lanes.simulate", module=self.module.name, n_lanes=n_lanes)
+            "lanes.simulate", module=self.module.name, n_lanes=n_lanes,
+            macromodel_eval=observer.evaluator)
         macromodel_s = 0.0
         clock = time.perf_counter
         while active.any():
@@ -253,16 +295,18 @@ class BatchRTLPowerEstimator:
         }
         lane_cycles = stop.tolist()
         trace = block.cycle_trace()
-        if collector is not None:
-            self.last_profiles = collector.lane_profiles(
+        self.last_profiles = [None] * n_lanes if collectors else None
+        for key, collector in collectors.items():
+            profiles = collector.lane_profiles(
                 design=self.module.name,
                 estimator=self.name,
                 clock_mhz=self.technology.clock_mhz,
-                lane_cycles=lane_cycles,
+                lane_cycles=[lane_cycles[lane] for lane in lanes_of[key]],
                 notes={"batch_lanes": n_lanes},
+                lanes=lanes_of[key],
             )
-        else:
-            self.last_profiles = None
+            for lane, lane_profile in zip(lanes_of[key], profiles):
+                self.last_profiles[lane] = lane_profile
         return [
             self._build_lane_report(
                 lane, lane_cycles[lane], block.totals, trace,

@@ -142,6 +142,12 @@ class WindowedEnergyCollector:
         self._snapshot = np.zeros(shape, dtype=np.float64)
         #: total cycles observed
         self.cycles = 0
+        #: lane mode: the cycle each lane stops at, as far as known so far
+        #: (the lane estimator's array, updated in place as lanes finish)
+        self.lane_stops: Optional[np.ndarray] = None
+        # lane -> (window width, windows) of a lane that stopped before a
+        # coalesce: its profile as a run of its own length would end
+        self._frozen: Dict[int, Tuple[int, np.ndarray]] = {}
 
     # ----------------------------------------------------------- streaming
     def add(self, row: int, energy) -> None:
@@ -155,7 +161,7 @@ class WindowedEnergyCollector:
         self.cycles += 1
         self._in_window += 1
         if self._in_window >= self.window_cycles:
-            self._commit(self.buf.copy())
+            self._commit(self.buf.copy(), self.cycles)
             self.buf[:] = 0.0
 
     def add_running(self, running: np.ndarray) -> None:
@@ -171,18 +177,60 @@ class WindowedEnergyCollector:
         while done + self.window_cycles - self._in_window <= n:
             done += self.window_cycles - self._in_window
             boundary = running[:, done - 1]
-            self._commit(boundary - self._snapshot)
+            self._commit(boundary - self._snapshot, self.cycles + done)
             self._snapshot = boundary.copy()
         self._in_window += n - done
         self.cycles += n
         # the open window
         np.subtract(running[:, -1], self._snapshot, out=self.buf)
 
-    def _commit(self, window: np.ndarray) -> None:
+    @property
+    def cycles_to_boundary(self) -> int:
+        """Cycles until the open window closes."""
+        return self.window_cycles - self._in_window
+
+    def advance(self, cycles: int, running: np.ndarray) -> None:
+        """Ingest ``cycles`` more cycles given only the last one's running totals.
+
+        ``running`` is ``(components[, lanes])``: each component's energy
+        from the start of the run through the last of the cycles.  No window
+        may close before that cycle (``cycles <= cycles_to_boundary``), so
+        an observer that keeps only its current running totals feeds the
+        collector at window boundaries and once at the end of the run; the
+        windows equal :meth:`add_running`'s over the same totals.
+        """
+        if not 0 < cycles <= self.cycles_to_boundary:
+            raise ValueError(
+                f"advance by {cycles} cycles; the next window closes in "
+                f"{self.cycles_to_boundary}"
+            )
+        self.cycles += cycles
+        self._in_window += cycles
+        if self._in_window == self.window_cycles:
+            self._commit(running - self._snapshot, self.cycles)
+            self._snapshot = running.copy()
+        else:
+            np.subtract(running, self._snapshot, out=self.buf)
+
+    def _commit(self, window: np.ndarray, at: int) -> None:
+        """Close a window at cycle ``at``, coalescing when the list is full."""
         self._windows.append(window)
         self._in_window = 0
         if len(self._windows) >= self.max_windows:
+            self._freeze_stopped(at)
             self._coalesce()
+
+    def _freeze_stopped(self, at: int) -> None:
+        # a lane that stopped before this boundary would not coalesce here
+        # in a run of its own: keep its windows as they are now
+        if self.lane_stops is None:
+            return
+        stopped = [lane for lane in np.flatnonzero(self.lane_stops < at).tolist()
+                   if lane not in self._frozen]
+        if stopped:
+            windows = np.stack(self._windows)
+            for lane in stopped:
+                self._frozen[lane] = (self.window_cycles, windows[:, :, lane].copy())
 
     def _coalesce(self) -> None:
         # merge adjacent pairs and double the granularity: window sums are
@@ -232,7 +280,8 @@ class WindowedEnergyCollector:
             matrix = matrix[:, :, lane]
         elif self.n_lanes is not None:
             raise ValueError("lane-mode collector needs an explicit lane")
-        return self._emit(matrix, design, estimator, clock_mhz, cycles, notes)
+        return self._emit(self.window_cycles, matrix, design, estimator,
+                          clock_mhz, cycles, notes)
 
     def lane_profiles(
         self,
@@ -241,21 +290,30 @@ class WindowedEnergyCollector:
         clock_mhz: float,
         lane_cycles: Sequence[int],
         notes: Optional[Dict[str, object]] = None,
+        lanes: Optional[Sequence[int]] = None,
     ) -> List["PowerProfile"]:
-        """Every lane's profile in one pass (the matrix is stacked once)."""
+        """Lane profiles in one pass (the matrix is stacked once).
+
+        Every lane's, or only those of ``lanes``; ``lane_cycles`` holds each
+        returned lane's executed cycle count.  A lane that stopped before a
+        coalesce (see :attr:`lane_stops`) keeps the finer windows a run of
+        its own length ends with.
+        """
         if self.n_lanes is None:
             raise ValueError("collector is scalar; no lanes to extract")
-        # one contiguous (n_lanes, n_windows, n_components) copy so each
+        lanes = range(self.n_lanes) if lanes is None else list(lanes)
+        # one contiguous (lanes, n_windows, n_components) copy so each
         # lane's list materialization is a straight memory walk
-        per_lane = np.ascontiguousarray(self.matrix().transpose(2, 0, 1))
+        per_lane = np.ascontiguousarray(self.matrix().transpose(2, 0, 1)[lanes])
         return [
-            self._emit(per_lane[lane], design, estimator, clock_mhz, cycles,
-                       notes)
-            for lane, cycles in enumerate(lane_cycles)
+            self._emit(*self._frozen.get(lane, (self.window_cycles, matrix)),
+                       design, estimator, clock_mhz, cycles, notes)
+            for lane, matrix, cycles in zip(lanes, per_lane, lane_cycles)
         ]
 
     def _emit(
         self,
+        window_cycles: int,
         matrix: np.ndarray,
         design: str,
         estimator: str,
@@ -269,15 +327,13 @@ class WindowedEnergyCollector:
                 f"lane reports {total_cycles} cycles but the collector only "
                 f"observed {self.cycles}"
             )
-        n_windows = (
-            -(-total_cycles // self.window_cycles) if total_cycles else 0
-        )
+        n_windows = -(-total_cycles // window_cycles) if total_cycles else 0
         return PowerProfile(
             design=design,
             estimator=estimator,
             clock_mhz=float(clock_mhz),
             cycles=total_cycles,
-            window_cycles=self.window_cycles,
+            window_cycles=window_cycles,
             component_names=list(self.names),
             component_types=list(self.types),
             energy_fj=np.asarray(matrix[:n_windows], dtype=np.float64).tolist(),

@@ -44,7 +44,8 @@ class _MacromodelObserver(SimulationObserver):
         collector: Optional[WindowedEnergyCollector] = None,
     ) -> None:
         self.block = BlockEvaluator(
-            estimator.monitored, keep_cycle_trace=keep_cycle_trace, collector=collector
+            estimator.monitored, keep_cycle_trace=keep_cycle_trace,
+            collectors=() if collector is None else (collector,),
         )
         self._gather = simulator.net_getter(self.block.nets)
         self._previous_io: Dict[Component, Dict[str, int]] = {}

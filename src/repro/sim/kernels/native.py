@@ -27,10 +27,27 @@ and cffi releases the GIL around the call, so Python-side work can overlap.
 ``REPRO_KERNEL_THREADING`` forces a tier (``omp``/``pthread``/``serial``)
 for tests and triage.
 
+Every translation unit also carries one fixed, design-independent entry
+point, ``observe``: one cycle of the linear power macromodels over every
+lane, read straight from the value store as the kernel's element type and
+driven by an ``observe_plan`` struct of flat arrays taken from
+:meth:`repro.power.block.BlockEvaluator.flat_plan`
+(:class:`~repro.power.block.NativeEvaluator` fills it in).  It compiles in
+the same compiler call as the phases, so power evaluation adds no compiler
+process, and it runs serially: it performs the block evaluator's float
+operations in the block evaluator's order (see :mod:`repro.power.block`),
+so its doubles are identical to the NumPy path's.
+
 Correctness notes:
 
 * signed arithmetic is compiled with ``-fwrapv`` so int64 overflow wraps
   exactly like NumPy's,
+* floating point is compiled with ``-ffp-contract=off``, so every float
+  operation rounds on its own, as in NumPy: GCC with ``-march=native``
+  otherwise fuses ``total += energy * mask`` into a multiply-add, which
+  rounds once.  With today's 0/1 mask that product is exact and the fused
+  form happens to agree; the flag keeps the contract from resting on it
+  (the integer kernel code has no float operation to contract),
 * sequential state is read from and written to the *live* holder arrays
   (captured as stable pointers — holder resets are in-place), so kernels
   interoperate with lane views, memory backdoors and ``reset_state``,
@@ -67,6 +84,9 @@ class NativeToolchainError(Exception):
 
 #: numpy store dtype -> C element type of the value store
 _ELEM_TYPES = {"int64": "long long", "int8": "signed char"}
+
+#: numpy dtype -> C pointer type of the arrays an ``observe_plan`` points at
+_C_ARRAY_TYPES = {"<i8": "long long *", "<u8": "unsigned long long *", "<f8": "double *"}
 
 #: lanes per strip-mined block: large enough to vectorize and amortize loop
 #: overhead, small enough that a block's touched row segments stay in cache
@@ -340,6 +360,116 @@ static void pool_run(block_fn fn, elem *restrict v, i64 *const *S,
 #endif
 """
 
+#: the plan the ``observe`` entry point runs, filled in by
+#: :class:`repro.power.block.NativeEvaluator` from the block evaluator's
+#: flat plan; shared verbatim by the C source and the cffi declarations
+_OBSERVE_PLAN = """\
+typedef struct {
+    long long n_lanes, n_nets, n_components, cycles, trace_row;
+    const long long *net_slot;          /* store row of each monitored net */
+    const long long *chunk_net;         /* per chunk: its net */
+    const long long *chunk_shift;       /* per chunk: bit offset of its byte */
+    const double *chunk_table;          /* per chunk: 256 byte energies */
+    const long long *component_chunk;   /* per component: first chunk (+ end) */
+    const double *component_base;       /* per component: base energy */
+    const long long *component_generic; /* per component: generic row or -1 */
+    /* lane arrays: each row padded to whole blocks of B lanes */
+    const double *generic;              /* (generic rows, lanes) this cycle */
+    const double *mask;                 /* (lanes,) 0/1 active-lane mask */
+    long long *previous;                /* (nets, lanes) last cycle's values */
+    double *running;                    /* (components, lanes) running totals */
+    double *peak;                       /* (lanes,) largest cycle total */
+    double *trace;                      /* (rows, lanes) cycle totals or NULL */
+    /* scratch */
+    unsigned long long *toggles;        /* (nets, B) one block's toggles */
+    unsigned long long *toggled;        /* (nets,) their OR over the block */
+} observe_plan;
+"""
+
+#: design-independent per-cycle macromodel evaluation, part of every kernel
+#: translation unit: one cycle of every linear power macromodel over every
+#: lane, read straight from the value store, in BlockEvaluator.flush's float
+#: order (see :mod:`repro.power.block`).  A chunk whose byte is zero in
+#: every lane of a block is skipped: it would only add ``table[0]``, a zero,
+#: which changes no output.  Padding the plan's lane arrays to whole blocks
+#: gives every loop but the store read a constant trip count, which keeps
+#: the vectorized code, and its compile time, small.  The unit compiles with
+#: -ffp-contract=off: NumPy rounds ``energy * mask`` and its addition
+#: separately, and a fused multiply-add would round them once
+_OBSERVE_RUNTIME = _OBSERVE_PLAN + """
+void observe(const elem *restrict v, observe_plan *p)
+{
+    const i64 L = p->n_lanes, P = (L + B - 1) / B * B;
+    const int first = p->cycles == 0;
+    double energy[B], total[B];
+    for (i64 l0 = 0; l0 < L; l0 += B) {
+        const i64 nb = (L - l0) < B ? (L - l0) : B;
+        for (i64 n = 0; n < p->n_nets; ++n) {
+            const elem *restrict now = v + p->net_slot[n] * L + l0;
+            i64 *restrict last = p->previous + n * P + l0;
+            unsigned long long *restrict t = p->toggles + n * B;
+            unsigned long long toggled = 0;
+            for (i64 i = 0; i < nb; ++i) {
+                const i64 value = (i64)now[i];
+                t[i] = first ? 0ULL : (unsigned long long)(value ^ last[i]);
+                toggled |= t[i];
+                last[i] = value;
+            }
+            p->toggled[n] = toggled;
+        }
+        /* lanes past nb are padding: computed from stale toggles, masked
+           by 0.0 and never read */
+        for (i64 i = 0; i < B; ++i)
+            total[i] = 0.0;
+        for (i64 c = 0; c < p->n_components; ++c) {
+            const i64 g = p->component_generic[c];
+            if (g >= 0) {
+                const double *restrict given = p->generic + g * P + l0;
+                for (i64 i = 0; i < B; ++i)
+                    energy[i] = given[i];
+            } else {
+                /* base, then one table lookup per chunk, in chunk order */
+                const double base = p->component_base[c];
+                for (i64 i = 0; i < B; ++i)
+                    energy[i] = base;
+                for (i64 k = p->component_chunk[c]; k < p->component_chunk[c + 1]; ++k) {
+                    const double *restrict table = p->chunk_table + k * 256;
+                    const i64 net = p->chunk_net[k];
+                    const unsigned long long *restrict t = p->toggles + net * B;
+                    const int shift = (int)p->chunk_shift[k];
+                    if (!((p->toggled[net] >> shift) & 255) && table[0] == 0.0)
+                        continue;  /* every lane would add a zero */
+                    for (i64 i = 0; i < B; ++i)
+                        energy[i] += table[(t[i] >> shift) & 255];
+                }
+            }
+            /* masked, then into the cycle total and the running total */
+            const double *restrict mask = p->mask + l0;
+            double *restrict run = p->running + c * P + l0;
+            for (i64 i = 0; i < B; ++i) {
+                const double e = energy[i] * mask[i];
+                total[i] += e;
+                run[i] += e;
+            }
+        }
+        double *restrict peak = p->peak + l0;
+        for (i64 i = 0; i < B; ++i)  /* NaN propagates, as in np.maximum */
+            peak[i] = (total[i] > peak[i] || total[i] != total[i]) ? total[i] : peak[i];
+        if (p->trace) {
+            double *restrict row = p->trace + p->trace_row * P + l0;
+            for (i64 i = 0; i < B; ++i)
+                row[i] = total[i];
+        }
+    }
+    p->cycles += 1;
+    if (p->trace)
+        p->trace_row += 1;
+}
+"""
+
+#: lines of every translation unit that are not generated statement loops
+_RUNTIME_LINES = len(_RUNTIME_PREAMBLE.splitlines()) + len(_OBSERVE_RUNTIME.splitlines())
+
 
 def generate_c_source(ir: KernelIR) -> str:
     """The complete C translation unit for one extracted lane program."""
@@ -349,7 +479,7 @@ def generate_c_source(ir: KernelIR) -> str:
         f"typedef {elem} elem;",
         f"enum {{ B = {BLOCK_LANES}, SCRATCH_ROWS = {scratch_rows(ir)} }};",
         "",
-        _RUNTIME_PREAMBLE,
+        _RUNTIME_PREAMBLE + _OBSERVE_RUNTIME,
     ]
     for index, table in enumerate(ir.tables):
         values = ", ".join(f"{int(value)}LL" for value in table)
@@ -454,14 +584,16 @@ def _compile_library(source: str, ir: KernelIR):
     # covers compilers that do not understand it.  The fixed runtime preamble
     # (thread pool scaffolding) does not count against the budget — only the
     # generated statement loops blow up compile time.
-    n_kernel_lines = len(source.splitlines()) - len(_RUNTIME_PREAMBLE.splitlines())
+    n_kernel_lines = len(source.splitlines()) - _RUNTIME_LINES
     tune = (
         ["-march=native", "-ftree-vectorize"]
         if n_kernel_lines <= _VECTORIZE_MAX_LINES
         else []
     )
     threading_flags = _THREADING_FLAGS[mode]
-    base = [compiler, "-O2", "-fwrapv", "-fPIC", "-shared",
+    # -ffp-contract=off keeps observe's float operations separately
+    # rounded; it changes nothing in the integer kernel code
+    base = [compiler, "-O2", "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared",
             *threading_flags, c_path, "-o", so_path]
     result = subprocess.run(base[:1] + tune + base[1:], capture_output=True, text=True)
     if result.returncode != 0 and tune:
@@ -480,6 +612,7 @@ def _compile_library(source: str, ir: KernelIR):
             ["cycle"] if set(ir.phases) >= {"settle", "clock_edge"} else []
         ))
     ]
+    signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
     ffi.cdef("\n".join(signatures))
     lib = ffi.dlopen(so_path)
     _LIB_CACHE[key] = (ffi, lib)
@@ -593,3 +726,33 @@ class NativeKernel:
     def cycle(self, v: np.ndarray, n_threads: int = 1) -> None:
         self._lib.cycle(self._v_pointer(v), self._S, self._M,
                         self._scratch_for(n_threads), v.shape[1], n_threads)
+
+    # ------------------------------------------------ macromodel observation
+    def c_array(self, array: Optional[np.ndarray]):
+        """A C pointer to a contiguous int64/uint64/float64 array (None = NULL).
+
+        The caller keeps ``array`` alive for as long as C may use the pointer.
+        """
+        if array is None:
+            return self._ffi.NULL
+        if not array.flags["C_CONTIGUOUS"] or array.dtype.str not in _C_ARRAY_TYPES:
+            raise NativeToolchainError(
+                f"observe arrays must be C-contiguous int64/uint64/float64, "
+                f"got {array.dtype}"
+            )
+        return self._ffi.cast(_C_ARRAY_TYPES[array.dtype.str], array.ctypes.data)
+
+    def observe_plan(self, **fields):
+        """A C ``observe_plan`` for :meth:`observe`: integer counts and arrays.
+
+        Array fields become pointers; the caller keeps the arrays alive.
+        """
+        plan = self._ffi.new("observe_plan *")
+        for name, value in fields.items():
+            setattr(plan, name, self.c_array(value) if isinstance(value, np.ndarray)
+                    else value)
+        return plan
+
+    def observe(self, v: np.ndarray, plan) -> None:
+        """One cycle of the plan's power macromodels over every lane."""
+        self._lib.observe(self._v_pointer(v), plan)

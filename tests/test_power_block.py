@@ -1,7 +1,8 @@
 """Differential tests for the block-deferred macromodel evaluator.
 
 ``repro.power.block.BlockEvaluator`` replaces per-cycle macromodel
-evaluation in both RTL estimators.  Two contracts:
+evaluation in both RTL estimators, and on a native lane kernel
+``NativeEvaluator`` runs its plan in C each cycle.  Three contracts:
 
 * against :meth:`LinearTransitionModel.evaluate`, kept as the reference, every
   per-cycle energy, component total and peak agrees to rel 1e-12 (the
@@ -10,11 +11,15 @@ evaluation in both RTL estimators.  Two contracts:
   ``|base| + sum |coeff|`` to stay meaningful under cancellation);
 * between engines the results are *identical*: scalar ``compiled``,
   scalar ``interp``, a one-lane batch and every lane of an N-lane batch, at
-  any block length.
+  any block length;
+* the native evaluator is identical to the block evaluator, bit for bit:
+  totals, peak, cycle trace and profile windows, on any lane count, on every
+  registry design, at any kernel thread count.
 """
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +28,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import RunSpec, estimate
 from repro.api.estimators import RTLEstimatorAdapter
-from repro.designs import get_design
+from repro.core.instrument import InstrumentationConfig, instrument
+from repro.designs import all_designs, get_design
+from repro.designs.registry import build_flat
 from repro.netlist.nets import Net
 from repro.power import (
     BatchRTLPowerEstimator,
@@ -31,9 +38,12 @@ from repro.power import (
     RTLPowerEstimator,
     WindowedEnergyCollector,
 )
-from repro.power import lane_estimator, rtl_estimator
-from repro.power.block import BlockEvaluator
+from repro.power import build_seed_library, lane_estimator, rtl_estimator
+from repro.power.block import BlockEvaluator, NativeEvaluator
 from repro.power.macromodel import LinearTransitionModel
+from repro.sim import kernels
+from repro.sim.batch import compile_module_batch
+from repro.sim.kernels import native
 
 REL = 1e-12
 WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 60]
@@ -292,3 +302,189 @@ def test_scalar_runs_report_observer_time():
     result = estimate(RunSpec(design="DCT", seed=1, max_cycles=128))
     phases = result.metadata["phase_s"]
     assert 0.0 < phases["macromodel_eval_s"] <= phases["simulate_s"]
+
+
+# ------------------------------------------------- native observation
+needs_cc = pytest.mark.skipif(kernels.find_compiler() is None,
+                              reason="no C compiler on this host")
+
+
+class _Generic(LinearTransitionModel):
+    """A model the evaluators leave to the caller (the generic path)."""
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel() -> native.NativeKernel:
+    """A native lane kernel: its observe entry point is design-independent."""
+    return native.NativeKernel(
+        compile_module_batch(build_flat("binary_search"), 1).kernel_ir(), 1)
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of two float arrays (tells -0.0 from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@needs_cc
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    monitored=st.lists(st.tuples(components(), st.booleans()), min_size=1, max_size=4),
+    n_lanes=st.sampled_from([1, 127, 128, 129]),
+    n_cycles=st.integers(1, 24),
+    window=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_native_evaluator_equals_block_evaluator(monitored, n_lanes, n_cycles,
+                                                 window, seed):
+    rng = np.random.default_rng(seed)
+    # generic components interleaved between the table ones
+    monitored = [
+        (component, _Generic("unit", model.port_widths, model.coefficients,
+                             model.base_energy_fj) if generic else model)
+        for (component, model), generic in monitored
+    ]
+
+    def evaluator():
+        collectors = [
+            WindowedEnergyCollector(["c"] * len(monitored), ["unit"] * len(monitored),
+                                    window_cycles=w, max_windows=4, n_lanes=n_lanes)
+            for w in (window, window + 2)
+        ]
+        return BlockEvaluator(monitored, n_lanes, collectors=collectors)
+
+    block = evaluator()
+    plan = evaluator()
+    fast = NativeEvaluator(plan, _kernel(), np.arange(len(plan.nets)))
+    store = np.zeros((len(block.nets), n_lanes), dtype=np.int64)
+    finish = rng.integers(1, n_cycles + 1, size=n_lanes)
+    for cycle in range(n_cycles):
+        # per net: no lane toggles, a few do, or every lane draws anew
+        for row, net in enumerate(block.nets):
+            changed = rng.random(n_lanes) < rng.choice([0.0, 0.1, 1.0])
+            store[row, changed] = rng.integers(0, 1 << net.width, size=changed.sum())
+        generic = list(rng.uniform(-5.0, 5.0, size=(len(block.generic), n_lanes)))
+        active = (cycle < finish).astype(np.float64)
+        block.push(store.copy(), generic, active)
+        fast.push(store, generic, active)
+    block.flush()
+    fast.flush()
+    assert _same(fast.totals, block.totals)
+    assert _same(fast.peak, block.peak)
+    assert _same(fast.cycle_trace(), block.cycle_trace())
+    for got, want in zip(fast.collectors, block.collectors):
+        assert (got.window_cycles, got.cycles) == (want.window_cycles, want.cycles)
+        assert _same(got.matrix(), want.matrix())
+
+
+#: every registry design, plus one carrying power-model hardware
+INSTRUMENTED_DCT = "DCT+instrument"
+
+
+def _lane_module(name, library):
+    if name == INSTRUMENTED_DCT:
+        # power models on the adders only: every power-hardware kind (model,
+        # accumulator, aggregator, strobe) in a kernel that compiles in
+        # seconds; instrumenting all of DCT takes the compiler over a minute
+        config = InstrumentationConfig(monitor_filter=lambda c: c.type_name == "adder")
+        return instrument(get_design("DCT").build(), library, config).module
+    return build_flat(name)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(all_designs()) + [INSTRUMENTED_DCT])
+def test_native_lanes_equal_block_lanes_and_scalar_runs(name):
+    library = build_seed_library()
+    entry = get_design(name.split("+")[0])
+    budgets = [17, 70, 40]
+    # lanes 0 and 2 share a 3-cycle window collector, lane 1 gets its
+    # budget's default (2 cycles); eight windows make every lane coalesce,
+    # lanes 0 and 2 after they stopped
+    configs = [ProfileConfig(window_cycles=3, max_windows=8),
+               ProfileConfig(max_windows=8),
+               ProfileConfig(window_cycles=3, max_windows=8)]
+
+    def testbenches():
+        benches = [entry.make_testbench(seed) for seed in (1, 2, 3)]
+        for bench, budget in zip(benches, budgets):
+            bench.max_cycles = budget
+        return benches
+
+    scalar = RTLPowerEstimator(_lane_module(name, library), library=library)
+    want = ([], [])
+    for bench, config in zip(testbenches(), configs):
+        want[0].append(_signature(scalar.estimate(bench, profile=config)))
+        want[1].append((scalar.last_profile.window_cycles, scalar.last_profile.energy_fj))
+    for backend, threads in (("off", 1), ("native", 1), ("native", 2)):
+        estimator = BatchRTLPowerEstimator(
+            _lane_module(name, library), library=library,
+            kernel_backend=backend, kernel_threads=threads)
+        reports = estimator.estimate_all(testbenches(), profile=configs)
+        assert estimator.last_macromodel_eval == (
+            "native" if backend == "native" else "block")
+        got = ([_signature(r) for r in reports],
+               [(p.window_cycles, p.energy_fj) for p in estimator.last_profiles])
+        assert got == want, (backend, threads)
+        # without trace and profile, the same energies
+        bare = estimator.estimate_all(testbenches(), keep_cycle_trace=False)
+        assert [_signature(r)[:4] for r in bare] == [s[:4] for s in want[0]]
+        assert all(r.cycle_energy_fj == [] for r in bare)
+
+
+@needs_cc
+def test_estimate_many_records_the_evaluator():
+    specs = [RunSpec(design="HVPeakF", seed=seed, max_cycles=32, backend="batch",
+                     kernel_backend=backend)
+             for seed in (1, 2) for backend in ("native", "off")]
+    adapter = RTLEstimatorAdapter()
+    native_lanes = adapter.estimate_many(specs[0::2])
+    off_lanes = adapter.estimate_many(specs[1::2])
+    scalar = estimate(specs[0].replace(backend="compiled"))
+    assert {r.metadata["macromodel_eval"] for r in native_lanes} == {"native"}
+    assert {r.metadata["macromodel_eval"] for r in off_lanes} == {"block"}
+    assert scalar.metadata["macromodel_eval"] == "block"
+    for got, want in zip(native_lanes, off_lanes):
+        assert _signature(got.report) == _signature(want.report)
+
+
+# ---------------------------------------------------- the float contract
+@needs_cc
+def test_kernels_compile_without_fp_contraction(monkeypatch):
+    """A fused multiply-add would round observe's ``energy * mask + total`` once."""
+    ir = compile_module_batch(build_flat("binary_search"), 1).kernel_ir()
+    native.threading_mode()  # probe outside the recorded calls
+    calls = []
+    run = native.subprocess.run
+
+    def recording(command, *args, **kwargs):
+        calls.append(list(command))
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(native.subprocess, "run", recording)
+    source = native.generate_c_source(ir) + "\n/* uncached */\n"
+    _, lib = native._compile_library(source, ir)
+    assert calls and all("-ffp-contract=off" in command for command in calls)
+    assert hasattr(lib, "observe") and hasattr(lib, "settle")
+
+
+@needs_cc
+def test_lane_estimate_compiles_one_kernel_per_program(monkeypatch):
+    """observe rides in the kernel's own library: no second compile."""
+    evaluators = []
+
+    class Recording(NativeEvaluator):
+        def __init__(self, block, kernel, rows):
+            super().__init__(block, kernel, rows)
+            evaluators.append(kernel)
+
+    monkeypatch.setattr(lane_estimator, "NativeEvaluator", Recording)
+    entry = get_design("HVPeakF")
+    module = entry.build()  # a fresh module: a fresh lane program
+    before = kernels.KERNEL_BUILD_COUNT
+    estimator = BatchRTLPowerEstimator(module, kernel_backend="native")
+    estimator.estimate_all([entry.make_testbench(s) for s in (1, 2)], max_cycles=16)
+    assert kernels.KERNEL_BUILD_COUNT == before + 1
+    program = compile_module_batch(module, 2)
+    assert evaluators == [program._kernel]
+    assert estimator.last_macromodel_eval == "native"

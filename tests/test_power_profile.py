@@ -284,6 +284,26 @@ def test_estimate_many_mixed_profile_lane_mates():
             assert result.profile is None
 
 
+@pytest.mark.parametrize("kernel_backend", ["native", "off"])
+@pytest.mark.parametrize("windows, max_cycles", [((3, 4), 64), ((None, 5), 256)])
+def test_lane_mates_with_different_windows_get_their_own(kernel_backend, windows,
+                                                         max_cycles):
+    """Each lane's profile equals its scalar run's, whatever its lane-mates ask."""
+    specs = [
+        RunSpec(design="HVPeakF", engine="rtl", seed=seed, max_cycles=max_cycles,
+                power_profile=True, profile_window=window,
+                kernel_backend=kernel_backend)
+        for seed, window in zip((1, 2), windows)
+    ]
+    lanes = RTLEstimatorAdapter().estimate_many(specs)
+    for spec, lane in zip(specs, lanes):
+        scalar = estimate(spec.replace(backend="compiled")).profile
+        assert lane.profile.window_cycles == scalar.window_cycles
+        assert lane.profile.energy_fj == scalar.energy_fj
+    assert [lane.profile.window_cycles for lane in lanes] == [
+        window or -(-max_cycles // 64) for window in windows]
+
+
 # ------------------------------------------------------ hotspots / trace
 def test_hotspot_report_structure():
     spec = RunSpec(design="DCT", engine="rtl", seed=1, max_cycles=48,
