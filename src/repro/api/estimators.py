@@ -16,7 +16,7 @@ instead of hand-wiring each engine's constructor signature.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro import obs
 from repro.api.spec import ENGINES, EstimateResult, RunSpec
@@ -158,59 +158,64 @@ class _EngineAdapter:
 
     def _finish(
         self,
-        spec: RunSpec,
-        report: PowerReport,
+        specs: List[RunSpec],
+        reports: List[PowerReport],
         backend: str,
         start: float,
         setup_s: float,
         metadata: Dict[str, object],
         phase_s: Optional[Dict[str, float]] = None,
-        profile: Optional[PowerProfile] = None,
-    ) -> EstimateResult:
-        if not spec.keep_cycle_trace:
-            report.cycle_energy_fj = []
-        accuracy = None
-        if spec.compare_to_rtl:
-            accuracy = self._accuracy_vs_rtl(spec, report)
+        profiles: Optional[List[Optional[PowerProfile]]] = None,
+    ) -> List[EstimateResult]:
+        """One result per (spec, report) of a run or a lane block.
+
+        A block's results share ``backend``, ``metadata``, the per-lane
+        ``setup_s`` and the phase timings, so those are computed once.
+        """
+        accuracies = []
+        for spec, report in zip(specs, reports):
+            if not spec.keep_cycle_trace:
+                report.cycle_energy_fj = []
+            accuracies.append(
+                self._accuracy_vs_rtl(spec, report) if spec.compare_to_rtl else None)
         total = time.perf_counter() - start
         # per-phase wall-clock breakdown (repro.obs tentpole): setup, then
         # engine-specific phases (lane build / simulate / macromodel eval),
         # closed by the total — always present, independent of tracing
-        phases: Dict[str, float] = {"setup_s": setup_s}
-        if phase_s:
-            phases.update(phase_s)
-        phases["total_s"] = total
-        metadata = dict(metadata)
-        metadata["phase_s"] = {k: round(float(v), 6) for k, v in phases.items()}
-        _ESTIMATES.inc(engine=self.engine)
-        _LAST_PEAK_MW.set(report.peak_power_mw, design=spec.design,
-                          engine=self.engine)
-        _LAST_MEAN_MW.set(report.average_power_mw, design=spec.design,
-                          engine=self.engine)
-        _MEAN_MW_HIST.observe(report.average_power_mw, engine=self.engine)
-        if profile is not None and obs.tracing_enabled():
-            # merge the simulated power timeline into the software trace: the
-            # run's cycle axis maps onto the wall-clock interval the
-            # simulate/flow phase just occupied, ending now
-            sim_s = float(
-                phases.get("simulate_s") or phases.get("flow_s") or total
-            )
-            t1_us = time.time() * 1e6
-            obs.add_events(profile.counter_events(t1_us - sim_s * 1e6, t1_us))
-        return EstimateResult(
-            spec=spec,
-            engine=report.estimator,
-            backend=backend,
-            report=report,
-            timing={
-                "setup_s": setup_s,
-                "estimate_s": report.estimation_time_s,
-                "total_s": total,
-            },
-            accuracy=accuracy,
-            metadata=metadata,
-            profile=profile,
-        )
+        phases: Dict[str, float] = {"setup_s": setup_s, **(phase_s or {}), "total_s": total}
+        rounded = {k: round(float(v), 6) for k, v in phases.items()}
+        timeline = obs.tracing_enabled()
+        sim_s = float(phases.get("simulate_s") or phases.get("flow_s") or total)
+        results = []
+        for spec, report, accuracy, profile in zip(
+                specs, reports, accuracies, profiles or [None] * len(specs)):
+            _MEAN_MW_HIST.observe(report.average_power_mw, engine=self.engine)
+            if profile is not None and timeline:
+                # merge the simulated power timeline into the software trace:
+                # the run's cycle axis maps onto the wall-clock interval the
+                # simulate/flow phase just occupied, ending now
+                t1_us = time.time() * 1e6
+                obs.add_events(profile.counter_events(t1_us - sim_s * 1e6, t1_us))
+            results.append(EstimateResult(
+                spec=spec,
+                engine=report.estimator,
+                backend=backend,
+                report=report,
+                timing={
+                    "setup_s": setup_s,
+                    "estimate_s": report.estimation_time_s,
+                    "total_s": total,
+                },
+                accuracy=accuracy,
+                metadata={**metadata, "phase_s": dict(rounded)},
+                profile=profile,
+            ))
+        # a block shares one design: its last lane sets the last-power gauges
+        last = reports[-1]
+        _ESTIMATES.inc(len(results), engine=self.engine)
+        _LAST_PEAK_MW.set(last.peak_power_mw, design=specs[-1].design, engine=self.engine)
+        _LAST_MEAN_MW.set(last.average_power_mw, design=specs[-1].design, engine=self.engine)
+        return results
 
 
 class RTLEstimatorAdapter(_EngineAdapter):
@@ -250,9 +255,9 @@ class RTLEstimatorAdapter(_EngineAdapter):
             "macromodel_eval": "block",
             "design": spec.design,
         }
-        result = self._finish(
-            spec, report, backend, start, setup_s, metadata,
-            dict(estimator.last_phase_s), profile=estimator.last_profile)
+        [result] = self._finish(
+            [spec], [report], backend, start, setup_s, metadata,
+            dict(estimator.last_phase_s), [estimator.last_profile])
         est_span.set(backend=backend)
         est_span.end()
         return result
@@ -353,23 +358,18 @@ class RTLEstimatorAdapter(_EngineAdapter):
                 result.spec = spec  # keep the caller's spec as the result key
                 fallbacks.append(result)
             return fallbacks
-        results = []
-        for lane, (spec, report) in enumerate(zip(specs, reports)):
-            metadata = {
-                "n_monitored_components": report.notes.get("n_monitored_components"),
-                "batch_lanes": report.notes.get("batch_lanes"),
-                "kernel_backend": estimator.last_kernel_backend,
-                "kernel_decision": estimator.last_kernel_decision,
-                "kernel_threads": estimator.last_kernel_threads,
-                "macromodel_eval": estimator.last_macromodel_eval,
-                "design": spec.design,
-            }
-            profile = estimator.last_profiles[lane] if estimator.last_profiles else None
-            results.append(
-                self._finish(spec, report, backend, start, setup_s / len(specs),
-                             metadata, dict(estimator.last_phase_s),
-                             profile=profile)
-            )
+        metadata = {
+            "n_monitored_components": reports[0].notes.get("n_monitored_components"),
+            "batch_lanes": len(specs),
+            "kernel_backend": estimator.last_kernel_backend,
+            "kernel_decision": estimator.last_kernel_decision,
+            "kernel_threads": estimator.last_kernel_threads,
+            "macromodel_eval": estimator.last_macromodel_eval,
+            "design": first.design,
+        }
+        results = self._finish(specs, reports, backend, start, setup_s / len(specs),
+                               metadata, dict(estimator.last_phase_s),
+                               estimator.last_profiles)
         many_span.end()
         return results
 
@@ -404,9 +404,9 @@ class GateLevelEstimatorAdapter(_EngineAdapter):
             "n_macromodelled": report.notes.get("n_macromodelled"),
             "design": spec.design,
         }
-        return self._finish(spec, report, backend, start, setup_s, metadata,
+        return self._finish([spec], [report], backend, start, setup_s, metadata,
                             {"simulate_s": report.estimation_time_s},
-                            profile=estimator.last_profile)
+                            [estimator.last_profile])[0]
 
 
 class EmulationEstimatorAdapter(_EngineAdapter):
@@ -463,11 +463,11 @@ class EmulationEstimatorAdapter(_EngineAdapter):
             "executed_cycles": emulation.executed_cycles,
             "workload_cycles": emulation.workload_cycles,
         }
-        result = self._finish(
-            spec, report, "emulation", start, setup_s, metadata,
+        [result] = self._finish(
+            [spec], [report], "emulation", start, setup_s, metadata,
             {"flow_s": flow_s,
              "host_simulation_s": emulation.host_simulation_s},
-            profile=profile)
+            [profile])
         result.timing.update(
             {f"modeled_{k}": v for k, v in emulation.time_breakdown.as_dict().items()}
         )

@@ -63,6 +63,15 @@ def _check_policy_fields(timeout_s, max_retries) -> None:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
 
 
+def _spec_payload(spec) -> Dict[str, object]:
+    """A spec's fields as a dict: a shallow copy (every field but the
+    stimulus is a scalar or a tuple of them) plus the stimulus payload."""
+    payload = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    if spec.stimulus is not None:
+        payload["stimulus"] = spec.stimulus.to_dict()
+    return payload
+
+
 def _coerce_stimulus(value) -> Optional[StimulusSpec]:
     """Accept a StimulusSpec, its dict payload (JSON round trips), or None."""
     if isinstance(value, dict):
@@ -169,11 +178,7 @@ class RunSpec:
 
     # -------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, object]:
-        payload = dataclasses.asdict(self)
-        if self.stimulus is not None:
-            # asdict() would drop the port-spec `kind` discriminators
-            payload["stimulus"] = self.stimulus.to_dict()
-        return payload
+        return _spec_payload(self)
 
     def cache_dict(self) -> Dict[str, object]:
         """The spec as a cache-key payload: execution policy excluded.
@@ -205,6 +210,12 @@ class RunSpec:
         return dataclasses.replace(self, **changes)
 
 
+#: the RunSpec fields that enter the coalesce key
+_KEY_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(RunSpec) if f.name not in COALESCE_FREE_FIELDS
+)
+
+
 def coalesce_key(spec: RunSpec) -> str:
     """The canonical compatibility key of one run for lane coalescing.
 
@@ -224,10 +235,11 @@ def coalesce_key(spec: RunSpec) -> str:
     group runs on the lane path either way, and lane count never changes
     results.
     """
-    payload = spec.to_dict()
-    for name in COALESCE_FREE_FIELDS:
-        payload.pop(name, None)
-    if spec.engine == "rtl" and payload.get("backend") in ("auto", "batch"):
+    payload = {name: getattr(spec, name) for name in _KEY_FIELDS}
+    if spec.stimulus is not None:
+        # serialized once per (frozen) stimulus instance: lane-mates share it
+        payload["stimulus"] = spec.stimulus.shared_dict
+    if spec.engine == "rtl" and spec.backend in ("auto", "batch"):
         payload["backend"] = "batch"
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -353,11 +365,7 @@ class SweepSpec:
         ]
 
     def to_dict(self) -> Dict[str, object]:
-        payload = dataclasses.asdict(self)
-        if self.stimulus is not None:
-            # asdict() would drop the port-spec `kind` discriminators
-            payload["stimulus"] = self.stimulus.to_dict()
-        return payload
+        return _spec_payload(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SweepSpec":

@@ -11,6 +11,8 @@ import math
 import random
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.netlist.signals import from_signed, to_signed
 
 #: scale factor of the integer DCT basis (coefficients are round(SCALE * basis))
@@ -182,9 +184,21 @@ def vld_reference_decode(words: Sequence[int], word_bits: int = 16) -> List[int]
 # ---------------------------------------------------------------------------
 # Generic streams
 # ---------------------------------------------------------------------------
+def _random_bits(rng: random.Random, n: int, width: int) -> List[int]:
+    """``[rng.getrandbits(width) for _ in range(n)]`` in one draw (width <= 32).
+
+    ``getrandbits(32 * n)`` packs the generator's next ``n`` 32-bit outputs
+    little-endian, and ``getrandbits(width)`` is one output's top ``width``
+    bits, so the values and the generator's final state equal the loop's.
+    """
+    if not 1 <= width <= 32:
+        return [rng.getrandbits(width) for _ in range(n)]
+    words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
+    return (words >> (32 - width)).tolist()
+
+
 def random_pixels(n: int, seed: int = 0, width: int = 8) -> List[int]:
-    rng = random.Random(seed)
-    return [rng.getrandbits(width) for _ in range(n)]
+    return _random_bits(random.Random(seed), n, width)
 
 
 def random_sorted_array(n: int, seed: int = 0, width: int = 16) -> List[int]:
@@ -194,8 +208,7 @@ def random_sorted_array(n: int, seed: int = 0, width: int = 16) -> List[int]:
 
 
 def random_array(n: int, seed: int = 0, width: int = 16) -> List[int]:
-    rng = random.Random(seed)
-    return [rng.getrandbits(width) for _ in range(n)]
+    return _random_bits(random.Random(seed), n, width)
 
 
 def signed_to_field(value: int, width: int) -> int:

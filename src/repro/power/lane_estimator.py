@@ -42,7 +42,7 @@ from repro.netlist.module import Module
 from repro.power.library import PowerModelLibrary
 from repro.power.block import BlockEvaluator, NativeEvaluator
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
-from repro.power.report import ComponentPower, PowerReport
+from repro.power.report import PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.batch import LIMB_BITS, BatchSimulator
@@ -294,7 +294,6 @@ class BatchRTLPowerEstimator:
             "testbench_s": testbench_s,
         }
         lane_cycles = stop.tolist()
-        trace = block.cycle_trace()
         self.last_profiles = [None] * n_lanes if collectors else None
         for key, collector in collectors.items():
             profiles = collector.lane_profiles(
@@ -307,60 +306,12 @@ class BatchRTLPowerEstimator:
             )
             for lane, lane_profile in zip(lanes_of[key], profiles):
                 self.last_profiles[lane] = lane_profile
-        return [
-            self._build_lane_report(
-                lane, lane_cycles[lane], block.totals, trace,
-                float(block.peak[lane]), elapsed / n_lanes, n_lanes,
-                keep_cycle_trace, lanes.name,
-            )
-            for lane in range(n_lanes)
-        ]
+        return self._build_lane_report(
+            block, lane_cycles, elapsed / n_lanes, keep_cycle_trace, lanes.name)
 
     # -------------------------------------------------------------- helpers
-    def _build_lane_report(
-        self,
-        lane: int,
-        cycles: int,
-        totals: np.ndarray,
-        trace: np.ndarray,
-        peak_energy_fj: float,
-        elapsed_s: float,
-        n_lanes: int,
-        keep_cycle_trace: bool,
-        stimulus_driver: str = "lane-view",
-    ) -> PowerReport:
-        technology = self.technology
-        components: Dict[str, ComponentPower] = {}
-        total_energy = 0.0
-        for (component, _), energy in zip(self.monitored, totals[:, lane].tolist()):
-            total_energy += energy
-            components[component.name] = ComponentPower(
-                name=component.name,
-                component_type=component.type_name,
-                energy_fj=energy,
-                average_power_mw=technology.energy_to_power_mw(
-                    energy / cycles if cycles else 0.0
-                ),
-            )
-        lane_trace = trace[:cycles, lane] if cycles else trace[:0, lane]
-        return PowerReport(
-            design=self.module.name,
-            estimator=self.name,
-            cycles=cycles,
-            clock_mhz=technology.clock_mhz,
-            total_energy_fj=total_energy,
-            average_power_mw=technology.energy_to_power_mw(
-                total_energy / cycles if cycles else 0.0
-            ),
-            peak_power_mw=(
-                technology.energy_to_power_mw(peak_energy_fj) if cycles else 0.0
-            ),
-            components=components,
-            cycle_energy_fj=[float(e) for e in lane_trace] if keep_cycle_trace else [],
-            estimation_time_s=elapsed_s,
-            notes={
-                "n_monitored_components": len(self.monitored),
-                "batch_lanes": n_lanes,
-                "stimulus_driver": stimulus_driver,
-            },
-        )
+    def _build_lane_report(self, block, cycles: List[int], elapsed_s: float,
+                           keep_cycle_trace: bool, stimulus_driver: str) -> List[PowerReport]:
+        """Every lane's report, in one pass over the block's arrays."""
+        notes = {"batch_lanes": len(cycles), "stimulus_driver": stimulus_driver}
+        return self._scalar._build_report(block, cycles, elapsed_s, keep_cycle_trace, notes)

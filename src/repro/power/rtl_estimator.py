@@ -13,7 +13,9 @@ absolute runtimes are modelled separately in :mod:`repro.power.commercial`.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.netlist.components import Component
 from repro.netlist.module import Module
@@ -137,7 +139,8 @@ class RTLPowerEstimator:
             if collector is not None
             else None
         )
-        return self._build_report(observer, simulation.cycles, elapsed, keep_cycle_trace)
+        return self._build_report(
+            observer.block, [simulation.cycles], elapsed, keep_cycle_trace)[0]
 
     def _make_collector(
         self,
@@ -166,41 +169,51 @@ class RTLPowerEstimator:
     # -------------------------------------------------------------- helpers
     def _build_report(
         self,
-        observer: _MacromodelObserver,
-        cycles: int,
+        block,
+        cycles: Sequence[int],
         elapsed_s: float,
         keep_cycle_trace: bool,
-    ) -> PowerReport:
+        notes: Optional[Dict[str, object]] = None,
+    ) -> List[PowerReport]:
+        """One report per lane of an evaluated block (a scalar run is one lane).
+
+        One pass over the block's ``(components, lanes)`` arrays, with each
+        lane's float operations in the per-lane order: component energies
+        summed in monitored order from ``0.0``, every power computed as
+        ``energy_to_power_mw(energy / cycles)``, and ``0.0`` for a lane that
+        ran no cycles.
+        """
         technology = self.technology
-        block = observer.block
-        components: Dict[str, ComponentPower] = {}
-        total_energy = 0.0
-        for (component, _), energy in zip(self.monitored, block.totals[:, 0].tolist()):
-            total_energy += energy
-            components[component.name] = ComponentPower(
-                name=component.name,
-                component_type=component.type_name,
-                energy_fj=energy,
-                average_power_mw=technology.energy_to_power_mw(
-                    energy / cycles if cycles else 0.0
-                ),
+        totals = block.totals
+        counts = np.asarray(cycles, dtype=np.float64)
+        ran = counts > 0
+
+        def power_mw(energy: np.ndarray) -> np.ndarray:
+            per_cycle = np.divide(energy, counts, out=np.zeros_like(energy), where=ran)
+            return technology.energy_to_power_mw(per_cycle)
+
+        # the running sum from 0.0 in monitored order: accumulate is sequential
+        total_energy = np.add.accumulate(np.vstack((np.zeros(len(cycles)), totals)))[-1]
+        peak_mw = np.where(ran, technology.energy_to_power_mw(block.peak), 0.0)
+        trace = block.cycle_trace() if keep_cycle_trace else None
+        names = [component.name for component, _ in self.monitored]
+        kinds = [component.type_name for component, _ in self.monitored]
+        notes = {"n_monitored_components": len(self.monitored), **(notes or {})}
+        return [
+            PowerReport(
+                design=self.module.name,
+                estimator=self.name,
+                cycles=n,
+                clock_mhz=technology.clock_mhz,
+                total_energy_fj=total,
+                average_power_mw=average,
+                peak_power_mw=peak,
+                components=dict(zip(names, map(ComponentPower, names, kinds, energies, powers))),
+                cycle_energy_fj=trace[:n, lane].tolist() if keep_cycle_trace else [],
+                estimation_time_s=elapsed_s,
+                notes=dict(notes),
             )
-        average_power = technology.energy_to_power_mw(total_energy / cycles if cycles else 0.0)
-        peak_power = (
-            technology.energy_to_power_mw(float(block.peak[0]))
-            if cycles
-            else 0.0
-        )
-        return PowerReport(
-            design=self.module.name,
-            estimator=self.name,
-            cycles=cycles,
-            clock_mhz=technology.clock_mhz,
-            total_energy_fj=total_energy,
-            average_power_mw=average_power,
-            peak_power_mw=peak_power,
-            components=components,
-            cycle_energy_fj=block.cycle_trace()[:, 0].tolist() if keep_cycle_trace else [],
-            estimation_time_s=elapsed_s,
-            notes={"n_monitored_components": len(self.monitored)},
-        )
+            for lane, (n, total, average, peak, energies, powers) in enumerate(zip(
+                cycles, total_energy.tolist(), power_mw(total_energy).tolist(),
+                peak_mw.tolist(), totals.T.tolist(), power_mw(totals).T.tolist()))
+        ]

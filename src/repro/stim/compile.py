@@ -25,6 +25,7 @@ fixed 32-bit draws, keeping chunk invariance).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,8 +62,12 @@ class _Stream:
         self.width = width
         self.mask = (1 << width) - 1
         self.wide = width > MAX_LANE_WIDTH
-        self._rng = _stream_rng(entropy)
+        self._entropy = entropy
         self._cycle = 0
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:  # seeded on first draw: constants never draw
+        return _stream_rng(self._entropy)
 
     # ------------------------------------------------------------- raw draws
     def _draw(self, k: int) -> np.ndarray:

@@ -29,6 +29,7 @@ import dataclasses
 import json
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -313,6 +314,12 @@ class StimulusSpec:
         return "\n".join(lines)
 
     # -------------------------------------------------------- serialization
+    @cached_property
+    def shared_dict(self) -> Dict[str, object]:
+        """The :meth:`to_dict` payload, built once per (frozen) spec and
+        shared by every reader: read it, never mutate it."""
+        return self.to_dict()
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "n_cycles": self.n_cycles,

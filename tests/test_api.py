@@ -8,6 +8,7 @@ cache), and lane-count invariance of the batched RTL path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -24,7 +25,17 @@ from repro.api import (
     estimator_for,
     sweep,
 )
+from repro.api.spec import COALESCE_FREE_FIELDS, coalesce_key
 from repro.api.sweep import SweepResult
+from repro.stim import (
+    BurstSpec,
+    ConstantSpec,
+    MarkovSpec,
+    MixtureSpec,
+    ReplaySpec,
+    StimulusSpec,
+    UniformSpec,
+)
 
 DESIGN = "binary_search"
 CYCLES = 64
@@ -62,6 +73,74 @@ def test_sweepspec_expansion_and_normalization():
     assert {s.engine for s in specs} == {"rtl", "gate"}
     with pytest.raises(ValueError, match="at least one design"):
         SweepSpec(designs=())
+
+
+def _asdict_payload(spec):
+    """The reference ``to_dict``: a deep ``asdict`` plus the stimulus payload."""
+    payload = dataclasses.asdict(spec)
+    if spec.stimulus is not None:
+        payload["stimulus"] = spec.stimulus.to_dict()
+    return payload
+
+
+def _asdict_key(spec):
+    """The reference ``coalesce_key``, built on :func:`_asdict_payload`."""
+    payload = _asdict_payload(spec)
+    for name in COALESCE_FREE_FIELDS:
+        payload.pop(name, None)
+    if spec.engine == "rtl" and payload.get("backend") in ("auto", "batch"):
+        payload["backend"] = "batch"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+_PORT_KINDS = {
+    "uniform": UniformSpec(hold=2),
+    "burst": BurstSpec(active=3, idle=2, hold=2, phase=1, idle_value=4),
+    "markov": MarkovSpec(p01=0.25, p10=0.5, init=3),
+    "mixture": MixtureSpec(components=((1.0, UniformSpec()), (3.0, ConstantSpec(7))),
+                           hold=2),
+    "replay": ReplaySpec(values=(1, 2, 3), repeat=True),
+    "constant": ConstantSpec(9),
+}
+_STIMULI = [None] + [
+    StimulusSpec(n_cycles=24, seed=2, ports={"a": port}, default=None)
+    for port in _PORT_KINDS.values()
+] + [
+    StimulusSpec(n_cycles=12, ports=_PORT_KINDS),
+    StimulusSpec(n_cycles=8, default=MarkovSpec(p01=0.5)),
+]
+
+
+@pytest.mark.parametrize("stimulus", _STIMULI, ids=lambda s: "none" if s is None else
+                         "+".join(sorted(type(p).kind for _, p in s.ports)) or "default")
+@pytest.mark.parametrize("changes", [
+    {},
+    {"backend": "batch", "kernel_backend": "off", "kernel_threads": 2},
+    {"backend": "compiled", "max_cycles": 40},
+    {"engine": "gate", "library": "seed"},
+    {"seed": 5, "keep_cycle_trace": True, "compare_to_rtl": True, "power_profile": True,
+     "profile_window": 4, "timeout_s": 2.5, "max_retries": 1},
+])
+def test_spec_payloads_and_keys_equal_asdict_reference(stimulus, changes):
+    spec = RunSpec(design="HVPeakF", stimulus=stimulus, **changes)
+    payload = spec.to_dict()
+    reference = _asdict_payload(spec)
+    assert repr(payload) == repr(reference)
+    assert spec.to_json() == json.dumps(reference, sort_keys=True)
+    assert repr(spec.cache_dict()) == repr(
+        {k: v for k, v in reference.items() if k not in ("timeout_s", "max_retries")})
+    assert coalesce_key(spec) == _asdict_key(spec)
+    sweep_spec = SweepSpec(designs=("HVPeakF",), seeds=(1, 2), stimulus=stimulus)
+    assert repr(sweep_spec.to_dict()) == repr(_asdict_payload(sweep_spec))
+    # a caller mutating a returned payload, nested stimulus included, changes
+    # nothing the next call returns (the key memoizes the stimulus payload)
+    key = coalesce_key(spec)
+    payload["design"] = "DCT"
+    if stimulus is not None:
+        payload["stimulus"]["n_cycles"] = 1
+        payload["stimulus"]["ports"].clear()
+    assert repr(spec.to_dict()) == repr(reference)
+    assert coalesce_key(spec) == key == _asdict_key(spec)
 
 
 # ------------------------------------------------- protocol conformance

@@ -199,6 +199,27 @@ def test_compiled_stimulus_restarts():
     assert [int(v) for v in compiled.values_at(0).flat] == _as_ints(first[0])
 
 
+def test_constant_ports_build_no_generator(monkeypatch):
+    from repro.stim import compile as stim_compile
+
+    spec = StimulusSpec(n_cycles=12, ports={"a": ConstantSpec(5), "b": ConstantSpec(9)},
+                        default=None)
+    widths = {"a": 8, "b": 4}
+    reference = CompiledStimulus(spec, widths, [0, 7]).tensor()
+    built = []
+    real = stim_compile._stream_rng
+    monkeypatch.setattr(stim_compile, "_stream_rng",
+                        lambda entropy: built.append(entropy) or real(entropy))
+    tensor = CompiledStimulus(spec, widths, [0, 7], chunk_cycles=5).tensor()
+    assert built == []
+    assert _as_ints(tensor) == _as_ints(reference)
+    assert _as_ints(tensor[:, 1, :]) == [9] * 24
+    # a drawing port seeds its generator on first draw, once per lane
+    drawn = spec.replace(ports={"a": ConstantSpec(5), "b": UniformSpec()})
+    CompiledStimulus(drawn, widths, [0, 7]).tensor()
+    assert len(built) == 2
+
+
 def test_burst_and_replay_stream_shapes():
     spec = StimulusSpec(
         n_cycles=16,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,29 @@ def test_signed_field_round_trip():
 @given(st.lists(st.integers(0, 255), min_size=3, max_size=64))
 def test_peaking_filter_reference_is_bounded(pixels):
     assert all(0 <= value <= 255 for value in reference_filter(pixels))
+
+
+# ------------------------------------------------------------- random streams
+def _per_value(rng, n, width):
+    """The reference draw: one ``getrandbits(width)`` call per value."""
+    return [rng.getrandbits(width) for _ in range(n)]
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 31, 32])
+def test_bulk_draws_equal_per_value_draws(width):
+    for seed in range(1000):
+        for n in (0, 1, 600):
+            reference = _per_value(random.Random(seed), n, width)
+            assert stimuli.random_pixels(n, seed=seed, width=width) == reference
+            assert stimuli.random_array(n, seed=seed, width=width) == reference
+            # the generator ends in the per-value loop's state
+            bulk, loop = random.Random(seed), random.Random(seed)
+            assert stimuli._random_bits(bulk, n, width) == _per_value(loop, n, width)
+            assert bulk.random() == loop.random()
+
+
+def test_bulk_draws_keep_per_value_draws_past_32_bits():
+    assert stimuli.random_array(9, seed=4, width=45) == _per_value(random.Random(4), 9, 45)
 
 
 # ------------------------------------------------------------------- registry
