@@ -7,27 +7,28 @@ is the "gate-level implementation" reference used to characterize RTL power
 macromodels, and the engine behind the slow gate-level estimation baseline.
 
 Like the RTL simulator's compiled backend, the gate network is lowered once
-into slot-indexed straight-line Python: every net gets a dense integer slot
-(aliases share the slot of the net they resolve to, so alias propagation
-disappears entirely) and each gate of the levelized order becomes one inline
-boolean expression.  Standard cells are recognized by their function object
-and fused; unknown cells fall back to a bound ``CellType.evaluate`` call, so
-custom libraries keep working.
+into the typed kernel IR (:mod:`repro.sim.kernels.ir`) over dense integer
+slots: every net gets a slot (aliases share the slot of the net they resolve
+to, so alias propagation disappears entirely) and each gate of the levelized
+order becomes one slot assignment built by its cell function's IR builder
+(:data:`_CELL_IR`).  Unknown cells become an opaque call of their own
+``CellType.evaluate``, so custom libraries keep working.
 
-Two execution modes share the lowering:
+Three executors are printed from that one IR:
 
-* *scalar* — one input vector at a time over a flat ``List[int]`` slot list
-  (the original path, still the default),
-* *batch* — ``n_lanes`` independent input vectors at once over a
-  ``(n_slots, n_lanes)`` NumPy array; every fused gate becomes one elementwise
-  array expression, so hundreds of characterization stimuli settle in a single
-  pass (see :meth:`GateLevelSimulator.settle_batch`).
+* *scalar* — Python-int source over a flat ``List[int]`` slot list, one
+  input vector at a time (the default),
+* *batch* — NumPy source over a ``(n_slots, n_lanes)`` array; every fused
+  gate is one elementwise array expression, so hundreds of characterization
+  stimuli settle in a single pass (see :meth:`GateLevelSimulator.settle_batch`),
+* *native* — the same batch settle as a C kernel, when a compiler exists and
+  every cell has an IR builder.
 
 Lowering is cached *across simulator instances*: compiled programs are keyed
 on a structural fingerprint of the netlist (gates, aliases, constants, I/O),
 so characterizing the same component type twice — or re-running a holdout
-evaluation on a freshly technology-mapped copy — reuses the levelization and
-both compiled functions instead of recompiling.
+evaluation on a freshly technology-mapped copy — reuses the levelization,
+the IR and every compiled form instead of recompiling.
 """
 
 from __future__ import annotations
@@ -35,55 +36,53 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.gates import cells as _cells
 from repro.gates.gate_netlist import GateInstance, GateNetlist, bit_net
+from repro.sim.codegen import py_source
+from repro.sim.kernels.ir import (
+    Expr, Fallback, KernelBuilder, KernelIR, SetSlot, SlotRef, numpy_source, where,
+)
 
-#: expression template per standard-cell function; inputs are 0/1 so every
-#: template already produces a 0/1 result (no trailing ``& 1`` needed).
-#: Every template except the two conditional ones is a pure elementwise
-#: integer expression, so it is valid for both the scalar slot list and the
-#: batch (NumPy lane-array) execution modes.
-_CELL_EXPRS: Dict[object, str] = {
-    _cells._inv: "1 - {0}",
-    _cells._buf: "{0}",
-    _cells._nand2: "1 - ({0} & {1})",
-    _cells._nand3: "1 - ({0} & {1} & {2})",
-    _cells._nor2: "1 - ({0} | {1})",
-    _cells._nor3: "1 - ({0} | {1} | {2})",
-    _cells._and2: "{0} & {1}",
-    _cells._and3: "{0} & {1} & {2}",
-    _cells._or2: "{0} | {1}",
-    _cells._or3: "{0} | {1} | {2}",
-    _cells._xor2: "{0} ^ {1}",
-    _cells._xnor2: "1 - ({0} ^ {1})",
-    _cells._mux2: "{1} if {2} else {0}",
-    _cells._aoi21: "1 - (({0} & {1}) | {2})",
-    _cells._oai21: "1 - (({0} | {1}) & {2})",
-    _cells._maj3: "1 if {0} + {1} + {2} >= 2 else 0",
-    _cells._xor3: "{0} ^ {1} ^ {2}",
-}
-
-#: batch overrides for the templates that use Python conditionals
-_CELL_EXPRS_BATCH: Dict[object, str] = {
-    _cells._mux2: "_where({2} != 0, {1}, {0})",
-    _cells._maj3: "({0} + {1} + {2} >= 2) * 1",
+#: IR builder per standard-cell function; inputs are 0/1, so every cell's
+#: expression already is 0/1 (no trailing ``& 1`` needed)
+_CELL_IR: Dict[object, Callable[..., Expr]] = {
+    _cells._inv: lambda a: 1 - a,
+    _cells._buf: lambda a: a,
+    _cells._nand2: lambda a, b: 1 - (a & b),
+    _cells._nand3: lambda a, b, c: 1 - (a & b & c),
+    _cells._nor2: lambda a, b: 1 - (a | b),
+    _cells._nor3: lambda a, b, c: 1 - (a | b | c),
+    _cells._and2: lambda a, b: a & b,
+    _cells._and3: lambda a, b, c: a & b & c,
+    _cells._or2: lambda a, b: a | b,
+    _cells._or3: lambda a, b, c: a | b | c,
+    _cells._xor2: lambda a, b: a ^ b,
+    _cells._xnor2: lambda a, b: 1 - (a ^ b),
+    _cells._mux2: lambda a, b, s: where(s.ne(0), b, a),
+    _cells._aoi21: lambda a, b, c: 1 - ((a & b) | c),
+    _cells._oai21: lambda a, b, c: 1 - ((a | b) & c),
+    _cells._maj3: lambda a, b, c: (a + b + c).ge(2) * 1,
+    _cells._xor3: lambda a, b, c: a ^ b ^ c,
 }
 
 #: dtype of the batch lane arrays; gate values are 0/1 so one byte suffices
 LANE_DTYPE = np.int8
 
 
-def _lanewise_cell(evaluate: Callable, columns: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Lane-by-lane fallback for cells without an elementwise template."""
-    n = columns[0].shape[0]
-    out = np.empty(n, dtype=LANE_DTYPE)
-    for lane in range(n):
-        out[lane] = evaluate(tuple(int(c[lane]) for c in columns))
-    return out
+def _cell_call(evaluate: Callable, out: int, ins: List[int], v) -> None:
+    """A gate whose cell has no IR builder: its own ``evaluate`` on the slots,
+    lane by lane on a batch array."""
+    columns = [v[slot] for slot in ins]
+    if isinstance(v, np.ndarray):
+        v[out] = [evaluate(tuple(int(c[lane]) for c in columns))
+                  for lane in range(v.shape[1])]
+    else:
+        v[out] = evaluate(tuple(columns))
 
 
 class GateValues(MutableMapping):
@@ -131,8 +130,8 @@ class GateProgram:
     slots: Dict[str, int]
     #: net name -> resolved source name
     resolved: Dict[str, str]
-    #: levelized gate order (kept for introspection and the batch compile)
-    order: List[GateInstance]
+    #: the settle as kernel IR; every executor below is printed from it
+    ir: KernelIR
     #: scalar settle function over the flat slot list
     fn: Callable[[List[int]], None]
     snap_pairs: List[Tuple[str, int]]
@@ -149,39 +148,31 @@ class GateProgram:
     @property
     def batch_fn(self) -> Callable[[np.ndarray], None]:
         if self._batch_fn is None:
-            self._batch_fn = _compile_settle(self.order, self.slots, self.resolved,
-                                             batch=True)
+            source, namespace = numpy_source(self.ir)
+            namespace["__builtins__"] = {}
+            exec(compile(source, "<gatesim:batch>", "exec"), namespace)
+            self._batch_fn = namespace["_settle"]
         return self._batch_fn
 
     def native_batch_fn(self) -> Optional[Callable[[np.ndarray], None]]:
         """The batch settle as a fused C kernel, or None when unavailable.
 
-        The gate lane program is stateless (pure ``v[i] = expr`` rows), so
-        the lane-kernel IR extractor (:mod:`repro.sim.kernels`) lowers it
-        directly; netlists with non-templated cells (lanewise fallbacks) and
+        The gate settle is stateless (pure ``v[i] = expr`` rows), so its IR
+        compiles as is; netlists with cells that have no IR builder and
         compiler-less hosts return None and stay on the NumPy ``batch_fn``.
         Shared across simulators like the other compiled forms.
         """
         if self._native_kernel is None:
+            from repro.sim.kernels import (
+                KernelUnsupportedError, NativeToolchainError, compile_kernel,
+            )
+
             self._native_kernel = False
             try:
-                from repro.sim.kernels import extract_ir
-                from repro.sim.kernels.ir import KernelUnsupportedError
-                from repro.sim.kernels.native import (
-                    NativeKernel, NativeToolchainError, find_compiler,
-                )
-
-                if find_compiler() is not None:
-                    source, env, name = _settle_source(
-                        self.order, self.slots, self.resolved, batch=True
-                    )
-                    ir = extract_ir(
-                        source, env, self.n_slots,
-                        functions=((name, "settle"),), dtype="int8",
-                    )
-                    self._native_kernel = NativeKernel(ir, 0)
+                self.ir.require_kernelizable()
+                self._native_kernel = compile_kernel(self.ir, 0)
             except (KernelUnsupportedError, NativeToolchainError):
-                self._native_kernel = False
+                pass
         if self._native_kernel is False:
             return None
         return self._native_kernel.settle
@@ -239,59 +230,38 @@ def _levelize(netlist: GateNetlist, resolve: Callable[[str], str]) -> List[GateI
     return order
 
 
-def _settle_source(
-    order: List[GateInstance],
-    slots: Dict[str, int],
-    resolved: Dict[str, str],
-    batch: bool,
-) -> Tuple[str, Dict[str, object], str]:
-    """Source + exec environment of the straight-line settle function."""
-    env: Dict[str, object] = {}
-    name = "_evaluate_batch" if batch else "_evaluate"
-    lines = [f"def {name}(v):"]
-    body: List[str] = []
-    for i, gate in enumerate(order):
-        operands = [f"v[{slots[resolved.get(net, net)]}]" for net in gate.inputs]
+def _lower_settle(
+    order: List[GateInstance], slots: Dict[str, int], resolved: Dict[str, str],
+    n_slots: int,
+) -> KernelIR:
+    """The levelized gate order as one ``settle`` phase of kernel IR."""
+    kb = KernelBuilder(n_slots, dtype="int8")
+    kb.phase("settle")
+    for gate in order:
+        ins = [slots[resolved.get(net, net)] for net in gate.inputs]
         out = slots[resolved.get(gate.output, gate.output)]
-        template = _CELL_EXPRS.get(gate.cell.function)
-        if batch and gate.cell.function in _CELL_EXPRS_BATCH:
-            template = _CELL_EXPRS_BATCH[gate.cell.function]
-        if template is not None and gate.cell.n_inputs == len(operands):
-            body.append(f"v[{out}] = {template.format(*operands)}")
-        elif batch:
-            fn_name = f"_g{i}"
-            env[fn_name] = gate.cell.evaluate
-            env["_lw"] = _lanewise_cell
-            body.append(f"v[{out}] = _lw({fn_name}, ({', '.join(operands)},))")
+        build = _CELL_IR.get(gate.cell.function)
+        if build is not None and gate.cell.n_inputs == len(ins):
+            kb.add(SetSlot(out, build(*(SlotRef(slot) for slot in ins))))
         else:
-            fn_name = f"_g{i}"
-            env[fn_name] = gate.cell.evaluate
-            body.append(f"v[{out}] = {fn_name}(({', '.join(operands)},))")
-    if not body:
-        body.append("pass")
-    lines.extend("    " + line for line in body)
-    return "\n".join(lines), env, name
+            kb.add(Fallback(partial(_cell_call, gate.cell.evaluate, out, ins)))
+    return kb.ir
 
 
-def _compile_settle(
-    order: List[GateInstance],
-    slots: Dict[str, int],
-    resolved: Dict[str, str],
-    batch: bool,
-) -> Callable:
-    """Lower the levelized gate order into one straight-line function.
-
-    With ``batch=True`` the generated function receives a ``(n_slots,
-    n_lanes)`` NumPy array and each gate is an elementwise row expression;
-    otherwise it receives the flat scalar slot list.
-    """
-    source, env, name = _settle_source(order, slots, resolved, batch)
-    namespace = dict(env)
-    if batch:
-        namespace["_where"] = np.where
-    namespace["__builtins__"] = {}
-    exec(compile(source, f"<gatesim:{name}>", "exec"), namespace)
-    return namespace[name]
+def _scalar_settle(ir: KernelIR) -> Callable[[List[int]], None]:
+    """The IR printed as one straight-line function over the flat slot list."""
+    namespace: Dict[str, object] = {"__builtins__": {}}
+    body = []
+    for stmt in ir.phases["settle"]:
+        if isinstance(stmt, SetSlot):
+            body.append(f"v[{stmt.slot}] = {py_source(stmt.expr)}")
+        else:
+            name = f"_g{len(namespace)}"
+            namespace[name] = stmt.call
+            body.append(f"{name}(v)")
+    source = "def _evaluate(v):\n" + "\n".join("    " + line for line in body or ["pass"])
+    exec(compile(source, "<gatesim:scalar>", "exec"), namespace)
+    return namespace["_evaluate"]
 
 
 def compile_gate_netlist(netlist: GateNetlist) -> GateProgram:
@@ -319,12 +289,14 @@ def compile_gate_netlist(netlist: GateNetlist) -> GateProgram:
         port, index = _split_bit_net(net)
         output_triples.append((port, index, slots[resolved[net]]))
 
+    n_slots = max(slots.values()) + 1 if slots else 0
+    ir = _lower_settle(order, slots, resolved, n_slots)
     program = GateProgram(
-        n_slots=(max(slots.values()) + 1 if slots else 0),
+        n_slots=n_slots,
         slots=slots,
         resolved=resolved,
-        order=order,
-        fn=_compile_settle(order, slots, resolved, batch=False),
+        ir=ir,
+        fn=_scalar_settle(ir),
         snap_pairs=sorted(slots.items()),
         const_pairs=[(slots[n], v & 1) for n, v in netlist.constants.items()],
         input_pairs=[(n, slots[n]) for n in netlist.primary_inputs],
@@ -354,7 +326,6 @@ class GateLevelSimulator:
         self.kernel_backend = "off"
         self._slots = program.slots
         self._resolved = program.resolved
-        self._order = program.order
         self._snap_pairs = program.snap_pairs
         self._const_pairs = program.const_pairs
         self._input_pairs = program.input_pairs

@@ -2,29 +2,31 @@
 
 The paper's characterization library and Monte-Carlo style sweeps run the
 *same* netlist over many independent stimulus vectors.  The slot-indexed
-compiled programs are shape-stable — every cycle executes the same
-straight-line slot reads/writes — so the one combinational lowering of
-:mod:`repro.sim.codegen` is printed here for a second target,
-:class:`LaneEmitter`: the value store becomes one ``(n_slots, n_lanes)``
-int64 NumPy array whose row ``i`` holds net ``i``'s value in every lane, and
-every fused component becomes one masked elementwise array expression.  One
-``settle``/``clock_edge`` pass then advances all ``n_lanes`` independent
-simulations at once.
+programs are shape-stable — every cycle executes the same straight-line slot
+reads/writes — so the one lowering of :mod:`repro.sim.codegen` has a second
+target here, :class:`LaneEmitter`: the value store becomes one
+``(n_slots, n_lanes)`` int64 NumPy array whose row ``i`` holds net ``i``'s
+value in every lane, and every fused component becomes elementwise
+statements of the typed kernel IR (:mod:`repro.sim.kernels.ir`).  That IR is
+printed as a NumPy lane program (one masked array expression per
+statement), so one ``settle``/``clock_edge`` pass advances all ``n_lanes``
+independent simulations at once; :mod:`repro.sim.kernels` prints the same IR
+as a C kernel.
 
 The sequential lowering is shared too.  Registers, counters, accumulators,
 FSM controllers and the power-estimation components keep their state in a
-:class:`LaneRows` holder bound into the generated code: ``(n_lanes,)`` rows
-named after the component's own state attributes (``_state``, ``_pending``,
-``_total``, ...), so codegen's state-source, capture and commit emitters
-print the same attribute references for both targets.  Each target lowers
-only the kinds whose state layouts differ: here memories and register files
-keep ``(depth, n_lanes)`` storage (:class:`LaneMemoryState`) with
-fancy-indexed reads and masked-scatter writes, FSM controllers keep per-lane
-state *indices* with their transition table unrolled into priority-ordered
-masked selects, and power models keep one row per monitored port.
-Components that cannot be expressed as elementwise array code — subclassed
-or user-defined types, and the ``sample_on_strobe_only`` power model — fall
-back to a *lane-aware scalar* path: the component's own scalar
+:class:`LaneRows` holder: ``(n_lanes,)`` rows named after the component's
+own state attributes (``_state``, ``_pending``, ``_total``, ...), so
+codegen's state-source, capture and commit emitters name the same
+attributes for both targets.  Each target lowers only the kinds whose state
+layouts differ: here memories and register files keep ``(depth, n_lanes)``
+storage (:class:`LaneMemoryState`) with per-lane reads and masked-scatter
+writes, FSM controllers keep per-lane state *indices* with their transition
+table unrolled into priority-ordered masked selects, and power models keep
+one row per monitored port.  Components that cannot be expressed as
+elementwise array code — subclassed or user-defined types, and the
+``sample_on_strobe_only`` power model — fall back to a *lane-aware scalar*
+path (one opaque IR step): the component's own scalar
 ``evaluate``/``capture``/``commit`` runs once per lane with its private
 per-lane state snapshot swapped in, so exotic components stay exactly as
 correct as on the scalar backends, just without the speedup.
@@ -42,10 +44,9 @@ with nets wider than :data:`MAX_LIMB_WIDTH` still drop every component onto
 the lane-scalar path over an object-dtype store; in every mode batch
 execution never changes results — only speed.
 
-On top of the per-op NumPy execution here, :mod:`repro.sim.kernels` fuses a
-module's whole settle/clock-edge into single C kernels (compiled, called via
-cffi) — ``BatchSimulator(kernel_backend=...)`` selects them, with automatic
-fallback to this path when the module cannot lower or no C toolchain exists.
+``BatchSimulator(kernel_backend=...)`` selects between the NumPy program and
+the fused C kernel (:mod:`repro.sim.kernels`), with automatic fallback to
+the NumPy program when the module cannot lower or no C toolchain exists.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, and_, or_
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -71,6 +74,11 @@ from repro.sim.codegen import (
     _signed,
     emitter_tables,
     register_next,
+)
+from repro.sim.kernels.ir import (
+    Abs, Const, Expr, Fallback, KernelBuilder, KernelIR, KernelUnsupportedError,
+    Lane, MemRead, MemWrite, Popcount, Select, SetSlot, SetState, SlotRef, StateRef,
+    Table, binary, const, minimum, numpy_source, unsupported, where,
 )
 from repro.sim.scheduler import Schedule, module_mutation_key, schedule_for
 
@@ -105,17 +113,6 @@ class BatchCompilationError(Exception):
     """Raised when a module cannot be lowered to lane-vectorized code."""
 
 
-def _popcount_u64(values: np.ndarray) -> np.ndarray:
-    """Vectorized population count (used by parity-reduce)."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
-    x = values.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Per-lane state holders for fused sequential components.
 # ---------------------------------------------------------------------------
@@ -128,11 +125,10 @@ class LaneRows:
     power-model port or register limb), named after the component's own
     state attribute (``_state``, ``_pending``, ``_total``, ``_count``, ...)
     and built from its reset value (a list of reset values for a row list).
-    The sequential emitters of :mod:`repro.sim.codegen` therefore print one
-    attribute reference for both targets.  Captures rebind fields (and row
-    list entries) to fresh arrays; commits rebind them too, and the kernel
-    IR extractor lowers a row-list swap (``_state = _pending`` then
-    ``_pending = list(_state)``) to per-row copies.
+    The sequential emitters of :mod:`repro.sim.codegen` therefore name one
+    attribute for both targets.  The NumPy lane program rebinds fields (and
+    row-list entries) on every capture and commit; a row-list commit is one
+    copy per row.
 
     ``reset`` refills the rows *in place* (here and in
     :class:`LaneMemoryState`): native kernels capture stable pointers to
@@ -159,8 +155,9 @@ class LaneRows:
     def unalias(self) -> None:
         """Split rows re-aliased by the batch commit.
 
-        The generated batch commit (``s._state = s._pending``) rebinds rather
-        than copies, so after a plain-path run two fields can name one array.
+        The NumPy lane program's commit (``_H0._state = _H0._pending``)
+        rebinds rather than copies, so after a plain-path run two fields can
+        name one array.
         Kernels bind rows to fixed addresses, so they re-split the rows
         before binding (values are preserved).
         """
@@ -350,71 +347,86 @@ class LaneComponent:
             states[lane] = {k: val for k, val in attrs.items() if k[0] == "_"}
 
 
-def _lane_addr(expr: str, depth: int) -> str:
+def _lane_addr(expr: Expr, depth: int) -> Expr:
     """Per-lane address expression, coerced to an array even when constant."""
-    return f"(_lidx * 0 + ({expr}) % {depth})"
+    return Lane() * 0 + expr % depth
 
 
 class LaneEmitter(SourceEmitter):
     """Target: ``n_lanes`` simulations, one ``(n_lanes,)`` int64 row per slot.
 
-    Expressions operate on v rows; writing through ``v[slot] = ...`` copies
-    into the row, so row targets never alias.  Holder-attribute targets rebind
-    references instead — any RHS that could be a bare row view gets ``+ 0``
-    appended to force a fresh array.
+    The emitter is the lane program's IR builder: every statement goes
+    straight into :attr:`kb`'s :class:`~repro.sim.kernels.ir.KernelIR`
+    (SSA temporaries for locals, holder rows for state, holder memories for
+    storage).  The NumPy printer rebinds holder fields rather than copying
+    into them, so any value that could be a bare row (a slot or state read)
+    gets ``+ 0`` (:meth:`own`) before a state field keeps it.
     """
 
-    one = "_one"
-
-    def __init__(self, slot_of: Dict[Net, int], limbs_of: Dict[Net, int], holders) -> None:
+    def __init__(self, slot_of: Dict[Net, int], limbs_of: Dict[Net, int], holders,
+                 n_slots: int) -> None:
         super().__init__(slot_of)
         #: wide net -> limb count (first limb at slot_of[net])
         self.limbs_of = limbs_of
         #: component -> per-lane state holder; KeyError when it has none
         self.holders = holders
+        self.kb = KernelBuilder(n_slots)
 
     def fits(self, bits: int) -> bool:
         # int64 lanes keep 2 bits of headroom over MAX_LANE_WIDTH, and NumPy
         # shifts past the word size are undefined
         return bits <= MAX_LANE_WIDTH + 2
 
-    def flag(self, cond: str) -> str:
-        return f"({cond})"
+    def flag(self, cond: Expr) -> Expr:
+        return cond
 
-    def nonzero(self, expr: str) -> str:
-        return f"({expr} != 0)"
+    def nonzero(self, expr: Expr) -> Expr:
+        return expr.ne(0)
 
-    def select(self, cond: str, if_true: str, if_false: str) -> str:
-        return f"_where({cond}, {if_true}, {if_false})"
+    def lookup(self, values, index: Expr) -> Expr:
+        return Table(np.asarray(values, dtype=np.int64), index)
 
-    def minimum(self, a: str, b: str) -> str:
-        return f"_minimum({a}, {b})"
+    def state_ref(self, component):
+        return self.holders[component]
 
-    def popcount(self, expr: str) -> str:
-        return f"_popcount({expr})"
+    def field(self, holder, attr: str, index: Optional[int] = None) -> Expr:
+        return StateRef((holder, attr, index))
 
-    def table(self, values) -> np.ndarray:
-        return np.asarray(values, dtype=np.int64)
+    def read_row(self, holder, addr: Expr, depth: int) -> Expr:
+        return MemRead((holder, "mem"), _lane_addr(addr, depth))
 
-    def state_ref(self, component) -> str:
-        return self.bind(f"_s{self.uid()}", self.holders[component])
+    def own(self, expr: Expr, like: Optional[Expr] = None) -> Expr:
+        return expr + 0 if like is None else expr + like * 0
 
-    def read_row(self, state: str, addr: str, depth: int) -> str:
-        return f"{state}.mem[{_lane_addr(addr, depth)}, _lidx]"
+    def set_slot(self, slot: int, expr: Expr) -> None:
+        self.kb.add(SetSlot(slot, const(expr)))
 
-    def emit_abs(self, slot: int, expr: str) -> None:
-        self.emit(f"v[{slot}] = _abs({expr})")
+    def set_field(self, holder, attr: str, expr: Expr, index: Optional[int] = None) -> None:
+        self.kb.add(SetState((holder, attr, index), const(expr)))
 
-    def emit_mux(self, slot: int, sel: str, data_slots: List[int]) -> None:
-        rows = [f"v[{row}]" for row in data_slots]
+    def let(self, name: str, expr: Expr) -> Expr:
+        return self.kb.temp(expr)
+
+    def emit_abs(self, slot: int, expr: Expr) -> None:
+        self.set_slot(slot, Abs(expr))
+
+    def emit_mux(self, slot: int, sel: Expr, data_slots: List[int]) -> None:
+        rows = [SlotRef(row) for row in data_slots]
         if len(rows) == 2:
-            self.emit(f"v[{slot}] = _where({sel} & 1, {rows[1]}, {rows[0]})")
+            self.set_slot(slot, where(sel & 1, rows[1], rows[0]))
         else:
-            self.emit(f"_s = _minimum({sel}, {len(rows) - 1})")
-            self.emit(f"v[{slot}] = _stack(({', '.join(rows)}))[_s, _lidx]")
+            index = self.let("_s", minimum(sel, len(rows) - 1))
+            self.set_slot(slot, Select(index, tuple(rows)))
 
-    def own(self, expr: str, like: str = "") -> str:
-        return f"{expr} + {like} * 0" if like else f"{expr} + 0"
+    def fallback(self, call: Callable[[np.ndarray], None]) -> None:
+        """One lane-scalar step, opaque to the kernel."""
+        self.kb.add(Fallback(call))
+        self.n_fallback += 1
+
+    def copy_rows(self, holder, dst: str, src: str) -> None:
+        """Commit a row list: each ``dst`` row takes its ``src`` row's value."""
+        for index in range(len(getattr(holder, dst))):
+            self.set_field(holder, dst, self.field(holder, src, index), index)
 
     # ---------------------------------------------- per-target sequential
     def state_fsm(self, c) -> bool:
@@ -430,46 +442,47 @@ class LaneEmitter(SourceEmitter):
                            c.output_widths[port])
                 for state in c.states
             ]
-            tname = self.bind(f"_ft{self.uid()}", np.asarray(table, dtype=np.int64))
-            self.emit(f"v[{slot}] = {tname}[{s}._state]")
+            self.set_slot(slot, self.lookup(table, self.field(s, "_state")))
         return True
 
     def capture_fsm(self, c) -> bool:
         """Priority-ordered masked selects over per-lane state indices."""
         s = self.state_ref(c)
-        self.emit(f"_st = {s}._state")
-        self.emit("_pend = _st + 0")
-        self.emit("_open = _st >= 0")  # all-True: no transition matched yet
+        st = self.let("_st", self.field(s, "_state"))
+        pend = self.let("_pend", st + 0)
+        open_ = self.let("_open", st.ge(0))  # all-True: no transition matched yet
         for transition in c.transitions:
             src = c.state_index[transition.source]
             tgt = c.state_index[transition.target]
-            conds = [f"(_st == {src})", "_open"]
+            cond = st.eq(src) & open_
             for guard in transition.guards:
                 expr = self.req(c, guard.signal)
                 if expr is None:
-                    expr = "0"  # unconnected status input reads as 0
+                    expr = Const(0)  # unconnected status input reads as 0
                 if guard.signed:
                     expr = _signed(expr, c.input_widths[guard.signal])
-                conds.append(f"(({expr}) {guard.op} {guard.value})")
-            self.emit(f"_c = {' & '.join(conds)}")
-            self.emit(f"_pend = _where(_c, {tgt}, _pend)")
-            self.emit("_open = _open & ~_c")
-        self.emit(f"{s}._pending = _pend")
+                cond = cond & binary(guard.op, expr, guard.value)
+            cond = self.let("_c", cond)
+            pend = self.let("_pend", where(cond, tgt, pend))
+            open_ = self.let("_open", open_ & ~cond)
+        self.set_field(s, "_pending", pend)
         return True
 
-    def _capture_write(self, s: str, c, addr_port: str) -> None:
-        """Latch a storage write (address ``_ad``) for the masked-scatter commit."""
+    def _capture_write(self, s, c, addr_port: str) -> Expr:
+        """Latch a storage write for the masked-scatter commit; returns the
+        per-lane address."""
         we = self.req(c, "we")
-        self.emit(f"_ad = {_lane_addr(self.opt(c, addr_port, 0), c.depth)}")
-        self.emit(f"{s}.w_addr = _ad")
-        self.emit(f"{s}.w_en = {we} & 1" if we is not None else f"{s}.w_en = _ad * 0")
-        self.emit(f"{s}.w_data = _ad * 0 + ({self.opt(c, 'wdata', 0)})")
+        addr = self.let("_ad", _lane_addr(self.opt(c, addr_port, 0), c.depth))
+        self.set_field(s, "w_addr", addr)
+        self.set_field(s, "w_en", we & 1 if we is not None else addr * 0)
+        self.set_field(s, "w_data", addr * 0 + self.opt(c, "wdata", 0))
+        return addr
 
     def capture_memory(self, c) -> bool:
         s = self.state_ref(c)
-        self._capture_write(s, c, "addr")
+        addr = self._capture_write(s, c, "addr")
         # read-before-write semantics for the registered read port
-        self.emit(f"{s}._pending_read = {s}.mem[_ad, _lidx]")
+        self.set_field(s, "_pending_read", MemRead((s, "mem"), addr))
         return True
 
     def capture_regfile(self, c) -> bool:
@@ -479,38 +492,38 @@ class LaneEmitter(SourceEmitter):
     def capture_power_model(self, c) -> bool:
         if c.sample_on_strobe_only:
             return False  # paper-literal sampling stays on the lane-scalar path
-        uid = self.uid()
-        s = self.bind(f"_s{uid}", self.holders[c])
+        s = self.state_ref(c)
         strobe = self.opt(c, "strobe", 0)
-        self.emit(f"_e = {c.base_code}")
+        energy = self.let("_e", Const(c.base_code))
         for index, (port_name, in_name, _, tables) in enumerate(c._chunked):
             cur = self.opt(c, in_name, 0)
-            self.emit(f"_t = {s}._previous[{index}] ^ {cur}")
-            self.emit(f"{s}._pending_previous[{index}] = {cur} + 0")
+            t = self.let("_t", self.field(s, "_previous", index) ^ cur)
+            self.set_field(s, "_pending_previous", cur + 0, index)
             for chunk, table in enumerate(tables):
-                tname = self.bind(f"_tb{uid}_{self.uid()}", np.asarray(table, dtype=np.int64))
                 if chunk == 0:
-                    index_expr = "_t" if len(tables) == 1 else "_t & 255"
+                    byte = t if len(tables) == 1 else t & 255
                 else:
-                    index_expr = f"(_t >> {8 * chunk}) & 255"
+                    byte = (t >> 8 * chunk) & 255
                 # table[0] is always 0, so charging untoggled lanes adds
                 # nothing — the vectorized form of the scalar `if _t:` guard
-                self.emit(f"_e = _e + {tname}[{index_expr}]")
-        self.emit(f"_a = {s}._accumulated + _e")
-        self.emit(f"_sb = {strobe} & 1")
-        self.emit(f"{s}._pending_output = _where(_sb, _a & {_mask(c.energy_width)}, 0)")
-        self.emit(f"{s}._pending_accumulated = _where(_sb, 0, _a)")
+                energy = self.let("_e", energy + self.lookup(table, byte))
+        total = self.let("_a", self.field(s, "_accumulated") + energy)
+        strobed = self.let("_sb", strobe & 1)
+        self.set_field(s, "_pending_output",
+                       where(strobed, total & _mask(c.energy_width), 0))
+        self.set_field(s, "_pending_accumulated", where(strobed, 0, total))
         return True
 
-    def _commit_write(self, s: str, c) -> None:
+    def _commit_write(self, s, c) -> None:
         if c.ports["we"].net is not None:
-            self.emit(f"_msk = {s}.w_en != 0")
-            self.emit(f"{s}.mem[{s}.w_addr[_msk], _lidx[_msk]] = {s}.w_data[_msk]")
+            enable = self.let("_msk", self.field(s, "w_en").ne(0))
+            self.kb.add(MemWrite((s, "mem"), self.field(s, "w_addr"),
+                                 self.field(s, "w_data"), enable))
 
     def commit_memory(self, c) -> None:
         s = self.state_ref(c)
         if c.sync_read:
-            self.emit(f"{s}._read_reg = {s}._pending_read")
+            self.set_field(s, "_read_reg", self.field(s, "_pending_read"))
         self._commit_write(s, c)
 
     def commit_regfile(self, c) -> None:
@@ -518,10 +531,9 @@ class LaneEmitter(SourceEmitter):
 
     def commit_power_model(self, c) -> None:
         s = self.state_ref(c)
-        self.emit(f"{s}._previous = {s}._pending_previous")
-        self.emit(f"{s}._pending_previous = list({s}._previous)")
-        self.emit(f"{s}._accumulated = {s}._pending_accumulated")
-        self.emit(f"{s}._output = {s}._pending_output")
+        self.copy_rows(s, "_previous", "_pending_previous")
+        self.set_field(s, "_accumulated", self.field(s, "_pending_accumulated"))
+        self.set_field(s, "_output", self.field(s, "_pending_output"))
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +541,18 @@ class LaneEmitter(SourceEmitter):
 # A wide net occupies consecutive slots of little-endian 60-bit limbs; every
 # emitted limb expression is masked *before* any left shift, so intermediate
 # values never exceed 62 bits and the generated code stays exact on the int64
-# batch path and in both fused kernels.
+# batch path and in the fused kernels.
 # ---------------------------------------------------------------------------
 
 
-def _l_in(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[str], int]]:
-    """Per-limb slot expressions plus net width of an input; None if unbound."""
+def _l_in(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[Expr], int]]:
+    """Per-limb slot reads plus net width of an input; None if unbound."""
     port = c.ports.get(port_name)
     if port is None or port.net is None:
         return None
     slot = em.slot_of[port.net]
     n_limbs = em.limbs_of.get(port.net, 1)
-    return [f"v[{slot + k}]" for k in range(n_limbs)], port.net.width
+    return [SlotRef(slot + k) for k in range(n_limbs)], port.net.width
 
 
 def _l_out(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[int], int]]:
@@ -555,7 +567,7 @@ def _l_out(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[int], int]
 
 def _l_gather(
     em: LaneEmitter,
-    items: List[Tuple[str, int, int]],
+    items: List[Tuple[Expr, int, int]],
     out_slots: List[int],
     out_width: int,
 ) -> None:
@@ -575,12 +587,12 @@ def _l_gather(
             if start >= end:
                 continue
             if offset >= lo:
-                kept = f"({expr} & {_mask(end - offset)})" if end - offset < width else expr
-                part = f"({kept} << {offset - lo})" if offset > lo else kept
+                kept = expr & _mask(end - offset) if end - offset < width else expr
+                part = kept << (offset - lo) if offset > lo else kept
             else:
-                part = f"(({expr} >> {lo - offset}) & {_mask(end - start)})"
+                part = (expr >> (lo - offset)) & _mask(end - start)
             parts.append(part)
-        em.emit(f"v[{slot}] = " + (" | ".join(parts) if parts else "0"))
+        em.set_slot(slot, reduce(or_, parts) if parts else Const(0))
 
 
 def _bl_logic(em: LaneEmitter, c) -> bool:
@@ -592,8 +604,7 @@ def _bl_logic(em: LaneEmitter, c) -> bool:
         return True
     masks = _limb_masks(c.width)
     for k, slot in enumerate(y[0]):
-        expr = _LOGIC_EXPRS[c.op].format(a=a[0][k], b=b[0][k], m=masks[k])
-        em.emit(f"v[{slot}] = {expr}")
+        em.set_slot(slot, _LOGIC_EXPRS[c.op](a[0][k], b[0][k], masks[k]))
     return True
 
 
@@ -606,7 +617,7 @@ def _bl_not(em: LaneEmitter, c) -> bool:
         return True
     masks = _limb_masks(c.width)
     for k, slot in enumerate(y[0]):
-        em.emit(f"v[{slot}] = {a[0][k]} ^ {masks[k]}")
+        em.set_slot(slot, a[0][k] ^ masks[k])
     return True
 
 
@@ -620,27 +631,25 @@ def _bl_adder(em: LaneEmitter, c) -> bool:
     masks = _limb_masks(c.width)
     top_bits = c.width - LIMB_BITS * (n_limbs - 1)
     carry = None
-    if c.with_carry_in:
-        cin = em.opt(c, "cin", 0)
-        if cin != "0":
-            carry = f"({cin} & 1)"
+    cin = em.req(c, "cin") if c.with_carry_in else None
+    if cin is not None:
+        carry = cin & 1
     for k in range(n_limbs):
-        terms = f"{a[0][k]} + {b[0][k]}"
+        terms = a[0][k] + b[0][k]
         if carry is not None:
-            terms += f" + {carry}"
+            terms = terms + carry
         last = k == n_limbs - 1
         if last and cout is None:
             if y is not None:
-                em.emit(f"v[{y[0][k]}] = ({terms}) & {masks[k]}")
+                em.set_slot(y[0][k], terms & masks[k])
             break
-        em.emit(f"_t = {terms}")
+        t = em.let("_t", terms)
         if y is not None:
-            em.emit(f"v[{y[0][k]}] = _t & {masks[k]}")
+            em.set_slot(y[0][k], t & masks[k])
         if last:
-            em.emit(f"v[{cout}] = (_t >> {top_bits}) & 1")
+            em.set_slot(cout, (t >> top_bits) & 1)
         else:
-            em.emit(f"_cy = _t >> {LIMB_BITS}")
-            carry = "_cy"
+            carry = em.let("_cy", t >> LIMB_BITS)
     return True
 
 
@@ -654,22 +663,21 @@ def _bl_subtractor(em: LaneEmitter, c) -> bool:
     masks = _limb_masks(c.width)
     borrow = None
     for k in range(n_limbs):
-        terms = f"{a[0][k]} - {b[0][k]}"
+        terms = a[0][k] - b[0][k]
         if borrow is not None:
-            terms += f" - {borrow}"
+            terms = terms - borrow
         last = k == n_limbs - 1
         if last and y is None and borrow_out is None:
             break
-        em.emit(f"_t = {terms}")
+        t = em.let("_t", terms)
         if y is not None:
             # a negative difference wraps exactly under the limb mask
-            em.emit(f"v[{y[0][k]}] = _t & {masks[k]}")
+            em.set_slot(y[0][k], t & masks[k])
         if last:
             if borrow_out is not None:
-                em.emit(f"v[{borrow_out}] = _t < 0")
+                em.set_slot(borrow_out, t.lt(0))
         else:
-            em.emit("_bw = (_t < 0) * 1")
-            borrow = "_bw"
+            borrow = em.let("_bw", t.lt(0) * 1)
     return True
 
 
@@ -682,20 +690,18 @@ def _bl_comparator(em: LaneEmitter, c) -> bool:
     outs = [(port, em.out(c, port)) for port in ("lt", "eq", "gt")]
     if all(slot is None for _, slot in outs):
         return True
-    n_limbs = len(a[0])
-    top = n_limbs - 1
+    top = len(a[0]) - 1
     # unsigned lexicographic compare, most-significant limb first
-    em.emit(f"_lt = ({a[0][top]} < {b[0][top]}) * 1")
-    em.emit(f"_gt = ({a[0][top]} > {b[0][top]}) * 1")
-    em.emit(f"_e = ({a[0][top]} == {b[0][top]}) * 1")
+    lt = em.let("_lt", a[0][top].lt(b[0][top]) * 1)
+    gt = em.let("_gt", a[0][top].gt(b[0][top]) * 1)
+    eq = em.let("_e", a[0][top].eq(b[0][top]) * 1)
     for k in range(top - 1, -1, -1):
-        em.emit(f"_lt = _lt | (_e & ({a[0][k]} < {b[0][k]}))")
-        em.emit(f"_gt = _gt | (_e & ({a[0][k]} > {b[0][k]}))")
-        em.emit(f"_e = _e & ({a[0][k]} == {b[0][k]})")
-    for port, var in (("lt", "_lt"), ("eq", "_e"), ("gt", "_gt")):
-        slot = em.out(c, port)
+        lt = em.let("_lt", lt | (eq & a[0][k].lt(b[0][k])))
+        gt = em.let("_gt", gt | (eq & a[0][k].gt(b[0][k])))
+        eq = em.let("_e", eq & a[0][k].eq(b[0][k]))
+    for (_, slot), value in zip(outs, (lt, eq, gt)):
         if slot is not None:
-            em.emit(f"v[{slot}] = {var}")
+            em.set_slot(slot, value)
     return True
 
 
@@ -717,12 +723,11 @@ def _bl_mux(em: LaneEmitter, c) -> bool:
         return False
     if c.n_inputs == 2:
         for k, slot in enumerate(y[0]):
-            em.emit(f"v[{slot}] = _where({sel} & 1, {rows[1][k]}, {rows[0][k]})")
+            em.set_slot(slot, where(sel & 1, rows[1][k], rows[0][k]))
     else:
-        em.emit(f"_s = _minimum({sel}, {c.n_inputs - 1})")
+        index = em.let("_s", minimum(sel, c.n_inputs - 1))
         for k, slot in enumerate(y[0]):
-            limb_rows = ", ".join(row[k] for row in rows)
-            em.emit(f"v[{slot}] = _stack(({limb_rows}))[_s, _lidx]")
+            em.set_slot(slot, Select(index, tuple(row[k] for row in rows)))
     return True
 
 
@@ -735,20 +740,16 @@ def _bl_reduce(em: LaneEmitter, c) -> bool:
         return True
     masks = _limb_masks(c.width)
     if c.op == "and":
-        terms = " & ".join(
-            f"({expr} == {masks[k]})" for k, expr in enumerate(a[0])
-        )
-        em.emit(f"v[{y}] = {terms}")
+        em.set_slot(y, reduce(and_, (expr.eq(masks[k]) for k, expr in enumerate(a[0]))))
     elif c.op == "or":
-        em.emit(f"v[{y}] = ({' | '.join(a[0])}) != 0")
+        em.set_slot(y, reduce(or_, a[0]).ne(0))
     else:
-        terms = " + ".join(f"_popcount({expr})" for expr in a[0])
-        em.emit(f"v[{y}] = ({terms}) & 1")
+        em.set_slot(y, reduce(add, (Popcount(expr) for expr in a[0])) & 1)
     return True
 
 
 def _bl_concat(em: LaneEmitter, c) -> bool:
-    items: List[Tuple[str, int, int]] = []
+    items: List[Tuple[Expr, int, int]] = []
     shift = 0
     for i, width in enumerate(c.widths):
         r = _l_in(em, c, f"i{i}")
@@ -799,7 +800,7 @@ def _bl_state_constant(em: LaneEmitter, c) -> bool:
     y = _l_out(em, c, "y")
     if y is not None:
         for k, slot in enumerate(y[0]):
-            em.emit(f"v[{slot}] = {(c.value >> (LIMB_BITS * k)) & _LIMB_MASK}")
+            em.set_slot(slot, (c.value >> (LIMB_BITS * k)) & _LIMB_MASK)
     return True
 
 
@@ -808,7 +809,7 @@ def _bl_state_register(em: LaneEmitter, c) -> bool:
     if y is not None:
         s = em.state_ref(c)
         for k, slot in enumerate(y[0]):
-            em.emit(f"v[{slot}] = {s}._state[{k}]")
+            em.set_slot(slot, em.field(s, "_state", k))
     return True
 
 
@@ -821,15 +822,13 @@ def _bl_capture_register(em: LaneEmitter, c) -> bool:
     en = em.req(c, "en") if c.has_enable else None
     for k, d_expr in enumerate(d[0]):
         reset_limb = (c.reset_value >> (LIMB_BITS * k)) & _LIMB_MASK
-        nxt = register_next(em, d_expr, f"{s}._state[{k}]", reset_limb, en, clr)
-        em.emit(f"{s}._pending[{k}] = {nxt}")
+        nxt = register_next(em, d_expr, em.field(s, "_state", k), reset_limb, en, clr)
+        em.set_field(s, "_pending", nxt, k)
     return True
 
 
 def _bl_commit_register(em: LaneEmitter, c) -> None:
-    s = em.state_ref(c)
-    em.emit(f"{s}._state = {s}._pending")
-    em.emit(f"{s}._pending = list({s}._state)")
+    em.copy_rows(em.state_ref(c), "_state", "_pending")
 
 
 #: limb-wise emitters for components touching a wide (multi-limb) net, one
@@ -908,9 +907,12 @@ class BatchProgram:
     dtype: object
     settle: Callable[[np.ndarray], None]
     clock_edge: Callable[[np.ndarray], None]
+    #: the NumPy source ``settle``/``clock_edge`` run, printed from :attr:`ir`
     source: str
     n_fused: int
     n_fallback: int
+    #: the lowered program: printed as NumPy here, as C by a native kernel
+    ir: KernelIR
     #: wide net -> limb count (first limb at slot_of[net]); empty when every
     #: net fits one lane or the module is on the object-dtype store
     limbs_of: Dict[Net, int] = None  # type: ignore[assignment]
@@ -918,11 +920,7 @@ class BatchProgram:
     holders: Dict[object, object] = None  # type: ignore[assignment]
     #: lane-scalar fallback wrappers (state reset goes through these)
     lane_components: List[LaneComponent] = None  # type: ignore[assignment]
-    #: exec environment of the generated source (tables, holders, fallbacks);
-    #: the kernel IR extractor resolves names through it
-    env: Dict[str, object] = None  # type: ignore[assignment]
-    #: cached kernel IR / unsupported-reason (see :meth:`kernel_ir`)
-    _kernel_ir: object = None
+    #: why a fused kernel cannot run :attr:`ir` (see :meth:`kernel_ir`)
     _kernel_unsupported: Optional[str] = None
     #: compiled native kernel, shared by simulators over this program (safe:
     #: kernels rebind stale state pointers at every reset)
@@ -935,41 +933,38 @@ class BatchProgram:
         for lane_component in self.lane_components:
             lane_component.reset()
 
-    def kernel_ir(self):
-        """The typed kernel IR of this program (extracted once, cached).
+    def kernel_ir(self) -> KernelIR:
+        """The program's IR, when a fused kernel can run it.
 
         Raises :class:`~repro.sim.kernels.ir.KernelUnsupportedError` when the
         module cannot lower to a fused kernel (lane-scalar fallback
         components, object-dtype stores); the reason is cached so repeated
         attach attempts stay cheap.
         """
-        from repro.sim.kernels.ir import KernelUnsupportedError, extract_ir
-
-        if self._kernel_ir is not None:
-            return self._kernel_ir
         if self._kernel_unsupported is not None:
             raise KernelUnsupportedError(self._kernel_unsupported)
         try:
             if self.dtype is object:
-                raise KernelUnsupportedError(
-                    "lane program not kernelizable: object-dtype store "
-                    "(module has nets wider than MAX_LIMB_WIDTH)"
+                raise unsupported(
+                    "object-dtype store (module has nets wider than MAX_LIMB_WIDTH)"
                 )
-            self._kernel_ir = extract_ir(self.source, self.env, self.n_slots)
+            self.ir.require_kernelizable()
         except KernelUnsupportedError as error:
             self._kernel_unsupported = str(error)
             raise
-        return self._kernel_ir
+        return self.ir
 
 
-def _generate_batch_source(
+def _lower_lanes(
     module: Module,
     schedule: Schedule,
     slot_of: Dict[Net, int],
     limbs_of: Dict[Net, int],
+    n_slots: int,
     n_lanes: int,
     force_fallback: bool,
-) -> Tuple[str, Dict[str, object], int, int, Dict[object, object], List[LaneComponent]]:
+) -> Tuple[LaneEmitter, Dict[object, object], List[LaneComponent]]:
+    """Lower the schedule into the lane target's IR (one builder pass)."""
     tables = ({}, {}, {}, {}) if force_fallback else emitter_tables()
 
     # components touching any multi-limb net (none on the object-dtype
@@ -1010,25 +1005,21 @@ def _generate_batch_source(
                 holders[component] = holder
             return holders[component]
 
-    em = LaneEmitter(slot_of, limbs_of, _Holders())
+    em = LaneEmitter(slot_of, limbs_of, _Holders(), n_slots)
 
     def emit_fallback(component, method: str) -> None:
-        wrapper = lane_component_for(component)
-        name = em.bind(f"_lc{em.uid()}", wrapper)
-        em.emit(f"{name}.{method}(v)")
-        em.n_fallback += 1
+        em.fallback(getattr(lane_component_for(component), method))
 
     # Decide each sequential component's mode up front with a capture dry run:
     # a component whose capture cannot fuse must also keep its state outputs
     # (and any combinational path) on the lane-scalar path, so per-lane holder
     # state and the component's own scalar state never mix.
     fallback_sequential = set()
-    scratch = LaneEmitter(slot_of, limbs_of, em.holders)
+    scratch = LaneEmitter(slot_of, limbs_of, em.holders, n_slots)
     for component in schedule.sequential:
         emitter = emitter_for(capture, component)
         fused = False
         if emitter is not None:
-            scratch.lines = []
             try:
                 fused = emitter(scratch, component)
             except KeyError:
@@ -1036,8 +1027,7 @@ def _generate_batch_source(
         if not fused:
             fallback_sequential.add(component)
 
-    lines: List[str] = ["def _settle(v):"]
-    em.lines = body = []
+    em.kb.phase("settle")
     for component in schedule.state_sources:
         emitter = emitter_for(state, component)
         done = False
@@ -1060,13 +1050,8 @@ def _generate_batch_source(
             em.n_fused += 1
         else:
             emit_fallback(component, "evaluate")
-    if not body:
-        body.append("pass")
-    lines.extend("    " + line for line in body)
 
-    lines.append("")
-    lines.append("def _clock_edge(v):")
-    em.lines = body = []
+    em.kb.phase("clock_edge")
     fused_sequential = []
     for component in schedule.sequential:
         if component in fallback_sequential:
@@ -1080,12 +1065,7 @@ def _generate_batch_source(
         fused_sequential.append(component)
     for component in fused_sequential:
         emitter_for(commit, component)(em, component)
-    if not body:
-        body.append("pass")
-    lines.extend("    " + line for line in body)
-
-    source = "\n".join(lines) + "\n"
-    return source, em.env, em.n_fused, em.n_fallback, holders, list(lane_components.values())
+    return em, holders, list(lane_components.values())
 
 
 #: module -> (mutation_key, n_lanes, schedule, program)
@@ -1144,22 +1124,12 @@ def compile_module_batch(
             limbs_of[net] = n_limbs
         n_slots += n_limbs
     try:
-        source, env, n_fused, n_fallback, holders, lane_comps = _generate_batch_source(
-            module, schedule, slot_of, limbs_of, n_lanes, force_fallback
+        em, holders, lane_comps = _lower_lanes(
+            module, schedule, slot_of, limbs_of, n_slots, n_lanes, force_fallback
         )
-        code = compile(source, f"<batch:{module.name}>", "exec")
-        namespace = dict(env)
-        namespace.update(
-            _where=np.where,
-            _minimum=np.minimum,
-            _abs=np.abs,
-            _stack=np.stack,
-            _popcount=_popcount_u64,
-            _one=np.int64(1),
-            _lidx=np.arange(n_lanes),
-        )
-        namespace["__builtins__"] = {"list": list}
-        exec(code, namespace)
+        source, namespace = numpy_source(em.kb.ir)
+        namespace.update(_lidx=np.arange(n_lanes), __builtins__={})
+        exec(compile(source, f"<batch:{module.name}>", "exec"), namespace)
     except Exception as error:
         build_span.set(error=type(error).__name__)
         build_span.end()
@@ -1176,17 +1146,17 @@ def compile_module_batch(
         settle=namespace["_settle"],
         clock_edge=namespace["_clock_edge"],
         source=source,
-        n_fused=n_fused,
-        n_fallback=n_fallback,
+        n_fused=em.n_fused,
+        n_fallback=em.n_fallback,
+        ir=em.kb.ir,
         holders=holders,
         lane_components=lane_comps,
-        env=env,
     )
     try:
         _BATCH_CACHE[module] = (key, n_lanes, schedule, program)
     except TypeError:  # pragma: no cover - unweakrefable module subclass
         pass
-    build_span.set(n_fused=n_fused, n_fallback=n_fallback)
+    build_span.set(n_fused=em.n_fused, n_fallback=em.n_fallback)
     build_span.end()
     return program
 

@@ -18,19 +18,22 @@ dict literal over slot reads — so any component that simulates on the
 interpreter also simulates compiled, just with less of the speedup.
 
 The emitters here are written once, against the small target interface of
-:class:`SourceEmitter`, and print every component kind for both targets:
-:class:`ScalarEmitter` (Python ints in a slot list, this module) and
-:class:`~repro.sim.batch.LaneEmitter` (NumPy ``(n_lanes,)`` rows of the lane
-store, :mod:`repro.sim.batch`).  A target only spells what differs: 0/1 ints
-vs bool arrays, ``a if c else b`` vs ``_where``, how a ROM table or a memory
-row is bound and read, the lane store's int64 width guards, the mux
-algorithm, and whether a value kept in state must be copied.  Sequential
-emitters read and write the component's own state attribute names
-(``_state``, ``_pending``, ``_total``, ...): the scalar target binds the
-component itself, the lane target a holder whose rows carry the same names.
-Only the kinds whose state layouts differ (FSM state name vs index, tuple
-pending write vs masked scatter, port-keyed dict vs row list) are lowered by
-each target itself, through one entry of the same dispatch table.
+:class:`SourceEmitter`, and compose expressions of the typed kernel IR
+(:mod:`repro.sim.kernels.ir`) for both targets.  :class:`ScalarEmitter`
+(Python ints in a slot list, this module) prints each expression as
+Python-int source as it goes (:func:`py_source`);
+:class:`~repro.sim.batch.LaneEmitter` (:mod:`repro.sim.batch`) appends the
+statements to one :class:`~repro.sim.kernels.ir.KernelIR`, which is then
+printed as the NumPy lane program and as the C kernel.  A target only spells
+what differs: 0/1 ints vs bool arrays, how a ROM table or a memory row is
+read, the lane store's int64 width guards, the mux algorithm, and whether a
+value kept in state must be copied.  Sequential emitters read and write the
+component's own state attribute names (``_state``, ``_pending``, ``_total``,
+...): the scalar target binds the component itself, the lane target a holder
+whose rows carry the same names.  Only the kinds whose state layouts differ
+(FSM state name vs index, tuple pending write vs masked scatter, port-keyed
+dict vs row list) are lowered by each target itself, through one entry of the
+same dispatch table.
 
 Fusion keys off the concrete component class (not ``type_name``), so a
 subclass with an overridden ``evaluate`` is never fused incorrectly.
@@ -38,9 +41,15 @@ subclass with an overridden ``evaluate`` is never fused incorrectly.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netlist.nets import Net
+from repro.sim.kernels.ir import (
+    Bin, Const, Expr, MemRead, Min, Popcount, SlotRef, StateRef, Table, TempRef, Unary,
+    Where, const, minimum, where,
+)
 
 # Dispatch tables are built lazily: the power-estimation component classes
 # live in repro.core, which itself imports repro.sim, and resolving them at
@@ -53,45 +62,96 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def _signed(expr: str, width: int) -> str:
+def _signed(expr: Expr, width: int) -> Expr:
     """Branchless two's-complement reinterpretation of a masked value."""
     sign = 1 << (width - 1)
-    return f"(({expr} ^ {sign}) - {sign})"
+    return (expr ^ sign) - sign
+
+
+# ---------------------------------------------------------------------------
+# Python-int printing (the scalar target).
+# ---------------------------------------------------------------------------
+
+
+def py_source(x: Expr) -> str:
+    """``x`` as Python-int source (every compound parenthesized).
+
+    The scalar target names state rows, locals, tables and memory rows by
+    their source spelling (``StateRef("_c3._state")``, ``TempRef("_t")``,
+    ``Table("_rom4", ...)``, ``MemRead("_c5._state", ...)``).
+    """
+    kind = type(x)
+    if kind is SlotRef:
+        return f"v[{x.slot}]"
+    if kind is Bin:
+        return f"({py_source(x.a)} {x.op} {py_source(x.b)})"
+    if kind is Const:
+        return str(x.value)
+    if kind is TempRef:
+        return x.name
+    if kind is StateRef:
+        return x.row
+    if kind is Where:
+        return f"({py_source(x.a)} if {py_source(x.cond)} else {py_source(x.b)})"
+    if kind is Table:
+        return f"{x.table}[{py_source(x.index)}]"
+    if kind is MemRead:
+        return f"{x.mem}[{py_source(x.addr)}]"
+    if kind is Unary:
+        return f"({'-' if x.op == 'neg' else '~'}{py_source(x.a)})"
+    if kind is Min:
+        a, b = py_source(x.a), py_source(x.b)
+        return f"({a} if {a} <= {b} else {b})"
+    if kind is Popcount:
+        return f"({py_source(x.a)}).bit_count()"
+    raise TypeError(f"no scalar spelling for IR node {x!r}")
 
 
 class SourceEmitter:
-    """Accumulates generated lines plus the exec environment they reference.
+    """The target interface the shared emitters are written against.
 
-    Subclasses are the code-generation targets: they implement the target
-    interface below, which is all the shared emitters need.
+    Port accessors return IR expressions.  Subclasses are the code-generation
+    targets; each implements these hooks:
+
+    * ``fits(bits)`` — whether a ``bits``-wide intermediate (or shift
+      amount) is exact on the target,
+    * ``flag(cond)``, ``nonzero(expr)`` — the 0/1 value of a comparison, and
+      of ``expr != 0``,
+    * ``lookup(values, index)`` — ``values[index]`` for a constant table
+      (ROM contents),
+    * ``state_ref(c)`` — the object holding ``c``'s sequential state;
+      ``field(state, attr)`` reads one of its attributes,
+      ``set_field(state, attr, expr)`` writes one, and
+      ``read_row(state, addr, depth)`` reads a memory/register-file row,
+    * ``own(expr, like=None)`` — ``expr`` as a value a state attribute may
+      keep: lane holder fields rebind rather than copy, so the lane target
+      forces a fresh row, and a constant takes the shape of the row ``like``,
+    * ``set_slot(slot, expr)`` — ``v[slot] = expr``; ``let(name, expr)``
+      binds a local (named ``name`` on the scalar target) and reads it,
+    * ``emit_abs(slot, expr)`` — ``v[slot] = |expr|`` for a signed ``expr``;
+      ``emit_mux(slot, sel, data_slots)`` —
+      ``v[slot] = v[data_slots[min(sel, n - 1)]]``.
+
+    Each target also lowers the sequential kinds whose state layouts differ
+    (FSM state name vs index, tuple pending write vs masked scatter,
+    port-keyed dict vs row list): ``state_fsm``, ``capture_fsm``,
+    ``capture_memory``, ``capture_regfile``, ``capture_power_model`` (True
+    when fused, like every emitter) and ``commit_memory``,
+    ``commit_regfile``, ``commit_power_model``.
     """
-
-    #: the literal 1 as a left-shift operand (one-hot decoder)
-    one = "1"
 
     def __init__(self, slot_of: Dict[Net, int]) -> None:
         self.slot_of = slot_of
-        self.env: Dict[str, object] = {}
-        self.lines: List[str] = []
         self.n_fused = 0
         self.n_fallback = 0
         self._uid = 0
 
-    # ------------------------------------------------------------- plumbing
     def uid(self) -> int:
         self._uid += 1
         return self._uid
 
-    def emit(self, line: str, indent: int = 0) -> None:
-        self.lines.append("    " * indent + line)
-
-    def bind(self, name: str, obj: object) -> str:
-        self.env[name] = obj
-        return name
-
-    # ------------------------------------------------------- port accessors
-    def req(self, component, port_name: str) -> Optional[str]:
-        """Slot expression for a *required* input; None when unconnected.
+    def req(self, component, port_name: str) -> Optional[Expr]:
+        """Slot read of a *required* input; None when unconnected.
 
         A ``None`` makes the caller fall back to the generic ``evaluate``
         path, which reproduces the interpreter's ``KeyError`` semantics for
@@ -100,12 +160,12 @@ class SourceEmitter:
         port = component.ports.get(port_name)
         if port is None or port.net is None:
             return None
-        return f"v[{self.slot_of[port.net]}]"
+        return SlotRef(self.slot_of[port.net])
 
-    def opt(self, component, port_name: str, default: int = 0) -> str:
-        """Slot expression for an ``inputs.get(name, default)`` input."""
+    def opt(self, component, port_name: str, default: int = 0) -> Expr:
+        """Slot read of an ``inputs.get(name, default)`` input."""
         expr = self.req(component, port_name)
-        return str(default) if expr is None else expr
+        return Const(default) if expr is None else expr
 
     def out(self, component, port_name: str) -> Optional[int]:
         """Slot of a component output, or None when unconnected."""
@@ -128,102 +188,66 @@ class SourceEmitter:
             if p.net is not None
         ]
 
-    # ----------------------------------------------------- target interface
-    def fits(self, bits: int) -> bool:
-        """Whether a ``bits``-wide intermediate (or shift amount) is exact."""
-        raise NotImplementedError
-
-    def flag(self, cond: str) -> str:
-        """The 0/1 value of a comparison."""
-        raise NotImplementedError
-
-    def nonzero(self, expr: str) -> str:
-        """The 0/1 value of ``expr != 0``."""
-        raise NotImplementedError
-
-    def select(self, cond: str, if_true: str, if_false: str) -> str:
-        raise NotImplementedError
-
-    def minimum(self, a: str, b: str) -> str:
-        raise NotImplementedError
-
-    def popcount(self, expr: str) -> str:
-        raise NotImplementedError
-
-    def table(self, values: Sequence[int]) -> object:
-        """The object a lookup table (ROM contents) is bound as."""
-        raise NotImplementedError
-
-    def state_ref(self, component) -> str:
-        """Bind and name the object holding ``component``'s sequential state."""
-        raise NotImplementedError
-
-    def read_row(self, state: str, addr: str, depth: int) -> str:
-        """Read of a memory/register-file row through :meth:`state_ref`."""
-        raise NotImplementedError
-
-    def emit_abs(self, slot: int, expr: str) -> None:
-        """``v[slot] = |expr|`` for a signed ``expr``."""
-        raise NotImplementedError
-
-    def emit_mux(self, slot: int, sel: str, data_slots: List[int]) -> None:
-        """``v[slot] = v[data_slots[min(sel, n - 1)]]``."""
-        raise NotImplementedError
-
-    def own(self, expr: str, like: str = "") -> str:
-        """``expr`` as a value a state attribute may keep.
-
-        Lane holder fields rebind rather than copy, so the lane target forces
-        a fresh row; a constant ``expr`` takes the shape of the row ``like``.
-        """
-        raise NotImplementedError
-
-    # Each target also lowers the sequential kinds whose state layouts
-    # differ (FSM state name vs index, tuple pending write vs masked scatter,
-    # port-keyed dict vs row list): ``state_fsm``, ``capture_fsm``,
-    # ``capture_memory``, ``capture_regfile``, ``capture_power_model``
-    # (True when fused, like every emitter) and ``commit_memory``,
-    # ``commit_regfile``, ``commit_power_model``.
-
 
 class ScalarEmitter(SourceEmitter):
-    """Target: one simulation, Python ints in a flat slot list."""
+    """Target: one simulation, Python ints in a flat slot list.
+
+    Accumulates source lines plus the exec environment they reference.
+    """
+
+    def __init__(self, slot_of: Dict[Net, int]) -> None:
+        super().__init__(slot_of)
+        self.env: Dict[str, object] = {}
+        self.lines: List[str] = []
+
+    def emit(self, line: str, indent: int = 0) -> None:
+        self.lines.append("    " * indent + line)
+
+    def bind(self, name: str, obj: object) -> str:
+        self.env[name] = obj
+        return name
 
     def fits(self, bits: int) -> bool:
         return True  # Python ints never overflow
 
-    def flag(self, cond: str) -> str:
-        return f"(1 if {cond} else 0)"
+    def flag(self, cond: Expr) -> Expr:
+        return where(cond, 1, 0)
 
-    def nonzero(self, expr: str) -> str:
-        return f"(1 if {expr} else 0)"
+    nonzero = flag  # a truth test of any int
 
-    def select(self, cond: str, if_true: str, if_false: str) -> str:
-        return f"({if_true} if {cond} else {if_false})"
-
-    def minimum(self, a: str, b: str) -> str:
-        return f"({a} if {a} <= {b} else {b})"
-
-    def popcount(self, expr: str) -> str:
-        return f"({expr}).bit_count()"
-
-    def table(self, values: Sequence[int]) -> object:
-        return values
+    def lookup(self, values: Sequence[int], index: Expr) -> Expr:
+        return Table(self.bind(f"_rom{self.uid()}", values), index)
 
     def state_ref(self, component) -> str:
         return self.bind(f"_c{self.uid()}", component)
 
-    def read_row(self, state: str, addr: str, depth: int) -> str:
-        return f"{state}._state[{addr} % {depth}]"
+    def field(self, state: str, attr: str) -> Expr:
+        return StateRef(f"{state}.{attr}")
 
-    def emit_abs(self, slot: int, expr: str) -> None:
-        self.emit(f"_t = {expr}")
-        self.emit(f"v[{slot}] = -_t if _t < 0 else _t")
+    def read_row(self, state: str, addr: Expr, depth: int) -> Expr:
+        return MemRead(f"{state}._state", addr % depth)
 
-    def emit_mux(self, slot: int, sel: str, data_slots: List[int]) -> None:
+    def own(self, expr: Expr, like: Optional[Expr] = None) -> Expr:
+        return expr
+
+    def set_slot(self, slot: int, expr: Expr) -> None:
+        self.emit(f"v[{slot}] = {py_source(expr)}")
+
+    def set_field(self, state: str, attr: str, expr: Expr) -> None:
+        self.emit(f"{state}.{attr} = {py_source(expr)}")
+
+    def let(self, name: str, expr: Expr) -> Expr:
+        self.emit(f"{name} = {py_source(expr)}")
+        return TempRef(name)
+
+    def emit_abs(self, slot: int, expr: Expr) -> None:
+        t = self.let("_t", expr)
+        self.set_slot(slot, where(t.lt(0), -t, t))
+
+    def emit_mux(self, slot: int, sel: Expr, data_slots: List[int]) -> None:
         table = self.bind(f"_mx{self.uid()}", tuple(data_slots))
         last = len(data_slots) - 1
-        self.emit(f"_s = {sel}")
+        self.emit(f"_s = {py_source(sel)}")
         self.emit(f"if _s > {last}: _s = {last}")
         self.emit(f"v[{slot}] = v[{table}[_s]]")
 
@@ -261,9 +285,6 @@ class ScalarEmitter(SourceEmitter):
     commit_memory = commit_regfile = commit_generic
 
     # ---------------------------------------------- per-target sequential
-    def own(self, expr: str, like: str = "") -> str:
-        return expr
-
     def state_fsm(self, c) -> bool:
         from repro.netlist.signals import mask_value
 
@@ -290,12 +311,12 @@ class ScalarEmitter(SourceEmitter):
 
     def capture_memory(self, c) -> bool:
         obj = self.state_ref(c)
-        addr = self.opt(c, "addr", 0)
+        addr = py_source(self.opt(c, "addr", 0))
         we = self.req(c, "we")
-        wdata = self.opt(c, "wdata", 0)
+        wdata = py_source(self.opt(c, "wdata", 0))
         self.emit(f"_t = {addr} % {c.depth}")
         if we is not None:
-            self.emit(f"{obj}._pending_write = (_t, {wdata}) if {we} & 1 else None")
+            self.emit(f"{obj}._pending_write = (_t, {wdata}) if {py_source(we)} & 1 else None")
         else:
             self.emit(f"{obj}._pending_write = None")
         self.emit(f"{obj}._pending_read = {obj}._state[_t]")
@@ -307,11 +328,11 @@ class ScalarEmitter(SourceEmitter):
         if we is None:
             self.emit(f"{obj}._pending_write = None")
         else:
-            waddr = self.opt(c, "waddr", 0)
-            wdata = self.opt(c, "wdata", 0)
+            waddr = py_source(self.opt(c, "waddr", 0))
+            wdata = py_source(self.opt(c, "wdata", 0))
             self.emit(
                 f"{obj}._pending_write = ({waddr} % {c.depth}, {wdata}) "
-                f"if {we} & 1 else None"
+                f"if {py_source(we)} & 1 else None"
             )
         return True
 
@@ -326,12 +347,12 @@ class ScalarEmitter(SourceEmitter):
             return False  # paper-literal sampling stays on the reference capture
         uid = self.uid()
         obj = self.bind(f"_c{uid}", c)
-        strobe = self.opt(c, "strobe", 0)
+        strobe = py_source(self.opt(c, "strobe", 0))
         self.emit(f"_e = {c.base_code}")
         self.emit(f"_p = {obj}._previous")
         self.emit("_np = {}")
         for port_name, in_name, _, tables in c._chunked:
-            cur = self.opt(c, in_name, 0)
+            cur = py_source(self.opt(c, in_name, 0))
             self.emit(f"_t = _p[{port_name!r}] ^ {cur}")
             self.emit(f"_np[{port_name!r}] = {cur}")
             reads = []
@@ -371,20 +392,19 @@ def _emit_adder(em: SourceEmitter, c) -> bool:
     a, b = em.req(c, "a"), em.req(c, "b")
     if a is None or b is None:
         return False
-    terms = f"{a} + {b}"
-    if c.with_carry_in:
-        cin = em.opt(c, "cin", 0)
-        if cin != "0":
-            terms += f" + {cin}"
+    terms = a + b
+    cin = em.req(c, "cin") if c.with_carry_in else None
+    if cin is not None:
+        terms = terms + cin
     y, cout = em.out(c, "y"), em.out(c, "cout") if c.with_carry_out else None
     mask = _mask(c.width)
     if cout is not None:
-        em.emit(f"_t = {terms}")
+        t = em.let("_t", terms)
         if y is not None:
-            em.emit(f"v[{y}] = _t & {mask}")
-        em.emit(f"v[{cout}] = (_t >> {c.width}) & 1")
+            em.set_slot(y, t & mask)
+        em.set_slot(cout, (t >> c.width) & 1)
     elif y is not None:
-        em.emit(f"v[{y}] = ({terms}) & {mask}")
+        em.set_slot(y, terms & mask)
     return True
 
 
@@ -396,12 +416,12 @@ def _emit_subtractor(em: SourceEmitter, c) -> bool:
     borrow = em.out(c, "borrow") if c.with_borrow_out else None
     mask = _mask(c.width)
     if borrow is not None:
-        em.emit(f"_t = {a} - {b}")
+        t = em.let("_t", a - b)
         if y is not None:
-            em.emit(f"v[{y}] = _t & {mask}")
-        em.emit(f"v[{borrow}] = {em.flag('_t < 0')}")
+            em.set_slot(y, t & mask)
+        em.set_slot(borrow, em.flag(t.lt(0)))
     elif y is not None:
-        em.emit(f"v[{y}] = ({a} - {b}) & {mask}")
+        em.set_slot(y, (a - b) & mask)
     return True
 
 
@@ -411,8 +431,7 @@ def _emit_addsub(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        result = em.select(f"{sub} & 1", f"{a} - {b}", f"{a} + {b}")
-        em.emit(f"v[{y}] = {result} & {_mask(c.width)}")
+        em.set_slot(y, where(sub & 1, a - b, a + b) & _mask(c.width))
     return True
 
 
@@ -425,11 +444,10 @@ def _emit_multiplier(em: SourceEmitter, c) -> bool:
     y = em.out(c, "y")
     if y is None:
         return True
-    mask = _mask(c.width_y)
     if c.signed:
         a = _signed(a, c.width_a)
         b = _signed(b, c.width_b)
-    em.emit(f"v[{y}] = ({a} * {b}) & {mask}")
+    em.set_slot(y, (a * b) & _mask(c.width_y))
     return True
 
 
@@ -440,12 +458,12 @@ def _emit_comparator(em: SourceEmitter, c) -> bool:
     if c.signed:
         a = _signed(a, c.width)
         b = _signed(b, c.width)
-    em.emit(f"_a = {a}")
-    em.emit(f"_b = {b}")
-    for port, op in (("lt", "<"), ("eq", "=="), ("gt", ">")):
+    a = em.let("_a", a)
+    b = em.let("_b", b)
+    for port, op in (("lt", a.lt), ("eq", a.eq), ("gt", a.gt)):
         slot = em.out(c, port)
         if slot is not None:
-            em.emit(f"v[{slot}] = {em.flag(f'_a {op} _b')}")
+            em.set_slot(slot, em.flag(op(b)))
     return True
 
 
@@ -471,15 +489,15 @@ def _emit_saturator(em: SourceEmitter, c) -> bool:
         lo = -(1 << (c.width_out - 1))
         hi = (1 << (c.width_out - 1)) - 1
         mask = _mask(c.width_out)
-        em.emit(f"_t = {_signed(a, c.width_in)}")
-        upper = em.select(f"_t > {hi}", str(hi), f"_t & {mask}")
-        em.emit(f"v[{y}] = {em.select(f'_t < {lo}', str(lo & mask), upper)}")
+        t = em.let("_t", _signed(a, c.width_in))
+        upper = where(t.gt(hi), hi, t & mask)
+        em.set_slot(y, where(t.lt(lo), lo & mask, upper))
     else:
-        em.emit(f"v[{y}] = {em.minimum(a, str(_mask(c.width_out)))}")
+        em.set_slot(y, minimum(a, _mask(c.width_out)))
     return True
 
 
-def _emit_shift(em: SourceEmitter, c, a: str, amount, max_amount: int) -> bool:
+def _emit_shift(em: SourceEmitter, c, a: Expr, amount, max_amount: int) -> bool:
     """Shifter body shared by the constant- and variable-amount kinds."""
     left = c.direction == "left"
     if not em.fits(max_amount + (c.width if left else 0)):
@@ -489,11 +507,11 @@ def _emit_shift(em: SourceEmitter, c, a: str, amount, max_amount: int) -> bool:
         return True
     mask = _mask(c.width)
     if left:
-        em.emit(f"v[{y}] = ({a} << {amount}) & {mask}")
+        em.set_slot(y, (a << amount) & mask)
     elif c.arithmetic:
-        em.emit(f"v[{y}] = ({_signed(a, c.width)} >> {amount}) & {mask}")
+        em.set_slot(y, (_signed(a, c.width) >> amount) & mask)
     else:
-        em.emit(f"v[{y}] = {a} >> {amount}")
+        em.set_slot(y, a >> amount)
     return True
 
 
@@ -520,13 +538,14 @@ def _emit_mux(em: SourceEmitter, c) -> bool:
     return True
 
 
-_LOGIC_EXPRS = {
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "nand": "({a} & {b}) ^ {m}",
-    "nor": "({a} | {b}) ^ {m}",
-    "xnor": "({a} ^ {b}) ^ {m}",
+#: bitwise logic op -> expression over (a, b, all-ones mask)
+_LOGIC_EXPRS: Dict[str, Callable[[Expr, Expr, int], Expr]] = {
+    "and": lambda a, b, m: a & b,
+    "or": lambda a, b, m: a | b,
+    "xor": lambda a, b, m: a ^ b,
+    "nand": lambda a, b, m: (a & b) ^ m,
+    "nor": lambda a, b, m: (a | b) ^ m,
+    "xnor": lambda a, b, m: (a ^ b) ^ m,
 }
 
 
@@ -536,8 +555,7 @@ def _emit_logic(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        expr = _LOGIC_EXPRS[c.op].format(a=a, b=b, m=_mask(c.width))
-        em.emit(f"v[{y}] = {expr}")
+        em.set_slot(y, _LOGIC_EXPRS[c.op](a, b, _mask(c.width)))
     return True
 
 
@@ -547,7 +565,7 @@ def _emit_not(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        em.emit(f"v[{y}] = {a} ^ {_mask(c.width)}")
+        em.set_slot(y, a ^ _mask(c.width))
     return True
 
 
@@ -559,11 +577,11 @@ def _emit_reduce(em: SourceEmitter, c) -> bool:
     if y is None:
         return True
     if c.op == "and":
-        em.emit(f"v[{y}] = {em.flag(f'{a} == {_mask(c.width)}')}")
+        em.set_slot(y, em.flag(a.eq(_mask(c.width))))
     elif c.op == "or":
-        em.emit(f"v[{y}] = {em.nonzero(a)}")
+        em.set_slot(y, em.nonzero(a))
     else:
-        em.emit(f"v[{y}] = {em.popcount(a)} & 1")
+        em.set_slot(y, Popcount(a) & 1)
     return True
 
 
@@ -574,11 +592,11 @@ def _emit_concat(em: SourceEmitter, c) -> bool:
         expr = em.req(c, f"i{i}")
         if expr is None:
             return False
-        parts.append(expr if shift == 0 else f"({expr} << {shift})")
+        parts.append(expr if shift == 0 else expr << shift)
         shift += width
     y = em.out(c, "y")
     if y is not None:
-        em.emit(f"v[{y}] = " + " | ".join(parts))
+        em.set_slot(y, reduce(or_, parts))
     return True
 
 
@@ -588,8 +606,8 @@ def _emit_slice(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        shifted = a if c.low == 0 else f"({a} >> {c.low})"
-        em.emit(f"v[{y}] = {shifted} & {_mask(c.width_out)}")
+        shifted = a if c.low == 0 else a >> c.low
+        em.set_slot(y, shifted & _mask(c.width_out))
     return True
 
 
@@ -600,9 +618,9 @@ def _emit_extend(em: SourceEmitter, c) -> bool:
     y = em.out(c, "y")
     if y is not None:
         if c.signed:
-            em.emit(f"v[{y}] = {_signed(a, c.width_in)} & {_mask(c.width_out)}")
+            em.set_slot(y, _signed(a, c.width_in) & _mask(c.width_out))
         else:
-            em.emit(f"v[{y}] = {a}")
+            em.set_slot(y, a)
     return True
 
 
@@ -612,16 +630,14 @@ def _emit_decoder(em: SourceEmitter, c) -> bool:
         return False
     y = em.out(c, "y")
     if y is not None:
-        em.emit(f"v[{y}] = {em.one} << {a}")
+        em.set_slot(y, Const(1) << a)
     return True
 
 
 def _emit_rom(em: SourceEmitter, c) -> bool:
     y = em.out(c, "rdata")
     if y is not None:
-        contents = em.bind(f"_rom{em.uid()}", em.table(c.contents))
-        addr = em.opt(c, "addr", 0)
-        em.emit(f"v[{y}] = {contents}[{addr} % {c.depth}]")
+        em.set_slot(y, em.lookup(c.contents, em.opt(c, "addr", 0) % c.depth))
     return True
 
 
@@ -631,7 +647,7 @@ def _emit_regfile_read(em: SourceEmitter, c) -> bool:
         slot = em.out(c, f"rdata{i}")
         if slot is not None:
             addr = em.opt(c, f"raddr{i}", 0)
-            em.emit(f"v[{slot}] = {em.read_row(state, addr, c.depth)}")
+            em.set_slot(slot, em.read_row(state, addr, c.depth))
     return True
 
 
@@ -642,7 +658,7 @@ def _emit_memory_async_read(em: SourceEmitter, c) -> bool:
     if slot is not None:
         state = em.state_ref(c)
         addr = em.opt(c, "addr", 0)
-        em.emit(f"v[{slot}] = {em.read_row(state, addr, c.depth)}")
+        em.set_slot(slot, em.read_row(state, addr, c.depth))
     return True
 
 
@@ -662,7 +678,7 @@ def state_output(port: str, attr: str) -> Callable[[SourceEmitter, object], bool
     def emit(em: SourceEmitter, c) -> bool:
         slot = em.out(c, port)
         if slot is not None:
-            em.emit(f"v[{slot}] = {em.state_ref(c)}.{attr}")
+            em.set_slot(slot, em.field(em.state_ref(c), attr))
         return True
 
     return emit
@@ -674,7 +690,7 @@ def commit_pairs(*pairs: Tuple[str, str]) -> Callable[[SourceEmitter, object], N
     def commit(em: SourceEmitter, c) -> None:
         obj = em.state_ref(c)
         for state, pending in pairs:
-            em.emit(f"{obj}.{state} = {obj}.{pending}")
+            em.set_field(obj, state, em.field(obj, pending))
 
     return commit
 
@@ -687,7 +703,7 @@ def _per_target(method: str) -> Callable[[SourceEmitter, object], object]:
 def emit_state_constant(em: SourceEmitter, c) -> bool:
     slot = em.out(c, "y")
     if slot is not None:
-        em.emit(f"v[{slot}] = {c.value}")
+        em.set_slot(slot, const(c.value))
     return True
 
 
@@ -699,15 +715,15 @@ def _state_memory(em: SourceEmitter, c) -> bool:
     return c.sync_read and _memory_read_reg(em, c)
 
 
-def register_next(em: SourceEmitter, d: str, held: str, reset_value: int,
-                  en: Optional[str], clr: Optional[str]) -> str:
+def register_next(em: SourceEmitter, d: Expr, held: Expr, reset_value: int,
+                  en: Optional[Expr], clr: Optional[Expr]) -> Expr:
     """A register's next value: clear, else load ``d`` if enabled, else hold."""
     nxt = d
     if en is not None:
-        nxt = em.select(f"{en} & 1", d, held)
+        nxt = where(en & 1, d, held)
     if clr is not None:
-        nxt = em.select(f"{clr} & 1", str(reset_value), nxt)
-    return em.own(d) if nxt == d else nxt
+        nxt = where(clr & 1, reset_value, nxt)
+    return em.own(d) if nxt is d else nxt
 
 
 def _capture_register(em: SourceEmitter, c) -> bool:
@@ -718,8 +734,8 @@ def _capture_register(em: SourceEmitter, c) -> bool:
     # an unconnected enable defaults to 1 in Register.capture
     en = em.req(c, "en") if c.has_enable else None
     clr = em.req(c, "clear") if c.has_clear else None
-    nxt = register_next(em, d, f"{obj}._state", c.reset_value, en, clr)
-    em.emit(f"{obj}._pending = {nxt}")
+    nxt = register_next(em, d, em.field(obj, "_state"), c.reset_value, en, clr)
+    em.set_field(obj, "_pending", nxt)
     return True
 
 
@@ -730,20 +746,21 @@ def _capture_counter(em: SourceEmitter, c) -> bool:
         return False
     en = em.req(c, "en")
     obj = em.state_ref(c)
-    held = em.own(f"{obj}._state")
+    state = em.field(obj, "_state")
+    held = em.own(state)
     if en is None and load is None:
         # en unconnected (reads as 0) and no load: the counter never moves
-        em.emit(f"{obj}._pending = {held}")
+        em.set_field(obj, "_pending", held)
         return True
     mask = _mask(c.width)
-    em.emit(f"_t = {obj}._state + 1")
+    t = em.let("_t", state + 1)
     if c.wrap_at is not None:
-        em.emit(f"_t = {em.select(f'_t >= {c.wrap_at}', '0', '_t')}")
-    em.emit(f"_t = _t & {mask}")
-    nxt = held if en is None else em.select(f"{en} & 1", "_t", f"{obj}._state")
+        t = em.let("_t", where(t.ge(c.wrap_at), 0, t))
+    t = em.let("_t", t & mask)
+    nxt = held if en is None else where(en & 1, t, state)
     if load is not None:
-        nxt = em.select(f"{load} & 1", f"{d} & {mask}", nxt)
-    em.emit(f"{obj}._pending = {nxt}")
+        nxt = where(load & 1, d & mask, nxt)
+    em.set_field(obj, "_pending", nxt)
     return True
 
 
@@ -753,45 +770,47 @@ def _capture_accumulator(em: SourceEmitter, c) -> bool:
     if en is not None and d is None:
         return False
     obj = em.state_ref(c)
-    held = nxt = f"{obj}._state"
+    held = nxt = em.field(obj, "_state")
     if en is not None:
-        nxt = em.select(f"{en} & 1", f"({held} + {d}) & {_mask(c.width)}", nxt)
+        nxt = where(en & 1, (held + d) & _mask(c.width), nxt)
     clr = em.req(c, "clear")
     if clr is not None:
-        nxt = em.select(f"{clr} & 1", "0", nxt)
-    em.emit(f"{obj}._pending = {em.own(held) if nxt == held else nxt}")
+        nxt = where(clr & 1, 0, nxt)
+    em.set_field(obj, "_pending", em.own(held) if nxt is held else nxt)
     return True
 
 
 def _capture_aggregator(em: SourceEmitter, c) -> bool:
     obj = em.state_ref(c)
     terms = [em.req(c, f"e{i}") for i in range(c.n_inputs)]
-    total = " + ".join(t for t in terms if t is not None) or "0"
-    nxt = f"({obj}._total + {total}) & {_mask(c.total_width)}"
+    total = em.field(obj, "_total")
+    connected = [t for t in terms if t is not None] or [Const(0)]
+    nxt = reduce(lambda acc, term: acc + term, connected, total) & _mask(c.total_width)
     clr = em.req(c, "clear")
     if clr is not None:
-        nxt = em.select(f"{clr} & 1", "0", nxt)
-    em.emit(f"{obj}._pending = {nxt}")
+        nxt = where(clr & 1, 0, nxt)
+    em.set_field(obj, "_pending", nxt)
     return True
 
 
 def _capture_strobe(em: SourceEmitter, c) -> bool:
     obj = em.state_ref(c)
     if c.period == 1:
-        count, strobe = "0", "1"
+        count, strobe = Const(0), Const(1)
     else:
-        em.emit(f"_t = {obj}._count + 1")
-        em.emit(f"_t = {em.select(f'_t >= {c.period}', '0', '_t')}")
-        count, strobe = "_t", f"(_t == {c.period - 1}) * 1"
+        t = em.let("_t", em.field(obj, "_count") + 1)
+        t = em.let("_t", where(t.ge(c.period), 0, t))
+        count, strobe = t, t.eq(c.period - 1) * 1
     en = em.req(c, "enable")
     if en is not None:
-        em.emit(f"_en = {en} & 1")
-        em.emit(f"{obj}._pending_count = {em.select('_en', count, f'{obj}._count')}")
-        em.emit(f"{obj}._pending_strobe = {em.select('_en', strobe, '0')}")
+        enabled = em.let("_en", en & 1)
+        em.set_field(obj, "_pending_count",
+                     where(enabled, count, em.field(obj, "_count")))
+        em.set_field(obj, "_pending_strobe", where(enabled, strobe, 0))
     else:
         # an unconnected enable defaults to 1 in PowerStrobeGenerator.capture
-        em.emit(f"{obj}._pending_count = {em.own(count, f'{obj}._count')}")
-        em.emit(f"{obj}._pending_strobe = {em.own(strobe, f'{obj}._strobe')}")
+        em.set_field(obj, "_pending_count", em.own(count, em.field(obj, "_count")))
+        em.set_field(obj, "_pending_strobe", em.own(strobe, em.field(obj, "_strobe")))
     return True
 
 

@@ -6,11 +6,13 @@ cycle regardless of lane count.  This package lifts a module's whole settle
 and clock-edge phases into *one kernel each* over the ``(n_slots, n_lanes)``
 store:
 
-1. :mod:`repro.sim.kernels.ir` extracts a small typed expression IR from the
-   generated lane program (slot/state/memory access + a closed operator set),
-2. :mod:`repro.sim.kernels.native` prints the IR as C — a single per-lane
-   loop of straight-line scalar code — compiled via the system C compiler and
-   called through cffi (cached per source hash).
+1. the lane target of :mod:`repro.sim.batch` lowers the schedule straight
+   into the typed IR of :mod:`repro.sim.kernels.ir` (slot/state/memory access
+   + a closed operator set); the plain batch path is that IR printed as
+   NumPy,
+2. :mod:`repro.sim.kernels.native` prints the same IR as C — a single
+   per-lane loop of straight-line scalar code — compiled via the system C
+   compiler and called through cffi (cached per source hash).
 
 Backend selection (``KERNEL_BACKENDS``):
 
@@ -22,8 +24,9 @@ Backend selection (``KERNEL_BACKENDS``):
 The environment variable ``REPRO_KERNEL_BACKEND`` sets the default for every
 :class:`~repro.sim.batch.BatchSimulator` that is not given an explicit
 ``kernel_backend``.  Kernels are bit-identical to the batch path by
-construction — extraction refuses anything it cannot express, so a module
-either lowers completely or runs exactly as before.
+construction — both print one IR, and a kernel refuses any IR with a
+lane-scalar fallback step, so a module either lowers completely or runs
+exactly as before.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import os
 from typing import Optional, Tuple, Union
 
 from repro import obs
-from repro.sim.kernels.ir import KernelIR, KernelUnsupportedError, extract_ir
+from repro.sim.kernels.ir import KernelIR, KernelUnsupportedError
 from repro.sim.kernels.native import (
     BLOCK_LANES,
     NativeKernel,
@@ -129,7 +132,7 @@ def resolve_kernel_threads(
 
 
 def compile_kernel(ir: KernelIR, n_lanes: int) -> NativeKernel:
-    """Compile extracted IR into a native (C) lane kernel.
+    """Compile kernel IR into a native (C) lane kernel.
 
     Raises :class:`NativeToolchainError` when the host has no working C
     toolchain — the caller decides what "no kernel" means.
@@ -152,7 +155,6 @@ __all__ = [
     "NativeKernel",
     "NativeToolchainError",
     "compile_kernel",
-    "extract_ir",
     "find_compiler",
     "resolve_kernel_backend",
     "resolve_kernel_threads",

@@ -1,34 +1,33 @@
-"""Typed expression IR for fused lane kernels.
+"""One typed IR for every lane program, printed for each executor.
 
 The batch backend (:mod:`repro.sim.batch`) and the gate-level simulator
-(:mod:`repro.gates.gatesim`) both lower their schedules into *lane programs*:
-straight-line NumPy source over a ``(n_slots, n_lanes)`` value store, with
-per-lane sequential state held in holder objects bound into the exec
-environment: named ``(n_lanes,)`` rows, lists of such rows, and
-``(depth, n_lanes)`` memories.  Those programs are shape-stable and branch-free, which makes
-them a compiler IR in disguise — this module makes the IR explicit.
+(:mod:`repro.gates.gatesim`) lower their schedules straight into this IR:
+straight-line statements over a ``(n_slots, n_lanes)`` value store, with
+per-lane sequential state held in holder objects: named ``(n_lanes,)``
+rows, lists of such rows, and ``(depth, n_lanes)`` memories.  Expressions
+are slot reads, state-row reads, constant-table lookups, per-lane memory
+reads and a closed set of arithmetic/logic/select operators, each typed
+``i64`` or ``bool``; :class:`Expr` carries Python operator methods, so an
+emitter writes ``(a + b) & mask``.
 
-:func:`extract_ir` parses a generated lane program (source + exec
-environment) into a small typed expression IR: slot reads/writes, per-lane
-state rows, constant-table lookups, per-lane memory access, and a closed set
-of arithmetic/logic/select operators, each typed ``i64`` or ``bool``.  The
-kernel code generator, :mod:`repro.sim.kernels.native`, consumes nothing but
-this IR: it prints it as C — one per-lane loop of straight-line scalar code
-— compiled via ``cc`` and called through cffi.
+The IR is built once and printed for each executor:
+:func:`numpy_source` prints the plain lane program (the ``off`` kernel
+backend, and the gate simulator's batch settle), :mod:`repro.sim.kernels.native`
+prints one C kernel, and :mod:`repro.sim.codegen` prints the same
+expressions as Python-int source for the scalar target.
 
-Extraction is *conservative*: any statement outside the closed grammar (in
-practice, the lane-scalar fallback calls emitted for subclassed or
-user-defined components, and whole-module object-dtype fallbacks) raises
-:class:`KernelUnsupportedError`, and the caller stays on the plain batch
-path.  Kernels therefore never change results — a module either lowers
-completely, or runs exactly as before.
+Components the C kernel cannot express (subclassed or user-defined types run
+lane by lane) are one opaque :class:`Fallback` statement: the NumPy printer
+calls it, and :meth:`KernelIR.require_kernelizable` refuses it with
+:class:`KernelUnsupportedError`, so the caller stays on the plain batch path.
+Kernels therefore never change results: a module either lowers completely,
+or runs exactly as before.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +46,46 @@ class KernelUnsupportedError(Exception):
 
 
 class Expr:
-    """Base expression node; every node carries a value type ``ty``."""
+    """Base expression node; every node carries a value type ``ty``.
+
+    Operators build nodes (Python ints become :class:`Const`); comparisons
+    are the methods :meth:`lt`, :meth:`le`, :meth:`eq`, :meth:`ne`,
+    :meth:`gt` and :meth:`ge`, since ``==`` stays structural equality.
+    Nothing is folded: the tree is exactly what the emitter wrote.
+    """
 
     __slots__ = ()
     ty: str = I64
+
+    def __add__(self, other): return binary("+", self, other)
+    def __radd__(self, other): return binary("+", other, self)
+    def __sub__(self, other): return binary("-", self, other)
+    def __rsub__(self, other): return binary("-", other, self)
+    def __mul__(self, other): return binary("*", self, other)
+    def __rmul__(self, other): return binary("*", other, self)
+    def __and__(self, other): return binary("&", self, other)
+    def __rand__(self, other): return binary("&", other, self)
+    def __or__(self, other): return binary("|", self, other)
+    def __ror__(self, other): return binary("|", other, self)
+    def __xor__(self, other): return binary("^", self, other)
+    def __rxor__(self, other): return binary("^", other, self)
+    def __lshift__(self, other): return binary("<<", self, other)
+    def __rlshift__(self, other): return binary("<<", other, self)
+    def __rshift__(self, other): return binary(">>", self, other)
+    def __mod__(self, other): return binary("%", self, other)
+
+    def __neg__(self):
+        return Const(-self.value) if isinstance(self, Const) else Unary("neg", self)
+
+    def __invert__(self):
+        return Unary("inv", self, self.ty)
+
+    def lt(self, other): return binary("<", self, other)
+    def le(self, other): return binary("<=", self, other)
+    def eq(self, other): return binary("==", self, other)
+    def ne(self, other): return binary("!=", self, other)
+    def gt(self, other): return binary(">", self, other)
+    def ge(self, other): return binary(">=", self, other)
 
 
 @dataclass(frozen=True)
@@ -72,9 +107,14 @@ class SlotRef(Expr):
 
 @dataclass(frozen=True)
 class StateRef(Expr):
-    """Read of one per-lane sequential-state row (``S[row]``)."""
+    """Read of one per-lane sequential-state row (``S[row]``).
 
-    row: int
+    The lane builder names the row by its live location, ``(holder, field,
+    index)``, and :meth:`KernelBuilder.add` numbers it; the scalar target
+    names it by its source spelling (``"_c3._state"``).
+    """
+
+    row: object
 
 
 @dataclass(frozen=True)
@@ -87,17 +127,27 @@ class TempRef(Expr):
 
 @dataclass(frozen=True)
 class Table(Expr):
-    """Constant-table lookup (ROM contents, FSM outputs, power coefficients)."""
+    """Constant-table lookup (ROM contents, FSM outputs, power coefficients).
 
-    table: int
+    The lane builder passes the int64 array itself, and
+    :meth:`KernelBuilder.add` numbers it (one table per array object); the
+    scalar target passes the table's bound name.
+    """
+
+    table: object
     index: Expr
 
 
 @dataclass(frozen=True)
 class MemRead(Expr):
-    """Per-lane read of a ``(depth, n_lanes)`` memory column."""
+    """Per-lane read of a ``(depth, n_lanes)`` memory column.
 
-    mem: int
+    The lane builder names the memory as ``(holder, field)``, and
+    :meth:`KernelBuilder.add` numbers it; the scalar target names the
+    storage list by its source spelling.
+    """
+
+    mem: object
     addr: Expr
 
 
@@ -148,6 +198,35 @@ class Select(Expr):
     choices: Tuple[Expr, ...]
 
 
+_COMPARISONS = frozenset(("<", "<=", "==", "!=", ">", ">="))
+
+
+def const(value) -> Expr:
+    """``value`` as an expression (ints become :class:`Const`)."""
+    return value if isinstance(value, Expr) else Const(int(value))
+
+
+def binary(op: str, a, b) -> Bin:
+    """``a op b``: comparisons are ``bool``, so are logic ops on two bools."""
+    a, b = const(a), const(b)
+    if op in _COMPARISONS:
+        ty = BOOL
+    elif op in "&|^" and a.ty == BOOL and b.ty == BOOL:
+        ty = BOOL
+    else:
+        ty = I64
+    return Bin(op, a, b, ty)
+
+
+def where(cond, a, b) -> Where:
+    a, b = const(a), const(b)
+    return Where(const(cond), a, b, BOOL if a.ty == BOOL and b.ty == BOOL else I64)
+
+
+def minimum(a, b) -> Min:
+    return Min(const(a), const(b))
+
+
 # ---------------------------------------------------------------------------
 # Statement nodes.
 # ---------------------------------------------------------------------------
@@ -171,7 +250,7 @@ class SetSlot(Stmt):
 
 @dataclass(frozen=True)
 class SetState(Stmt):
-    row: int
+    row: object
     expr: Expr
 
 
@@ -179,14 +258,25 @@ class SetState(Stmt):
 class MemWrite(Stmt):
     """Masked per-lane memory store: ``if enable: mem[addr, lane] = data``."""
 
-    mem: int
+    mem: object
     addr: Expr
     data: Expr
     enable: Expr
 
 
+@dataclass(frozen=True)
+class Fallback(Stmt):
+    """Opaque step over the whole value store: ``call(v)``.
+
+    A component the lane target cannot express (it runs its own scalar code
+    lane by lane).  The NumPy printer calls it; kernels refuse it.
+    """
+
+    call: Callable[[np.ndarray], None]
+
+
 # ---------------------------------------------------------------------------
-# The extracted program.
+# The program.
 # ---------------------------------------------------------------------------
 
 
@@ -195,8 +285,9 @@ class KernelIR:
     """One module's lane program as typed IR plus its runtime bindings.
 
     ``state_specs`` and ``mem_specs`` name per-lane state arrays as
-    ``(holder, field, index)`` — resolved with ``getattr`` at bind time, so a
-    kernel always sees the holder's *current* arrays.  ``tables`` are
+    ``(holder, field, index)`` and ``(holder, field)`` — resolved with
+    ``getattr`` at bind time, so a kernel always sees the holder's *current*
+    arrays.  ``tables`` are
     immutable int64 constant arrays safe to embed into generated code.
     """
 
@@ -204,7 +295,6 @@ class KernelIR:
     phases: Dict[str, List[Stmt]]
     state_specs: List[Tuple[object, str, Optional[int]]] = field(default_factory=list)
     mem_specs: List[Tuple[object, str]] = field(default_factory=list)
-    mem_depths: List[int] = field(default_factory=list)
     tables: List[np.ndarray] = field(default_factory=list)
     #: numpy dtype of the value store ("int64" lane stores or "int8" gates)
     dtype: str = "int64"
@@ -222,323 +312,241 @@ class KernelIR:
         """The live ``(depth, n_lanes)`` memory arrays, in ``mem`` id order."""
         return [getattr(holder, name) for holder, name in self.mem_specs]
 
-    def n_statements(self) -> int:
-        return sum(len(stmts) for stmts in self.phases.values())
+    def require_kernelizable(self) -> None:
+        """Raise :class:`KernelUnsupportedError` if a fused kernel cannot run
+        this program (it contains lane-scalar fallback steps)."""
+        for stmts in self.phases.values():
+            if any(isinstance(stmt, Fallback) for stmt in stmts):
+                raise unsupported("module uses the lane-scalar fallback path")
 
 
-# ---------------------------------------------------------------------------
-# Extraction (generated lane source + exec environment -> KernelIR).
-# ---------------------------------------------------------------------------
-
-_BIN_OPS = {
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.BitAnd: "&",
-    ast.BitOr: "|", ast.BitXor: "^", ast.LShift: "<<", ast.RShift: ">>",
-    ast.Mod: "%",
-}
-_CMP_OPS = {
-    ast.Lt: "<", ast.LtE: "<=", ast.Eq: "==", ast.NotEq: "!=",
-    ast.Gt: ">", ast.GtE: ">=",
-}
-
-
-def _unsupported(reason: str) -> KernelUnsupportedError:
+def unsupported(reason: str) -> KernelUnsupportedError:
     return KernelUnsupportedError(f"lane program not kernelizable: {reason}")
 
 
-class _Extractor:
-    def __init__(self, env: Dict[str, object], n_slots: int, dtype: str) -> None:
-        self.env = env
-        self.ir = KernelIR(n_slots=n_slots, phases={}, dtype=dtype)
-        self._state_ids: Dict[Tuple[int, str, Optional[int]], int] = {}
-        self._mem_ids: Dict[Tuple[int, str], int] = {}
-        self._table_ids: Dict[int, int] = {}
-        #: current SSA name per source-level temp (reset per function)
-        self._temps: Dict[str, TempRef] = {}
-        self._n_versions = 0
-
-    # ------------------------------------------------------------- registries
-    def _state_row(self, holder: object, name: str, index: Optional[int]) -> int:
-        key = (id(holder), name, index)
-        row = self._state_ids.get(key)
-        if row is None:
-            value = getattr(holder, name)
-            array = value[index] if index is not None else value
-            if not (isinstance(array, np.ndarray) and array.ndim == 1):
-                raise _unsupported(f"state field {name!r} is not a lane row")
-            row = len(self.ir.state_specs)
-            self._state_ids[key] = row
-            self.ir.state_specs.append((holder, name, index))
-        return row
-
-    def _mem_id(self, holder: object, name: str) -> int:
-        key = (id(holder), name)
-        mem = self._mem_ids.get(key)
-        if mem is None:
-            array = getattr(holder, name)
-            if not (isinstance(array, np.ndarray) and array.ndim == 2):
-                raise _unsupported(f"memory field {name!r} is not (depth, lanes)")
-            mem = len(self.ir.mem_specs)
-            self._mem_ids[key] = mem
-            self.ir.mem_specs.append((holder, name))
-            self.ir.mem_depths.append(int(array.shape[0]))
-        return mem
-
-    def _table_id(self, array: np.ndarray) -> int:
-        table = self._table_ids.get(id(array))
-        if table is None:
-            table = len(self.ir.tables)
-            self._table_ids[id(array)] = table
-            self.ir.tables.append(np.ascontiguousarray(array, dtype=np.int64))
-        return table
-
-    def _holder_field(self, node: ast.Attribute):
-        """Resolve ``_sK.field`` to (holder, field, live value) or raise."""
-        if not isinstance(node.value, ast.Name):
-            raise _unsupported(f"nested attribute access {ast.dump(node)}")
-        holder = self.env.get(node.value.id)
-        if holder is None or isinstance(holder, np.ndarray):
-            raise _unsupported(f"unknown environment object {node.value.id!r}")
-        try:
-            value = getattr(holder, node.attr)
-        except AttributeError:
-            raise _unsupported(
-                f"environment object {node.value.id!r} has no field {node.attr!r}"
-            ) from None
-        return holder, node.attr, value
-
-    # ------------------------------------------------------------ expressions
-    def expr(self, node: ast.AST) -> Expr:
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, int):
-                raise _unsupported(f"non-integer constant {node.value!r}")
-            return Const(int(node.value))
-        if isinstance(node, ast.Name):
-            temp = self._temps.get(node.id)
-            if temp is not None:
-                return temp
-            if node.id == "_lidx":
-                return Lane()
-            if node.id == "_one":
-                return Const(1)
-            raise _unsupported(f"unknown name {node.id!r}")
-        if isinstance(node, ast.BinOp):
-            op = _BIN_OPS.get(type(node.op))
-            if op is None:
-                raise _unsupported(f"operator {type(node.op).__name__}")
-            a, b = self.expr(node.left), self.expr(node.right)
-            ty = BOOL if (op in "&|^" and a.ty == BOOL and b.ty == BOOL) else I64
-            return Bin(op, a, b, ty)
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                a = self.expr(node.operand)
-                if isinstance(a, Const):
-                    return Const(-a.value)
-                return Unary("neg", a)
-            if isinstance(node.op, ast.Invert):
-                a = self.expr(node.operand)
-                return Unary("inv", a, ty=a.ty)
-            raise _unsupported(f"unary {type(node.op).__name__}")
-        if isinstance(node, ast.Compare):
-            if len(node.ops) != 1:
-                raise _unsupported("chained comparison")
-            op = _CMP_OPS.get(type(node.ops[0]))
-            if op is None:
-                raise _unsupported(f"comparison {type(node.ops[0]).__name__}")
-            return Bin(op, self.expr(node.left), self.expr(node.comparators[0]), BOOL)
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.Subscript):
-            return self._subscript(node)
-        if isinstance(node, ast.Attribute):
-            holder, name, value = self._holder_field(node)
-            return StateRef(self._state_row(holder, name, None))
-        raise _unsupported(f"expression {type(node).__name__}")
-
-    def _call(self, node: ast.Call) -> Expr:
-        if not isinstance(node.func, ast.Name) or node.keywords:
-            raise _unsupported("call through attribute or with keywords")
-        name, args = node.func.id, node.args
-        if name == "_where" and len(args) == 3:
-            cond, a, b = (self.expr(arg) for arg in args)
-            ty = BOOL if a.ty == BOOL and b.ty == BOOL else I64
-            return Where(cond, a, b, ty)
-        if name == "_minimum" and len(args) == 2:
-            return Min(self.expr(args[0]), self.expr(args[1]))
-        if name == "_abs" and len(args) == 1:
-            return Abs(self.expr(args[0]))
-        if name == "_popcount" and len(args) == 1:
-            return Popcount(self.expr(args[0]))
-        raise _unsupported(f"call to {name!r}")
-
-    def _subscript(self, node: ast.Subscript) -> Expr:
-        value, index = node.value, node.slice
-        if isinstance(value, ast.Name):
-            if value.id == "v":
-                if not (isinstance(index, ast.Constant) and isinstance(index.value, int)):
-                    raise _unsupported("non-constant slot index")
-                return SlotRef(int(index.value))
-            array = self.env.get(value.id)
-            if isinstance(array, np.ndarray) and array.ndim == 1:
-                return Table(self._table_id(array), self.expr(index))
-            raise _unsupported(f"subscript of {value.id!r}")
-        if isinstance(value, ast.Call):
-            # _stack((r0, r1, ...))[idx, _lidx] — the lane form of a mux
-            if (
-                isinstance(value.func, ast.Name)
-                and value.func.id == "_stack"
-                and len(value.args) == 1
-                and isinstance(value.args[0], ast.Tuple)
-                and isinstance(index, ast.Tuple)
-                and len(index.elts) == 2
-                and isinstance(index.elts[1], ast.Name)
-                and index.elts[1].id == "_lidx"
-            ):
-                choices = tuple(self.expr(e) for e in value.args[0].elts)
-                return Select(self.expr(index.elts[0]), choices)
-            raise _unsupported("unrecognized call subscript")
-        if isinstance(value, ast.Attribute):
-            holder, name, live = self._holder_field(value)
-            if isinstance(live, np.ndarray) and live.ndim == 2:
-                if not (
-                    isinstance(index, ast.Tuple)
-                    and len(index.elts) == 2
-                    and isinstance(index.elts[1], ast.Name)
-                    and index.elts[1].id == "_lidx"
-                ):
-                    raise _unsupported("memory read must be [addr, _lidx]")
-                return MemRead(self._mem_id(holder, name), self.expr(index.elts[0]))
-            if isinstance(live, list):
-                if not (isinstance(index, ast.Constant) and isinstance(index.value, int)):
-                    raise _unsupported("non-constant state list index")
-                return StateRef(self._state_row(holder, name, int(index.value)))
-            raise _unsupported(f"subscript of state field {name!r}")
-        raise _unsupported(f"subscript of {type(value).__name__}")
-
-    # ------------------------------------------------------------- statements
-    def _assign(self, node: ast.Assign, out: List[Stmt]) -> None:
-        if len(node.targets) != 1:
-            raise _unsupported("multiple assignment targets")
-        target = node.targets[0]
-        if isinstance(target, ast.Name):
-            expr = self.expr(node.value)
-            self._n_versions += 1
-            temp = TempRef(f"t{self._n_versions}", expr.ty)
-            self._temps[target.id] = temp
-            out.append(SetTemp(temp.name, expr))
-            return
-        if isinstance(target, ast.Subscript):
-            value, index = target.value, target.slice
-            if isinstance(value, ast.Name) and value.id == "v":
-                if not (isinstance(index, ast.Constant) and isinstance(index.value, int)):
-                    raise _unsupported("non-constant slot store index")
-                out.append(SetSlot(int(index.value), self.expr(node.value)))
-                return
-            if isinstance(value, ast.Attribute):
-                holder, name, live = self._holder_field(value)
-                if isinstance(live, list):
-                    if not (isinstance(index, ast.Constant) and isinstance(index.value, int)):
-                        raise _unsupported("non-constant state list store index")
-                    row = self._state_row(holder, name, int(index.value))
-                    out.append(SetState(row, self.expr(node.value)))
-                    return
-                if isinstance(live, np.ndarray) and live.ndim == 2:
-                    out.append(self._mem_write(holder, name, target, node.value))
-                    return
-            raise _unsupported(f"store through {ast.dump(target)}")
-        if isinstance(target, ast.Attribute):
-            holder, name, live = self._holder_field(target)
-            if isinstance(live, np.ndarray) and live.ndim == 1:
-                out.append(SetState(self._state_row(holder, name, None), self.expr(node.value)))
-                return
-            if isinstance(live, list):
-                # a row-list commit (power-model ports, register limbs):
-                # `_state = _pending` swaps the row lists, then
-                # `_pending = list(_state)` re-aliases.  In value semantics
-                # that is a per-row copy plus a no-op.
-                if (
-                    isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Name)
-                    and node.value.func.id == "list"
-                ):
-                    return  # re-aliasing after the copy: nothing to do
-                if isinstance(node.value, ast.Attribute):
-                    src_holder, src_name, src_live = self._holder_field(node.value)
-                    if isinstance(src_live, list) and len(src_live) == len(live):
-                        for i in range(len(live)):
-                            out.append(SetState(
-                                self._state_row(holder, name, i),
-                                StateRef(self._state_row(src_holder, src_name, i)),
-                            ))
-                        return
-            raise _unsupported(f"store to state field {name!r}")
-        raise _unsupported(f"assignment to {type(target).__name__}")
-
-    def _mem_write(self, holder, name: str, target: ast.Subscript, value: ast.AST) -> MemWrite:
-        """``mem[addr[_msk], _lidx[_msk]] = data[_msk]`` -> guarded store."""
-
-        def unmask(node: ast.AST) -> Tuple[ast.AST, str]:
-            if not (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.slice, ast.Name)
-                and node.slice.id in self._temps
-                and self._temps[node.slice.id].ty == BOOL
-            ):
-                raise _unsupported("memory store is not a masked scatter")
-            return node.value, node.slice.id
-
-        index = target.slice
-        if not (isinstance(index, ast.Tuple) and len(index.elts) == 2):
-            raise _unsupported("memory store must index [addr, lane]")
-        addr_node, mask_a = unmask(index.elts[0])
-        lane_node, mask_b = unmask(index.elts[1])
-        data_node, mask_c = unmask(value)
-        if not (isinstance(lane_node, ast.Name) and lane_node.id == "_lidx"):
-            raise _unsupported("memory store lane index must be _lidx")
-        if len({mask_a, mask_b, mask_c}) != 1:
-            raise _unsupported("memory store masks disagree")
-        return MemWrite(
-            mem=self._mem_id(holder, name),
-            addr=self.expr(addr_node),
-            data=self.expr(data_node),
-            enable=self._temps[mask_a],
-        )
-
-    def function(self, node: ast.FunctionDef) -> List[Stmt]:
-        self._temps = {}
-        out: List[Stmt] = []
-        for stmt in node.body:
-            if isinstance(stmt, ast.Pass):
-                continue
-            if isinstance(stmt, ast.Assign):
-                self._assign(stmt, out)
-                continue
-            if isinstance(stmt, ast.Expr):
-                # lane-scalar fallback calls (`_lcK.evaluate(v)`): the module
-                # contains components the batch compiler could not fuse
-                raise _unsupported("module uses the lane-scalar fallback path")
-            raise _unsupported(f"statement {type(stmt).__name__}")
-        return out
 
 
-def extract_ir(
-    source: str,
-    env: Dict[str, object],
-    n_slots: int,
-    functions: Sequence[Tuple[str, str]] = (("_settle", "settle"), ("_clock_edge", "clock_edge")),
-    dtype: str = "int64",
-) -> KernelIR:
-    """Extract the typed kernel IR from one generated lane program.
+# ---------------------------------------------------------------------------
+# Building: statements in program order, state/memory/tables numbered as
+# they are first read or written.
+# ---------------------------------------------------------------------------
 
-    ``functions`` maps source-level function names to IR phase names.  Raises
-    :class:`KernelUnsupportedError` when any statement falls outside the
-    closed lane-program grammar.
+
+class KernelBuilder:
+    """Appends statements to a :class:`KernelIR`, one phase at a time.
+
+    Expressions name state rows, memories and tables by their live objects
+    (see :class:`StateRef`, :class:`MemRead`, :class:`Table`);
+    :meth:`add` numbers each on first use, walking every statement target
+    first and then its operands left to right (a :class:`Select`'s choices
+    before its index).  The numbering, and so the printed program, depends
+    only on the statements' order and shape, never on object addresses.
+    SSA temporaries are ``t1``, ``t2``, ... across all phases.
     """
-    tree = ast.parse(source)
-    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    extractor = _Extractor(env, n_slots, dtype)
-    for source_name, phase in functions:
-        fn = defs.get(source_name)
-        if fn is None:
-            raise _unsupported(f"program has no function {source_name!r}")
-        extractor.ir.phases[phase] = extractor.function(fn)
-    return extractor.ir
+
+    def __init__(self, n_slots: int, dtype: str = "int64") -> None:
+        self.ir = KernelIR(n_slots=n_slots, phases={}, dtype=dtype)
+        self.stmts: List[Stmt] = []
+        self._rows: Dict[tuple, int] = {}
+        self._mems: Dict[tuple, int] = {}
+        self._tables: Dict[tuple, int] = {}
+        self._n_temps = 0
+
+    def phase(self, name: str) -> None:
+        """Direct the following statements to phase ``name``."""
+        self.stmts = self.ir.phases.setdefault(name, [])
+
+    def temp(self, expr: Expr) -> TempRef:
+        """Bind ``expr`` to a fresh SSA temporary and return a read of it."""
+        self._n_temps += 1
+        ref = TempRef(f"t{self._n_temps}", expr.ty)
+        self.add(SetTemp(ref.name, expr))
+        return ref
+
+    def add(self, stmt: Stmt) -> None:
+        resolve = self._expr
+        if isinstance(stmt, SetSlot):
+            stmt = SetSlot(stmt.slot, resolve(stmt.expr))
+        elif isinstance(stmt, SetTemp):
+            stmt = SetTemp(stmt.name, resolve(stmt.expr))
+        elif isinstance(stmt, SetState):
+            stmt = SetState(self._row(stmt.row), resolve(stmt.expr))
+        elif isinstance(stmt, MemWrite):
+            stmt = MemWrite(self._mem(stmt.mem), resolve(stmt.addr),
+                            resolve(stmt.data), resolve(stmt.enable))
+        self.stmts.append(stmt)
+
+    # ------------------------------------------------------------ numbering
+    @staticmethod
+    def _number(numbers: Dict[tuple, int], specs: list, key: tuple, spec) -> int:
+        number = numbers.get(key)
+        if number is None:
+            number = numbers[key] = len(specs)
+            specs.append(spec)
+        return number
+
+    def _row(self, row: Tuple[object, str, Optional[int]]) -> int:
+        holder, name, index = row
+        return self._number(self._rows, self.ir.state_specs, (id(holder), name, index), row)
+
+    def _mem(self, mem: Tuple[object, str]) -> int:
+        return self._number(self._mems, self.ir.mem_specs, (id(mem[0]), mem[1]), mem)
+
+    def _table(self, array: np.ndarray) -> int:
+        # ir.tables keeps every keyed array alive, so ids stay unique
+        return self._number(self._tables, self.ir.tables, (id(array),), array)
+
+    def _expr(self, x: Expr) -> Expr:
+        resolve = self._expr
+        kind = type(x)
+        if kind is Bin:
+            return Bin(x.op, resolve(x.a), resolve(x.b), x.ty)
+        if kind is StateRef:
+            return StateRef(self._row(x.row))
+        if kind is Where:
+            return Where(resolve(x.cond), resolve(x.a), resolve(x.b), x.ty)
+        if kind is Table:
+            return Table(self._table(x.table), resolve(x.index))
+        if kind is MemRead:
+            return MemRead(self._mem(x.mem), resolve(x.addr))
+        if kind is Unary:
+            return Unary(x.op, resolve(x.a), x.ty)
+        if kind is Select:
+            choices = tuple(resolve(choice) for choice in x.choices)
+            return Select(resolve(x.index), choices)
+        if kind is Min:
+            return Min(resolve(x.a), resolve(x.b))
+        if kind is Abs or kind is Popcount:
+            return kind(resolve(x.a))
+        return x  # Const, Lane, SlotRef, TempRef
+
+
+# ---------------------------------------------------------------------------
+# The NumPy printer (the plain lane program).
+# ---------------------------------------------------------------------------
+
+
+def popcount_u64(values: np.ndarray) -> np.ndarray:
+    """Vectorized population count (used by parity-reduce)."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
+    x = values.astype(np.uint64)
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def _temps_read(node) -> List[str]:
+    """Names of the SSA temporaries a statement or expression reads."""
+    if type(node) is TempRef:
+        return [node.name]
+    names = []
+    for value in vars(node).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                names.extend(_temps_read(child))
+    return names
+
+
+def numpy_source(ir: KernelIR) -> Tuple[str, Dict[str, object]]:
+    """The IR as NumPy source: one ``_<phase>(v)`` function per phase.
+
+    Returns ``(source, env)``; the caller adds ``_lidx`` (``arange(n_lanes)``)
+    when the program reads lane indices.  Every statement is one elementwise
+    array operation over all lanes.  State writes rebind the holder field
+    (``holder.field = expr``) rather than copy into it, so the lane emitter
+    keeps any value that could be a bare row fresh (``+ 0``); memories are
+    written in place.
+    """
+    env: Dict[str, object] = {
+        "_where": np.where, "_minimum": np.minimum, "_abs": np.abs,
+        "_stack": np.stack, "_popcount": popcount_u64,
+    }
+    holders: Dict[int, str] = {}
+    rows: List[str] = []
+    for holder, name, index in ir.state_specs:
+        ref = holders.get(id(holder))
+        if ref is None:
+            ref = holders[id(holder)] = f"_H{len(holders)}"
+            env[ref] = holder
+        rows.append(f"{ref}.{name}" + ("" if index is None else f"[{index}]"))
+    for number, array in enumerate(ir.mem_arrays()):
+        env[f"_M{number}"] = array
+    for number, table in enumerate(ir.tables):
+        env[f"_T{number}"] = table
+
+    def e(x: Expr) -> str:
+        kind = type(x)
+        if kind is SlotRef:
+            return f"v[{x.slot}]"
+        if kind is Bin:
+            return f"({e(x.a)} {x.op} {e(x.b)})"
+        if kind is Const:
+            return str(x.value) if x.value >= 0 else f"({x.value})"
+        if kind is TempRef:
+            return local[x.name]
+        if kind is StateRef:
+            return rows[x.row]
+        if kind is Where:
+            return f"_where({e(x.cond)}, {e(x.a)}, {e(x.b)})"
+        if kind is Table:
+            return f"_T{x.table}[{e(x.index)}]"
+        if kind is MemRead:
+            return f"_M{x.mem}[{e(x.addr)}, _lidx]"
+        if kind is Unary:
+            return f"({'-' if x.op == 'neg' else '~'}{e(x.a)})"
+        if kind is Lane:
+            return "_lidx"
+        if kind is Min:
+            return f"_minimum({e(x.a)}, {e(x.b)})"
+        if kind is Abs:
+            return f"_abs({e(x.a)})"
+        if kind is Popcount:
+            return f"_popcount({e(x.a)})"
+        if kind is Select:
+            choices = ", ".join(e(choice) for choice in x.choices)
+            return f"_stack(({choices},))[{e(x.index)}, _lidx]"
+        raise TypeError(f"unprintable IR node {x!r}")
+
+    lines: List[str] = []
+    for phase, stmts in ir.phases.items():
+        lines.append(f"def _{phase}(v):")
+        # SSA temps share a few Python locals: a local is reused once its
+        # temp's last read is printed, so the lane arrays it held are freed
+        reads = [dict.fromkeys(_temps_read(stmt)) for stmt in stmts]
+        last_read = {name: i for i, names in enumerate(reads) for name in names}
+        local: Dict[str, str] = {}
+        free: List[str] = []
+        n_locals = 0
+        body = []
+        for i, stmt in enumerate(stmts):
+            kind = type(stmt)
+            if kind is SetTemp:
+                value = e(stmt.expr)
+            elif kind is SetSlot:
+                body.append(f"v[{stmt.slot}] = {e(stmt.expr)}")
+            elif kind is SetState:
+                body.append(f"{rows[stmt.row]} = {e(stmt.expr)}")
+            elif kind is MemWrite:
+                mask = e(stmt.enable)
+                body.append(f"_M{stmt.mem}[{e(stmt.addr)}[{mask}], _lidx[{mask}]] "
+                            f"= {e(stmt.data)}[{mask}]")
+            elif kind is Fallback:
+                name = f"_F{len(env)}"
+                env[name] = stmt.call
+                body.append(f"{name}(v)")
+            else:
+                raise TypeError(f"unprintable IR statement {stmt!r}")
+            free.extend(local[name] for name in reads[i] if last_read[name] == i)
+            if kind is SetTemp:
+                if not free:
+                    free.append(f"_t{n_locals}")
+                    n_locals += 1
+                local[stmt.name] = free.pop()
+                body.append(f"{local[stmt.name]} = {value}")
+                if stmt.name not in last_read:  # never read: free at once
+                    free.append(local[stmt.name])
+        lines.extend("    " + line for line in body or ["pass"])
+        lines.append("")
+    return "\n".join(lines), env

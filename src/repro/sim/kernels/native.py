@@ -472,7 +472,7 @@ _RUNTIME_LINES = len(_RUNTIME_PREAMBLE.splitlines()) + len(_OBSERVE_RUNTIME.spli
 
 
 def generate_c_source(ir: KernelIR) -> str:
-    """The complete C translation unit for one extracted lane program."""
+    """The complete C translation unit for one lane program's IR."""
     elem = _ELEM_TYPES[ir.dtype]
     lines: List[str] = [
         "typedef long long i64;",

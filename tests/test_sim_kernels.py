@@ -363,6 +363,23 @@ def test_native_kernel_compiles_once_per_structure():
     assert first.kernel._lib is second.kernel._lib  # per-source .so cache
 
 
+@pytest.mark.parametrize("name", sorted(all_designs()))
+def test_kernel_source_is_one_per_design_structure(name):
+    """Independently elaborated copies of a design, at any lane count, print
+    byte-identical C, so serve groups and sweep workers share one library.
+
+    Numbering tables, state rows or memories by object address (or by any
+    other per-instance order) would break this silently.
+    """
+    modules = (build_flat(name), flatten(get_design(name).build()))
+    sources = {
+        native.generate_c_source(batch.compile_module_batch(module, n_lanes).kernel_ir())
+        for module in modules
+        for n_lanes in (7, 256)
+    }
+    assert len(sources) == 1
+
+
 @needs_cc
 def test_native_kernel_rebinds_after_sibling_plain_path_run():
     """reset() re-captures state pointers a sibling plain-path run detached.
@@ -442,6 +459,59 @@ def test_gate_level_native_settle_parity():
     for port in reference:
         assert np.array_equal(reference[port], candidate[port])
     assert np.array_equal(plain.snapshot_batch(), native.snapshot_batch())
+
+
+def test_gate_cell_without_ir_builder_runs_its_own_evaluate():
+    """A custom cell is one opaque step: the scalar and batch settles call its
+    ``evaluate`` (lane by lane), and the native kernel declines the netlist."""
+    import itertools
+
+    from repro.gates.cells import CB013_LIBRARY, CellType
+    from repro.gates.gate_netlist import GateNetlist
+    from repro.gates.gatesim import GateLevelSimulator
+
+    ao21 = CellType("AO21", 3, lambda x: (x[0] & x[1]) | x[2], 1.0, 1.0, 1.0, 1.0, 0.0)
+    netlist = GateNetlist("custom")
+    for net in ("a", "b", "c"):
+        netlist.add_input(net)
+    inner = netlist.add_gate(ao21, ["a", "b", "c"])
+    netlist.add_output(netlist.add_gate(CB013_LIBRARY.cell("INV"), [inner], "y"))
+    rows = list(itertools.product((0, 1), repeat=3))
+    expected = [1 - ((a & b) | c) for a, b, c in rows]
+    scalar = GateLevelSimulator(netlist)
+    assert [scalar.evaluate(dict(zip("abc", row)))["y"] for row in rows] == expected
+    lanes = {net: np.array([row[k] for row in rows]) for k, net in enumerate("abc")}
+    native = GateLevelSimulator(netlist, kernel_backend="native")
+    v = native.settle_batch(lanes, len(rows))
+    assert v[native.program.slots["y"]].tolist() == expected
+    assert native.kernel_backend == "off"
+
+
+@needs_cc
+def test_gate_kernel_builds_are_counted_once_per_structure(monkeypatch):
+    """A gate settle kernel is built through ``compile_kernel``: it counts in
+    ``repro_kernel_builds_total`` once, and a second simulator over the same
+    netlist structure reuses it."""
+    from repro.gates import gatesim
+    from repro.gates.techmap import TechnologyMapper
+    from repro.netlist.components import Adder
+    from repro.power.technology import CB130M_TECHNOLOGY
+    from repro.sim import kernels
+
+    monkeypatch.setattr(gatesim, "_PROGRAM_CACHE", {})
+    component = Adder("a8", 8)
+    netlist = TechnologyMapper(CB130M_TECHNOLOGY.cell_library).map_component(component)
+    widths = {p.name: p.width for p in component.ports.values()}
+    values = {p.name: np.arange(4, dtype=np.int64) for p in component.input_ports}
+    builds = kernels.KERNEL_BUILD_COUNT
+    first = gatesim.GateLevelSimulator(netlist, kernel_backend="native")
+    first.evaluate_ports_batch(values, widths)
+    assert first.kernel_backend == "native"
+    assert kernels.KERNEL_BUILD_COUNT == builds + 1
+    second = gatesim.GateLevelSimulator(netlist, kernel_backend="native")
+    second.evaluate_ports_batch(values, widths)
+    assert second.kernel_backend == "native"
+    assert kernels.KERNEL_BUILD_COUNT == builds + 1
 
 
 @needs_cc
