@@ -106,9 +106,9 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="collect a windowed per-component power profile "
                              "and write it as a JSON artifact")
     parser.add_argument("--profile-window", type=int, default=None, metavar="N",
-                        help="profile window width in cycles (default: 1 on "
-                             "the software engines, the strobe period on "
-                             "emulation)")
+                        help="profile window width in cycles (default: about "
+                             "64 windows over the cycle budget on the software "
+                             "engines, the strobe period on emulation)")
     parser.add_argument("--timeout-s", type=float, default=None, metavar="S",
                         help="per-task wall-clock deadline; a task past it is "
                              "killed and retried/failed (default: the "

@@ -128,8 +128,9 @@ class RunSpec:
     #: collect a windowed per-component power profile alongside the report
     #: (attached as ``EstimateResult.profile``)
     power_profile: bool = False
-    #: profile window width in cycles (``None`` = the engine default: one
-    #: cycle on the software estimators, the strobe period on emulation)
+    #: profile window width in cycles (``None`` = the engine default: about
+    #: 64 windows over the cycle budget on the software estimators, else one
+    #: cycle; the strobe period on emulation)
     profile_window: Optional[int] = None
     #: per-task wall-clock deadline when executed by the resilient sweep/shard
     #: layer (``None`` = the ``REPRO_TASK_TIMEOUT_S`` env, else no deadline)

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.fpga import FPGADevice, smallest_fitting_device
 from repro.core.instrument import InstrumentedDesign
 from repro.core.synthesis import SynthesisEstimator, SynthesisResult
-from repro.power.profile import DEFAULT_MAX_WINDOWS, PowerProfile
+from repro.power.profile import PowerProfile, ProfileConfig
 from repro.power.report import ComponentPower, PowerReport
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.engine import SimulationObserver, Simulator
@@ -35,86 +35,51 @@ class CapacityError(Exception):
 class _ProfileReadbackObserver(SimulationObserver):
     """Periodic accumulator readback for a power-over-time profile.
 
-    The aggregator docstring's "read back periodically" mode: every
-    ``interval`` emulated cycles the host samples the *cumulative*
+    The aggregator docstring's "read back periodically" mode: at every
+    window boundary of :attr:`collector` the host samples the *cumulative*
     per-component accumulators (or the single aggregator total when
-    per-component accumulators are disabled).  ``on_cycle(c)`` fires before
-    cycle ``c``'s clock edge, so the accumulators then cover exactly the
-    ``c`` committed cycles — boundaries land precisely on multiples of the
-    interval and window diffs telescope to the end-of-run totals with no
-    residue.  When the stored reading count hits ``max_windows`` every other
-    reading is dropped and the interval doubles, so an arbitrarily long
-    emulation costs a bounded number of readback transactions.
+    per-component accumulators are disabled) and hands them to the
+    collector, once more at the end of the run.  ``on_cycle(c)`` fires
+    before cycle ``c``'s clock edge, so the accumulators then cover exactly
+    the ``c`` committed cycles — boundaries land precisely on multiples of
+    the window width and window diffs telescope to the end-of-run totals
+    with no residue.  The collector merges windows pairwise and doubles the
+    width when its window list fills, so an arbitrarily long emulation
+    costs a bounded number of readback transactions.
     """
 
     def __init__(
         self,
         instrumented: InstrumentedDesign,
         interval: int,
-        max_windows: int = DEFAULT_MAX_WINDOWS,
+        component_types: Dict[str, str],
     ) -> None:
         self.instrumented = instrumented
-        self.interval = max(int(interval), 1)
-        self.max_windows = max_windows + (max_windows % 2)
         if instrumented.accumulator_map:
             self.names = list(instrumented.accumulator_map)
         else:
             # no per-component accumulators: profile the aggregator total as
             # one design-wide pseudo-component
             self.names = [instrumented.original_name]
-        #: (boundary cycle, cumulative per-component fJ) samples
-        self.readings: List[Tuple[int, np.ndarray]] = []
+        self.collector = ProfileConfig(window_cycles=interval).collector(
+            self.names, [component_types.get(name, "design") for name in self.names])
 
     def _read(self, simulator: Simulator) -> np.ndarray:
+        """The cumulative energies as a ``(components, 1)`` column."""
         if self.instrumented.accumulator_map:
             energies = self.instrumented.component_energies_fj(simulator)
-            return np.asarray([energies[name] for name in self.names])
-        return np.asarray([self.instrumented.read_total_energy_fj(simulator)])
+            return np.asarray([[energies[name]] for name in self.names])
+        return np.asarray([[self.instrumented.read_total_energy_fj(simulator)]])
 
     def on_cycle(self, simulator: Simulator, cycle: int) -> None:
-        if cycle and cycle % self.interval == 0:
-            self.readings.append((cycle, self._read(simulator)))
-            if len(self.readings) >= self.max_windows:
-                # keep the readings landing on multiples of the doubled
-                # interval; cumulative samples need no re-summing
-                self.readings = self.readings[1::2]
-                self.interval *= 2
+        collector = self.collector
+        if cycle - collector.cycles == collector.cycles_to_boundary:
+            collector.advance(collector.cycles_to_boundary, self._read(simulator))
 
-    def profile(
-        self,
-        simulator: Simulator,
-        executed_cycles: int,
-        technology: Technology,
-        component_types: Dict[str, str],
-    ) -> PowerProfile:
-        """Turn the cumulative samples into a windowed :class:`PowerProfile`."""
-        cumulative = [
-            reading for boundary, reading in self.readings
-            if boundary < executed_cycles
-        ]
-        if executed_cycles:
-            cumulative.append(self._read(simulator))
-        matrix = []
-        previous = np.zeros(len(self.names))
-        for reading in cumulative:
-            matrix.append([float(e) for e in reading - previous])
-            previous = reading
-        return PowerProfile(
-            design=self.instrumented.original_name,
-            estimator="power-emulation",
-            clock_mhz=technology.clock_mhz,
-            cycles=executed_cycles,
-            window_cycles=self.interval,
-            component_names=list(self.names),
-            component_types=[
-                component_types.get(name, "design") for name in self.names
-            ],
-            energy_fj=matrix,
-            notes={
-                "readback_transactions": len(cumulative),
-                "strobe_period": self.instrumented.config.strobe_period,
-            },
-        )
+    def on_finish(self, simulator: Simulator) -> None:
+        if simulator.cycle > self.collector.cycles:
+            self.collector.advance(simulator.cycle - self.collector.cycles,
+                                   self._read(simulator))
 
 
 @dataclass(frozen=True)
@@ -206,7 +171,6 @@ class EmulationPlatform:
         testbench_on_fpga: bool = True,
         max_cycles: Optional[int] = None,
         profile_window: Optional[int] = None,
-        profile_max_windows: int = DEFAULT_MAX_WINDOWS,
     ) -> EmulationResult:
         """Emulate the enhanced design and read back its power results.
 
@@ -233,10 +197,10 @@ class EmulationPlatform:
         interval = (
             profile_window
             if profile_window is not None
-            else max(instrumented.config.strobe_period, 1)
+            else instrumented.config.strobe_period
         )
         readback = _ProfileReadbackObserver(
-            instrumented, interval, max_windows=profile_max_windows
+            instrumented, max(int(interval), 1), self._component_types(instrumented)
         )
 
         start = time.perf_counter()
@@ -251,12 +215,16 @@ class EmulationPlatform:
         power_report = self._build_power_report(
             instrumented, simulator, executed_cycles, technology, host_elapsed
         )
-        power_profile = readback.profile(
-            simulator,
-            executed_cycles,
-            technology,
-            self._component_types(instrumented),
-        )
+        power_profile = readback.collector.profiles(
+            instrumented.original_name,
+            "power-emulation",
+            technology.clock_mhz,
+            [executed_cycles],
+            notes={
+                "readback_transactions": readback.collector.n_windows,
+                "strobe_period": instrumented.config.strobe_period,
+            },
+        )[0]
         # the cycle trace never exists on the emulation path; the windowed
         # profile is the authoritative peak at its readback resolution
         power_report.peak_power_mw = power_profile.peak_power_mw()

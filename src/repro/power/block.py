@@ -1,4 +1,4 @@
-"""Block-deferred macromodel evaluation, shared by the RTL estimators.
+"""Block-deferred macromodel evaluation, shared by the software estimators.
 
 The paper's power model is an XOR per monitored bit, an AND with the bit's
 coefficient and an adder tree, aggregated next to the design until the host
@@ -50,7 +50,8 @@ they are never ``-0.0`` and absorb either sign alike.  The kernels compile
 with ``-ffp-contract=off``, so no multiply-add is fused: one would round
 ``energy * mask`` and its addition once instead of twice (exact only while
 the mask is 0/1).  The block evaluator stays the path of the ``off`` kernel
-backend and of the scalar estimator.
+backend, of the scalar estimator and of the gate-level estimator, which
+pushes every energy it computes as a generic one.
 """
 
 from __future__ import annotations
@@ -74,17 +75,17 @@ BLOCK_ELEMENTS = 1 << 18
 class BlockEvaluator:
     """Per-cycle energies of ``monitored`` components, evaluated in blocks.
 
-    ``n_lanes=None`` is a scalar run: :meth:`push` takes a tuple of port
-    values and a list of generic energies, and the results have one lane.
-    Otherwise it takes an ``(n_nets, n_lanes)`` array, one ``(n_lanes,)``
-    energy array per generic component and the float active-lane mask.
-    Pushed arrays are kept until the next flush and must not be mutated.
+    Each cycle :meth:`push` takes the monitored values as ``(n_nets,
+    n_lanes)`` (a scalar run is one lane, and may push a tuple of port
+    values), one ``(n_lanes,)`` energy per generic component (a float for
+    one lane) and optionally the float active-lane mask.  Pushed arrays are
+    kept until the next flush and must not be mutated.
     """
 
     def __init__(
         self,
         monitored: Sequence[tuple],
-        n_lanes: Optional[int] = None,
+        n_lanes: int = 1,
         keep_cycle_trace: bool = True,
         collectors: Sequence[WindowedEnergyCollector] = (),
     ) -> None:
@@ -92,7 +93,6 @@ class BlockEvaluator:
         self.keep_cycle_trace = keep_cycle_trace
         #: profile collectors, all fed the same running totals
         self.collectors = list(collectors)
-        self._lanes = 1 if n_lanes is None else n_lanes
         #: nets whose values :meth:`push` takes, in row order
         self.nets: List = []
         #: (component, model) pairs the caller evaluates per cycle
@@ -127,14 +127,14 @@ class BlockEvaluator:
         self._generic_pos = np.array(generic_pos, dtype=np.intp)
         self.n_components = len(monitored)
         width = max(len(self.nets), self.n_components, 1)
-        self.block_cycles = max(1, BLOCK_ELEMENTS // (width * self._lanes))
+        self.block_cycles = max(1, BLOCK_ELEMENTS // (width * n_lanes))
 
         self._values: list = []
         self._generic_energy: list = []
         self._masks: list = []
         self._last: Optional[np.ndarray] = None
-        self._totals = np.zeros((self.n_components, self._lanes))
-        self._peak = np.zeros(self._lanes)
+        self._totals = np.zeros((self.n_components, n_lanes))
+        self._peak = np.zeros(n_lanes)
         self._trace: List[np.ndarray] = []
 
     def flat_plan(self) -> Dict[str, np.ndarray]:
@@ -182,7 +182,7 @@ class BlockEvaluator:
         """Evaluate the pending cycles and fold them into the results."""
         if not self._values:
             return
-        k, lanes, n_nets = len(self._values), self._lanes, len(self.nets)
+        k, lanes, n_nets = len(self._values), self.n_lanes, len(self.nets)
         current = np.asarray(self._values, dtype="<i8").reshape(k, n_nets, lanes)
         toggles = np.empty_like(current)
         np.bitwise_xor(current[1:], current[:-1], out=toggles[1:])
@@ -214,12 +214,17 @@ class BlockEvaluator:
         if self.keep_cycle_trace:
             self._trace.append(total)
         # running totals: the previous block's, then the cycles one by one,
-        # in order; the collector commits its windows as their differences
+        # in order; each collector takes them at its window boundaries,
+        # wherever they land in the block, and at the block's last cycle
         energy[:, 0] += self._totals
         running = np.add.accumulate(energy, axis=1, out=energy)
         self._totals = running[:, -1].copy()
         for collector in self.collectors:
-            collector.add_running(running if self.n_lanes is not None else running[:, :, 0])
+            done = 0
+            while done < k:
+                step = min(collector.cycles_to_boundary, k - done)
+                done += step
+                collector.advance(step, running[:, done - 1])
         self._values.clear()
         self._generic_energy.clear()
         self._masks.clear()
@@ -241,7 +246,7 @@ class BlockEvaluator:
         """``(cycles, lanes)`` total energy per cycle (needs ``keep_cycle_trace``)."""
         self.flush()
         if not self._trace:
-            return np.zeros((0, self._lanes))
+            return np.zeros((0, self.n_lanes))
         return np.concatenate(self._trace)
 
 

@@ -8,52 +8,59 @@ the gate level to count real per-net toggles and convert them to energy.
 Components without a gate mapping (registers, memories, FSMs) fall back to
 their RTL macromodels, which keeps the comparison apples-to-apples for the
 storage part of a design.
+
+Only the per-cycle energies are gate-level: the observer pushes them into a
+:class:`~repro.power.block.BlockEvaluator` as generic energies, so totals,
+peak, cycle trace, profile windows and the report come from the same code
+as the RTL estimators'.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.gates.gate_power import GatePowerCalculator
 from repro.gates.gatesim import GateLevelSimulator
 from repro.gates.techmap import TechnologyMapper
+from repro.netlist.components import Component
 from repro.netlist.module import Module
+from repro.power.block import BlockEvaluator
 from repro.power.library import PowerModelLibrary, build_seed_library
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
-from repro.power.report import ComponentPower, PowerReport
+from repro.power.report import PowerReport
+from repro.power.rtl_estimator import build_reports
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.engine import SimulationObserver, Simulator
 from repro.sim.testbench import Testbench
 
 
 class _GateLevelObserver(SimulationObserver):
+    """Each cycle's per-component energies, pushed into a block evaluator.
+
+    Gate-mapped components are re-simulated at gate level, then the rest run
+    their RTL macromodels, in the order of ``observed``; the evaluator takes
+    every energy as a generic one and keeps the results.
+    """
+
     def __init__(
         self,
         estimator: "GateLevelPowerEstimator",
+        observed: Sequence[Component],
         keep_cycle_trace: bool = True,
         collector: Optional[WindowedEnergyCollector] = None,
     ) -> None:
         self.estimator = estimator
-        self.keep_cycle_trace = keep_cycle_trace
-        self.collector = collector
-        self.energy_by_component: Dict[str, float] = {}
-        self.cycle_energy: List[float] = []
-        self.peak_cycle_energy_fj = 0.0
+        self.block = BlockEvaluator(
+            [(component, None) for component in observed],
+            keep_cycle_trace=keep_cycle_trace,
+            collectors=() if collector is None else (collector,),
+        )
         self._previous_io: Dict[str, Dict[str, int]] = {}
         self._previous_netvals: Dict[str, Dict[str, int]] = {}
 
-    def on_reset(self, simulator: Simulator) -> None:
-        self.energy_by_component = {}
-        self.cycle_energy = []
-        self.peak_cycle_energy_fj = 0.0
-        self._previous_io = {}
-        self._previous_netvals = {}
-
     def on_cycle(self, simulator: Simulator, cycle: int) -> None:
-        collector = self.collector
-        total = 0.0
-        row = 0
+        energies = []
         # gate-mapped combinational components: re-simulate at gate level
         for name, (component, gate_sim, calculator, widths) in self.estimator.gate_mapped.items():
             io_values = simulator.component_io_values(component)
@@ -61,35 +68,19 @@ class _GateLevelObserver(SimulationObserver):
             gate_sim.evaluate_ports(inputs, widths)
             snapshot = gate_sim.snapshot()
             previous = self._previous_netvals.get(name)
-            if previous is not None:
-                energy = calculator.transition_energy(previous, snapshot).total_fj
-            else:
-                energy = 0.0
+            energies.append(0.0 if previous is None else
+                            calculator.transition_energy(previous, snapshot).total_fj)
             self._previous_netvals[name] = snapshot
-            self.energy_by_component[name] = self.energy_by_component.get(name, 0.0) + energy
-            total += energy
-            if collector is not None:
-                collector.add(row, energy)
-            row += 1
         # everything else: RTL macromodels
         for component, model in self.estimator.macromodelled:
             current = simulator.component_io_values(component)
             previous = self._previous_io.get(component.name, current)
-            energy = model.evaluate(previous, current)
+            energies.append(model.evaluate(previous, current))
             self._previous_io[component.name] = current
-            self.energy_by_component[component.name] = (
-                self.energy_by_component.get(component.name, 0.0) + energy
-            )
-            total += energy
-            if collector is not None:
-                collector.add(row, energy)
-            row += 1
-        if total > self.peak_cycle_energy_fj:
-            self.peak_cycle_energy_fj = total
-        if self.keep_cycle_trace:
-            self.cycle_energy.append(total)
-        if collector is not None:
-            collector.end_cycle()
+        self.block.push((), energies)
+
+    def on_finish(self, simulator: Simulator) -> None:
+        self.block.flush()
 
 
 class GateLevelPowerEstimator:
@@ -147,73 +138,23 @@ class GateLevelPowerEstimator:
     ) -> PowerReport:
         start = time.perf_counter()
         simulator = Simulator(self.module, backend=self.backend)
-        collector = None
-        if profile is not None:
-            # collector rows follow the observer's iteration order:
-            # gate-mapped components first, then the macromodelled ones
-            observed = [
-                component for component, *_rest in self.gate_mapped.values()
-            ] + [component for component, _ in self.macromodelled]
-            collector = WindowedEnergyCollector(
-                names=[c.name for c in observed],
-                types=[c.type_name for c in observed],
-                window_cycles=profile.resolved_window(),
-                max_windows=profile.max_windows,
-            )
-        observer = _GateLevelObserver(
-            self, keep_cycle_trace=keep_cycle_trace, collector=collector
-        )
-        observer.on_reset(simulator)
+        # the observer's order: gate-mapped components, then macromodelled
+        observed = [component for component, *_rest in self.gate_mapped.values()]
+        observed += [component for component, _ in self.macromodelled]
+        budget = max_cycles if max_cycles is not None else testbench.max_cycles
+        collector = None if profile is None else profile.collector(
+            [c.name for c in observed], [c.type_name for c in observed], budget)
+        observer = _GateLevelObserver(self, observed, keep_cycle_trace, collector)
         simulator.add_observer(observer)
         simulation = simulator.run(testbench, max_cycles=max_cycles)
         elapsed = time.perf_counter() - start
-        self.last_profile = (
-            collector.profile(
-                design=self.module.name,
-                estimator=self.name,
-                clock_mhz=self.technology.clock_mhz,
-                cycles=simulation.cycles,
-                notes={
-                    "n_gate_mapped": len(self.gate_mapped),
-                    "n_macromodelled": len(self.macromodelled),
-                },
-            )
-            if collector is not None
-            else None
-        )
-
-        technology = self.technology
-        cycles = simulation.cycles
-        components: Dict[str, ComponentPower] = {}
-        total_energy = 0.0
-        type_by_name = {c.name: c.type_name for c in self.module.components.values()}
-        for name, energy in observer.energy_by_component.items():
-            total_energy += energy
-            components[name] = ComponentPower(
-                name=name,
-                component_type=type_by_name.get(name, "unknown"),
-                energy_fj=energy,
-                average_power_mw=technology.energy_to_power_mw(energy / cycles if cycles else 0.0),
-            )
-        return PowerReport(
-            design=self.module.name,
-            estimator=self.name,
-            cycles=cycles,
-            clock_mhz=technology.clock_mhz,
-            total_energy_fj=total_energy,
-            average_power_mw=technology.energy_to_power_mw(
-                total_energy / cycles if cycles else 0.0
-            ),
-            peak_power_mw=(
-                technology.energy_to_power_mw(observer.peak_cycle_energy_fj)
-                if cycles
-                else 0.0
-            ),
-            components=components,
-            cycle_energy_fj=list(observer.cycle_energy) if keep_cycle_trace else [],
-            estimation_time_s=elapsed,
-            notes={
-                "n_gate_mapped": len(self.gate_mapped),
-                "n_macromodelled": len(self.macromodelled),
-            },
-        )
+        notes = {
+            "n_gate_mapped": len(self.gate_mapped),
+            "n_macromodelled": len(self.macromodelled),
+        }
+        self.last_profile = None if collector is None else collector.profiles(
+            self.module.name, self.name, self.technology.clock_mhz,
+            [simulation.cycles], notes)[0]
+        return build_reports(
+            observer.block, observed, self.module.name, self.name, self.technology,
+            [simulation.cycles], elapsed, keep_cycle_trace, notes)[0]

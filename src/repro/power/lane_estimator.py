@@ -296,7 +296,7 @@ class BatchRTLPowerEstimator:
         lane_cycles = stop.tolist()
         self.last_profiles = [None] * n_lanes if collectors else None
         for key, collector in collectors.items():
-            profiles = collector.lane_profiles(
+            profiles = collector.profiles(
                 design=self.module.name,
                 estimator=self.name,
                 clock_mhz=self.technology.clock_mhz,

@@ -12,16 +12,15 @@ breakdowns, Chrome-trace counter events).
 
 Two pieces:
 
-* :class:`WindowedEnergyCollector` — the streaming accumulator the
-  simulation observers feed.  Observers either add per-component energies
-  into the current window buffer and call
-  :meth:`~WindowedEnergyCollector.end_cycle`, or hand over a whole block of
-  per-component running totals (scalar or ``(n_lanes,)`` per cycle) with
-  :meth:`~WindowedEnergyCollector.add_running`, which commits windows as
-  differences at their boundaries.  When the committed window
-  count reaches ``max_windows`` adjacent windows merge pairwise and the
-  window width doubles, so an arbitrarily long run costs a fixed amount of
-  memory while window sums stay exact.
+* :class:`WindowedEnergyCollector` — the streaming accumulator every
+  engine feeds the same way: an observer keeps per-component running
+  totals (``(components, lanes)``; a scalar run is one lane) and hands them
+  over at each window boundary and once at the end of the run
+  (:meth:`~WindowedEnergyCollector.advance`); each window is the
+  difference of the totals at its two boundaries.  When the committed
+  window count reaches ``max_windows`` adjacent windows merge pairwise and
+  the window width doubles, so an arbitrarily long run costs a fixed
+  amount of memory while window sums stay exact.
 * :class:`PowerProfile` — the immutable artifact: JSON round-trippable,
   attached to :class:`~repro.api.spec.EstimateResult`, with hotspot/top-K
   views, window rebinning, and Chrome ``"C"`` (counter) events that merge
@@ -100,14 +99,27 @@ class ProfileConfig:
             return 1
         return max(1, -(-budget // DEFAULT_WINDOW_TARGET))
 
+    def collector(
+        self,
+        names: Sequence[str],
+        types: Sequence[str],
+        budget: Optional[int] = None,
+        n_lanes: int = 1,
+    ) -> "WindowedEnergyCollector":
+        """The collector for a run of at most ``budget`` cycles."""
+        return WindowedEnergyCollector(
+            names, types, window_cycles=self.resolved_window(budget),
+            max_windows=self.max_windows, n_lanes=n_lanes,
+        )
+
 
 class WindowedEnergyCollector:
-    """Streaming ``(window × component)`` energy accumulator, bounded memory.
+    """Streaming ``(window × component × lane)`` energy accumulator, bounded memory.
 
-    ``n_lanes=None`` collects scalar energies (the scalar RTL, gate-level
-    and emulation observers); an integer collects ``(n_lanes,)`` rows per
-    component (the lane estimator).  Component order is fixed at
-    construction and is the row order of every emitted profile.
+    Every engine feeds it one way: each component's running total energy
+    at window boundaries (:meth:`advance`).  A scalar run is one lane.
+    Component order is fixed at construction and is the row order of every
+    emitted profile.
     """
 
     def __init__(
@@ -116,7 +128,7 @@ class WindowedEnergyCollector:
         types: Sequence[str],
         window_cycles: int = 1,
         max_windows: int = DEFAULT_MAX_WINDOWS,
-        n_lanes: Optional[int] = None,
+        n_lanes: int = 1,
     ) -> None:
         if len(names) != len(types):
             raise ValueError("names and types must align")
@@ -132,58 +144,23 @@ class WindowedEnergyCollector:
         # an odd bound would misalign boundaries after a pairwise merge
         self.max_windows = max_windows + (max_windows % 2)
         self.n_lanes = n_lanes
-        shape = (len(self.names),) if n_lanes is None else (len(self.names), n_lanes)
-        #: the open window's per-component energies; observers add into it
-        #: directly (``collector.add(row, energy)``) then call ``end_cycle``
+        shape = (len(self.names), n_lanes)
+        #: the open window's per-component energies
         self.buf = np.zeros(shape, dtype=np.float64)
         self._windows: List[np.ndarray] = []
         self._in_window = 0
-        # running totals at the last window boundary (:meth:`add_running`)
+        # running totals at the last window boundary
         self._snapshot = np.zeros(shape, dtype=np.float64)
         #: total cycles observed
         self.cycles = 0
-        #: lane mode: the cycle each lane stops at, as far as known so far
-        #: (the lane estimator's array, updated in place as lanes finish)
+        #: the cycle each lane stops at, as far as known so far (the lane
+        #: estimator's array, updated in place as lanes finish)
         self.lane_stops: Optional[np.ndarray] = None
         # lane -> (window width, windows) of a lane that stopped before a
         # coalesce: its profile as a run of its own length would end
         self._frozen: Dict[int, Tuple[int, np.ndarray]] = {}
 
     # ----------------------------------------------------------- streaming
-    def add(self, row: int, energy) -> None:
-        """Add one component's energy for the current cycle.
-
-        ``energy`` is a float (scalar mode) or an ``(n_lanes,)`` array.
-        """
-        self.buf[row] += energy
-
-    def end_cycle(self) -> None:
-        self.cycles += 1
-        self._in_window += 1
-        if self._in_window >= self.window_cycles:
-            self._commit(self.buf.copy(), self.cycles)
-            self.buf[:] = 0.0
-
-    def add_running(self, running: np.ndarray) -> None:
-        """Ingest a block of *running* totals, ``(components, cycles[, lanes])``.
-
-        ``running[:, j]`` is each component's energy from the start of the
-        run through the block's cycle ``j``.  Windows commit as differences
-        of running totals at their boundaries, which may land anywhere in
-        the block, so the cost is per window, not per cycle.  Use either
-        this or :meth:`add`/:meth:`end_cycle` on one collector, not both.
-        """
-        n, done = running.shape[1], 0
-        while done + self.window_cycles - self._in_window <= n:
-            done += self.window_cycles - self._in_window
-            boundary = running[:, done - 1]
-            self._commit(boundary - self._snapshot, self.cycles + done)
-            self._snapshot = boundary.copy()
-        self._in_window += n - done
-        self.cycles += n
-        # the open window
-        np.subtract(running[:, -1], self._snapshot, out=self.buf)
-
     @property
     def cycles_to_boundary(self) -> int:
         """Cycles until the open window closes."""
@@ -192,12 +169,12 @@ class WindowedEnergyCollector:
     def advance(self, cycles: int, running: np.ndarray) -> None:
         """Ingest ``cycles`` more cycles given only the last one's running totals.
 
-        ``running`` is ``(components[, lanes])``: each component's energy
-        from the start of the run through the last of the cycles.  No window
-        may close before that cycle (``cycles <= cycles_to_boundary``), so
-        an observer that keeps only its current running totals feeds the
-        collector at window boundaries and once at the end of the run; the
-        windows equal :meth:`add_running`'s over the same totals.
+        ``running`` is ``(components, lanes)``: each component's energy from
+        the start of the run through the last of the cycles.  No window may
+        close before that cycle (``cycles <= cycles_to_boundary``), so an
+        observer feeds the collector at every window boundary and once at
+        the end of the run; each window is the difference of the running
+        totals at its two boundaries.
         """
         if not 0 < cycles <= self.cycles_to_boundary:
             raise ValueError(
@@ -248,7 +225,7 @@ class WindowedEnergyCollector:
         return len(self._windows) + (1 if self._in_window else 0)
 
     def matrix(self) -> np.ndarray:
-        """All windows, committed plus the open partial one, stacked."""
+        """All windows, committed plus the open one: ``(windows, components, lanes)``."""
         windows = list(self._windows)
         if self._in_window:
             windows.append(self.buf.copy())
@@ -257,33 +234,7 @@ class WindowedEnergyCollector:
             return np.zeros(shape, dtype=np.float64)
         return np.stack(windows, axis=0)
 
-    def profile(
-        self,
-        design: str,
-        estimator: str,
-        clock_mhz: float,
-        cycles: Optional[int] = None,
-        lane: Optional[int] = None,
-        notes: Optional[Dict[str, object]] = None,
-    ) -> "PowerProfile":
-        """The collected matrix as an immutable :class:`PowerProfile`.
-
-        ``lane`` extracts one lane's column from a lane-mode collector;
-        ``cycles`` (that lane's executed cycle count) trims trailing windows
-        the lane never reached — energies past its finish are exact zeros
-        because inactive lanes are masked out of the accumulation.
-        """
-        matrix = self.matrix()
-        if lane is not None:
-            if self.n_lanes is None:
-                raise ValueError("collector is scalar; no lanes to extract")
-            matrix = matrix[:, :, lane]
-        elif self.n_lanes is not None:
-            raise ValueError("lane-mode collector needs an explicit lane")
-        return self._emit(self.window_cycles, matrix, design, estimator,
-                          clock_mhz, cycles, notes)
-
-    def lane_profiles(
+    def profiles(
         self,
         design: str,
         estimator: str,
@@ -292,15 +243,15 @@ class WindowedEnergyCollector:
         notes: Optional[Dict[str, object]] = None,
         lanes: Optional[Sequence[int]] = None,
     ) -> List["PowerProfile"]:
-        """Lane profiles in one pass (the matrix is stacked once).
+        """Each lane's profile as an immutable :class:`PowerProfile`.
 
         Every lane's, or only those of ``lanes``; ``lane_cycles`` holds each
-        returned lane's executed cycle count.  A lane that stopped before a
-        coalesce (see :attr:`lane_stops`) keeps the finer windows a run of
-        its own length ends with.
+        returned lane's executed cycle count, which trims trailing windows
+        the lane never reached (energies past its finish are exact zeros
+        because inactive lanes are masked out of the accumulation).  A lane
+        that stopped before a coalesce (see :attr:`lane_stops`) keeps the
+        finer windows a run of its own length ends with.
         """
-        if self.n_lanes is None:
-            raise ValueError("collector is scalar; no lanes to extract")
         lanes = range(self.n_lanes) if lanes is None else list(lanes)
         # one contiguous (lanes, n_windows, n_components) copy so each
         # lane's list materialization is a straight memory walk
@@ -318,10 +269,10 @@ class WindowedEnergyCollector:
         design: str,
         estimator: str,
         clock_mhz: float,
-        cycles: Optional[int],
+        cycles: int,
         notes: Optional[Dict[str, object]],
     ) -> "PowerProfile":
-        total_cycles = self.cycles if cycles is None else int(cycles)
+        total_cycles = int(cycles)
         if total_cycles > self.cycles:
             raise ValueError(
                 f"lane reports {total_cycles} cycles but the collector only "

@@ -129,16 +129,9 @@ class RTLPowerEstimator:
         simulation = simulator.run(testbench, max_cycles=max_cycles)
         elapsed = time.perf_counter() - start
         self.last_phase_s = {"simulate_s": elapsed, "macromodel_eval_s": observer.eval_s}
-        self.last_profile = (
-            collector.profile(
-                design=self.module.name,
-                estimator=self.name,
-                clock_mhz=self.technology.clock_mhz,
-                cycles=simulation.cycles,
-            )
-            if collector is not None
-            else None
-        )
+        self.last_profile = None if collector is None else collector.profiles(
+            self.module.name, self.name, self.technology.clock_mhz,
+            [simulation.cycles])[0]
         return self._build_report(
             observer.block, [simulation.cycles], elapsed, keep_cycle_trace)[0]
 
@@ -146,18 +139,14 @@ class RTLPowerEstimator:
         self,
         profile: Optional[ProfileConfig],
         budget: Optional[int],
-        n_lanes: Optional[int] = None,
+        n_lanes: int = 1,
     ) -> Optional[WindowedEnergyCollector]:
         """The profile collector for a run of at most ``budget`` cycles."""
         if profile is None:
             return None
-        return WindowedEnergyCollector(
-            names=[c.name for c, _ in self.monitored],
-            types=[c.type_name for c, _ in self.monitored],
-            window_cycles=profile.resolved_window(budget),
-            max_windows=profile.max_windows,
-            n_lanes=n_lanes,
-        )
+        return profile.collector(
+            [c.name for c, _ in self.monitored],
+            [c.type_name for c, _ in self.monitored], budget, n_lanes)
 
     def model_for(self, component_name: str) -> PowerMacromodel:
         """The macromodel assigned to a named component (for inspection/tests)."""
@@ -175,45 +164,64 @@ class RTLPowerEstimator:
         keep_cycle_trace: bool,
         notes: Optional[Dict[str, object]] = None,
     ) -> List[PowerReport]:
-        """One report per lane of an evaluated block (a scalar run is one lane).
+        """Every lane's report from an evaluated block (:func:`build_reports`)."""
+        return build_reports(
+            block, [component for component, _ in self.monitored],
+            self.module.name, self.name, self.technology, cycles, elapsed_s,
+            keep_cycle_trace,
+            {"n_monitored_components": len(self.monitored), **(notes or {})},
+        )
 
-        One pass over the block's ``(components, lanes)`` arrays, with each
-        lane's float operations in the per-lane order: component energies
-        summed in monitored order from ``0.0``, every power computed as
-        ``energy_to_power_mw(energy / cycles)``, and ``0.0`` for a lane that
-        ran no cycles.
-        """
-        technology = self.technology
-        totals = block.totals
-        counts = np.asarray(cycles, dtype=np.float64)
-        ran = counts > 0
 
-        def power_mw(energy: np.ndarray) -> np.ndarray:
-            per_cycle = np.divide(energy, counts, out=np.zeros_like(energy), where=ran)
-            return technology.energy_to_power_mw(per_cycle)
+def build_reports(
+    block,
+    components: Sequence[Component],
+    design: str,
+    estimator: str,
+    technology: Technology,
+    cycles: Sequence[int],
+    elapsed_s: float,
+    keep_cycle_trace: bool,
+    notes: Dict[str, object],
+) -> List[PowerReport]:
+    """One report per lane of an evaluated block (a scalar run is one lane).
 
-        # the running sum from 0.0 in monitored order: accumulate is sequential
-        total_energy = np.add.accumulate(np.vstack((np.zeros(len(cycles)), totals)))[-1]
-        peak_mw = np.where(ran, technology.energy_to_power_mw(block.peak), 0.0)
-        trace = block.cycle_trace() if keep_cycle_trace else None
-        names = [component.name for component, _ in self.monitored]
-        kinds = [component.type_name for component, _ in self.monitored]
-        notes = {"n_monitored_components": len(self.monitored), **(notes or {})}
-        return [
-            PowerReport(
-                design=self.module.name,
-                estimator=self.name,
-                cycles=n,
-                clock_mhz=technology.clock_mhz,
-                total_energy_fj=total,
-                average_power_mw=average,
-                peak_power_mw=peak,
-                components=dict(zip(names, map(ComponentPower, names, kinds, energies, powers))),
-                cycle_energy_fj=trace[:n, lane].tolist() if keep_cycle_trace else [],
-                estimation_time_s=elapsed_s,
-                notes=dict(notes),
-            )
-            for lane, (n, total, average, peak, energies, powers) in enumerate(zip(
-                cycles, total_energy.tolist(), power_mw(total_energy).tolist(),
-                peak_mw.tolist(), totals.T.tolist(), power_mw(totals).T.tolist()))
-        ]
+    ``components`` are the block's, in monitored order.  One pass over the
+    block's ``(components, lanes)`` arrays, with each lane's float
+    operations in the per-lane order: component energies summed in
+    monitored order from ``0.0``, every power computed as
+    ``energy_to_power_mw(energy / cycles)``, and ``0.0`` for a lane that ran
+    no cycles.  Every report carries a copy of ``notes``.
+    """
+    totals = block.totals
+    counts = np.asarray(cycles, dtype=np.float64)
+    ran = counts > 0
+
+    def power_mw(energy: np.ndarray) -> np.ndarray:
+        per_cycle = np.divide(energy, counts, out=np.zeros_like(energy), where=ran)
+        return technology.energy_to_power_mw(per_cycle)
+
+    # the running sum from 0.0 in monitored order: accumulate is sequential
+    total_energy = np.add.accumulate(np.vstack((np.zeros(len(cycles)), totals)))[-1]
+    peak_mw = np.where(ran, technology.energy_to_power_mw(block.peak), 0.0)
+    trace = block.cycle_trace() if keep_cycle_trace else None
+    names = [component.name for component in components]
+    kinds = [component.type_name for component in components]
+    return [
+        PowerReport(
+            design=design,
+            estimator=estimator,
+            cycles=n,
+            clock_mhz=technology.clock_mhz,
+            total_energy_fj=total,
+            average_power_mw=average,
+            peak_power_mw=peak,
+            components=dict(zip(names, map(ComponentPower, names, kinds, energies, powers))),
+            cycle_energy_fj=trace[:n, lane].tolist() if keep_cycle_trace else [],
+            estimation_time_s=elapsed_s,
+            notes=dict(notes),
+        )
+        for lane, (n, total, average, peak, energies, powers) in enumerate(zip(
+            cycles, total_energy.tolist(), power_mw(total_energy).tolist(),
+            peak_mw.tolist(), totals.T.tolist(), power_mw(totals).T.tolist()))
+    ]

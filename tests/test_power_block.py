@@ -84,8 +84,9 @@ def test_block_evaluator_matches_linear_model_evaluate(
     monitored, n_lanes, block, n_cycles, seed
 ):
     rng = np.random.default_rng(seed)
+    # None: a scalar run, one lane fed tuples of port values
     lanes = 1 if n_lanes is None else n_lanes
-    evaluator = BlockEvaluator(monitored, n_lanes=n_lanes)
+    evaluator = BlockEvaluator(monitored, n_lanes=lanes)
     if block is not None:
         evaluator.block_cycles = block
     assert not evaluator.generic
@@ -247,15 +248,17 @@ def test_collector_running_blocks_split_at_windows_and_coalesce_mid_block():
     energies = rng.uniform(0.0, 4.0, size=(101, 3, 2))
     streamed = WindowedEnergyCollector(["a", "b", "c"], ["x"] * 3,
                                        window_cycles=3, max_windows=4, n_lanes=2)
-    for cycle in range(101):
-        for row in range(3):
-            streamed.add(row, energies[cycle, row])
-        streamed.end_cycle()
+    for running in np.add.accumulate(energies, axis=0):
+        streamed.advance(1, running)
     blocked = WindowedEnergyCollector(["a", "b", "c"], ["x"] * 3,
                                       window_cycles=3, max_windows=4, n_lanes=2)
-    running = np.add.accumulate(energies, axis=0).transpose(1, 0, 2)
-    for start in range(0, 101, 13):  # 13-cycle blocks: windows land mid-block
-        blocked.add_running(running[:, start:start + 13])
+    # three generic components: the evaluator takes their energies as pushed
+    generic = [(SimpleNamespace(input_ports=[], output_ports=[]), None)] * 3
+    evaluator = BlockEvaluator(generic, n_lanes=2, collectors=[blocked])
+    evaluator.block_cycles = 13  # 13-cycle blocks: windows land mid-block
+    for cycle in range(101):
+        evaluator.push(np.zeros((0, 2), dtype=np.int64), list(energies[cycle]))
+    evaluator.flush()
     assert blocked.window_cycles == streamed.window_cycles > 3
     assert blocked.cycles == 101
     np.testing.assert_allclose(blocked.matrix(), streamed.matrix(), rtol=REL)

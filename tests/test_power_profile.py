@@ -23,6 +23,7 @@ import pytest
 from repro import obs
 from repro.api import EstimateResult, RunSpec, estimate
 from repro.api.estimators import RTLEstimatorAdapter
+from repro.core import EmulationPlatform, InstrumentationConfig, instrument
 from repro.designs import all_designs, get_design
 from repro.power import (
     BatchRTLPowerEstimator,
@@ -30,7 +31,11 @@ from repro.power import (
     ProfileConfig,
     RTLPowerEstimator,
     WindowedEnergyCollector,
+    build_seed_library,
 )
+from repro.power.profile import DEFAULT_MAX_WINDOWS
+from repro.sim import Simulator
+from repro.sim.engine import SimulationObserver
 
 REL_TOL = 1e-9
 
@@ -53,6 +58,14 @@ def _assert_parity(result: EstimateResult) -> None:
 
 
 # --------------------------------------------------------- collector unit
+def _stream(collectors, energies):
+    """Feed per-cycle ``(cycles, components)`` energies as running totals."""
+    running = np.add.accumulate(energies, axis=0)
+    for totals in running:
+        for collector in collectors:
+            collector.advance(1, totals[:, None])
+
+
 def test_collector_bounded_memory_preserves_sums_exactly():
     rng = np.random.default_rng(7)
     energies = rng.uniform(0.0, 5.0, size=(1000, 3))
@@ -60,21 +73,18 @@ def test_collector_bounded_memory_preserves_sums_exactly():
         ["a", "b", "c"], ["adder", "adder", "register"],
         window_cycles=1, max_windows=8,
     )
-    for cycle in range(1000):
-        for row in range(3):
-            collector.add(row, energies[cycle, row])
-        collector.end_cycle()
+    _stream([collector], energies)
     # bounded: never more than max_windows (+ the open partial window)
     assert collector.n_windows <= 8 + 1
     # width doubled to a power of two covering the run
     assert collector.window_cycles % 2 == 0
     assert collector.window_cycles * 8 >= 1000
-    matrix = collector.matrix()
+    matrix = collector.matrix()[:, :, 0]
     # pairwise merging is pure addition: sums stay exact per component
     np.testing.assert_allclose(
         matrix.sum(axis=0), energies.sum(axis=0), rtol=1e-12
     )
-    profile = collector.profile("unit", "test", clock_mhz=100.0)
+    [profile] = collector.profiles("unit", "test", 100.0, [collector.cycles])
     assert profile.n_windows == collector.n_windows
     assert profile.total_energy_fj() == pytest.approx(
         float(energies.sum()), rel=1e-12
@@ -85,10 +95,8 @@ def test_collector_window_geometry_and_partial_last_window():
     collector = WindowedEnergyCollector(
         ["a"], ["adder"], window_cycles=4, max_windows=512
     )
-    for cycle in range(10):
-        collector.add(0, float(cycle))
-        collector.end_cycle()
-    profile = collector.profile("unit", "test", clock_mhz=200.0)
+    _stream([collector], np.arange(10.0)[:, None])
+    [profile] = collector.profiles("unit", "test", 200.0, [10])
     assert profile.n_windows == 3  # 4 + 4 + 2 cycles
     assert profile.window_bounds(2) == (8, 10)
     assert profile.component_series("a") == [
@@ -108,13 +116,9 @@ def test_profile_rebin_matches_coarse_collection():
     energies = rng.uniform(0.0, 2.0, size=(37, 2))
     fine = WindowedEnergyCollector(["a", "b"], ["x", "y"], window_cycles=1)
     coarse = WindowedEnergyCollector(["a", "b"], ["x", "y"], window_cycles=5)
-    for cycle in range(37):
-        for collector in (fine, coarse):
-            collector.add(0, energies[cycle, 0])
-            collector.add(1, energies[cycle, 1])
-            collector.end_cycle()
-    rebinned = fine.profile("u", "t", 100.0).rebin(5)
-    direct = coarse.profile("u", "t", 100.0)
+    _stream([fine, coarse], energies)
+    rebinned = fine.profiles("u", "t", 100.0, [37])[0].rebin(5)
+    direct = coarse.profiles("u", "t", 100.0, [37])[0]
     assert rebinned.n_windows == direct.n_windows
     np.testing.assert_allclose(
         np.asarray(rebinned.energy_fj), np.asarray(direct.energy_fj),
@@ -204,6 +208,75 @@ def test_emulation_peak_populated_without_profile_request():
     result = estimate(spec)
     assert result.profile is None
     assert result.report.peak_power_mw > 0.0
+
+
+class _CumulativeReadback(SimulationObserver):
+    """Reference readback: cumulative samples, every other one dropped when full.
+
+    Samples the accumulators at multiples of the interval; on reaching
+    ``max_windows`` samples it keeps those on multiples of the doubled
+    interval.  Each window is the difference of consecutive samples, the
+    last one taken at the end of the run.
+    """
+
+    def __init__(self, instrumented, interval, max_windows=DEFAULT_MAX_WINDOWS):
+        self.instrumented = instrumented
+        self.interval = interval
+        self.max_windows = max_windows
+        self.readings = []
+
+    def _read(self, simulator):
+        energies = self.instrumented.component_energies_fj(simulator)
+        return np.asarray([energies[name] for name in self.instrumented.accumulator_map])
+
+    def on_cycle(self, simulator, cycle):
+        if cycle and cycle % self.interval == 0:
+            self.readings.append(self._read(simulator))
+            if len(self.readings) >= self.max_windows:
+                self.readings = self.readings[1::2]
+                self.interval *= 2
+
+    def on_finish(self, simulator):
+        self.readings.append(self._read(simulator))
+
+    def windows(self):
+        start = np.zeros_like(self.readings[0])
+        return np.diff(np.vstack([start] + self.readings), axis=0)
+
+
+@pytest.mark.parametrize("design,cycles,window", [
+    ("Bubble_Sort", 2000, 1),  # coalesces twice
+    ("HVPeakF", 64, None),     # the strobe period, never coalesces
+])
+def test_emulation_readback_matches_cumulative_reference(design, cycles, window):
+    entry = get_design(design)
+    instrumented = instrument(entry.build(), build_seed_library(), InstrumentationConfig())
+    result = EmulationPlatform().run(instrumented, entry.make_testbench(1),
+                                     max_cycles=cycles, profile_window=window)
+    reference = _CumulativeReadback(
+        instrumented, window or instrumented.config.strobe_period)
+    simulator = Simulator(instrumented.module)
+    simulator.add_observer(reference)
+    simulator.run(entry.make_testbench(1), max_cycles=cycles)
+    profile = result.power_profile
+    assert profile.window_cycles == reference.interval
+    assert profile.n_windows == len(reference.readings)
+    assert profile.notes["readback_transactions"] == len(reference.readings)
+    if window is None:
+        assert profile.energy_fj == reference.windows().tolist()
+    else:
+        assert profile.window_cycles > window
+        np.testing.assert_allclose(profile.energy_fj, reference.windows(), rtol=1e-15)
+
+
+def test_gate_and_rtl_profiles_use_the_same_default_window():
+    rtl, gate = (
+        estimate(RunSpec(design="Bubble_Sort", engine=engine, seed=3, max_cycles=640,
+                         power_profile=True)).profile
+        for engine in ("rtl", "gate")
+    )
+    assert rtl.window_cycles == gate.window_cycles == 10
+    assert rtl.n_windows == gate.n_windows == 64
 
 
 def test_window_size_does_not_change_totals():
