@@ -5,8 +5,8 @@ a 48-bit word is spread across a 168-bit lane, XOR-folded into the running
 state, rotated, and passed through an add/subtract/select network before
 being folded back into the state register.  Every interesting net is 61-240
 bits wide, so the whole datapath exercises the lane store's limb-array
-representation (:mod:`repro.sim.batch`) — before the limb store this design
-could only run on the object-dtype per-lane fallback.
+representation (:mod:`repro.sim.batch`): 60-bit int64 limbs, up to the
+240-bit ceiling past which lane programs refuse a module.
 
 Not a paper benchmark (``in_figure3=False``); it exists to keep a >60-bit
 design on the fused batch + kernel paths in the registry, CLI and sweeps.

@@ -140,7 +140,6 @@ class WindowedEnergyCollector:
         self.types = list(types)
         #: current window width; doubles every time the window list fills
         self.window_cycles = int(window_cycles)
-        self.initial_window_cycles = int(window_cycles)
         # an odd bound would misalign boundaries after a pairwise merge
         self.max_windows = max_windows + (max_windows % 2)
         self.n_lanes = n_lanes

@@ -31,18 +31,21 @@ path (one opaque IR step): the component's own scalar
 per-lane state snapshot swapped in, so exotic components stay exactly as
 correct as on the scalar backends, just without the speedup.
 
-Nets wider than :data:`MAX_LANE_WIDTH` bits (one int64 lane with carry
-headroom) but no wider than :data:`MAX_LIMB_WIDTH` use a *limb-array* store:
-the net occupies ``ceil(width / LIMB_BITS)`` consecutive slots holding
-little-endian 60-bit limbs, and the common wide operators (logic, mux,
-concat/slice/extend, add/sub with limb carry/borrow chains, unsigned
-compares, reductions, registers, constants) are emitted limb-wise — so wide
-datapaths run on the vectorized batch path and lower into the fused
-native kernels like narrow ones.  Wide components outside that set
-take the lane-scalar path with limb-assembled port values.  Only modules
-with nets wider than :data:`MAX_LIMB_WIDTH` still drop every component onto
-the lane-scalar path over an object-dtype store; in every mode batch
-execution never changes results — only speed.
+Every lane program has one store, int64, and writes it in place: the value
+store's rows, the holders' state rows and memories are allocated once, and
+both printed programs (NumPy and C) assign into them, as registers and
+power accumulators are fixed storage on the paper's FPGA.  Nets wider than
+:data:`MAX_LANE_WIDTH` bits (one int64 lane with carry headroom) but no
+wider than :data:`MAX_LIMB_WIDTH` occupy ``ceil(width / LIMB_BITS)``
+consecutive slots holding little-endian 60-bit *limbs*, and the common wide
+operators (logic, mux, concat/slice/extend, add/sub with limb carry/borrow
+chains, unsigned compares, reductions, registers, constants) are emitted
+limb-wise — so wide datapaths run on the vectorized batch path and lower
+into the fused native kernels like narrow ones.  Wide components outside
+that set take the lane-scalar path with limb-assembled port values.  A
+module with a net wider than :data:`MAX_LIMB_WIDTH` is refused with
+:class:`BatchCompilationError`; the estimation API then runs it per seed on
+the scalar engines.  Batch execution never changes results — only speed.
 
 ``BatchSimulator(kernel_backend=...)`` selects between the NumPy program and
 the fused C kernel (:mod:`repro.sim.kernels`), with automatic fallback to
@@ -78,7 +81,7 @@ from repro.sim.codegen import (
 from repro.sim.kernels.ir import (
     Abs, Const, Expr, Fallback, KernelBuilder, KernelIR, KernelUnsupportedError,
     Lane, MemRead, MemWrite, Popcount, Select, SetSlot, SetState, SlotRef, StateRef,
-    Table, binary, const, minimum, numpy_source, unsupported, where,
+    Table, binary, const, minimum, numpy_source, where,
 )
 from repro.sim.scheduler import Schedule, module_mutation_key, schedule_for
 
@@ -94,7 +97,7 @@ LIMB_BITS = 60
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 
 #: widest net (in bits) representable as int64 limbs (4x); modules with wider
-#: nets use the object-dtype lane store with every component lane-scalar
+#: nets do not compile to lane programs (:class:`BatchCompilationError`)
 MAX_LIMB_WIDTH = 240
 
 
@@ -126,13 +129,10 @@ class LaneRows:
     state attribute (``_state``, ``_pending``, ``_total``, ``_count``, ...)
     and built from its reset value (a list of reset values for a row list).
     The sequential emitters of :mod:`repro.sim.codegen` therefore name one
-    attribute for both targets.  The NumPy lane program rebinds fields (and
-    row-list entries) on every capture and commit; a row-list commit is one
-    copy per row.
-
-    ``reset`` refills the rows *in place* (here and in
-    :class:`LaneMemoryState`): native kernels capture stable pointers to
-    these arrays at bind time, so a reset must never re-allocate them.
+    attribute for both targets.  Rows are allocated once and only ever
+    written in place — by both lane programs' captures and commits, and by
+    ``reset`` (here and in :class:`LaneMemoryState`) — so native kernels
+    bind their pointers once.
     """
 
     def __init__(self, n_lanes: int, **resets: Union[int, List[int]]) -> None:
@@ -151,30 +151,6 @@ class LaneRows:
                     row[...] = r
             else:
                 value[...] = reset
-
-    def unalias(self) -> None:
-        """Split rows re-aliased by the batch commit.
-
-        The NumPy lane program's commit (``_H0._state = _H0._pending``)
-        rebinds rather than copies, so after a plain-path run two fields can
-        name one array.
-        Kernels bind rows to fixed addresses, so they re-split the rows
-        before binding (values are preserved).
-        """
-        seen = set()
-
-        def split(row: np.ndarray) -> np.ndarray:
-            if id(row) in seen:
-                row = row.copy()
-            seen.add(id(row))
-            return row
-
-        for name, reset in self._resets.items():
-            value = getattr(self, name)
-            if isinstance(reset, list):
-                setattr(self, name, [split(row) for row in value])
-            else:
-                setattr(self, name, split(value))
 
     def lane_values(self, lane: int) -> Dict[str, object]:
         """One lane's value of every field (a list of ints for a row list)."""
@@ -215,10 +191,6 @@ class LaneMemoryState:
         for array in (self._read_reg, self._pending_read, self.w_en,
                       self.w_addr, self.w_data):
             array[...] = 0
-
-    def unalias(self) -> None:
-        if self._pending_read is self._read_reg:
-            self._pending_read = self._read_reg.copy()
 
 
 class LaneComponent:
@@ -358,9 +330,8 @@ class LaneEmitter(SourceEmitter):
     The emitter is the lane program's IR builder: every statement goes
     straight into :attr:`kb`'s :class:`~repro.sim.kernels.ir.KernelIR`
     (SSA temporaries for locals, holder rows for state, holder memories for
-    storage).  The NumPy printer rebinds holder fields rather than copying
-    into them, so any value that could be a bare row (a slot or state read)
-    gets ``+ 0`` (:meth:`own`) before a state field keeps it.
+    storage).  Both printers write state rows in place, so a state field
+    may take any expression, a bare slot or state row included.
     """
 
     def __init__(self, slot_of: Dict[Net, int], limbs_of: Dict[Net, int], holders,
@@ -394,9 +365,6 @@ class LaneEmitter(SourceEmitter):
 
     def read_row(self, holder, addr: Expr, depth: int) -> Expr:
         return MemRead((holder, "mem"), _lane_addr(addr, depth))
-
-    def own(self, expr: Expr, like: Optional[Expr] = None) -> Expr:
-        return expr + 0 if like is None else expr + like * 0
 
     def set_slot(self, slot: int, expr: Expr) -> None:
         self.kb.add(SetSlot(slot, const(expr)))
@@ -474,8 +442,8 @@ class LaneEmitter(SourceEmitter):
         we = self.req(c, "we")
         addr = self.let("_ad", _lane_addr(self.opt(c, addr_port, 0), c.depth))
         self.set_field(s, "w_addr", addr)
-        self.set_field(s, "w_en", we & 1 if we is not None else addr * 0)
-        self.set_field(s, "w_data", addr * 0 + self.opt(c, "wdata", 0))
+        self.set_field(s, "w_en", we & 1 if we is not None else 0)
+        self.set_field(s, "w_data", self.opt(c, "wdata", 0))
         return addr
 
     def capture_memory(self, c) -> bool:
@@ -498,7 +466,7 @@ class LaneEmitter(SourceEmitter):
         for index, (port_name, in_name, _, tables) in enumerate(c._chunked):
             cur = self.opt(c, in_name, 0)
             t = self.let("_t", self.field(s, "_previous", index) ^ cur)
-            self.set_field(s, "_pending_previous", cur + 0, index)
+            self.set_field(s, "_pending_previous", cur, index)
             for chunk, table in enumerate(tables):
                 if chunk == 0:
                     byte = t if len(tables) == 1 else t & 255
@@ -822,7 +790,7 @@ def _bl_capture_register(em: LaneEmitter, c) -> bool:
     en = em.req(c, "en") if c.has_enable else None
     for k, d_expr in enumerate(d[0]):
         reset_limb = (c.reset_value >> (LIMB_BITS * k)) & _LIMB_MASK
-        nxt = register_next(em, d_expr, em.field(s, "_state", k), reset_limb, en, clr)
+        nxt = register_next(d_expr, em.field(s, "_state", k), reset_limb, en, clr)
         em.set_field(s, "_pending", nxt, k)
     return True
 
@@ -904,7 +872,6 @@ class BatchProgram:
     n_slots: int
     n_lanes: int
     slot_of: Dict[Net, int]
-    dtype: object
     settle: Callable[[np.ndarray], None]
     clock_edge: Callable[[np.ndarray], None]
     #: the NumPy source ``settle``/``clock_edge`` run, printed from :attr:`ir`
@@ -914,7 +881,7 @@ class BatchProgram:
     #: the lowered program: printed as NumPy here, as C by a native kernel
     ir: KernelIR
     #: wide net -> limb count (first limb at slot_of[net]); empty when every
-    #: net fits one lane or the module is on the object-dtype store
+    #: net fits one lane
     limbs_of: Dict[Net, int] = None  # type: ignore[assignment]
     #: per-lane state holders for fused sequential components
     holders: Dict[object, object] = None  # type: ignore[assignment]
@@ -923,7 +890,7 @@ class BatchProgram:
     #: why a fused kernel cannot run :attr:`ir` (see :meth:`kernel_ir`)
     _kernel_unsupported: Optional[str] = None
     #: compiled native kernel, shared by simulators over this program (safe:
-    #: kernels rebind stale state pointers at every reset)
+    #: its state arrays never move)
     _kernel: object = None
 
     def reset_state(self) -> None:
@@ -938,16 +905,12 @@ class BatchProgram:
 
         Raises :class:`~repro.sim.kernels.ir.KernelUnsupportedError` when the
         module cannot lower to a fused kernel (lane-scalar fallback
-        components, object-dtype stores); the reason is cached so repeated
-        attach attempts stay cheap.
+        components); the reason is cached so repeated attach attempts stay
+        cheap.
         """
         if self._kernel_unsupported is not None:
             raise KernelUnsupportedError(self._kernel_unsupported)
         try:
-            if self.dtype is object:
-                raise unsupported(
-                    "object-dtype store (module has nets wider than MAX_LIMB_WIDTH)"
-                )
             self.ir.require_kernelizable()
         except KernelUnsupportedError as error:
             self._kernel_unsupported = str(error)
@@ -962,13 +925,11 @@ def _lower_lanes(
     limbs_of: Dict[Net, int],
     n_slots: int,
     n_lanes: int,
-    force_fallback: bool,
 ) -> Tuple[LaneEmitter, Dict[object, object], List[LaneComponent]]:
     """Lower the schedule into the lane target's IR (one builder pass)."""
-    tables = ({}, {}, {}, {}) if force_fallback else emitter_tables()
+    tables = emitter_tables()
 
-    # components touching any multi-limb net (none on the object-dtype
-    # store) dispatch to the limb emitters
+    # components touching any multi-limb net dispatch to the limb emitters
     wide_components = set()
     if limbs_of:
         for component in module.components.values():
@@ -1096,10 +1057,19 @@ def compile_module_batch(
 
     The program owns per-lane sequential state, so — like the scalar
     ``Simulator`` over a shared module — only one :class:`BatchSimulator`
-    should actively drive a given module at a time.
+    should actively drive a given module at a time.  Raises
+    :class:`BatchCompilationError` when a net is wider than
+    :data:`MAX_LIMB_WIDTH`.
     """
     if n_lanes < 1:
         raise ValueError(f"batch compilation needs n_lanes >= 1, got {n_lanes}")
+    widest = max(module.nets.values(), key=lambda net: net.width, default=None)
+    if widest is not None and widest.width > MAX_LIMB_WIDTH:
+        raise BatchCompilationError(
+            f"module {module.name!r} has net {widest.name!r} of {widest.width} "
+            f"bits; lane programs hold nets of up to MAX_LIMB_WIDTH = "
+            f"{MAX_LIMB_WIDTH} bits"
+        )
     if schedule is None:
         schedule = schedule_for(module)
     key = module_mutation_key(module)
@@ -1109,23 +1079,19 @@ def compile_module_batch(
     _PROGRAM_BUILDS.inc()
     build_span = obs.span("program.build", module=module.name, n_lanes=n_lanes)
 
-    max_width = max((net.width for net in module.nets.values()), default=0)
-    force_fallback = max_width > MAX_LIMB_WIDTH
-    dtype = object if force_fallback else np.int64
-
     # wide nets (61..240 bits) take ceil(width / 60) consecutive limb slots
     slot_of: Dict[Net, int] = {}
     limbs_of: Dict[Net, int] = {}
     n_slots = 0
     for net in module.nets.values():
         slot_of[net] = n_slots
-        n_limbs = 1 if force_fallback else _limb_count(net.width)
+        n_limbs = _limb_count(net.width)
         if n_limbs > 1:
             limbs_of[net] = n_limbs
         n_slots += n_limbs
     try:
         em, holders, lane_comps = _lower_lanes(
-            module, schedule, slot_of, limbs_of, n_slots, n_lanes, force_fallback
+            module, schedule, slot_of, limbs_of, n_slots, n_lanes
         )
         source, namespace = numpy_source(em.kb.ir)
         namespace.update(_lidx=np.arange(n_lanes), __builtins__={})
@@ -1142,7 +1108,6 @@ def compile_module_batch(
         n_lanes=n_lanes,
         slot_of=slot_of,
         limbs_of=limbs_of,
-        dtype=dtype,
         settle=namespace["_settle"],
         clock_edge=namespace["_clock_edge"],
         source=source,
@@ -1216,8 +1181,6 @@ class BatchSimulator:
         if requested == "native":
             try:
                 ir = self.program.kernel_ir()
-                for holder in self.program.holders.values():
-                    holder.unalias()
                 if self.program._kernel is None:
                     self.program._kernel = kernels.compile_kernel(ir, n_lanes)
             except (kernels.KernelUnsupportedError,
@@ -1233,7 +1196,7 @@ class BatchSimulator:
                     kernel_threads, n_lanes
                 )
         self.cycle = 0
-        self._v = np.zeros((self.program.n_slots, n_lanes), dtype=self.program.dtype)
+        self._v = np.zeros((self.program.n_slots, n_lanes), dtype=np.int64)
         slot_of = self.program.slot_of
         limbs_of = self.program.limbs_of
         self._input_keys = {
@@ -1254,13 +1217,6 @@ class BatchSimulator:
     def reset(self) -> None:
         """Reset all per-lane sequential state, zero all nets, then settle."""
         self.program.reset_state()
-        if self.kernel is not None:
-            # a sibling simulator running the plain batch path on this shared
-            # program commits by *rebinding* holder arrays; re-split any
-            # aliased pairs and point the kernel back at the live state
-            for holder in self.program.holders.values():
-                holder.unalias()
-            self.kernel.rebind()
         self._v[:] = 0
         self.cycle = 0
         self.settle()
@@ -1275,8 +1231,6 @@ class BatchSimulator:
             raise ValueError(
                 f"per-lane input must have shape ({self.n_lanes},), got {array.shape}"
             )
-        if self.program.dtype is object:
-            return np.array([int(x) & mask for x in array], dtype=object)
         return array.astype(np.int64) & mask
 
     def _write_limbs(self, slot: int, n_limbs: int, width: int, value: ArrayLike) -> None:

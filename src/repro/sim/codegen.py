@@ -26,11 +26,11 @@ Python-int source as it goes (:func:`py_source`);
 statements to one :class:`~repro.sim.kernels.ir.KernelIR`, which is then
 printed as the NumPy lane program and as the C kernel.  A target only spells
 what differs: 0/1 ints vs bool arrays, how a ROM table or a memory row is
-read, the lane store's int64 width guards, the mux algorithm, and whether a
-value kept in state must be copied.  Sequential emitters read and write the
-component's own state attribute names (``_state``, ``_pending``, ``_total``,
-...): the scalar target binds the component itself, the lane target a holder
-whose rows carry the same names.  Only the kinds whose state layouts differ
+read, the lane store's int64 width guards and the mux algorithm.  Sequential
+emitters read and write the component's own state attribute names
+(``_state``, ``_pending``, ``_total``, ...): the scalar target binds the
+component itself, the lane target a holder whose rows carry the same names
+and are written in place.  Only the kinds whose state layouts differ
 (FSM state name vs index, tuple pending write vs masked scatter, port-keyed
 dict vs row list) are lowered by each target itself, through one entry of the
 same dispatch table.
@@ -123,9 +123,6 @@ class SourceEmitter:
       ``field(state, attr)`` reads one of its attributes,
       ``set_field(state, attr, expr)`` writes one, and
       ``read_row(state, addr, depth)`` reads a memory/register-file row,
-    * ``own(expr, like=None)`` — ``expr`` as a value a state attribute may
-      keep: lane holder fields rebind rather than copy, so the lane target
-      forces a fresh row, and a constant takes the shape of the row ``like``,
     * ``set_slot(slot, expr)`` — ``v[slot] = expr``; ``let(name, expr)``
       binds a local (named ``name`` on the scalar target) and reads it,
     * ``emit_abs(slot, expr)`` — ``v[slot] = |expr|`` for a signed ``expr``;
@@ -226,9 +223,6 @@ class ScalarEmitter(SourceEmitter):
 
     def read_row(self, state: str, addr: Expr, depth: int) -> Expr:
         return MemRead(f"{state}._state", addr % depth)
-
-    def own(self, expr: Expr, like: Optional[Expr] = None) -> Expr:
-        return expr
 
     def set_slot(self, slot: int, expr: Expr) -> None:
         self.emit(f"v[{slot}] = {py_source(expr)}")
@@ -715,7 +709,7 @@ def _state_memory(em: SourceEmitter, c) -> bool:
     return c.sync_read and _memory_read_reg(em, c)
 
 
-def register_next(em: SourceEmitter, d: Expr, held: Expr, reset_value: int,
+def register_next(d: Expr, held: Expr, reset_value: int,
                   en: Optional[Expr], clr: Optional[Expr]) -> Expr:
     """A register's next value: clear, else load ``d`` if enabled, else hold."""
     nxt = d
@@ -723,7 +717,7 @@ def register_next(em: SourceEmitter, d: Expr, held: Expr, reset_value: int,
         nxt = where(en & 1, d, held)
     if clr is not None:
         nxt = where(clr & 1, reset_value, nxt)
-    return em.own(d) if nxt is d else nxt
+    return nxt
 
 
 def _capture_register(em: SourceEmitter, c) -> bool:
@@ -734,7 +728,7 @@ def _capture_register(em: SourceEmitter, c) -> bool:
     # an unconnected enable defaults to 1 in Register.capture
     en = em.req(c, "en") if c.has_enable else None
     clr = em.req(c, "clear") if c.has_clear else None
-    nxt = register_next(em, d, em.field(obj, "_state"), c.reset_value, en, clr)
+    nxt = register_next(d, em.field(obj, "_state"), c.reset_value, en, clr)
     em.set_field(obj, "_pending", nxt)
     return True
 
@@ -747,17 +741,16 @@ def _capture_counter(em: SourceEmitter, c) -> bool:
     en = em.req(c, "en")
     obj = em.state_ref(c)
     state = em.field(obj, "_state")
-    held = em.own(state)
     if en is None and load is None:
         # en unconnected (reads as 0) and no load: the counter never moves
-        em.set_field(obj, "_pending", held)
+        em.set_field(obj, "_pending", state)
         return True
     mask = _mask(c.width)
     t = em.let("_t", state + 1)
     if c.wrap_at is not None:
         t = em.let("_t", where(t.ge(c.wrap_at), 0, t))
     t = em.let("_t", t & mask)
-    nxt = held if en is None else where(en & 1, t, state)
+    nxt = state if en is None else where(en & 1, t, state)
     if load is not None:
         nxt = where(load & 1, d & mask, nxt)
     em.set_field(obj, "_pending", nxt)
@@ -776,7 +769,7 @@ def _capture_accumulator(em: SourceEmitter, c) -> bool:
     clr = em.req(c, "clear")
     if clr is not None:
         nxt = where(clr & 1, 0, nxt)
-    em.set_field(obj, "_pending", em.own(held) if nxt is held else nxt)
+    em.set_field(obj, "_pending", nxt)
     return True
 
 
@@ -809,8 +802,8 @@ def _capture_strobe(em: SourceEmitter, c) -> bool:
         em.set_field(obj, "_pending_strobe", where(enabled, strobe, 0))
     else:
         # an unconnected enable defaults to 1 in PowerStrobeGenerator.capture
-        em.set_field(obj, "_pending_count", em.own(count, em.field(obj, "_count")))
-        em.set_field(obj, "_pending_strobe", em.own(strobe, em.field(obj, "_strobe")))
+        em.set_field(obj, "_pending_count", count)
+        em.set_field(obj, "_pending_strobe", strobe)
     return True
 
 

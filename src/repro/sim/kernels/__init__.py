@@ -14,6 +14,10 @@ store:
    per-lane loop of straight-line scalar code — compiled via the system C
    compiler and called through cffi (cached per source hash).
 
+Both printers write one int64 store in place: value rows, state rows and
+memories are allocated once, so the NumPy program and the C kernel can run
+the same program's state in turn, and a kernel binds its pointers once.
+
 Backend selection (``KERNEL_BACKENDS``):
 
 * ``"auto"``   — the C kernel when a C compiler is found, else plain batch,

@@ -285,10 +285,11 @@ class KernelIR:
     """One module's lane program as typed IR plus its runtime bindings.
 
     ``state_specs`` and ``mem_specs`` name per-lane state arrays as
-    ``(holder, field, index)`` and ``(holder, field)`` — resolved with
-    ``getattr`` at bind time, so a kernel always sees the holder's *current*
-    arrays.  ``tables`` are
-    immutable int64 constant arrays safe to embed into generated code.
+    ``(holder, field, index)`` and ``(holder, field)``.  Those arrays are
+    fixed storage: every writer (both printed programs, holder resets, lane
+    view backdoors) writes into them in place, so each printer binds them
+    once.  ``tables`` are immutable int64 constant arrays safe to embed into
+    generated code.
     """
 
     n_slots: int
@@ -301,7 +302,7 @@ class KernelIR:
 
     # ----------------------------------------------------------- bind helpers
     def state_arrays(self) -> List[np.ndarray]:
-        """The live per-lane state rows, in ``StateRef.row`` order."""
+        """The per-lane state rows, in ``StateRef.row`` order."""
         arrays = []
         for holder, name, index in self.state_specs:
             value = getattr(holder, name)
@@ -309,7 +310,7 @@ class KernelIR:
         return arrays
 
     def mem_arrays(self) -> List[np.ndarray]:
-        """The live ``(depth, n_lanes)`` memory arrays, in ``mem`` id order."""
+        """The ``(depth, n_lanes)`` memory arrays, in ``mem`` id order."""
         return [getattr(holder, name) for holder, name in self.mem_specs]
 
     def require_kernelizable(self) -> None:
@@ -454,23 +455,19 @@ def numpy_source(ir: KernelIR) -> Tuple[str, Dict[str, object]]:
 
     Returns ``(source, env)``; the caller adds ``_lidx`` (``arange(n_lanes)``)
     when the program reads lane indices.  Every statement is one elementwise
-    array operation over all lanes.  State writes rebind the holder field
-    (``holder.field = expr``) rather than copy into it, so the lane emitter
-    keeps any value that could be a bare row fresh (``+ 0``); memories are
-    written in place.
+    array operation over all lanes.  State rows (``_S<n>``) and memories
+    (``_M<n>``) are bound once and written in place (``_S3[...] = expr``),
+    as the C kernel writes ``S[3]``.  A temporary bound to a bare row is a
+    view of it, where C copies, so no phase may write a row while such a
+    temporary of it is still read: captures write only pending rows, and
+    commits read no temporaries of the rows they write.
     """
     env: Dict[str, object] = {
         "_where": np.where, "_minimum": np.minimum, "_abs": np.abs,
         "_stack": np.stack, "_popcount": popcount_u64,
     }
-    holders: Dict[int, str] = {}
-    rows: List[str] = []
-    for holder, name, index in ir.state_specs:
-        ref = holders.get(id(holder))
-        if ref is None:
-            ref = holders[id(holder)] = f"_H{len(holders)}"
-            env[ref] = holder
-        rows.append(f"{ref}.{name}" + ("" if index is None else f"[{index}]"))
+    for number, array in enumerate(ir.state_arrays()):
+        env[f"_S{number}"] = array
     for number, array in enumerate(ir.mem_arrays()):
         env[f"_M{number}"] = array
     for number, table in enumerate(ir.tables):
@@ -487,7 +484,7 @@ def numpy_source(ir: KernelIR) -> Tuple[str, Dict[str, object]]:
         if kind is TempRef:
             return local[x.name]
         if kind is StateRef:
-            return rows[x.row]
+            return f"_S{x.row}"
         if kind is Where:
             return f"_where({e(x.cond)}, {e(x.a)}, {e(x.b)})"
         if kind is Table:
@@ -527,7 +524,7 @@ def numpy_source(ir: KernelIR) -> Tuple[str, Dict[str, object]]:
             elif kind is SetSlot:
                 body.append(f"v[{stmt.slot}] = {e(stmt.expr)}")
             elif kind is SetState:
-                body.append(f"{rows[stmt.row]} = {e(stmt.expr)}")
+                body.append(f"_S{stmt.row}[...] = {e(stmt.expr)}")
             elif kind is MemWrite:
                 mask = e(stmt.enable)
                 body.append(f"_M{stmt.mem}[{e(stmt.addr)}[{mask}], _lidx[{mask}]] "

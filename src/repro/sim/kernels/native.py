@@ -48,9 +48,10 @@ Correctness notes:
   rounds once.  With today's 0/1 mask that product is exact and the fused
   form happens to agree; the flag keeps the contract from resting on it
   (the integer kernel code has no float operation to contract),
-* sequential state is read from and written to the *live* holder arrays
-  (captured as stable pointers — holder resets are in-place), so kernels
-  interoperate with lane views, memory backdoors and ``reset_state``,
+* sequential state is read from and written to the holders' arrays, whose
+  pointers are bound once: every writer (the NumPy lane program, holder
+  resets, lane-view memory backdoors) writes them in place, so kernels
+  interoperate with all of them,
 * within one lane, all captures execute before all commits (statement order
   is preserved from the lane program), so the two-phase clock-edge semantics
   hold lane by lane — and blocks only ever touch their own lanes.
@@ -620,7 +621,7 @@ def _compile_library(source: str, ir: KernelIR):
 
 
 class NativeKernel:
-    """A compiled C kernel bound to one program's live state arrays."""
+    """A compiled C kernel bound once to one program's state arrays."""
 
     backend = "native"
 
@@ -631,19 +632,22 @@ class NativeKernel:
         self._ffi, self._lib = _compile_library(self.source, ir)
         ffi = self._ffi
 
-        def pointer(array: np.ndarray):
-            if not array.flags["C_CONTIGUOUS"] or array.dtype != np.int64:
-                raise NativeToolchainError(
-                    "state arrays must be C-contiguous int64 lane arrays"
-                )
-            return ffi.cast("long long *", array.ctypes.data)
+        def pointers(arrays: List[np.ndarray]):
+            for array in arrays:
+                if not array.flags["C_CONTIGUOUS"] or array.dtype != np.int64:
+                    raise NativeToolchainError(
+                        "state arrays must be C-contiguous int64 lane arrays"
+                    )
+            return ffi.new("long long *[]", [
+                ffi.cast("long long *", array.ctypes.data) for array in arrays
+            ]) if arrays else ffi.NULL
 
-        self._pointer = pointer
-        self._state_arrays: List[np.ndarray] = []
-        self._mem_arrays: List[np.ndarray] = []
-        self._S = ffi.NULL
-        self._M = ffi.NULL
-        self.rebind()
+        # state arrays never move (every writer writes in place), so their
+        # pointers are bound once; the lists keep the arrays alive with them
+        self._state_arrays = ir.state_arrays()
+        self._mem_arrays = ir.mem_arrays()
+        self._S = pointers(self._state_arrays)
+        self._M = pointers(self._mem_arrays)
         #: block-sized scratch rows for the kernel's SSA temporaries
         self._scratch = np.zeros(scratch_rows(ir) * BLOCK_LANES, dtype=np.int64)
         self._W = (
@@ -671,39 +675,6 @@ class NativeKernel:
                 self._W = self._ffi.cast("long long *", self._scratch.ctypes.data)
             self.max_threads = n_threads
         return self._W
-
-    def rebind(self) -> None:
-        """Re-capture pointers to the holders' *current* state arrays.
-
-        The plain batch path (and sibling simulators sharing this program)
-        commit by rebinding holder attributes, which detaches the arrays
-        captured at construction.  :meth:`BatchSimulator.reset` calls this
-        so a kernel always starts a run bound to the live state.
-        """
-        def changed(current, bound):
-            return len(current) != len(bound) or any(
-                a is not b for a, b in zip(current, bound)
-            )
-
-        state_arrays = self.ir.state_arrays()
-        if changed(state_arrays, self._state_arrays):
-            self._S = (
-                self._ffi.new("long long *[]",
-                              [self._pointer(a) for a in state_arrays])
-                if state_arrays
-                else self._ffi.NULL
-            )
-        mem_arrays = self.ir.mem_arrays()
-        if changed(mem_arrays, self._mem_arrays):
-            self._M = (
-                self._ffi.new("long long *[]",
-                              [self._pointer(a) for a in mem_arrays])
-                if mem_arrays
-                else self._ffi.NULL
-            )
-        # keep the bound arrays alive for as long as their pointers are
-        self._state_arrays = state_arrays
-        self._mem_arrays = mem_arrays
 
     def _v_pointer(self, v: np.ndarray):
         if id(v) != self._vid:

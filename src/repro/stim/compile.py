@@ -301,7 +301,6 @@ class CompiledStimulus:
         spec: StimulusSpec,
         input_widths: Mapping[str, int],
         seeds: Sequence[int],
-        dtype=np.int64,
         chunk_cycles: int = CHUNK_CYCLES,
     ) -> None:
         if not seeds:
@@ -316,10 +315,10 @@ class CompiledStimulus:
         resolved = spec.resolve(input_widths)
         self.port_names: List[str] = [name for name, _, _ in resolved]
         self.port_widths: List[int] = [width for _, _, width in resolved]
+        #: object when a port is wider than the int64 lane range: its
+        #: columns carry exact Python ints
         self.dtype = (
-            object
-            if dtype is object or any(w > MAX_LANE_WIDTH for w in self.port_widths)
-            else np.int64
+            object if any(w > MAX_LANE_WIDTH for w in self.port_widths) else np.int64
         )
         self._resolved = resolved
         self._streams: List[List[_Stream]] = []
@@ -434,8 +433,7 @@ def compile_stimulus(
     spec: StimulusSpec,
     input_widths: Mapping[str, int],
     seeds: Sequence[int],
-    dtype=np.int64,
     chunk_cycles: int = CHUNK_CYCLES,
 ) -> CompiledStimulus:
     """Lower ``spec`` against ``input_widths`` for one seed per lane."""
-    return CompiledStimulus(spec, input_widths, seeds, dtype, chunk_cycles)
+    return CompiledStimulus(spec, input_widths, seeds, chunk_cycles)

@@ -55,10 +55,7 @@ class BatchStimulusDriver:
         self.simulator = simulator
         self.spec = spec
         widths = {name: width for name, (_, width) in simulator._input_keys.items()}
-        self.stimulus = CompiledStimulus(
-            spec, widths, seeds, dtype=simulator.program.dtype,
-            chunk_cycles=chunk_cycles,
-        )
+        self.stimulus = CompiledStimulus(spec, widths, seeds, chunk_cycles=chunk_cycles)
         input_keys = simulator._input_keys
         port_limbs = getattr(simulator, "_port_limbs", {})
         #: (port index in the stimulus tensor, base value-store slot, limb count)

@@ -7,11 +7,10 @@ The scale-out work trades nothing for speed, and these tests pin that down:
   value store, for every registry design, under driven input sequences and
   under compiled spec stimulus alike; ``auto`` never asks for more workers
   than the process may run on.
-* **Limb-store parity** — 61..240-bit nets moved from the object-dtype
-  whole-module fallback onto int64 limb arrays; forcing a module back onto
-  the object store (the old exact-arithmetic oracle) must reproduce the limb
-  path cycle for cycle, and the lane power estimator must match the scalar
-  estimator on a limb-store design.
+* **Limb-store parity** — 61..240-bit nets live in int64 limb arrays; the
+  limb path must reproduce the exact-int ``interp`` oracle cycle for cycle,
+  and the lane power estimator must match the scalar estimator on a
+  limb-store design.
 * **Sharded characterization** — fanning ``characterize_many`` over worker
   processes (one warm engine per worker) must return the same models and
   metrics as the in-process serial loop.
@@ -34,7 +33,7 @@ from repro.power import (
 )
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.power.rtl_estimator import RTLPowerEstimator
-from repro.sim import BatchSimulator
+from repro.sim import BatchSimulator, Simulator
 from repro.sim.kernels import (
     find_compiler,
     resolve_kernel_threads,
@@ -288,43 +287,33 @@ def test_simulators_sharing_a_kernel_keep_their_own_thread_counts():
 
 
 # ---------------------------------------------------------------------------
-# Limb-store parity against the object-dtype oracle and the scalar estimator.
+# Limb-store parity against the interp oracle and the scalar estimator.
 # ---------------------------------------------------------------------------
 
 
-def _run_wide_checksum(words, force_object):
-    """Run Wide_Checksum on a fresh module; optionally force the object store."""
-    module = flatten(get_design("Wide_Checksum").build())
-    with pytest.MonkeyPatch.context() as mp:
-        if force_object:
-            # shrink the limb ceiling below the design's 168-bit state so the
-            # compiler takes the old exact-int object-dtype fallback
-            mp.setattr("repro.sim.batch.MAX_LIMB_WIDTH", 60)
-        simulator = BatchSimulator(module, words.shape[1])
-        rows = []
-        for cycle in range(len(words)):
-            simulator.set_inputs({"data": words[cycle], "valid": 1})
-            simulator.settle()
-            rows.append(simulator.get_outputs())
-            simulator.clock_edge()
-    return simulator, rows
-
-
-def test_limb_store_matches_object_store_oracle():
-    """The int64 limb path reproduces the exact-int object path cycle by cycle."""
+def test_limb_store_matches_interp_oracle():
+    """The int64 limb path reproduces the exact-int interpreter cycle by cycle."""
     rng = np.random.default_rng(17)
     words = rng.integers(0, 1 << 48, size=(24, 4), dtype=np.int64)
-    limb_sim, limb_rows = _run_wide_checksum(words, force_object=False)
-    object_sim, object_rows = _run_wide_checksum(words, force_object=True)
-    assert limb_sim.program.dtype is np.int64
-    assert limb_sim.program.limbs_of  # the 168-bit state really is limbed
-    assert object_sim.program.dtype is object
-    for cycle, (expected, actual) in enumerate(zip(object_rows, limb_rows)):
-        for port in expected:
-            assert np.array_equal(expected[port], actual[port]), (
-                f"cycle {cycle} output {port!r}: limb store diverged from "
-                f"the object-dtype oracle"
-            )
+    simulator = BatchSimulator(flatten(get_design("Wide_Checksum").build()), words.shape[1])
+    assert simulator._v.dtype == np.int64
+    assert simulator.program.limbs_of  # the 168-bit state really is limbed
+    oracles = [Simulator(flatten(get_design("Wide_Checksum").build()), backend="interp")
+               for _ in range(words.shape[1])]
+    for cycle, row in enumerate(words):
+        simulator.set_inputs({"data": row, "valid": 1})
+        simulator.settle()
+        actual = simulator.get_outputs()
+        for lane, oracle in enumerate(oracles):
+            oracle.set_inputs({"data": int(row[lane]), "valid": 1})
+            oracle.settle()
+            for port, value in oracle.get_outputs().items():
+                assert int(actual[port][lane]) == value, (
+                    f"cycle {cycle} lane {lane} output {port!r}: limb store "
+                    f"diverged from the interp oracle"
+                )
+            oracle.clock_edge()
+        simulator.clock_edge()
 
 
 @pytest.mark.parametrize(

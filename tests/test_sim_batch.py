@@ -2,12 +2,15 @@
 
 Every lane of a :class:`~repro.sim.batch.BatchSimulator` must behave exactly
 like a scalar simulation driven with that lane's inputs — for fused
-components, for the lane-scalar fallback (exercised below through FSM/memory
-subclasses, which miss the exact-type fused dispatch on purpose), and for the
-object-dtype whole-module fallback used by very wide nets.
+components and for the lane-scalar fallback (exercised below through
+FSM/memory subclasses, which miss the exact-type fused dispatch on purpose).
+Modules with nets past the limb store's 240 bits are refused and run per
+seed on the scalar engine instead.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -211,7 +214,7 @@ def test_wide_nets_use_limb_store():
     module = flatten(builder.build())
 
     simulator = BatchSimulator(module, 2)
-    assert simulator.program.dtype is np.int64
+    assert simulator._v.dtype == np.int64
     assert simulator.program.limbs_of[module.nets["x"]] == 2
     xs = [(1 << 79) - 3, 123456789012345678901]
     ys = [5, (1 << 78) + 17]
@@ -224,27 +227,48 @@ def test_wide_nets_use_limb_store():
     assert [int(v) for v in out] == [(a + b) & mask for a, b in zip(xs, ys)]
 
 
-def test_very_wide_nets_use_object_lanes():
-    """Nets past MAX_LIMB_WIDTH still fall back to object-dtype exact ints."""
+def _very_wide_module():
+    """A 250-bit adder feeding a register: past MAX_LIMB_WIDTH."""
     width = 250
     builder = NetlistBuilder("very_wide")
     x = builder.input("x", width)
     y = builder.input("y", width)
-    builder.output("s", builder.add(x, y, name="sum250"))
-    module = flatten(builder.build())
+    total = builder.add(x, y, name="sum250")
+    builder.output("s", total)
+    builder.output("q", builder.register("reg250", width))
+    builder.drive("reg250", d=total)
+    return flatten(builder.build())
 
-    simulator = BatchSimulator(module, 2)
-    assert simulator.program.dtype is object
-    assert not simulator.program.limbs_of
-    xs = [(1 << (width - 1)) - 3, 123456789012345678901]
-    ys = [5, (1 << (width - 2)) + 17]
-    simulator.set_inputs(
-        {"x": np.array(xs, dtype=object), "y": np.array(ys, dtype=object)}
+
+def test_very_wide_nets_are_refused_and_run_per_seed():
+    """Nets past MAX_LIMB_WIDTH are refused by the lane compiler, and
+    ``estimate_many`` runs such a module per seed on the scalar engine."""
+    from repro.api import RTLEstimatorAdapter, RunSpec
+    from repro.sim import BatchCompilationError
+    from repro.sim.batch import MAX_LIMB_WIDTH
+    from repro.sim.testbench import RandomTestbench
+
+    module = _very_wide_module()
+    assert max(net.width for net in module.nets.values()) > MAX_LIMB_WIDTH
+    for n_lanes in (1, 3):
+        with pytest.raises(BatchCompilationError, match=r"250 bits"):
+            BatchSimulator(module, n_lanes)
+
+    adapter = RTLEstimatorAdapter(
+        module=_very_wide_module(),
+        testbench_factory=lambda seed: RandomTestbench(20, seed=seed or 0),
     )
-    simulator.settle()
-    out = simulator.get_output("s")
-    mask = (1 << width) - 1
-    assert [int(v) for v in out] == [(a + b) & mask for a, b in zip(xs, ys)]
+    specs = [RunSpec(design="very_wide", engine="rtl", seed=seed, backend="batch")
+             for seed in range(3)]
+    many = adapter.estimate_many(specs)
+    assert [r.spec for r in many] == specs
+    for spec, result in zip(specs, many):
+        single = adapter.estimate(spec.replace(backend="compiled"))
+        assert result.backend == single.backend == "compiled"
+        assert dataclasses.replace(
+            result.report, estimation_time_s=0.0
+        ) == dataclasses.replace(single.report, estimation_time_s=0.0)
+    assert len({r.report.total_energy_fj for r in many}) == 3
 
 
 def test_n_lanes_zero_rejected():

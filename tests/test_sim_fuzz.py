@@ -6,8 +6,10 @@ through later logic), counters, accumulators, a memory and an FSM, over
 widths on both sides of the lane target's limb boundary (1, 60, 61, 240).
 Each recipe is built into a fresh module per engine through
 :class:`repro.netlist.NetlistBuilder`; ``interp`` is the oracle, and the
-compiled scalar backend, the lane program (``off``) and the native kernel at
-1 and 129 lanes (native needs a C compiler) must agree with it every cycle.
+compiled scalar backend, the lane program (``off``) and the native kernel on
+one and on two worker threads, at 1, 127, 128 and 129 lanes (around the
+kernel's 128-lane block; native needs a C compiler), must agree with it
+every cycle.
 Recipes only use kinds at widths the lane target fuses, so the native
 kernel must lower every module: a fallback fails the test.
 """
@@ -24,11 +26,13 @@ from repro.netlist.fsm import Guard
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.kernels import find_compiler
 
-LANE_COUNTS = (1, 129)
+LANE_COUNTS = (1, 127, 128, 129)
 MAX_LANES = max(LANE_COUNTS)
 N_CYCLES = 6
 WIDTHS = (1, 8, 60, 61, 240)
 HAS_CC = find_compiler() is not None
+#: lane engines as (kernel backend, kernel threads)
+LANE_ENGINES = (("off", 1),) + ((("native", 1), ("native", 2)) if HAS_CC else ())
 
 COMB_KINDS = ("add", "sub", "logic", "not", "mux", "compare", "reduce",
               "concat", "slice", "zext", "sext", "mul", "shift", "abs",
@@ -232,10 +236,12 @@ def test_random_modules_agree_on_every_engine(recipe, seed):
     assert compiled.backend == "compiled", compiled.backend_fallback
     assert [_scalar_trace(compiled, cycles, lane) for lane in range(MAX_LANES)] == oracle
     for n_lanes in LANE_COUNTS:
-        for backend in ("off", "native") if HAS_CC else ("off",):
-            simulator = BatchSimulator(_build(recipe), n_lanes, kernel_backend=backend)
+        for backend, threads in LANE_ENGINES:
+            simulator = BatchSimulator(_build(recipe), n_lanes, kernel_backend=backend,
+                                       kernel_threads=threads)
             assert simulator.program.n_fallback == 0
             assert simulator.kernel_backend == backend, simulator.kernel_fallback
+            assert simulator.kernel_threads == threads
             assert _lane_traces(simulator, cycles) == oracle[:n_lanes], (
-                f"{backend} at {n_lanes} lanes differs from interp"
+                f"{backend} on {threads} threads at {n_lanes} lanes differs from interp"
             )

@@ -7,8 +7,8 @@ only speed.  These tests pin that down three ways:
   registry design, the instrumented power hardware, and spec-driven stimulus
   tensors,
 * automatic per-module fallback for everything the IR cannot express
-  (subclassed components on the lane-scalar path, >240-bit object-dtype
-  stores), and
+  (subclassed components on the lane-scalar path), and refusal of >240-bit
+  modules, which the estimation API runs per seed on the scalar engine, and
 * graceful degradation from ``native`` and ``auto`` to the plain batch path
   on hosts without a working C compiler.
 """
@@ -218,23 +218,34 @@ def test_limb_store_modules_compile_kernels():
     assert int(simulator.get_output("y")[0]) == big ^ 1
 
 
-def test_very_wide_object_store_falls_back_to_plain_batch():
-    """Past MAX_LIMB_WIDTH the store is object-dtype and kernels disable."""
-    builder = NetlistBuilder("very_wide")
-    a = builder.input("a", 250)
-    b = builder.input("b", 250)
-    y = builder.logic("xor", a, b)
-    builder.output("y", y)
-    module = flatten(builder.build())
-    simulator = BatchSimulator(module, N_LANES, kernel_backend="native")
-    assert simulator.kernel is None
-    assert simulator.kernel_backend == "off"
-    assert "object-dtype" in simulator.kernel_fallback
-    big = (1 << 249) | 5
-    simulator.set_input("a", np.array([big, 1, 2], dtype=object))
-    simulator.set_input("b", 1)
-    simulator.settle()
-    assert int(simulator.get_output("y")[0]) == big ^ 1
+def test_very_wide_modules_fall_back_to_scalar_estimates():
+    """Past MAX_LIMB_WIDTH no lane program (so no kernel) exists: a native
+    request is refused, ``warm`` reports nothing to build, and
+    ``estimate_many`` returns the per-seed scalar estimates."""
+    from repro.api import RTLEstimatorAdapter, RunSpec
+    from repro.sim.testbench import RandomTestbench
+
+    def build():
+        builder = NetlistBuilder("very_wide")
+        a = builder.input("a", 250)
+        b = builder.input("b", 250)
+        builder.output("y", builder.logic("xor", a, b))
+        return flatten(builder.build())
+
+    with pytest.raises(batch.BatchCompilationError, match="'very_wide'"):
+        BatchSimulator(build(), N_LANES, kernel_backend="native")
+    adapter = RTLEstimatorAdapter(
+        module=build(),
+        testbench_factory=lambda seed: RandomTestbench(16, seed=seed or 0),
+    )
+    specs = [RunSpec(design="very_wide", engine="rtl", seed=seed, backend="batch",
+                     kernel_backend="native") for seed in range(3)]
+    assert adapter.warm(specs[0], n_lanes=3) == {}
+    for spec, result in zip(specs, adapter.estimate_many(specs)):
+        single = adapter.estimate(spec.replace(backend="compiled"))
+        assert result.backend == "compiled"
+        assert result.report.total_energy_fj == single.report.total_energy_fj
+        assert result.report.components == single.report.components
 
 
 def test_unsupported_reason_is_cached_on_the_program():
@@ -414,6 +425,54 @@ def test_native_kernel_rebinds_after_sibling_plain_path_run():
         native.settle()
         outputs.append(list(native.get_output("total")))
     assert outputs[0] == outputs[1] == [5, 5]
+
+
+def _stateful_module():
+    """A memory, an FSM, narrow and limb registers, a counter and an
+    accumulator: every kind of lane state holder."""
+    builder = NetlistBuilder("stateful")
+    addr, we = builder.input("addr", 3), builder.input("we", 1)
+    d, en, w = builder.input("d", 8), builder.input("en", 1), builder.input("w", 70)
+    rdata = builder.memory("mem", 8, 8, we=we, addr=addr, wdata=d)
+    q = builder.register("reg", 8)
+    builder.drive("reg", d=builder.add(rdata, d))
+    wide = builder.register("wide", 70)
+    builder.drive("wide", d=builder.logic("xor", w, wide))
+    acc = builder.accumulator("acc", 12)
+    builder.drive("acc", d=builder.resize(q, 12), en=en)
+    fsm, outs = builder.fsm("fsm", ["s0", "s1"], {"go": en}, {"o": 2}, {"s1": {"o": 3}})
+    fsm.when("s0", "s1", go=1)
+    fsm.otherwise("s1", "s0")
+    for name, net in (("q", q), ("wq", wide), ("acc", acc), ("o", outs["o"]),
+                      ("cnt", builder.counter("cnt", 4))):
+        builder.output(name, net)
+    builder.drive("cnt", en=en)
+    return flatten(builder.build())
+
+
+@needs_cc
+def test_lane_state_arrays_never_move():
+    """One program runs on ``off``, then on ``native``, then resets: every
+    state row and memory stays the same C-contiguous int64 array, so the
+    kernel's pointers, bound once, stay valid."""
+    module = _stateful_module()
+    plain = BatchSimulator(module, N_LANES, kernel_backend="off")
+    ir = plain.program.ir
+    assert plain.program.n_fallback == 0 and ir.state_specs and ir.mem_specs
+    before = ir.state_arrays() + ir.mem_arrays()
+    sequences = _sequences(module, np.random.default_rng(11))
+    for cycle in range(N_CYCLES):
+        plain.step({name: rows[cycle] for name, rows in sequences.items()})
+    fused = BatchSimulator(module, N_LANES, kernel_backend="native")
+    assert fused.program is plain.program and fused.kernel is not None
+    for cycle in range(N_CYCLES):
+        fused.step({name: rows[cycle] for name, rows in sequences.items()})
+    fused.reset()
+    after = ir.state_arrays() + ir.mem_arrays()
+    assert len(after) == len(before)
+    for old, new in zip(before, after):
+        assert new is old
+        assert new.dtype == np.int64 and new.flags["C_CONTIGUOUS"]
 
 
 @needs_cc

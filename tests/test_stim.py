@@ -5,7 +5,7 @@ replay), the compiler (chunk invariance, per-seed lane independence), the
 drivers (scalar vs lane bit-identity on every registry design, array driver
 vs LaneView loop equality), the API/CLI wiring (RunSpec/SweepSpec stimulus,
 seed ranges, duplicate rejection, the stim subcommand), plus the satellite
-coverage: LaneView memory backdoors and the object-dtype lane store under
+coverage: LaneView memory backdoors and the int64 limb lane store under
 driven stimulus, and the deprecation note of the ``python -m repro.bench.fig3``
 shim.
 """
@@ -373,7 +373,7 @@ def test_batch_stimulus_driver_seed_count_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Satellite: LaneView memory backdoors + object-dtype store under stimulus
+# Satellite: LaneView memory backdoors + limb store under stimulus
 # ---------------------------------------------------------------------------
 
 
@@ -437,7 +437,7 @@ def test_limb_store_lanes_under_driven_stimulus():
     spec = StimulusSpec(n_cycles=10, default=UniformSpec())
     n_lanes = 3
     simulator = BatchSimulator(module, n_lanes)
-    assert simulator.program.dtype is np.int64
+    assert simulator._v.dtype == np.int64
     driver = BatchStimulusDriver(simulator, spec, seeds=[0, 1, 2])
     assert driver.stimulus.dtype is object
     mask = (1 << 70) - 1
