@@ -417,7 +417,7 @@ class LaneEmitter(SourceEmitter):
         """Priority-ordered masked selects over per-lane state indices."""
         s = self.state_ref(c)
         st = self.let("_st", self.field(s, "_state"))
-        pend = self.let("_pend", st + 0)
+        pend = st
         open_ = self.let("_open", st.ge(0))  # all-True: no transition matched yet
         for transition in c.transitions:
             src = c.state_index[transition.source]
@@ -1343,17 +1343,13 @@ class BatchSimulator:
             self.program.clock_edge(self._v)
 
     def step(self, inputs: Optional[Mapping[str, ArrayLike]] = None, cycles: int = 1) -> None:
-        """Advance all lanes by ``cycles`` clock cycles."""
-        kernel, n_threads = self.kernel, self.kernel_threads
+        """Advance all lanes by ``cycles`` clock cycles: each cycle drives
+        ``inputs``, settles and clocks, on the kernel when one is bound."""
         for _ in range(cycles):
             if inputs:
                 self.set_inputs(inputs)
-            if kernel is not None:
-                # one fused settle+edge call per cycle (lanes are independent)
-                kernel.cycle(self._v, n_threads)
-            else:
-                self.settle()
-                self.clock_edge()
+            self.settle()
+            self.clock_edge()
             self.cycle += 1
 
     def lane_view(self, lane: int) -> "LaneView":

@@ -95,7 +95,7 @@ BLOCK_LANES = 128
 
 #: C sources above this size skip the host-ISA vectorization flags — the
 #: compile-time blowup on thousands of loops outweighs the runtime gain
-_VECTORIZE_MAX_LINES = 500
+_VECTORIZE_MAX_LINES = 250
 
 #: environment override for the threading tier ("omp"/"pthread"/"serial")
 KERNEL_THREADING_ENV = "REPRO_KERNEL_THREADING"
@@ -488,16 +488,8 @@ def generate_c_source(ir: KernelIR) -> str:
     if ir.tables:
         lines.append("")
 
-    bodies: Dict[str, List[str]] = {
-        phase: [_statement(stmt) for stmt in stmts]
-        for phase, stmts in ir.phases.items()
-    }
-    if set(bodies) >= {"settle", "clock_edge"}:
-        # the fused form: lanes are independent, so running a block's whole
-        # cycle (settle then edge) before the next block's is equivalent
-        bodies["cycle"] = bodies["settle"] + bodies["clock_edge"]
-
-    for name, body in bodies.items():
+    # one exported function per phase: every statement is printed once
+    for name, stmts in ir.phases.items():
         # one block's worth of the phase: the serial strip-mine, the OpenMP
         # loop and the pthread stripes all dispatch through this function
         lines.append(
@@ -506,7 +498,7 @@ def generate_c_source(ir: KernelIR) -> str:
         )
         lines.append("{")
         lines.append("    const i64 nb = (L - l0) < B ? (L - l0) : B;")
-        lines.extend(f"    {line}" for line in body)
+        lines.extend(f"    {_statement(stmt)}" for stmt in stmts)
         lines.append("    (void)S; (void)M; (void)W; (void)nb;")
         lines.append("}")
         lines.append("")
@@ -609,9 +601,7 @@ def _compile_library(source: str, ir: KernelIR):
     signatures = [
         f"void {name}({elem} *, long long **, long long **, long long *, "
         f"long long, long long);"
-        for name in (*ir.phases, *(
-            ["cycle"] if set(ir.phases) >= {"settle", "clock_edge"} else []
-        ))
+        for name in ir.phases
     ]
     signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
     ffi.cdef("\n".join(signatures))
@@ -693,10 +683,6 @@ class NativeKernel:
     def clock_edge(self, v: np.ndarray, n_threads: int = 1) -> None:
         self._lib.clock_edge(self._v_pointer(v), self._S, self._M,
                              self._scratch_for(n_threads), v.shape[1], n_threads)
-
-    def cycle(self, v: np.ndarray, n_threads: int = 1) -> None:
-        self._lib.cycle(self._v_pointer(v), self._S, self._M,
-                        self._scratch_for(n_threads), v.shape[1], n_threads)
 
     # ------------------------------------------------ macromodel observation
     def c_array(self, array: Optional[np.ndarray]):

@@ -15,6 +15,9 @@ only speed.  These tests pin that down three ways:
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.sim import BatchSimulator, Simulator
 from repro.sim import batch
 from repro.sim.kernels import find_compiler, native, resolve_kernel_backend
+from repro.sim.kernels.ir import Bin, Const
 from repro.sim.kernels.native import NativeKernel
 from repro.stim import SpecTestbench, UniformSpec
 from repro.stim.spec import StimulusSpec
@@ -391,14 +395,46 @@ def test_kernel_source_is_one_per_design_structure(name):
     assert len(sources) == 1
 
 
+@pytest.mark.parametrize("name", sorted(all_designs()))
+def test_kernel_prints_each_statement_once(name):
+    """One exported C function per IR phase, plus ``observe``, and every IR
+    statement's loop printed exactly once, in its own phase's function."""
+    ir = batch.compile_module_batch(build_flat(name), 7).kernel_ir()
+    source = native.generate_c_source(ir)
+    exported = re.findall(r"^void (\w+)\(", source, re.MULTILINE)
+    assert sorted(exported) == sorted([*ir.phases, "observe"])
+    assert "cycle" not in exported
+    loops = Counter(
+        line[4:] for line in source.splitlines()
+        if line.startswith("    for (i64 i = 0; i < nb; ++i) ")
+    )
+    assert loops == Counter(
+        native._statement(stmt) for stmts in ir.phases.values() for stmt in stmts
+    )
+    assert max(loops.values()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(all_designs()))
+def test_lane_ir_has_no_plus_zero_copies(name):
+    """State is written in place, so no emitter needs ``x + 0`` to copy a
+    value into a fresh temporary before it is overwritten."""
+    ir = batch.compile_module_batch(build_flat(name), 7).kernel_ir()
+    copies = [
+        stmt for stmts in ir.phases.values() for stmt in stmts
+        if isinstance(getattr(stmt, "expr", None), Bin) and stmt.expr.op == "+"
+        and Const(0) in (stmt.expr.a, stmt.expr.b)
+    ]
+    assert copies == []
+
+
 @needs_cc
 def test_native_kernel_rebinds_after_sibling_plain_path_run():
-    """reset() re-captures state pointers a sibling plain-path run detached.
+    """reset() clears the state a sibling plain-path run left behind.
 
-    The plain batch commit *rebinds* holder arrays (``s._state = s._pending``),
-    so a native kernel bound earlier to the same cached program would keep
-    pointing at the detached arrays — two identical runs would accumulate
-    instead of repeating.  ``reset()`` must re-split and re-bind.
+    The plain batch program and a native kernel of the same cached program
+    write one set of holder arrays in place, so a native kernel bound earlier
+    sees every plain-path commit.  ``reset()`` must clear those arrays, or
+    two identical native runs would accumulate instead of repeating.
     """
 
     def build():
@@ -415,7 +451,7 @@ def test_native_kernel_rebinds_after_sibling_plain_path_run():
     assert isinstance(native.kernel, NativeKernel)
     plain = BatchSimulator(module, 2, kernel_backend="off")
     plain.set_inputs({"d": 1, "en": 1})
-    plain.step(cycles=3)  # plain commits rebind the shared holder arrays
+    plain.step(cycles=3)  # plain commits write the shared holder arrays
 
     outputs = []
     for _ in range(2):
@@ -476,7 +512,9 @@ def test_lane_state_arrays_never_move():
 
 
 @needs_cc
-def test_step_uses_fused_cycle_kernel():
+def test_step_on_native_kernel_matches_plain():
+    """``step`` settles and clocks through the kernel's two phase entries,
+    and ends where the plain batch path ends."""
     module = flatten(get_design("Bubble_Sort").build())
     fused = BatchSimulator(module, 2, kernel_backend="native")
     plain = BatchSimulator(flatten(get_design("Bubble_Sort").build()), 2,
