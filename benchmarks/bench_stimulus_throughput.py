@@ -16,9 +16,14 @@ exactly equal either way (asserted); the acceptance floor is that the array
 driver wins at *low* lane counts (≤ 32 lanes), where the old loop's
 per-lane overhead used to be amortized worst.
 
+It also times stimulus generation alone: ``CompiledStimulus(...).tensor()``
+at 256 lanes for each port kind, driving every input of the design, reported
+as ``<kind>_lane_cycles_per_s``.
+
 Writes ``benchmarks/results/stimulus_throughput.txt`` and the repo-root
 ``BENCH_stimulus.json`` trajectory artifact.  ``REPRO_BENCH_STIM_CYCLES``
-overrides the workload length (CI smoke runs use a small value).
+overrides the workload length (CI smoke runs use a small value, which also
+cuts the per-kind runs to 64 cycles).
 """
 
 from __future__ import annotations
@@ -29,13 +34,35 @@ import time
 from repro.designs.registry import build_flat, get_design
 from repro.power import build_seed_library
 from repro.power.lane_estimator import BatchRTLPowerEstimator
-from repro.stim import SpecTestbench
+from repro.stim import (
+    BurstSpec,
+    CompiledStimulus,
+    ConstantSpec,
+    MarkovSpec,
+    MixtureSpec,
+    ReplaySpec,
+    SpecTestbench,
+    StimulusSpec,
+    UniformSpec,
+)
 
 from conftest import write_result
 
 N_CYCLES = int(os.environ.get("REPRO_BENCH_STIM_CYCLES", "384"))
 DESIGN = "HVPeakF"
 LANE_COUNTS = (8, 16, 32)
+KIND_LANES = 256
+KIND_CYCLES = 256 if N_CYCLES >= 384 else 64
+KINDS = {
+    "uniform": UniformSpec(),
+    "constant": ConstantSpec(1),
+    "burst": BurstSpec(active=3, idle=5, hold=2, phase=1),
+    "markov": MarkovSpec(p01=0.2, p10=0.3),
+    "mixture": MixtureSpec(
+        components=((0.7, UniformSpec(hold=2)), (0.3, BurstSpec(active=3, idle=3))),
+    ),
+    "replay": ReplaySpec(values=tuple(range(100)), repeat=True),
+}
 
 
 def _testbenches(spec, n_lanes):
@@ -54,6 +81,23 @@ def _time_path(estimator, spec, n_lanes, use_array_driver):
         )
         best = min(best, time.perf_counter() - start)
     return best, reports
+
+
+def _kind_rates():
+    """Lane-cycles/s of generating each kind's full stimulus tensor (best of 3)."""
+    ports = build_flat(DESIGN).ports
+    widths = {name: port.width for name, port in ports.items() if port.is_input}
+    rates = {}
+    for kind, port_spec in KINDS.items():
+        spec = StimulusSpec(n_cycles=KIND_CYCLES, default=port_spec)
+        seeds = range(KIND_LANES)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            CompiledStimulus(spec, widths, seeds).tensor()
+            best = min(best, time.perf_counter() - start)
+        rates[kind] = KIND_LANES * KIND_CYCLES / best
+    return rates
 
 
 def test_stimulus_driver_throughput(benchmark):
@@ -78,6 +122,8 @@ def test_stimulus_driver_throughput(benchmark):
             "speedup": t_loop / t_array,
         }
 
+    kind_rates = _kind_rates()
+
     benchmark.pedantic(
         lambda: estimator.estimate_all(
             _testbenches(spec, LANE_COUNTS[-1]), keep_cycle_trace=False
@@ -100,6 +146,14 @@ def test_stimulus_driver_throughput(benchmark):
             f"{n_lanes:5d} {row['laneview_lane_cycles_per_s']:16,.0f} "
             f"{row['array_lane_cycles_per_s']:17,.0f} {row['speedup']:8.2f}x"
         )
+    lines += [
+        "",
+        f"Stimulus generation alone — CompiledStimulus.tensor(), {KIND_LANES} lanes "
+        f"x {KIND_CYCLES} cycles, every input on one kind",
+        "",
+        f"{'kind':>8s} {'lane-cyc/s':>14s}",
+    ]
+    lines += [f"{kind:>8s} {rate:14,.0f}" for kind, rate in kind_rates.items()]
     write_result(
         "stimulus_throughput.txt",
         "\n".join(lines),
@@ -107,6 +161,9 @@ def test_stimulus_driver_throughput(benchmark):
             "design": DESIGN,
             "n_cycles": N_CYCLES,
             **{f"speedup_{n}_lanes": round(r["speedup"], 2) for n, r in rows.items()},
+            "n_kind_lanes": KIND_LANES,
+            "n_kind_cycles": KIND_CYCLES,
+            **{f"{kind}_lane_cycles_per_s": round(r) for kind, r in kind_rates.items()},
         },
         bench_name="stimulus",
     )

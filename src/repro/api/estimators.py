@@ -313,8 +313,9 @@ class RTLEstimatorAdapter(_EngineAdapter):
         if not specs:
             return []
         first = specs[0]
+        self._check_spec(first)
         first_key = coalesce_key(first)
-        for spec in specs:
+        for spec in specs[1:]:
             self._check_spec(spec)
             if coalesce_key(spec) != first_key:
                 raise ValueError(

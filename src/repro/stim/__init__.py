@@ -13,8 +13,8 @@ trippable descriptions instead of hand-written testbench classes:
   (:func:`replay_from_vcd`),
 * :mod:`repro.stim.compile` — lowering into chunked
   ``(n_cycles, n_ports, n_lanes)`` NumPy stimulus tensors
-  (:func:`compile_stimulus` / :class:`CompiledStimulus`), chunk-invariant
-  and independent per (seed, port),
+  (:func:`compile_stimulus` / :class:`CompiledStimulus`), one stream per
+  port over the lane block, chunk-invariant and independent per (seed, port),
 * :mod:`repro.stim.driver` — :class:`BatchStimulusDriver`, feeding those
   tensors straight into :class:`~repro.sim.batch.BatchSimulator`'s lane
   store (no per-lane Python drive loop),

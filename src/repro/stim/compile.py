@@ -1,10 +1,14 @@
 """Lowering stimulus specs into chunked ``(n_cycles, n_ports, n_lanes)`` tensors.
 
-Every :class:`~repro.stim.spec.PortSpec` kind compiles into a *stream* — a
-small stateful generator that produces that port's values for one lane, chunk
-by chunk, using a dedicated ``numpy`` bit generator seeded from
-``(salt, lane seed, port name)``.  Two invariants make the whole subsystem
-trustworthy:
+Every :class:`~repro.stim.spec.PortSpec` kind compiles into one *block
+stream* per port: a small stateful generator that produces that port's
+``(cycles, n_lanes)`` values for the whole lane block, chunk by chunk.  The
+work that does not depend on the lane — refresh schedules and their gather
+index, burst quiet masks, mixture refresh masks, replay indices — is done
+once per chunk for the block; constant and replay ports broadcast one column
+across the lanes.  Only the draws are per lane: lane ``i`` draws from its own
+``numpy`` PCG64 generator, seeded from ``(salt, seeds[i], port name)`` on its
+first draw.  Two invariants make the whole subsystem trustworthy:
 
 * **Chunk invariance** — a stream's values depend only on absolute cycle
   indices, never on how the run is split into chunks.  Draw counts per chunk
@@ -13,8 +17,9 @@ trustworthy:
   mixture children advance every cycle), so a scalar testbench pulling one
   cycle at a time and a 1024-lane driver pulling 256-cycle chunks read the
   same stream.
-* **Per-(seed, port) independence** — lane ``i``'s stream is a pure function
-  of ``(seeds[i], port name)``.  A scalar run re-seeded with ``seeds[i]``
+* **Per-(seed, port) independence** — lane ``i``'s values are a pure
+  function of ``(seeds[i], port name)``, whatever the other lanes of the
+  block are.  A scalar run (a 1-lane block) re-seeded with ``seeds[i]``
   therefore reproduces lane ``i`` bit for bit, which is what makes
   spec-driven scalar and lane power estimates identical.
 
@@ -25,7 +30,6 @@ fixed 32-bit draws, keeping chunk invariance).
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,75 +58,89 @@ def _stream_rng(entropy: Tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-class _Stream:
-    """One (lane, port) value stream; ``take`` must be called sequentially."""
+def _join(fields: np.ndarray, step: int) -> np.ndarray:
+    """Exact Python-int values (object dtype) of little-endian ``step``-bit
+    fields along the last axis."""
+    out = fields[..., 0].astype(object)
+    for j in range(1, fields.shape[-1]):
+        out |= fields[..., j].astype(object) << (step * j)
+    return out
 
-    def __init__(self, spec: PortSpec, width: int, entropy: Tuple[int, ...]) -> None:
+
+class _BlockStream:
+    """One port's values over a lane block; ``take`` must be called sequentially."""
+
+    def __init__(
+        self, spec: PortSpec, width: int, entropies: Sequence[Tuple[int, ...]]
+    ) -> None:
         self.spec = spec
         self.width = width
         self.mask = (1 << width) - 1
         self.wide = width > MAX_LANE_WIDTH
-        self._entropy = entropy
+        self.dtype = object if self.wide else np.int64
+        self.n_lanes = len(entropies)
+        self._entropies = entropies
+        self._rngs: List[Optional[np.random.Generator]] = [None] * self.n_lanes
         self._cycle = 0
 
-    @cached_property
-    def _rng(self) -> np.random.Generator:  # seeded on first draw: constants never draw
-        return _stream_rng(self._entropy)
+    def _rng(self, lane: int) -> np.random.Generator:
+        rng = self._rngs[lane]
+        if rng is None:  # seeded on first draw: constants never draw
+            rng = self._rngs[lane] = _stream_rng(self._entropies[lane])
+        return rng
 
-    # ------------------------------------------------------------- raw draws
-    def _draw(self, k: int) -> np.ndarray:
-        """``k`` uniform values of this port's width (chunk-invariant)."""
-        if k <= 0:
-            return (
-                np.empty(0, dtype=object) if self.wide else np.empty(0, dtype=np.int64)
-            )
+    def _fill(self, rows: np.ndarray) -> None:
+        """Write ``len(rows)`` uniform values of this port's width per lane
+        into that lane's column of ``rows`` (chunk-invariant)."""
+        k = len(rows)
+        if k == 0:
+            return
         if not self.wide:
-            # power-of-two range: masked generation, one raw draw per value
-            return self._rng.integers(0, 1 << self.width, size=k, dtype=np.int64)
+            # power-of-two range: one raw draw per value
+            for lane in range(self.n_lanes):
+                rows[:, lane] = self._rng(lane).integers(
+                    0, 1 << self.width, size=k, dtype=np.int64
+                )
+            return
         n_words = (self.width + 31) // 32
-        words = self._rng.integers(0, 1 << 32, size=(k, n_words), dtype=np.int64)
-        out = np.empty(k, dtype=object)
-        for i in range(k):
-            value = 0
-            for j in range(n_words):
-                value |= int(words[i, j]) << (32 * j)
-            out[i] = value & self.mask
-        return out
+        words = np.empty((k, self.n_lanes, n_words), dtype=np.int64)
+        for lane in range(self.n_lanes):
+            words[:, lane] = self._rng(lane).integers(
+                0, 1 << 32, size=(k, n_words), dtype=np.int64
+            )
+        rows[...] = _join(words, 32) & self.mask
 
-    def _empty(self, n: int) -> np.ndarray:
-        return np.empty(n, dtype=object if self.wide else np.int64)
-
-    # ------------------------------------------------------------------- API
     def take(self, n: int) -> np.ndarray:
-        """The next ``n`` values (cycles ``self._cycle .. self._cycle + n``)."""
-        start = self._cycle
-        out = self._generate(start, n)
-        self._cycle = start + n
+        """The next ``n`` cycles' ``(n, n_lanes)`` values."""
+        out = self._generate(self._cycle, n)
+        self._cycle += n
         return out
 
     def _generate(self, start: int, n: int) -> np.ndarray:
         raise NotImplementedError
 
 
-class _ConstantStream(_Stream):
+class _ConstantBlock(_BlockStream):
     def _generate(self, start: int, n: int) -> np.ndarray:
-        out = self._empty(n)
-        out[:] = int(self.spec.value) & self.mask
-        return out
+        value = int(self.spec.value) & self.mask
+        return np.full((n, self.n_lanes), value, dtype=self.dtype)
 
 
-class _HeldDrawStream(_Stream):
+class _HeldDrawBlock(_BlockStream):
     """Shared machinery for uniform/burst: draw at refresh cycles, hold between.
 
     Subclasses define which absolute cycles are refresh cycles and which are
     quiet (driven with a fixed idle value instead of the held draw).
     """
 
-    def __init__(self, spec, width, entropy, predraw: bool) -> None:
-        super().__init__(spec, width, entropy)
-        #: value held from the most recent refresh (predrawn when a stream can
-        #: start mid-hold, e.g. a phase-shifted burst)
-        self._current = self._draw(1)[0] if predraw else None
+    #: the first draw is the value held before the first refresh (a
+    #: phase-shifted burst can start inside a hold window)
+    predraw = False
+
+    def __init__(self, spec, width, entropies) -> None:
+        super().__init__(spec, width, entropies)
+        #: per-lane value held from the most recent refresh
+        self._current: Optional[np.ndarray] = None
 
     def _refresh_mask(self, cycles: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -133,35 +151,27 @@ class _HeldDrawStream(_Stream):
     def _generate(self, start: int, n: int) -> np.ndarray:
         cycles = np.arange(start, start + n)
         refresh = self._refresh_mask(cycles)
-        draws = self._draw(int(refresh.sum()))
-        table = self._empty(len(draws) + 1)
-        table[0] = self._current if self._current is not None else 0
-        table[1:] = draws
-        index = np.cumsum(refresh)  # 0 before the chunk's first refresh
-        values = table[index]
-        if len(draws):
-            self._current = table[-1]
+        table = np.empty((int(refresh.sum()) + 1, self.n_lanes), dtype=self.dtype)
+        if self._current is None and self.predraw:
+            self._fill(table)
+        else:
+            table[0] = 0 if self._current is None else self._current
+            self._fill(table[1:])
+        self._current = table[-1]
+        values = table[np.cumsum(refresh)]  # row 0 before the chunk's first refresh
         quiet = self._quiet_mask(cycles)
-        if quiet is None:
-            return values
-        out = self._empty(n)
-        out[:] = values
-        out[quiet] = int(getattr(self.spec, "idle_value", 0)) & self.mask
-        return out
+        if quiet is not None:
+            values[quiet] = int(self.spec.idle_value) & self.mask
+        return values
 
 
-class _UniformStream(_HeldDrawStream):
-    def __init__(self, spec: UniformSpec, width, entropy) -> None:
-        super().__init__(spec, width, entropy, predraw=False)
-
+class _UniformBlock(_HeldDrawBlock):
     def _refresh_mask(self, cycles: np.ndarray) -> np.ndarray:
         return cycles % self.spec.hold == 0
 
 
-class _BurstStream(_HeldDrawStream):
-    def __init__(self, spec: BurstSpec, width, entropy) -> None:
-        # a phase-shifted stream can start inside a hold window
-        super().__init__(spec, width, entropy, predraw=True)
+class _BurstBlock(_HeldDrawBlock):
+    predraw = True
 
     def _position(self, cycles: np.ndarray) -> np.ndarray:
         return (cycles + self.spec.phase) % self.spec.period
@@ -174,111 +184,106 @@ class _BurstStream(_HeldDrawStream):
         return self._position(cycles) >= self.spec.active
 
 
-class _MarkovStream(_Stream):
-    def __init__(self, spec: MarkovSpec, width, entropy) -> None:
-        super().__init__(spec, width, entropy)
+class _MarkovBlock(_BlockStream):
+    def __init__(self, spec: MarkovSpec, width, entropies) -> None:
+        super().__init__(spec, width, entropies)
         init = int(spec.init) & self.mask
-        self._bits = np.array(
-            [(init >> b) & 1 for b in range(width)], dtype=np.int8
+        row = np.array([(init >> b) & 1 for b in range(width)], dtype=bool)
+        #: ``(n_lanes, width)`` current bits
+        self._bits = np.broadcast_to(row, (self.n_lanes, width))
+        self._pow2 = np.int64(1) << np.arange(
+            min(width, MAX_LANE_WIDTH), dtype=np.int64
         )
-        if not self.wide:
-            self._pow2 = np.int64(1) << np.arange(width, dtype=np.int64)
 
     def _generate(self, start: int, n: int) -> np.ndarray:
-        spec = self.spec
-        uniforms = self._rng.random((n, self.width))
-        out = self._empty(n)
-        bits = self._bits
+        uniforms = np.empty((n, self.n_lanes, self.width))
+        for lane in range(self.n_lanes):
+            uniforms[:, lane] = self._rng(lane).random((n, self.width))
+        stay = uniforms >= self.spec.p10  # next bit where the bit is 1
+        rise = uniforms < self.spec.p01  # next bit where the bit is 0
+        bits = np.empty(uniforms.shape, dtype=bool)
+        current = self._bits
         for i in range(n):
-            row = uniforms[i]
-            bits = np.where(
-                bits == 1,
-                (row >= spec.p10).astype(np.int8),
-                (row < spec.p01).astype(np.int8),
-            )
-            if self.wide:
-                value = 0
-                for b in range(self.width):
-                    value |= int(bits[b]) << b
-                out[i] = value
-            else:
-                out[i] = int(bits.astype(np.int64) @ self._pow2)
-        self._bits = bits
-        return out
+            current = bits[i] = np.where(current, stay[i], rise[i])
+        self._bits = current
+        if not self.wide:
+            return bits @ self._pow2
+        fields = [
+            bits[..., lo:lo + MAX_LANE_WIDTH] @ self._pow2[: self.width - lo]
+            for lo in range(0, self.width, MAX_LANE_WIDTH)
+        ]
+        return _join(np.stack(fields, axis=-1), MAX_LANE_WIDTH)
 
 
-class _MixtureStream(_Stream):
-    def __init__(self, spec: MixtureSpec, width, entropy) -> None:
-        super().__init__(spec, width, entropy)
+class _MixtureBlock(_BlockStream):
+    def __init__(self, spec: MixtureSpec, width, entropies) -> None:
+        super().__init__(spec, width, entropies)
         self._children = [
-            _make_stream(child, width, entropy + (index,))
+            _make_stream(child, width, [entropy + (index,) for entropy in entropies])
             for index, (_, child) in enumerate(spec.components)
         ]
         weights = np.array([w for w, _ in spec.components], dtype=np.float64)
         self._cumulative = np.cumsum(weights / weights.sum())
-        self._selected = 0
+        #: per-lane selected child, drawn at refresh cycles
+        self._selected = np.zeros(self.n_lanes, dtype=np.int64)
+
+    def _generate(self, start: int, n: int) -> np.ndarray:
+        refresh = np.arange(start, start + n) % self.spec.hold == 0
+        k = int(refresh.sum())
+        table = np.empty((k + 1, self.n_lanes), dtype=np.int64)
+        table[0] = self._selected
+        if k:
+            draws = np.empty((k, self.n_lanes))
+            for lane in range(self.n_lanes):
+                draws[:, lane] = self._rng(lane).random(k)
+            selections = np.searchsorted(self._cumulative, draws, side="right")
+            table[1:] = np.minimum(selections, len(self._children) - 1)
+            self._selected = table[-1]
+        per_cycle = table[np.cumsum(refresh)]
+        # every child advances every cycle, selected or not (chunk invariance)
+        stacks = np.stack([child.take(n) for child in self._children])
+        return np.take_along_axis(stacks, per_cycle[np.newaxis], axis=0)[0]
+
+
+class _ReplayBlock(_BlockStream):
+    def __init__(self, spec: ReplaySpec, width, entropies) -> None:
+        super().__init__(spec, width, entropies)
+        self._values = np.array(
+            [int(v) & self.mask for v in spec.values], dtype=self.dtype
+        )
 
     def _generate(self, start: int, n: int) -> np.ndarray:
         cycles = np.arange(start, start + n)
-        refresh = cycles % self.spec.hold == 0
-        draws = self._rng.random(int(refresh.sum()))
-        selections = np.searchsorted(self._cumulative, draws, side="right")
-        selections = np.minimum(selections, len(self._children) - 1)
-        table = np.empty(len(selections) + 1, dtype=np.int64)
-        table[0] = self._selected
-        table[1:] = selections
-        per_cycle = table[np.cumsum(refresh)]
-        if len(selections):
-            self._selected = int(table[-1])
-        # every child advances every cycle, selected or not (chunk invariance)
-        stacks = [child.take(n) for child in self._children]
-        out = self._empty(n)
-        for i in range(n):
-            out[i] = stacks[per_cycle[i]][i]
-        return out
-
-
-class _ReplayStream(_Stream):
-    def __init__(self, spec: ReplaySpec, width, entropy) -> None:
-        super().__init__(spec, width, entropy)
-        self._values = [int(v) & self.mask for v in spec.values]
-
-    def _generate(self, start: int, n: int) -> np.ndarray:
-        values = self._values
-        length = len(values)
-        spec = self.spec
-        out = self._empty(n)
-        for i in range(n):
-            cycle = start + i
-            if cycle < length:
-                out[i] = values[cycle]
-            elif spec.repeat:
-                out[i] = values[cycle % length]
-            elif spec.hold_last:
-                out[i] = values[-1]
-            else:
-                out[i] = 0
-        return out
+        length = len(self._values)
+        if self.spec.repeat:
+            column = self._values[cycles % length]
+        else:
+            column = self._values[np.minimum(cycles, length - 1)]
+            if not self.spec.hold_last:
+                column[cycles >= length] = 0
+        return np.broadcast_to(column[:, np.newaxis], (n, self.n_lanes))
 
 
 _STREAMS = {
-    ConstantSpec: _ConstantStream,
-    UniformSpec: _UniformStream,
-    BurstSpec: _BurstStream,
-    MarkovSpec: _MarkovStream,
-    MixtureSpec: _MixtureStream,
-    ReplaySpec: _ReplayStream,
+    ConstantSpec: _ConstantBlock,
+    UniformSpec: _UniformBlock,
+    BurstSpec: _BurstBlock,
+    MarkovSpec: _MarkovBlock,
+    MixtureSpec: _MixtureBlock,
+    ReplaySpec: _ReplayBlock,
 }
 
 
-def _make_stream(spec: PortSpec, width: int, entropy: Tuple[int, ...]) -> _Stream:
+def _make_stream(
+    spec: PortSpec, width: int, entropies: Sequence[Tuple[int, ...]]
+) -> _BlockStream:
     try:
         cls = _STREAMS[type(spec)]
     except KeyError:
         raise TypeError(
             f"no stream lowering for port spec {type(spec).__name__}"
         ) from None
-    return cls(spec, width, entropy)
+    return cls(spec, width, entropies)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,7 @@ class CompiledStimulus:
             object if any(w > MAX_LANE_WIDTH for w in self.port_widths) else np.int64
         )
         self._resolved = resolved
-        self._streams: List[List[_Stream]] = []
+        self._streams: List[_BlockStream] = []
         self._chunk: Optional[np.ndarray] = None
         self._chunk_start = 0
         self.restart()
@@ -333,12 +338,11 @@ class CompiledStimulus:
     def restart(self) -> None:
         """Rewind to cycle 0 (streams are deterministic, so values repeat)."""
         self._streams = [
-            [
-                _make_stream(
-                    port_spec, width, (_STIM_SALT, seed % 2**64, port_entropy(name))
-                )
-                for seed in self.seeds
-            ]
+            _make_stream(
+                port_spec,
+                width,
+                [(_STIM_SALT, seed % 2**64, port_entropy(name)) for seed in self.seeds],
+            )
             for name, port_spec, width in self._resolved
         ]
         self._chunk = None
@@ -348,13 +352,8 @@ class CompiledStimulus:
     def _generate_chunk(self, start: int) -> np.ndarray:
         n = min(self.chunk_cycles, self.n_cycles - start)
         out = np.empty((n, self.n_ports, self.n_lanes), dtype=self.dtype)
-        for p, lanes in enumerate(self._streams):
-            for lane, stream in enumerate(lanes):
-                column = stream.take(n)
-                if self.dtype is object and column.dtype != object:
-                    out[:, p, lane] = [int(v) for v in column]
-                else:
-                    out[:, p, lane] = column
+        for p, stream in enumerate(self._streams):
+            out[:, p] = stream.take(n)  # int64 columns become exact ints
         return out
 
     def values_at(self, cycle: int) -> np.ndarray:

@@ -346,6 +346,25 @@ def test_estimate_many_rejects_mixed_designs():
         ])
 
 
+def test_estimate_many_keys_each_spec_once_and_checks_every_engine(monkeypatch):
+    from repro.api import spec as spec_module
+
+    keyed = []
+    real = spec_module.coalesce_key
+    monkeypatch.setattr(spec_module, "coalesce_key",
+                        lambda spec: keyed.append(spec.seed) or real(spec))
+    adapter = RTLEstimatorAdapter()
+    specs = [RunSpec(design="binary_search", engine="rtl", seed=s, max_cycles=8)
+             for s in range(3)]
+    assert len(adapter.estimate_many(specs)) == 3
+    assert keyed == [0, 1, 2]
+    for position in (0, 2):
+        wrong = list(specs)
+        wrong[position] = specs[position].replace(engine="gate")
+        with pytest.raises(ValueError, match="requests engine 'gate'"):
+            adapter.estimate_many(wrong)
+
+
 # ----------------------------------------------------------------- sweep
 
 

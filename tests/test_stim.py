@@ -1,17 +1,18 @@
 """Tests for the declarative stimulus subsystem (repro.stim).
 
 Covers the spec layer (JSON round trips, validation, CLI shorthand, VCD
-replay), the compiler (chunk invariance, per-seed lane independence), the
-drivers (scalar vs lane bit-identity on every registry design, array driver
-vs LaneView loop equality), the API/CLI wiring (RunSpec/SweepSpec stimulus,
-seed ranges, duplicate rejection, the stim subcommand), plus the satellite
-coverage: LaneView memory backdoors and the int64 limb lane store under
-driven stimulus, and the deprecation note of the ``python -m repro.bench.fig3``
-shim.
+replay), the compiler (golden values, chunk invariance, per-seed lane
+independence across block sizes), the drivers (scalar vs lane bit-identity
+on every registry design, array driver vs LaneView loop equality), the
+API/CLI wiring (RunSpec/SweepSpec stimulus, seed ranges, duplicate
+rejection, the stim subcommand), plus the satellite coverage: LaneView
+memory backdoors and the int64 limb lane store under driven stimulus, and
+the deprecation note of the ``python -m repro.bench.fig3`` shim.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -169,15 +170,6 @@ def test_compiled_stimulus_chunk_invariance():
     assert tensors[0].shape == (50, 6, 2)
 
 
-def test_compiled_stimulus_per_seed_lane_independence():
-    """Lane i of a multi-seed compile equals a single-seed compile of seeds[i]."""
-    spec = _compound_spec(n_cycles=40)
-    multi = CompiledStimulus(spec, WIDTHS, [3, 11, 200], chunk_cycles=16).tensor()
-    for lane, seed in enumerate([3, 11, 200]):
-        single = CompiledStimulus(spec, WIDTHS, [seed], chunk_cycles=9).tensor()
-        assert _as_ints(single[:, :, 0]) == _as_ints(multi[:, :, lane])
-
-
 def test_compiled_stimulus_values_widths_and_dtype():
     spec = _compound_spec(n_cycles=30)
     compiled = CompiledStimulus(spec, WIDTHS, [0])
@@ -218,6 +210,99 @@ def test_constant_ports_build_no_generator(monkeypatch):
     drawn = spec.replace(ports={"a": ConstantSpec(5), "b": UniformSpec()})
     CompiledStimulus(drawn, widths, [0, 7]).tensor()
     assert len(built) == 2
+
+
+#: every port kind and shape a stream can take: burst with a phase, a nested
+#: mixture, replay with repeat / hold_last / neither, a 1-bit port and two
+#: wide (limb-store) ports, the 70-bit one mixing every drawing kind
+_GOLDEN_WIDTHS = {
+    "uniform": 8, "held": 12, "const": 8, "burst": 10, "burst_phase": 6,
+    "markov": 12, "mixture": 16, "replay_repeat": 4, "replay_hold": 8,
+    "replay_zero": 8, "bit": 1, "w61": 61, "w70": 70,
+}
+_GOLDEN_SPEC = StimulusSpec(
+    n_cycles=300,
+    seed=0,
+    ports={
+        "uniform": UniformSpec(),
+        "held": UniformSpec(hold=5),
+        "const": ConstantSpec(0x1FF),
+        "burst": BurstSpec(active=3, idle=5, hold=2),
+        "burst_phase": BurstSpec(active=4, idle=3, hold=3, phase=5, idle_value=3),
+        "markov": MarkovSpec(p01=0.3, p10=0.2, init=5),
+        "mixture": MixtureSpec(
+            components=(
+                (0.5, UniformSpec(hold=2)),
+                (0.3, MixtureSpec(
+                    components=((1, ConstantSpec(3)), (2, BurstSpec(active=2, idle=1))),
+                    hold=2,
+                )),
+                (0.2, MarkovSpec(p01=0.5, p10=0.1)),
+            ),
+            hold=3,
+        ),
+        "replay_repeat": ReplaySpec(values=(1, 2, 3, 15, 16), repeat=True),
+        "replay_hold": ReplaySpec(values=(7, 8, 9), hold_last=True),
+        "replay_zero": ReplaySpec(values=(7, 8, 9), repeat=False, hold_last=False),
+        "bit": UniformSpec(),
+        "w61": UniformSpec(hold=3),
+        "w70": MixtureSpec(
+            components=(
+                (1, MarkovSpec(p01=0.2, p10=0.3, init=(1 << 69) | 5)),
+                (1, BurstSpec(active=5, idle=2, hold=2, phase=3, idle_value=1 << 65)),
+                (1, ReplaySpec(values=((1 << 70) - 1, 1 << 64, 3), repeat=True)),
+                (1, ConstantSpec((1 << 68) + 1)),
+            ),
+            hold=2,
+        ),
+    },
+    default=None,
+)
+_GOLDEN_SEEDS = (0, 7, 2**40 + 3, -5)
+#: sha256 of the int list of each seed's ``(n_cycles, n_ports)`` tensor:
+#: result caches and coalesce keys assume these values never move
+_GOLDEN_DIGESTS = {
+    0: "58e202e08ce04253dea3f5ff4593e22b59691604e4c56922d0e6ca34dda3ff08",
+    7: "3262f3ac07861cf681eb5cf92f48767e58a78b153cca3fc7371e4d69d514535f",
+    2**40 + 3: "61273b0566bf2ce7c560af6fe10a58c92fc4acac5a7339d7bdc517c9ed3821ca",
+    -5: "614424463bd70cb328f1454351eb20dd16182dfaf101e1fde1c2509d6bea5150",
+}
+
+
+def _digest(tensor) -> str:
+    return hashlib.sha256(repr(_as_ints(tensor)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("chunk_cycles", [1, 7, 256])
+def test_compiled_stimulus_golden_values(chunk_cycles):
+    """Pin the values themselves, not only relative properties: caches and
+    ``coalesce_key`` results depend on them."""
+    block = CompiledStimulus(
+        _GOLDEN_SPEC, _GOLDEN_WIDTHS, _GOLDEN_SEEDS, chunk_cycles=chunk_cycles
+    ).tensor()
+    for lane, seed in enumerate(_GOLDEN_SEEDS):
+        single = CompiledStimulus(
+            _GOLDEN_SPEC, _GOLDEN_WIDTHS, [seed], chunk_cycles=chunk_cycles
+        ).tensor()
+        assert _digest(single) == _GOLDEN_DIGESTS[seed]
+        assert _digest(block[:, :, lane]) == _GOLDEN_DIGESTS[seed]
+
+
+def test_compiled_stimulus_per_seed_lane_independence():
+    """Lane i of a 129-lane block equals a 1-lane compile of seeds[i] and the
+    same seed's lane in a 7-lane block, for every port kind."""
+    spec = _GOLDEN_SPEC.replace(n_cycles=40)
+    seeds = list(range(-60, 68)) + [2**40 + 7]
+    wide = CompiledStimulus(spec, _GOLDEN_WIDTHS, seeds, chunk_cycles=16).tensor()
+    starts = list(range(0, len(seeds) - 7, 7)) + [len(seeds) - 7]
+    for start in starts:
+        window = seeds[start:start + 7]
+        seven = CompiledStimulus(spec, _GOLDEN_WIDTHS, window, chunk_cycles=9).tensor()
+        for offset in range(7):
+            assert _as_ints(seven[:, :, offset]) == _as_ints(wide[:, :, start + offset])
+    for lane, seed in enumerate(seeds):
+        single = CompiledStimulus(spec, _GOLDEN_WIDTHS, [seed], chunk_cycles=5).tensor()
+        assert _as_ints(single) == _as_ints(wide[:, :, lane])
 
 
 def test_burst_and_replay_stream_shapes():
