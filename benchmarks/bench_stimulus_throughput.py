@@ -22,8 +22,9 @@ as ``<kind>_lane_cycles_per_s``.
 
 Writes ``benchmarks/results/stimulus_throughput.txt`` and the repo-root
 ``BENCH_stimulus.json`` trajectory artifact.  ``REPRO_BENCH_STIM_CYCLES``
-overrides the workload length (CI smoke runs use a small value, which also
-cuts the per-kind runs to 64 cycles).
+overrides the driver workload length (CI smoke runs use a small value); the
+per-kind runs always generate 256 cycles, so their rates compare across
+runs whatever the driver length.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ N_CYCLES = int(os.environ.get("REPRO_BENCH_STIM_CYCLES", "384"))
 DESIGN = "HVPeakF"
 LANE_COUNTS = (8, 16, 32)
 KIND_LANES = 256
-KIND_CYCLES = 256 if N_CYCLES >= 384 else 64
+KIND_CYCLES = 256
 KINDS = {
     "uniform": UniformSpec(),
     "constant": ConstantSpec(1),

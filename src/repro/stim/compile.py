@@ -185,34 +185,34 @@ class _BurstBlock(_HeldDrawBlock):
 
 
 class _MarkovBlock(_BlockStream):
+    """Per-bit chains packed little-endian into 64-bit words (the values),
+    stepped bytewise; each lane's uniforms are packed as soon as drawn."""
+
     def __init__(self, spec: MarkovSpec, width, entropies) -> None:
         super().__init__(spec, width, entropies)
-        init = int(spec.init) & self.mask
-        row = np.array([(init >> b) & 1 for b in range(width)], dtype=bool)
-        #: ``(n_lanes, width)`` current bits
-        self._bits = np.broadcast_to(row, (self.n_lanes, width))
-        self._pow2 = np.int64(1) << np.arange(
-            min(width, MAX_LANE_WIDTH), dtype=np.int64
+        self._n_bytes = 8 * ((width + 63) // 64)
+        init = (int(spec.init) & self.mask).to_bytes(self._n_bytes, "little")
+        #: ``(n_lanes, n_bytes)`` current bits
+        self._bits = np.broadcast_to(
+            np.frombuffer(init, dtype=np.uint8), (self.n_lanes, self._n_bytes)
         )
 
     def _generate(self, start: int, n: int) -> np.ndarray:
-        uniforms = np.empty((n, self.n_lanes, self.width))
+        used = (self.width + 7) // 8
+        stay = np.zeros((n, self.n_lanes, self._n_bytes), dtype=np.uint8)
+        rise = np.zeros_like(stay)
         for lane in range(self.n_lanes):
-            uniforms[:, lane] = self._rng(lane).random((n, self.width))
-        stay = uniforms >= self.spec.p10  # next bit where the bit is 1
-        rise = uniforms < self.spec.p01  # next bit where the bit is 0
-        bits = np.empty(uniforms.shape, dtype=bool)
+            uniforms = self._rng(lane).random((n, self.width))
+            # next bit where the bit is 1 / where it is 0
+            stay[:, lane, :used] = np.packbits(uniforms >= self.spec.p10, -1, "little")
+            rise[:, lane, :used] = np.packbits(uniforms < self.spec.p01, -1, "little")
         current = self._bits
-        for i in range(n):
-            current = bits[i] = np.where(current, stay[i], rise[i])
+        for i in range(n):  # stay[i] is read once, then holds cycle i's bits
+            current = stay[i] = (current & stay[i]) | (~current & rise[i])
         self._bits = current
         if not self.wide:
-            return bits @ self._pow2
-        fields = [
-            bits[..., lo:lo + MAX_LANE_WIDTH] @ self._pow2[: self.width - lo]
-            for lo in range(0, self.width, MAX_LANE_WIDTH)
-        ]
-        return _join(np.stack(fields, axis=-1), MAX_LANE_WIDTH)
+            return stay.view("<u8")[..., 0].astype(np.int64)
+        return _join(stay.view("<u8"), 64)
 
 
 class _MixtureBlock(_BlockStream):

@@ -305,6 +305,34 @@ def test_compiled_stimulus_per_seed_lane_independence():
         assert _as_ints(single) == _as_ints(wide[:, :, lane])
 
 
+def test_markov_packed_bits_match_per_bit_chains():
+    """Markov values equal a per-bit chain run from each lane's own uniforms,
+    at widths on either side of the byte and 64-bit word boundaries."""
+    from repro.stim import compile as stim_compile
+    from repro.stim.spec import port_entropy
+
+    widths = {f"w{w}": w for w in (1, 7, 8, 9, 63, 64, 65, 128, 240)}
+    markov = MarkovSpec(p01=0.3, p10=0.4, init=(1 << 239) | 0x5A5A)
+    spec = StimulusSpec(n_cycles=23, seed=0, default=markov)
+    seeds = [0, -3, 2**40 + 7]
+    compiled = CompiledStimulus(spec, widths, seeds, chunk_cycles=7)
+    tensor = compiled.tensor()
+    for p, (name, width) in enumerate(zip(compiled.port_names, compiled.port_widths)):
+        for lane, seed in enumerate(seeds):
+            rng = stim_compile._stream_rng(
+                (stim_compile._STIM_SALT, seed % 2**64, port_entropy(name))
+            )
+            bits = [(markov.init >> b) & 1 for b in range(width)]
+            expected = []
+            for row in rng.random((spec.n_cycles, width)):
+                bits = [
+                    int(u >= markov.p10) if bit else int(u < markov.p01)
+                    for bit, u in zip(bits, row)
+                ]
+                expected.append(sum(bit << b for b, bit in enumerate(bits)))
+            assert _as_ints(tensor[:, p, lane]) == expected, (name, seed)
+
+
 def test_burst_and_replay_stream_shapes():
     spec = StimulusSpec(
         n_cycles=16,
