@@ -172,12 +172,10 @@ class _EngineAdapter:
         A block's results share ``backend``, ``metadata``, the per-lane
         ``setup_s`` and the phase timings, so those are computed once.
         """
-        accuracies = []
-        for spec, report in zip(specs, reports):
-            if not spec.keep_cycle_trace:
-                report.cycle_energy_fj = []
-            accuracies.append(
-                self._accuracy_vs_rtl(spec, report) if spec.compare_to_rtl else None)
+        accuracies = [
+            self._accuracy_vs_rtl(spec, report) if spec.compare_to_rtl else None
+            for spec, report in zip(specs, reports)
+        ]
         total = time.perf_counter() - start
         # per-phase wall-clock breakdown (repro.obs tentpole): setup, then
         # engine-specific phases (lane build / simulate / macromodel eval),
@@ -186,10 +184,11 @@ class _EngineAdapter:
         rounded = {k: round(float(v), 6) for k, v in phases.items()}
         timeline = obs.tracing_enabled()
         sim_s = float(phases.get("simulate_s") or phases.get("flow_s") or total)
+        _MEAN_MW_HIST.observe_many(
+            [report.average_power_mw for report in reports], engine=self.engine)
         results = []
         for spec, report, accuracy, profile in zip(
                 specs, reports, accuracies, profiles or [None] * len(specs)):
-            _MEAN_MW_HIST.observe(report.average_power_mw, engine=self.engine)
             if profile is not None and timeline:
                 # merge the simulated power timeline into the software trace:
                 # the run's cycle axis maps onto the wall-clock interval the
@@ -307,7 +306,7 @@ class RTLEstimatorAdapter(_EngineAdapter):
         the sweep runner uses; it degrades to per-spec scalar estimation when
         the lane path cannot run the module or its testbenches.
         """
-        from repro.api.spec import coalesce_key
+        from repro.api.spec import coalesce_key, key_fields
 
         specs = list(specs)
         if not specs:
@@ -315,9 +314,12 @@ class RTLEstimatorAdapter(_EngineAdapter):
         first = specs[0]
         self._check_spec(first)
         first_key = coalesce_key(first)
+        first_fields = key_fields(first)
         for spec in specs[1:]:
             self._check_spec(spec)
-            if coalesce_key(spec) != first_key:
+            # equal key fields are lane-compatible; only a spec whose fields
+            # differ (an auto/batch mix, or an incompatible spec) is keyed
+            if key_fields(spec) != first_fields and coalesce_key(spec) != first_key:
                 raise ValueError(
                     "estimate_many requires lane-compatible specs — sharing "
                     "design, max_cycles, stimulus, backend, kernel_backend "
@@ -346,7 +348,7 @@ class RTLEstimatorAdapter(_EngineAdapter):
             reports = estimator.estimate_all(
                 testbenches,
                 max_cycles=first.max_cycles,
-                keep_cycle_trace=any(s.keep_cycle_trace for s in specs),
+                keep_cycle_trace=[spec.keep_cycle_trace for spec in specs],
                 profile=profile_cfgs if any(profile_cfgs) else None,
             )
             backend = f"batch[{len(specs)}]"

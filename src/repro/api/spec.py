@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -215,6 +216,11 @@ class RunSpec:
 _KEY_FIELDS: Tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(RunSpec) if f.name not in COALESCE_FREE_FIELDS
 )
+
+#: a spec's coalesce-key fields as one tuple.  Specs with equal tuples are
+#: lane-compatible (a stimulus shared by lane-mates compares by identity),
+#: so a block calls :func:`coalesce_key` only for specs whose tuples differ
+key_fields = operator.attrgetter(*_KEY_FIELDS)
 
 
 def coalesce_key(spec: RunSpec) -> str:

@@ -217,6 +217,11 @@ class Histogram(_Metric):
         self.buckets = bounds
 
     def observe(self, value: float, **labels: object) -> None:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
+        """Observe each value in order under one lock and one label key:
+        the same buckets, sum and count as one :meth:`observe` per value."""
         if not self._recording():
             return
         key = _label_key(labels)
@@ -225,12 +230,13 @@ class Histogram(_Metric):
             if state is None:
                 state = self._values[key] = _HistogramState(len(self.buckets))
             assert isinstance(state, _HistogramState)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    state.bucket_counts[i] += 1
-                    break
-            state.sum += value
-            state.count += 1
+            for value in values:
+                for i, bound in enumerate(self.buckets):
+                    if value <= bound:
+                        state.bucket_counts[i] += 1
+                        break
+                state.sum += value
+                state.count += 1
 
     def count(self, **labels: object) -> int:
         with self._lock:

@@ -157,4 +157,4 @@ class GateLevelPowerEstimator:
             [simulation.cycles], notes)[0]
         return build_reports(
             observer.block, observed, self.module.name, self.name, self.technology,
-            [simulation.cycles], elapsed, keep_cycle_trace, notes)[0]
+            [simulation.cycles], elapsed, [keep_cycle_trace], notes)[0]

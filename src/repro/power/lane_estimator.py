@@ -172,7 +172,7 @@ class BatchRTLPowerEstimator:
         self,
         testbenches: Sequence[Testbench],
         max_cycles: Optional[int] = None,
-        keep_cycle_trace: bool = True,
+        keep_cycle_trace: Union[bool, Sequence[bool]] = True,
         use_array_driver: Optional[bool] = None,
         profile: Union[ProfileConfig, Sequence[Optional[ProfileConfig]], None] = None,
     ) -> List[PowerReport]:
@@ -189,10 +189,17 @@ class BatchRTLPowerEstimator:
         ``profile`` is one :class:`ProfileConfig` for every lane or one per
         lane (``None`` = that lane collects no profile); each lane's profile
         equals what a scalar run with its config collects.
+        ``keep_cycle_trace`` is likewise one flag or one per lane: only the
+        lanes that keep their trace get one built.
         """
         n_lanes = len(testbenches)
         if n_lanes == 0:
             return []
+        keep = (list(keep_cycle_trace) if isinstance(keep_cycle_trace, (list, tuple))
+                else [keep_cycle_trace] * n_lanes)
+        if len(keep) != n_lanes:
+            raise ValueError(
+                f"keep_cycle_trace has {len(keep)} flags for {n_lanes} lanes")
         start = time.perf_counter()
         with obs.span("lanes.build", module=self.module.name, n_lanes=n_lanes):
             simulator = BatchSimulator(
@@ -235,7 +242,7 @@ class BatchRTLPowerEstimator:
                     collectors[key] = self._scalar._make_collector(config, limit, n_lanes)
                 lanes_of.setdefault(key, []).append(lane)
         observer = _MacromodelObserver(
-            self.monitored, simulator, keep_cycle_trace, collectors.values())
+            self.monitored, simulator, any(keep), collectors.values())
         self.last_macromodel_eval = observer.evaluator
         v = simulator._v
         #: the cycle each lane stops at: its budget until it finishes
@@ -307,11 +314,12 @@ class BatchRTLPowerEstimator:
             for lane, lane_profile in zip(lanes_of[key], profiles):
                 self.last_profiles[lane] = lane_profile
         return self._build_lane_report(
-            block, lane_cycles, elapsed / n_lanes, keep_cycle_trace, lanes.name)
+            block, lane_cycles, elapsed / n_lanes, keep, lanes.name)
 
     # -------------------------------------------------------------- helpers
     def _build_lane_report(self, block, cycles: List[int], elapsed_s: float,
-                           keep_cycle_trace: bool, stimulus_driver: str) -> List[PowerReport]:
+                           keep_cycle_trace: List[bool],
+                           stimulus_driver: str) -> List[PowerReport]:
         """Every lane's report, in one pass over the block's arrays."""
         notes = {"batch_lanes": len(cycles), "stimulus_driver": stimulus_driver}
         return self._scalar._build_report(block, cycles, elapsed_s, keep_cycle_trace, notes)

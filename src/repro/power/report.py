@@ -7,16 +7,28 @@ baseline, and the power-emulation platform readback — produces the same
 JSON dicts (:meth:`PowerReport.to_dict` / :meth:`PowerReport.from_dict`) so
 the unified estimation API (:mod:`repro.api`) and the on-disk result cache
 (:mod:`repro.bench.cache`) can persist them.
+
+A report's ``components`` is a read-only mapping from component name to
+:class:`ComponentPower`.  Reports built from an energy ledger
+(:func:`repro.power.rtl_estimator.build_reports`: every RTL and gate-level
+run, scalar or lane) hold a :class:`LaneComponents` view over the lane's
+rows of the block's energy and power arrays; the ``ComponentPower``
+objects are built all at once, in monitored order, the first time a
+component is read, and never when a report is only serialized or read
+for its totals.  Reports read back from JSON and the emulation readback
+hold a plain dict.  The two compare ``==`` both ways and print the same
+``repr``.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentPower:
     """Per-component energy/power results."""
 
@@ -30,12 +42,82 @@ class ComponentPower:
         self.average_power_mw = float(self.average_power_mw)
 
     def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+        return _component_payload(
+            self.name, self.component_type, self.energy_fj, self.average_power_mw)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ComponentPower":
         fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in fields})
+
+
+def _component_payload(name: str, component_type: str, energy_fj: float,
+                       average_power_mw: float) -> Dict[str, object]:
+    """A component's JSON payload, keyed in field order."""
+    return {"name": name, "component_type": component_type,
+            "energy_fj": energy_fj, "average_power_mw": average_power_mw}
+
+
+class LaneComponents(Mapping[str, ComponentPower]):
+    """One lane's components, read-only, over its rows of a block's arrays.
+
+    ``index`` (name → monitored position) and ``kinds`` are shared by every
+    lane of a block; ``energies`` and ``powers`` are this lane's rows, as
+    Python floats.  Names, length and membership come from ``index``; the
+    first read of a component builds every :class:`ComponentPower` of the
+    lane at once, in monitored order, and keeps them.  Equality is mapping
+    equality, so a view and a dict of the same components are ``==`` both
+    ways; ``repr`` is the dict's; a pickle carries the rows, not the
+    objects.
+    """
+
+    __slots__ = ("_index", "_kinds", "_energies", "_powers", "_built")
+
+    def __init__(self, index: Dict[str, int], kinds: Sequence[str],
+                 energies: Sequence[float], powers: Sequence[float]) -> None:
+        self._index = index
+        self._kinds = kinds
+        self._energies = energies
+        self._powers = powers
+        self._built: Optional[Dict[str, ComponentPower]] = None
+
+    def _components(self) -> Dict[str, ComponentPower]:
+        if self._built is None:
+            self._built = dict(zip(self._index, map(
+                ComponentPower, self._index, self._kinds, self._energies, self._powers)))
+        return self._built
+
+    def __getitem__(self, name: str) -> ComponentPower:
+        return self._components()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
+
+    def values(self):
+        return self._components().values()
+
+    def items(self):
+        return self._components().items()
+
+    def __repr__(self) -> str:
+        return repr(self._components())
+
+    def __reduce__(self):
+        return LaneComponents, (self._index, self._kinds, self._energies, self._powers)
+
+    def to_dict(self) -> Dict[str, Dict[str, object]]:
+        """Every component's payload, straight from the rows."""
+        return {
+            name: _component_payload(name, kind, energy, power)
+            for name, kind, energy, power in zip(
+                self._index, self._kinds, self._energies, self._powers)
+        }
 
 
 @dataclass
@@ -49,7 +131,7 @@ class PowerReport:
     total_energy_fj: float
     average_power_mw: float
     peak_power_mw: float = 0.0
-    components: Dict[str, ComponentPower] = field(default_factory=dict)
+    components: Mapping[str, ComponentPower] = field(default_factory=dict)
     #: optional per-cycle (or per-strobe) total energy trace in fJ
     cycle_energy_fj: List[float] = field(default_factory=list)
     #: wall-clock time spent producing this report (the quantity Fig. 3 compares)
@@ -59,11 +141,21 @@ class PowerReport:
     # -------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (round-trips through :meth:`from_dict`)."""
-        payload = dataclasses.asdict(self)
-        payload["components"] = {
-            name: component.to_dict() for name, component in self.components.items()
+        components = self.components
+        return {
+            "design": self.design,
+            "estimator": self.estimator,
+            "cycles": self.cycles,
+            "clock_mhz": self.clock_mhz,
+            "total_energy_fj": self.total_energy_fj,
+            "average_power_mw": self.average_power_mw,
+            "peak_power_mw": self.peak_power_mw,
+            "components": components.to_dict() if isinstance(components, LaneComponents)
+            else {name: component.to_dict() for name, component in components.items()},
+            "cycle_energy_fj": list(self.cycle_energy_fj),
+            "estimation_time_s": self.estimation_time_s,
+            "notes": copy.deepcopy(self.notes),
         }
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "PowerReport":

@@ -23,7 +23,7 @@ from repro.power.block import BlockEvaluator
 from repro.power.library import PowerModelLibrary, build_seed_library
 from repro.power.macromodel import PowerMacromodel
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
-from repro.power.report import ComponentPower, PowerReport
+from repro.power.report import LaneComponents, PowerReport
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.engine import SimulationObserver, Simulator
 from repro.sim.testbench import Testbench
@@ -133,7 +133,7 @@ class RTLPowerEstimator:
             self.module.name, self.name, self.technology.clock_mhz,
             [simulation.cycles])[0]
         return self._build_report(
-            observer.block, [simulation.cycles], elapsed, keep_cycle_trace)[0]
+            observer.block, [simulation.cycles], elapsed, [keep_cycle_trace])[0]
 
     def _make_collector(
         self,
@@ -161,7 +161,7 @@ class RTLPowerEstimator:
         block,
         cycles: Sequence[int],
         elapsed_s: float,
-        keep_cycle_trace: bool,
+        keep_cycle_trace: Sequence[bool],
         notes: Optional[Dict[str, object]] = None,
     ) -> List[PowerReport]:
         """Every lane's report from an evaluated block (:func:`build_reports`)."""
@@ -181,7 +181,7 @@ def build_reports(
     technology: Technology,
     cycles: Sequence[int],
     elapsed_s: float,
-    keep_cycle_trace: bool,
+    keep_cycle_trace: Sequence[bool],
     notes: Dict[str, object],
 ) -> List[PowerReport]:
     """One report per lane of an evaluated block (a scalar run is one lane).
@@ -191,7 +191,11 @@ def build_reports(
     operations in the per-lane order: component energies summed in
     monitored order from ``0.0``, every power computed as
     ``energy_to_power_mw(energy / cycles)``, and ``0.0`` for a lane that ran
-    no cycles.  Every report carries a copy of ``notes``.
+    no cycles.  Each lane's components are a
+    :class:`~repro.power.report.LaneComponents` view over its rows of those
+    arrays.  ``keep_cycle_trace`` holds one flag per lane: only a lane whose
+    flag is set gets its cycle trace.  Every report carries a copy of
+    ``notes``.
     """
     totals = block.totals
     counts = np.asarray(cycles, dtype=np.float64)
@@ -204,8 +208,8 @@ def build_reports(
     # the running sum from 0.0 in monitored order: accumulate is sequential
     total_energy = np.add.accumulate(np.vstack((np.zeros(len(cycles)), totals)))[-1]
     peak_mw = np.where(ran, technology.energy_to_power_mw(block.peak), 0.0)
-    trace = block.cycle_trace() if keep_cycle_trace else None
-    names = [component.name for component in components]
+    trace = block.cycle_trace() if any(keep_cycle_trace) else None
+    index = {component.name: position for position, component in enumerate(components)}
     kinds = [component.type_name for component in components]
     return [
         PowerReport(
@@ -216,12 +220,13 @@ def build_reports(
             total_energy_fj=total,
             average_power_mw=average,
             peak_power_mw=peak,
-            components=dict(zip(names, map(ComponentPower, names, kinds, energies, powers))),
-            cycle_energy_fj=trace[:n, lane].tolist() if keep_cycle_trace else [],
+            components=LaneComponents(index, kinds, energies, powers),
+            cycle_energy_fj=trace[:n, lane].tolist() if keep else [],
             estimation_time_s=elapsed_s,
             notes=dict(notes),
         )
-        for lane, (n, total, average, peak, energies, powers) in enumerate(zip(
-            cycles, total_energy.tolist(), power_mw(total_energy).tolist(),
-            peak_mw.tolist(), totals.T.tolist(), power_mw(totals).T.tolist()))
+        for lane, (n, keep, total, average, peak, energies, powers) in enumerate(zip(
+            cycles, keep_cycle_trace, total_energy.tolist(),
+            power_mw(total_energy).tolist(), peak_mw.tolist(), totals.T.tolist(),
+            power_mw(totals).T.tolist()))
     ]

@@ -346,7 +346,7 @@ def test_estimate_many_rejects_mixed_designs():
         ])
 
 
-def test_estimate_many_keys_each_spec_once_and_checks_every_engine(monkeypatch):
+def test_estimate_many_keys_once_per_block_and_checks_every_engine(monkeypatch):
     from repro.api import spec as spec_module
 
     keyed = []
@@ -356,8 +356,20 @@ def test_estimate_many_keys_each_spec_once_and_checks_every_engine(monkeypatch):
     adapter = RTLEstimatorAdapter()
     specs = [RunSpec(design="binary_search", engine="rtl", seed=s, max_cycles=8)
              for s in range(3)]
+    # a field-equal block keys its first spec only
     assert len(adapter.estimate_many(specs)) == 3
-    assert keyed == [0, 1, 2]
+    assert keyed == [0]
+    # auto and batch normalize to one key: the batch spec is keyed and joins
+    keyed.clear()
+    mixed = [specs[0], specs[1].replace(backend="batch"), specs[2]]
+    assert [r.backend for r in adapter.estimate_many(mixed)] == ["batch[3]"] * 3
+    assert keyed == [0, 1]
+    # a spec that differs in a key field is refused with both keys
+    wrong = [specs[0], specs[1], specs[2].replace(max_cycles=9)]
+    with pytest.raises(ValueError, match="requires lane-compatible specs") as refused:
+        adapter.estimate_many(wrong)
+    assert real(wrong[2]) in str(refused.value)
+    assert real(specs[0]) in str(refused.value)
     for position in (0, 2):
         wrong = list(specs)
         wrong[position] = specs[position].replace(engine="gate")

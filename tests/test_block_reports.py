@@ -4,18 +4,26 @@
 the block's ``(components, lanes)`` arrays and finishes the block's results
 in one call.  The contract checked here: each lane's report is ``==`` to
 the scalar run of its spec, results round-trip through ``to_dict``, and the
-estimate metrics move as if each lane were finished alone.
+estimate metrics move as if each lane were finished alone.  A lane's
+components are a read-only :class:`LaneComponents` view that behaves as
+the dict a report read back from JSON holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import pickle
 
 import pytest
 
 from repro import obs
 from repro.api import EstimateResult, RunSpec, estimate
 from repro.api.estimators import RTLEstimatorAdapter
+from repro.designs.registry import build_flat, get
+from repro.power.lane_estimator import BatchRTLPowerEstimator
+from repro.power.report import LaneComponents, PowerReport
+from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY
 from repro.sim.kernels import resolve_kernel_backend
 
@@ -77,6 +85,16 @@ def test_block_reports_equal_scalar_runs(max_cycles, kernel_backend):
         assert {r.report.peak_power_mw for r in results} == {0.0}
 
 
+def test_estimate_all_builds_traces_only_for_lanes_that_keep_them():
+    estimator = BatchRTLPowerEstimator(build_flat("HVPeakF"), kernel_backend="off")
+    testbenches = [get("HVPeakF").make_testbench(seed) for seed in range(3)]
+    reports = estimator.estimate_all(
+        testbenches, max_cycles=8, keep_cycle_trace=[False, True, False])
+    assert [len(report.cycle_energy_fj) for report in reports] == [0, 8, 0]
+    with pytest.raises(ValueError, match="2 flags for 3 lanes"):
+        estimator.estimate_all(testbenches, max_cycles=8, keep_cycle_trace=[True, False])
+
+
 def test_block_results_own_their_objects():
     results = RTLEstimatorAdapter().estimate_many(_block(8, 3, "off"))
     first, second = results[0], results[1]
@@ -106,3 +124,55 @@ def test_block_updates_estimate_metrics_per_lane(kernel_backend):
     mean = obs.REGISTRY.gauge("repro_power_last_mean_mw", "").value(
         design="HVPeakF", engine="rtl")
     assert (peak, mean) == (last.peak_power_mw, last.average_power_mw)
+
+
+@pytest.mark.parametrize("kernel_backend", KERNEL_BACKENDS)
+def test_lane_components_view_behaves_as_the_dict(kernel_backend):
+    specs = _block(37, 4, kernel_backend)
+    results = RTLEstimatorAdapter().estimate_many(specs)
+    report = results[3].report
+    view = report.components
+    assert isinstance(view, LaneComponents)
+    dict_report = PowerReport.from_dict(report.to_dict())
+    assert type(dict_report.components) is dict
+    # serializing, sizing and naming the components builds none of them
+    assert view._built is None
+    monitored = [c.name for c, _ in RTLPowerEstimator(build_flat("HVPeakF")).monitored]
+    assert list(view) == list(view.keys()) == monitored
+    assert len(view) == len(monitored) and monitored[0] in view
+    assert view._built is None
+
+    assert view == dict_report.components and dict_report.components == view
+    assert report == dict_report and dict_report == report
+    assert repr(report) == repr(dict_report)
+    assert [c.name for c in view.values()] == monitored
+    assert view[monitored[0]] is view[monitored[0]]
+    assert view.get("no such component") is None
+    with pytest.raises(KeyError):
+        view["no such component"]
+    with pytest.raises(TypeError):
+        view[monitored[0]] = dict_report.components[monitored[0]]
+    with pytest.raises(TypeError):
+        del view[monitored[0]]
+
+    scalar = estimate(specs[3].replace(backend="compiled")).report
+    assert _as_scalar_report(report, scalar) == scalar
+    assert scalar == _as_scalar_report(report, scalar)
+    replaced = dataclasses.replace(report, design="renamed")
+    assert replaced.components == dict_report.components
+    assert replaced == dataclasses.replace(dict_report, design="renamed")
+    for restored in (pickle.loads(pickle.dumps(report)),
+                     pickle.loads(pickle.dumps(results[2].report))):
+        assert isinstance(restored.components, LaneComponents)
+    assert pickle.loads(pickle.dumps(report)) == dict_report
+    assert pickle.loads(pickle.dumps(results[2])) == results[2]
+
+    assert report.table() == dict_report.table()
+    assert report.top_consumers(5) == dict_report.top_consumers(5)
+    assert report.energy_by_type() == dict_report.energy_by_type()
+    for sort_keys in (False, True):
+        assert json.dumps(report.to_dict(), sort_keys=sort_keys) == json.dumps(
+            dict_report.to_dict(), sort_keys=sort_keys)
+    for component in view.values():
+        assert list(component.to_dict().items()) == list(
+            dataclasses.asdict(component).items())

@@ -78,6 +78,16 @@ def test_gauge_and_histogram():
         histogram.observe(value)
     assert histogram.count() == 3
     assert histogram.sum() == pytest.approx(5.55)
+    # observe_many adds in order under one key: buckets, sum and count equal
+    # one observe per value, including a value no bucket takes
+    values = (0.05, 0.5, 5.0, 0.1, float("nan"), 1e-17)
+    one_by_one = MetricsRegistry().histogram("lat", "", buckets=(0.1, 1.0))
+    for value in values:
+        one_by_one.observe(value, engine="rtl")
+    batched = MetricsRegistry().histogram("lat", "", buckets=(0.1, 1.0))
+    batched.observe_many(values, engine="rtl")
+    assert batched.render() == one_by_one.render()
+    assert batched.count(engine="rtl") == len(values)
 
 
 def test_kind_clash_and_name_validation():
