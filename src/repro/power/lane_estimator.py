@@ -200,6 +200,10 @@ class BatchRTLPowerEstimator:
         if len(keep) != n_lanes:
             raise ValueError(
                 f"keep_cycle_trace has {len(keep)} flags for {n_lanes} lanes")
+        configs = list(profile) if isinstance(profile, (list, tuple)) else [profile] * n_lanes
+        if len(configs) != n_lanes:
+            raise ValueError(
+                f"profile has {len(configs)} configs for {n_lanes} lanes")
         start = time.perf_counter()
         with obs.span("lanes.build", module=self.module.name, n_lanes=n_lanes):
             simulator = BatchSimulator(
@@ -232,7 +236,6 @@ class BatchRTLPowerEstimator:
         # one collector per distinct resolved window, each lane's resolved
         # against its own budget as a scalar run would; all see the same
         # running totals
-        configs = list(profile) if isinstance(profile, (list, tuple)) else [profile] * n_lanes
         collectors: Dict[tuple, WindowedEnergyCollector] = {}
         lanes_of: Dict[tuple, List[int]] = {}
         for lane, (config, limit) in enumerate(zip(configs, limits)):

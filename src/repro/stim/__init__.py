@@ -14,7 +14,9 @@ trippable descriptions instead of hand-written testbench classes:
 * :mod:`repro.stim.compile` — lowering into chunked
   ``(n_cycles, n_ports, n_lanes)`` NumPy stimulus tensors
   (:func:`compile_stimulus` / :class:`CompiledStimulus`), one stream per
-  port over the lane block, chunk-invariant and independent per (seed, port),
+  port over the lane block, chunk-invariant and independent per (seed, port);
+  one lane-vectorised PCG64 draws every lane's values as array code, equal
+  bit for bit to a NumPy generator per lane,
 * :mod:`repro.stim.driver` — :class:`BatchStimulusDriver`, feeding those
   tensors straight into :class:`~repro.sim.batch.BatchSimulator`'s lane
   store (no per-lane Python drive loop),

@@ -60,7 +60,8 @@ class PortSpec:
     kind = "abstract"
 
     def to_dict(self) -> Dict[str, object]:
-        payload = dataclasses.asdict(self)
+        # a shallow copy: every field is an immutable scalar or a tuple of them
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         payload["kind"] = self.kind
         return payload
 

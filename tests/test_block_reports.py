@@ -22,6 +22,7 @@ from repro.api import EstimateResult, RunSpec, estimate
 from repro.api.estimators import RTLEstimatorAdapter
 from repro.designs.registry import build_flat, get
 from repro.power.lane_estimator import BatchRTLPowerEstimator
+from repro.power.profile import ProfileConfig
 from repro.power.report import LaneComponents, PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY
@@ -93,6 +94,17 @@ def test_estimate_all_builds_traces_only_for_lanes_that_keep_them():
     assert [len(report.cycle_energy_fj) for report in reports] == [0, 8, 0]
     with pytest.raises(ValueError, match="2 flags for 3 lanes"):
         estimator.estimate_all(testbenches, max_cycles=8, keep_cycle_trace=[True, False])
+
+
+def test_estimate_all_checks_the_per_lane_profile_count():
+    estimator = BatchRTLPowerEstimator(build_flat("HVPeakF"), kernel_backend="off")
+    testbenches = [get("HVPeakF").make_testbench(seed) for seed in range(3)]
+    config = ProfileConfig(window_cycles=4)
+    for profile in ([config, None], [config] * 4):
+        with pytest.raises(ValueError, match=f"{len(profile)} configs for 3 lanes"):
+            estimator.estimate_all(testbenches, max_cycles=8, profile=profile)
+    estimator.estimate_all(testbenches, max_cycles=8, profile=[None, config, None])
+    assert [p is not None for p in estimator.last_profiles] == [False, True, False]
 
 
 def test_block_results_own_their_objects():

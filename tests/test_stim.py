@@ -12,6 +12,7 @@ the deprecation note of the ``python -m repro.bench.fig3`` shim.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunSpec, SweepSpec, estimate, sweep
 from repro.api.cli import main, parse_seed_list
@@ -44,6 +47,7 @@ from repro.stim import (
     parse_stimulus,
     replay_from_vcd,
 )
+from repro.stim.spec import port_spec_from_dict
 
 
 def _compound_spec(n_cycles=32, seed=3) -> StimulusSpec:
@@ -74,6 +78,38 @@ def test_stimulus_spec_json_round_trip():
     assert StimulusSpec.from_json(spec.to_json()) == spec
     # and through plain JSON text (tuples become lists and come back)
     assert StimulusSpec.from_dict(json.loads(spec.to_json())) == spec
+
+
+def _asdict_payload(spec):
+    """The deep-copied ``dataclasses.asdict`` payload form port specs had."""
+    if isinstance(spec, MixtureSpec):
+        return {
+            "kind": spec.kind,
+            "hold": spec.hold,
+            "components": [[w, _asdict_payload(c)] for w, c in spec.components],
+        }
+    return {**dataclasses.asdict(spec), "kind": spec.kind}
+
+
+def test_port_spec_payloads_equal_the_asdict_form():
+    """``to_dict`` builds a shallow field dict; it must stay ``==`` to the
+    deep-copied form for every kind (nested mixtures and replays included),
+    key order and JSON text too, and round-trip through JSON."""
+    specs = [spec for _, spec in _GOLDEN_SPEC.ports] + [_compound_spec().default]
+    assert {type(spec) for spec in specs} == {
+        UniformSpec, ConstantSpec, BurstSpec, MarkovSpec, MixtureSpec, ReplaySpec}
+    for spec in specs:
+        payload, reference = spec.to_dict(), _asdict_payload(spec)
+        assert payload == reference
+        assert list(payload) == list(reference)
+        assert json.dumps(payload) == json.dumps(reference)
+        assert port_spec_from_dict(json.loads(json.dumps(payload))) == spec
+    # the stimulus payload (what every RunSpec payload carries) is unchanged
+    stimulus = _GOLDEN_SPEC.to_dict()
+    assert stimulus["ports"] == [[n, _asdict_payload(s)] for n, s in _GOLDEN_SPEC.ports]
+    assert StimulusSpec.from_dict(json.loads(json.dumps(stimulus))) == _GOLDEN_SPEC
+    run = RunSpec(design="HVPeakF", stimulus=_GOLDEN_SPEC)
+    assert RunSpec.from_json(run.to_json()) == run
 
 
 def test_stimulus_spec_validation():
@@ -193,23 +229,24 @@ def test_compiled_stimulus_restarts():
 
 def test_constant_ports_build_no_generator(monkeypatch):
     from repro.stim import compile as stim_compile
+    from repro.stim.spec import port_entropy
 
     spec = StimulusSpec(n_cycles=12, ports={"a": ConstantSpec(5), "b": ConstantSpec(9)},
                         default=None)
     widths = {"a": 8, "b": 4}
     reference = CompiledStimulus(spec, widths, [0, 7]).tensor()
     built = []
-    real = stim_compile._stream_rng
-    monkeypatch.setattr(stim_compile, "_stream_rng",
-                        lambda entropy: built.append(entropy) or real(entropy))
+    real = stim_compile._LanePCG64
+    monkeypatch.setattr(stim_compile, "_LanePCG64",
+                        lambda seeds, key: built.append((key, list(seeds))) or real(seeds, key))
     tensor = CompiledStimulus(spec, widths, [0, 7], chunk_cycles=5).tensor()
     assert built == []
     assert _as_ints(tensor) == _as_ints(reference)
     assert _as_ints(tensor[:, 1, :]) == [9] * 24
-    # a drawing port seeds its generator on first draw, once per lane
+    # a drawing port seeds its lane block's generator on first draw, once
     drawn = spec.replace(ports={"a": ConstantSpec(5), "b": UniformSpec()})
     CompiledStimulus(drawn, widths, [0, 7]).tensor()
-    assert len(built) == 2
+    assert built == [((port_entropy("b"),), [0, 7])]
 
 
 #: every port kind and shape a stream can take: burst with a phase, a nested
@@ -319,9 +356,9 @@ def test_markov_packed_bits_match_per_bit_chains():
     tensor = compiled.tensor()
     for p, (name, width) in enumerate(zip(compiled.port_names, compiled.port_widths)):
         for lane, seed in enumerate(seeds):
-            rng = stim_compile._stream_rng(
+            rng = np.random.default_rng(np.random.SeedSequence(
                 (stim_compile._STIM_SALT, seed % 2**64, port_entropy(name))
-            )
+            ))
             bits = [(markov.init >> b) & 1 for b in range(width)]
             expected = []
             for row in rng.random((spec.n_cycles, width)):
@@ -331,6 +368,78 @@ def test_markov_packed_bits_match_per_bit_chains():
                 ]
                 expected.append(sum(bit << b for b, bit in enumerate(bits)))
             assert _as_ints(tensor[:, p, lane]) == expected, (name, seed)
+
+
+@pytest.mark.parametrize("p01, p10", [
+    (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (2**-53, 1 - 2**-53), (1e-300, 0.5),
+])
+def test_markov_thresholds_match_float_comparisons(p01, p10):
+    """Markov compares integer draws with ``ceil(p * 2**53)``; at the
+    probability extremes that must equal ``u >= p10`` / ``u < p01``."""
+    from repro.stim import compile as stim_compile
+    from repro.stim.spec import port_entropy
+
+    markov = MarkovSpec(p01=p01, p10=p10, init=0x5A)
+    spec = StimulusSpec(n_cycles=9, seed=0, default=markov)
+    tensor = CompiledStimulus(spec, {"a": 8}, [0, 5]).tensor()
+    for lane, seed in enumerate([0, 5]):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (stim_compile._STIM_SALT, seed, port_entropy("a"))))
+        bits = [(markov.init >> b) & 1 for b in range(8)]
+        expected = []
+        for row in rng.random((9, 8)):
+            bits = [int(u >= p10) if bit else int(u < p01) for bit, u in zip(bits, row)]
+            expected.append(sum(bit << b for b, bit in enumerate(bits)))
+        assert _as_ints(tensor[:, 0, lane]) == expected
+
+
+_ENTROPY_SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(-(2**63), -1)
+)
+_DRAWS = st.one_of(
+    st.tuples(st.just("integers"), st.integers(0, 45), st.integers(1, 60)),
+    st.tuples(st.just("words"), st.integers(0, 45), st.just(32)),
+    st.tuples(st.just("random"), st.integers(0, 45), st.just(53)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(_ENTROPY_SEEDS, min_size=1, max_size=9),
+    key=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    rows=st.integers(1, 40),
+    draws=st.lists(_DRAWS, min_size=1, max_size=8),
+)
+def test_lane_pcg64_matches_numpy_generator(seeds, key, rows, draws):
+    """The lane generator equals one ``np.random.Generator`` per lane, over
+    3- to 6-word entropies (negative seeds taken mod 2**64, seeds past 2**32
+    mixed with narrow ones in one block), every integer width up to 60, the
+    32-bit words of wide ports and doubles, with odd-length calls carrying
+    the buffered 32-bit half across calls and windows of any size.  Values
+    follow NumPy's generator algorithm, which NEP 19 does not freeze: a
+    NumPy upgrade that changes it fails here (and in the golden digests)."""
+    from repro.stim import compile as stim_compile
+
+    key = tuple(key)
+    lanes = np.array([seed % 2**64 for seed in seeds], dtype=np.uint64)
+    generator = stim_compile._LanePCG64(lanes, key)
+    generator.rows = rows
+    references = [
+        np.random.default_rng(np.random.SeedSequence(
+            (stim_compile._STIM_SALT, seed % 2**64) + key))
+        for seed in seeds
+    ]
+    for kind, n, width in draws:
+        if kind == "random":
+            got = generator.random(n)
+            expected = [rng.random(n) for rng in references]
+        else:
+            got = (generator.next32(n) if kind == "words"
+                   else generator.integers(n, width)).astype(np.int64)
+            expected = [rng.integers(0, 1 << width, size=n, dtype=np.int64)
+                        for rng in references]
+        assert got.shape == (len(seeds), n)
+        assert np.array_equal(got, np.array(expected).reshape(len(seeds), n)), kind
 
 
 def test_burst_and_replay_stream_shapes():
