@@ -317,27 +317,29 @@ class _LanePCG64:
         """The next ``n`` 32-bit outputs, ``(n_lanes, n)`` ``uint32``: each
         64-bit output's low half, then its high half, which a call that
         ends between the two holds over to the next."""
-        out = np.empty((self.n_lanes, n), dtype=_U32)
-        done = 0
-        if n and self._held is not None:
-            out[:, 0] = self._held
+        held = self._held if n else None
+        if held is not None:
             self._held = None
-            done = 1
-        if done < n:
-            raw = self.next64((n - done + 1) // 2)
-            halves = raw.astype("<u8", copy=False).view("<u4")  # low, high, ...
-            out[:, done:] = halves[:, :n - done]
-            if (n - done) % 2:
-                self._held = halves[:, -1].copy()
-        return out
+            n -= 1
+        raw = self.next64((n + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")  # low, high, ...
+        if n % 2:
+            self._held = halves[:, -1].copy()
+        if held is None:
+            return halves[:, :n]
+        return np.concatenate([held[:, np.newaxis], halves[:, :n]], axis=1)
 
     def integers(self, n: int, width: int) -> np.ndarray:
         """``integers(0, 2**width, size=n)`` per lane (``width <= 60``): a
         power-of-two range never rejects, so each value is the top ``width``
         bits of one 32-bit output (``width <= 32``) or 64-bit output."""
         if width <= 32:
-            return self.next32(n) >> _U32(32 - width)
-        return self.next64(n) >> _U64(64 - width)
+            values = self.next32(n)
+            values >>= _U32(32 - width)
+        else:
+            values = self.next64(n)
+            values >>= _U64(64 - width)
+        return values
 
     def random(self, n: int) -> np.ndarray:
         """``random(n)`` per lane: ``(x >> 11) * 2**-53``."""
