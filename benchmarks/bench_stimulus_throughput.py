@@ -5,8 +5,9 @@ lane-sweep speedup at low lane counts: every cycle it calls ``drive()`` once
 per lane, walks the returned dict, masks and writes each value — ``O(n_lanes
 × n_ports)`` interpreter work before any simulation happens.  Spec-backed
 testbenches compile into chunked lane tensors instead
-(:mod:`repro.stim.compile`) and the lane power estimator writes them as one
-NumPy row per port per cycle, independent of lane count.
+(:mod:`repro.stim.compile`), which the lane power estimator hands to a
+native kernel's ``run`` entry point a segment at a time (on the ``off``
+backend, one store write per cycle), independent of lane count.
 
 This harness runs the *same* :class:`~repro.stim.testbench.SpecTestbench`
 set through :class:`~repro.power.lane_estimator.BatchRTLPowerEstimator`
@@ -17,8 +18,9 @@ driver wins at *low* lane counts (≤ 32 lanes), where the old loop's
 per-lane overhead used to be amortized worst.
 
 It also times stimulus generation alone: ``CompiledStimulus(...).tensor()``
-at 256 lanes for each port kind, driving every input of the design, reported
-as ``<kind>_lane_cycles_per_s``.
+at 256 lanes for each port kind, driving every input of the design, repeated
+for at least :data:`KIND_MIN_S` and reported as the mean
+``<kind>_lane_cycles_per_s``.
 
 Writes ``benchmarks/results/stimulus_throughput.txt`` and the repo-root
 ``BENCH_stimulus.json`` trajectory artifact.  ``REPRO_BENCH_STIM_CYCLES``
@@ -54,6 +56,8 @@ DESIGN = "HVPeakF"
 LANE_COUNTS = (8, 16, 32)
 KIND_LANES = 256
 KIND_CYCLES = 256
+#: seconds each kind's generation rate is measured over
+KIND_MIN_S = 0.3
 KINDS = {
     "uniform": UniformSpec(),
     "constant": ConstantSpec(1),
@@ -85,19 +89,24 @@ def _time_path(estimator, spec, n_lanes, use_array_driver):
 
 
 def _kind_rates():
-    """Lane-cycles/s of generating each kind's full stimulus tensor (best of 3)."""
+    """Lane-cycles/s of generating each kind's full stimulus tensor.
+
+    Calls take 0.2-5 ms, so each kind repeats its call until
+    :data:`KIND_MIN_S` has passed and reports the mean rate over them: a
+    best of a few single calls swung 2-4x between runs for the fastest kinds.
+    """
     ports = build_flat(DESIGN).ports
     widths = {name: port.width for name, port in ports.items() if port.is_input}
     rates = {}
     for kind, port_spec in KINDS.items():
         spec = StimulusSpec(n_cycles=KIND_CYCLES, default=port_spec)
         seeds = range(KIND_LANES)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
+        CompiledStimulus(spec, widths, seeds).tensor()  # warm the kind's code
+        calls, start = 0, time.perf_counter()
+        while calls < 3 or time.perf_counter() - start < KIND_MIN_S:
             CompiledStimulus(spec, widths, seeds).tensor()
-            best = min(best, time.perf_counter() - start)
-        rates[kind] = KIND_LANES * KIND_CYCLES / best
+            calls += 1
+        rates[kind] = calls * KIND_LANES * KIND_CYCLES / (time.perf_counter() - start)
     return rates
 
 

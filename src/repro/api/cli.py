@@ -92,7 +92,7 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel-threads", type=_parse_kernel_threads,
                         default=None, metavar="N",
                         help="native-kernel worker threads across lane blocks "
-                             "(an integer, or 'auto' = min(cpus, lanes/128); "
+                             "(an integer, or 'auto' = 1; "
                              "default: the REPRO_KERNEL_THREADS env or auto; "
                              "any count is bit-identical)")
     parser.add_argument("--stimulus", default=None, metavar="SPEC",

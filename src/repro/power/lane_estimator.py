@@ -28,6 +28,17 @@ that finish early, or reach their cycle budget, are masked out of the
 energy accumulation, so each lane's report is identical to what a scalar
 run of the same testbench would produce — lane count changes speed, never
 results.
+
+The host leaves the cycle loop where it can see that nothing in it needs
+Python: an array-driver block on a native kernel with no generic
+component.  Every lane of such a block stops at its budget or the spec's
+last cycle, known up front, so the estimator hands the kernel's ``run``
+entry point one segment of stimulus rows per call — up to the chunk end,
+the next profile-window boundary or the end of the cycle-trace buffer —
+and the kernel drives, settles, observes and clocks each lane block to the
+segment's end (:meth:`~repro.power.block.NativeEvaluator.run`).  Its wall
+time is ``phase_s["run_s"]``.  The ``off`` backend, registry testbenches
+and generic components keep the per-cycle loop.
 """
 
 from __future__ import annotations
@@ -40,13 +51,14 @@ import numpy as np
 from repro import obs
 from repro.netlist.module import Module
 from repro.power.library import PowerModelLibrary
-from repro.power.block import BlockEvaluator, NativeEvaluator
+from repro.power.block import BlockEvaluator, NativeEvaluator, observe_plan
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
 from repro.power.report import PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.batch import LIMB_BITS, BatchSimulator
 from repro.sim.testbench import Testbench, lane_form
+from repro.stim.driver import BatchStimulusDriver
 
 
 class _MacromodelObserver:
@@ -64,7 +76,8 @@ class _MacromodelObserver:
 
     def __init__(self, monitored, simulator: BatchSimulator,
                  keep_cycle_trace: bool = True, collectors=()) -> None:
-        block = BlockEvaluator(monitored, simulator.n_lanes, keep_cycle_trace, collectors)
+        block = BlockEvaluator(monitored, simulator.n_lanes, keep_cycle_trace, collectors,
+                               plan=observe_plan(simulator.module, monitored))
         program = simulator.program
         slot_of, limbs_of = program.slot_of, program.limbs_of
         rows = np.asarray([slot_of[net] for net in block.nets], dtype=np.intp)
@@ -259,43 +272,65 @@ class BatchRTLPowerEstimator:
 
         # one span for the whole loop — never per cycle; the observer's and
         # the lane form's shares are accumulated with clock reads per cycle
+        fused = (observer.evaluator == "native" and not observer._generic
+                 and isinstance(lanes, BatchStimulusDriver))
         sim_span = obs.span(
             "lanes.simulate", module=self.module.name, n_lanes=n_lanes,
-            macromodel_eval=observer.evaluator)
-        macromodel_s = 0.0
+            macromodel_eval=observer.evaluator, fused=fused)
+        macromodel_s = run_s = 0.0
         clock = time.perf_counter
-        while active.any():
-            cycle = simulator.cycle
-            t0 = clock()
-            lanes.drive(cycle, active)
-            t1 = clock()
-            simulator.settle()
-            # observe: gather the monitored values; the block evaluator
-            # turns them into energies every block_cycles cycles
-            t2 = clock()
-            observer.observe(v, active.astype(np.float64))
-            t3 = clock()
-            finishing = active & lanes.check(cycle, active)
-            t4 = clock()
-            testbench_s += (t1 - t0) + (t4 - t3)
-            macromodel_s += t3 - t2
-            simulator.clock_edge()
-            simulator.cycle += 1
-            stop[finishing] = cycle + 1
-            active = stop > simulator.cycle
+        block = observer.block
+        if fused:
+            # run to completion: every lane finishes with the spec's last
+            # cycle, so its stop is known up front, and each segment of
+            # stimulus rows is one kernel call that drives, settles,
+            # observes and clocks every lane block
+            np.minimum(stop, lanes.n_cycles, out=stop)
+            end = int(stop.max())
+            while simulator.cycle < end:
+                t0 = clock()
+                rows = lanes.rows_at(simulator.cycle)[:end - simulator.cycle]
+                t1 = clock()
+                simulator.cycle += block.run(
+                    v, rows, lanes.slots, stop, simulator.kernel_threads)
+                testbench_s += t1 - t0
+                run_s += clock() - t1
+        else:
+            while active.any():
+                cycle = simulator.cycle
+                t0 = clock()
+                lanes.drive(cycle, active)
+                t1 = clock()
+                simulator.settle()
+                # observe: gather the monitored values; the block evaluator
+                # turns them into energies every block_cycles cycles
+                t2 = clock()
+                observer.observe(v, active.astype(np.float64))
+                t3 = clock()
+                finishing = active & lanes.check(cycle, active)
+                t4 = clock()
+                testbench_s += (t1 - t0) + (t4 - t3)
+                macromodel_s += t3 - t2
+                simulator.clock_edge()
+                simulator.cycle += 1
+                stop[finishing] = cycle + 1
+                active = stop > simulator.cycle
         t_close = clock()
         lanes.close()
         testbench_s += clock() - t_close
 
-        simulator.settle()
+        if not fused:
+            # testbenches bound to lane views may read the outputs later; an
+            # array driver keeps no view, so the fused run leaves it out
+            simulator.settle()
         t_observe = clock()
-        block = observer.block
         block.flush()
         macromodel_s += clock() - t_observe
         elapsed = clock() - start
         sim_span.set(cycles=simulator.cycle,
                      macromodel_eval_s=round(macromodel_s, 6),
-                     testbench_s=round(testbench_s, 6))
+                     testbench_s=round(testbench_s, 6),
+                     run_s=round(run_s, 6))
         sim_span.end()
         self.last_phase_s = {
             "lane_build_s": build_s,
@@ -303,6 +338,8 @@ class BatchRTLPowerEstimator:
             "macromodel_eval_s": macromodel_s,
             "testbench_s": testbench_s,
         }
+        if fused:
+            self.last_phase_s["run_s"] = run_s
         lane_cycles = stop.tolist()
         self.last_profiles = [None] * n_lanes if collectors else None
         for key, collector in collectors.items():

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.netlist.components import Component
 from repro.netlist.module import Module
-from repro.power.block import BlockEvaluator
+from repro.power.block import BlockEvaluator, observe_plan
 from repro.power.library import PowerModelLibrary, build_seed_library
 from repro.power.macromodel import PowerMacromodel
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
@@ -48,6 +48,7 @@ class _MacromodelObserver(SimulationObserver):
         self.block = BlockEvaluator(
             estimator.monitored, keep_cycle_trace=keep_cycle_trace,
             collectors=() if collector is None else (collector,),
+            plan=observe_plan(estimator.module, estimator.monitored),
         )
         self._gather = simulator.net_getter(self.block.nets)
         self._previous_io: Dict[Component, Dict[str, int]] = {}

@@ -1192,9 +1192,7 @@ class BatchSimulator:
                 # lane blocks fan out over the kernel's OpenMP/pthread pool;
                 # any count is bit-identical.  The kernel is shared by every
                 # simulator of this program, so each call passes this count.
-                self.kernel_threads = kernels.resolve_kernel_threads(
-                    kernel_threads, n_lanes
-                )
+                self.kernel_threads = kernels.resolve_kernel_threads(kernel_threads)
         self.cycle = 0
         self._v = np.zeros((self.program.n_slots, n_lanes), dtype=np.int64)
         slot_of = self.program.slot_of

@@ -103,24 +103,22 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_kernel_threads(
-    requested: Optional[Union[int, str]] = None,
-    n_lanes: Optional[int] = None,
-) -> int:
+def resolve_kernel_threads(requested: Optional[Union[int, str]] = None) -> int:
     """Validate and default the kernel worker count.
 
     ``None`` reads ``REPRO_KERNEL_THREADS`` (defaulting to ``auto``).
-    ``"auto"`` means ``min(cpus, n_lanes // BLOCK_LANES)`` clamped to at
-    least 1 — one worker per 128-lane block, never more than the process may
-    run on (:func:`usable_cpu_count`).  Lane blocks are independent, so any
-    resolved count is bit-identical to single-threaded execution.
+    ``"auto"`` means one worker, whatever the lane count: on a 2-vCPU host a
+    second worker was slower than one on the per-cycle path at 256 and 512
+    lanes (HVPeakF, Vld, DCT) and at 1024 lanes on HVPeakF and DCT, and on
+    the fused ``run`` path at 256 lanes (``BENCH_kernel_scaling.json``).
+    An explicit count fans the lane blocks out over that many workers.  Lane blocks are independent, so any
+    count is bit-identical to single-threaded execution.
     """
     if requested is None:
         requested = os.environ.get(KERNEL_THREADS_ENV, "").strip() or "auto"
     if isinstance(requested, str):
         if requested == "auto":
-            blocks = max(1, (n_lanes or 0) // BLOCK_LANES)
-            return min(usable_cpu_count(), blocks)
+            return 1
         try:
             requested = int(requested)
         except ValueError:

@@ -18,25 +18,38 @@ eliminating all per-op interpreter dispatch.
 Lane blocks are also the multi-core unit: blocks touch disjoint lanes of
 every row, state array and memory column, so splitting them across threads
 cannot reorder or race any lane's arithmetic — results are bit-identical to
-single-threaded execution by construction.  Each generated entry point takes
-a thread count ``nt`` and fans blocks out over OpenMP (when the compiler
-accepts ``-fopenmp``) or a persistent hand-rolled pthread pool baked into the
+single-threaded execution by construction.  Each phase is printed once, as a
+``<phase>_block`` function over one block; the exported entry points take a
+thread count ``nt`` and hand a block function to one shared ``dispatch``,
+which fans the blocks out over OpenMP (when the compiler accepts
+``-fopenmp``) or a persistent hand-rolled pthread pool baked into the
 generated C (when only ``-pthread`` works); with neither, ``nt`` is ignored
-and the strip-mine runs serially.  Every thread gets its own scratch slice,
+and the strip-mine runs serially.  Every thread gets its own scratch stripe,
 and cffi releases the GIL around the call, so Python-side work can overlap.
 ``REPRO_KERNEL_THREADING`` forces a tier (``omp``/``pthread``/``serial``)
 for tests and triage.
 
-Every translation unit also carries one fixed, design-independent entry
-point, ``observe``: one cycle of the linear power macromodels over every
-lane, read straight from the value store as the kernel's element type and
-driven by an ``observe_plan`` struct of flat arrays taken from
-:meth:`repro.power.block.BlockEvaluator.flat_plan`
-(:class:`~repro.power.block.NativeEvaluator` fills it in).  It compiles in
-the same compiler call as the phases, so power evaluation adds no compiler
-process, and it runs serially: it performs the block evaluator's float
-operations in the block evaluator's order (see :mod:`repro.power.block`),
-so its doubles are identical to the NumPy path's.
+Every translation unit also carries fixed, design-independent entry points:
+
+* ``observe`` — one cycle of the linear power macromodels over every lane
+  (``observe_block`` per lane block), read straight from the value store as
+  the kernel's element type and driven by an ``observe_plan`` struct of
+  flat arrays taken from :meth:`repro.power.block.ObservePlan.flat`
+  (:class:`~repro.power.block.NativeEvaluator` fills it in).  It runs
+  serially and performs the block evaluator's float operations in the block
+  evaluator's order (see :mod:`repro.power.block`), so its doubles are
+  identical to the NumPy path's.
+* ``run`` (lane programs, which have a clock edge) — a whole segment of
+  cycles of a stimulus chunk, run to completion block by block: per cycle
+  it copies the chunk's rows into the input slots, calls ``settle_block``,
+  sets the block's 0/1 lane mask from the lanes' stop cycles, calls
+  ``observe_block`` and ``clock_edge_block``.  Each lane sees the per-cycle
+  loop's operations in its order, so every thread count gives that loop's
+  results, and the host makes one call per segment instead of several per
+  cycle.
+
+They compile in the same compiler call as the phases, so power evaluation
+adds no compiler process.
 
 Correctness notes:
 
@@ -252,20 +265,24 @@ def scratch_rows(ir: KernelIR) -> int:
     return rows
 
 
-#: per-.so scaffolding shared by every generated kernel: the pthread-pool
-#: tier parks persistent workers on a condvar; the per-call arguments are
-#: broadcast under the pool lock and each participant runs a static stripe of
-#: lane blocks (block b -> thread b % nt), so block assignment — and thus the
-#: result, since blocks touch disjoint lanes — is deterministic
+#: per-.so scaffolding shared by every generated kernel: ``dispatch`` runs
+#: one lane-block function over every block of the store, serially, over
+#: OpenMP or over the pthread pool.  A block function gets its worker's id
+#: (to pick its scratch stripes) and an opaque argument pointer (``run``'s
+#: arguments; NULL for the phases).  The pthread-pool tier parks persistent
+#: workers on a condvar; the per-call arguments are broadcast under the pool
+#: lock and each participant runs a static stripe of lane blocks (block b ->
+#: thread b % nt), so block assignment — and thus the result, since blocks
+#: touch disjoint lanes — is deterministic
 _RUNTIME_PREAMBLE = """\
 #if defined(REPRO_KERNEL_OMP)
 #include <omp.h>
 #endif
+typedef void (*block_fn)(elem *restrict, i64 *const *, i64 *const *,
+                         i64 *restrict, i64, i64, i64, const void *);
 #if defined(REPRO_KERNEL_PTHREADS)
 #include <pthread.h>
 #include <stdint.h>
-typedef void (*block_fn)(elem *restrict, i64 *const *, i64 *const *,
-                         i64 *restrict, i64, i64);
 static pthread_mutex_t pool_lock = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t pool_work_cv = PTHREAD_COND_INITIALIZER;
 static pthread_cond_t pool_done_cv = PTHREAD_COND_INITIALIZER;
@@ -276,14 +293,16 @@ static i64 *const *pool_S;
 static i64 *const *pool_M;
 static i64 *pool_W;
 static i64 pool_L, pool_nt;
+static const void *pool_args;
 
 static void pool_span(block_fn fn, elem *restrict v, i64 *const *S,
-                      i64 *const *M, i64 *restrict W, i64 L, i64 nt, i64 tid)
+                      i64 *const *M, i64 *restrict W, i64 L, i64 nt, i64 tid,
+                      const void *args)
 {
     const i64 nblocks = (L + B - 1) / B;
     i64 *restrict Wt = W + tid * (i64)SCRATCH_ROWS * B;
     for (i64 b = tid; b < nblocks; b += nt)
-        fn(v, S, M, Wt, L, b * B);
+        fn(v, S, M, Wt, L, b * B, tid, args);
 }
 
 static void *pool_worker(void *arg)
@@ -302,9 +321,10 @@ static void *pool_worker(void *arg)
             i64 *const *M = pool_M;
             i64 *W = pool_W;
             i64 L = pool_L, nt = pool_nt;
+            const void *args = pool_args;
             pthread_mutex_unlock(&pool_lock);
             if (tid < nt)
-                pool_span(fn, v, S, M, W, L, nt, tid);
+                pool_span(fn, v, S, M, W, L, nt, tid, args);
         }
         pthread_mutex_lock(&pool_lock);
         if (--pool_pending == 0)
@@ -330,7 +350,8 @@ static pthread_once_t pool_fork_once = PTHREAD_ONCE_INIT;
 static void pool_register_fork(void) { pthread_atfork(0, 0, pool_child_reset); }
 
 static void pool_run(block_fn fn, elem *restrict v, i64 *const *S,
-                     i64 *const *M, i64 *restrict W, i64 L, i64 nt)
+                     i64 *const *M, i64 *restrict W, i64 L, i64 nt,
+                     const void *args)
 {
     pthread_once(&pool_fork_once, pool_register_fork);
     pthread_mutex_lock(&pool_lock);
@@ -345,13 +366,13 @@ static void pool_run(block_fn fn, elem *restrict v, i64 *const *S,
     if (nt > pool_spawned + 1)
         nt = pool_spawned + 1;  /* thread creation failed: shrink, stay correct */
     pool_fn = fn; pool_v = v; pool_S = S; pool_M = M; pool_W = W;
-    pool_L = L; pool_nt = nt;
+    pool_L = L; pool_nt = nt; pool_args = args;
     pool_pending = pool_spawned;
     pool_generation += 1;
     pthread_cond_broadcast(&pool_work_cv);
     pthread_mutex_unlock(&pool_lock);
 
-    pool_span(fn, v, S, M, W, L, nt, 0);
+    pool_span(fn, v, S, M, W, L, nt, 0, args);
 
     pthread_mutex_lock(&pool_lock);
     while (pool_pending != 0)
@@ -359,9 +380,31 @@ static void pool_run(block_fn fn, elem *restrict v, i64 *const *S,
     pthread_mutex_unlock(&pool_lock);
 }
 #endif
+
+static void dispatch(block_fn fn, elem *restrict v, i64 *const *S,
+                     i64 *const *M, i64 *restrict W, i64 L, i64 nt,
+                     const void *args)
+{
+#if defined(REPRO_KERNEL_OMP)
+    if (nt > 1) {
+        const i64 nblocks = (L + B - 1) / B;
+        #pragma omp parallel for schedule(static) num_threads((int)nt)
+        for (i64 b = 0; b < nblocks; ++b) {
+            const i64 tid = omp_get_thread_num();
+            fn(v, S, M, W + tid * (i64)SCRATCH_ROWS * B, L, b * B, tid, args);
+        }
+        return;
+    }
+#elif defined(REPRO_KERNEL_PTHREADS)
+    if (nt > 1) { pool_run(fn, v, S, M, W, L, nt, args); return; }
+#endif
+    (void)nt;
+    for (i64 l0 = 0; l0 < L; l0 += B)
+        fn(v, S, M, W, L, l0, 0, args);
+}
 """
 
-#: the plan the ``observe`` entry point runs, filled in by
+#: the plan the ``observe`` and ``run`` entry points evaluate, filled in by
 #: :class:`repro.power.block.NativeEvaluator` from the block evaluator's
 #: flat plan; shared verbatim by the C source and the cffi declarations
 _OBSERVE_PLAN = """\
@@ -376,100 +419,179 @@ typedef struct {
     const long long *component_generic; /* per component: generic row or -1 */
     /* lane arrays: each row padded to whole blocks of B lanes */
     const double *generic;              /* (generic rows, lanes) this cycle */
-    const double *mask;                 /* (lanes,) 0/1 active-lane mask */
+    double *mask;                       /* (lanes,) 0/1 active-lane mask */
     long long *previous;                /* (nets, lanes) last cycle's values */
     double *running;                    /* (components, lanes) running totals */
     double *peak;                       /* (lanes,) largest cycle total */
     double *trace;                      /* (rows, lanes) cycle totals or NULL */
-    /* scratch */
-    unsigned long long *toggles;        /* (nets, B) one block's toggles */
-    unsigned long long *toggled;        /* (nets,) their OR over the block */
+    /* scratch, one stripe per worker */
+    unsigned long long *toggles;        /* (workers, nets, B) a block's toggles */
+    unsigned long long *toggled;        /* (workers, nets) their OR over it */
 } observe_plan;
 """
 
 #: design-independent per-cycle macromodel evaluation, part of every kernel
-#: translation unit: one cycle of every linear power macromodel over every
-#: lane, read straight from the value store, in BlockEvaluator.flush's float
-#: order (see :mod:`repro.power.block`).  A chunk whose byte is zero in
-#: every lane of a block is skipped: it would only add ``table[0]``, a zero,
-#: which changes no output.  Padding the plan's lane arrays to whole blocks
-#: gives every loop but the store read a constant trip count, which keeps
-#: the vectorized code, and its compile time, small.  The unit compiles with
-#: -ffp-contract=off: NumPy rounds ``energy * mask`` and its addition
-#: separately, and a fused multiply-add would round them once
+#: translation unit: ``observe_block`` evaluates one cycle of every linear
+#: power macromodel over one lane block, read straight from the value
+#: store, in BlockEvaluator.flush's float order (see
+#: :mod:`repro.power.block`); ``observe`` runs it over every block.  A
+#: chunk whose byte is zero in every lane of a block is skipped: it would
+#: only add ``table[0]``, a zero, which changes no output.  Padding the
+#: plan's lane arrays to whole blocks gives every loop but the store read a
+#: constant trip count, which keeps the vectorized code, and its compile
+#: time, small.  The unit compiles with -ffp-contract=off: NumPy rounds
+#: ``energy * mask`` and its addition separately, and a fused multiply-add
+#: would round them once
 _OBSERVE_RUNTIME = _OBSERVE_PLAN + """
-void observe(const elem *restrict v, observe_plan *p)
+static void observe_block(const elem *restrict v, const observe_plan *p,
+                          i64 l0, i64 cycle, i64 trace_row,
+                          unsigned long long *restrict toggles,
+                          unsigned long long *restrict toggled)
 {
     const i64 L = p->n_lanes, P = (L + B - 1) / B * B;
-    const int first = p->cycles == 0;
+    const i64 nb = (L - l0) < B ? (L - l0) : B;
+    const int first = cycle == 0;
     double energy[B], total[B];
-    for (i64 l0 = 0; l0 < L; l0 += B) {
-        const i64 nb = (L - l0) < B ? (L - l0) : B;
-        for (i64 n = 0; n < p->n_nets; ++n) {
-            const elem *restrict now = v + p->net_slot[n] * L + l0;
-            i64 *restrict last = p->previous + n * P + l0;
-            unsigned long long *restrict t = p->toggles + n * B;
-            unsigned long long toggled = 0;
-            for (i64 i = 0; i < nb; ++i) {
-                const i64 value = (i64)now[i];
-                t[i] = first ? 0ULL : (unsigned long long)(value ^ last[i]);
-                toggled |= t[i];
-                last[i] = value;
-            }
-            p->toggled[n] = toggled;
+    for (i64 n = 0; n < p->n_nets; ++n) {
+        const elem *restrict now = v + p->net_slot[n] * L + l0;
+        i64 *restrict last = p->previous + n * P + l0;
+        unsigned long long *restrict t = toggles + n * B;
+        unsigned long long any = 0;
+        for (i64 i = 0; i < nb; ++i) {
+            const i64 value = (i64)now[i];
+            t[i] = first ? 0ULL : (unsigned long long)(value ^ last[i]);
+            any |= t[i];
+            last[i] = value;
         }
-        /* lanes past nb are padding: computed from stale toggles, masked
-           by 0.0 and never read */
-        for (i64 i = 0; i < B; ++i)
-            total[i] = 0.0;
-        for (i64 c = 0; c < p->n_components; ++c) {
-            const i64 g = p->component_generic[c];
-            if (g >= 0) {
-                const double *restrict given = p->generic + g * P + l0;
-                for (i64 i = 0; i < B; ++i)
-                    energy[i] = given[i];
-            } else {
-                /* base, then one table lookup per chunk, in chunk order */
-                const double base = p->component_base[c];
-                for (i64 i = 0; i < B; ++i)
-                    energy[i] = base;
-                for (i64 k = p->component_chunk[c]; k < p->component_chunk[c + 1]; ++k) {
-                    const double *restrict table = p->chunk_table + k * 256;
-                    const i64 net = p->chunk_net[k];
-                    const unsigned long long *restrict t = p->toggles + net * B;
-                    const int shift = (int)p->chunk_shift[k];
-                    if (!((p->toggled[net] >> shift) & 255) && table[0] == 0.0)
-                        continue;  /* every lane would add a zero */
-                    for (i64 i = 0; i < B; ++i)
-                        energy[i] += table[(t[i] >> shift) & 255];
-                }
-            }
-            /* masked, then into the cycle total and the running total */
-            const double *restrict mask = p->mask + l0;
-            double *restrict run = p->running + c * P + l0;
-            for (i64 i = 0; i < B; ++i) {
-                const double e = energy[i] * mask[i];
-                total[i] += e;
-                run[i] += e;
-            }
-        }
-        double *restrict peak = p->peak + l0;
-        for (i64 i = 0; i < B; ++i)  /* NaN propagates, as in np.maximum */
-            peak[i] = (total[i] > peak[i] || total[i] != total[i]) ? total[i] : peak[i];
-        if (p->trace) {
-            double *restrict row = p->trace + p->trace_row * P + l0;
+        toggled[n] = any;
+    }
+    /* lanes past nb are padding: computed from stale toggles, masked by
+       0.0 and never read */
+    for (i64 i = 0; i < B; ++i)
+        total[i] = 0.0;
+    for (i64 c = 0; c < p->n_components; ++c) {
+        const i64 g = p->component_generic[c];
+        if (g >= 0) {
+            const double *restrict given = p->generic + g * P + l0;
             for (i64 i = 0; i < B; ++i)
-                row[i] = total[i];
+                energy[i] = given[i];
+        } else {
+            /* base, then one table lookup per chunk, in chunk order */
+            const double base = p->component_base[c];
+            for (i64 i = 0; i < B; ++i)
+                energy[i] = base;
+            for (i64 k = p->component_chunk[c]; k < p->component_chunk[c + 1]; ++k) {
+                const double *restrict table = p->chunk_table + k * 256;
+                const i64 net = p->chunk_net[k];
+                const unsigned long long *restrict t = toggles + net * B;
+                const int shift = (int)p->chunk_shift[k];
+                if (!((toggled[net] >> shift) & 255) && table[0] == 0.0)
+                    continue;  /* every lane would add a zero */
+                for (i64 i = 0; i < B; ++i)
+                    energy[i] += table[(t[i] >> shift) & 255];
+            }
+        }
+        /* masked, then into the cycle total and the running total */
+        const double *restrict mask = p->mask + l0;
+        double *restrict run = p->running + c * P + l0;
+        for (i64 i = 0; i < B; ++i) {
+            const double e = energy[i] * mask[i];
+            total[i] += e;
+            run[i] += e;
         }
     }
+    double *restrict peak = p->peak + l0;
+    for (i64 i = 0; i < B; ++i)  /* NaN propagates, as in np.maximum */
+        peak[i] = (total[i] > peak[i] || total[i] != total[i]) ? total[i] : peak[i];
+    if (p->trace) {
+        double *restrict row = p->trace + trace_row * P + l0;
+        for (i64 i = 0; i < B; ++i)
+            row[i] = total[i];
+    }
+}
+
+void observe(const elem *restrict v, observe_plan *p)
+{
+    for (i64 l0 = 0; l0 < p->n_lanes; l0 += B)
+        observe_block(v, p, l0, p->cycles, p->trace_row, p->toggles, p->toggled);
     p->cycles += 1;
     if (p->trace)
         p->trace_row += 1;
 }
 """
 
+#: the run-to-completion entry point of every lane-program kernel (one with
+#: a settle and a clock-edge phase): ``n_cycles`` cycles of stimulus rows,
+#: each cycle copied into the input slots, settled, observed under the 0/1
+#: mask ``cycle < stop[lane]`` and clocked, one lane block at a time.  The
+#: order within a lane is the per-cycle loop's (drive, settle, observe,
+#: clock edge), and lane blocks touch disjoint lanes, so every thread count
+#: gives that loop's results
+_RUN_RUNTIME = """
+static void settle_block(elem *restrict, i64 *const *, i64 *const *,
+                         i64 *restrict, i64, i64, i64, const void *);
+static void clock_edge_block(elem *restrict, i64 *const *, i64 *const *,
+                             i64 *restrict, i64, i64, i64, const void *);
+
+typedef struct {
+    observe_plan *p;
+    const long long *rows;  /* (n_cycles, n_rows, lanes) input rows */
+    const long long *slot;  /* (n_rows,) store row each input row goes to */
+    const long long *stop;  /* (lanes,) the cycle each lane stops at */
+    i64 n_rows, n_cycles;
+} run_args;
+
+static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
+                      i64 *restrict W, i64 L, i64 l0, i64 tid, const void *args)
+{
+    const run_args *a = args;
+    observe_plan *p = a->p;
+    const i64 nb = (L - l0) < B ? (L - l0) : B;
+    unsigned long long *toggles = p->toggles + tid * p->n_nets * B;
+    unsigned long long *toggled = p->toggled + tid * p->n_nets;
+    /* not restrict: observe_block reads the mask through the plan */
+    double *mask = p->mask + l0;
+    const long long *stop = a->stop + l0;
+    for (i64 k = 0; k < a->n_cycles; ++k) {
+        const i64 cycle = p->cycles + k;
+        const long long *rows = a->rows + k * a->n_rows * L + l0;
+        for (i64 r = 0; r < a->n_rows; ++r) {
+            elem *restrict to = v + a->slot[r] * L + l0;
+            const long long *restrict from = rows + r * L;
+            for (i64 i = 0; i < nb; ++i)
+                to[i] = (elem)from[i];
+        }
+        settle_block(v, S, M, W, L, l0, tid, 0);
+        for (i64 i = 0; i < nb; ++i)
+            mask[i] = cycle < stop[i] ? 1.0 : 0.0;
+        observe_block(v, p, l0, cycle, p->trace_row + k, toggles, toggled);
+        clock_edge_block(v, S, M, W, L, l0, tid, 0);
+    }
+}
+
+void run(elem *restrict v, i64 *const *S, i64 *const *M, i64 *restrict W,
+         i64 L, i64 nt, observe_plan *p, const long long *rows,
+         const long long *slot, i64 n_rows, i64 n_cycles, const long long *stop)
+{
+    const run_args a = {p, rows, slot, stop, n_rows, n_cycles};
+    dispatch(run_block, v, S, M, W, L, nt, &a);
+    p->cycles += n_cycles;
+    if (p->trace)
+        p->trace_row += n_cycles;
+}
+"""
+
+#: the phases ``run`` drives
+_RUN_PHASES = ("settle", "clock_edge")
+
 #: lines of every translation unit that are not generated statement loops
-_RUNTIME_LINES = len(_RUNTIME_PREAMBLE.splitlines()) + len(_OBSERVE_RUNTIME.splitlines())
+_RUNTIME_LINES = len((_RUNTIME_PREAMBLE + _OBSERVE_RUNTIME).splitlines())
+
+
+def has_run(ir: KernelIR) -> bool:
+    """Whether the kernel of ``ir`` exports ``run``: lane programs do; a
+    settle-only kernel (a gate netlist) has no clock edge to drive."""
+    return all(name in ir.phases for name in _RUN_PHASES)
 
 
 def generate_c_source(ir: KernelIR) -> str:
@@ -482,24 +604,28 @@ def generate_c_source(ir: KernelIR) -> str:
         "",
         _RUNTIME_PREAMBLE + _OBSERVE_RUNTIME,
     ]
+    if has_run(ir):
+        lines.append(_RUN_RUNTIME)
     for index, table in enumerate(ir.tables):
         values = ", ".join(f"{int(value)}LL" for value in table)
         lines.append(f"static const i64 T{index}[{len(table)}] = {{{values}}};")
     if ir.tables:
         lines.append("")
 
-    # one exported function per phase: every statement is printed once
+    # one exported function per phase: every statement is printed once, in
+    # the phase's block function, which the phase entry dispatches over the
+    # lane blocks (and ``run`` calls directly).  noinline keeps the block
+    # body compiled once, however many callers it has
     for name, stmts in ir.phases.items():
-        # one block's worth of the phase: the serial strip-mine, the OpenMP
-        # loop and the pthread stripes all dispatch through this function
         lines.append(
-            f"static void {name}_block(elem *restrict v, i64 *const *S, "
-            f"i64 *const *M, i64 *restrict W, i64 L, i64 l0)"
+            f"__attribute__((noinline)) static void {name}_block("
+            f"elem *restrict v, i64 *const *S, i64 *const *M, i64 *restrict W, "
+            f"i64 L, i64 l0, i64 tid, const void *args)"
         )
         lines.append("{")
         lines.append("    const i64 nb = (L - l0) < B ? (L - l0) : B;")
         lines.extend(f"    {_statement(stmt)}" for stmt in stmts)
-        lines.append("    (void)S; (void)M; (void)W; (void)nb;")
+        lines.append("    (void)S; (void)M; (void)W; (void)nb; (void)tid; (void)args;")
         lines.append("}")
         lines.append("")
         lines.append(
@@ -507,24 +633,7 @@ def generate_c_source(ir: KernelIR) -> str:
             f"i64 *restrict W, i64 L, i64 nt)"
         )
         lines.append("{")
-        lines.append("#if defined(REPRO_KERNEL_OMP)")
-        lines.append("    if (nt > 1) {")
-        lines.append("        const i64 nblocks = (L + B - 1) / B;")
-        lines.append("        #pragma omp parallel for schedule(static) "
-                     "num_threads((int)nt)")
-        lines.append("        for (i64 b = 0; b < nblocks; ++b)")
-        lines.append(
-            f"            {name}_block(v, S, M, W + (i64)omp_get_thread_num() "
-            f"* (i64)SCRATCH_ROWS * B, L, b * B);"
-        )
-        lines.append("        return;")
-        lines.append("    }")
-        lines.append("#elif defined(REPRO_KERNEL_PTHREADS)")
-        lines.append(f"    if (nt > 1) {{ pool_run({name}_block, v, S, M, W, L, nt); return; }}")
-        lines.append("#endif")
-        lines.append("    (void)nt;")
-        lines.append("    for (i64 l0 = 0; l0 < L; l0 += B)")
-        lines.append(f"        {name}_block(v, S, M, W, L, l0);")
+        lines.append(f"    dispatch({name}_block, v, S, M, W, L, nt, 0);")
         lines.append("}")
         lines.append("")
     return "\n".join(lines)
@@ -578,6 +687,8 @@ def _compile_library(source: str, ir: KernelIR):
     # (thread pool scaffolding) does not count against the budget — only the
     # generated statement loops blow up compile time.
     n_kernel_lines = len(source.splitlines()) - _RUNTIME_LINES
+    if has_run(ir):
+        n_kernel_lines -= len(_RUN_RUNTIME.splitlines())
     tune = (
         ["-march=native", "-ftree-vectorize"]
         if n_kernel_lines <= _VECTORIZE_MAX_LINES
@@ -604,6 +715,12 @@ def _compile_library(source: str, ir: KernelIR):
         for name in ir.phases
     ]
     signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
+    if has_run(ir):
+        signatures.append(
+            f"void run({elem} *, long long **, long long **, long long *, "
+            f"long long, long long, observe_plan *, const long long *, "
+            f"const long long *, long long, long long, const long long *);"
+        )
     ffi.cdef("\n".join(signatures))
     lib = ffi.dlopen(so_path)
     _LIB_CACHE[key] = (ffi, lib)
@@ -713,3 +830,24 @@ class NativeKernel:
     def observe(self, v: np.ndarray, plan) -> None:
         """One cycle of the plan's power macromodels over every lane."""
         self._lib.observe(self._v_pointer(v), plan)
+
+    def run(self, v: np.ndarray, plan, rows: np.ndarray, slots: np.ndarray,
+            stop: np.ndarray, n_threads: int = 1) -> None:
+        """``len(rows)`` whole cycles over every lane, in one call.
+
+        Each cycle writes ``rows[k]`` (``(n_rows, lanes)`` int64) into the
+        store rows ``slots``, settles, runs the plan's macromodels with lane
+        ``l`` masked in while ``plan.cycles < stop[l]``, and clocks.  The
+        plan needs one ``toggles``/``toggled`` stripe per worker.
+        """
+        n_rows = len(slots)
+        if (rows.ndim != 3 or rows.shape[1:] != (n_rows, v.shape[1])
+                or stop.shape != (v.shape[1],)):
+            raise ValueError(
+                f"run needs (cycles, {n_rows}, {v.shape[1]}) input rows and "
+                f"({v.shape[1]},) stops, got {rows.shape} and {stop.shape}"
+            )
+        self._lib.run(self._v_pointer(v), self._S, self._M,
+                      self._scratch_for(n_threads), v.shape[1], n_threads, plan,
+                      self.c_array(rows), self.c_array(slots), n_rows, len(rows),
+                      self.c_array(stop))

@@ -658,6 +658,12 @@ class CompiledStimulus:
 
     def values_at(self, cycle: int) -> np.ndarray:
         """The ``(n_ports, n_lanes)`` stimulus slice for one cycle."""
+        start, chunk = self.chunk_at(cycle)
+        return chunk[cycle - start]
+
+    def chunk_at(self, cycle: int) -> Tuple[int, np.ndarray]:
+        """``(start, chunk)``: the ``(chunk, n_ports, n_lanes)`` tensor
+        holding ``cycle`` and the cycle it starts at."""
         if not 0 <= cycle < self.n_cycles:
             raise IndexError(
                 f"cycle {cycle} outside the stimulus range 0..{self.n_cycles - 1}"
@@ -674,13 +680,12 @@ class CompiledStimulus:
                 )
             self._chunk_start = cycle
             self._chunk = chunk = self._generate_chunk(cycle)
-        offset = cycle - self._chunk_start
-        if offset < 0:
+        if cycle < self._chunk_start:
             raise ValueError(
                 f"stimulus access must be sequential: cycle {cycle} precedes "
                 f"the current chunk at {self._chunk_start}"
             )
-        return chunk[offset]
+        return self._chunk_start, chunk
 
     def chunks(self) -> Iterator[Tuple[int, np.ndarray]]:
         """Iterate ``(start_cycle, (chunk, n_ports, n_lanes))`` tensors

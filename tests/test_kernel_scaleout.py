@@ -5,8 +5,12 @@ The scale-out work trades nothing for speed, and these tests pin that down:
 * **Thread invariance** — the threaded native kernel partitions lanes into
   disjoint blocks, so any ``kernel_threads`` count must leave a bit-identical
   value store, for every registry design, under driven input sequences and
-  under compiled spec stimulus alike; ``auto`` never asks for more workers
-  than the process may run on.
+  under compiled spec stimulus alike; ``auto`` runs one worker.
+* **Run-to-completion lane blocks** — a native, spec-driven lane block
+  runs in one ``run`` kernel call per stimulus segment; its reports, cycle
+  traces and profiles equal the per-cycle loop's on the ``off`` backend at
+  every lane count around the 128-lane block and at 1 and 2 workers, with
+  segments cut by stimulus chunks, profile windows and trace buffers.
 * **Limb-store parity** — 61..240-bit nets live in int64 limb arrays; the
   limb path must reproduce the exact-int ``interp`` oracle cycle for cycle,
   and the lane power estimator must match the scalar estimator on a
@@ -18,7 +22,9 @@ The scale-out work trades nothing for speed, and these tests pin that down:
 
 from __future__ import annotations
 
+import dataclasses
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,20 +32,24 @@ import pytest
 from repro.designs.registry import all_designs, build_flat, get_design
 from repro.netlist import flatten
 from repro.netlist.components import Adder, Comparator, LogicOp, Multiplier
+from repro.netlist import NetlistBuilder
 from repro.power import (
     CharacterizationEngine,
+    ProfileConfig,
     build_seed_library,
     characterize_many,
 )
+from repro.power import block as power_block
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.sim import BatchSimulator, Simulator
+from repro.sim.batch import compile_module_batch
 from repro.sim.kernels import (
     find_compiler,
     resolve_kernel_threads,
     usable_cpu_count,
 )
-from repro.stim import SpecTestbench
+from repro.stim import SpecTestbench, StimulusSpec
 from repro.stim.driver import BatchStimulusDriver
 
 needs_cc = pytest.mark.skipif(
@@ -200,14 +210,17 @@ def test_threads_resolve_from_environment(monkeypatch):
 
 
 def test_auto_threads_count_only_usable_cpus(monkeypatch):
-    """``auto`` counts the CPUs the process may run on, not the machine's."""
+    """``usable_cpu_count`` counts the CPUs the process may run on, not the
+    machine's, and ``auto`` asks for one worker however many there are: a
+    second worker measured slower on small hosts (BENCH_kernel_scaling.json)."""
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert usable_cpu_count() == 1
-    assert resolve_kernel_threads("auto", n_lanes=1024) == 1
+    assert resolve_kernel_threads("auto") == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert resolve_kernel_threads("auto", n_lanes=1024) == 3
-    assert resolve_kernel_threads("auto", n_lanes=256) == 2
+    assert usable_cpu_count() == 3
+    assert resolve_kernel_threads("auto") == 1
+    assert resolve_kernel_threads(3) == 3
 
 
 @needs_cc
@@ -237,17 +250,20 @@ def test_thread_switch_roundtrip_is_bit_identical():
 
 
 class _ThreadSpy:
-    """Wraps a kernel's cffi library; records the worker count of each call."""
+    """Wraps a kernel's cffi library; records the worker count of each call
+    (for the phase entry points) and counts the calls of each entry point."""
 
     def __init__(self, lib) -> None:
         self._lib = lib
         self.calls = []
+        self.names = Counter()
 
     def __getattr__(self, name):
         function = getattr(self._lib, name)
 
         def call(*args):
-            self.calls.append(args[-1])  # the driver's last argument
+            self.calls.append(args[-1])  # a phase entry's last argument
+            self.names[name] += 1
             return function(*args)
 
         return call
@@ -338,6 +354,127 @@ def test_wide_checksum_estimator_parity_vs_scalar(backend):
         assert lane.components[name].energy_fj == pytest.approx(
             component.energy_fj, rel=1e-12
         ), f"component {name!r} energy diverged on backend {backend!r}"
+
+
+# ---------------------------------------------------------------------------
+# Run-to-completion lane blocks: one kernel call per segment, same results.
+# ---------------------------------------------------------------------------
+
+#: one lane, a partial block, a whole block, one lane over, two blocks
+FUSED_LANES = (1, 127, 128, 129, 256)
+#: past one 256-cycle stimulus chunk
+FUSED_CYCLES = 300
+#: per-lane budgets, cycled over the lanes: before, at and past the end
+FUSED_BUDGETS = (FUSED_CYCLES, 17, 256, 299, None, 1000)
+#: per-lane profiles: 37-cycle windows straddle the chunk boundary at 256,
+#: 5-cycle windows coalesce mid-run, and some lanes collect none
+FUSED_PROFILES = (ProfileConfig(window_cycles=37, max_windows=16),
+                  ProfileConfig(window_cycles=5, max_windows=4), None)
+#: elements per trace buffer: 20 rows at 256 lanes, 40 at 1-128 lanes
+FUSED_TRACE_ELEMENTS = 40 * 128
+
+
+def _fused_spec(design_name):
+    if design_name == "HVPeakF":
+        return get_design(design_name).make_stimulus_spec().replace(n_cycles=FUSED_CYCLES)
+    return StimulusSpec(n_cycles=FUSED_CYCLES, seed=11)
+
+
+def _spec_lane_run(module, spec, n_lanes, backend, n_threads=1):
+    """Every lane's report (wall time zeroed) and profile, and the estimator."""
+    estimator = BatchRTLPowerEstimator(
+        module, kernel_backend=backend, kernel_threads=n_threads)
+    benches = [SpecTestbench(spec, seed=lane) for lane in range(n_lanes)]
+    for lane, bench in enumerate(benches):
+        bench.max_cycles = FUSED_BUDGETS[lane % len(FUSED_BUDGETS)]
+    reports = estimator.estimate_all(
+        benches,
+        profile=[FUSED_PROFILES[lane % len(FUSED_PROFILES)] for lane in range(n_lanes)])
+    assert estimator.last_kernel_backend == backend
+    reports = [dataclasses.replace(r, estimation_time_s=0.0) for r in reports]
+    return reports, estimator.last_profiles, estimator
+
+
+@needs_cc
+@pytest.mark.parametrize("n_lanes", FUSED_LANES)
+@pytest.mark.parametrize("design_name", ["HVPeakF", "Vld"])
+def test_fused_run_equals_cycle_loop(monkeypatch, design_name, n_lanes):
+    monkeypatch.setattr(power_block, "BLOCK_ELEMENTS", FUSED_TRACE_ELEMENTS)
+    spec = _fused_spec(design_name)
+    want = _spec_lane_run(build_flat(design_name), spec, n_lanes, "off")[:2]
+    for n_threads in (1, 2):
+        *got, estimator = _spec_lane_run(
+            build_flat(design_name), spec, n_lanes, "native", n_threads)
+        assert "run_s" in estimator.last_phase_s  # the fused path ran
+        assert got[0] == want[0], (design_name, n_lanes, n_threads)
+        assert got[1] == want[1], (design_name, n_lanes, n_threads)
+
+
+@needs_cc
+def test_fused_run_makes_one_kernel_call_per_segment():
+    """A segment ends at the chunk end, a profile window boundary or the end
+    of the trace buffer, and is one ``run`` call: no per-cycle kernel call."""
+    module = build_flat("HVPeakF")
+    spec = get_design("HVPeakF").make_stimulus_spec()
+    assert spec.n_cycles == 256
+    estimator = BatchRTLPowerEstimator(module, kernel_backend="native")
+    estimator.estimate_all([SpecTestbench(spec, seed=s) for s in range(256)])
+    kernel = compile_module_batch(module, 256)._kernel
+    spy = kernel._lib = _ThreadSpy(kernel._lib)
+    try:
+        estimator.estimate_all([SpecTestbench(spec, seed=s) for s in range(256)])
+        # the settle is the simulator's reset, when it is built
+        assert spy.names == {"settle": 1, "run": 1}
+        spy.names.clear()
+        longer = spec.replace(n_cycles=FUSED_CYCLES)
+        estimator.estimate_all(
+            [SpecTestbench(longer, seed=s) for s in range(256)],
+            profile=ProfileConfig(window_cycles=37, max_windows=16))
+        boundaries = set(range(37, FUSED_CYCLES, 37)) | {256, FUSED_CYCLES}
+        assert spy.names == {"settle": 1, "run": len(boundaries)}
+    finally:
+        kernel._lib = spy._lib
+
+
+def _limb_module():
+    """A 100-bit (two-limb) input read through slices within and across its
+    limbs; the slices are left unmonitored, so every monitored component is
+    a table component and the lane block takes the fused run."""
+    b = NetlistBuilder("limb_ports")
+    wide = b.input("w", 100)
+    narrow = b.input("x", 12)
+    high = b.slice(wide, 99, 80)
+    straddle = b.slice(wide, 69, 50)
+    total = b.add(b.add(high, straddle), b.resize(narrow, 20))
+    b.output("y", b.pipe(total))
+    module = b.build()
+    for component in module.components.values():
+        if component.type_name == "slice":
+            component.monitored_ports = lambda: []
+    return module
+
+
+@needs_cc
+def test_fused_run_splits_limb_ports_into_limb_rows():
+    """Equal to the ``off`` loop, which shares the driver's limb split, and
+    lane by lane to scalar runs, which write each port as one exact int."""
+    spec = StimulusSpec(n_cycles=FUSED_CYCLES, seed=4)
+    want = _spec_lane_run(_limb_module(), spec, 129, "off")[:2]
+    *got, estimator = _spec_lane_run(_limb_module(), spec, 129, "native")
+    assert compile_module_batch(estimator.module, 129).limbs_of  # limbed
+    assert "run_s" in estimator.last_phase_s
+    assert got == list(want)
+    scalar = RTLPowerEstimator(_limb_module())
+    for lane in (0, 1, 4, 128):
+        bench = SpecTestbench(spec, seed=lane)
+        bench.max_cycles = FUSED_BUDGETS[lane % len(FUSED_BUDGETS)]
+        config = FUSED_PROFILES[lane % len(FUSED_PROFILES)]
+        report = scalar.estimate(bench, profile=config)
+        assert (dataclasses.replace(got[0][lane], notes={})
+                == dataclasses.replace(report, estimation_time_s=0.0, notes={})), lane
+        if config is not None:
+            assert (dataclasses.replace(got[1][lane], notes={})
+                    == dataclasses.replace(scalar.last_profile, notes={})), lane
 
 
 # ---------------------------------------------------------------------------
