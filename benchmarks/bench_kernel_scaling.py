@@ -1,10 +1,12 @@
 """Multi-core kernel scale-out: native-kernel throughput vs thread count.
 
 The native C kernels split the lane dimension into 128-lane blocks and fan
-them over a persistent thread pool (OpenMP when the toolchain supports it, a
-hand-rolled pthread pool otherwise — see ``repro.sim.kernels.native``).
-Lanes are data-parallel and every lane block writes disjoint store columns,
-so any thread count is bit-identical to the serial kernel.
+them over OpenMP threads when the compiler accepts ``-fopenmp``; otherwise
+they run serially and the thread count has no effect (see
+``repro.sim.kernels.native``).  A call runs at most one worker per lane
+block, so at 256 lanes a 4-thread cell runs 2 workers.  Lanes are
+data-parallel and every lane block writes disjoint store columns, so any
+thread count is bit-identical to the serial kernel.
 
 Two paths are measured, because they fan out at different grains:
 

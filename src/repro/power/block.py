@@ -72,7 +72,7 @@ import numpy as np
 from repro.power.macromodel import LinearTransitionModel
 from repro.power.profile import WindowedEnergyCollector
 from repro.sim.batch import MAX_LANE_WIDTH
-from repro.sim.kernels import BLOCK_LANES
+from repro.sim.kernels import BLOCK_LANES, worker_count
 
 #: elements of a block's largest buffer (cycles × nets or components ×
 #: lanes); the block length follows from it.  Small enough that the
@@ -449,7 +449,7 @@ class NativeEvaluator:
             n = min(n, self._feed_at - self.cycles)
         if self.keep_cycle_trace:
             n = min(n, self._trace_room())
-        self._scratch_for(n_threads)
+        self._scratch_for(worker_count(n_threads, self.n_lanes))
         self._kernel.run(v, self._plan, rows[:n], slots, stop, n_threads)
         self._advance(n)
         return n

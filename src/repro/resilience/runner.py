@@ -67,7 +67,7 @@ def _pool_context():
     """A fork-safe multiprocessing context for worker pools.
 
     Plain ``fork`` children inherit the parent's native-kernel thread state
-    (OpenMP teams / pthread pools) without the threads themselves; the first
+    (OpenMP teams) without the threads themselves; the first
     threaded kernel call in such a child deadlocks inside the threading
     runtime.  ``forkserver`` children descend from a clean helper process
     that never ran a kernel, so workers can use threaded kernels freely.

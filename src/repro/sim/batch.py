@@ -1189,9 +1189,10 @@ class BatchSimulator:
             else:
                 self.kernel = self.program._kernel
                 self.kernel_backend = "native"
-                # lane blocks fan out over the kernel's OpenMP/pthread pool;
-                # any count is bit-identical.  The kernel is shared by every
-                # simulator of this program, so each call passes this count.
+                # lane blocks fan out over OpenMP threads where the kernel
+                # was built with them; any count is bit-identical.  The
+                # kernel is shared by every simulator of this program, so
+                # each call passes this count.
                 self.kernel_threads = kernels.resolve_kernel_threads(kernel_threads)
         self.cycle = 0
         self._v = np.zeros((self.program.n_slots, n_lanes), dtype=np.int64)

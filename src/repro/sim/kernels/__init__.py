@@ -46,6 +46,7 @@ from repro.sim.kernels.native import (
     NativeToolchainError,
     find_compiler,
     threading_mode,
+    worker_count,
 )
 
 #: kernel backends selectable per simulator / RunSpec / CLI
@@ -111,8 +112,10 @@ def resolve_kernel_threads(requested: Optional[Union[int, str]] = None) -> int:
     second worker was slower than one on the per-cycle path at 256 and 512
     lanes (HVPeakF, Vld, DCT) and at 1024 lanes on HVPeakF and DCT, and on
     the fused ``run`` path at 256 lanes (``BENCH_kernel_scaling.json``).
-    An explicit count fans the lane blocks out over that many workers.  Lane blocks are independent, so any
-    count is bit-identical to single-threaded execution.
+    An explicit count fans the lane blocks out over that many workers; each
+    kernel call caps it at one worker per lane block (:func:`worker_count`).
+    Lane blocks are independent, so any count is bit-identical to
+    single-threaded execution.
     """
     if requested is None:
         requested = os.environ.get(KERNEL_THREADS_ENV, "").strip() or "auto"
@@ -162,4 +165,5 @@ __all__ = [
     "resolve_kernel_threads",
     "threading_mode",
     "usable_cpu_count",
+    "worker_count",
 ]

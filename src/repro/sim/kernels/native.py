@@ -21,13 +21,11 @@ cannot reorder or race any lane's arithmetic — results are bit-identical to
 single-threaded execution by construction.  Each phase is printed once, as a
 ``<phase>_block`` function over one block; the exported entry points take a
 thread count ``nt`` and hand a block function to one shared ``dispatch``,
-which fans the blocks out over OpenMP (when the compiler accepts
-``-fopenmp``) or a persistent hand-rolled pthread pool baked into the
-generated C (when only ``-pthread`` works); with neither, ``nt`` is ignored
-and the strip-mine runs serially.  Every thread gets its own scratch stripe,
-and cffi releases the GIL around the call, so Python-side work can overlap.
-``REPRO_KERNEL_THREADING`` forces a tier (``omp``/``pthread``/``serial``)
-for tests and triage.
+which fans the blocks out over OpenMP when the compiler accepts
+``-fopenmp``; otherwise ``nt`` is ignored and the strip-mine runs serially.
+Callers pass at most one worker per lane block (:func:`worker_count`).
+Every thread gets its own scratch stripe, and cffi releases the GIL around
+the call, so Python-side work can overlap.
 
 Every translation unit also carries fixed, design-independent entry points:
 
@@ -110,13 +108,9 @@ BLOCK_LANES = 128
 #: compile-time blowup on thousands of loops outweighs the runtime gain
 _VECTORIZE_MAX_LINES = 250
 
-#: environment override for the threading tier ("omp"/"pthread"/"serial")
-KERNEL_THREADING_ENV = "REPRO_KERNEL_THREADING"
-
 #: threading tier -> extra compile flags
 _THREADING_FLAGS = {
     "omp": ["-fopenmp", "-DREPRO_KERNEL_OMP"],
-    "pthread": ["-pthread", "-DREPRO_KERNEL_PTHREADS"],
     "serial": [],
 }
 
@@ -128,47 +122,34 @@ def threading_mode() -> str:
     """The threading tier the native kernels compile with on this host.
 
     Probes the compiler once per process: ``omp`` when a tiny OpenMP
-    translation unit compiles with ``-fopenmp``, else ``pthread`` when
-    ``-pthread`` works, else ``serial``.  ``REPRO_KERNEL_THREADING`` forces a
-    tier (useful for exercising the pthread pool on an OpenMP toolchain).
+    translation unit compiles with ``-fopenmp``, else ``serial``.
     """
     global _THREADING_MODE
-    override = os.environ.get(KERNEL_THREADING_ENV)
-    if override:
-        if override not in _THREADING_FLAGS:
-            raise ValueError(
-                f"unknown {KERNEL_THREADING_ENV} value {override!r}; expected "
-                f"one of {', '.join(_THREADING_FLAGS)}"
-            )
-        return override
     if _THREADING_MODE is not None:
         return _THREADING_MODE
-    compiler = find_compiler()
-    if compiler is None:
-        _THREADING_MODE = "serial"
-        return _THREADING_MODE
-    probes = (
-        ("omp", "#include <omp.h>\nint repro_probe(void){return omp_get_max_threads();}\n"),
-        ("pthread", "#include <pthread.h>\nstatic pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;\n"
-                    "int repro_probe(void){return pthread_mutex_lock(&m) == 0;}\n"),
-    )
-    directory = _build_dir()
     mode = "serial"
-    for candidate, source in probes:
-        c_path = os.path.join(directory, f"probe_{candidate}.c")
-        so_path = os.path.join(directory, f"probe_{candidate}.so")
+    compiler = find_compiler()
+    if compiler is not None:
+        directory = _build_dir()
+        c_path = os.path.join(directory, "probe_omp.c")
         with open(c_path, "w") as handle:
-            handle.write(source)
+            handle.write("#include <omp.h>\n"
+                         "int repro_probe(void){return omp_get_max_threads();}\n")
         result = subprocess.run(
-            [compiler, *(f for f in _THREADING_FLAGS[candidate] if not f.startswith("-D")),
-             "-fPIC", "-shared", c_path, "-o", so_path],
+            [compiler, "-fopenmp", "-fPIC", "-shared", c_path,
+             "-o", os.path.join(directory, "probe_omp.so")],
             capture_output=True, text=True,
         )
         if result.returncode == 0:
-            mode = candidate
-            break
+            mode = "omp"
     _THREADING_MODE = mode
     return mode
+
+
+def worker_count(n_threads: int, n_lanes: int) -> int:
+    """Workers a kernel call runs with: ``n_threads``, but at most one per
+    lane block, since a block is the smallest unit a worker takes."""
+    return max(1, min(n_threads, -(-n_lanes // BLOCK_LANES)))
 
 
 def find_compiler() -> Optional[str]:
@@ -266,121 +247,17 @@ def scratch_rows(ir: KernelIR) -> int:
 
 
 #: per-.so scaffolding shared by every generated kernel: ``dispatch`` runs
-#: one lane-block function over every block of the store, serially, over
-#: OpenMP or over the pthread pool.  A block function gets its worker's id
-#: (to pick its scratch stripes) and an opaque argument pointer (``run``'s
-#: arguments; NULL for the phases).  The pthread-pool tier parks persistent
-#: workers on a condvar; the per-call arguments are broadcast under the pool
-#: lock and each participant runs a static stripe of lane blocks (block b ->
-#: thread b % nt), so block assignment — and thus the result, since blocks
-#: touch disjoint lanes — is deterministic
+#: one lane-block function over every block of the store, over OpenMP or
+#: serially.  A block function gets its worker's id (to pick its scratch
+#: stripes) and an opaque argument pointer (``run``'s arguments; NULL for
+#: the phases).  Blocks touch disjoint lanes, so which worker runs which
+#: block cannot change the result
 _RUNTIME_PREAMBLE = """\
 #if defined(REPRO_KERNEL_OMP)
 #include <omp.h>
 #endif
 typedef void (*block_fn)(elem *restrict, i64 *const *, i64 *const *,
                          i64 *restrict, i64, i64, i64, const void *);
-#if defined(REPRO_KERNEL_PTHREADS)
-#include <pthread.h>
-#include <stdint.h>
-static pthread_mutex_t pool_lock = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t pool_work_cv = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t pool_done_cv = PTHREAD_COND_INITIALIZER;
-static i64 pool_spawned = 0, pool_generation = 0, pool_pending = 0;
-static block_fn pool_fn;
-static elem *pool_v;
-static i64 *const *pool_S;
-static i64 *const *pool_M;
-static i64 *pool_W;
-static i64 pool_L, pool_nt;
-static const void *pool_args;
-
-static void pool_span(block_fn fn, elem *restrict v, i64 *const *S,
-                      i64 *const *M, i64 *restrict W, i64 L, i64 nt, i64 tid,
-                      const void *args)
-{
-    const i64 nblocks = (L + B - 1) / B;
-    i64 *restrict Wt = W + tid * (i64)SCRATCH_ROWS * B;
-    for (i64 b = tid; b < nblocks; b += nt)
-        fn(v, S, M, Wt, L, b * B, tid, args);
-}
-
-static void *pool_worker(void *arg)
-{
-    const i64 tid = (i64)(intptr_t)arg;
-    i64 seen = 0;
-    pthread_mutex_lock(&pool_lock);
-    for (;;) {
-        while (pool_generation == seen)
-            pthread_cond_wait(&pool_work_cv, &pool_lock);
-        seen = pool_generation;
-        {
-            block_fn fn = pool_fn;
-            elem *v = pool_v;
-            i64 *const *S = pool_S;
-            i64 *const *M = pool_M;
-            i64 *W = pool_W;
-            i64 L = pool_L, nt = pool_nt;
-            const void *args = pool_args;
-            pthread_mutex_unlock(&pool_lock);
-            if (tid < nt)
-                pool_span(fn, v, S, M, W, L, nt, tid, args);
-        }
-        pthread_mutex_lock(&pool_lock);
-        if (--pool_pending == 0)
-            pthread_cond_signal(&pool_done_cv);
-    }
-    return 0;
-}
-
-static void pool_child_reset(void)
-{
-    /* fork() copies the pool's bookkeeping but not its worker threads; a
-       child that trusted pool_spawned would broadcast work nobody runs and
-       wait on pool_done_cv forever.  Reset so the child respawns lazily. */
-    pthread_mutex_init(&pool_lock, 0);
-    pthread_cond_init(&pool_work_cv, 0);
-    pthread_cond_init(&pool_done_cv, 0);
-    pool_spawned = 0;
-    pool_generation = 0;
-    pool_pending = 0;
-}
-
-static pthread_once_t pool_fork_once = PTHREAD_ONCE_INIT;
-static void pool_register_fork(void) { pthread_atfork(0, 0, pool_child_reset); }
-
-static void pool_run(block_fn fn, elem *restrict v, i64 *const *S,
-                     i64 *const *M, i64 *restrict W, i64 L, i64 nt,
-                     const void *args)
-{
-    pthread_once(&pool_fork_once, pool_register_fork);
-    pthread_mutex_lock(&pool_lock);
-    while (pool_spawned < nt - 1) {
-        pthread_t thread;
-        if (pthread_create(&thread, 0, pool_worker,
-                           (void *)(intptr_t)(pool_spawned + 1)) != 0)
-            break;
-        pthread_detach(thread);
-        pool_spawned += 1;
-    }
-    if (nt > pool_spawned + 1)
-        nt = pool_spawned + 1;  /* thread creation failed: shrink, stay correct */
-    pool_fn = fn; pool_v = v; pool_S = S; pool_M = M; pool_W = W;
-    pool_L = L; pool_nt = nt; pool_args = args;
-    pool_pending = pool_spawned;
-    pool_generation += 1;
-    pthread_cond_broadcast(&pool_work_cv);
-    pthread_mutex_unlock(&pool_lock);
-
-    pool_span(fn, v, S, M, W, L, nt, 0, args);
-
-    pthread_mutex_lock(&pool_lock);
-    while (pool_pending != 0)
-        pthread_cond_wait(&pool_done_cv, &pool_lock);
-    pthread_mutex_unlock(&pool_lock);
-}
-#endif
-
 static void dispatch(block_fn fn, elem *restrict v, i64 *const *S,
                      i64 *const *M, i64 *restrict W, i64 L, i64 nt,
                      const void *args)
@@ -395,8 +272,6 @@ static void dispatch(block_fn fn, elem *restrict v, i64 *const *S,
         }
         return;
     }
-#elif defined(REPRO_KERNEL_PTHREADS)
-    if (nt > 1) { pool_run(fn, v, S, M, W, L, nt, args); return; }
 #endif
     (void)nt;
     for (i64 l0 = 0; l0 < L; l0 += B)
@@ -683,8 +558,8 @@ def _compile_library(source: str, ir: KernelIR):
     # of statement loops, so very large kernels settle for plain -O2 (still
     # several times faster than the per-op path).  -march=native is safe
     # here — this is JIT-style host compilation — and the flag-less retry
-    # covers compilers that do not understand it.  The fixed runtime preamble
-    # (thread pool scaffolding) does not count against the budget — only the
+    # covers compilers that do not understand it.  The fixed runtime (block
+    # dispatch, observe, run) does not count against the budget — only the
     # generated statement loops blow up compile time.
     n_kernel_lines = len(source.splitlines()) - _RUNTIME_LINES
     if has_run(ir):
@@ -792,14 +667,19 @@ class NativeKernel:
             self._vref = v  # keep the store alive while its pointer is cached
         return self._vp
 
-    # each call runs with the caller's worker count (1 = serial loop)
+    def _threaded(self, v: np.ndarray, n_threads: int) -> tuple:
+        """The leading arguments of a threaded entry point: store, state,
+        memories, scratch, lane count and the call's worker count (the
+        caller's, at most one per lane block; 1 = serial loop)."""
+        nt = worker_count(n_threads, v.shape[1])
+        return (self._v_pointer(v), self._S, self._M, self._scratch_for(nt),
+                v.shape[1], nt)
+
     def settle(self, v: np.ndarray, n_threads: int = 1) -> None:
-        self._lib.settle(self._v_pointer(v), self._S, self._M,
-                         self._scratch_for(n_threads), v.shape[1], n_threads)
+        self._lib.settle(*self._threaded(v, n_threads))
 
     def clock_edge(self, v: np.ndarray, n_threads: int = 1) -> None:
-        self._lib.clock_edge(self._v_pointer(v), self._S, self._M,
-                             self._scratch_for(n_threads), v.shape[1], n_threads)
+        self._lib.clock_edge(*self._threaded(v, n_threads))
 
     # ------------------------------------------------ macromodel observation
     def c_array(self, array: Optional[np.ndarray]):
@@ -838,7 +718,8 @@ class NativeKernel:
         Each cycle writes ``rows[k]`` (``(n_rows, lanes)`` int64) into the
         store rows ``slots``, settles, runs the plan's macromodels with lane
         ``l`` masked in while ``plan.cycles < stop[l]``, and clocks.  The
-        plan needs one ``toggles``/``toggled`` stripe per worker.
+        plan needs one ``toggles``/``toggled`` stripe per worker
+        (:func:`worker_count` of ``n_threads`` and the lane count).
         """
         n_rows = len(slots)
         if (rows.ndim != 3 or rows.shape[1:] != (n_rows, v.shape[1])
@@ -847,7 +728,6 @@ class NativeKernel:
                 f"run needs (cycles, {n_rows}, {v.shape[1]}) input rows and "
                 f"({v.shape[1]},) stops, got {rows.shape} and {stop.shape}"
             )
-        self._lib.run(self._v_pointer(v), self._S, self._M,
-                      self._scratch_for(n_threads), v.shape[1], n_threads, plan,
+        self._lib.run(*self._threaded(v, n_threads), plan,
                       self.c_array(rows), self.c_array(slots), n_rows, len(rows),
                       self.c_array(stop))

@@ -19,7 +19,7 @@ block of spec-backed lanes sharing one spec through it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,25 +119,3 @@ class BatchStimulusDriver:
 
     def close(self) -> None:
         return None
-
-    def run(
-        self,
-        n_cycles: Optional[int] = None,
-        on_cycle: Optional[Callable[[int, BatchSimulator], None]] = None,
-    ) -> int:
-        """Drive, settle and clock the whole run; returns the cycle count.
-
-        ``on_cycle(cycle, simulator)`` fires after each settle — the same
-        observation point scalar simulation observers use.
-        """
-        simulator = self.simulator
-        total = self.n_cycles if n_cycles is None else min(n_cycles, self.n_cycles)
-        for cycle in range(total):
-            self.apply(cycle)
-            simulator.settle()
-            if on_cycle is not None:
-                on_cycle(cycle, simulator)
-            simulator.clock_edge()
-            simulator.cycle += 1
-        simulator.settle()
-        return total

@@ -5,7 +5,9 @@ The scale-out work trades nothing for speed, and these tests pin that down:
 * **Thread invariance** — the threaded native kernel partitions lanes into
   disjoint blocks, so any ``kernel_threads`` count must leave a bit-identical
   value store, for every registry design, under driven input sequences and
-  under compiled spec stimulus alike; ``auto`` runs one worker.
+  under compiled spec stimulus alike; ``auto`` runs one worker.  A call
+  runs at most one worker per lane block, and the serial tier (a compiler
+  without OpenMP) gives the same results at any requested count.
 * **Run-to-completion lane blocks** — a native, spec-driven lane block
   runs in one ``run`` kernel call per stimulus segment; its reports, cycle
   traces and profiles equal the per-cycle loop's on the ``off`` backend at
@@ -40,17 +42,23 @@ from repro.power import (
     characterize_many,
 )
 from repro.power import block as power_block
+from repro.power import lane_estimator
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.batch import compile_module_batch
 from repro.sim.kernels import (
+    BLOCK_LANES,
     find_compiler,
     resolve_kernel_threads,
     usable_cpu_count,
+    worker_count,
 )
+from repro.sim.kernels import native
 from repro.stim import SpecTestbench, StimulusSpec
 from repro.stim.driver import BatchStimulusDriver
+
+from stim_loop import drive_to_end
 
 needs_cc = pytest.mark.skipif(
     find_compiler() is None, reason="no C compiler on this host"
@@ -124,7 +132,7 @@ def test_thread_count_invariance_under_spec_stimulus(design_name):
 
     def run(n_threads):
         simulator = _native_simulator(design_name, n_threads, n_lanes=8)
-        BatchStimulusDriver(simulator, spec).run()
+        drive_to_end(BatchStimulusDriver(simulator, spec))
         return simulator._v.copy()
 
     reference = run(THREAD_COUNTS[0])
@@ -188,7 +196,7 @@ def test_numpy_thread_invariance_under_spec_stimulus(design_name):
     spec = get_design(design_name).make_stimulus_spec().replace(n_cycles=8)
 
     def run(simulator):
-        BatchStimulusDriver(simulator, spec).run()
+        drive_to_end(BatchStimulusDriver(simulator, spec))
         return simulator._v.copy()
 
     reference = run(_numpy_reference_simulator(design_name, n_lanes=200))
@@ -300,6 +308,123 @@ def test_simulators_sharing_a_kernel_keep_their_own_thread_counts():
         first.kernel._lib = spy._lib
     reference = stores[1][0]
     assert all(np.array_equal(reference, store) for store in stores[2])
+
+
+class _FakeLib:
+    """Stands in for a kernel's cffi library and never calls into C: records
+    each call's entry point, worker count and the kernel's scratch size."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args):
+            # settle, clock_edge and run take (v, S, M, W, L, nt, ...)
+            self.calls.append((name, args[5], self.kernel._scratch.size))
+
+        return call
+
+
+def test_worker_count_is_one_per_lane_block_at_most():
+    assert worker_count(10**6, 256) == 2
+    assert worker_count(8, 129) == 2
+    assert worker_count(2, 128) == 1
+    assert worker_count(3, 1) == 1
+    assert worker_count(1, 1000) == 1
+    assert worker_count(3, 1000) == 3
+
+
+@needs_cc
+def test_kernel_calls_cap_workers_at_the_lane_block_count(monkeypatch):
+    """Any requested count reaches the kernel as at most one worker per lane
+    block, and the kernel and observe scratch are sized for that; the
+    simulator and estimator keep the count they were given.  The library is
+    faked before the huge count is used, so no C code runs with it."""
+    evaluators = []
+
+    class Recording(power_block.NativeEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+    monkeypatch.setattr(lane_estimator, "NativeEvaluator", Recording)
+    entry = get_design("binary_search")  # its kernel has SSA scratch rows
+    module = entry.build()  # a fresh module: a kernel of its own
+    spec = entry.make_stimulus_spec().replace(n_cycles=8)
+    benches = [SpecTestbench(spec, seed=s) for s in range(256)]
+    estimator = BatchRTLPowerEstimator(module, kernel_backend="native",
+                                       kernel_threads=1)
+    estimator.estimate_all(benches)  # compiles the kernel
+    if estimator.last_kernel_backend != "native":
+        pytest.skip("native kernel unavailable")
+    kernel = compile_module_batch(estimator.module, 256)._kernel
+    assert kernel.max_threads == 1
+    fake = kernel._lib = _FakeLib(kernel)
+    per_worker = native.scratch_rows(kernel.ir) * BLOCK_LANES
+    assert per_worker > 0
+
+    simulator = BatchSimulator(estimator.module, 256, kernel_backend="native",
+                               kernel_threads=10**6)
+    assert simulator.kernel is kernel
+    assert simulator.kernel_threads == 10**6
+    simulator.step()
+    assert fake.calls == [("settle", 2, 2 * per_worker),  # the reset
+                          ("settle", 2, 2 * per_worker),
+                          ("clock_edge", 2, 2 * per_worker)]
+
+    fake.calls.clear()
+    estimator.kernel_threads = 10**6
+    estimator.estimate_all(benches)
+    assert estimator.last_kernel_threads == 10**6
+    assert "run_s" in estimator.last_phase_s  # the fused path ran
+    assert fake.calls == [("settle", 2, 2 * per_worker),
+                          ("run", 2, 2 * per_worker)]
+    assert kernel.max_threads == 2
+    assert evaluators[-1]._arrays["toggles"].shape[0] == 2
+    assert evaluators[-1]._arrays["toggled"].shape[0] == 2
+
+
+@needs_cc
+def test_serial_tier_runs_every_thread_count_alike(monkeypatch):
+    """A compiler without OpenMP builds serial kernels, which take any worker
+    count and run it on one thread.  The tier is part of the library cache
+    key, so forcing it builds a library of its own, compiled without
+    ``-fopenmp``; at 300 lanes (three blocks) its 2-worker calls leave the
+    1-worker store, and a fused run at 2 workers gives the ``off`` reports."""
+    commands = []
+    run = native.subprocess.run
+
+    def recording(command, *args, **kwargs):
+        commands.append(list(command))
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(native, "threading_mode", lambda: "serial")
+    monkeypatch.setattr(native.subprocess, "run", recording)
+    module = get_design("HVPeakF").build()  # fresh: its kernel compiles now
+    sequences = _input_sequences(module, np.random.default_rng(29),
+                                 n_lanes=N_LANES_WIDE, n_cycles=N_CYCLES)
+    stores = []
+    for n_threads in (1, 2):
+        simulator = BatchSimulator(module, N_LANES_WIDE, kernel_backend="native",
+                                   kernel_threads=n_threads)
+        if simulator.kernel_backend != "native":
+            pytest.skip(f"native kernel unavailable ({simulator.kernel_fallback})")
+        simulator.reset()
+        for cycle in range(N_CYCLES):
+            simulator.step({name: sequences[name][cycle] for name in sequences})
+        simulator.settle()
+        stores.append(simulator._v.copy())
+    assert commands and not any("-fopenmp" in command for command in commands)
+    assert np.array_equal(stores[0], stores[1])
+
+    spec = _fused_spec("HVPeakF")
+    want = _spec_lane_run(get_design("HVPeakF").build(), spec, N_LANES_WIDE, "off")[:2]
+    *got, estimator = _spec_lane_run(
+        get_design("HVPeakF").build(), spec, N_LANES_WIDE, "native", 2)
+    assert "run_s" in estimator.last_phase_s  # the fused path ran
+    assert not any("-fopenmp" in command for command in commands)
+    assert got == list(want)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ from repro.stim import (
 )
 from repro.stim.spec import port_spec_from_dict
 
+from stim_loop import drive_to_end
+
 
 def _compound_spec(n_cycles=32, seed=3) -> StimulusSpec:
     """One spec exercising every port-stream kind."""
@@ -574,7 +576,7 @@ def test_batch_stimulus_driver_functional_parity():
     simulator = BatchSimulator(flat, n_lanes)
     driver = BatchStimulusDriver(simulator, spec, seeds=[5, 6, 7])
     outputs = []
-    driver.run(on_cycle=lambda c, s: outputs.append(s.get_outputs()))
+    drive_to_end(driver, lambda c, s: outputs.append(s.get_outputs()))
     for lane, seed in enumerate([5, 6, 7]):
         scalar = Simulator(flatten(get_design("HVPeakF").build()))
         testbench = SpecTestbench(spec, seed=seed)
@@ -627,7 +629,7 @@ def test_laneview_memory_backdoors_under_driven_stimulus():
     driver = BatchStimulusDriver(simulator, spec, seeds=[0, 1, 2])
     addr_slot = simulator._input_keys["addr"][0]
     seen = []
-    driver.run(on_cycle=lambda c, s: seen.append(
+    drive_to_end(driver, lambda c, s: seen.append(
         (s._v[addr_slot].copy(), s.get_output("rdata"))
     ))
     # registered read: rdata at cycle c+1 shows lane-private mem[addr at c]
@@ -676,7 +678,7 @@ def test_limb_store_lanes_under_driven_stimulus():
         check.widest = max(check.widest, *(int(v) for v in xs))
 
     check.widest = 0
-    driver.run(on_cycle=check)
+    drive_to_end(driver, check)
     assert check.widest > (1 << 63)
 
     # and the power path agrees with a scalar estimator on the same module
