@@ -129,7 +129,7 @@ class PeakingFilterTestbench(StreamTestbench):
 
     @cached_property
     def expected(self) -> List[int]:
-        return reference_filter(self.pixels)
+        return reference_filter(np.asarray(self.pixels).tolist())
 
     def reference(self):
         return {"pixel_out": self.expected}

@@ -184,21 +184,33 @@ def vld_reference_decode(words: Sequence[int], word_bits: int = 16) -> List[int]
 # ---------------------------------------------------------------------------
 # Generic streams
 # ---------------------------------------------------------------------------
-def _random_bits(rng: random.Random, n: int, width: int) -> List[int]:
-    """``[rng.getrandbits(width) for _ in range(n)]`` in one draw (width <= 32).
+def _random_words(rng: random.Random, n: int, width: int) -> np.ndarray:
+    """``[rng.getrandbits(width) for _ in range(n)]`` in one draw, as an int64
+    array (``1 <= width <= 32``).
 
     ``getrandbits(32 * n)`` packs the generator's next ``n`` 32-bit outputs
     little-endian, and ``getrandbits(width)`` is one output's top ``width``
     bits, so the values and the generator's final state equal the loop's.
     """
+    words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
+    return (words >> (32 - width)).astype(np.int64)
+
+
+def _random_bits(rng: random.Random, n: int, width: int) -> List[int]:
+    """``[rng.getrandbits(width) for _ in range(n)]``, in one draw when
+    ``width <= 32``."""
     if not 1 <= width <= 32:
         return [rng.getrandbits(width) for _ in range(n)]
-    words = np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
-    return (words >> (32 - width)).tolist()
+    return _random_words(rng, n, width).tolist()
 
 
-def random_pixels(n: int, seed: int = 0, width: int = 8) -> List[int]:
-    return _random_bits(random.Random(seed), n, width)
+def random_pixels(n: int, seed: int = 0, width: int = 8) -> np.ndarray:
+    """``n`` random ``width``-bit pixels as an int64 array: a stream
+    testbench keeps it as it is and stacks lanes of it at once."""
+    rng = random.Random(seed)
+    if 1 <= width <= 32:
+        return _random_words(rng, n, width)
+    return np.array(_random_bits(rng, n, width), dtype=np.int64)
 
 
 def random_sorted_array(n: int, seed: int = 0, width: int = 16) -> List[int]:

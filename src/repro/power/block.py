@@ -430,12 +430,14 @@ class NativeEvaluator:
         self._advance(1)
 
     def run(self, v: np.ndarray, rows: np.ndarray, slots: np.ndarray,
-            stop: np.ndarray, n_threads: int = 1) -> int:
+            stop: np.ndarray, n_threads: int, capture: np.ndarray,
+            captured: np.ndarray) -> int:
         """Simulate and observe a segment of ``rows`` in one kernel call.
 
         ``rows`` is ``(cycles, len(slots), lanes)`` int64 stimulus, written
         into the store rows ``slots`` cycle by cycle; lane ``l`` is masked
-        in while its cycle is below ``stop[l]``.  The segment stops early at
+        in while its cycle is below ``stop[l]``.  Each cycle's settled store
+        rows ``capture`` land in ``captured[k]``.  The segment stops early at
         the next profile-window boundary or the end of the cycle-trace
         buffer; returns the cycles it ran (at least one).
         """
@@ -450,7 +452,8 @@ class NativeEvaluator:
         if self.keep_cycle_trace:
             n = min(n, self._trace_room())
         self._scratch_for(worker_count(n_threads, self.n_lanes))
-        self._kernel.run(v, self._plan, rows[:n], slots, stop, n_threads)
+        self._kernel.run(v, self._plan, rows[:n], slots, stop, n_threads,
+                         capture, captured)
         self._advance(n)
         return n
 

@@ -30,15 +30,21 @@ run of the same testbench would produce — lane count changes speed, never
 results.
 
 The host leaves the cycle loop where it can see that nothing in it needs
-Python: an array-driver block on a native kernel with no generic
-component.  Every lane of such a block stops at its budget or the spec's
-last cycle, known up front, so the estimator hands the kernel's ``run``
-entry point one segment of stimulus rows per call — up to the chunk end,
-the next profile-window boundary or the end of the cycle-trace buffer —
-and the kernel drives, settles, observes and clocks each lane block to the
-segment's end (:meth:`~repro.power.block.NativeEvaluator.run`).  Its wall
-time is ``phase_s["run_s"]``.  The ``off`` backend, registry testbenches
-and generic components keep the per-cycle loop.
+Python: a block on a native kernel with no generic component whose lane
+form knows its inputs and stop cycles up front — the array driver and the
+registry stream testbenches (``StreamTestbench``, e.g. HVPeakF's).  Every
+lane of such a block stops at its budget or the lane form's last cycle, so
+the estimator hands the kernel's ``run`` entry point one segment of input
+rows per call — up to the end of the rows at hand (a stimulus chunk, or
+the stream's whole run), the next profile-window boundary or the end of
+the cycle-trace buffer — and the kernel drives, settles, captures the
+outputs the lane form checks, observes and clocks each lane block to the
+segment's end (:meth:`~repro.power.block.NativeEvaluator.run`); the lane
+form then checks the segment's captured rows.  Its wall time is
+``phase_s["run_s"]``, with the observe time inside it, so
+``macromodel_eval_s`` reads ~0 on such a run.  The ``off`` backend, job
+testbenches (``JobsTestbench``), per-lane testbench loops and generic
+components keep the per-cycle loop.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import numpy as np
 from repro import obs
 from repro.netlist.module import Module
 from repro.power.library import PowerModelLibrary
+from repro.power import block as power_block
 from repro.power.block import BlockEvaluator, NativeEvaluator, observe_plan
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
 from repro.power.report import PowerReport
@@ -58,7 +65,6 @@ from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
 from repro.sim.batch import LIMB_BITS, BatchSimulator
 from repro.sim.testbench import Testbench, lane_form
-from repro.stim.driver import BatchStimulusDriver
 
 
 class _MacromodelObserver:
@@ -169,8 +175,11 @@ class BatchRTLPowerEstimator:
         #: ``simulate_s`` (the drive/settle/observe loop),
         #: ``macromodel_eval_s`` (time inside the observer) and
         #: ``testbench_s`` (time inside the lane form: bind, drive, check,
-        #: finish) — both slices of simulate_s; shared across lanes,
-        #: surfaced through ``EstimateResult.metadata["phase_s"]``
+        #: finish) — both slices of simulate_s; on a run to completion
+        #: (array-driver and stream-testbench blocks on a native kernel)
+        #: also ``run_s``, the kernel's ``run`` calls, which hold the
+        #: observe time (``macromodel_eval_s`` then reads ~0); shared across
+        #: lanes, surfaced through ``EstimateResult.metadata["phase_s"]``
         self.last_phase_s: Dict[str, float] = {}
         #: per-lane windowed profiles from the last profiled estimate_all,
         #: aligned with the returned report list (None when not profiling,
@@ -273,7 +282,7 @@ class BatchRTLPowerEstimator:
         # one span for the whole loop — never per cycle; the observer's and
         # the lane form's shares are accumulated with clock reads per cycle
         fused = (observer.evaluator == "native" and not observer._generic
-                 and isinstance(lanes, BatchStimulusDriver))
+                 and lanes.capture is not None)
         sim_span = obs.span(
             "lanes.simulate", module=self.module.name, n_lanes=n_lanes,
             macromodel_eval=observer.evaluator, fused=fused)
@@ -281,20 +290,31 @@ class BatchRTLPowerEstimator:
         clock = time.perf_counter
         block = observer.block
         if fused:
-            # run to completion: every lane finishes with the spec's last
-            # cycle, so its stop is known up front, and each segment of
-            # stimulus rows is one kernel call that drives, settles,
-            # observes and clocks every lane block
+            # run to completion: every lane finishes with the lane form's
+            # last cycle, so its stop is known up front, and each segment of
+            # input rows is one kernel call that drives, settles, captures
+            # the checked outputs, observes and clocks every lane block; the
+            # segment's checks then run over its captured rows
             np.minimum(stop, lanes.n_cycles, out=stop)
             end = int(stop.max())
+            # one buffer for every segment's captured rows, sized like a
+            # trace buffer (BLOCK_ELEMENTS lane-cycles per output); no
+            # segment is longer than it
+            captured = np.empty(
+                (min(end, max(1, power_block.BLOCK_ELEMENTS // n_lanes)),
+                 len(lanes.capture), n_lanes), dtype=np.int64)
             while simulator.cycle < end:
+                cycle = simulator.cycle
                 t0 = clock()
-                rows = lanes.rows_at(simulator.cycle)[:end - simulator.cycle]
+                rows = lanes.rows_at(cycle)[:min(end - cycle, len(captured))]
                 t1 = clock()
-                simulator.cycle += block.run(
-                    v, rows, lanes.slots, stop, simulator.kernel_threads)
-                testbench_s += t1 - t0
-                run_s += clock() - t1
+                n = block.run(v, rows, lanes.slots, stop, simulator.kernel_threads,
+                              lanes.capture, captured)
+                t2 = clock()
+                lanes.check_rows(cycle, captured[:n], stop)
+                simulator.cycle += n
+                testbench_s += (t1 - t0) + (clock() - t2)
+                run_s += t2 - t1
         else:
             while active.any():
                 cycle = simulator.cycle

@@ -9,8 +9,12 @@ class here.  A subclass only declares its workload as data; the scalar
 one declaration:
 
 * :class:`StreamTestbench` streams per-cycle input vectors and compares the
-  outputs against golden values.  Its lane form writes one input row per
-  port per cycle and checks every lane with one masked compare per output.
+  outputs against golden values.  Its lane form lowers the declaration once
+  to whole-run input rows, the output rows a check reads and golden arrays:
+  a native lane block runs it to completion (one kernel ``run`` call per
+  segment, then one vectorized check over the segment's captured outputs),
+  and the per-cycle loop writes one cycle's rows and checks one cycle with
+  the same check.
 * :class:`JobsTestbench` runs a list of jobs through a ``start``/``done``
   handshake, with per-job input values and memory preloads.  Its lane form
   drives the ``start`` row, reads the ``done`` row and does per-lane work
@@ -29,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sim.batch import LaneMemoryState, LaneStateError
+from repro.sim.batch import LIMB_BITS, _LIMB_MASK, LaneMemoryState, LaneStateError
 from repro.sim.testbench import Testbench
 
 #: the handshake ports of a job testbench
@@ -56,8 +60,9 @@ class StreamTestbench(Testbench):
 
     A subclass declares:
 
-    * ``streams`` (constructor) — per input port, one value per item, or one
-      int driven with every item;
+    * ``streams`` (constructor) — per input port, one value per item (a
+      sequence, or an int64 array kept as it is), or one int driven with
+      every item;
     * ``idle`` — inputs driven on every cycle after the last item;
     * :meth:`reference` — the golden value of every item per checked output
       (the scalar oracle); :meth:`golden_lanes` is its block form;
@@ -73,11 +78,11 @@ class StreamTestbench(Testbench):
     #: what one item is called in mismatch messages
     item = "item"
 
-    def __init__(self, streams: Mapping[str, Union[int, Sequence[int]]],
+    def __init__(self, streams: Mapping[str, Union[int, Sequence[int], np.ndarray]],
                  name: str) -> None:
         super().__init__(name)
         self.streams = {
-            port: values if isinstance(values, int) else list(values)
+            port: values if isinstance(values, (int, np.ndarray)) else list(values)
             for port, values in streams.items()
         }
         lengths = {len(v) for v in self.streams.values() if not isinstance(v, int)}
@@ -115,7 +120,7 @@ class StreamTestbench(Testbench):
         if cycle >= self.n_items:
             return self.idle
         return {
-            port: values if isinstance(values, int) else values[cycle]
+            port: values if isinstance(values, int) else int(values[cycle])
             for port, values in self.streams.items()
         }
 
@@ -144,12 +149,33 @@ class StreamTestbench(Testbench):
         return _StreamLanes(cls, testbenches, simulator, cycles)
 
 
+def _limb_rows(values, width: int, n_limbs: int) -> list:
+    """``values`` (an int or an array) as the int64 rows the lane store keeps
+    a ``width``-bit port in, masked as :meth:`BatchSimulator.set_input` masks:
+    one row, or one per limb of a limb-store port."""
+    mask = (1 << width) - 1
+    if n_limbs == 1:
+        return [int(values) & mask if isinstance(values, int)
+                else np.asarray(values).astype(np.int64) & mask]
+    masked = values & mask if isinstance(values, int) else np.asarray(values, dtype=object) & mask
+    return [(masked >> (LIMB_BITS * k)) & _LIMB_MASK for k in range(n_limbs)]
+
+
 class _StreamLanes:
     """Lane form of a block of one :class:`StreamTestbench` type.
 
-    Inputs and golden outputs are ``(cycles, lanes)`` arrays built once, over
-    only the cycles the budget reaches: a cycle writes one row per varying
-    input port and checks every lane with one masked compare per output.
+    The declaration lowers once, over only the cycles the budget reaches, to
+    a whole-run ``(n_cycles, input rows, lanes)`` int64 array (stream
+    values, constants, and the ``idle`` values from ``n_items`` on;
+    limb-store ports one row per limb), the store rows those rows go to
+    (:attr:`slots`), the store rows of the outputs a check reads
+    (:attr:`capture`: the gate, then every golden output) and
+    ``(items, lanes)`` golden arrays.  A native lane block runs it to
+    completion: the estimator hands segments of :meth:`rows_at` to the
+    kernel's ``run`` and checks each segment's captured output rows with
+    one :meth:`check_rows`.  The per-cycle :meth:`drive` and :meth:`check`
+    (the ``off`` backend) write one cycle's rows and call the same
+    :meth:`check_rows` on one cycle's outputs.
     """
 
     name = "stream"
@@ -158,54 +184,109 @@ class _StreamLanes:
         self.testbenches = list(testbenches)
         self.simulator = simulator
         n_items = testbenches[0].n_items
-        self.n_items = n_items
-        self.n_rows = n_items if cycles is None else min(n_items, cycles)
         self.latency, self.gate, self.item = kind.latency, kind.gate, kind.item
-        self.finish = n_items + kind.tail
-        self.idle = kind.idle
-        #: per-lane values of the constant ports, written on cycle 0
-        self._constants: Dict[str, np.ndarray] = {}
-        #: ``(rows, lanes)`` values of the varying ports
-        self._streams: Dict[str, np.ndarray] = {}
-        for port, values in testbenches[0].streams.items():
-            if isinstance(values, int):
-                self._constants[port] = np.array([tb.streams[port] for tb in testbenches])
-            else:
-                self._streams[port] = np.array(
-                    [tb.streams[port][:self.n_rows] for tb in testbenches]).T.copy()
+        # a run lasts at least one cycle, as the per-cycle loop does
+        finish = max(n_items + kind.tail, 1)
+        self.n_cycles = finish if cycles is None else min(finish, cycles)
+        n_rows = min(n_items, self.n_cycles)
+        declared = testbenches[0].streams
+        # ``(rows, lanes)`` values of the varying ports, one stack per port
+        streams = {
+            port: np.stack([tb.streams[port][:n_rows] for tb in testbenches], axis=1)
+            for port, values in declared.items() if not isinstance(values, int)
+        }
+        ports = list(declared) + [port for port in kind.idle if port not in declared]
+        port_limbs, v = simulator._port_limbs, simulator._v
+        keys = [simulator._input_port(port) for port in ports]
+        #: the store row of each input row of :meth:`rows_at`
+        self.slots = np.array([slot + k for port, (slot, _) in zip(ports, keys)
+                               for k in range(port_limbs[port])], dtype=np.int64)
+        self.rows = np.empty((self.n_cycles, len(self.slots), len(testbenches)),
+                             dtype=np.int64)
+        row = 0
+        for port, (slot, width) in zip(ports, keys):
+            n_limbs = port_limbs[port]
+            if port in streams:
+                head = _limb_rows(streams[port], width, n_limbs)
+            elif port in declared:
+                head = _limb_rows(np.array([tb.streams[port] for tb in testbenches]),
+                                  width, n_limbs)
+            else:  # driven only when idle: holds its reset value until then
+                head = [v[slot + k] for k in range(n_limbs)]
+            idle = (_limb_rows(kind.idle[port], width, n_limbs)
+                    if port in kind.idle else None)
+            for k in range(n_limbs):
+                column = self.rows[:, row + k]
+                column[:n_rows] = head[k]
+                if n_rows < self.n_cycles:
+                    # after the last item: the idle value, else the held one
+                    column[n_rows:] = (idle[k] if idle is not None
+                                       else column[n_rows - 1] if n_rows else v[slot + k])
+            row += n_limbs
         self.n_checked = n_items if cycles is None else max(
             0, min(n_items, cycles - self.latency))
-        self._golden = kind.golden_lanes(testbenches, self._streams, self.n_checked)
+        self._golden = kind.golden_lanes(testbenches, streams, self.n_checked)
+        self._capture_ports = list(self._golden)
+        if self.gate is not None:
+            self._capture_ports.insert(0, self.gate)
+        outputs = simulator._output_keys
+        #: store rows of the gate and the golden outputs; None when one is a
+        #: limb-store port, which only the per-cycle loop reads
+        self.capture = (
+            None if any(port_limbs[port] > 1 for port in self._capture_ports)
+            else np.array([outputs[port] for port in self._capture_ports], dtype=np.int64))
         self._checked = np.zeros(len(self.testbenches), dtype=np.int64)
 
+    def rows_at(self, cycle: int) -> np.ndarray:
+        """The input rows from ``cycle`` to the end of the run."""
+        return self.rows[cycle:]
+
+    def check_rows(self, first_cycle: int, captured: np.ndarray, stop: np.ndarray) -> None:
+        """Check the outputs of cycles ``first_cycle, first_cycle + 1, ...``.
+
+        ``captured[k]`` holds the settled values of the capture ports (the
+        gate, then every golden output) on cycle ``first_cycle + k``; lane
+        ``l`` is checked on the cycles below ``stop[l]``.  The first failure
+        in the per-cycle loop's order (earliest cycle, then output, then
+        lowest lane) raises; every lane counts the cycles it checked.
+        """
+        lo = max(first_cycle, self.latency)
+        hi = min(first_cycle + len(captured), self.latency + self.n_checked)
+        if lo >= hi:
+            return
+        outputs = captured[lo - first_cycle:hi - first_cycle]
+        mask = np.arange(lo, hi)[:, None] < stop
+        if self.gate is not None:
+            mask &= outputs[:, 0] != 0
+        if self._golden:
+            # (cycles, outputs, lanes) in C order is the loop's check order
+            items = slice(lo - self.latency, hi - self.latency)
+            got = outputs[:, self.gate is not None:]
+            want = np.stack([golden[items] for golden in self._golden.values()], axis=1)
+            bad = (got != want) & mask[:, None]
+            if bad.any():
+                k, p, lane = np.unravel_index(np.argmax(bad), bad.shape)
+                raise AssertionError(
+                    f"lane {lane} cycle {lo + k}: {self.item} {lo + k - self.latency} "
+                    f"output {list(self._golden)[p]}: expected {want[k, p, lane]}, "
+                    f"got {got[k, p, lane]}"
+                )
+        self._checked += mask.sum(axis=0)
+
     def drive(self, cycle: int, active: np.ndarray) -> None:
-        set_input = self.simulator.set_input
-        if cycle < self.n_rows:
-            if cycle == 0:
-                self.simulator.set_inputs(self._constants)
-            for port, rows in self._streams.items():
-                set_input(port, rows[cycle])
-        elif cycle == self.n_items:
-            self.simulator.set_inputs(self.idle)
+        if cycle < self.n_cycles:
+            self.simulator._v[self.slots] = self.rows[cycle]
 
     def check(self, cycle: int, active: np.ndarray) -> bool:
-        item = cycle - self.latency
-        if 0 <= item < self.n_checked:
+        if self.capture is not None:
+            captured = self.simulator._v[self.capture][None]
+        else:
             get_output = self.simulator.get_output
-            mask = active
-            if self.gate is not None:
-                mask = active & (get_output(self.gate) != 0)
-            for port, golden in self._golden.items():
-                got = get_output(port)
-                bad = mask & (got != golden[item])
-                if bad.any():
-                    lane = int(np.flatnonzero(bad)[0])
-                    raise AssertionError(
-                        f"lane {lane} cycle {cycle}: {self.item} {item} output "
-                        f"{port}: expected {golden[item, lane]}, got {got[lane]}"
-                    )
-            self._checked += mask
-        return cycle + 1 >= self.finish
+            captured = np.array([[get_output(port) for port in self._capture_ports]],
+                                dtype=object)
+        # lane l is checked on this cycle while it is active
+        self.check_rows(cycle, captured, cycle + active)
+        return cycle + 1 >= self.n_cycles
 
     def close(self) -> None:
         for testbench, checked in zip(self.testbenches, self._checked.tolist()):
@@ -337,6 +418,8 @@ class _JobLanes:
     """
 
     name = "jobs"
+    #: done events need Python: no run to completion
+    capture = None
 
     def __init__(self, testbenches, simulator) -> None:
         self.testbenches = list(testbenches)

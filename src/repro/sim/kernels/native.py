@@ -38,13 +38,14 @@ Every translation unit also carries fixed, design-independent entry points:
   evaluator's order (see :mod:`repro.power.block`), so its doubles are
   identical to the NumPy path's.
 * ``run`` (lane programs, which have a clock edge) — a whole segment of
-  cycles of a stimulus chunk, run to completion block by block: per cycle
-  it copies the chunk's rows into the input slots, calls ``settle_block``,
-  sets the block's 0/1 lane mask from the lanes' stop cycles, calls
-  ``observe_block`` and ``clock_edge_block``.  Each lane sees the per-cycle
-  loop's operations in its order, so every thread count gives that loop's
-  results, and the host makes one call per segment instead of several per
-  cycle.
+  cycles of input rows, run to completion block by block: per cycle it
+  copies the segment's rows into the input slots, calls ``settle_block``,
+  copies the settled capture rows (the outputs a testbench checks) out to a
+  caller-owned buffer, sets the block's 0/1 lane mask from the lanes' stop
+  cycles, calls ``observe_block`` and ``clock_edge_block``.  Each lane sees
+  the per-cycle loop's operations in its order, so every thread count gives
+  that loop's results, and the host makes one call per segment instead of
+  several per cycle.
 
 They compile in the same compiler call as the phases, so power evaluation
 adds no compiler process.
@@ -396,12 +397,13 @@ void observe(const elem *restrict v, observe_plan *p)
 """
 
 #: the run-to-completion entry point of every lane-program kernel (one with
-#: a settle and a clock-edge phase): ``n_cycles`` cycles of stimulus rows,
-#: each cycle copied into the input slots, settled, observed under the 0/1
-#: mask ``cycle < stop[lane]`` and clocked, one lane block at a time.  The
-#: order within a lane is the per-cycle loop's (drive, settle, observe,
-#: clock edge), and lane blocks touch disjoint lanes, so every thread count
-#: gives that loop's results
+#: a settle and a clock-edge phase): ``n_cycles`` cycles of input rows, each
+#: cycle copied into the input slots, settled, its capture rows copied out
+#: (``n_capture`` 0: none), observed under the 0/1 mask ``cycle < stop[lane]``
+#: and clocked, one lane block at a time.  The order within a lane is the
+#: per-cycle loop's (drive, settle, check, observe, clock edge), and lane
+#: blocks touch disjoint lanes, so every thread count gives that loop's
+#: results
 _RUN_RUNTIME = """
 static void settle_block(elem *restrict, i64 *const *, i64 *const *,
                          i64 *restrict, i64, i64, i64, const void *);
@@ -413,7 +415,9 @@ typedef struct {
     const long long *rows;  /* (n_cycles, n_rows, lanes) input rows */
     const long long *slot;  /* (n_rows,) store row each input row goes to */
     const long long *stop;  /* (lanes,) the cycle each lane stops at */
-    i64 n_rows, n_cycles;
+    const long long *capture;  /* (n_capture,) store rows copied out */
+    long long *captured;    /* (n_cycles, n_capture, lanes) settled values */
+    i64 n_rows, n_cycles, n_capture;
 } run_args;
 
 static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
@@ -437,6 +441,12 @@ static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
                 to[i] = (elem)from[i];
         }
         settle_block(v, S, M, W, L, l0, tid, 0);
+        for (i64 c = 0; c < a->n_capture; ++c) {
+            const elem *restrict from = v + a->capture[c] * L + l0;
+            long long *restrict to = a->captured + (k * a->n_capture + c) * L + l0;
+            for (i64 i = 0; i < nb; ++i)
+                to[i] = (long long)from[i];
+        }
         for (i64 i = 0; i < nb; ++i)
             mask[i] = cycle < stop[i] ? 1.0 : 0.0;
         observe_block(v, p, l0, cycle, p->trace_row + k, toggles, toggled);
@@ -446,9 +456,11 @@ static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
 
 void run(elem *restrict v, i64 *const *S, i64 *const *M, i64 *restrict W,
          i64 L, i64 nt, observe_plan *p, const long long *rows,
-         const long long *slot, i64 n_rows, i64 n_cycles, const long long *stop)
+         const long long *slot, i64 n_rows, i64 n_cycles, const long long *stop,
+         const long long *capture, i64 n_capture, long long *captured)
 {
-    const run_args a = {p, rows, slot, stop, n_rows, n_cycles};
+    const run_args a = {p, rows, slot, stop, capture, captured,
+                        n_rows, n_cycles, n_capture};
     dispatch(run_block, v, S, M, W, L, nt, &a);
     p->cycles += n_cycles;
     if (p->trace)
@@ -594,7 +606,8 @@ def _compile_library(source: str, ir: KernelIR):
         signatures.append(
             f"void run({elem} *, long long **, long long **, long long *, "
             f"long long, long long, observe_plan *, const long long *, "
-            f"const long long *, long long, long long, const long long *);"
+            f"const long long *, long long, long long, const long long *, "
+            f"const long long *, long long, long long *);"
         )
     ffi.cdef("\n".join(signatures))
     lib = ffi.dlopen(so_path)
@@ -712,22 +725,36 @@ class NativeKernel:
         self._lib.observe(self._v_pointer(v), plan)
 
     def run(self, v: np.ndarray, plan, rows: np.ndarray, slots: np.ndarray,
-            stop: np.ndarray, n_threads: int = 1) -> None:
+            stop: np.ndarray, n_threads: int, capture: np.ndarray,
+            captured: np.ndarray) -> None:
         """``len(rows)`` whole cycles over every lane, in one call.
 
         Each cycle writes ``rows[k]`` (``(n_rows, lanes)`` int64) into the
-        store rows ``slots``, settles, runs the plan's macromodels with lane
-        ``l`` masked in while ``plan.cycles < stop[l]``, and clocks.  The
+        store rows ``slots``, settles, copies the store rows ``capture`` to
+        ``captured[k]`` (``(>= cycles, len(capture), lanes)`` int64; an
+        empty ``capture`` copies nothing), runs the plan's macromodels with
+        lane ``l`` masked in while ``plan.cycles < stop[l]``, and clocks.  The
         plan needs one ``toggles``/``toggled`` stripe per worker
         (:func:`worker_count` of ``n_threads`` and the lane count).
         """
         n_rows = len(slots)
-        if (rows.ndim != 3 or rows.shape[1:] != (n_rows, v.shape[1])
-                or stop.shape != (v.shape[1],)):
+        lanes = v.shape[1]
+        if (rows.ndim != 3 or rows.shape[1:] != (n_rows, lanes)
+                or stop.shape != (lanes,)):
             raise ValueError(
-                f"run needs (cycles, {n_rows}, {v.shape[1]}) input rows and "
-                f"({v.shape[1]},) stops, got {rows.shape} and {stop.shape}"
+                f"run needs (cycles, {n_rows}, {lanes}) input rows and "
+                f"({lanes},) stops, got {rows.shape} and {stop.shape}"
+            )
+        n_capture = len(capture)
+        if (captured.ndim != 3 or captured.shape[1:] != (n_capture, lanes)
+                or len(captured) < len(rows)
+                or n_capture and not 0 <= capture.min() <= capture.max() < len(v)):
+            raise ValueError(
+                f"run needs store rows below {len(v)} to capture and a "
+                f"(>= {len(rows)}, {n_capture}, {lanes}) capture buffer, got "
+                f"{capture.tolist()} and {captured.shape}"
             )
         self._lib.run(*self._threaded(v, n_threads), plan,
                       self.c_array(rows), self.c_array(slots), n_rows, len(rows),
-                      self.c_array(stop))
+                      self.c_array(stop), self.c_array(capture), n_capture,
+                      self.c_array(captured))

@@ -107,10 +107,20 @@ class LaneLoop:
     ``drive``/``check``/``finished`` against a
     :class:`~repro.sim.batch.LaneView` — O(lanes) Python calls per cycle,
     the path for testbenches that declare no lane form of their own.
+
+    A lane form whose inputs and stop cycles are known up front can also
+    run to completion on a native kernel: it offers ``n_cycles`` (its last
+    cycle), ``slots`` and ``rows_at(cycle)`` (its input rows, as
+    :meth:`repro.stim.driver.BatchStimulusDriver.rows_at` returns them),
+    ``capture`` (the store rows its check reads, an int64 array) and
+    ``check_rows(first_cycle, captured, stop)``, which checks a segment of
+    captured rows.  ``capture`` is ``None`` on a form that cannot.
     """
 
     #: reported as the lane reports' ``stimulus_driver`` note
     name = "lane-view"
+    #: each lane's testbench runs as Python: no run to completion
+    capture = None
 
     def __init__(self, testbenches: Sequence[Testbench], simulator) -> None:
         self.testbenches = list(testbenches)

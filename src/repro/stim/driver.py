@@ -41,6 +41,8 @@ class BatchStimulusDriver:
 
     #: reported as the lane reports' ``stimulus_driver`` note
     name = "array"
+    #: a stimulus spec checks no output: nothing to capture
+    capture = np.zeros(0, dtype=np.int64)
 
     def __init__(
         self,
@@ -116,6 +118,9 @@ class BatchStimulusDriver:
     def check(self, cycle: int, active: np.ndarray) -> bool:
         """Every lane finishes with the spec's last cycle."""
         return cycle + 1 >= self.n_cycles
+
+    def check_rows(self, first_cycle: int, captured: np.ndarray, stop: np.ndarray) -> None:
+        return None
 
     def close(self) -> None:
         return None

@@ -8,11 +8,13 @@ The scale-out work trades nothing for speed, and these tests pin that down:
   under compiled spec stimulus alike; ``auto`` runs one worker.  A call
   runs at most one worker per lane block, and the serial tier (a compiler
   without OpenMP) gives the same results at any requested count.
-* **Run-to-completion lane blocks** — a native, spec-driven lane block
-  runs in one ``run`` kernel call per stimulus segment; its reports, cycle
-  traces and profiles equal the per-cycle loop's on the ``off`` backend at
-  every lane count around the 128-lane block and at 1 and 2 workers, with
-  segments cut by stimulus chunks, profile windows and trace buffers.
+* **Run-to-completion lane blocks** — a native lane block driven by a
+  stimulus spec or by registry stream testbenches runs in one ``run``
+  kernel call per segment; its reports, cycle traces and profiles (and the
+  testbenches' check counts) equal the per-cycle loop's on the ``off``
+  backend at every lane count around the 128-lane block and at 1 and 2
+  workers, with segments cut by stimulus chunks, profile windows and trace
+  buffers.
 * **Limb-store parity** — 61..240-bit nets live in int64 limb arrays; the
   limb path must reproduce the exact-int ``interp`` oracle cycle for cycle,
   and the lane power estimator must match the scalar estimator on a
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 from collections import Counter
 
 import numpy as np
@@ -45,7 +48,7 @@ from repro.power import block as power_block
 from repro.power import lane_estimator
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.power.rtl_estimator import RTLPowerEstimator
-from repro.sim import BatchSimulator, Simulator
+from repro.sim import BatchSimulator, Simulator, declarative
 from repro.sim.batch import compile_module_batch
 from repro.sim.kernels import (
     BLOCK_LANES,
@@ -561,6 +564,70 @@ def test_fused_run_makes_one_kernel_call_per_segment():
         kernel._lib = spy._lib
 
 
+#: per-lane budgets of the registry testbench lanes (600 pixels, 2 tail
+#: cycles): before, at and past the last item, into and past the idle tail
+STREAM_BUDGETS = (17, 599, 600, 601, 602, None, 1000)
+
+
+def _stream_lane_run(module, n_lanes, backend, n_threads=1):
+    """Every HVPeakF registry-testbench lane's report (wall time zeroed),
+    profile and check count, and the estimator."""
+    estimator = BatchRTLPowerEstimator(
+        module, kernel_backend=backend, kernel_threads=n_threads)
+    entry = get_design("HVPeakF")
+    benches = [entry.make_testbench(lane) for lane in range(n_lanes)]
+    for lane, bench in enumerate(benches):
+        bench.max_cycles = STREAM_BUDGETS[lane % len(STREAM_BUDGETS)]
+    reports = estimator.estimate_all(
+        benches,
+        profile=[FUSED_PROFILES[lane % len(FUSED_PROFILES)] for lane in range(n_lanes)])
+    assert estimator.last_kernel_backend == backend
+    assert all(r.notes["stimulus_driver"] == "stream" for r in reports)
+    reports = [dataclasses.replace(r, estimation_time_s=0.0) for r in reports]
+    return (reports, estimator.last_profiles,
+            [bench.captured() for bench in benches], estimator)
+
+
+@needs_cc
+@pytest.mark.parametrize("n_lanes", (1, 127, 128, 129))
+def test_fused_stream_testbench_run_equals_cycle_loop(monkeypatch, n_lanes):
+    """Registry stream testbenches run to completion too: reports (cycle
+    traces included), profiles and check counts equal the ``off`` loop's,
+    with segments cut by profile windows and trace buffers, and lanes
+    stopping before, at and after the last item."""
+    monkeypatch.setattr(power_block, "BLOCK_ELEMENTS", FUSED_TRACE_ELEMENTS)
+    want = _stream_lane_run(build_flat("HVPeakF"), n_lanes, "off")[:3]
+    assert all(r.cycle_energy_fj for r in want[0])
+    for n_threads in (1, 2):
+        *got, estimator = _stream_lane_run(
+            build_flat("HVPeakF"), n_lanes, "native", n_threads)
+        assert "run_s" in estimator.last_phase_s  # the fused path ran
+        assert got[0] == want[0], (n_lanes, n_threads)
+        assert got[1] == want[1], (n_lanes, n_threads)
+        assert got[2] == want[2], (n_lanes, n_threads)
+
+
+@needs_cc
+def test_fused_stream_testbench_makes_one_kernel_call():
+    """A 256-cycle block of registry testbench lanes is one ``run`` call:
+    its checks read the outputs the kernel captured, not the store."""
+    module = build_flat("HVPeakF")
+    entry = get_design("HVPeakF")
+    estimator = BatchRTLPowerEstimator(module, kernel_backend="native")
+    estimator.estimate_all([entry.make_testbench(s) for s in range(256)], max_cycles=256)
+    kernel = compile_module_batch(module, 256)._kernel
+    spy = kernel._lib = _ThreadSpy(kernel._lib)
+    try:
+        benches = [entry.make_testbench(s) for s in range(256)]
+        estimator.estimate_all(benches, max_cycles=256)
+        # the settle is the simulator's reset, when it is built
+        assert spy.names == {"settle": 1, "run": 1}
+        # pixels 0..254 come out on cycles 1..255, all gated in
+        assert {bench.captured()["pixels_checked"] for bench in benches} == {255}
+    finally:
+        kernel._lib = spy._lib
+
+
 def _limb_module():
     """A 100-bit (two-limb) input read through slices within and across its
     limbs; the slices are left unmonitored, so every monitored component is
@@ -600,6 +667,90 @@ def test_fused_run_splits_limb_ports_into_limb_rows():
         if config is not None:
             assert (dataclasses.replace(got[1][lane], notes={})
                     == dataclasses.replace(scalar.last_profile, notes={})), lane
+
+
+def _limb_stream_module():
+    """:func:`_limb_module`'s datapath plus ``z``, a registered copy of the
+    100-bit ``w``, left unmonitored like the slices (no generic component)."""
+    b = NetlistBuilder("limb_stream")
+    wide = b.input("w", 100)
+    narrow = b.input("x", 12)
+    high = b.slice(wide, 99, 80)
+    straddle = b.slice(wide, 69, 50)
+    total = b.add(b.add(high, straddle), b.resize(narrow, 20))
+    b.output("y", b.pipe(total))
+    b.output("z", b.pipe(wide, name="wide_copy"))
+    module = b.build()
+    for component in module.components.values():
+        if component.type_name == "slice" or component.name == "wide_copy":
+            component.monitored_ports = lambda: []
+    return module
+
+
+class _LimbStream(declarative.StreamTestbench):
+    """Streams a 100-bit and a 12-bit port; checks ``y`` one cycle later."""
+
+    latency = 1
+    tail = 1
+    item = "word"
+    checked = ("y",)
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        rng = random.Random(seed)
+        super().__init__({"w": [rng.getrandbits(100) for _ in range(40)],
+                          "x": [rng.getrandbits(12) for _ in range(40)]}, "limb_stream")
+
+    def reference(self):
+        w, x = self.streams["w"], self.streams["x"]
+        outputs = {
+            "y": [((a >> 80) + ((a >> 50) & 0xFFFFF) + b) & 0xFFFFF for a, b in zip(w, x)],
+            "z": list(w),
+        }
+        return {port: outputs[port] for port in self.checked}
+
+
+class _WideOutputStream(_LimbStream):
+    """Also checks the 100-bit ``z``: a limb-store output."""
+
+    checked = ("y", "z")
+
+
+@needs_cc
+@pytest.mark.parametrize("kind, fused", [(_LimbStream, True), (_WideOutputStream, False)])
+def test_stream_testbench_limb_ports(kind, fused):
+    """Limb-store input ports go to the kernel split into limb rows; a
+    limb-store checked output keeps the per-cycle loop, which reads it as
+    exact ints.  Either way reports equal the ``off`` loop's and scalar
+    runs', and a mismatch raises the same text on both backends."""
+    module = _limb_stream_module()
+    reports, errors = {}, {}
+    for backend in ("off", "native"):
+        estimator = BatchRTLPowerEstimator(module, kernel_backend=backend)
+        benches = [kind(seed) for seed in range(5)]
+        reports[backend] = [dataclasses.replace(r, estimation_time_s=0.0)
+                            for r in estimator.estimate_all(benches)]
+        assert ("run_s" in estimator.last_phase_s) == (fused and backend == "native")
+        assert {bench._checked for bench in benches} == {40}
+
+        class Corrupted(kind):
+            def reference(self):
+                golden = super().reference()
+                if self.seed == 1:
+                    golden[self.checked[-1]][7] ^= 1 << 90 if len(self.checked) > 1 else 1
+                return golden
+
+        with pytest.raises(AssertionError) as error:
+            estimator.estimate_all([Corrupted(0), Corrupted(1)])
+        errors[backend] = str(error.value)
+    assert reports["native"] == reports["off"]
+    assert errors["native"] == errors["off"]
+    assert errors["off"].startswith(f"lane 1 cycle 8: word 7 output {kind.checked[-1]}")
+    scalar = RTLPowerEstimator(module)
+    for seed in (0, 4):
+        report = scalar.estimate(kind(seed))
+        assert (dataclasses.replace(reports["native"][seed], notes={})
+                == dataclasses.replace(report, estimation_time_s=0.0, notes={})), seed
 
 
 # ---------------------------------------------------------------------------

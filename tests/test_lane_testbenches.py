@@ -117,20 +117,42 @@ def test_vectorized_golden_equals_scalar_reference():
             assert values[:, lane].tolist() == [out[port] for out in reference]
 
 
-def test_stream_mismatch_names_lane_and_cycle(monkeypatch, library):
-    entry = get_design("HVPeakF")
+def _corrupt_golden(monkeypatch, flips):
+    """Flip bit 0 of golden values, ``{(port, item, lane), ...}``; a
+    ``valid_out`` flip also checks the gate as a golden output (all ones)."""
     golden_lanes = hvpeakf.PeakingFilterTestbench.golden_lanes.__func__
 
     def corrupted(cls, testbenches, streams, n_items):
         golden = golden_lanes(cls, testbenches, streams, n_items)
-        golden["pixel_out"][50, 3] ^= 1
+        if any(port == "valid_out" for port, _, _ in flips):
+            golden["valid_out"] = np.ones_like(golden["pixel_out"])
+        for port, item, lane in flips:
+            golden[port][item, lane] ^= 1
         return golden
 
     monkeypatch.setattr(hvpeakf.PeakingFilterTestbench, "golden_lanes",
                         classmethod(corrupted))
+
+
+@pytest.mark.parametrize("backend", ["off", "native"])
+@pytest.mark.parametrize("flips, message", [
+    ({("pixel_out", 50, 3)}, r"^lane 3 cycle 51: pixel 50 output pixel_out"),
+    # the earliest cycle wins over the port order ...
+    ({("pixel_out", 40, 1), ("valid_out", 30, 2)},
+     r"^lane 2 cycle 31: pixel 30 output valid_out: expected 0, got 1$"),
+    # ... the port order over the lane order, on one cycle
+    ({("pixel_out", 30, 4), ("valid_out", 30, 2)},
+     r"^lane 4 cycle 31: pixel 30 output pixel_out"),
+], ids=["one-flip", "earliest-cycle", "port-order"])
+def test_stream_mismatch_names_lane_and_cycle(monkeypatch, library, backend, flips,
+                                              message):
+    """The per-cycle loop (``off``) and the native run, which checks the
+    outputs it captured after the run, report the same first mismatch."""
+    entry = get_design("HVPeakF")
+    _corrupt_golden(monkeypatch, flips)
     estimator = BatchRTLPowerEstimator(build_flat("HVPeakF"), library=library,
-                                       kernel_backend="off")
-    with pytest.raises(AssertionError, match=r"^lane 3 cycle 51: pixel 50 output pixel_out"):
+                                       kernel_backend=backend)
+    with pytest.raises(AssertionError, match=message):
         estimator.estimate_all([entry.make_testbench(s) for s in range(5)], max_cycles=64)
 
 
@@ -194,6 +216,24 @@ def test_memory_without_lane_array_falls_back_to_scalar(monkeypatch):
     fallback = RTLEstimatorAdapter().estimate(spec)
     assert fallback.backend == "compiled"
     assert _signature(fallback.report) == _signature(expected.report)
+
+
+def test_limb_store_stream_lanes_keep_the_cycle_loop(library):
+    """Wide_Checksum keeps its 168-bit state in limb rows, so its monitored
+    components are generic: its stream lanes keep the per-cycle loop on a
+    native kernel (no ``run_s``) and report what the ``off`` loop reports."""
+    entry = get_design("Wide_Checksum")
+    seeds = SEEDS["Wide_Checksum"]
+    reports = {}
+    for backend in ("off", "native"):
+        estimator = BatchRTLPowerEstimator(build_flat("Wide_Checksum"), library=library,
+                                           kernel_backend=backend)
+        testbenches = [entry.make_testbench(s) for s in seeds]
+        reports[backend] = estimator.estimate_all(testbenches)
+        assert "run_s" not in estimator.last_phase_s
+        assert [tb.captured()["words_checked"] for tb in testbenches] == [192, 192]
+    assert ([_signature(r) for r in reports["native"]]
+            == [_signature(r) for r in reports["off"]])
 
 
 def test_wide_checksum_design_spec_runs_on_the_array_driver(library):

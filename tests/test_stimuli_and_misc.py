@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,7 +80,8 @@ def test_bulk_draws_equal_per_value_draws(width):
     for seed in range(1000):
         for n in (0, 1, 600):
             reference = _per_value(random.Random(seed), n, width)
-            assert stimuli.random_pixels(n, seed=seed, width=width) == reference
+            pixels = stimuli.random_pixels(n, seed=seed, width=width)
+            assert pixels.dtype == np.int64 and pixels.tolist() == reference
             assert stimuli.random_array(n, seed=seed, width=width) == reference
             # the generator ends in the per-value loop's state
             bulk, loop = random.Random(seed), random.Random(seed)
