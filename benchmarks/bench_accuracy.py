@@ -42,9 +42,15 @@ def test_accuracy_per_design(benchmark, fig3_study):
         )
     worst = max(abs(row.accuracy_error) for row in rows)
     lines += ["", f"worst-case error across designs: {worst:.2%} (paper: 'little or no tradeoff')"]
-    write_result("accuracy.txt", "\n".join(lines))
+    # *_pct metrics are not gated (repro.bench.gate.classify_metric), so the
+    # budget below is this harness's own check
+    write_result(
+        "accuracy.txt",
+        "\n".join(lines),
+        metrics={"worst_error_pct": round(worst * 100.0, 4)},
+    )
 
-    assert worst < 0.03, "emulated power should track the software estimate within a few percent"
+    assert worst < 0.005, "emulated power should track the software estimate within 0.5%"
     benchmark.extra_info["worst_case_error"] = round(worst, 4)
 
 

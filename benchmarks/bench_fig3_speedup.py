@@ -38,10 +38,22 @@ def test_fig3_speedup_series(benchmark, fig3_study):
         f"range: {min(all_speedups):.1f}x .. {max(all_speedups):.1f}x "
         "(paper: ~10x to over 500x)",
     ]
-    write_result("fig3_speedup.txt", "\n".join(lines))
+    # modeled, deterministic speedups: repro.bench.gate gates speedup* as
+    # higher-is-better
+    write_result(
+        "fig3_speedup.txt",
+        "\n".join(lines),
+        metrics={
+            "speedup_min_nec": round(min(speedups_nec.values()), 2),
+            "speedup_max_nec": round(max(speedups_nec.values()), 2),
+            "speedup_min_powertheater": round(min(speedups_pt.values()), 2),
+            "speedup_max_powertheater": round(max(speedups_pt.values()), 2),
+        },
+    )
 
-    # shape checks against the paper
-    assert min(all_speedups) > 5, "even the smallest design should see a clear speedup"
-    assert max(all_speedups) > 100, "the largest designs should see a >100x speedup"
+    # shape checks against the paper: its range starts at ~10x; the top of
+    # this reproduction's range (382x) stays short of its "over 500x"
+    assert min(all_speedups) >= 10, "the smallest design should reach the paper's ~10x"
+    assert max(all_speedups) > 300, "the largest designs should see a >300x speedup"
     # the largest design (MPEG4) benefits more than the smallest (Bubble_Sort)
     assert speedups_nec["MPEG4"] > speedups_nec["Bubble_Sort"]

@@ -14,8 +14,6 @@ A from-scratch Python reproduction of "Hardware Accelerated Power Estimation"
 * :mod:`repro.core` — the paper's contribution: power-estimation hardware
   (power models, strobe generator, aggregator), the instrumentation pass, the
   FPGA platform model and the end-to-end power-emulation flow,
-* :mod:`repro.hls` — a small behavioral-synthesis substrate (scheduling,
-  binding, datapath generation); none of the benchmark designs comes from it,
 * :mod:`repro.designs` — the benchmark designs evaluated in the paper,
 * :mod:`repro.stim` — declarative stimulus specs, the tensor compiler and
   the vectorized lane drivers behind Monte-Carlo scenario sweeps.
@@ -30,7 +28,6 @@ __all__ = [
     "gates",
     "power",
     "core",
-    "hls",
     "designs",
     "stim",
 ]

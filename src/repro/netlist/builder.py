@@ -1,7 +1,7 @@
 """Fluent netlist construction API.
 
 :class:`NetlistBuilder` is the ergonomic front end used by the benchmark
-designs and by generated datapaths (HLS, power-emulation instrumentation).
+designs and by generated datapaths (power-emulation instrumentation).
 Every operation instantiates the corresponding RTL component, wires its
 inputs, creates an output net and returns that net, so structural RTL can be
 written almost like dataflow expressions::
