@@ -2,8 +2,10 @@
 
 Eight independent clients each submit one ``RunSpec`` to a running
 :class:`~repro.serve.PowerServer` — the same design with different stimulus
-seeds, as eight users (or CI shards) would.  Because the submissions land
-inside one coalescing window and agree on the coalescing key
+seeds, as eight users (or CI shards) would.  The server drains its queue
+once an event-loop turn brings no new submission (``coalesce_window_s`` caps
+the first job's wait while arrivals keep coming).  Because the
+submissions are all queued by then and agree on the coalescing key
 (:func:`repro.api.coalesce_key`), the server merges them into a single
 shared ``BatchRTLPowerEstimator`` lane block: one lane-program compile, one
 kernel build, one settle per cycle for all eight jobs.  The process-wide
@@ -24,7 +26,10 @@ Run from the repository root:
 
 The same flow works across processes with the network front end — start
 ``PYTHONPATH=src python -m repro serve`` and point ``python -m repro
-submit``/``status`` at it.
+submit``/``status`` at it.  Requests from other processes arrive apart, so
+the server holds their drain open for the whole coalescing window
+(``--coalesce-window``) and merges every compatible request that lands in
+it.
 """
 
 from __future__ import annotations

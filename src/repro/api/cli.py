@@ -856,9 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="persistent job + result store; shares the sweep "
                           "runner's result cache ('' = in-memory)")
     srv.add_argument("--coalesce-window", type=float, default=0.05, metavar="S",
-                     help="seconds the dispatcher waits after a submission "
-                          "so concurrent compatible jobs merge into one "
-                          "shared lane batch")
+                     help="seconds a drain holding a client's job stays "
+                          "open after the first queued arrival, so "
+                          "concurrent compatible jobs merge into one shared "
+                          "lane batch (in-process bursts dispatch as soon "
+                          "as arrivals go quiet; this caps their wait)")
     srv.add_argument("--stdio", action="store_true",
                      help="serve JSON-line operations on stdin/stdout "
                           "instead of HTTP")

@@ -3,8 +3,9 @@
 The thinnest possible front end: a :class:`Client` wraps a running server in
 the same event loop and exposes submit/status/result/events plus the bulk
 helper :meth:`Client.estimate_all` — submit every spec *concurrently*, then
-gather results.  Concurrent submission is what makes coalescing work: specs
-landing inside one coalescing window merge into one shared lane block, so
+gather results.  Concurrent submission is what makes coalescing work: the
+server drains its queue once an event-loop turn brings no new submission,
+and specs queued by then merge into one shared lane block, so
 
 ::
 
@@ -57,8 +58,10 @@ class Client:
     ) -> List[EstimateResult]:
         """Submit all specs concurrently, then await every result in order.
 
-        Compatible specs submitted this way coalesce into shared lane
-        blocks; results come back in submission order either way.
+        Every spec is queued within one event-loop turn, before the server
+        drains, so compatible specs coalesce into shared lane blocks
+        without waiting out the server's coalescing window; results come
+        back in submission order either way.
         """
         job_ids = await asyncio.gather(
             *(self.submit(spec) for spec in specs)

@@ -17,6 +17,7 @@ estimator an incompatible lane block.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -52,9 +53,16 @@ class CoalescingQueue:
 
     def __init__(self) -> None:
         self._pending: List[JobRecord] = []
+        #: ``time.monotonic()`` of the oldest pending arrival (None if empty)
+        self.first_arrival: Optional[float] = None
+        #: a pending job came from another process (HTTP or stdio client)
+        self.has_remote = False
 
-    def push(self, record: JobRecord) -> None:
+    def push(self, record: JobRecord, remote: bool = False) -> None:
+        if not self._pending:
+            self.first_arrival = time.monotonic()
         self._pending.append(record)
+        self.has_remote = self.has_remote or remote
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -78,4 +86,6 @@ class CoalescingQueue:
             else:
                 groups.append(JobGroup(key=None, jobs=[record]))
         self._pending = []
+        self.first_arrival = None
+        self.has_remote = False
         return groups

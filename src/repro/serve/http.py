@@ -4,7 +4,9 @@ Hand-rolled on ``asyncio`` streams — no web framework, no dependencies.  The
 HTTP surface is deliberately tiny:
 
 * ``POST /jobs`` — body is a :class:`~repro.api.spec.RunSpec` JSON payload;
-  responds ``202 {"job_id": ...}`` immediately (the job queues/coalesces).
+  responds ``202 {"job_id": ...}`` immediately (the job queues, and
+  coalesces with every request that reaches the server within its
+  coalescing window).
 * ``GET /jobs`` — every known job, one summary line each.
 * ``GET /jobs/<id>`` — the full job record (state, events, error).
 * ``GET /jobs/<id>/result`` — blocks until the job finishes, then the
@@ -163,7 +165,7 @@ class HttpFrontend:
         if method == "POST" and path == "/jobs":
             try:
                 spec = json.loads(body.decode() or "{}")
-                job_id = await server.submit(spec)
+                job_id = await server.submit(spec, remote=True)
             except (ValueError, KeyError, TypeError) as exc:
                 writer.write(_response(400, {"error": str(exc)}))
                 return
@@ -304,7 +306,7 @@ async def run_stdio(
                 reply({"ok": True, "op": "shutdown"})
                 return
             if op == "submit":
-                job_id = await server.submit(request["spec"])
+                job_id = await server.submit(request["spec"], remote=True)
                 reply({"ok": True, "job_id": job_id})
             elif op == "status":
                 record = server.status(request["job_id"])

@@ -15,10 +15,21 @@ Design points:
   runs in ``asyncio.to_thread``.  Groups execute sequentially because lane
   programs cache per flat module — two simultaneous simulations of one
   design would fight over shared per-module state.  Throughput comes from
-  coalescing, not from racing groups.
-* **Coalescing window.**  The dispatcher sleeps ``coalesce_window_s`` after
-  the first pending submission before draining, so a burst of concurrent
-  clients lands in one shared lane block instead of N singleton runs.
+  coalescing, not from racing groups.  The worker hands each phase of a
+  group (``compiling``, ``simulating``, ``done``) to the loop in one hop,
+  which applies the members' transitions in lane order.
+* **Dispatch on quiet, window for remote clients.**  A burst submitted in
+  process (:meth:`Client.estimate_all <repro.serve.client.Client.estimate_all>`,
+  ``asyncio.gather`` of :meth:`PowerServer.submit`) is queued within an
+  event-loop turn, so the dispatcher drains as soon as one full turn brings
+  no new submission (reason ``quiet``), without waiting for a timer.
+  Remote clients (the HTTP and stdio front ends) are separate processes
+  whose requests arrive tens of milliseconds apart, so once one of them is
+  pending the drain stays open until ``coalesce_window_s`` after the first
+  queued arrival (reason ``window``); the same window caps the first job's
+  wait while in-process arrivals keep coming.  Either way a burst of
+  concurrent clients lands in one shared lane block instead of N singleton
+  runs.  Jobs arriving while a group runs queue for the next drain.
 * **Warm process caches.**  Adapters (and their power-model library), flat
   modules, lane programs and compiled kernels all persist for the process
   lifetime, so repeat jobs only pay simulation.  ``stats()`` exposes the
@@ -96,6 +107,14 @@ _GROUP_SIZE = obs.histogram(
 )
 _JOB_LATENCY = obs.histogram(
     "repro_serve_job_latency_seconds", "Submit-to-terminal wall time per job"
+)
+_DISPATCHES = obs.counter(
+    "repro_serve_dispatch_total",
+    "Queue drains, by what triggered them (quiet | window)",
+)
+_COALESCE_WAIT = obs.histogram(
+    "repro_serve_coalesce_wait_seconds",
+    "First queued arrival to drain, per drain",
 )
 
 
@@ -181,12 +200,15 @@ class PowerServer:
 
     # -------------------------------------------------------------- submission
     async def submit(
-        self, spec: Union[RunSpec, Dict[str, object]]
+        self, spec: Union[RunSpec, Dict[str, object]], remote: bool = False
     ) -> str:
         """Queue one run; returns its job id immediately.
 
         Specs whose result already exists in the shared cache complete
         instantly (state ``done``, ``cached`` flag set) without simulating.
+        ``remote`` marks a submission relayed from another process (the
+        HTTP and stdio front ends set it): the drain it joins stays open
+        for the full coalescing window, so its peers can arrive.
         """
         if isinstance(spec, dict):
             spec = RunSpec.from_dict(spec)
@@ -223,7 +245,7 @@ class PowerServer:
                 },
             )
             return record.job_id
-        self.queue.push(record)
+        self.queue.push(record, remote=remote)
         _QUEUE_DEPTH.set(len(self.queue))
         self._kick.set()
         return record.job_id
@@ -286,12 +308,29 @@ class PowerServer:
     async def _dispatch(self) -> None:
         while True:
             await self._kick.wait()
-            if self.coalesce_window_s > 0:
-                # let concurrently-submitting clients land in this drain
-                await asyncio.sleep(self.coalesce_window_s)
+            # let concurrently-submitting clients land in this drain.  An
+            # in-process burst is queued within a loop turn, so a turn that
+            # brings no new submission is quiet; remote clients are other
+            # processes, so a pending one holds the drain open to the window
+            deadline = self.queue.first_arrival + self.coalesce_window_s
+            reason = "quiet"
+            while True:
+                seen = len(self.queue)
+                if self.queue.has_remote:
+                    await asyncio.sleep(max(deadline - time.monotonic(), 0.0))
+                else:
+                    await asyncio.sleep(0)
+                if not self.queue.has_remote and len(self.queue) == seen:
+                    break
+                if time.monotonic() >= deadline:
+                    reason = "window"
+                    break
+            wait_s = round(time.monotonic() - self.queue.first_arrival, 6)
             self._kick.clear()
             groups = self.queue.drain()
             _QUEUE_DEPTH.set(len(self.queue))
+            _DISPATCHES.inc(reason=reason)
+            _COALESCE_WAIT.observe(wait_s)
             for group in groups:
                 self.n_groups += 1
                 _GROUPS.inc()
@@ -308,6 +347,8 @@ class PowerServer:
                             "group_size": len(group),
                             "lane": lane,
                             "coalesce_key": group.key,
+                            "reason": reason,
+                            "coalesce_wait_s": wait_s,
                         },
                     )
                 await asyncio.to_thread(self._run_group, group)
@@ -355,14 +396,18 @@ class PowerServer:
 
     def _transition_sync(
         self,
-        record: JobRecord,
+        records: List[JobRecord],
         state: str,
-        detail: Optional[Dict[str, object]] = None,
+        details: List[Dict[str, object]],
     ) -> None:
-        """Worker-thread transition: runs on the loop, waits for delivery."""
-        asyncio.run_coroutine_threadsafe(
-            self._transition(record, state, detail), self._loop
-        ).result()
+        """Worker-thread transitions: one hop to the loop, which applies
+        them in order; returns once every one is delivered."""
+
+        async def apply() -> None:
+            for record, detail in zip(records, details):
+                await self._transition(record, state, detail)
+
+        asyncio.run_coroutine_threadsafe(apply(), self._loop).result()
 
     # --------------------------------------------------------------- execution
     def _adapter(self, engine: str):
@@ -373,33 +418,37 @@ class PowerServer:
 
     def _run_group(self, group: JobGroup) -> None:
         """Execute one drained group in this worker thread."""
+        jobs = group.jobs
         specs = group.specs
         first = specs[0]
         try:
             before = build_counts()
-            for record in group.jobs:
-                self._transition_sync(record, "compiling", dict(before))
+            self._transition_sync(jobs, "compiling", [before] * len(jobs))
             if group.key is not None:
                 adapter = self._adapter("rtl")
                 warm = adapter.warm(first, n_lanes=len(specs))
                 built = {
                     k: build_counts()[k] - before[k] for k in before
                 }
-                for record in group.jobs:
-                    self._transition_sync(
-                        record, "simulating", {**warm, **built}
-                    )
+                self._transition_sync(
+                    jobs, "simulating", [{**warm, **built}] * len(jobs)
+                )
                 results = adapter.estimate_many(specs)
             else:
                 adapter = self._adapter(first.engine)
-                for record in group.jobs:
-                    self._transition_sync(record, "simulating", {})
+                self._transition_sync(jobs, "simulating", [{}] * len(jobs))
                 results = [adapter.estimate(spec) for spec in specs]
         except Exception:
             self._run_solo_fallback(group)
             return
-        for record, result in zip(group.jobs, results):
-            self._finish_job(record, result)
+        self._transition_sync(
+            jobs,
+            "done",
+            [
+                self._done_detail(record, result)
+                for record, result in zip(jobs, results)
+            ],
+        )
 
     def _run_solo_fallback(self, group: JobGroup) -> None:
         """Re-run each member alone after a group failure: exact blame.
@@ -424,23 +473,29 @@ class PowerServer:
                 )
                 record.error = failure.to_dict()
                 self._transition_sync(
-                    record,
+                    [record],
                     "failed",
-                    {
-                        "error_type": failure.error_type,
-                        "message": failure.message,
-                        "attempts": failure.attempts,
-                    },
+                    [
+                        {
+                            "error_type": failure.error_type,
+                            "message": failure.message,
+                            "attempts": failure.attempts,
+                        }
+                    ],
                 )
             else:
-                self._finish_job(record, result, solo_fallback=len(group) > 1)
+                detail = self._done_detail(
+                    record, result, solo_fallback=len(group) > 1
+                )
+                self._transition_sync([record], "done", [detail])
 
-    def _finish_job(
+    def _done_detail(
         self,
         record: JobRecord,
         result: EstimateResult,
         solo_fallback: bool = False,
-    ) -> None:
+    ) -> Dict[str, object]:
+        """Store the job's result; the detail of its ``done`` event."""
         result.metadata["job_id"] = record.job_id
         result.metadata["group_size"] = max(record.group_size, 1)
         record.result_key = self.store.put_result(record.spec, result.to_dict())
@@ -467,4 +522,4 @@ class PowerServer:
             }
         if solo_fallback:
             detail["solo_fallback"] = True
-        self._transition_sync(record, "done", detail)
+        return detail

@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.api import RunSpec, coalesce_key, estimate, is_coalescable
 from repro.api.estimators import RTLEstimatorAdapter
 from repro.api.sweep import CACHE_NAMESPACE, SweepSpec, sweep
@@ -172,6 +173,139 @@ def test_concurrent_compatible_jobs_share_one_build():
     assert all(r.backend == "batch[8]" for r in results)
 
 
+def _coalesced(job):
+    return next(e for e in job.events if e.state == "coalesced").detail
+
+
+def test_burst_dispatches_once_arrivals_go_quiet():
+    """A burst drains as soon as it is queued, not after the window."""
+    dispatches = obs.REGISTRY.counter("repro_serve_dispatch_total")
+    waits = obs.REGISTRY.histogram("repro_serve_coalesce_wait_seconds")
+    quiet_before = dispatches.value(reason="quiet")
+    waits_before = waits.count()
+    specs = [_spec(seed=s) for s in range(16)]
+
+    async def go():
+        async with PowerServer(coalesce_window_s=60.0) as server:
+            await asyncio.wait_for(
+                Client(server).estimate_all(specs), timeout=30.0
+            )
+            return server
+
+    server = asyncio.run(go())
+    assert server.n_groups == 1
+    for job in server.store.jobs():
+        detail = _coalesced(job)
+        assert detail["group_size"] == 16
+        assert detail["reason"] == "quiet"
+        assert 0.0 <= detail["coalesce_wait_s"] < 30.0
+    assert dispatches.value(reason="quiet") == quiet_before + 1
+    assert waits.count() == waits_before + 1
+
+
+def test_staggered_submissions_join_one_group():
+    """One loop turn between arrivals is not quiet: they share a drain."""
+
+    async def go():
+        async with PowerServer(coalesce_window_s=60.0) as server:
+            job_ids = []
+            for seed in range(16):
+                job_ids.append(await server.submit(_spec(seed=seed)))
+                await asyncio.sleep(0)
+            for job_id in job_ids:
+                await server.wait(job_id)
+            return server
+
+    server = asyncio.run(go())
+    assert server.n_groups == 1
+    assert all(job.group_size == 16 for job in server.store.jobs())
+    assert _coalesced(server.store.jobs()[0])["reason"] == "quiet"
+
+
+def test_window_caps_the_first_jobs_wait():
+    """Arrivals every loop turn drain once the window is spent."""
+    dispatches = obs.REGISTRY.counter("repro_serve_dispatch_total")
+    window_before = dispatches.value(reason="window")
+
+    async def go():
+        async with PowerServer(coalesce_window_s=0.0) as server:
+            job_ids = []
+            for seed in range(4):
+                job_ids.append(await server.submit(_spec(seed=seed)))
+                await asyncio.sleep(0)
+            for job_id in job_ids:
+                await server.wait(job_id)
+            return server
+
+    server = asyncio.run(go())
+    first = _coalesced(server.store.jobs()[0])
+    assert first["reason"] == "window"
+    # the cap ended the first drain while later submissions kept coming
+    assert first["group_size"] < 4
+    assert server.n_groups > 1
+    assert dispatches.value(reason="window") >= window_before + 1
+
+
+def test_remote_submissions_hold_the_drain_for_the_window():
+    """HTTP clients arriving 100 ms apart still merge within the window."""
+
+    async def go():
+        async with PowerServer(coalesce_window_s=1.0) as server:
+            http = HttpFrontend(server, port=0)
+            await http.start()
+            try:
+                job_ids = []
+                for seed in range(3):
+                    _, body = await asyncio.to_thread(
+                        _http, f"{http.url}/jobs", _spec(seed=seed).to_dict()
+                    )
+                    job_ids.append(body["job_id"])
+                    await asyncio.sleep(0.1)
+                for job_id in job_ids:
+                    await server.wait(job_id)
+            finally:
+                await http.stop()
+            return server
+
+    server = asyncio.run(go())
+    assert server.n_groups == 1
+    for job in server.store.jobs():
+        detail = _coalesced(job)
+        assert detail["group_size"] == 3
+        assert detail["reason"] == "window"
+        assert detail["coalesce_wait_s"] >= 0.9
+
+
+def test_group_hands_each_phase_to_the_loop_in_one_hop(monkeypatch):
+    """16 jobs, 3 worker-to-loop hops: compiling, simulating, done."""
+    hops = []
+    real = asyncio.run_coroutine_threadsafe
+
+    def counting(coro, loop):
+        hops.append(coro)
+        return real(coro, loop)
+
+    monkeypatch.setattr(asyncio, "run_coroutine_threadsafe", counting)
+    specs = [_spec(seed=s) for s in range(16)]
+
+    async def go():
+        async with PowerServer() as server:
+            await Client(server).estimate_all(specs)
+            return server
+
+    server = asyncio.run(go())
+    assert server.n_groups == 1
+    assert len(hops) == 3
+    for job in server.store.jobs():
+        assert [e.state for e in job.events] == [
+            "queued", "coalesced", "compiling", "simulating", "done"
+        ]
+        assert [e.seq for e in job.events] == list(range(5))
+        for event in job.events[1:]:
+            assert event.detail["phase_s"] >= 0.0
+        assert job.events[-1].detail["total_s"] > 0.0
+
+
 def test_incompatible_jobs_do_not_merge():
     specs = [
         _spec(seed=0),
@@ -280,7 +414,8 @@ def test_stop_marks_unfinished_jobs_interrupted(tmp_path):
     done_id = asyncio.run(first_session())
 
     async def interrupted_session():
-        # a window far longer than the test: submissions stay queued
+        # nothing below yields to the loop before the assert, so the
+        # dispatcher has not run a turn and both submissions stay queued
         async with PowerServer(
             cache_dir=cache_dir, coalesce_window_s=60.0
         ) as server:
@@ -397,6 +532,22 @@ def test_job_store_persists_records_across_instances(tmp_path):
     assert loaded[0].spec == record.spec
     # records live in the job namespace of the shared cache directory
     assert any(p.name.startswith("job-") for p in tmp_path.iterdir())
+
+
+def test_memory_store_stats_count_current_result_bytes():
+    store = JobStore()
+    payloads = {seed: {"seed": seed, "trace": list(range(seed))}
+                for seed in range(3)}
+    for seed, payload in payloads.items():
+        store.put_result(_spec(seed=seed), payload)
+    # overwriting a key replaces that key's bytes
+    payloads[1] = {"seed": 1, "trace": list(range(50))}
+    store.put_result(_spec(seed=1), payloads[1])
+    stats = store.stats()
+    assert stats["entries"] == 3
+    assert stats["bytes"] == sum(
+        len(json.dumps(p)) for p in payloads.values()
+    )
 
 
 def test_unknown_job_id_raises_key_error():
