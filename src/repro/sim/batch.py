@@ -23,13 +23,15 @@ layouts differ: here memories and register files keep ``(depth, n_lanes)``
 storage (:class:`LaneMemoryState`) with per-lane reads and masked-scatter
 writes, FSM controllers keep per-lane state *indices* with their transition
 table unrolled into priority-ordered masked selects, and power models keep
-one row per monitored port.  Components that cannot be expressed as
-elementwise array code — subclassed or user-defined types, and the
-``sample_on_strobe_only`` power model — fall back to a *lane-aware scalar*
-path (one opaque IR step): the component's own scalar
-``evaluate``/``capture``/``commit`` runs once per lane with its private
-per-lane state snapshot swapped in, so exotic components stay exactly as
-correct as on the scalar backends, just without the speedup.
+one row per monitored port.
+
+A module lowers to lanes completely, or not at all: a component no lane
+emitter fuses — a subclassed or user-defined type, a 61..240-bit kind
+without a limb emitter, the ``sample_on_strobe_only`` power model — makes
+:func:`compile_module_batch` raise :class:`BatchCompilationError` naming it,
+and the estimation API runs such a module per seed on the scalar compiled
+engine, which keeps its own generic ``evaluate``/``capture`` path.  Every
+lane program therefore prints as a C kernel too.
 
 Every lane program has one store, int64, and writes it in place: the value
 store's rows, the holders' state rows and memories are allocated once, and
@@ -41,20 +43,17 @@ consecutive slots holding little-endian 60-bit *limbs*, and the common wide
 operators (logic, mux, concat/slice/extend, add/sub with limb carry/borrow
 chains, unsigned compares, reductions, registers, constants) are emitted
 limb-wise — so wide datapaths run on the vectorized batch path and lower
-into the fused native kernels like narrow ones.  Wide components outside
-that set take the lane-scalar path with limb-assembled port values.  A
-module with a net wider than :data:`MAX_LIMB_WIDTH` is refused with
-:class:`BatchCompilationError`; the estimation API then runs it per seed on
-the scalar engines.  Batch execution never changes results — only speed.
+into the fused native kernels like narrow ones.  A module with a net wider
+than :data:`MAX_LIMB_WIDTH` is refused the same way.  Batch execution never
+changes results — only speed.
 
 ``BatchSimulator(kernel_backend=...)`` selects between the NumPy program and
 the fused C kernel (:mod:`repro.sim.kernels`), with automatic fallback to
-the NumPy program when the module cannot lower or no C toolchain exists.
+the NumPy program when no C toolchain exists.
 """
 
 from __future__ import annotations
 
-import copy
 import weakref
 from dataclasses import dataclass
 from functools import reduce
@@ -79,9 +78,9 @@ from repro.sim.codegen import (
     register_next,
 )
 from repro.sim.kernels.ir import (
-    Abs, Const, Expr, Fallback, KernelBuilder, KernelIR, KernelUnsupportedError,
-    Lane, MemRead, MemWrite, Popcount, Select, SetSlot, SetState, SlotRef, StateRef,
-    Table, binary, const, minimum, numpy_source, where,
+    Abs, Const, Expr, KernelBuilder, KernelIR, Lane, MemRead, MemWrite, Popcount,
+    Select, SetSlot, SetState, SlotRef, StateRef, Table, binary, const, minimum,
+    numpy_source, where,
 )
 from repro.sim.scheduler import Schedule, module_mutation_key, schedule_for
 
@@ -193,132 +192,6 @@ class LaneMemoryState:
             array[...] = 0
 
 
-class LaneComponent:
-    """Lane-aware scalar fallback: per-lane evaluate/capture with private state.
-
-    The component's own scalar methods execute once per lane; for sequential
-    components each lane owns a snapshot of the component's underscore state
-    attributes (the repo-wide idiom: mutable simulation state lives in
-    ``_``-prefixed attributes), swapped in before and re-captured after every
-    lane, so N lanes behave exactly like N independent scalar simulations.
-    """
-
-    def __init__(self, component, n_lanes: int) -> None:
-        self.component = component
-        self.n_lanes = n_lanes
-        self.in_pairs: List[Tuple[str, int]] = []
-        self.out_pairs: List[Tuple[str, int]] = []
-        #: limb-store ports: (name, first slot, n_limbs) with n_limbs > 1
-        self.in_wide: List[Tuple[str, int, int]] = []
-        self.out_wide: List[Tuple[str, int, int]] = []
-        self.sequential = bool(component.is_sequential)
-        self.lane_states: Optional[List[Dict[str, object]]] = None
-
-    def bind(self, slot_of: Dict[Net, int], limbs_of: Optional[Dict[Net, int]] = None) -> None:
-        component = self.component
-        limbs_of = limbs_of or {}
-        self.in_pairs, self.in_wide = [], []
-        self.out_pairs, self.out_wide = [], []
-        for ports, pairs, wide in (
-            (component.input_ports, self.in_pairs, self.in_wide),
-            (component.output_ports, self.out_pairs, self.out_wide),
-        ):
-            for p in ports:
-                if p.net is None:
-                    continue
-                n_limbs = limbs_of.get(p.net, 1)
-                if n_limbs == 1:
-                    pairs.append((p.name, slot_of[p.net]))
-                else:
-                    wide.append((p.name, slot_of[p.net], n_limbs))
-
-    def _gather_wide(self, v: np.ndarray, lane: int, inputs: Dict[str, int]) -> None:
-        for name, slot, n_limbs in self.in_wide:
-            inputs[name] = sum(
-                int(v[slot + k, lane]) << (LIMB_BITS * k) for k in range(n_limbs)
-            )
-
-    def _scatter_wide(self, v: np.ndarray, lane: int, outputs) -> None:
-        for name, slot, n_limbs in self.out_wide:
-            value = int(outputs[name])
-            for k in range(n_limbs):
-                v[slot + k, lane] = (value >> (LIMB_BITS * k)) & _LIMB_MASK
-
-    # ----------------------------------------------------------- lane state
-    def _snapshot_isolated(self) -> Dict[str, object]:
-        """Initial per-lane state: deep-copied so lanes share no mutable
-        containers, however deeply nested a user component's state is."""
-        return {
-            key: copy.deepcopy(value)
-            for key, value in self.component.__dict__.items()
-            if key.startswith("_")
-        }
-
-    def reset(self) -> None:
-        if self.sequential:
-            self.component.reset()
-            self.lane_states = [self._snapshot_isolated() for _ in range(self.n_lanes)]
-
-    # ------------------------------------------------------------ execution
-    def evaluate(self, v: np.ndarray) -> None:
-        """Combinational settle contribution, lane by lane."""
-        component = self.component
-        attrs = component.__dict__
-        states = self.lane_states
-        evaluate = component.evaluate
-        for lane in range(self.n_lanes):
-            if states is not None:
-                attrs.update(states[lane])
-            inputs = {name: int(v[slot, lane]) for name, slot in self.in_pairs}
-            if self.in_wide:
-                self._gather_wide(v, lane, inputs)
-            outputs = evaluate(inputs)
-            for name, slot in self.out_pairs:
-                v[slot, lane] = outputs[name]
-            if self.out_wide:
-                self._scatter_wide(v, lane, outputs)
-
-    def state_outputs(self, v: np.ndarray) -> None:
-        """State-source outputs (evaluate with empty inputs), lane by lane."""
-        component = self.component
-        attrs = component.__dict__
-        states = self.lane_states
-        evaluate = component.evaluate
-        for lane in range(self.n_lanes):
-            if states is not None:
-                attrs.update(states[lane])
-            outputs = evaluate({})
-            for name, slot in self.out_pairs:
-                v[slot, lane] = outputs[name]
-            if self.out_wide:
-                self._scatter_wide(v, lane, outputs)
-
-    def clock_edge(self, v: np.ndarray) -> None:
-        """Per-lane capture + commit (nets are not touched, so interleaving
-        capture/commit per lane is equivalent to the two-phase scalar order).
-
-        The post-edge re-snapshot shares container refs with the component:
-        in-place container mutations (e.g. a memory write) already happened on
-        this lane's own containers, and containers *replaced* during
-        capture/commit are freshly created — so lanes stay disjoint without
-        per-edge container copies.
-        """
-        component = self.component
-        attrs = component.__dict__
-        states = self.lane_states
-        in_pairs = self.in_pairs
-        capture = component.capture
-        commit = component.commit
-        for lane in range(self.n_lanes):
-            attrs.update(states[lane])
-            inputs = {name: int(v[slot, lane]) for name, slot in in_pairs}
-            if self.in_wide:
-                self._gather_wide(v, lane, inputs)
-            capture(inputs)
-            commit()
-            states[lane] = {k: val for k, val in attrs.items() if k[0] == "_"}
-
-
 def _lane_addr(expr: Expr, depth: int) -> Expr:
     """Per-lane address expression, coerced to an array even when constant."""
     return Lane() * 0 + expr % depth
@@ -385,11 +258,6 @@ class LaneEmitter(SourceEmitter):
         else:
             index = self.let("_s", minimum(sel, len(rows) - 1))
             self.set_slot(slot, Select(index, tuple(rows)))
-
-    def fallback(self, call: Callable[[np.ndarray], None]) -> None:
-        """One lane-scalar step, opaque to the kernel."""
-        self.kb.add(Fallback(call))
-        self.n_fallback += 1
 
     def copy_rows(self, holder, dst: str, src: str) -> None:
         """Commit a row list: each ``dst`` row takes its ``src`` row's value."""
@@ -459,7 +327,7 @@ class LaneEmitter(SourceEmitter):
 
     def capture_power_model(self, c) -> bool:
         if c.sample_on_strobe_only:
-            return False  # paper-literal sampling stays on the lane-scalar path
+            return False  # paper-literal sampling runs per seed on the scalar engine
         s = self.state_ref(c)
         strobe = self.opt(c, "strobe", 0)
         energy = self.let("_e", Const(c.base_code))
@@ -651,7 +519,7 @@ def _bl_subtractor(em: LaneEmitter, c) -> bool:
 
 def _bl_comparator(em: LaneEmitter, c) -> bool:
     if c.signed:
-        return False  # signed wide compares stay on the lane-scalar path
+        return False  # no limb form of a signed wide compare
     a, b = _l_in(em, c, "a"), _l_in(em, c, "b")
     if a is None or b is None or len(a[0]) != len(b[0]):
         return False
@@ -749,7 +617,7 @@ def _bl_slice(em: LaneEmitter, c) -> bool:
 
 def _bl_extend(em: LaneEmitter, c) -> bool:
     if c.signed:
-        return False  # wide sign-extension stays on the lane-scalar path
+        return False  # no limb form of a wide sign-extension
     a = _l_in(em, c, "a")
     if a is None:
         return False
@@ -800,9 +668,8 @@ def _bl_commit_register(em: LaneEmitter, c) -> None:
 
 
 #: limb-wise emitters for components touching a wide (multi-limb) net, one
-#: table per phase (comb, state, capture, commit); anything missing here
-#: takes the lane-scalar path with limb-assembled port values, so wide
-#: modules stay exactly as correct either way
+#: table per phase (comb, state, capture, commit); a wide component missing
+#: here keeps its module off lanes (:class:`BatchCompilationError`)
 _LIMB_TABLES = (
     {
         comps.Adder: _bl_adder,
@@ -877,7 +744,6 @@ class BatchProgram:
     #: the NumPy source ``settle``/``clock_edge`` run, printed from :attr:`ir`
     source: str
     n_fused: int
-    n_fallback: int
     #: the lowered program: printed as NumPy here, as C by a native kernel
     ir: KernelIR
     #: wide net -> limb count (first limb at slot_of[net]); empty when every
@@ -885,10 +751,6 @@ class BatchProgram:
     limbs_of: Dict[Net, int] = None  # type: ignore[assignment]
     #: per-lane state holders for fused sequential components
     holders: Dict[object, object] = None  # type: ignore[assignment]
-    #: lane-scalar fallback wrappers (state reset goes through these)
-    lane_components: List[LaneComponent] = None  # type: ignore[assignment]
-    #: why a fused kernel cannot run :attr:`ir` (see :meth:`kernel_ir`)
-    _kernel_unsupported: Optional[str] = None
     #: compiled native kernel, shared by simulators over this program (safe:
     #: its state arrays never move)
     _kernel: object = None
@@ -897,25 +759,6 @@ class BatchProgram:
         """Return every lane of every sequential component to its reset state."""
         for holder in self.holders.values():
             holder.reset()
-        for lane_component in self.lane_components:
-            lane_component.reset()
-
-    def kernel_ir(self) -> KernelIR:
-        """The program's IR, when a fused kernel can run it.
-
-        Raises :class:`~repro.sim.kernels.ir.KernelUnsupportedError` when the
-        module cannot lower to a fused kernel (lane-scalar fallback
-        components); the reason is cached so repeated attach attempts stay
-        cheap.
-        """
-        if self._kernel_unsupported is not None:
-            raise KernelUnsupportedError(self._kernel_unsupported)
-        try:
-            self.ir.require_kernelizable()
-        except KernelUnsupportedError as error:
-            self._kernel_unsupported = str(error)
-            raise
-        return self.ir
 
 
 def _lower_lanes(
@@ -925,8 +768,12 @@ def _lower_lanes(
     limbs_of: Dict[Net, int],
     n_slots: int,
     n_lanes: int,
-) -> Tuple[LaneEmitter, Dict[object, object], List[LaneComponent]]:
-    """Lower the schedule into the lane target's IR (one builder pass)."""
+) -> Tuple[LaneEmitter, Dict[object, object]]:
+    """Lower the schedule into the lane target's IR (one builder pass).
+
+    Raises :class:`BatchCompilationError` at the first component no lane
+    emitter fuses.
+    """
     tables = emitter_tables()
 
     # components touching any multi-limb net dispatch to the limb emitters
@@ -946,14 +793,6 @@ def _lower_lanes(
         return table.get(type(component))
 
     holders: Dict[object, object] = {}
-    lane_components: Dict[object, LaneComponent] = {}
-
-    def lane_component_for(component) -> LaneComponent:
-        if component not in lane_components:
-            wrapper = LaneComponent(component, n_lanes)
-            wrapper.bind(slot_of, limbs_of)
-            lane_components[component] = wrapper
-        return lane_components[component]
 
     class _Holders:
         """Component -> per-lane state, built on first use."""
@@ -968,75 +807,42 @@ def _lower_lanes(
 
     em = LaneEmitter(slot_of, limbs_of, _Holders(), n_slots)
 
-    def emit_fallback(component, method: str) -> None:
-        em.fallback(getattr(lane_component_for(component), method))
-
-    # Decide each sequential component's mode up front with a capture dry run:
-    # a component whose capture cannot fuse must also keep its state outputs
-    # (and any combinational path) on the lane-scalar path, so per-lane holder
-    # state and the component's own scalar state never mix.
-    fallback_sequential = set()
-    scratch = LaneEmitter(slot_of, limbs_of, em.holders, n_slots)
-    for component in schedule.sequential:
-        emitter = emitter_for(capture, component)
-        fused = False
-        if emitter is not None:
-            try:
-                fused = emitter(scratch, component)
-            except KeyError:
-                fused = False
+    def fuse(phase: int, component) -> None:
+        emitter = emitter_for(phase, component)
+        try:
+            fused = emitter is not None and emitter(em, component)
+        except KeyError:  # a kind whose state has no per-lane holder
+            fused = False
         if not fused:
-            fallback_sequential.add(component)
+            raise BatchCompilationError(
+                f"module {module.name!r} does not lower to lanes: no lane "
+                f"emitter fuses component {component.name!r} "
+                f"({component.type_name}); run it per seed on the scalar engine"
+            )
+        em.n_fused += 1
 
     em.kb.phase("settle")
     for component in schedule.state_sources:
-        emitter = emitter_for(state, component)
-        done = False
-        if component not in fallback_sequential and emitter is not None:
-            try:
-                done = emitter(em, component)
-            except KeyError:
-                done = False
-        if done:
-            em.n_fused += 1
-        else:
-            emit_fallback(component, "state_outputs")
+        fuse(state, component)
     for component in schedule.ordered:
-        emitter = emitter_for(comb, component)
-        if (
-            component not in fallback_sequential
-            and emitter is not None
-            and emitter(em, component)
-        ):
-            em.n_fused += 1
-        else:
-            emit_fallback(component, "evaluate")
-
+        fuse(comb, component)
     em.kb.phase("clock_edge")
-    fused_sequential = []
     for component in schedule.sequential:
-        if component in fallback_sequential:
-            # per-lane capture+commit in one pass; nets are never written by
-            # commits, so this is equivalent to the two-phase scalar order
-            emit_fallback(component, "clock_edge")
-            continue
-        done = emitter_for(capture, component)(em, component)
-        assert done, f"capture dry run and emission disagree for {component!r}"
-        em.n_fused += 1
-        fused_sequential.append(component)
-    for component in fused_sequential:
+        fuse(capture, component)
+    for component in schedule.sequential:
         emitter_for(commit, component)(em, component)
-    return em, holders, list(lane_components.values())
+    return em, holders
 
 
 #: module -> (mutation_key, n_lanes, schedule, program)
 _BATCH_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = weakref.WeakKeyDictionary()
 
-#: process-lifetime count of lane-program compilations (i.e. cache misses in
-#: :func:`compile_module_batch`); the :mod:`repro.serve` coalescer reads this
-#: to prove that N merged jobs shared one build.  Lives in the
-#: :mod:`repro.obs` registry; ``PROGRAM_BUILD_COUNT`` stays readable as a
-#: module attribute via :func:`__getattr__` below.
+#: process-lifetime count of lane programs built (cache misses in
+#: :func:`compile_module_batch` that did not refuse the module); the
+#: :mod:`repro.serve` coalescer reads this to prove that N merged jobs shared
+#: one build.  Lives in the :mod:`repro.obs` registry;
+#: ``PROGRAM_BUILD_COUNT`` stays readable as a module attribute via
+#: :func:`__getattr__` below.
 _PROGRAM_BUILDS = obs.counter(
     "repro_program_builds_total",
     "Lane-program compilations (compile_module_batch cache misses)",
@@ -1059,7 +865,7 @@ def compile_module_batch(
     ``Simulator`` over a shared module — only one :class:`BatchSimulator`
     should actively drive a given module at a time.  Raises
     :class:`BatchCompilationError` when a net is wider than
-    :data:`MAX_LIMB_WIDTH`.
+    :data:`MAX_LIMB_WIDTH` or a component does not fuse.
     """
     if n_lanes < 1:
         raise ValueError(f"batch compilation needs n_lanes >= 1, got {n_lanes}")
@@ -1076,7 +882,6 @@ def compile_module_batch(
     cached = _BATCH_CACHE.get(module)
     if cached is not None and cached[0] == key and cached[1] == n_lanes and cached[2] is schedule:
         return cached[3]
-    _PROGRAM_BUILDS.inc()
     build_span = obs.span("program.build", module=module.name, n_lanes=n_lanes)
 
     # wide nets (61..240 bits) take ceil(width / 60) consecutive limb slots
@@ -1090,15 +895,15 @@ def compile_module_batch(
             limbs_of[net] = n_limbs
         n_slots += n_limbs
     try:
-        em, holders, lane_comps = _lower_lanes(
-            module, schedule, slot_of, limbs_of, n_slots, n_lanes
-        )
+        em, holders = _lower_lanes(module, schedule, slot_of, limbs_of, n_slots, n_lanes)
         source, namespace = numpy_source(em.kb.ir)
         namespace.update(_lidx=np.arange(n_lanes), __builtins__={})
         exec(compile(source, f"<batch:{module.name}>", "exec"), namespace)
     except Exception as error:
         build_span.set(error=type(error).__name__)
         build_span.end()
+        if isinstance(error, BatchCompilationError):
+            raise
         raise BatchCompilationError(
             f"failed to batch-compile module {module.name!r}: {error}"
         ) from error
@@ -1112,16 +917,15 @@ def compile_module_batch(
         clock_edge=namespace["_clock_edge"],
         source=source,
         n_fused=em.n_fused,
-        n_fallback=em.n_fallback,
         ir=em.kb.ir,
         holders=holders,
-        lane_components=lane_comps,
     )
     try:
         _BATCH_CACHE[module] = (key, n_lanes, schedule, program)
     except TypeError:  # pragma: no cover - unweakrefable module subclass
         pass
-    build_span.set(n_fused=em.n_fused, n_fallback=em.n_fallback)
+    _PROGRAM_BUILDS.inc()
+    build_span.set(n_fused=em.n_fused)
     build_span.end()
     return program
 
@@ -1140,9 +944,9 @@ class BatchSimulator:
     ``(n_lanes,)`` array: ``set_input`` accepts a scalar (broadcast to all
     lanes) or a per-lane array, ``get_output``/``get_net`` return per-lane
     arrays.  Lane ``i`` behaves exactly like a scalar simulation driven with
-    lane ``i``'s inputs — components the batch code generator cannot fuse run
-    their scalar ``evaluate``/``capture`` per lane with private per-lane
-    state (see :class:`LaneComponent`), so results never depend on lane count.
+    lane ``i``'s inputs, so results never depend on lane count.  A module
+    with a component no lane emitter fuses raises
+    :class:`BatchCompilationError` (see :func:`compile_module_batch`).
     """
 
     def __init__(
@@ -1158,6 +962,7 @@ class BatchSimulator:
         from repro.sim import kernels
 
         requested = kernels.resolve_kernel_backend(kernel_backend)
+        threads = kernels.resolve_kernel_threads(kernel_threads)
         self.module = module
         self.n_lanes = n_lanes
         self.schedule = schedule if schedule is not None else schedule_for(module)
@@ -1166,7 +971,8 @@ class BatchSimulator:
         self.kernel: Optional["kernels.NativeKernel"] = None
         #: resolved kernel backend actually in effect ("native"/"off")
         self.kernel_backend = "off"
-        #: why a requested kernel fell back to the plain batch path, if it did
+        #: why a requested kernel fell back to the plain batch path (a
+        #: missing or failing C toolchain), if it did
         self.kernel_fallback: Optional[str] = None
         #: how the backend was chosen (notably what "auto" resolved to and why)
         self.kernel_decision = f"{requested} (requested)"
@@ -1180,11 +986,9 @@ class BatchSimulator:
         self.kernel_threads = 1
         if requested == "native":
             try:
-                ir = self.program.kernel_ir()
                 if self.program._kernel is None:
-                    self.program._kernel = kernels.compile_kernel(ir, n_lanes)
-            except (kernels.KernelUnsupportedError,
-                    kernels.NativeToolchainError) as error:
+                    self.program._kernel = kernels.compile_kernel(self.program.ir, n_lanes)
+            except kernels.NativeToolchainError as error:
                 self.kernel_fallback = str(error)
             else:
                 self.kernel = self.program._kernel
@@ -1193,7 +997,7 @@ class BatchSimulator:
                 # was built with them; any count is bit-identical.  The
                 # kernel is shared by every simulator of this program, so
                 # each call passes this count.
-                self.kernel_threads = kernels.resolve_kernel_threads(kernel_threads)
+                self.kernel_threads = threads
         self.cycle = 0
         self._v = np.zeros((self.program.n_slots, n_lanes), dtype=np.int64)
         slot_of = self.program.slot_of
@@ -1371,83 +1175,59 @@ class _LaneSequentialProxy:
     Interactive testbenches reach into ``simulator.module.components`` to
     backdoor-load memories and read results (``load``/``read_word``/
     ``write_word``).  In a :class:`BatchSimulator` that state lives in per-lane
-    holders (or per-lane snapshot dicts for fallback components), not on the
-    component object, so this proxy reroutes those accessors to one lane's
-    private state, and runs property getters (``value``, an FSM's ``state``)
-    against it.  Plain data attributes (``type_name``, ``width``, ``depth``,
-    ...) pass through; any other method would silently touch the *scalar*
-    state shared by all lanes, so it raises :class:`LaneStateError` instead.
+    holders, not on the component object, so this proxy reroutes those
+    accessors to one lane's private state, and runs property getters
+    (``value``, an FSM's ``state``) against it.  Plain data attributes
+    (``type_name``, ``width``, ``depth``, ...) pass through; any other method
+    would silently touch the *scalar* state shared by all lanes, so it
+    raises :class:`LaneStateError` instead.
     """
 
     #: stateless component methods that are safe to pass through
     _SAFE_METHODS = frozenset({"monitored_ports"})
 
-    def __init__(self, component, lane: int, holder=None, lane_component=None) -> None:
+    def __init__(self, component, lane: int, holder=None) -> None:
         object.__setattr__(self, "_component", component)
         object.__setattr__(self, "_lane", lane)
         object.__setattr__(self, "_holder", holder)
-        object.__setattr__(self, "_lane_component", lane_component)
 
     # ------------------------------------------------- backdoor state access
-    def read_word(self, addr: int) -> int:
+    def _mem(self, method: str) -> np.ndarray:
+        """This lane's storage: the holder's ``(depth, n_lanes)`` array."""
         holder = self._holder
-        if isinstance(holder, LaneMemoryState):
-            return int(holder.mem[addr, self._lane])
-        return self._call_with_lane_state("read_word", addr)
+        if not isinstance(holder, LaneMemoryState):
+            raise LaneStateError(
+                f"component {self._component.name!r} keeps no per-lane storage; "
+                f"{method}() is not available through a lane view"
+            )
+        return holder.mem
+
+    def read_word(self, addr: int) -> int:
+        return int(self._mem("read_word")[addr, self._lane])
 
     def write_word(self, addr: int, value: int) -> None:
-        holder = self._holder
-        if isinstance(holder, LaneMemoryState):
-            holder.mem[addr, self._lane] = _mask_int(value, self._component.width)
-            return None
-        return self._call_with_lane_state("write_word", addr, value)
+        self._mem("write_word")[addr, self._lane] = _mask_int(value, self._component.width)
 
     def load(self, contents, offset: int = 0) -> None:
-        holder = self._holder
-        if isinstance(holder, LaneMemoryState):
-            width = self._component.width
-            for i, value in enumerate(contents):
-                holder.mem[offset + i, self._lane] = _mask_int(value, width)
-            return None
-        return self._call_with_lane_state("load", contents, offset)
-
-    def _call_with_lane_state(self, method: str, *args):
-        """Run a scalar component method against this lane's snapshot state."""
-        wrapper = self._lane_component
-        if wrapper is None or wrapper.lane_states is None:
-            raise LaneStateError(
-                f"component {self._component.name!r} keeps no per-lane scalar "
-                f"state; {method}() is not available through a lane view"
-            )
-        component = self._component
-        attrs = component.__dict__
-        states = wrapper.lane_states
-        lane = self._lane
-        attrs.update(states[lane])
-        result = getattr(component, method)(*args)
-        states[lane] = {
-            key: value for key, value in attrs.items() if key.startswith("_")
-        }
-        return result
+        mem, width = self._mem("load"), self._component.width
+        for i, value in enumerate(contents):
+            mem[offset + i, self._lane] = _mask_int(value, width)
 
     def _lane_state(self) -> Dict[str, object]:
         """This lane's state attributes in the component's own scalar form."""
         component, lane, holder = self._component, self._lane, self._holder
-        if isinstance(holder, LaneRows):
-            state = {}
-            for name, value in holder.lane_values(lane).items():
-                if isinstance(component, FSMController):
-                    value = component.states[value]  # rows hold state indices
-                elif isinstance(value, list):
-                    if not isinstance(component, seq.Register):
-                        continue  # power-model port rows: no scalar form here
-                    value = sum(limb << (LIMB_BITS * k) for k, limb in enumerate(value))
-                state[name] = value
-            return state
-        wrapper = self._lane_component
-        if wrapper is not None and wrapper.lane_states is not None:
-            return wrapper.lane_states[lane]
-        return {}
+        if not isinstance(holder, LaneRows):
+            return {}
+        state = {}
+        for name, value in holder.lane_values(lane).items():
+            if isinstance(component, FSMController):
+                value = component.states[value]  # rows hold state indices
+            elif isinstance(value, list):
+                if not isinstance(component, seq.Register):
+                    continue  # power-model port rows: no scalar form here
+                value = sum(limb << (LIMB_BITS * k) for k, limb in enumerate(value))
+            state[name] = value
+        return state
 
     # ------------------------------------------------------ attribute access
     def __getattr__(self, name: str):
@@ -1502,16 +1282,12 @@ class _LaneModuleView:
         self.ports = module.ports
         self.nets = module.nets
         self.attributes = module.attributes
-        program = simulator.program
-        wrappers = {lc.component: lc for lc in program.lane_components}
+        holders = simulator.program.holders
         self.components: Dict[str, object] = {}
         for comp_name, component in module.components.items():
             if component.is_sequential:
                 self.components[comp_name] = _LaneSequentialProxy(
-                    component,
-                    lane,
-                    holder=program.holders.get(component),
-                    lane_component=wrappers.get(component),
+                    component, lane, holder=holders.get(component)
                 )
             else:
                 self.components[comp_name] = component

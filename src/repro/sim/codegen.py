@@ -140,7 +140,6 @@ class SourceEmitter:
     def __init__(self, slot_of: Dict[Net, int]) -> None:
         self.slot_of = slot_of
         self.n_fused = 0
-        self.n_fallback = 0
         self._uid = 0
 
     def uid(self) -> int:
@@ -194,6 +193,7 @@ class ScalarEmitter(SourceEmitter):
 
     def __init__(self, slot_of: Dict[Net, int]) -> None:
         super().__init__(slot_of)
+        self.n_fallback = 0
         self.env: Dict[str, object] = {}
         self.lines: List[str] = []
 

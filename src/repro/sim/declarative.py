@@ -21,10 +21,8 @@ one declaration:
   only on the rare done events: verify the job, load the next one.
 
 Lane-form memory preloads write the lane memory holder's ``(depth, lanes)``
-array (:class:`~repro.sim.batch.LaneMemoryState`) directly; a memory the
-lane program keeps no such array for raises
-:class:`~repro.sim.batch.LaneStateError`, so callers fall back to per-seed
-scalar runs.
+array (:class:`~repro.sim.batch.LaneMemoryState`) directly: every memory of
+a lane program has one.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sim.batch import LIMB_BITS, _LIMB_MASK, LaneMemoryState, LaneStateError
+from repro.sim.batch import LIMB_BITS, _LIMB_MASK, LaneMemoryState
 from repro.sim.testbench import Testbench
 
 #: the handshake ports of a job testbench
@@ -440,12 +438,7 @@ class _JobLanes:
         """A memory's per-lane storage holder and its word mask."""
         if suffix not in self._holders:
             component = find_memory(self.simulator.module, suffix)
-            holder = self.simulator.program.holders.get(component)
-            if not isinstance(holder, LaneMemoryState):
-                raise LaneStateError(
-                    f"memory {component.name!r} keeps no per-lane storage array; "
-                    f"its preloads cannot run on the lane path"
-                )
+            holder = self.simulator.program.holders[component]
             self._holders[suffix] = (holder, (1 << component.width) - 1)
         return self._holders[suffix]
 

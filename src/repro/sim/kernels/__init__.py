@@ -22,15 +22,15 @@ Backend selection (``KERNEL_BACKENDS``):
 
 * ``"auto"``   — the C kernel when a C compiler is found, else plain batch,
 * ``"native"`` — the C kernel; falls back to plain batch when the host has
-  no working toolchain or the module cannot lower,
+  no working toolchain,
 * ``"off"``    — the plain batch path (per-op NumPy dispatch).
 
 The environment variable ``REPRO_KERNEL_BACKEND`` sets the default for every
 :class:`~repro.sim.batch.BatchSimulator` that is not given an explicit
 ``kernel_backend``.  Kernels are bit-identical to the batch path by
-construction — both print one IR, and a kernel refuses any IR with a
-lane-scalar fallback step, so a module either lowers completely or runs
-exactly as before.
+construction: both print one IR, and every lane program lowers completely
+(a module with a component no lane emitter fuses gets no lane program at
+all and runs per seed on the scalar engine).
 """
 
 from __future__ import annotations

@@ -16,12 +16,13 @@ backend, and the gate simulator's batch settle), :mod:`repro.sim.kernels.native`
 prints one C kernel, and :mod:`repro.sim.codegen` prints the same
 expressions as Python-int source for the scalar target.
 
-Components the C kernel cannot express (subclassed or user-defined types run
-lane by lane) are one opaque :class:`Fallback` statement: the NumPy printer
-calls it, and :meth:`KernelIR.require_kernelizable` refuses it with
-:class:`KernelUnsupportedError`, so the caller stays on the plain batch path.
-Kernels therefore never change results: a module either lowers completely,
-or runs exactly as before.
+A lane program always lowers completely (the batch backend refuses a
+module with a component no lane emitter fuses).  Only a gate netlist may
+hold a cell with no IR builder: that cell is one opaque :class:`Fallback`
+statement, which the NumPy printer calls and
+:meth:`KernelIR.require_kernelizable` refuses with
+:class:`KernelUnsupportedError`, so the gate simulator stays on its NumPy
+settle.  Kernels therefore never change results.
 """
 
 from __future__ import annotations
@@ -268,8 +269,8 @@ class MemWrite(Stmt):
 class Fallback(Stmt):
     """Opaque step over the whole value store: ``call(v)``.
 
-    A component the lane target cannot express (it runs its own scalar code
-    lane by lane).  The NumPy printer calls it; kernels refuse it.
+    A gate-netlist cell with no IR builder (it runs its own ``evaluate``).
+    The NumPy printer calls it; kernels refuse it.
     """
 
     call: Callable[[np.ndarray], None]
@@ -315,16 +316,13 @@ class KernelIR:
 
     def require_kernelizable(self) -> None:
         """Raise :class:`KernelUnsupportedError` if a fused kernel cannot run
-        this program (it contains lane-scalar fallback steps)."""
+        this program (it contains gate cells without an IR builder)."""
         for stmts in self.phases.values():
             if any(isinstance(stmt, Fallback) for stmt in stmts):
-                raise unsupported("module uses the lane-scalar fallback path")
-
-
-def unsupported(reason: str) -> KernelUnsupportedError:
-    return KernelUnsupportedError(f"lane program not kernelizable: {reason}")
-
-
+                raise KernelUnsupportedError(
+                    "program not kernelizable: gate netlist has cells without "
+                    "an IR builder"
+                )
 
 
 # ---------------------------------------------------------------------------

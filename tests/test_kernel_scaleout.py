@@ -220,6 +220,34 @@ def test_threads_resolve_from_environment(monkeypatch):
     assert simulator.kernel.max_threads >= 2
 
 
+@pytest.mark.parametrize("backend, cc", [
+    ("off", None),
+    ("native", None),
+    ("native", "definitely-not-a-compiler"),
+], ids=["off", "native", "native-no-compiler"])
+def test_kernel_threads_are_validated_on_every_backend(monkeypatch, backend, cc):
+    """An invalid worker count, passed or from REPRO_KERNEL_THREADS, is
+    refused whether or not a native kernel attaches; a valid count leaves a
+    simulator without a kernel on one worker."""
+    if cc is not None:
+        monkeypatch.setenv("REPRO_KERNEL_CC", cc)
+    module = build_flat("binary_search")
+    for bad in (0, "banana"):
+        with pytest.raises(ValueError, match="kernel thread count"):
+            BatchSimulator(module, 2, kernel_backend=backend, kernel_threads=bad)
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", str(bad))
+        with pytest.raises(ValueError, match="kernel thread count"):
+            BatchSimulator(module, 2, kernel_backend=backend)
+        monkeypatch.delenv("REPRO_KERNEL_THREADS")
+    simulator = BatchSimulator(module, 2, kernel_backend=backend, kernel_threads=3)
+    if simulator.kernel is None:
+        assert simulator.kernel_threads == 1
+    else:
+        assert simulator.kernel_threads == 3
+    if backend == "off":
+        assert simulator.kernel is None
+
+
 def test_auto_threads_count_only_usable_cpus(monkeypatch):
     """``usable_cpu_count`` counts the CPUs the process may run on, not the
     machine's, and ``auto`` asks for one worker however many there are: a

@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import RunSpec
-from repro.api.estimators import RTLEstimatorAdapter
 from repro.designs import hvpeakf, wide_checksum
 from repro.designs.registry import all_designs, build_flat, get_design
 from repro.power import build_seed_library
@@ -199,23 +197,6 @@ def test_redefined_scalar_methods_take_the_per_lane_loop(library):
         [Counting(p) for p in pixels])
     assert all(r.notes["stimulus_driver"] == LaneLoop.name for r in reports)
     assert len(calls) == 2 * 22
-
-
-def test_memory_without_lane_array_falls_back_to_scalar(monkeypatch):
-    spec = RunSpec(design="Vld", seed=4, backend="batch", kernel_backend="off")
-    expected = RTLEstimatorAdapter().estimate(spec)
-    assert expected.backend == "batch[1]"
-
-    class NoLaneArray:
-        pass
-
-    monkeypatch.setattr(declarative, "LaneMemoryState", NoLaneArray)
-    with pytest.raises(declarative.LaneStateError, match="bitstream_mem"):
-        BatchRTLPowerEstimator(build_flat("Vld"), kernel_backend="off").estimate_all(
-            [get_design("Vld").make_testbench(4)])
-    fallback = RTLEstimatorAdapter().estimate(spec)
-    assert fallback.backend == "compiled"
-    assert _signature(fallback.report) == _signature(expected.report)
 
 
 def test_limb_store_stream_lanes_keep_the_cycle_loop(library):

@@ -320,7 +320,7 @@ class _Generic(LinearTransitionModel):
 def _kernel() -> native.NativeKernel:
     """A native lane kernel: its observe entry point is design-independent."""
     return native.NativeKernel(
-        compile_module_batch(build_flat("binary_search"), 1).kernel_ir(), 1)
+        compile_module_batch(build_flat("binary_search"), 1).ir, 1)
 
 
 def _same(a, b) -> bool:
@@ -455,7 +455,7 @@ def test_estimate_many_records_the_evaluator():
 @needs_cc
 def test_kernels_compile_without_fp_contraction(monkeypatch):
     """A fused multiply-add would round observe's ``energy * mask + total`` once."""
-    ir = compile_module_batch(build_flat("binary_search"), 1).kernel_ir()
+    ir = compile_module_batch(build_flat("binary_search"), 1).ir
     native.threading_mode()  # probe outside the recorded calls
     calls = []
     run = native.subprocess.run

@@ -1,11 +1,11 @@
 """Lane-vs-scalar parity and unit tests for the batch simulation backend.
 
 Every lane of a :class:`~repro.sim.batch.BatchSimulator` must behave exactly
-like a scalar simulation driven with that lane's inputs — for fused
-components and for the lane-scalar fallback (exercised below through
-FSM/memory subclasses, which miss the exact-type fused dispatch on purpose).
-Modules with nets past the limb store's 240 bits are refused and run per
-seed on the scalar engine instead.
+like a scalar simulation driven with that lane's inputs.  A module lowers to
+lanes completely or not at all: one with a component no lane emitter fuses
+(FSM/memory/register subclasses, which miss the exact-type dispatch on
+purpose, or an unknown kind), or with nets past the limb store's 240 bits,
+is refused and runs per seed on the scalar engine instead.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from repro.netlist.fsm import FSMController
 from repro.core import PowerAggregator
 from repro.netlist.sequential import Accumulator, Counter, Memory, Register
 from repro.power import build_seed_library
-from repro.sim import BatchSimulator, Simulator, compile_module_batch
-from repro.sim.batch import LaneComponent
+from repro.sim import BatchCompilationError, BatchSimulator, Simulator, compile_module_batch
 from repro.sim.kernels import find_compiler
 
 N_LANES = 3
@@ -96,19 +95,19 @@ def test_instrumented_design_lane_parity():
 
 
 class _ShadowMemory(Memory):
-    """Subclassed memory: misses the fused dispatch, runs on the lane fallback."""
+    """Subclassed memory: misses the exact-type lane dispatch."""
 
     type_name = "shadow_memory"
 
 
 class _ShadowFSM(FSMController):
-    """Subclassed FSM controller: exercises the FSM scalar-fallback path."""
+    """Subclassed FSM controller: misses the exact-type lane dispatch."""
 
     type_name = "shadow_fsm"
 
 
 def _module_with_shadow_state(memory_cls=_ShadowMemory, fsm_cls=_ShadowFSM):
-    """A small design whose FSM and memory run on the lane-scalar fallback."""
+    """A small design whose FSM and memory are subclasses no lane emitter fuses."""
     builder = NetlistBuilder("shadow")
     addr = builder.input("addr", 4)
     wdata = builder.input("wdata", 8)
@@ -145,27 +144,26 @@ def _module_with_shadow_state(memory_cls=_ShadowMemory, fsm_cls=_ShadowFSM):
     return flatten(module)
 
 
-def test_fsm_memory_scalar_fallback_lane_parity():
-    """The FSM/memory lane-scalar fallback is exact across lanes.
-
-    The stock FSM/memory types are lane-vectorized, so this design subclasses
-    both — the exact-type fused dispatch misses and the components run their
-    scalar capture/evaluate per lane with private per-lane state.
-    """
-    rng = np.random.default_rng(17)
-    module = _module_with_shadow_state()
-    simulator = BatchSimulator(module, N_LANES)
-    assert simulator.program.n_fallback > 0, "shadow components should not fuse"
-    sequences = _input_sequences(module, rng)
-    simulator, rows = _run_batch(module, sequences)
-    _assert_lane_parity(_module_with_shadow_state, sequences, rows)
+def test_subclassed_fsm_and_memory_are_refused():
+    """A subclassed FSM or memory misses the exact-type lane dispatch, so its
+    module gets no lane program; the refusal names the component and kind."""
+    for memory_cls, fsm_cls, refused in (
+        (_ShadowMemory, FSMController, r"'mem0' \(shadow_memory\)"),
+        (Memory, _ShadowFSM, r"'ctl0' \(shadow_fsm\)"),
+    ):
+        module = _module_with_shadow_state(memory_cls, fsm_cls)
+        with pytest.raises(BatchCompilationError, match=r"'shadow' .*" + refused):
+            BatchSimulator(module, N_LANES)
 
 
 def test_stock_fsm_memory_fuse():
-    """The unsubclassed FSM/memory types are fully lane-vectorized."""
-    module = _module_with_shadow_state(memory_cls=Memory, fsm_cls=FSMController)
-    simulator = BatchSimulator(module, N_LANES)
-    assert simulator.program.n_fallback == 0
+    """The unsubclassed FSM/memory types are lane-vectorized and lane-exact."""
+    def build():
+        return _module_with_shadow_state(memory_cls=Memory, fsm_cls=FSMController)
+
+    sequences = _input_sequences(build(), np.random.default_rng(17))
+    _, rows = _run_batch(build(), sequences)
+    _assert_lane_parity(build, sequences, rows)
 
 
 class _OpaqueXor(Component):
@@ -182,7 +180,7 @@ class _OpaqueXor(Component):
         return {"y": (inputs["a"] ^ inputs["b"]) & ((1 << self.width) - 1)}
 
 
-def test_exotic_component_lane_fallback():
+def test_exotic_component_is_refused():
     builder = NetlistBuilder("opaque")
     builder.input("a", 8)
     builder.input("b", 8)
@@ -196,13 +194,8 @@ def test_exotic_component_lane_fallback():
     module.add_output("y", y)
     module = flatten(module)
 
-    simulator = BatchSimulator(module, 4)
-    assert simulator.program.n_fallback >= 1
-    a = np.array([1, 2, 3, 255])
-    b = np.array([255, 7, 3, 255])
-    simulator.set_inputs({"a": a, "b": b})
-    simulator.settle()
-    assert list(simulator.get_output("y")) == [int(x) ^ int(yv) for x, yv in zip(a, b)]
+    with pytest.raises(BatchCompilationError, match=r"'x0' \(opaque_xor\)"):
+        BatchSimulator(module, 4)
 
 
 def test_wide_nets_use_limb_store():
@@ -313,19 +306,8 @@ def test_batch_program_cached_per_module_and_lane_count():
     assert other.program is not first.program
 
 
-def test_lane_component_reset_isolates_lanes():
-    """Fallback lane state starts from the component's reset state per lane."""
-    memory = _ShadowMemory("m", width=8, depth=4, sync_read=True, initial=[1, 2, 3, 4])
-    wrapper = LaneComponent(memory, 2)
-    wrapper.reset()
-    assert wrapper.lane_states is not None
-    first, second = wrapper.lane_states
-    assert first["_state"] == [1, 2, 3, 4]
-    assert first["_state"] is not second["_state"], "lanes must not share storage"
-
-
 class _ShadowRegister(Register):
-    """Subclassed register: runs on the lane-scalar fallback."""
+    """Subclassed register: misses the exact-type lane dispatch."""
 
 
 def _module_with_state_properties(register_cls):
@@ -362,13 +344,15 @@ def _module_with_state_properties(register_cls):
 @pytest.mark.parametrize("register_cls", [Register, _ShadowRegister])
 def test_lane_view_properties_read_lane_state(backend, register_cls):
     """``value``/``state``/``state_code`` through a lane view read that lane
-    (from its holder row, or its fallback snapshot), not the scalar component
-    every lane shares."""
+    from its holder row, not the scalar component every lane shares.  A
+    subclassed register leaves its module without a lane program."""
     module = _module_with_state_properties(register_cls)
+    if register_cls is _ShadowRegister:
+        with pytest.raises(BatchCompilationError, match=r"'reg' \(register\)"):
+            BatchSimulator(module, 3, kernel_backend=backend)
+        return
     simulator = BatchSimulator(module, 3, kernel_backend=backend)
-    fused = register_cls is Register
-    assert simulator.kernel_backend == (backend if fused else "off")
-    assert (simulator.program.n_fallback == 0) == fused
+    assert simulator.kernel_backend == backend
     d = [1, 2, 3]
     d61 = [(1 << 60) + 9, 3, (1 << 61) - 1]
     simulator.set_inputs({"d": np.array(d), "d61": np.array(d61, dtype=object),

@@ -6,15 +6,17 @@ only speed.  These tests pin that down three ways:
 * bit-parity of the plain batch path vs the native (C) kernel across every
   registry design, the instrumented power hardware, and spec-driven stimulus
   tensors,
-* automatic per-module fallback for everything the IR cannot express
-  (subclassed components on the lane-scalar path), and refusal of >240-bit
-  modules, which the estimation API runs per seed on the scalar engine, and
+* refusal of every module that does not lower to lanes completely (a
+  component no lane emitter fuses, or a net past 240 bits): no lane program,
+  so no kernel, and the estimation API runs it per seed on the scalar
+  engine, and
 * graceful degradation from ``native`` and ``auto`` to the plain batch path
   on hosts without a working C compiler.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 
@@ -159,7 +161,7 @@ def test_spec_driven_estimation_kernel_parity(backend):
 
 
 # ---------------------------------------------------------------------------
-# Automatic per-module fallback.
+# Modules that do not lower to lanes.
 # ---------------------------------------------------------------------------
 
 
@@ -191,15 +193,18 @@ def _module_with_unfusable_component():
     return module
 
 
-def test_unfusable_component_falls_back_to_plain_batch():
-    module = _module_with_unfusable_component()
-    simulator = BatchSimulator(flatten(module), N_LANES, kernel_backend="native")
-    assert simulator.kernel is None
-    assert simulator.kernel_backend == "off"
-    assert "fallback" in simulator.kernel_fallback
-    simulator.set_input("a", np.array([1, 2, 3]))
-    simulator.settle()
-    assert list(simulator.get_output("y")) == [2, 3, 4]
+def test_unfusable_component_is_refused_on_every_backend():
+    """An unknown component type leaves the module without a lane program on
+    every kernel backend: no program or kernel build is ever counted for it."""
+    from repro.sim import kernels
+
+    module = flatten(_module_with_unfusable_component())
+    builds = batch.PROGRAM_BUILD_COUNT, kernels.KERNEL_BUILD_COUNT
+    for backend in kernels.KERNEL_BACKENDS:
+        with pytest.raises(batch.BatchCompilationError,
+                           match=r"'opaque' .* 'inc' \(opaque_inc\)"):
+            BatchSimulator(module, N_LANES, kernel_backend=backend)
+    assert (batch.PROGRAM_BUILD_COUNT, kernels.KERNEL_BUILD_COUNT) == builds
 
 
 @needs_cc
@@ -214,7 +219,6 @@ def test_limb_store_modules_compile_kernels():
     simulator = BatchSimulator(module, N_LANES, kernel_backend="native")
     assert simulator.kernel is not None
     assert simulator.kernel_backend == "native"
-    assert simulator.program.n_fallback == 0
     big = (1 << 63) | 5
     simulator.set_input("a", np.array([big, 1, 2], dtype=object))
     simulator.set_input("b", 1)
@@ -222,43 +226,64 @@ def test_limb_store_modules_compile_kernels():
     assert int(simulator.get_output("y")[0]) == big ^ 1
 
 
-def test_very_wide_modules_fall_back_to_scalar_estimates():
-    """Past MAX_LIMB_WIDTH no lane program (so no kernel) exists: a native
-    request is refused, ``warm`` reports nothing to build, and
-    ``estimate_many`` returns the per-seed scalar estimates."""
+def _very_wide_module():
+    builder = NetlistBuilder("very_wide")
+    a = builder.input("a", 250)
+    b = builder.input("b", 250)
+    builder.output("y", builder.logic("xor", a, b))
+    return flatten(builder.build())
+
+
+def _shadow_state_module():
+    from test_sim_batch import _module_with_shadow_state
+
+    return _module_with_shadow_state()
+
+
+def _mul63_module():
+    from test_sim_kind_parity import CASES, _unit
+
+    return _unit("mul63", *CASES["mul63"].factory())
+
+
+def _strobe_only_module():
+    config = InstrumentationConfig(sample_on_strobe_only=True)
+    return instrument(get_design("binary_search").build(), build_seed_library(),
+                      config).module
+
+
+@pytest.mark.parametrize("build, refused", [
+    pytest.param(_very_wide_module, r"'very_wide' has net 'a' of 250 bits", id="very_wide"),
+    pytest.param(_shadow_state_module, r"'mem0' \(shadow_memory\)", id="shadow_state"),
+    pytest.param(_mul63_module, r"'u' \(multiplier\)", id="mul63"),
+    pytest.param(_strobe_only_module, r"'pwr_model_\w+' \(power_model_hw\)",
+                 id="strobe_only"),
+])
+def test_refused_modules_fall_back_to_scalar_estimates(build, refused):
+    """A module that does not lower to lanes completely (a net past
+    MAX_LIMB_WIDTH, or a component no lane emitter fuses) has no lane
+    program, so no kernel: ``BatchSimulator`` refuses it naming the culprit,
+    ``warm`` reports nothing to build, and ``estimate_many`` returns the
+    per-seed scalar estimates."""
     from repro.api import RTLEstimatorAdapter, RunSpec
     from repro.sim.testbench import RandomTestbench
 
-    def build():
-        builder = NetlistBuilder("very_wide")
-        a = builder.input("a", 250)
-        b = builder.input("b", 250)
-        builder.output("y", builder.logic("xor", a, b))
-        return flatten(builder.build())
-
-    with pytest.raises(batch.BatchCompilationError, match="'very_wide'"):
+    with pytest.raises(batch.BatchCompilationError, match=refused):
         BatchSimulator(build(), N_LANES, kernel_backend="native")
     adapter = RTLEstimatorAdapter(
         module=build(),
         testbench_factory=lambda seed: RandomTestbench(16, seed=seed or 0),
     )
-    specs = [RunSpec(design="very_wide", engine="rtl", seed=seed, backend="batch",
+    specs = [RunSpec(design="refused", engine="rtl", seed=seed, backend="batch",
                      kernel_backend="native") for seed in range(3)]
     assert adapter.warm(specs[0], n_lanes=3) == {}
-    for spec, result in zip(specs, adapter.estimate_many(specs)):
+    many = adapter.estimate_many(specs)
+    assert [result.spec for result in many] == specs
+    for spec, result in zip(specs, many):
         single = adapter.estimate(spec.replace(backend="compiled"))
-        assert result.backend == "compiled"
-        assert result.report.total_energy_fj == single.report.total_energy_fj
-        assert result.report.components == single.report.components
-
-
-def test_unsupported_reason_is_cached_on_the_program():
-    module = flatten(_module_with_unfusable_component())
-    first = BatchSimulator(module, 2, kernel_backend="native")
-    second = BatchSimulator(module, 2, kernel_backend="native")
-    assert first.kernel_fallback == second.kernel_fallback
-    assert first.program is second.program
-    assert first.program._kernel_unsupported is not None
+        assert result.backend == single.backend == "compiled"
+        assert (dataclasses.replace(result.report, estimation_time_s=0.0)
+                == dataclasses.replace(single.report, estimation_time_s=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +413,7 @@ def test_kernel_source_is_one_per_design_structure(name):
     """
     modules = (build_flat(name), flatten(get_design(name).build()))
     sources = {
-        native.generate_c_source(batch.compile_module_batch(module, n_lanes).kernel_ir())
+        native.generate_c_source(batch.compile_module_batch(module, n_lanes).ir)
         for module in modules
         for n_lanes in (7, 256)
     }
@@ -400,7 +425,7 @@ def test_kernel_prints_each_statement_once(name):
     """One exported C function per IR phase, plus ``observe`` and ``run``,
     and every IR statement's loop printed exactly once, in its own phase's
     function (``run`` calls the phases' block functions)."""
-    ir = batch.compile_module_batch(build_flat(name), 7).kernel_ir()
+    ir = batch.compile_module_batch(build_flat(name), 7).ir
     source = native.generate_c_source(ir)
     exported = re.findall(r"^void (\w+)\(", source, re.MULTILINE)
     assert sorted(exported) == sorted([*ir.phases, "observe", "run"])
@@ -419,7 +444,7 @@ def test_kernel_prints_each_statement_once(name):
 def test_lane_ir_has_no_plus_zero_copies(name):
     """State is written in place, so no emitter needs ``x + 0`` to copy a
     value into a fresh temporary before it is overwritten."""
-    ir = batch.compile_module_batch(build_flat(name), 7).kernel_ir()
+    ir = batch.compile_module_batch(build_flat(name), 7).ir
     copies = [
         stmt for stmts in ir.phases.values() for stmt in stmts
         if isinstance(getattr(stmt, "expr", None), Bin) and stmt.expr.op == "+"
@@ -495,7 +520,7 @@ def test_lane_state_arrays_never_move():
     module = _stateful_module()
     plain = BatchSimulator(module, N_LANES, kernel_backend="off")
     ir = plain.program.ir
-    assert plain.program.n_fallback == 0 and ir.state_specs and ir.mem_specs
+    assert ir.state_specs and ir.mem_specs
     before = ir.state_arrays() + ir.mem_arrays()
     sequences = _sequences(module, np.random.default_rng(11))
     for cycle in range(N_CYCLES):
