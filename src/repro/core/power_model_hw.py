@@ -21,7 +21,7 @@ as synthesizable HDL.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.fixedpoint import FixedPointFormat
 from repro.netlist.ports import Port
@@ -61,9 +61,6 @@ class HardwarePowerModel(SequentialComponent):
         self.port_widths: Dict[str, int] = dict(model.port_widths)
 
         # quantized coefficients in the model's canonical flat order
-        self.flat_ports: List[Tuple[str, int]] = [
-            (port, bit) for port, bit, _ in model.flat_coefficients()
-        ]
         self.coefficient_codes: List[int] = [
             fmt.quantize(value) for _, _, value in model.flat_coefficients()
         ]
@@ -104,13 +101,7 @@ class HardwarePowerModel(SequentialComponent):
             self.add_input(MONITOR_PREFIX + port_name, width)
         self.add_input("strobe", 1)
         self.add_output("energy", energy_width)
-
-        self._previous: Dict[str, int] = {p: 0 for p in self.port_widths}
-        self._accumulated = 0
-        self._output = 0
-        self._pending_previous = dict(self._previous)
-        self._pending_accumulated = 0
-        self._pending_output = 0
+        self.reset()
 
     # -------------------------------------------------------------- queries
     def monitored_ports(self) -> List[Port]:
@@ -127,10 +118,11 @@ class HardwarePowerModel(SequentialComponent):
 
     # ------------------------------------------------------------ behaviour
     def reset(self) -> None:
-        self._previous = {p: 0 for p in self.port_widths}
+        #: each monitored port's last value, in ``_chunked`` order
+        self._previous: List[int] = [0] * len(self._chunked)
         self._accumulated = 0
         self._output = 0
-        self._pending_previous = dict(self._previous)
+        self._pending_previous = list(self._previous)
         self._pending_accumulated = 0
         self._pending_output = 0
 
@@ -142,17 +134,14 @@ class HardwarePowerModel(SequentialComponent):
         if self.sample_on_strobe_only and not strobe:
             # paper-literal mode: between strobes the queues hold their values
             # and no energy is computed
-            self._pending_previous = dict(self._previous)
+            self._pending_previous = list(self._previous)
             self._pending_accumulated = self._accumulated
             self._pending_output = 0
             return
         cycle_energy = self.base_code
-        previous = self._previous
-        new_previous: Dict[str, int] = {}
-        for port_name, in_name, value_mask, tables in self._chunked:
-            current = inputs.get(in_name, 0) & value_mask
-            toggles = previous[port_name] ^ current
-            new_previous[port_name] = current
+        currents = [inputs.get(in_name, 0) & mask for _, in_name, mask, _ in self._chunked]
+        for previous, current, (*_, tables) in zip(self._previous, currents, self._chunked):
+            toggles = previous ^ current
             chunk = 0
             while toggles:
                 cycle_energy += tables[chunk][toggles & 255]
@@ -165,7 +154,7 @@ class HardwarePowerModel(SequentialComponent):
         else:
             self._pending_output = 0
             self._pending_accumulated = accumulated
-        self._pending_previous = new_previous
+        self._pending_previous = currents
 
     def commit(self) -> None:
         self._previous = self._pending_previous

@@ -31,19 +31,19 @@ What to gather and how to evaluate it depends on the monitored components
 and their models only: :class:`ObservePlan` holds it, built once per module
 (:func:`observe_plan`) and shared by every run's evaluator.
 
-On a native lane kernel the same plan runs in C, once per cycle, next to
-the design (:class:`NativeEvaluator`): every kernel translation unit carries
-a design-independent ``observe`` entry point
+On a native lane kernel a plan without generic components runs in C, once
+per cycle, next to the design (:class:`NativeEvaluator`): every kernel
+carries a design-independent ``observe`` entry point
 (:mod:`repro.sim.kernels.native`) that reads the monitored nets straight
-from the value store, driven by :meth:`ObservePlan.flat`.  A
-spec-driven lane block without generic components goes further:
-:meth:`NativeEvaluator.run` hands whole segments of stimulus to the
-kernel's ``run`` entry point, which drives, settles, observes and clocks
-each 128-lane block in one call.  Per lane both perform flush's float
-operations in flush's order:
+from the value store, driven by :meth:`ObservePlan.flat`; a generic block
+observes through the :class:`BlockEvaluator`, still settling natively.  A
+spec-driven block goes further: :meth:`NativeEvaluator.run` hands whole
+segments of stimulus to the kernel's ``run`` entry point, which drives,
+settles, observes and clocks each 128-lane block in one call.  Per lane
+both perform flush's float operations in flush's order:
 
 * a component's energy is its base plus one table lookup per chunk, in
-  chunk order (a generic component's energy is the pushed one);
+  chunk order;
 * that energy is multiplied by the 0/1 lane mask;
 * the cycle total sums the components in monitored order, from 0.0;
 * each running total adds the cycle's energy (``+=``), cycle after cycle;
@@ -141,15 +141,12 @@ class ObservePlan:
         Per chunk its net row (``chunk_net``), the bit offset of its byte
         (``chunk_shift``) and its 256 energies (``chunk_table``); per
         component, in monitored order, its chunks
-        ``component_chunk[c]:component_chunk[c + 1]``, its base energy and
-        its generic row (``component_generic``, -1 for a table component).
+        ``component_chunk[c]:component_chunk[c + 1]`` and its base energy.
         """
         if self._flat is None:
             n = self.n_components
             component_chunk = np.zeros(n + 1, dtype=np.int64)
             component_base = np.zeros(n)
-            component_generic = np.full(n, -1, dtype=np.int64)
-            component_generic[self.generic_pos] = np.arange(len(self.generic))
             chunks = []
             for index, base, component_chunks in self.fast:
                 component_base[index] = base
@@ -164,7 +161,6 @@ class ObservePlan:
                                         dtype=np.float64).reshape(len(chunks), 256),
                 "component_chunk": component_chunk,
                 "component_base": component_base,
-                "component_generic": component_generic,
             }
             for array in self._flat.values():
                 array.flags.writeable = False
@@ -322,16 +318,18 @@ class NativeEvaluator:
     of it straight over the kernel's value store, from the block evaluator's
     plan as flat arrays (:meth:`ObservePlan.flat`).  It performs flush's
     float operations in flush's order, so totals, peak, cycle trace and
-    profile windows equal the block evaluator's bit for bit.  Generic
-    components are still evaluated by the caller, which pushes their
-    ``(lanes,)`` energies.
+    profile windows equal the block evaluator's bit for bit.  It evaluates
+    table components only: a plan with a generic component stays on the
+    :class:`BlockEvaluator`.
 
     :meth:`run` hands whole segments of cycles to the kernel's ``run``
     entry point instead (drive, settle, observe and clock edge of each lane
-    block in one C call), for plans without generic components.
+    block in one C call).
     """
 
     def __init__(self, block: BlockEvaluator, kernel, rows: np.ndarray) -> None:
+        if block.generic:
+            raise ValueError("the native observer evaluates table components only")
         lanes = block.n_lanes
         self.n_lanes = lanes
         self.keep_cycle_trace = block.keep_cycle_trace
@@ -341,7 +339,6 @@ class NativeEvaluator:
         self._store: Optional[np.ndarray] = None
         # the C side's lane arrays are padded to whole blocks of lanes
         self._padded = -(-lanes // BLOCK_LANES) * BLOCK_LANES
-        self._generic = np.zeros((len(block.generic), self._padded))
         self._mask = np.zeros(self._padded)
         self._running = np.zeros((block.n_components, self._padded))
         self._peak = np.zeros(self._padded)
@@ -350,7 +347,6 @@ class NativeEvaluator:
         self._arrays = dict(
             block.plan.flat(),
             net_slot=self._rows,
-            generic=self._generic,
             mask=self._mask,
             previous=np.zeros((n_nets, self._padded), dtype=np.int64),
             running=self._running,
@@ -416,14 +412,11 @@ class NativeEvaluator:
         if self.cycles == self._feed_at:
             self._feed()
 
-    def push(self, v: np.ndarray, generic_energy=(), active=None) -> None:
+    def push(self, v: np.ndarray, active=None) -> None:
         """Evaluate one cycle of the store ``v`` (``active`` masks lanes)."""
         if v is not self._store:
             self._check_store(v)
-        lanes = self.n_lanes
-        for row, energy in zip(self._generic, generic_energy):
-            row[:lanes] = energy
-        self._mask[:lanes] = 1.0 if active is None else active
+        self._mask[:self.n_lanes] = 1.0 if active is None else active
         if self.keep_cycle_trace:
             self._trace_room()
         self._kernel.observe(v, self._plan)
@@ -441,9 +434,6 @@ class NativeEvaluator:
         the next profile-window boundary or the end of the cycle-trace
         buffer; returns the cycles it ran (at least one).
         """
-        if len(self._generic):
-            raise ValueError("run evaluates table components only; generic "
-                             "components need a per-cycle push")
         if v is not self._store:
             self._check_store(v)
         n = len(rows)

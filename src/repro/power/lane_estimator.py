@@ -8,11 +8,12 @@ design N times.  This estimator instead lowers the design once into lane form
 per cycle for every lane.  Power observation runs next to the design: on a
 native lane kernel the kernel's own ``observe`` entry point evaluates the
 macromodels in C each cycle, straight from the value store
-(:class:`~repro.power.block.NativeEvaluator`); on the ``off`` backend each
-cycle gathers the monitored nets of every lane (one fancy index over the
-value store) and :class:`~repro.power.block.BlockEvaluator` turns a block of
-cycles into per-component energies in one vectorized pass — the evaluator
-the scalar estimator uses.  Both run one plan in one float order, so each
+(:class:`~repro.power.block.NativeEvaluator`); on the ``off`` backend, and
+for a block with a generic component on either backend, each cycle gathers
+the monitored nets of every lane (one fancy index over the value store) and
+:class:`~repro.power.block.BlockEvaluator` turns a block of cycles into
+per-component energies in one vectorized pass — the evaluator the scalar
+estimator uses.  Both run one plan in one float order, so each
 lane's energies equal a scalar run's bit for bit on either backend.
 ``_MacromodelObserver.observe`` stays the per-cycle entry point of the
 layer whichever evaluator runs.
@@ -30,8 +31,8 @@ run of the same testbench would produce — lane count changes speed, never
 results.
 
 The host leaves the cycle loop where it can see that nothing in it needs
-Python: a block on a native kernel with no generic component whose lane
-form knows its inputs and stop cycles up front — the array driver and the
+Python: a block observed natively (no generic component) whose lane form
+knows its inputs and stop cycles up front — the array driver and the
 registry stream testbenches (``StreamTestbench``, e.g. HVPeakF's).  Every
 lane of such a block stops at its budget or the lane form's last cycle, so
 the estimator hands the kernel's ``run`` entry point one segment of input
@@ -70,14 +71,14 @@ from repro.sim.testbench import Testbench, lane_form
 class _MacromodelObserver:
     """Per-cycle power observation of every lane: the layer's entry point.
 
-    On a native lane kernel a :class:`~repro.power.block.NativeEvaluator`
-    evaluates the table components in C each cycle, straight from the value
-    store (``evaluator == "native"``); otherwise each cycle gathers the
-    monitored nets with one fancy index over the store and a
+    On a native lane kernel, with no generic component, a
+    :class:`~repro.power.block.NativeEvaluator` evaluates the components in
+    C each cycle, straight from the value store (``evaluator ==
+    "native"``); otherwise each cycle gathers the monitored nets with one
+    fancy index over the store, ``evaluate_lanes`` runs here for the generic
+    components (limb-store ports assembled into exact Python ints), and a
     :class:`~repro.power.block.BlockEvaluator` evaluates a block of cycles
-    at a time (``"block"``).  Either way ``evaluate_lanes`` runs here for
-    the generic components (limb-store ports assembled into exact Python
-    ints), and :attr:`block` holds the results.
+    at a time (``"block"``).  :attr:`block` holds the results.
     """
 
     def __init__(self, monitored, simulator: BatchSimulator,
@@ -98,13 +99,14 @@ class _MacromodelObserver:
         ]
         self._previous: Optional[list] = None
         #: which evaluator runs the macromodels: "native" or "block"
-        self.evaluator = "block" if simulator.kernel is None else "native"
-        if simulator.kernel is None:
-            self.block = block
-            self._rows = rows
-        else:
+        native = simulator.kernel is not None and not block.generic
+        self.evaluator = "native" if native else "block"
+        if native:
             self.block = NativeEvaluator(block, simulator.kernel, rows)
             self._rows = None  # the kernel reads the store itself
+        else:
+            self.block = block
+            self._rows = rows
 
     @staticmethod
     def _port_value(v: np.ndarray, rows) -> np.ndarray:
@@ -116,6 +118,8 @@ class _MacromodelObserver:
 
     def observe(self, v: np.ndarray, active_f: np.ndarray) -> None:
         """Record this cycle's monitored values (``active_f`` masks lanes)."""
+        if self._rows is None:
+            return self.block.push(v, active_f)
         generic = []
         if self._generic:
             currents = [
@@ -128,7 +132,7 @@ class _MacromodelObserver:
                     self._generic, self._previous or currents, currents)
             ]
             self._previous = currents
-        self.block.push(v if self._rows is None else v[self._rows], generic, active_f)
+        self.block.push(v[self._rows], generic, active_f)
 
 
 class BatchRTLPowerEstimator:
@@ -281,8 +285,7 @@ class BatchRTLPowerEstimator:
 
         # one span for the whole loop — never per cycle; the observer's and
         # the lane form's shares are accumulated with clock reads per cycle
-        fused = (observer.evaluator == "native" and not observer._generic
-                 and lanes.capture is not None)
+        fused = observer.evaluator == "native" and lanes.capture is not None
         sim_span = obs.span(
             "lanes.simulate", module=self.module.name, n_lanes=n_lanes,
             macromodel_eval=observer.evaluator, fused=fused)

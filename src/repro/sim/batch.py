@@ -18,12 +18,13 @@ FSM controllers and the power-estimation components keep their state in a
 :class:`LaneRows` holder: ``(n_lanes,)`` rows named after the component's
 own state attributes (``_state``, ``_pending``, ``_total``, ...), so
 codegen's state-source, capture and commit emitters name the same
-attributes for both targets.  Each target lowers only the kinds whose state
-layouts differ: here memories and register files keep ``(depth, n_lanes)``
-storage (:class:`LaneMemoryState`) with per-lane reads and masked-scatter
-writes, FSM controllers keep per-lane state *indices* with their transition
-table unrolled into priority-ordered masked selects, and power models keep
-one row per monitored port.
+attributes for both targets (a power model's ``_previous`` is a row list,
+one row per monitored port, as it is a list on the component).  Each target
+lowers only the kinds whose state layouts differ: here memories and
+register files keep ``(depth, n_lanes)`` storage (:class:`LaneMemoryState`)
+with per-lane reads and masked-scatter writes, and FSM controllers keep
+per-lane state *indices* with their transition table unrolled into
+priority-ordered masked selects.
 
 A module lowers to lanes completely, or not at all: a component no lane
 emitter fuses — a subclassed or user-defined type, a 61..240-bit kind
@@ -227,8 +228,8 @@ class LaneEmitter(SourceEmitter):
     def nonzero(self, expr: Expr) -> Expr:
         return expr.ne(0)
 
-    def lookup(self, values, index: Expr) -> Expr:
-        return Table(np.asarray(values, dtype=np.int64), index)
+    def table(self, values) -> np.ndarray:
+        return np.asarray(values, dtype=np.int64)
 
     def state_ref(self, component):
         return self.holders[component]
@@ -259,11 +260,6 @@ class LaneEmitter(SourceEmitter):
             index = self.let("_s", minimum(sel, len(rows) - 1))
             self.set_slot(slot, Select(index, tuple(rows)))
 
-    def copy_rows(self, holder, dst: str, src: str) -> None:
-        """Commit a row list: each ``dst`` row takes its ``src`` row's value."""
-        for index in range(len(getattr(holder, dst))):
-            self.set_field(holder, dst, self.field(holder, src, index), index)
-
     # ---------------------------------------------- per-target sequential
     def state_fsm(self, c) -> bool:
         from repro.netlist.signals import mask_value
@@ -278,7 +274,7 @@ class LaneEmitter(SourceEmitter):
                            c.output_widths[port])
                 for state in c.states
             ]
-            self.set_slot(slot, self.lookup(table, self.field(s, "_state")))
+            self.set_slot(slot, Table(self.table(table), self.field(s, "_state")))
         return True
 
     def capture_fsm(self, c) -> bool:
@@ -325,31 +321,6 @@ class LaneEmitter(SourceEmitter):
         self._capture_write(self.state_ref(c), c, "waddr")
         return True
 
-    def capture_power_model(self, c) -> bool:
-        if c.sample_on_strobe_only:
-            return False  # paper-literal sampling runs per seed on the scalar engine
-        s = self.state_ref(c)
-        strobe = self.opt(c, "strobe", 0)
-        energy = self.let("_e", Const(c.base_code))
-        for index, (port_name, in_name, _, tables) in enumerate(c._chunked):
-            cur = self.opt(c, in_name, 0)
-            t = self.let("_t", self.field(s, "_previous", index) ^ cur)
-            self.set_field(s, "_pending_previous", cur, index)
-            for chunk, table in enumerate(tables):
-                if chunk == 0:
-                    byte = t if len(tables) == 1 else t & 255
-                else:
-                    byte = (t >> 8 * chunk) & 255
-                # table[0] is always 0, so charging untoggled lanes adds
-                # nothing — the vectorized form of the scalar `if _t:` guard
-                energy = self.let("_e", energy + self.lookup(table, byte))
-        total = self.let("_a", self.field(s, "_accumulated") + energy)
-        strobed = self.let("_sb", strobe & 1)
-        self.set_field(s, "_pending_output",
-                       where(strobed, total & _mask(c.energy_width), 0))
-        self.set_field(s, "_pending_accumulated", where(strobed, 0, total))
-        return True
-
     def _commit_write(self, s, c) -> None:
         if c.ports["we"].net is not None:
             enable = self.let("_msk", self.field(s, "w_en").ne(0))
@@ -365,12 +336,6 @@ class LaneEmitter(SourceEmitter):
     def commit_regfile(self, c) -> None:
         self._commit_write(self.state_ref(c), c)
 
-    def commit_power_model(self, c) -> None:
-        s = self.state_ref(c)
-        self.copy_rows(s, "_previous", "_pending_previous")
-        self.set_field(s, "_accumulated", self.field(s, "_pending_accumulated"))
-        self.set_field(s, "_output", self.field(s, "_pending_output"))
-
 
 # ---------------------------------------------------------------------------
 # Limb-store emitters (components touching nets wider than MAX_LANE_WIDTH).
@@ -381,24 +346,20 @@ class LaneEmitter(SourceEmitter):
 # ---------------------------------------------------------------------------
 
 
-def _l_in(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[Expr], int]]:
-    """Per-limb slot reads plus net width of an input; None if unbound."""
-    port = c.ports.get(port_name)
-    if port is None or port.net is None:
-        return None
-    slot = em.slot_of[port.net]
-    n_limbs = em.limbs_of.get(port.net, 1)
-    return [SlotRef(slot + k) for k in range(n_limbs)], port.net.width
-
-
 def _l_out(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[int], int]]:
-    """Per-limb slots plus net width of an output; None when unconnected."""
+    """Per-limb slots plus net width of a port; None when unconnected."""
     port = c.ports.get(port_name)
     if port is None or port.net is None:
         return None
     slot = em.slot_of[port.net]
     n_limbs = em.limbs_of.get(port.net, 1)
     return [slot + k for k in range(n_limbs)], port.net.width
+
+
+def _l_in(em: LaneEmitter, c, port_name: str) -> Optional[Tuple[List[Expr], int]]:
+    """Per-limb slot reads plus net width of an input; None if unbound."""
+    port = _l_out(em, c, port_name)
+    return None if port is None else ([SlotRef(slot) for slot in port[0]], port[1])
 
 
 def _l_gather(
@@ -664,7 +625,9 @@ def _bl_capture_register(em: LaneEmitter, c) -> bool:
 
 
 def _bl_commit_register(em: LaneEmitter, c) -> None:
-    em.copy_rows(em.state_ref(c), "_state", "_pending")
+    s = em.state_ref(c)
+    for k in range(len(s._state)):
+        em.set_field(s, "_state", em.field(s, "_pending", k), k)
 
 
 #: limb-wise emitters for components touching a wide (multi-limb) net, one
@@ -720,8 +683,7 @@ def _make_holder(component, n_lanes: int, wide: bool):
         return LaneRows(n_lanes, _count=0, _strobe=strobe,
                         _pending_count=0, _pending_strobe=strobe)
     if isinstance(component, HardwarePowerModel):
-        ports = [0] * len(component._chunked)
-        return LaneRows(n_lanes, _previous=ports, _pending_previous=ports,
+        return LaneRows(n_lanes, _previous=[0] * len(component._chunked),
                         _accumulated=0, _output=0,
                         _pending_accumulated=0, _pending_output=0)
     return None
@@ -834,7 +796,8 @@ def _lower_lanes(
     return em, holders
 
 
-#: module -> (mutation_key, n_lanes, schedule, program)
+#: module -> (mutation_key, schedule, n_lanes, program); n_lanes is None
+#: and the program a refusal message for a module that does not lower
 _BATCH_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = weakref.WeakKeyDictionary()
 
 #: process-lifetime count of lane programs built (cache misses in
@@ -856,6 +819,13 @@ def __getattr__(name: str) -> int:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _cache(module: Module, entry: tuple) -> None:
+    try:
+        _BATCH_CACHE[module] = entry
+    except TypeError:  # pragma: no cover - unweakrefable module subclass
+        pass
+
+
 def compile_module_batch(
     module: Module, n_lanes: int, schedule: Optional[Schedule] = None
 ) -> BatchProgram:
@@ -865,7 +835,8 @@ def compile_module_batch(
     ``Simulator`` over a shared module — only one :class:`BatchSimulator`
     should actively drive a given module at a time.  Raises
     :class:`BatchCompilationError` when a net is wider than
-    :data:`MAX_LIMB_WIDTH` or a component does not fuse.
+    :data:`MAX_LIMB_WIDTH` or a component does not fuse; a refusal is
+    remembered, like a program, until the module or schedule changes.
     """
     if n_lanes < 1:
         raise ValueError(f"batch compilation needs n_lanes >= 1, got {n_lanes}")
@@ -880,8 +851,11 @@ def compile_module_batch(
         schedule = schedule_for(module)
     key = module_mutation_key(module)
     cached = _BATCH_CACHE.get(module)
-    if cached is not None and cached[0] == key and cached[1] == n_lanes and cached[2] is schedule:
-        return cached[3]
+    if cached is not None and cached[0] == key and cached[1] is schedule:
+        if cached[2] is None:  # refused at any lane count
+            raise BatchCompilationError(cached[3])
+        if cached[2] == n_lanes:
+            return cached[3]
     build_span = obs.span("program.build", module=module.name, n_lanes=n_lanes)
 
     # wide nets (61..240 bits) take ceil(width / 60) consecutive limb slots
@@ -903,6 +877,7 @@ def compile_module_batch(
         build_span.set(error=type(error).__name__)
         build_span.end()
         if isinstance(error, BatchCompilationError):
+            _cache(module, (key, schedule, None, str(error)))
             raise
         raise BatchCompilationError(
             f"failed to batch-compile module {module.name!r}: {error}"
@@ -920,10 +895,7 @@ def compile_module_batch(
         ir=em.kb.ir,
         holders=holders,
     )
-    try:
-        _BATCH_CACHE[module] = (key, n_lanes, schedule, program)
-    except TypeError:  # pragma: no cover - unweakrefable module subclass
-        pass
+    _cache(module, (key, schedule, n_lanes, program))
     _PROGRAM_BUILDS.inc()
     build_span.set(n_fused=em.n_fused)
     build_span.end()
@@ -935,6 +907,13 @@ def compile_module_batch(
 # ---------------------------------------------------------------------------
 
 ArrayLike = Union[int, Sequence[int], np.ndarray]
+
+
+def _no_port(module, kind: str, name: str, ports) -> KeyError:
+    """The error for an unknown port name, listing the valid ones."""
+    valid = ", ".join(sorted(ports)) or "<none>"
+    return KeyError(f"module {module.name!r} has no {kind} port {name!r}; "
+                    f"valid {kind} ports: {valid}")
 
 
 class BatchSimulator:
@@ -1025,16 +1004,19 @@ class BatchSimulator:
         self.settle()
 
     # ------------------------------------------------------------------ I/O
-    def _coerce(self, value: ArrayLike, width: int) -> ArrayLike:
-        mask = (1 << width) - 1
-        if isinstance(value, (int, np.integer)):
-            return int(value) & mask
+    def _lane_array(self, value: ArrayLike) -> np.ndarray:
         array = np.asarray(value)
         if array.shape != (self.n_lanes,):
             raise ValueError(
                 f"per-lane input must have shape ({self.n_lanes},), got {array.shape}"
             )
-        return array.astype(np.int64) & mask
+        return array
+
+    def _coerce(self, value: ArrayLike, width: int) -> ArrayLike:
+        mask = (1 << width) - 1
+        if isinstance(value, (int, np.integer)):
+            return int(value) & mask
+        return self._lane_array(value).astype(np.int64) & mask
 
     def _write_limbs(self, slot: int, n_limbs: int, width: int, value: ArrayLike) -> None:
         """Split a wide value (scalar or per-lane) across its limb rows."""
@@ -1044,12 +1026,7 @@ class BatchSimulator:
             for k in range(n_limbs):
                 self._v[slot + k] = (masked >> (LIMB_BITS * k)) & _LIMB_MASK
             return
-        array = np.asarray(value)
-        if array.shape != (self.n_lanes,):
-            raise ValueError(
-                f"per-lane input must have shape ({self.n_lanes},), got {array.shape}"
-            )
-        values = [int(x) & mask for x in array]
+        values = [int(x) & mask for x in self._lane_array(value)]
         for k in range(n_limbs):
             shift = LIMB_BITS * k
             self._v[slot + k] = np.fromiter(
@@ -1058,8 +1035,10 @@ class BatchSimulator:
                 count=self.n_lanes,
             )
 
-    def _read_limbs(self, slot: int, n_limbs: int) -> np.ndarray:
-        """Assemble a wide row as an object array of Python ints."""
+    def _read(self, slot: int, n_limbs: int) -> np.ndarray:
+        """A copy of a row; a wide row assembles an object array of Python ints."""
+        if n_limbs == 1:
+            return self._v[slot].copy()
         value = self._v[slot].astype(object)
         for k in range(1, n_limbs):
             value = value | (self._v[slot + k].astype(object) << (LIMB_BITS * k))
@@ -1070,11 +1049,7 @@ class BatchSimulator:
         try:
             return self._input_keys[name]
         except KeyError:
-            valid = ", ".join(sorted(self._input_keys)) or "<none>"
-            raise KeyError(
-                f"module {self.module.name!r} has no input port {name!r}; "
-                f"valid input ports: {valid}"
-            ) from None
+            raise _no_port(self.module, "input", name, self._input_keys) from None
 
     def set_input(self, name: str, value: ArrayLike) -> None:
         """Drive a module input: one scalar for all lanes, or a per-lane array."""
@@ -1107,15 +1082,8 @@ class BatchSimulator:
         try:
             slot = self._output_keys[name]
         except KeyError:
-            valid = ", ".join(sorted(self._output_keys)) or "<none>"
-            raise KeyError(
-                f"module {self.module.name!r} has no output port {name!r}; "
-                f"valid output ports: {valid}"
-            ) from None
-        n_limbs = self._port_limbs[name]
-        if n_limbs > 1:
-            return self._read_limbs(slot, n_limbs)
-        return self._v[slot].copy()
+            raise _no_port(self.module, "output", name, self._output_keys) from None
+        return self._read(slot, self._port_limbs[name])
 
     def get_outputs(self) -> Dict[str, np.ndarray]:
         return {name: self.get_output(name) for name in self._output_keys}
@@ -1124,11 +1092,7 @@ class BatchSimulator:
         """Per-lane values of any net, by object or name."""
         if isinstance(net, str):
             net = self.module.nets[net]
-        slot = self.program.slot_of[net]
-        n_limbs = self.program.limbs_of.get(net, 1)
-        if n_limbs > 1:
-            return self._read_limbs(slot, n_limbs)
-        return self._v[slot].copy()
+        return self._read(self.program.slot_of[net], self.program.limbs_of.get(net, 1))
 
     # ------------------------------------------------------------ execution
     def settle(self) -> None:
@@ -1222,9 +1186,7 @@ class _LaneSequentialProxy:
         for name, value in holder.lane_values(lane).items():
             if isinstance(component, FSMController):
                 value = component.states[value]  # rows hold state indices
-            elif isinstance(value, list):
-                if not isinstance(component, seq.Register):
-                    continue  # power-model port rows: no scalar form here
+            elif isinstance(value, list) and isinstance(component, seq.Register):
                 value = sum(limb << (LIMB_BITS * k) for k, limb in enumerate(value))
             state[name] = value
         return state
@@ -1330,11 +1292,7 @@ class LaneView:
         try:
             slot = self.simulator._output_keys[name]
         except KeyError:
-            valid = ", ".join(sorted(self.simulator._output_keys)) or "<none>"
-            raise KeyError(
-                f"module {self.module.name!r} has no output port {name!r}; "
-                f"valid output ports: {valid}"
-            ) from None
+            raise _no_port(self.module, "output", name, self.simulator._output_keys) from None
         return self._read_lane(slot, self.simulator._port_limbs[name])
 
     def get_outputs(self) -> Dict[str, int]:

@@ -31,9 +31,13 @@ emitters read and write the component's own state attribute names
 (``_state``, ``_pending``, ``_total``, ...): the scalar target binds the
 component itself, the lane target a holder whose rows carry the same names
 and are written in place.  Only the kinds whose state layouts differ
-(FSM state name vs index, tuple pending write vs masked scatter, port-keyed
-dict vs row list) are lowered by each target itself, through one entry of the
-same dispatch table.
+(FSM state name vs index, tuple pending write vs masked scatter) are
+lowered by each target itself, through one entry of the same dispatch table.
+The hardware power model has one lowering for both: its capture is one
+:class:`~repro.sim.kernels.ir.TableSum` over its ports' toggle words
+(``_previous[k] ^`` the monitored slot; ``_previous`` is a list on the
+component and a row list on the holder), and its commit writes
+``_previous[k]`` straight from the monitored slot.
 
 Fusion keys off the concrete component class (not ``type_name``), so a
 subclass with an overridden ``evaluate`` is never fused incorrectly.
@@ -47,8 +51,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netlist.nets import Net
 from repro.sim.kernels.ir import (
-    Bin, Const, Expr, MemRead, Min, Popcount, SlotRef, StateRef, Table, TempRef, Unary,
-    Where, const, minimum, where,
+    Bin, Const, Expr, MemRead, Min, Popcount, SlotRef, StateRef, Table, TableSum, TempRef,
+    Unary, Where, const, minimum, where,
 )
 
 # Dispatch tables are built lazily: the power-estimation component classes
@@ -104,6 +108,15 @@ def py_source(x: Expr) -> str:
         return f"({a} if {a} <= {b} else {b})"
     if kind is Popcount:
         return f"({py_source(x.a)}).bit_count()"
+    if kind is TableSum:
+        # per port: its toggle word once, and its chunks only when it toggled
+        ports = [
+            "((" + " + ".join(f"{table}[(_t >> {shift}) & 255]" if shift
+                              else f"{table}[_t & 255]" for table, shift in chunks)
+            + f") if (_t := {py_source(previous)} ^ {py_source(current)}) else 0)"
+            for previous, current, chunks in x.terms
+        ]
+        return "(" + " + ".join(ports) + ")"
     raise TypeError(f"no scalar spelling for IR node {x!r}")
 
 
@@ -117,12 +130,13 @@ class SourceEmitter:
       amount) is exact on the target,
     * ``flag(cond)``, ``nonzero(expr)`` — the 0/1 value of a comparison, and
       of ``expr != 0``,
-    * ``lookup(values, index)`` — ``values[index]`` for a constant table
-      (ROM contents),
+    * ``table(values)`` — a constant table (ROM contents, power-model
+      byte tables) for :class:`Table` and :class:`TableSum`,
     * ``state_ref(c)`` — the object holding ``c``'s sequential state;
-      ``field(state, attr)`` reads one of its attributes,
-      ``set_field(state, attr, expr)`` writes one, and
-      ``read_row(state, addr, depth)`` reads a memory/register-file row,
+      ``field(state, attr, index=None)`` reads one of its attributes (item
+      ``index`` of a list attribute), ``set_field(state, attr, expr,
+      index=None)`` writes one, and ``read_row(state, addr, depth)`` reads
+      a memory/register-file row,
     * ``set_slot(slot, expr)`` — ``v[slot] = expr``; ``let(name, expr)``
       binds a local (named ``name`` on the scalar target) and reads it,
     * ``emit_abs(slot, expr)`` — ``v[slot] = |expr|`` for a signed ``expr``;
@@ -130,11 +144,10 @@ class SourceEmitter:
       ``v[slot] = v[data_slots[min(sel, n - 1)]]``.
 
     Each target also lowers the sequential kinds whose state layouts differ
-    (FSM state name vs index, tuple pending write vs masked scatter,
-    port-keyed dict vs row list): ``state_fsm``, ``capture_fsm``,
-    ``capture_memory``, ``capture_regfile``, ``capture_power_model`` (True
-    when fused, like every emitter) and ``commit_memory``,
-    ``commit_regfile``, ``commit_power_model``.
+    (FSM state name vs index, tuple pending write vs masked scatter):
+    ``state_fsm``, ``capture_fsm``, ``capture_memory``, ``capture_regfile``
+    (True when fused, like every emitter) and ``commit_memory``,
+    ``commit_regfile``.
     """
 
     def __init__(self, slot_of: Dict[Net, int]) -> None:
@@ -153,10 +166,8 @@ class SourceEmitter:
         path, which reproduces the interpreter's ``KeyError`` semantics for
         unconnected required inputs.
         """
-        port = component.ports.get(port_name)
-        if port is None or port.net is None:
-            return None
-        return SlotRef(self.slot_of[port.net])
+        slot = self.out(component, port_name)
+        return None if slot is None else SlotRef(slot)
 
     def opt(self, component, port_name: str, default: int = 0) -> Expr:
         """Slot read of an ``inputs.get(name, default)`` input."""
@@ -164,7 +175,7 @@ class SourceEmitter:
         return Const(default) if expr is None else expr
 
     def out(self, component, port_name: str) -> Optional[int]:
-        """Slot of a component output, or None when unconnected."""
+        """Slot of a component port, or None when unconnected."""
         port = component.ports.get(port_name)
         if port is None or port.net is None:
             return None
@@ -197,8 +208,8 @@ class ScalarEmitter(SourceEmitter):
         self.env: Dict[str, object] = {}
         self.lines: List[str] = []
 
-    def emit(self, line: str, indent: int = 0) -> None:
-        self.lines.append("    " * indent + line)
+    def emit(self, line: str) -> None:
+        self.lines.append(line)
 
     def bind(self, name: str, obj: object) -> str:
         self.env[name] = obj
@@ -212,14 +223,14 @@ class ScalarEmitter(SourceEmitter):
 
     nonzero = flag  # a truth test of any int
 
-    def lookup(self, values: Sequence[int], index: Expr) -> Expr:
-        return Table(self.bind(f"_rom{self.uid()}", values), index)
+    def table(self, values: Sequence[int]) -> str:
+        return self.bind(f"_rom{self.uid()}", values)
 
     def state_ref(self, component) -> str:
         return self.bind(f"_c{self.uid()}", component)
 
-    def field(self, state: str, attr: str) -> Expr:
-        return StateRef(f"{state}.{attr}")
+    def field(self, state: str, attr: str, index: Optional[int] = None) -> Expr:
+        return StateRef(f"{state}.{attr}" + ("" if index is None else f"[{index}]"))
 
     def read_row(self, state: str, addr: Expr, depth: int) -> Expr:
         return MemRead(f"{state}._state", addr % depth)
@@ -227,8 +238,9 @@ class ScalarEmitter(SourceEmitter):
     def set_slot(self, slot: int, expr: Expr) -> None:
         self.emit(f"v[{slot}] = {py_source(expr)}")
 
-    def set_field(self, state: str, attr: str, expr: Expr) -> None:
-        self.emit(f"{state}.{attr} = {py_source(expr)}")
+    def set_field(self, state: str, attr: str, expr: Expr,
+                  index: Optional[int] = None) -> None:
+        self.emit(f"{py_source(self.field(state, attr, index))} = {py_source(expr)}")
 
     def let(self, name: str, expr: Expr) -> Expr:
         self.emit(f"{name} = {py_source(expr)}")
@@ -252,13 +264,7 @@ class ScalarEmitter(SourceEmitter):
         if not outs:
             return
         name = self.bind(f"_ev{self.uid()}", component.evaluate)
-        if empty_inputs:
-            args = "{}"
-        else:
-            items = ", ".join(
-                f"{port!r}: v[{slot}]" for port, slot in self.connected_inputs(component)
-            )
-            args = "{" + items + "}"
+        args = "{}" if empty_inputs else self._inputs_literal(component)
         self.emit(f"_o = {name}({args})")
         for port, slot in outs:
             self.emit(f"v[{slot}] = _o[{port!r}]")
@@ -266,11 +272,13 @@ class ScalarEmitter(SourceEmitter):
 
     def fallback_capture(self, component) -> None:
         name = self.bind(f"_cap{self.uid()}", component.capture)
-        items = ", ".join(
-            f"{port!r}: v[{slot}]" for port, slot in self.connected_inputs(component)
-        )
-        self.emit(f"{name}({{{items}}})")
+        self.emit(f"{name}({self._inputs_literal(component)})")
         self.n_fallback += 1
+
+    def _inputs_literal(self, component) -> str:
+        """The connected inputs as a dict literal over slot reads."""
+        pairs = self.connected_inputs(component)
+        return "{" + ", ".join(f"{port!r}: v[{slot}]" for port, slot in pairs) + "}"
 
     def commit_generic(self, component) -> None:
         name = self.bind(f"_cm{self.uid()}", component.commit)
@@ -329,50 +337,6 @@ class ScalarEmitter(SourceEmitter):
                 f"if {py_source(we)} & 1 else None"
             )
         return True
-
-    def capture_power_model(self, c) -> bool:
-        """Fully inline the hardware power model's toggle-counting capture.
-
-        Reads monitored slots directly (they carry already-masked values) and
-        charges energy via the model's per-byte coefficient tables, with a
-        fixed number of table reads per port unrolled at compile time.
-        """
-        if c.sample_on_strobe_only:
-            return False  # paper-literal sampling stays on the reference capture
-        uid = self.uid()
-        obj = self.bind(f"_c{uid}", c)
-        strobe = py_source(self.opt(c, "strobe", 0))
-        self.emit(f"_e = {c.base_code}")
-        self.emit(f"_p = {obj}._previous")
-        self.emit("_np = {}")
-        for port_name, in_name, _, tables in c._chunked:
-            cur = py_source(self.opt(c, in_name, 0))
-            self.emit(f"_t = _p[{port_name!r}] ^ {cur}")
-            self.emit(f"_np[{port_name!r}] = {cur}")
-            reads = []
-            for chunk, table in enumerate(tables):
-                tname = self.bind(f"_tb{uid}_{self.uid()}", table)
-                if chunk == 0:
-                    index = "_t" if len(tables) == 1 else "_t & 255"
-                else:
-                    index = f"(_t >> {8 * chunk}) & 255"
-                reads.append(f"{tname}[{index}]")
-            self.emit("if _t:")
-            self.emit("_e += " + " + ".join(reads), indent=1)
-        self.emit(f"_a = {obj}._accumulated + _e")
-        self.emit(f"if {strobe} & 1:")
-        self.emit(f"{obj}._pending_output = _a & {_mask(c.energy_width)}", indent=1)
-        self.emit(f"{obj}._pending_accumulated = 0", indent=1)
-        self.emit("else:")
-        self.emit(f"{obj}._pending_output = 0", indent=1)
-        self.emit(f"{obj}._pending_accumulated = _a", indent=1)
-        self.emit(f"{obj}._pending_previous = _np")
-        return True
-
-    def commit_power_model(self, c) -> None:
-        obj = self.state_ref(c)
-        for attr in ("_previous", "_accumulated", "_output"):
-            self.emit(f"{obj}.{attr} = {obj}._pending{attr}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +595,7 @@ def _emit_decoder(em: SourceEmitter, c) -> bool:
 def _emit_rom(em: SourceEmitter, c) -> bool:
     y = em.out(c, "rdata")
     if y is not None:
-        em.set_slot(y, em.lookup(c.contents, em.opt(c, "addr", 0) % c.depth))
+        em.set_slot(y, Table(em.table(c.contents), em.opt(c, "addr", 0) % c.depth))
     return True
 
 
@@ -807,8 +771,44 @@ def _capture_strobe(em: SourceEmitter, c) -> bool:
     return True
 
 
-def _tables() -> tuple:
-    """Lazily resolved class-keyed dispatch tables (avoids import cycles)."""
+def _capture_power_model(em: SourceEmitter, c) -> bool:
+    """One table sum over the ports' toggle words plus the base energy into
+    the accumulator, flushed on the strobe (an open port never toggles)."""
+    if c.sample_on_strobe_only:
+        return False  # paper-literal sampling stays on the component's capture
+    obj = em.state_ref(c)
+    terms = []
+    for index, (_, in_name, _, tables) in enumerate(c._chunked):
+        current = em.req(c, in_name)
+        if current is not None:
+            chunks = tuple((em.table(table), 8 * chunk) for chunk, table in enumerate(tables))
+            terms.append((em.field(obj, "_previous", index), current, chunks))
+    energy = em.let("_e", TableSum(tuple(terms))) if terms else Const(0)
+    total = em.let("_a", em.field(obj, "_accumulated") + energy + c.base_code)
+    strobed = em.let("_sb", em.opt(c, "strobe", 0) & 1)
+    em.set_field(obj, "_pending_output", where(strobed, total & _mask(c.energy_width), 0))
+    em.set_field(obj, "_pending_accumulated", where(strobed, 0, total))
+    return True
+
+
+def _commit_power_model(em: SourceEmitter, c) -> None:
+    """``_previous[k]`` from its slot: the clock edge writes no slot."""
+    if c.sample_on_strobe_only:
+        em.commit_generic(c)  # its capture was the component's own (scalar only)
+        return
+    obj = em.state_ref(c)
+    for index, (_, in_name, _, _) in enumerate(c._chunked):
+        current = em.req(c, in_name)
+        if current is not None:
+            em.set_field(obj, "_previous", current, index)
+    em.set_field(obj, "_accumulated", em.field(obj, "_pending_accumulated"))
+    em.set_field(obj, "_output", em.field(obj, "_pending_output"))
+
+
+def emitter_tables() -> tuple:
+    """``(comb, state, capture, commit)``: component class -> emitter, one
+    table per phase, shared by both targets (resolved lazily: avoids import
+    cycles)."""
     global _TABLES
     if _TABLES is not None:
         return _TABLES
@@ -861,7 +861,7 @@ def _tables() -> tuple:
         seq.Memory: _per_target("capture_memory"),
         seq.RegisterFile: _per_target("capture_regfile"),
         FSMController: _per_target("capture_fsm"),
-        HardwarePowerModel: _per_target("capture_power_model"),
+        HardwarePowerModel: _capture_power_model,
         PowerAggregator: _capture_aggregator,
         PowerStrobeGenerator: _capture_strobe,
     }
@@ -873,7 +873,7 @@ def _tables() -> tuple:
         seq.Memory: _per_target("commit_memory"),
         seq.RegisterFile: _per_target("commit_regfile"),
         FSMController: commit_state,
-        HardwarePowerModel: _per_target("commit_power_model"),
+        HardwarePowerModel: _commit_power_model,
         PowerAggregator: commit_pairs(("_total", "_pending")),
         PowerStrobeGenerator: commit_pairs(
             ("_count", "_pending_count"), ("_strobe", "_pending_strobe")
@@ -881,12 +881,6 @@ def _tables() -> tuple:
     }
     _TABLES = (comb, state, capture, commit)
     return _TABLES
-
-
-def emitter_tables() -> tuple:
-    """``(comb, state, capture, commit)``: component class -> emitter, one
-    table per phase, shared by both targets."""
-    return _tables()
 
 
 def generate_source(
@@ -897,7 +891,7 @@ def generate_source(
     Returns ``(source, env, n_fused, n_fallback)`` where ``env`` holds the
     objects (components, bound methods, lookup tables) the source refers to.
     """
-    comb_table, state_table, capture_table, commit_table = _tables()
+    comb_table, state_table, capture_table, commit_table = emitter_tables()
     em = ScalarEmitter(slot_of)
 
     lines: List[str] = ["def _settle(v):"]

@@ -6,9 +6,10 @@ straight-line statements over a ``(n_slots, n_lanes)`` value store, with
 per-lane sequential state held in holder objects: named ``(n_lanes,)``
 rows, lists of such rows, and ``(depth, n_lanes)`` memories.  Expressions
 are slot reads, state-row reads, constant-table lookups, per-lane memory
-reads and a closed set of arithmetic/logic/select operators, each typed
-``i64`` or ``bool``; :class:`Expr` carries Python operator methods, so an
-emitter writes ``(a + b) & mask``.
+reads, a closed set of arithmetic/logic/select operators, each typed
+``i64`` or ``bool``, and one power-hardware node, :class:`TableSum` (byte
+tables summed over toggle words); :class:`Expr` carries Python operator
+methods, so an emitter writes ``(a + b) & mask``.
 
 The IR is built once and printed for each executor:
 :func:`numpy_source` prints the plain lane program (the ``off`` kernel
@@ -197,6 +198,19 @@ class Select(Expr):
 
     index: Expr
     choices: Tuple[Expr, ...]
+
+
+@dataclass(frozen=True)
+class TableSum(Expr):
+    """Byte-table lookups summed over toggle words: a power model's adder tree.
+
+    Each term ``(previous, current, chunks)`` (one or more) is a port: the
+    XOR of a :class:`StateRef` and a :class:`SlotRef`, the toggles, adds
+    ``table[(toggles >> shift) & 255]`` per ``(table, shift)`` chunk, tables
+    named as in :class:`Table`.  Lane printers bind it to a temporary.
+    """
+
+    terms: Tuple[Tuple[StateRef, SlotRef, Tuple[Tuple[object, int], ...]], ...]
 
 
 _COMPARISONS = frozenset(("<", "<=", "==", "!=", ">", ">="))
@@ -417,6 +431,12 @@ class KernelBuilder:
             return Min(resolve(x.a), resolve(x.b))
         if kind is Abs or kind is Popcount:
             return kind(resolve(x.a))
+        if kind is TableSum:
+            return TableSum(tuple(
+                (StateRef(self._row(previous.row)), current,
+                 tuple((self._table(table), shift) for table, shift in chunks))
+                for previous, current, chunks in x.terms
+            ))
         return x  # Const, Lane, SlotRef, TempRef
 
 
@@ -434,6 +454,16 @@ def popcount_u64(values: np.ndarray) -> np.ndarray:
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def table_sum(v: np.ndarray, plan) -> np.ndarray:
+    """A :class:`TableSum` over the store ``v``: ``(row, slot, chunks)`` per port."""
+    total = np.zeros(v.shape[1], dtype=np.int64)
+    for previous, slot, chunks in plan:
+        toggles = previous ^ v[slot]
+        for table, shift in chunks:
+            total += table[(toggles >> shift) & 255]
+    return total
 
 
 def _temps_read(node) -> List[str]:
@@ -462,7 +492,7 @@ def numpy_source(ir: KernelIR) -> Tuple[str, Dict[str, object]]:
     """
     env: Dict[str, object] = {
         "_where": np.where, "_minimum": np.minimum, "_abs": np.abs,
-        "_stack": np.stack, "_popcount": popcount_u64,
+        "_stack": np.stack, "_popcount": popcount_u64, "_table_sum": table_sum,
     }
     for number, array in enumerate(ir.state_arrays()):
         env[f"_S{number}"] = array
@@ -502,6 +532,14 @@ def numpy_source(ir: KernelIR) -> Tuple[str, Dict[str, object]]:
         if kind is Select:
             choices = ", ".join(e(choice) for choice in x.choices)
             return f"_stack(({choices},))[{e(x.index)}, _lidx]"
+        if kind is TableSum:
+            name = f"_P{len(env)}"
+            env[name] = tuple(
+                (env[f"_S{previous.row}"], current.slot,
+                 tuple((ir.tables[table], shift) for table, shift in chunks))
+                for previous, current, chunks in x.terms
+            )
+            return f"_table_sum(v, {name})"
         raise TypeError(f"unprintable IR node {x!r}")
 
     lines: List[str] = []

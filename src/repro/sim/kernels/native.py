@@ -8,7 +8,8 @@ identical module compiles exactly once per process.
 
 Loop structure: lanes are processed in strip-mined blocks of
 :data:`BLOCK_LANES`; within a block, each IR statement is its own short
-fixed-bound loop over the block (auto-vectorized by the compiler), and SSA
+fixed-bound loop over the block (auto-vectorized by the compiler; a table
+sum is one call of a shared loop over its term plan), and SSA
 temporaries live in a block-sized scratch buffer that stays cache-resident.
 This keeps the value-store accesses streaming (contiguous row segments)
 instead of striding lane-by-lane across the whole ``(n_slots, n_lanes)``
@@ -33,10 +34,11 @@ Every translation unit also carries fixed, design-independent entry points:
   (``observe_block`` per lane block), read straight from the value store as
   the kernel's element type and driven by an ``observe_plan`` struct of
   flat arrays taken from :meth:`repro.power.block.ObservePlan.flat`
-  (:class:`~repro.power.block.NativeEvaluator` fills it in).  It runs
-  serially and performs the block evaluator's float operations in the block
-  evaluator's order (see :mod:`repro.power.block`), so its doubles are
-  identical to the NumPy path's.
+  (:class:`~repro.power.block.NativeEvaluator` fills it in), table
+  components only: the plan carries no generic energies.  It runs serially
+  and performs the block evaluator's float operations in its order (see
+  :mod:`repro.power.block`), so its doubles are identical to the NumPy
+  path's.
 * ``run`` (lane programs, which have a clock edge) — a whole segment of
   cycles of input rows, run to completion block by block: per cycle it
   copies the segment's rows into the input slots, calls ``settle_block``,
@@ -87,7 +89,7 @@ import numpy as np
 from repro.sim.kernels.ir import (
     Abs, Bin, Const, KernelIR, Lane, MemRead, MemWrite, Min, Popcount,
     Select, SetSlot, SetState, SetTemp, SlotRef, StateRef, Stmt, Table,
-    TempRef, Unary, Where, BOOL,
+    TableSum, TempRef, Unary, Where, BOOL,
 )
 
 
@@ -105,9 +107,10 @@ _C_ARRAY_TYPES = {"<i8": "long long *", "<u8": "unsigned long long *", "<f8": "d
 #: overhead, small enough that a block's touched row segments stay in cache
 BLOCK_LANES = 128
 
-#: C sources above this size skip the host-ISA vectorization flags — the
-#: compile-time blowup on thousands of loops outweighs the runtime gain
-_VECTORIZE_MAX_LINES = 250
+#: kernels with more generated statements and tables than this skip the
+#: host-ISA vectorization flags — the compile-time blowup on thousands of
+#: loops outweighs the runtime gain
+_VECTORIZE_MAX_STATEMENTS = 250
 
 #: threading tier -> extra compile flags
 _THREADING_FLAGS = {
@@ -218,9 +221,22 @@ def _e(x) -> str:
     raise TypeError(f"unprintable IR node {x!r}")
 
 
+def _sum_terms(stmt: Stmt) -> Optional[List[str]]:
+    """A table sum's C term plan, ``{table, row, slot, shift}`` per chunk."""
+    if not (isinstance(stmt, SetTemp) and isinstance(stmt.expr, TableSum)):
+        return None
+    return [f"{{T{table}, {previous.row}, {current.slot}, {shift}}}"
+            for previous, current, chunks in stmt.expr.terms for table, shift in chunks]
+
+
 def _statement(stmt: Stmt) -> str:
-    """One IR statement as its own vectorizable loop over the lane block."""
+    """One IR statement as its own vectorizable loop over the lane block; a
+    table sum is one ``table_sum`` call over its term plan ``P<temp>``."""
     loop = "for (i64 i = 0; i < nb; ++i) "
+    terms = _sum_terms(stmt)
+    if terms is not None:
+        index = _temp_index(stmt.name)
+        return f"table_sum(W + {index} * B, P{index}, {len(terms)}, v, S, L, l0, nb);"
     if isinstance(stmt, SetTemp):
         body = f"W[{_temp_index(stmt.name)} * B + i] = {_e(stmt.expr)};"
     elif isinstance(stmt, SetSlot):
@@ -292,9 +308,7 @@ typedef struct {
     const double *chunk_table;          /* per chunk: 256 byte energies */
     const long long *component_chunk;   /* per component: first chunk (+ end) */
     const double *component_base;       /* per component: base energy */
-    const long long *component_generic; /* per component: generic row or -1 */
     /* lane arrays: each row padded to whole blocks of B lanes */
-    const double *generic;              /* (generic rows, lanes) this cycle */
     double *mask;                       /* (lanes,) 0/1 active-lane mask */
     long long *previous;                /* (nets, lanes) last cycle's values */
     double *running;                    /* (components, lanes) running totals */
@@ -346,26 +360,19 @@ static void observe_block(const elem *restrict v, const observe_plan *p,
     for (i64 i = 0; i < B; ++i)
         total[i] = 0.0;
     for (i64 c = 0; c < p->n_components; ++c) {
-        const i64 g = p->component_generic[c];
-        if (g >= 0) {
-            const double *restrict given = p->generic + g * P + l0;
+        /* base, then one table lookup per chunk, in chunk order */
+        const double base = p->component_base[c];
+        for (i64 i = 0; i < B; ++i)
+            energy[i] = base;
+        for (i64 k = p->component_chunk[c]; k < p->component_chunk[c + 1]; ++k) {
+            const double *restrict table = p->chunk_table + k * 256;
+            const i64 net = p->chunk_net[k];
+            const unsigned long long *restrict t = toggles + net * B;
+            const int shift = (int)p->chunk_shift[k];
+            if (!((toggled[net] >> shift) & 255) && table[0] == 0.0)
+                continue;  /* every lane would add a zero */
             for (i64 i = 0; i < B; ++i)
-                energy[i] = given[i];
-        } else {
-            /* base, then one table lookup per chunk, in chunk order */
-            const double base = p->component_base[c];
-            for (i64 i = 0; i < B; ++i)
-                energy[i] = base;
-            for (i64 k = p->component_chunk[c]; k < p->component_chunk[c + 1]; ++k) {
-                const double *restrict table = p->chunk_table + k * 256;
-                const i64 net = p->chunk_net[k];
-                const unsigned long long *restrict t = toggles + net * B;
-                const int shift = (int)p->chunk_shift[k];
-                if (!((toggled[net] >> shift) & 255) && table[0] == 0.0)
-                    continue;  /* every lane would add a zero */
-                for (i64 i = 0; i < B; ++i)
-                    energy[i] += table[(t[i] >> shift) & 255];
-            }
+                energy[i] += table[(t[i] >> shift) & 255];
         }
         /* masked, then into the cycle total and the running total */
         const double *restrict mask = p->mask + l0;
@@ -468,11 +475,35 @@ void run(elem *restrict v, i64 *const *S, i64 *const *M, i64 *restrict W,
 }
 """
 
+#: a :class:`~repro.sim.kernels.ir.TableSum` over one lane block, from its
+#: static term plan; a byte zero in every lane adds ``table[0]``, so a term
+#: whose ``table[0]`` is zero skips it, as ``observe_block`` does
+_TABLE_SUM_RUNTIME = """
+typedef struct { const i64 *table; i64 row, slot, shift; } sum_term;
+
+static void table_sum(i64 *restrict acc, const sum_term *terms, i64 n,
+                      const elem *restrict v, i64 *const *S, i64 L, i64 l0,
+                      i64 nb)
+{
+    for (i64 i = 0; i < nb; ++i)
+        acc[i] = 0;
+    for (const sum_term *t = terms; t < terms + n; ++t) {
+        const i64 *restrict last = S[t->row] + l0;
+        const elem *restrict now = v + t->slot * L + l0;
+        const int shift = (int)t->shift;
+        unsigned long long any = 0;
+        for (i64 i = 0; i < nb; ++i)
+            any |= (unsigned long long)(last[i] ^ (i64)now[i]);
+        if (!((any >> shift) & 255) && t->table[0] == 0)
+            continue;  /* every lane would add a zero */
+        for (i64 i = 0; i < nb; ++i)
+            acc[i] += t->table[((last[i] ^ (i64)now[i]) >> shift) & 255];
+    }
+}
+"""
+
 #: the phases ``run`` drives
 _RUN_PHASES = ("settle", "clock_edge")
-
-#: lines of every translation unit that are not generated statement loops
-_RUNTIME_LINES = len((_RUNTIME_PREAMBLE + _OBSERVE_RUNTIME).splitlines())
 
 
 def has_run(ir: KernelIR) -> bool:
@@ -498,6 +529,13 @@ def generate_c_source(ir: KernelIR) -> str:
         lines.append(f"static const i64 T{index}[{len(table)}] = {{{values}}};")
     if ir.tables:
         lines.append("")
+    plans = [
+        f"static const sum_term P{_temp_index(stmt.name)}[] = {{{', '.join(terms)}}};"
+        for stmts in ir.phases.values() for stmt in stmts
+        if (terms := _sum_terms(stmt))
+    ]
+    if plans:
+        lines.extend([_TABLE_SUM_RUNTIME, *plans, ""])
 
     # one exported function per phase: every statement is printed once, in
     # the phase's block function, which the phase entry dispatches over the
@@ -570,17 +608,11 @@ def _compile_library(source: str, ir: KernelIR):
     # of statement loops, so very large kernels settle for plain -O2 (still
     # several times faster than the per-op path).  -march=native is safe
     # here — this is JIT-style host compilation — and the flag-less retry
-    # covers compilers that do not understand it.  The fixed runtime (block
-    # dispatch, observe, run) does not count against the budget — only the
-    # generated statement loops blow up compile time.
-    n_kernel_lines = len(source.splitlines()) - _RUNTIME_LINES
-    if has_run(ir):
-        n_kernel_lines -= len(_RUN_RUNTIME.splitlines())
-    tune = (
-        ["-march=native", "-ftree-vectorize"]
-        if n_kernel_lines <= _VECTORIZE_MAX_LINES
-        else []
-    )
+    # covers compilers that do not understand it.  Only the generated
+    # statements (and table literals) count against the budget, not the
+    # fixed runtime (block dispatch, observe, run, table_sum).
+    n_generated = sum(map(len, ir.phases.values())) + len(ir.tables)
+    tune = ["-march=native", "-ftree-vectorize"] if n_generated <= _VECTORIZE_MAX_STATEMENTS else []
     threading_flags = _THREADING_FLAGS[mode]
     # -ffp-contract=off keeps observe's float operations separately
     # rounded; it changes nothing in the integer kernel code
@@ -643,22 +675,18 @@ class NativeKernel:
         self._mem_arrays = ir.mem_arrays()
         self._S = pointers(self._state_arrays)
         self._M = pointers(self._mem_arrays)
-        #: block-sized scratch rows for the kernel's SSA temporaries
-        self._scratch = np.zeros(scratch_rows(ir) * BLOCK_LANES, dtype=np.int64)
-        self._W = (
-            ffi.cast("long long *", self._scratch.ctypes.data)
-            if self._scratch.size
-            else ffi.NULL
-        )
         self._elem_ptr_type = _ELEM_TYPES[ir.dtype] + " *"
         self._vid: Optional[int] = None
         self._vp = None
         #: worker count the scratch buffer has stripes for: the largest count
         #: any call asked for (simulators sharing this kernel pass their own)
-        self.max_threads = 1
+        self.max_threads = 0
+        self._W = ffi.NULL
+        self._scratch_for(1)
 
     def _scratch_for(self, n_threads: int):
-        """Scratch pointer with one block-sized stripe per worker.
+        """Scratch pointer with one block-sized stripe per worker (rows for
+        the kernel's SSA temporaries; NULL when it has none).
 
         Results stay bit-identical for any ``n_threads`` since workers own
         disjoint lane blocks.

@@ -4,8 +4,8 @@ The kernel subsystem (:mod:`repro.sim.kernels`) must never change results —
 only speed.  These tests pin that down three ways:
 
 * bit-parity of the plain batch path vs the native (C) kernel across every
-  registry design, the instrumented power hardware, and spec-driven stimulus
-  tensors,
+  registry design, the instrumented power hardware (also against per-lane
+  ``interp`` and ``compiled`` runs), and spec-driven stimulus tensors,
 * refusal of every module that does not lower to lanes completely (a
   component no lane emitter fuses, or a net past 240 bits): no lane program,
   so no kernel, and the estimation API runs it per seed on the scalar
@@ -32,7 +32,7 @@ from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.sim import BatchSimulator, Simulator
 from repro.sim import batch
 from repro.sim.kernels import find_compiler, native, resolve_kernel_backend
-from repro.sim.kernels.ir import Bin, Const
+from repro.sim.kernels.ir import Bin, Const, TableSum
 from repro.sim.kernels.native import NativeKernel
 from repro.stim import SpecTestbench, UniformSpec
 from repro.stim.spec import StimulusSpec
@@ -97,19 +97,64 @@ def test_registry_design_kernel_parity(design_name, backend):
     _assert_rows_equal(reference, candidate, f"{design_name}/{backend}")
 
 
-@pytest.mark.parametrize("backend", KERNEL_CASES)
-def test_instrumented_power_hardware_kernel_parity(backend):
-    """Power models, aggregator and strobe lower to kernels bit-exactly."""
+#: instrumented designs -> InstrumentationConfig fields; HVPeakF's strobe
+#: fires every 4th cycle, so its models accumulate between strobes
+INSTRUMENTED = {"binary_search": {}, "HVPeakF": {"strobe_period": 4}}
+
+
+def _instrumented(name, **config):
     library = build_seed_library()
-    design = get_design("binary_search")
-    build = lambda: instrument(  # noqa: E731
-        design.build(), library, InstrumentationConfig()
+    design = get_design(name)
+    return lambda: instrument(
+        design.build(), library, InstrumentationConfig(**config)
     ).module
+
+
+@pytest.mark.parametrize("name", sorted(INSTRUMENTED))
+def test_instrumented_power_hardware_kernel_parity(name):
+    """Power models, accumulators, aggregator and strobe lower to lanes
+    exactly: every lane's outputs, ``power_total`` included, equal per-lane
+    ``interp`` and ``compiled`` runs cycle by cycle, on ``off`` and native."""
+    build = _instrumented(name, **INSTRUMENTED[name])
     sequences = _sequences(build(), np.random.default_rng(5))
-    _, reference = _run(build, sequences, "off")
-    simulator, candidate = _run(build, sequences, backend)
-    assert simulator.kernel_backend == backend
-    _assert_rows_equal(reference, candidate, f"instrumented/{backend}")
+    lanes = {}
+    for backend in ["off"] + (["native"] if find_compiler() else []):
+        simulator, lanes[backend] = _run(build, sequences, backend)
+        assert simulator.kernel_backend == backend
+    for engine in ("interp", "compiled"):
+        for lane in range(N_LANES):
+            scalar = Simulator(build(), backend=engine)
+            assert scalar.backend == engine
+            for cycle in range(N_CYCLES):
+                scalar.set_inputs(
+                    {port: int(sequences[port][cycle, lane]) for port in sequences}
+                )
+                scalar.settle()
+                want = scalar.get_outputs()
+                assert "power_total" in want
+                for backend, rows in lanes.items():
+                    got = {port: int(values[lane]) for port, values in rows[cycle].items()}
+                    assert got == want, f"{name}/{backend} lane {lane} cycle {cycle} vs {engine}"
+                scalar.clock_edge()
+
+
+def test_power_model_clock_edge_does_not_grow_with_port_width():
+    """A power model's byte chunks are terms of one table sum, not statements:
+    widening the monitored ports from 8 to 60 bits adds no clock-edge
+    statement."""
+    def clock_edge(width):
+        builder = NetlistBuilder(f"xor{width}")
+        a, b = builder.input("a", width), builder.input("b", width)
+        builder.output("y", builder.xor_(a, b))
+        module = instrument(builder.build(), build_seed_library(),
+                            InstrumentationConfig()).module
+        return batch.compile_module_batch(module, 1).ir.phases["clock_edge"]
+
+    narrow, wide = clock_edge(8), clock_edge(60)
+    assert len(narrow) == len(wide)
+    sums = [stmt.expr.terms for stmt in wide
+            if isinstance(getattr(stmt, "expr", None), TableSum)]
+    assert [[len(chunks) for _, _, chunks in terms] for terms in sums] == [[8, 8, 8]]
 
 
 @needs_cc
@@ -284,6 +329,39 @@ def test_refused_modules_fall_back_to_scalar_estimates(build, refused):
         assert result.backend == single.backend == "compiled"
         assert (dataclasses.replace(result.report, estimation_time_s=0.0)
                 == dataclasses.replace(single.report, estimation_time_s=0.0))
+
+
+def test_refusal_is_remembered_across_warm_and_estimate_many(monkeypatch):
+    """A refused module is lowered once: later attempts, at any lane count,
+    re-raise the remembered refusal, and no program build is counted."""
+    from repro.api import RTLEstimatorAdapter, RunSpec
+    from repro.sim.testbench import RandomTestbench
+
+    lowered = []
+    lower = batch._lower_lanes
+
+    def counting(module, *args):
+        lowered.append(module.name)
+        return lower(module, *args)
+
+    monkeypatch.setattr(batch, "_lower_lanes", counting)
+    module = _strobe_only_module()
+    builds = batch.PROGRAM_BUILD_COUNT
+    with pytest.raises(batch.BatchCompilationError) as first:
+        batch.compile_module_batch(module, N_LANES)
+    adapter = RTLEstimatorAdapter(
+        module=module,
+        testbench_factory=lambda seed: RandomTestbench(16, seed=seed or 0),
+    )
+    specs = [RunSpec(design="refused", engine="rtl", seed=seed, backend="batch",
+                     kernel_backend="native") for seed in range(2)]
+    assert adapter.warm(specs[0], n_lanes=2) == {}
+    assert [result.backend for result in adapter.estimate_many(specs)] == ["compiled"] * 2
+    with pytest.raises(batch.BatchCompilationError) as again:
+        batch.compile_module_batch(module, 5)
+    assert str(again.value) == str(first.value)
+    assert lowered == [module.name]
+    assert batch.PROGRAM_BUILD_COUNT == builds
 
 
 # ---------------------------------------------------------------------------

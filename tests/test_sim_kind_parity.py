@@ -102,12 +102,17 @@ def _fsm():
 
 
 def _power_model(sample_on_strobe_only):
-    """A power model over a 12-bit and a 9-bit port (two byte tables each)."""
-    widths = {"a": 12, "y": 9}
-    coeffs = {"a": [1.5 + i for i in range(12)], "y": [0.25 * i for i in range(9)]}
+    """A power model over a 12-bit and a 9-bit port (two byte tables each),
+    a 1-bit port and a 60-bit one (eight tables, the last over 4 bits).  Its
+    10-bit energy output wraps within a run: the base code alone (164)
+    passes 1023 in 7 cycles, and one toggled byte of ``w`` adds hundreds."""
+    widths = {"a": 12, "b": 1, "w": 60, "y": 9}
+    coeffs = {"a": [1.5 + i for i in range(12)], "b": [3.0],
+              "w": [0.5 + 0.25 * (i % 8) for i in range(60)],
+              "y": [0.25 * i for i in range(9)]}
     model = LinearTransitionModel("thing", widths, coeffs, base_energy_fj=2.0)
     fmt = FixedPointFormat.for_coefficients([0.25, 12.5, 2.0], bits=10)
-    return [HardwarePowerModel("u", model, fmt, energy_width=14,
+    return [HardwarePowerModel("u", model, fmt, energy_width=10,
                                sample_on_strobe_only=sample_on_strobe_only)]
 
 
