@@ -1,19 +1,17 @@
-"""Lane-vectorized characterization throughput: batch vs scalar reference.
+"""Lane-vectorized characterization throughput (training pairs per second).
 
 The macromodel library is built by hammering each component's gate-level
-implementation with hundreds of training vector pairs.  PR 1 made each
-*cycle* cheap; this harness measures the next lever — executing all pairs as
-NumPy lanes in one settle (``CharacterizationEngine(batch=True)``, the
-default) against the scalar pair-at-a-time path (``batch=False``).
-
-Both paths consume identical seed-stable stimuli and fit identical models
-(see the lane-parity tests), so the comparison is pure execution speed.
-Writes ``benchmarks/results/batch_characterization.txt``; the target from the
-PR acceptance criteria is a >=5x aggregate training-pairs/sec speedup on the
+implementation with hundreds of training vector pairs; the characterization
+engine settles all of a component's pairs as the lanes of one gate-level
+block.  This harness measures that throughput per component and over the
 standard component set.
 
-``REPRO_BENCH_PAIRS`` overrides the per-component pair count (CI smoke runs
-use a small value).
+The ``*_pairs_per_s`` metrics in ``BENCH_batch_characterization.json`` are
+always timed at :data:`TIMED_PAIRS` pairs (best of 3 after a warm-up run), in
+full and smoke runs alike, so a CI smoke run's numbers compare with the
+committed ones.  ``REPRO_BENCH_PAIRS`` sets only the pair count of the
+pytest-benchmark sweep (CI smoke runs use a small value).
+Writes ``benchmarks/results/batch_characterization.txt``.
 """
 
 from __future__ import annotations
@@ -21,14 +19,15 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from repro.netlist.components import Adder, Comparator, LogicOp, Multiplier, Mux, ShifterVar
 from repro.power import CharacterizationEngine
 
 from conftest import write_result
 
-N_PAIRS = int(os.environ.get("REPRO_BENCH_PAIRS", "360"))
+#: pair count the pairs/s metrics are timed at
+TIMED_PAIRS = 360
+
+N_PAIRS = int(os.environ.get("REPRO_BENCH_PAIRS", str(TIMED_PAIRS)))
 
 _COMPONENTS = [
     ("adder16", lambda: Adder("adder16", 16)),
@@ -51,75 +50,38 @@ def _time_characterize(engine, factory, repeats: int = 3) -> float:
 
 
 def test_batch_characterization_throughput(benchmark):
-    batch_engine = CharacterizationEngine(n_pairs=N_PAIRS, seed=7, batch=True)
-    scalar_engine = CharacterizationEngine(n_pairs=N_PAIRS, seed=7, batch=False)
+    engine = CharacterizationEngine(n_pairs=TIMED_PAIRS, seed=7)
 
-    rows = {}
-    total_scalar = 0.0
-    total_batch = 0.0
+    seconds = {}
     for label, factory in _COMPONENTS:
-        # warm both paths once: techmap + gate-program caches, lstsq dispatch
-        batch_engine.characterize(factory())
-        scalar_engine.characterize(factory())
-        # symmetric best-of-N so runner jitter cannot skew the ratio either way
-        t_batch = _time_characterize(batch_engine, factory)
-        t_scalar = _time_characterize(scalar_engine, factory)
-        rows[label] = {
-            "scalar_s": t_scalar,
-            "batch_s": t_batch,
-            "scalar_pairs_per_s": N_PAIRS / t_scalar,
-            "batch_pairs_per_s": N_PAIRS / t_batch,
-            "speedup": t_scalar / t_batch,
-        }
-        total_scalar += t_scalar
-        total_batch += t_batch
+        # warm once: techmap + gate-program caches, lstsq dispatch
+        engine.characterize(factory())
+        seconds[label] = _time_characterize(engine, factory)
+    metrics = {
+        f"{label}_pairs_per_s": round(TIMED_PAIRS / t, 1) for label, t in seconds.items()
+    }
+    metrics["aggregate_pairs_per_s"] = round(
+        TIMED_PAIRS * len(seconds) / sum(seconds.values()), 1
+    )
 
-    aggregate = total_scalar / total_batch
+    # the benchmarked callable: one characterization sweep of the set
+    sweep_engine = CharacterizationEngine(n_pairs=N_PAIRS, seed=7)
 
-    # the benchmarked callable: one batched characterization sweep of the set
     def sweep():
         for _, factory in _COMPONENTS:
-            batch_engine.characterize(factory())
+            sweep_engine.characterize(factory())
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {
-            "n_pairs": N_PAIRS,
-            "aggregate_speedup": round(aggregate, 2),
-            **{f"speedup_{k}": round(v["speedup"], 2) for k, v in rows.items()},
-        }
-    )
+    benchmark.extra_info.update({"n_pairs": N_PAIRS, **metrics})
 
     lines = [
-        "Lane-vectorized batch characterization vs scalar pair-at-a-time path",
-        f"({N_PAIRS} training pairs per component; identical stimuli and fits)",
+        "Lane-vectorized characterization throughput",
+        f"({TIMED_PAIRS} training pairs per component, one gate-level block each; "
+        "best of 3)",
         "",
-        f"{'component':14s} {'scalar pairs/s':>15s} {'batch pairs/s':>15s} {'speedup':>9s}",
+        f"{'component':14s} {'pairs/s':>12s}",
     ]
-    for label, row in rows.items():
-        lines.append(
-            f"{label:14s} {row['scalar_pairs_per_s']:15,.0f} "
-            f"{row['batch_pairs_per_s']:15,.0f} {row['speedup']:8.1f}x"
-        )
-    lines += ["", f"aggregate speedup (sum of scalar / sum of batch): {aggregate:.1f}x"]
-    write_result("batch_characterization.txt", "\n".join(lines))
-
-    # acceptance: >=5x training-pairs/sec on the standard component set
-    # (asserted with margin so CI jitter cannot flake the job)
-    assert aggregate > 3.0, f"batch characterization speedup collapsed: {aggregate:.1f}x"
-
-
-@pytest.mark.parametrize("label,factory", _COMPONENTS[:2])
-def test_batch_scalar_same_models(label, factory):
-    """Spot parity here too: the bench compares equal work, not different fits."""
-    import numpy as np
-
-    batch = CharacterizationEngine(n_pairs=60, seed=11, batch=True).characterize(factory())
-    scalar = CharacterizationEngine(n_pairs=60, seed=11, batch=False).characterize(factory())
-    assert np.allclose(batch.reference_energies, scalar.reference_energies, rtol=1e-9)
-    assert np.allclose(
-        [v for _, _, v in batch.model.flat_coefficients()],
-        [v for _, _, v in scalar.model.flat_coefficients()],
-        rtol=1e-6,
-        atol=1e-9,
-    )
+    for label in seconds:
+        lines.append(f"{label:14s} {metrics[f'{label}_pairs_per_s']:12,.0f}")
+    lines += ["", f"{'aggregate':14s} {metrics['aggregate_pairs_per_s']:12,.0f}"]
+    write_result("batch_characterization.txt", "\n".join(lines), metrics=metrics)

@@ -6,6 +6,14 @@ synthesized into power-estimation hardware) fits gate-level reference energies
 across the component library, and compares it against the LUT-table
 macromodel form used as an ablation.
 Writes ``benchmarks/results/characterization.txt``.
+
+``BENCH_characterization.json`` carries each component's fit numbers as
+``metrics`` (``<component>_r_squared``, ``_nrmse``, ``_holdout_linear``,
+``_holdout_lut``).  The perf gate (``repro gate``) does not compare them:
+they are deterministic quality figures of a fixed-seed fit, not rates, so a
+ratio against the baseline would gate nothing meaningful.  The harness holds
+them to absolute bounds itself instead: R^2 > 0.6 and linear holdout error
+< 0.25 per component.
 """
 
 from __future__ import annotations
@@ -64,4 +72,9 @@ def test_characterization_fidelity(benchmark, label, factory):
             )
         from conftest import write_result
 
-        write_result("characterization.txt", "\n".join(lines))
+        metrics = {
+            f"{name}_{key}": round(row[key], 6)
+            for name, row in _ROWS.items()
+            for key in ("r_squared", "nrmse", "holdout_linear", "holdout_lut")
+        }
+        write_result("characterization.txt", "\n".join(lines), metrics=metrics)

@@ -7,9 +7,9 @@ cycle-accurate linear-regression macromodel ``E = base + sum_i c_i * T(x_i)``.
 The script reports fit quality (R², NRMSE), compares the characterized models
 with the analytic seed models, and shows the LUT-table macromodel alternative.
 
-All training pairs execute as NumPy lanes through one batched gate-level
-settle per vector set (the engine's default); pass ``batch=False`` to run the
-scalar pair-at-a-time reference path — same stimuli, same fits, ~10x slower.
+All training pairs of a component execute as the lanes of one gate-level
+settle per vector set; the script ends with that throughput in training
+pairs per second.
 
 Run:  python examples/characterize_library.py
 """
@@ -69,15 +69,12 @@ def main() -> None:
     print(f"  8-bit adder LUT model: quiet bin {quiet:.1f} fJ, busy bin {busy:.1f} fJ")
 
     print()
-    print("=== batch vs scalar characterization (same fits, different speed) ===")
-    for batch in (True, False):
-        timed = CharacterizationEngine(n_pairs=150, seed=2005, batch=batch)
-        timed.characterize(Multiplier("mult8_timed", 8))  # warm the lowering caches
-        start = time.perf_counter()
-        timed.characterize(Multiplier("mult8_timed", 8))
-        elapsed = time.perf_counter() - start
-        label = "lane-vectorized" if batch else "scalar"
-        print(f"  {label:15s} {150 / elapsed:10,.0f} training pairs/s")
+    engine.characterize(Multiplier("mult8_timed", 8))  # warm the lowering caches
+    start = time.perf_counter()
+    engine.characterize(Multiplier("mult8_timed", 8))
+    elapsed = time.perf_counter() - start
+    print(f"characterization throughput (8-bit multiplier): "
+          f"{engine.n_pairs / elapsed:,.0f} training pairs/s")
 
 
 if __name__ == "__main__":

@@ -440,7 +440,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.power import CharacterizationEngine, characterize_many
 
     engine = CharacterizationEngine(n_pairs=args.pairs, seed=args.seed,
-                                    batch=not args.no_batch,
                                     kernel_backend=args.kernel_backend)
     selected = _characterize_components(args.components)
     results = characterize_many([component for _, component in selected],
@@ -834,8 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     cha.add_argument("--pairs", type=int, default=150,
                      help="training vector pairs per component")
     cha.add_argument("--seed", type=int, default=2005)
-    cha.add_argument("--no-batch", action="store_true",
-                     help="use the scalar (non-lane) characterization path")
     cha.add_argument("--kernel-backend", default="auto",
                      choices=KERNEL_BACKENDS,
                      help="fused settle kernel for the gate-level reference "

@@ -4,31 +4,24 @@ Dynamic energy of one input-vector transition is the sum over toggled nets of
 ``1/2 * C_load * Vdd^2`` plus the internal energy of the driving cell; static
 power is the sum of cell leakage.  The resulting energies are the reference
 values that the macromodel characterization engine regresses against.
+
+Transitions are computed a block of lanes at a time
+(:meth:`GatePowerCalculator.transition_energy_batch`).  Each lane's sums add
+the toggled nets' energies one physical net after another, in a fixed net
+order, so a lane's energy does not depend on the lane or block it was
+computed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gates.cells import CB013_LIBRARY, StandardCellLibrary
 from repro.gates.gate_netlist import GateNetlist
-from repro.gates.gatesim import GateLevelSimulator
-
-
-@dataclass
-class GateTransitionEnergy:
-    """Energy breakdown of one vector-to-vector transition."""
-
-    switching_fj: float
-    internal_fj: float
-    n_toggled_nets: int
-
-    @property
-    def total_fj(self) -> float:
-        return self.switching_fj + self.internal_fj
+from repro.gates.gatesim import GateLevelSimulator, port_column
 
 
 @dataclass
@@ -51,6 +44,15 @@ class BatchTransitionEnergy:
         return self.switching_fj.shape[0]
 
 
+def _ordered_sum(weights: np.ndarray, toggled: np.ndarray) -> np.ndarray:
+    """Per lane, the weights of the toggled rows added one row after another
+    from 0.0 (adding an untoggled row's ``+0.0`` changes no sum)."""
+    if not len(weights):
+        return np.zeros(toggled.shape[1])
+    terms = toggled * weights[:, None]
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+
 class GatePowerCalculator:
     """Computes dynamic energy and leakage for a gate netlist."""
 
@@ -68,68 +70,28 @@ class GatePowerCalculator:
             for net in netlist.all_nets()
             if net not in netlist.aliases and net not in netlist.constants
         ]
-        #: lazily built per-slot weight vectors for the batched energy path
-        self._slot_weights: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: lazily built per-physical-net (slot, switching, internal) vectors
+        self._net_weights: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -------------------------------------------------------------- dynamic
-    def transition_energy(
-        self,
-        previous: Mapping[str, int],
-        current: Mapping[str, int],
-    ) -> GateTransitionEnergy:
-        """Energy of moving the network from ``previous`` to ``current`` values."""
-        switching = 0.0
-        internal = 0.0
-        toggled = 0
-        for net in self._physical_nets:
-            if previous.get(net, 0) == current.get(net, 0):
-                continue
-            toggled += 1
-            switching += self.library.switching_energy_fj(self.loads_ff.get(net, 0.0))
-            cell = self._driver_cell.get(net)
-            if cell is not None:
-                internal += cell.intrinsic_energy_fj
-        return GateTransitionEnergy(switching, internal, toggled)
-
-    def vector_pair_energy(
-        self,
-        simulator: GateLevelSimulator,
-        first_ports: Mapping[str, int],
-        second_ports: Mapping[str, int],
-        port_widths: Mapping[str, int],
-    ) -> GateTransitionEnergy:
-        """Convenience: energy of applying ``first`` then ``second`` port vectors."""
-        simulator.evaluate_ports(first_ports, port_widths)
-        before = simulator.snapshot()
-        simulator.evaluate_ports(second_ports, port_widths)
-        after = simulator.snapshot()
-        return self.transition_energy(before, after)
-
-    # ---------------------------------------------------------------- batched
     def _weights(self, simulator: GateLevelSimulator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-slot (physical-mask, switching, internal) weight vectors.
-
-        One matrix-vector product against a lane-array toggle matrix then
-        yields every lane's transition energy at once — the vectorized form of
-        the per-net loop in :meth:`transition_energy`.
-        """
-        if self._slot_weights is None:
+        """Slot, switching and internal energy of every physical net, in
+        ``_physical_nets`` order."""
+        if self._net_weights is None:
             slots = simulator.program.slots
-            n_slots = simulator.program.n_slots
-            phys = np.zeros(n_slots, dtype=bool)
-            w_switch = np.zeros(n_slots, dtype=np.float64)
-            w_internal = np.zeros(n_slots, dtype=np.float64)
-            for net in self._physical_nets:
-                slot = slots[net]
-                phys[slot] = True
-                w_switch[slot] += self.library.switching_energy_fj(
-                    self.loads_ff.get(net, 0.0)
-                )
-                cell = self._driver_cell.get(net)
-                if cell is not None:
-                    w_internal[slot] += cell.intrinsic_energy_fj
-            self._slot_weights = (phys, w_switch, w_internal)
-        return self._slot_weights
+            self._net_weights = (
+                np.array([slots[net] for net in self._physical_nets], dtype=np.intp),
+                np.array([
+                    self.library.switching_energy_fj(self.loads_ff.get(net, 0.0))
+                    for net in self._physical_nets
+                ], dtype=np.float64),
+                np.array([
+                    0.0 if (cell := self._driver_cell.get(net)) is None
+                    else cell.intrinsic_energy_fj
+                    for net in self._physical_nets
+                ], dtype=np.float64),
+            )
+        return self._net_weights
 
     def transition_energy_batch(
         self,
@@ -137,27 +99,24 @@ class GatePowerCalculator:
         before: np.ndarray,
         after: np.ndarray,
     ) -> BatchTransitionEnergy:
-        """Per-lane energies between two ``(n_slots, n_lanes)`` snapshots."""
-        phys, w_switch, w_internal = self._weights(simulator)
-        diff = (before != after) & phys[:, None]
+        """Per-lane energies between two ``(n_slots, n_lanes)`` lane arrays."""
+        slots, w_switch, w_internal = self._weights(simulator)
+        toggled = before[slots] != after[slots]
         return BatchTransitionEnergy(
-            switching_fj=w_switch @ diff,
-            internal_fj=w_internal @ diff,
-            n_toggled_nets=diff.sum(axis=0),
+            switching_fj=_ordered_sum(w_switch, toggled),
+            internal_fj=_ordered_sum(w_internal, toggled),
+            n_toggled_nets=toggled.sum(axis=0),
         )
 
-    def vector_pair_energy_batch(
+    def vector_pair_energy(
         self,
         simulator: GateLevelSimulator,
         first_ports: Mapping[str, np.ndarray],
         second_ports: Mapping[str, np.ndarray],
         port_widths: Mapping[str, int],
     ) -> BatchTransitionEnergy:
-        """Vectorized :meth:`vector_pair_energy`: ``n_lanes`` pairs in one pass.
-
-        Each mapping holds ``(n_lanes,)`` arrays of port values; lane ``i`` of
-        the result is the energy of applying ``first[i]`` then ``second[i]``.
-        """
+        """Energies of ``n_lanes`` pairs: lane ``i`` applies ``first[i]``,
+        then ``second[i]`` (each mapping holds ``(n_lanes,)`` port columns)."""
         simulator.evaluate_ports_batch(first_ports, port_widths)
         before = simulator.snapshot_batch()
         simulator.evaluate_ports_batch(second_ports, port_widths)
@@ -169,23 +128,23 @@ class GatePowerCalculator:
         vectors: Sequence[Mapping[str, int]],
         port_widths: Mapping[str, int],
         simulator: Optional[GateLevelSimulator] = None,
-    ) -> List[GateTransitionEnergy]:
-        """Apply a sequence of port vectors; return per-transition energies.
+    ) -> BatchTransitionEnergy:
+        """Energies of applying ``vectors`` in order, one lane per transition.
 
-        The returned list has ``len(vectors) - 1`` entries (one per transition).
+        The sequence settles as one block, a vector per lane; the result has
+        ``len(vectors) - 1`` lanes.
         """
         if simulator is None:
             simulator = GateLevelSimulator(self.netlist)
-        simulator.reset()
-        energies: List[GateTransitionEnergy] = []
-        previous_snapshot: Optional[Dict[str, int]] = None
-        for vector in vectors:
-            simulator.evaluate_ports(vector, port_widths)
-            snapshot = simulator.snapshot()
-            if previous_snapshot is not None:
-                energies.append(self.transition_energy(previous_snapshot, snapshot))
-            previous_snapshot = snapshot
-        return energies
+        ports = dict.fromkeys(port for vector in vectors for port in vector)
+        columns = {
+            port: port_column([vector.get(port, 0) for vector in vectors],
+                              port_widths.get(port, 1))
+            for port in ports
+        }
+        simulator.evaluate_ports_batch(columns, port_widths)
+        v = simulator.snapshot_batch()
+        return self.transition_energy_batch(simulator, v[:, :-1], v[:, 1:])
 
     # --------------------------------------------------------------- static
     def leakage_power_nw(self) -> float:

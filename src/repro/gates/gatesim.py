@@ -1,28 +1,32 @@
 """Levelized, compiled gate-level simulation.
 
-Two-valued (0/1), cycle-less evaluation: each call settles the combinational
-gate network for one input vector.  Consecutive vectors yield per-net toggle
-information which the power calculator converts into switching energy — this
-is the "gate-level implementation" reference used to characterize RTL power
-macromodels, and the engine behind the slow gate-level estimation baseline.
+Two-valued (0/1), cycle-less evaluation: a settle of the combinational gate
+network has no state, so any number of independent input vectors settle at
+once, one per *lane* of a ``(n_slots, n_lanes)`` array.  Consecutive vectors
+yield per-net toggle information which the power calculator converts into
+switching energy — this is the "gate-level implementation" reference used to
+characterize RTL power macromodels, and the engine behind the slow
+gate-level estimation baseline.
 
-Like the RTL simulator's compiled backend, the gate network is lowered once
-into the typed kernel IR (:mod:`repro.sim.kernels.ir`) over dense integer
-slots: every net gets a slot (aliases share the slot of the net they resolve
-to, so alias propagation disappears entirely) and each gate of the levelized
-order becomes one slot assignment built by its cell function's IR builder
+Like the RTL simulator's lane backend, the gate network is lowered once into
+the typed kernel IR (:mod:`repro.sim.kernels.ir`) over dense integer slots:
+every net gets a slot (aliases share the slot of the net they resolve to, so
+alias propagation disappears entirely) and each gate of the levelized order
+becomes one slot assignment built by its cell function's IR builder
 (:data:`_CELL_IR`).  Unknown cells become an opaque call of their own
-``CellType.evaluate``, so custom libraries keep working.
+``CellType.evaluate``, lane by lane, so custom libraries keep working.
 
-Three executors are printed from that one IR:
+The IR is printed twice, both as a batch settle over the lane array:
 
-* *scalar* — Python-int source over a flat ``List[int]`` slot list, one
-  input vector at a time (the default),
-* *batch* — NumPy source over a ``(n_slots, n_lanes)`` array; every fused
-  gate is one elementwise array expression, so hundreds of characterization
-  stimuli settle in a single pass (see :meth:`GateLevelSimulator.settle_batch`),
-* *native* — the same batch settle as a C kernel, when a compiler exists and
-  every cell has an IR builder.
+* *batch* — NumPy source; every fused gate is one elementwise array
+  expression (:attr:`GateProgram.batch_fn`, the default),
+* *native* — the same settle as a C kernel, on an explicit
+  ``kernel_backend="native"`` when a compiler exists and every cell has an
+  IR builder.
+
+Port values up to :data:`MAX_LANE_PORT_WIDTH` bits travel as ``int64``
+columns; wider ports take object (Python-int) columns, in and out, through
+the same settle.
 
 Lowering is cached *across simulator instances*: compiled programs are keyed
 on a structural fingerprint of the netlist (gates, aliases, constants, I/O),
@@ -34,7 +38,6 @@ the IR and every compiled form instead of recompiling.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -43,7 +46,6 @@ import numpy as np
 
 from repro.gates import cells as _cells
 from repro.gates.gate_netlist import GateInstance, GateNetlist, bit_net
-from repro.sim.codegen import py_source
 from repro.sim.kernels.ir import (
     Expr, Fallback, KernelBuilder, KernelIR, SetSlot, SlotRef, numpy_source, where,
 )
@@ -73,46 +75,22 @@ _CELL_IR: Dict[object, Callable[..., Expr]] = {
 #: dtype of the batch lane arrays; gate values are 0/1 so one byte suffices
 LANE_DTYPE = np.int8
 
+#: widest port (in bits) that packs into an ``int64`` column; wider ports
+#: travel as object columns of exact Python ints
+MAX_LANE_PORT_WIDTH = 62
 
-def _cell_call(evaluate: Callable, out: int, ins: List[int], v) -> None:
-    """A gate whose cell has no IR builder: its own ``evaluate`` on the slots,
-    lane by lane on a batch array."""
+
+def port_column(values, width: int) -> np.ndarray:
+    """One port's lane column of ``values``: ``int64``, or exact Python ints
+    in an object column when ``width`` exceeds :data:`MAX_LANE_PORT_WIDTH`."""
+    return np.array(values, dtype=object if width > MAX_LANE_PORT_WIDTH else np.int64)
+
+
+def _cell_call(evaluate: Callable, out: int, ins: List[int], v: np.ndarray) -> None:
+    """A gate whose cell has no IR builder: its own ``evaluate``, lane by lane."""
     columns = [v[slot] for slot in ins]
-    if isinstance(v, np.ndarray):
-        v[out] = [evaluate(tuple(int(c[lane]) for c in columns))
-                  for lane in range(v.shape[1])]
-    else:
-        v[out] = evaluate(tuple(columns))
-
-
-class GateValues(MutableMapping):
-    """Live, name-keyed mapping view over the gate simulator's slot list.
-
-    Reads and writes go straight through to the slots, so forcing a net with
-    ``sim.values["w3"] = 1`` behaves exactly like it did when ``values`` was
-    a plain dict.  Aliased names share one slot with their resolved source.
-    """
-
-    __slots__ = ("_slots", "_v")
-
-    def __init__(self, slots: Dict[str, int], values: List[int]) -> None:
-        self._slots = slots
-        self._v = values
-
-    def __getitem__(self, net: str) -> int:
-        return self._v[self._slots[net]]
-
-    def __setitem__(self, net: str, value: int) -> None:
-        self._v[self._slots[net]] = value & 1
-
-    def __delitem__(self, net: str) -> None:
-        raise TypeError("net values cannot be deleted")
-
-    def __iter__(self):
-        return iter(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
+    v[out] = [evaluate(tuple(int(c[lane]) for c in columns))
+              for lane in range(v.shape[1])]
 
 
 @dataclass
@@ -122,19 +100,14 @@ class GateProgram:
     Everything here is a pure function of the netlist *structure*, so one
     program serves every :class:`GateLevelSimulator` built over a structurally
     identical netlist (see :func:`netlist_fingerprint`); per-simulator state
-    is just the slot value list.
+    is just the lane array.
     """
 
     n_slots: int
     #: net name -> dense slot (aliases share their source's slot)
     slots: Dict[str, int]
-    #: net name -> resolved source name
-    resolved: Dict[str, str]
-    #: the settle as kernel IR; every executor below is printed from it
+    #: the settle as kernel IR; both executors below are printed from it
     ir: KernelIR
-    #: scalar settle function over the flat slot list
-    fn: Callable[[List[int]], None]
-    snap_pairs: List[Tuple[str, int]]
     const_pairs: List[Tuple[int, int]]
     input_pairs: List[Tuple[str, int]]
     output_triples: List[Tuple[str, int, int]]
@@ -248,22 +221,6 @@ def _lower_settle(
     return kb.ir
 
 
-def _scalar_settle(ir: KernelIR) -> Callable[[List[int]], None]:
-    """The IR printed as one straight-line function over the flat slot list."""
-    namespace: Dict[str, object] = {"__builtins__": {}}
-    body = []
-    for stmt in ir.phases["settle"]:
-        if isinstance(stmt, SetSlot):
-            body.append(f"v[{stmt.slot}] = {py_source(stmt.expr)}")
-        else:
-            name = f"_g{len(namespace)}"
-            namespace[name] = stmt.call
-            body.append(f"{name}(v)")
-    source = "def _evaluate(v):\n" + "\n".join("    " + line for line in body or ["pass"])
-    exec(compile(source, "<gatesim:scalar>", "exec"), namespace)
-    return namespace["_evaluate"]
-
-
 def compile_gate_netlist(netlist: GateNetlist) -> GateProgram:
     """Levelize + compile ``netlist`` (cached across simulator instances)."""
     key = netlist_fingerprint(netlist)
@@ -294,10 +251,7 @@ def compile_gate_netlist(netlist: GateNetlist) -> GateProgram:
     program = GateProgram(
         n_slots=n_slots,
         slots=slots,
-        resolved=resolved,
         ir=ir,
-        fn=_scalar_settle(ir),
-        snap_pairs=sorted(slots.items()),
         const_pairs=[(slots[n], v & 1) for n, v in netlist.constants.items()],
         input_pairs=[(n, slots[n]) for n in netlist.primary_inputs],
         output_triples=output_triples,
@@ -310,120 +264,57 @@ def compile_gate_netlist(netlist: GateNetlist) -> GateProgram:
 
 
 class GateLevelSimulator:
-    """Evaluates a :class:`GateNetlist` one input vector (or lane batch) at a time."""
+    """Settles a :class:`GateNetlist` for a block of input vectors, one per lane."""
 
     def __init__(self, netlist: GateNetlist, kernel_backend: Optional[str] = None) -> None:
         self.netlist = netlist
         self.program = compile_gate_netlist(netlist)
-        program = self.program
-        #: requested lane-kernel backend for batch settles; only ``native``
-        #: changes execution (the NumPy batch_fn already is one fused pass)
+        #: requested lane-kernel backend; only ``native`` changes execution
+        #: (the NumPy batch_fn already is one fused pass)
         from repro.sim.kernels import resolve_kernel_backend
 
         self._kernel_request = resolve_kernel_backend(kernel_backend)
-        self._batch_settle_fn: Optional[Callable[[np.ndarray], None]] = None
-        #: kernel backend actually serving batch settles ("native" or "off")
+        self._settle_fn: Optional[Callable[[np.ndarray], None]] = None
+        #: kernel backend actually serving settles ("native" or "off")
         self.kernel_backend = "off"
-        self._slots = program.slots
-        self._resolved = program.resolved
-        self._snap_pairs = program.snap_pairs
-        self._const_pairs = program.const_pairs
-        self._input_pairs = program.input_pairs
-        self._output_triples = program.output_triples
-        self._fn = program.fn
-        self._n_slots = program.n_slots
-        self._v: List[int] = [0] * self._n_slots
-        #: live name-keyed view over the slots (reads and writes pass through)
-        self.values = GateValues(self._slots, self._v)
-        #: batch lane array, allocated on first batch call (n_slots, n_lanes)
+        #: output ports too wide for an int64 column
+        self._wide_outputs = {
+            port for port, index, _ in self.program.output_triples
+            if index >= MAX_LANE_PORT_WIDTH
+        }
+        #: lane array, allocated on first settle (n_slots, n_lanes)
         self._bv: Optional[np.ndarray] = None
-        self.reset()
 
-    # ------------------------------------------------------------- controls
-    def reset(self) -> None:
-        """Zero every net (and re-apply constants)."""
-        self._v[:] = [0] * self._n_slots
-        for slot, value in self._const_pairs:
-            self._v[slot] = value
-        self._bv = None
-
-    def resolve(self, net: str) -> str:
-        """Follow alias chains to the net that actually carries the value."""
-        resolved = self._resolved.get(net)
-        if resolved is None:
-            resolved = _build_alias_resolver(self.netlist)(net)
-            self._resolved[net] = resolved
-        return resolved
-
-    # ------------------------------------------------------ scalar execution
-    def _settle(self, input_bits: Mapping[str, int]) -> None:
-        v = self._v
-        for slot, value in self._const_pairs:
-            v[slot] = value
-        get = input_bits.get
-        for net, slot in self._input_pairs:
-            v[slot] = get(net, 0) & 1
-        self._fn(v)
-
-    def evaluate(self, input_bits: Mapping[str, int]) -> "GateValues":
-        """Settle the network for one vector of primary-input bit values.
-
-        Returns the live :class:`GateValues` view of the settled net values.
-        """
-        self._settle(input_bits)
-        return self.values
-
-    def evaluate_ports(self, port_values: Mapping[str, int],
-                       port_widths: Mapping[str, int]) -> Dict[str, int]:
-        """Bit-blast RTL port values, evaluate, and reassemble output ports."""
-        input_bits: Dict[str, int] = {}
-        for port, value in port_values.items():
-            width = port_widths.get(port, 1)
-            for i in range(width):
-                input_bits[bit_net(port, i)] = (value >> i) & 1
-        self._settle(input_bits)
-        v = self._v
-        outputs: Dict[str, int] = {}
-        for port, index, slot in self._output_triples:
-            outputs[port] = outputs.get(port, 0) | (v[slot] << index)
-        return outputs
-
-    def snapshot(self) -> Dict[str, int]:
-        """Copy of the current net values (for toggle counting across vectors)."""
-        v = self._v
-        return {net: v[slot] for net, slot in self._snap_pairs}
-
-    # ------------------------------------------------------- batch execution
     def _lane_array(self, n_lanes: int) -> np.ndarray:
         if n_lanes < 1:
             raise ValueError(f"batch evaluation needs n_lanes >= 1, got {n_lanes}")
         if self._bv is None or self._bv.shape[1] != n_lanes:
-            self._bv = np.zeros((self._n_slots, n_lanes), dtype=LANE_DTYPE)
+            self._bv = np.zeros((self.program.n_slots, n_lanes), dtype=LANE_DTYPE)
         return self._bv
 
     def settle_batch(self, input_bits: Mapping[str, np.ndarray], n_lanes: int) -> np.ndarray:
         """Settle ``n_lanes`` independent input vectors in one vectorized pass.
 
         ``input_bits`` maps primary-input bit-net names to ``(n_lanes,)``
-        integer arrays of 0/1 values.  Returns the live ``(n_slots, n_lanes)``
-        lane array (row ``slots[net]`` holds that net's per-lane values).
+        integer arrays of 0/1 values (a missing net is 0).  Returns the live
+        ``(n_slots, n_lanes)`` lane array (row ``slots[net]`` holds that
+        net's per-lane values).
         """
         v = self._lane_array(n_lanes)
-        for slot, value in self._const_pairs:
+        for slot, value in self.program.const_pairs:
             v[slot] = value
         get = input_bits.get
-        zero = 0
-        for net, slot in self._input_pairs:
-            bits = get(net, zero)
+        for net, slot in self.program.input_pairs:
+            bits = get(net, 0)
             v[slot] = bits & 1 if isinstance(bits, int) else np.asarray(bits) & 1
-        if self._batch_settle_fn is None:
-            self._batch_settle_fn = self.program.batch_fn
+        if self._settle_fn is None:
+            self._settle_fn = self.program.batch_fn
             if self._kernel_request == "native":
                 native = self.program.native_batch_fn()
                 if native is not None:
-                    self._batch_settle_fn = native
+                    self._settle_fn = native
                     self.kernel_backend = "native"
-        self._batch_settle_fn(v)
+        self._settle_fn(v)
         return v
 
     def evaluate_ports_batch(
@@ -431,24 +322,28 @@ class GateLevelSimulator:
         port_values: Mapping[str, np.ndarray],
         port_widths: Mapping[str, int],
     ) -> Dict[str, np.ndarray]:
-        """Batched :meth:`evaluate_ports`: port arrays in, port arrays out.
+        """Bit-blast RTL port columns, settle them as lanes, reassemble outputs.
 
-        ``port_values`` maps RTL port names to ``(n_lanes,)`` integer arrays;
-        the return maps each output port to an ``(n_lanes,)`` ``int64`` array.
+        ``port_values`` maps RTL port names to ``(n_lanes,)`` integer columns
+        (object columns of Python ints for ports wider than
+        :data:`MAX_LANE_PORT_WIDTH`); the return maps each output port to an
+        ``(n_lanes,)`` ``int64`` column, or an object column when the port is
+        wider than that.
         """
-        arrays = {p: np.asarray(a, dtype=np.int64) for p, a in port_values.items()}
-        if not arrays:
+        if not port_values:
             raise ValueError("evaluate_ports_batch needs at least one input port array")
-        n_lanes = next(iter(arrays.values())).shape[0]
         input_bits: Dict[str, np.ndarray] = {}
-        for port, value in arrays.items():
-            width = port_widths.get(port, 1)
-            for i in range(width):
+        for port, value in port_values.items():
+            value = np.asarray(value)
+            if value.dtype != object:
+                value = value.astype(np.int64, copy=False)
+            for i in range(port_widths.get(port, 1)):
                 input_bits[bit_net(port, i)] = (value >> i) & 1
-        v = self.settle_batch(input_bits, n_lanes)
+        v = self.settle_batch(input_bits, value.shape[0])
         outputs: Dict[str, np.ndarray] = {}
-        for port, index, slot in self._output_triples:
-            bits = v[slot].astype(np.int64) << index
+        wide = self._wide_outputs
+        for port, index, slot in self.program.output_triples:
+            bits = v[slot].astype(object if port in wide else np.int64) << index
             if port in outputs:
                 outputs[port] |= bits
             else:
@@ -456,7 +351,7 @@ class GateLevelSimulator:
         return outputs
 
     def snapshot_batch(self) -> np.ndarray:
-        """Copy of the ``(n_slots, n_lanes)`` lane array after a batch settle."""
+        """Copy of the ``(n_slots, n_lanes)`` lane array after a settle."""
         if self._bv is None:
             raise RuntimeError("no batch settle has run yet; call settle_batch first")
         return self._bv.copy()

@@ -6,8 +6,8 @@ For a given RTL component the engine:
 2. generates training vector *pairs* spanning a range of toggle densities —
    all ``n_pairs`` of them at once, as NumPy lane arrays (seed-stable),
 3. measures the reference transition energies with the gate-level power
-   calculator — one lane-vectorized settle per vector set instead of one
-   simulator call per pair,
+   calculator — one lane-vectorized settle per vector set, a pair per lane
+   (ports wider than an ``int64`` lane travel as Python-int columns),
 4. extracts the per-bit transition indicators ``T(x_i)`` of the component's
    monitored ports for every pair with vectorized bit-unpacking, and
 5. solves the least-squares problem ``E ≈ base + sum_i coeff_i * T(x_i)``
@@ -16,12 +16,6 @@ For a given RTL component the engine:
 
 This mirrors the characterization flow the paper's power-macromodel library
 is built with ([6], [8] in the paper).
-
-``CharacterizationEngine(batch=False)`` opts out of lane vectorization and
-runs the same training pairs one at a time through the scalar gate-level
-simulator; both paths consume identical stimuli and reference the same
-gate-level implementation, so they fit the same model (the batch path is an
-optimization, not a semantic change — see the lane-parity tests).
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gates.gate_power import GatePowerCalculator
-from repro.gates.gatesim import GateLevelSimulator
+from repro.gates.gatesim import MAX_LANE_PORT_WIDTH, GateLevelSimulator
 from repro.gates.techmap import TechnologyMapper
 from repro.netlist.components import Component
 from repro.power.macromodel import CharacterizationMetrics, LinearTransitionModel, LUTPowerModel
@@ -43,16 +37,13 @@ from repro.power.technology import CB130M_TECHNOLOGY, Technology
 #: low activities)
 FLIP_PROBABILITIES = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
 
-#: int64 bit-packing bound: ports wider than this cannot be held in one lane
-MAX_LANE_PORT_WIDTH = 62
-
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack an ``(n, width)`` 0/1 matrix into ``(n,)`` port-value arrays.
 
-    Values up to :data:`MAX_LANE_PORT_WIDTH` bits pack into int64 lanes (the
-    batch gate-simulation form); wider ports pack into exact Python ints in an
-    object array, which the scalar pair loop consumes unchanged.
+    Values up to :data:`~repro.gates.gatesim.MAX_LANE_PORT_WIDTH` bits pack
+    into int64 lanes; wider ports pack into exact Python ints in an object
+    array, which the gate-level settle takes as is.
     """
     width = bits.shape[1]
     if width > MAX_LANE_PORT_WIDTH:
@@ -81,11 +72,6 @@ def _popcount(values: np.ndarray, width: int) -> np.ndarray:
     return _unpack_bits(values, width).sum(axis=1)
 
 
-def _lane_packable(port_widths: Mapping[str, int]) -> bool:
-    """True when every port fits an int64 lane (the batch path's precondition)."""
-    return all(width <= MAX_LANE_PORT_WIDTH for width in port_widths.values())
-
-
 def generate_training_pairs(
     component: Component, n_pairs: int, seed: int
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
@@ -93,9 +79,7 @@ def generate_training_pairs(
 
     Each pair is a random vector and a perturbation of it whose per-pair flip
     probability is drawn from :data:`FLIP_PROBABILITIES`.  The same ``seed``
-    always yields the same pairs, and both the batch and the scalar
-    characterization paths consume exactly these stimuli — which is what makes
-    them parity-comparable.
+    always yields the same pairs.
     """
     if n_pairs < 1:
         raise ValueError(f"characterization needs n_pairs >= 1, got {n_pairs}")
@@ -118,7 +102,6 @@ def holdout_error(
     n_pairs: int = 40,
     technology: Technology = CB130M_TECHNOLOGY,
     mapper: Optional[TechnologyMapper] = None,
-    batch: bool = True,
 ) -> float:
     """Average relative error of ``model`` on a fresh (non-training) vector set.
 
@@ -145,7 +128,7 @@ def holdout_error(
         for p in component.input_ports
     }
     energies, prev_io, curr_io = _run_pairs(
-        component, simulator, calculator, widths, firsts, seconds, batch=batch
+        simulator, calculator, widths, firsts, seconds
     )
     total_reference = float(energies.sum())
     total_model = 0.0
@@ -159,63 +142,30 @@ def holdout_error(
 
 
 def _run_pairs(
-    component: Component,
     simulator: GateLevelSimulator,
     calculator: GatePowerCalculator,
     port_widths: Mapping[str, int],
     firsts: Mapping[str, np.ndarray],
     seconds: Mapping[str, np.ndarray],
-    batch: bool,
 ) -> Tuple[np.ndarray, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
     """Reference energies and full I/O values for every training pair.
 
     Returns ``(energies, prev_io, curr_io)`` where ``energies`` is the
     ``(n_pairs,)`` gate-level transition energy vector and the I/O mappings
-    hold per-port ``(n_pairs,)`` value arrays (inputs and simulated outputs).
-    The gate-level implementation is the single source of output values on
-    both paths, so ``batch`` only changes speed, never results.  The one
-    known batch precondition — every port must fit an int64 lane — is checked
-    explicitly; components with wider ports take the scalar loop (exact
-    Python-int arithmetic), and any other batch failure propagates loudly
-    rather than silently degrading.
+    hold per-port ``(n_pairs,)`` value arrays (inputs and simulated outputs,
+    object columns for ports wider than an int64 lane).  Each of the two
+    vector sets settles as one block, a pair per lane.
     """
-    if batch and _lane_packable(port_widths) and firsts:
-        out_first = simulator.evaluate_ports_batch(firsts, port_widths)
-        before = simulator.snapshot_batch()
-        out_second = simulator.evaluate_ports_batch(seconds, port_widths)
-        after = simulator.snapshot_batch()
-        energies = calculator.transition_energy_batch(simulator, before, after)
-        return (
-            energies.total_fj,
-            {**dict(firsts), **out_first},
-            {**dict(seconds), **out_second},
-        )
-
-    n_pairs = next(iter(firsts.values())).shape[0] if firsts else 0
-    energies = np.empty(n_pairs, dtype=np.float64)
-    prev_cols: Dict[str, List[int]] = {p: [] for p in port_widths}
-    curr_cols: Dict[str, List[int]] = {p: [] for p in port_widths}
-    for lane in range(n_pairs):
-        first = {p: int(a[lane]) for p, a in firsts.items()}
-        second = {p: int(a[lane]) for p, a in seconds.items()}
-        out_first = dict(simulator.evaluate_ports(first, port_widths))
-        before = simulator.snapshot()
-        out_second = dict(simulator.evaluate_ports(second, port_widths))
-        after = simulator.snapshot()
-        energies[lane] = calculator.transition_energy(before, after).total_fj
-        for port, value in {**first, **out_first}.items():
-            prev_cols[port].append(value)
-        for port, value in {**second, **out_second}.items():
-            curr_cols[port].append(value)
-    def column(values: List[int]) -> np.ndarray:
-        try:
-            return np.asarray(values, dtype=np.int64)
-        except OverflowError:  # >63-bit port values stay exact Python ints
-            return np.array(values, dtype=object)
-
-    prev_io = {p: column(v) for p, v in prev_cols.items() if v}
-    curr_io = {p: column(v) for p, v in curr_cols.items() if v}
-    return energies, prev_io, curr_io
+    out_first = simulator.evaluate_ports_batch(firsts, port_widths)
+    before = simulator.snapshot_batch()
+    out_second = simulator.evaluate_ports_batch(seconds, port_widths)
+    after = simulator.snapshot_batch()
+    energies = calculator.transition_energy_batch(simulator, before, after)
+    return (
+        energies.total_fj,
+        {**dict(firsts), **out_first},
+        {**dict(seconds), **out_second},
+    )
 
 
 @dataclass
@@ -241,7 +191,6 @@ class CharacterizationEngine:
         n_pairs: int = 120,
         seed: int = 2005,
         nonnegative: bool = True,
-        batch: bool = True,
         kernel_backend: Optional[str] = None,
     ) -> None:
         if n_pairs < 1:
@@ -252,9 +201,6 @@ class CharacterizationEngine:
         self.seed = seed
         #: clamp negative fitted coefficients to zero (hardware-friendly)
         self.nonnegative = nonnegative
-        #: lane-vectorize the gate-level reference simulation (opt-out flag;
-        #: the scalar path consumes identical stimuli and fits the same model)
-        self.batch = batch
         #: lane-kernel backend for the batched gate-level settles ("native"
         #: compiles the settle via repro.sim.kernels when a C compiler exists)
         self.kernel_backend = kernel_backend
@@ -316,10 +262,7 @@ class CharacterizationEngine:
         calculator = GatePowerCalculator(gate_netlist, self.technology.cell_library)
         simulator = GateLevelSimulator(gate_netlist, kernel_backend=self.kernel_backend)
         port_widths = {p.name: p.width for p in component.ports.values()}
-        return _run_pairs(
-            component, simulator, calculator, port_widths, firsts, seconds,
-            batch=self.batch,
-        )
+        return _run_pairs(simulator, calculator, port_widths, firsts, seconds)
 
     def _collect_training_data(self, component: Component) -> Tuple[np.ndarray, np.ndarray]:
         energies, prev_io, curr_io = self._simulate_training_pairs(component)
@@ -413,7 +356,6 @@ class CharacterizationEngine:
             n_pairs=self.n_pairs,
             seed=self.seed,
             nonnegative=self.nonnegative,
-            batch=self.batch,
             kernel_backend=self.kernel_backend,
         )
 
@@ -447,7 +389,6 @@ class EngineSettings(NamedTuple):
     n_pairs: int
     seed: int
     nonnegative: bool
-    batch: bool
     kernel_backend: Optional[str]
 
     def make_engine(self) -> CharacterizationEngine:
@@ -456,7 +397,6 @@ class EngineSettings(NamedTuple):
             n_pairs=self.n_pairs,
             seed=self.seed,
             nonnegative=self.nonnegative,
-            batch=self.batch,
             kernel_backend=self.kernel_backend,
         )
 

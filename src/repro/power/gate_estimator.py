@@ -3,8 +3,11 @@
 The paper's introduction notes that transistor/gate-level power estimation is
 "much (10X to 100X) slower" than RTL power estimation.  This estimator makes
 that baseline concrete: every mappable combinational RTL component is expanded
-to gates, and during simulation each observed input vector is re-simulated at
-the gate level to count real per-net toggles and convert them to energy.
+to gates, and each input vector it sees during simulation is re-simulated at
+the gate level to count real per-net toggles and convert them to energy.  A
+gate settle has no state, so the vectors of a block of cycles settle together,
+one cycle per lane, and each cycle's toggles are taken against the cycle
+before it.
 Components without a gate mapping (registers, memories, FSMs) fall back to
 their RTL macromodels, which keeps the comparison apples-to-apples for the
 storage part of a design.
@@ -20,11 +23,14 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.gates.gate_power import GatePowerCalculator
-from repro.gates.gatesim import GateLevelSimulator
+from repro.gates.gatesim import GateLevelSimulator, port_column
 from repro.gates.techmap import TechnologyMapper
 from repro.netlist.components import Component
 from repro.netlist.module import Module
+from repro.power import block as power_block
 from repro.power.block import BlockEvaluator
 from repro.power.library import PowerModelLibrary, build_seed_library
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
@@ -38,14 +44,20 @@ from repro.sim.testbench import Testbench
 class _GateLevelObserver(SimulationObserver):
     """Each cycle's per-component energies, pushed into a block evaluator.
 
-    Gate-mapped components are re-simulated at gate level, then the rest run
-    their RTL macromodels, in the order of ``observed``; the evaluator takes
-    every energy as a generic one and keeps the results.
+    Every cycle the observer gathers the gate-mapped components' input
+    values and evaluates the macromodelled components' RTL macromodels.  A
+    block of cycles at a time (and at finish) it settles each gate-mapped
+    component's gathered cycles as the lanes of one gate-level settle, takes
+    lane ``i``'s toggles against lane ``i - 1`` (the first lane against the
+    previous block's last; a run's first cycle has no previous vector and
+    costs 0.0) and pushes the block's cycles, in the order of ``observed``,
+    into the evaluator, which takes every energy as a generic one.
     """
 
     def __init__(
         self,
         estimator: "GateLevelPowerEstimator",
+        simulator: Simulator,
         observed: Sequence[Component],
         keep_cycle_trace: bool = True,
         collector: Optional[WindowedEnergyCollector] = None,
@@ -56,30 +68,61 @@ class _GateLevelObserver(SimulationObserver):
             keep_cycle_trace=keep_cycle_trace,
             collectors=() if collector is None else (collector,),
         )
+        gate_mapped = list(estimator.gate_mapped.values())
+        #: per gate-mapped component, its input ports in gather order
+        self._ports = [[p.name for p in component.input_ports]
+                       for component, *_rest in gate_mapped]
+        self._inputs = simulator.net_getter([
+            p.net for component, *_rest in gate_mapped for p in component.input_ports
+        ])
+        self.block_cycles = max(1, power_block.BLOCK_ELEMENTS // max(
+            [gate_sim.program.n_slots for _, gate_sim, *_rest in gate_mapped], default=1))
+        self._rows: List[tuple] = []
+        self._macro_energies: List[List[float]] = []
+        #: per gate-mapped component, the last settled lane of the previous block
+        self._last: List[Optional[np.ndarray]] = [None] * len(gate_mapped)
         self._previous_io: Dict[str, Dict[str, int]] = {}
-        self._previous_netvals: Dict[str, Dict[str, int]] = {}
 
     def on_cycle(self, simulator: Simulator, cycle: int) -> None:
+        self._rows.append(self._inputs())
         energies = []
-        # gate-mapped combinational components: re-simulate at gate level
-        for name, (component, gate_sim, calculator, widths) in self.estimator.gate_mapped.items():
-            io_values = simulator.component_io_values(component)
-            inputs = {p.name: io_values[p.name] for p in component.input_ports}
-            gate_sim.evaluate_ports(inputs, widths)
-            snapshot = gate_sim.snapshot()
-            previous = self._previous_netvals.get(name)
-            energies.append(0.0 if previous is None else
-                            calculator.transition_energy(previous, snapshot).total_fj)
-            self._previous_netvals[name] = snapshot
-        # everything else: RTL macromodels
         for component, model in self.estimator.macromodelled:
             current = simulator.component_io_values(component)
             previous = self._previous_io.get(component.name, current)
             energies.append(model.evaluate(previous, current))
             self._previous_io[component.name] = current
-        self.block.push((), energies)
+        self._macro_energies.append(energies)
+        if len(self._macro_energies) >= self.block_cycles:
+            self._settle_block()
+
+    def _settle_block(self) -> None:
+        """Gate-level energies of the gathered cycles, pushed with the
+        macromodelled ones."""
+        k = len(self._macro_energies)
+        if not k:
+            return
+        energy = np.empty((k, len(self._ports) + len(self.estimator.macromodelled)))
+        columns = iter(zip(*self._rows))
+        for index, (ports, (_, gate_sim, calculator, widths)) in enumerate(
+                zip(self._ports, self.estimator.gate_mapped.values())):
+            gate_sim.evaluate_ports_batch(
+                {port: port_column(next(columns), widths[port]) for port in ports},
+                widths)
+            after = gate_sim.snapshot_batch()
+            last = self._last[index]
+            before = np.concatenate(
+                (after[:, :1] if last is None else last, after[:, :-1]), axis=1)
+            energy[:, index] = calculator.transition_energy_batch(
+                gate_sim, before, after).total_fj
+            self._last[index] = after[:, -1:]
+        energy[:, len(self._ports):] = self._macro_energies
+        for cycle_energy in energy:
+            self.block.push((), cycle_energy)
+        self._rows.clear()
+        self._macro_energies.clear()
 
     def on_finish(self, simulator: Simulator) -> None:
+        self._settle_block()
         self.block.flush()
 
 
@@ -144,7 +187,7 @@ class GateLevelPowerEstimator:
         budget = max_cycles if max_cycles is not None else testbench.max_cycles
         collector = None if profile is None else profile.collector(
             [c.name for c in observed], [c.type_name for c in observed], budget)
-        observer = _GateLevelObserver(self, observed, keep_cycle_trace, collector)
+        observer = _GateLevelObserver(self, simulator, observed, keep_cycle_trace, collector)
         simulator.add_observer(observer)
         simulation = simulator.run(testbench, max_cycles=max_cycles)
         elapsed = time.perf_counter() - start

@@ -352,7 +352,8 @@ class KernelBuilder:
     (see :class:`StateRef`, :class:`MemRead`, :class:`Table`);
     :meth:`add` numbers each on first use, walking every statement target
     first and then its operands left to right (a :class:`Select`'s choices
-    before its index).  The numbering, and so the printed program, depends
+    before its index).  Tables are numbered by content, so equal tables
+    share one number.  The numbering, and so the printed program, depends
     only on the statements' order and shape, never on object addresses.
     SSA temporaries are ``t1``, ``t2``, ... across all phases.
     """
@@ -406,8 +407,10 @@ class KernelBuilder:
         return self._number(self._mems, self.ir.mem_specs, (id(mem[0]), mem[1]), mem)
 
     def _table(self, array: np.ndarray) -> int:
-        # ir.tables keeps every keyed array alive, so ids stay unique
-        return self._number(self._tables, self.ir.tables, (id(array),), array)
+        # numbered by content: equal tables (a ROM or power-model coefficient
+        # table emitted once per component) share one number
+        return self._number(self._tables, self.ir.tables,
+                            (array.dtype.str, array.shape, array.tobytes()), array)
 
     def _expr(self, x: Expr) -> Expr:
         resolve = self._expr

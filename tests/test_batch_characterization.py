@@ -1,9 +1,10 @@
 """Parity and edge tests for the lane-vectorized characterization pipeline.
 
-The batch path must be an optimization only: identical training stimuli,
-identical gate-level reference energies, identical per-bit toggle matrices
-and (numerically) identical fitted coefficients as the scalar pair-at-a-time
-path for the same seed.
+Characterization settles all training pairs as the lanes of one block.  The
+references here are the RTL components' own ``evaluate`` (for the output
+columns) and the same pairs run one at a time, each its own one-lane block
+(for the energies, the fitted models and the holdout error), which must
+agree bit for bit: a lane's energy never depends on its block.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.gates import GateLevelSimulator, GatePowerCalculator, TechnologyMappe
 from repro.gates.gatesim import compile_gate_netlist
 from repro.netlist.components import Adder, Comparator, LogicOp, Multiplier, Mux, ShifterVar
 from repro.power import CharacterizationEngine, generate_training_pairs, holdout_error
+from repro.power import characterize
 
 _COMPONENTS = [
     ("adder8", lambda: Adder("adder8", 8)),
@@ -25,38 +27,64 @@ _COMPONENTS = [
     ("barrel8", lambda: ShifterVar("barrel8", 8, 3, "left")),
 ]
 
+_run_pairs = characterize._run_pairs
+
+
+def _pair_at_a_time(simulator, calculator, port_widths, firsts, seconds):
+    """``_run_pairs`` one pair per one-lane settle, columns concatenated."""
+    n_pairs = next(iter(firsts.values())).shape[0]
+    runs = [
+        _run_pairs(simulator, calculator, port_widths,
+                   {p: a[lane:lane + 1] for p, a in firsts.items()},
+                   {p: a[lane:lane + 1] for p, a in seconds.items()})
+        for lane in range(n_pairs)
+    ]
+    energies = np.concatenate([run[0] for run in runs])
+    prev_io, curr_io = (
+        {port: np.concatenate([run[side][port] for run in runs]) for port in runs[0][side]}
+        for side in (1, 2)
+    )
+    return energies, prev_io, curr_io
+
+
+def _outputs_match_evaluate(component, io):
+    n = next(iter(io.values())).shape[0]
+    for lane in range(n):
+        inputs = {p.name: int(io[p.name][lane]) for p in component.input_ports}
+        for port, value in component.evaluate(inputs).items():
+            assert int(io[port][lane]) == value, (component.name, port, lane)
+
 
 @pytest.mark.parametrize("label,factory", _COMPONENTS)
-def test_batch_scalar_characterization_parity(label, factory):
-    """Same seed -> same energies, toggle matrices and coefficients."""
-    batch_engine = CharacterizationEngine(n_pairs=60, seed=13, batch=True)
-    scalar_engine = CharacterizationEngine(n_pairs=60, seed=13, batch=False)
+def test_batch_scalar_characterization_parity(label, factory, monkeypatch):
+    """All pairs as one block or one pair at a time: same outputs (and the
+    component's own), energies, toggle matrices and fits, bit for bit."""
+    engine = CharacterizationEngine(n_pairs=60, seed=13)
+    energies, prev_io, curr_io = engine._simulate_training_pairs(factory())
+    _outputs_match_evaluate(factory(), prev_io)
+    _outputs_match_evaluate(factory(), curr_io)
+    features, batch_energies = engine._collect_training_data(factory())
+    batch = engine.characterize(factory())
 
-    batch_features, batch_energies = batch_engine._collect_training_data(factory())
-    scalar_features, scalar_energies = scalar_engine._collect_training_data(factory())
-    assert np.array_equal(batch_features, scalar_features), "toggle matrices differ"
-    assert np.allclose(batch_energies, scalar_energies, rtol=1e-9, atol=1e-9)
-
-    batch = batch_engine.characterize(factory())
-    scalar = scalar_engine.characterize(factory())
-    assert np.allclose(
-        [v for _, _, v in batch.model.flat_coefficients()],
-        [v for _, _, v in scalar.model.flat_coefficients()],
-        rtol=1e-6,
-        atol=1e-9,
-    )
-    assert batch.model.base_energy_fj == pytest.approx(scalar.model.base_energy_fj, abs=1e-7)
-    assert batch.metrics.r_squared == pytest.approx(scalar.metrics.r_squared, abs=1e-9)
+    monkeypatch.setattr(characterize, "_run_pairs", _pair_at_a_time)
+    scalar_features, scalar_energies = engine._collect_training_data(factory())
+    scalar = engine.characterize(factory())
+    assert np.array_equal(features, scalar_features), "toggle matrices differ"
+    assert batch_energies.tolist() == scalar_energies.tolist() == energies.tolist()
+    assert list(batch.model.flat_coefficients()) == list(scalar.model.flat_coefficients())
+    assert batch.model.base_energy_fj == scalar.model.base_energy_fj
+    assert batch.metrics == scalar.metrics
 
 
-def test_batch_scalar_lut_parity():
-    batch = CharacterizationEngine(n_pairs=60, seed=5, batch=True).characterize_lut(
+def test_batch_scalar_lut_parity(monkeypatch):
+    batch = CharacterizationEngine(n_pairs=60, seed=5).characterize_lut(
         Mux("m", 8, 4), n_bins=4
     )
-    scalar = CharacterizationEngine(n_pairs=60, seed=5, batch=False).characterize_lut(
+    monkeypatch.setattr(characterize, "_run_pairs", _pair_at_a_time)
+    scalar = CharacterizationEngine(n_pairs=60, seed=5).characterize_lut(
         Mux("m", 8, 4), n_bins=4
     )
-    assert np.allclose(batch.table, scalar.table, rtol=1e-9)
+    assert batch.table == scalar.table
 
 
 def test_training_pairs_seed_stable():
@@ -81,18 +109,21 @@ def test_zero_pairs_rejected_everywhere():
         holdout_error(Adder("a", 8), None, n_pairs=0)
 
 
-def test_wide_ports_characterize_via_scalar_loop():
-    """Ports beyond the int64 lane width use exact Python-int pairs."""
+def test_wide_ports_characterize_via_object_columns(monkeypatch):
+    """Ports beyond the int64 lane width travel as exact Python-int columns
+    through the same block settle."""
     component = Adder("wide", 64)
     engine = CharacterizationEngine(n_pairs=12, seed=3)
     result = engine.characterize(component)
     assert result.metrics.n_samples == 12
     assert result.model.total_bits == 64 * 3  # monitored ports a, b, y
-    # parity: batch=True transparently takes the same scalar loop
-    scalar = CharacterizationEngine(n_pairs=12, seed=3, batch=False).characterize(
-        Adder("wide", 64)
-    )
-    assert np.allclose(result.reference_energies, scalar.reference_energies)
+    _, prev_io, curr_io = engine._simulate_training_pairs(Adder("wide", 64))
+    assert prev_io["y"].dtype == object
+    _outputs_match_evaluate(component, prev_io)
+    _outputs_match_evaluate(component, curr_io)
+    monkeypatch.setattr(characterize, "_run_pairs", _pair_at_a_time)
+    scalar = engine.characterize(Adder("wide", 64))
+    assert result.reference_energies == scalar.reference_energies
 
 
 def test_lut_single_bin_fill():
@@ -154,6 +185,7 @@ def test_compile_gate_netlist_fingerprint_cache():
 
 
 def test_vector_pair_energy_batch_matches_scalar():
+    """Each lane of a block equals that pair run as its own one-lane block."""
     component = Multiplier("m", 5)
     netlist = TechnologyMapper().map_component(component)
     calculator = GatePowerCalculator(netlist)
@@ -163,23 +195,24 @@ def test_vector_pair_energy_batch_matches_scalar():
     n = 24
     firsts = {p.name: rng.integers(0, 1 << p.width, n) for p in component.input_ports}
     seconds = {p.name: rng.integers(0, 1 << p.width, n) for p in component.input_ports}
-    batch = calculator.vector_pair_energy_batch(simulator, firsts, seconds, widths)
+    batch = calculator.vector_pair_energy(simulator, firsts, seconds, widths)
     assert batch.n_lanes == n
     for lane in range(n):
         scalar = calculator.vector_pair_energy(
             simulator,
-            {p: int(a[lane]) for p, a in firsts.items()},
-            {p: int(a[lane]) for p, a in seconds.items()},
+            {p: a[lane:lane + 1] for p, a in firsts.items()},
+            {p: a[lane:lane + 1] for p, a in seconds.items()},
             widths,
         )
-        assert batch.total_fj[lane] == pytest.approx(scalar.total_fj, rel=1e-9)
-        assert int(batch.n_toggled_nets[lane]) == scalar.n_toggled_nets
+        assert batch.total_fj[lane] == scalar.total_fj[0]
+        assert batch.n_toggled_nets[lane] == scalar.n_toggled_nets[0]
 
 
-def test_holdout_error_batch_scalar_parity():
+def test_holdout_error_batch_scalar_parity(monkeypatch):
     component = Adder("a", 8)
     model = CharacterizationEngine(n_pairs=60, seed=9).characterize(Adder("a", 8)).model
-    batch = holdout_error(component, model, seed=4, n_pairs=24, batch=True)
-    scalar = holdout_error(component, model, seed=4, n_pairs=24, batch=False)
-    assert batch == pytest.approx(scalar, rel=1e-9)
+    batch = holdout_error(component, model, seed=4, n_pairs=24)
+    monkeypatch.setattr(characterize, "_run_pairs", _pair_at_a_time)
+    scalar = holdout_error(component, model, seed=4, n_pairs=24)
+    assert batch == scalar
     assert batch < 0.35

@@ -139,6 +139,27 @@ def test_emulation_platform_run(library):
     assert 0 < result.utilization["luts"] <= 1
 
 
+def test_host_simulation_time_excludes_simulator_construction(library, monkeypatch):
+    """``host_simulation_s`` times the simulation only: a slow simulator
+    construction (compiling the instrumented module) does not count."""
+    import time
+
+    from repro.core import emulator
+
+    class SlowToBuild(emulator.Simulator):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.25)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(emulator, "Simulator", SlowToBuild)
+    design = instrument(build_design(), library)
+    result = EmulationPlatform().run(design, RandomTestbench(20, seed=2))
+    assert result.executed_cycles == 20
+    assert 0 < result.host_simulation_s < 0.25
+    assert (result.power_report.notes["host_functional_simulation_s"]
+            == result.host_simulation_s)
+
+
 def test_emulation_platform_capacity_error(library):
     tiny = FPGADevice("tiny", luts=10, ffs=10, bram_kbits=0, multipliers_18x18=0,
                       max_clock_mhz=50.0, bitstream_mbits=0.1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.netlist import NetlistBuilder, flatten
@@ -14,6 +16,7 @@ from repro.power import (
     build_seed_library,
     calibrate_tool,
 )
+from repro.designs.registry import build_flat, get_design
 from repro.sim import RandomTestbench, VectorTestbench
 
 
@@ -118,6 +121,36 @@ def test_gate_level_estimator_agrees_in_trend(datapath):
     # and it really is slower per cycle than the RTL estimator
     rtl_busy = rtl.estimate(RandomTestbench(40, seed=9))
     assert gate_busy.estimation_time_s > rtl_busy.estimation_time_s
+
+
+@pytest.mark.parametrize("design", ["datapath", "Wide_Checksum"])
+def test_gate_level_results_do_not_depend_on_block_length(monkeypatch, datapath, design):
+    """Settling a block of cycles as lanes changes no report, profile or
+    cycle trace, whatever the block length: 1 cycle, 7 cycles, the whole run
+    (Wide_Checksum's 168-bit ports travel as object columns)."""
+    from repro.power import block as power_block
+    from repro.power.profile import ProfileConfig
+
+    if design == "datapath":
+        module, testbench, max_cycles = datapath, lambda: RandomTestbench(60, seed=3), None
+    else:
+        module, testbench, max_cycles = build_flat(design), get_design(design).testbench, 40
+    estimator = GateLevelPowerEstimator(module, library=build_seed_library())
+    assert estimator.gate_mapped
+    n_slots = max(sim.program.n_slots for _, sim, *_ in estimator.gate_mapped.values())
+    runs = []
+    for cycles in (1, 7, 1 << 30):
+        monkeypatch.setattr(power_block, "BLOCK_ELEMENTS", cycles * n_slots)
+        report = estimator.estimate(testbench(), max_cycles=max_cycles,
+                                    profile=ProfileConfig(window_cycles=5))
+        runs.append((dataclasses.replace(report, estimation_time_s=0.0),
+                     estimator.last_profile))
+    (report, profile), *others = runs
+    assert report.total_energy_fj > 0 and len(report.cycle_energy_fj) == report.cycles
+    for other_report, other_profile in others:
+        assert other_report == report
+        assert other_report.cycle_energy_fj == report.cycle_energy_fj
+        assert other_profile == profile
 
 
 def test_report_relative_error(rtl_report, datapath):

@@ -639,32 +639,40 @@ def test_step_on_native_kernel_matches_plain():
 
 @needs_cc
 def test_gate_level_native_settle_parity():
-    from repro.gates.gatesim import GateLevelSimulator
+    """The native settle equals the NumPy one, on int64 port columns and on
+    object columns (a 100-bit adder)."""
+    import random
+
+    from repro.gates.gatesim import GateLevelSimulator, port_column
     from repro.gates.techmap import TechnologyMapper
     from repro.netlist.components import Adder
     from repro.power.technology import CB130M_TECHNOLOGY
 
-    component = Adder("a8", 8)
-    netlist = TechnologyMapper(CB130M_TECHNOLOGY.cell_library).map_component(component)
-    widths = {p.name: p.width for p in component.ports.values()}
-    rng = np.random.default_rng(9)
-    values = {
-        p.name: rng.integers(0, 1 << p.width, size=12, dtype=np.int64)
-        for p in component.input_ports
-    }
-    plain = GateLevelSimulator(netlist)
-    native = GateLevelSimulator(netlist, kernel_backend="native")
-    reference = plain.evaluate_ports_batch(values, widths)
-    candidate = native.evaluate_ports_batch(values, widths)
-    assert native.kernel_backend == "native"
-    for port in reference:
-        assert np.array_equal(reference[port], candidate[port])
-    assert np.array_equal(plain.snapshot_batch(), native.snapshot_batch())
+    rng = random.Random(9)
+    for width in (8, 100):
+        component = Adder(f"a{width}", width)
+        netlist = TechnologyMapper(CB130M_TECHNOLOGY.cell_library).map_component(component)
+        widths = {p.name: p.width for p in component.ports.values()}
+        values = {
+            p.name: port_column([rng.getrandbits(p.width) for _ in range(12)], p.width)
+            for p in component.input_ports
+        }
+        plain = GateLevelSimulator(netlist)
+        native = GateLevelSimulator(netlist, kernel_backend="native")
+        reference = plain.evaluate_ports_batch(values, widths)
+        candidate = native.evaluate_ports_batch(values, widths)
+        assert native.kernel_backend == "native"
+        for port in reference:
+            assert reference[port].dtype == candidate[port].dtype
+            assert reference[port].tolist() == candidate[port].tolist()
+        assert reference["y"].tolist() == [
+            (a + b) % 2**width for a, b in zip(values["a"], values["b"])]
+        assert np.array_equal(plain.snapshot_batch(), native.snapshot_batch())
 
 
 def test_gate_cell_without_ir_builder_runs_its_own_evaluate():
-    """A custom cell is one opaque step: the scalar and batch settles call its
-    ``evaluate`` (lane by lane), and the native kernel declines the netlist."""
+    """A custom cell is one opaque step: the settle calls its ``evaluate``
+    lane by lane, and the native kernel declines the netlist."""
     import itertools
 
     from repro.gates.cells import CB013_LIBRARY, CellType
@@ -678,10 +686,11 @@ def test_gate_cell_without_ir_builder_runs_its_own_evaluate():
     inner = netlist.add_gate(ao21, ["a", "b", "c"])
     netlist.add_output(netlist.add_gate(CB013_LIBRARY.cell("INV"), [inner], "y"))
     rows = list(itertools.product((0, 1), repeat=3))
-    expected = [1 - ((a & b) | c) for a, b, c in rows]
-    scalar = GateLevelSimulator(netlist)
-    assert [scalar.evaluate(dict(zip("abc", row)))["y"] for row in rows] == expected
+    expected = [1 - ao21.evaluate(row) for row in rows]
+    assert expected == [1 - ((a & b) | c) for a, b, c in rows]
     lanes = {net: np.array([row[k] for row in rows]) for k, net in enumerate("abc")}
+    plain = GateLevelSimulator(netlist)
+    assert plain.settle_batch(lanes, len(rows))[plain.program.slots["y"]].tolist() == expected
     native = GateLevelSimulator(netlist, kernel_backend="native")
     v = native.settle_batch(lanes, len(rows))
     assert v[native.program.slots["y"]].tolist() == expected
