@@ -352,9 +352,9 @@ class NativeEvaluator:
             running=self._running,
             peak=self._peak,
         )
-        self._plan = kernel.observe_plan(
-            n_lanes=lanes, n_nets=n_nets, n_components=block.n_components,
-            **self._arrays)
+        self._plan = kernel.plan(
+            "observe_plan", n_lanes=lanes, n_nets=n_nets,
+            n_components=block.n_components, **self._arrays)
         #: workers the toggle scratch has one stripe each for
         self._workers = 0
         self._scratch_for(1)
@@ -422,28 +422,31 @@ class NativeEvaluator:
         self._kernel.observe(v, self._plan)
         self._advance(1)
 
-    def run(self, v: np.ndarray, rows: np.ndarray, slots: np.ndarray,
+    def run(self, v: np.ndarray, n_cycles: int, rows: np.ndarray, slots: np.ndarray,
             stop: np.ndarray, n_threads: int, capture: np.ndarray,
-            captured: np.ndarray) -> int:
-        """Simulate and observe a segment of ``rows`` in one kernel call.
+            captured: np.ndarray, jobs=None) -> int:
+        """Simulate and observe up to ``n_cycles`` cycles in one kernel call.
 
-        ``rows`` is ``(cycles, len(slots), lanes)`` int64 stimulus, written
-        into the store rows ``slots`` cycle by cycle; lane ``l`` is masked
-        in while its cycle is below ``stop[l]``.  Each cycle's settled store
-        rows ``capture`` land in ``captured[k]``.  The segment stops early at
-        the next profile-window boundary or the end of the cycle-trace
-        buffer; returns the cycles it ran (at least one).
+        ``rows`` is ``(>= n_cycles, len(slots), lanes)`` int64 stimulus,
+        written into the store rows ``slots`` cycle by cycle, or, with a
+        ``job_plan`` ``jobs``, each lane's row of its current job (see
+        :meth:`~repro.sim.kernels.native.NativeKernel.run`); lane ``l`` is
+        masked in while its cycle is below ``stop[l]``, which the jobs'
+        done events lower in place.  Each cycle's settled store rows
+        ``capture`` land in ``captured[k]``.  The segment stops early at the
+        next profile-window boundary, the end of the cycle-trace buffer or
+        once every lane has stopped; returns the cycles it ran.
         """
         if v is not self._store:
             self._check_store(v)
-        n = len(rows)
+        n = n_cycles
         if self.collectors:
             n = min(n, self._feed_at - self.cycles)
         if self.keep_cycle_trace:
             n = min(n, self._trace_room())
         self._scratch_for(worker_count(n_threads, self.n_lanes))
-        self._kernel.run(v, self._plan, rows[:n], slots, stop, n_threads,
-                         capture, captured)
+        n = self._kernel.run(v, self._plan, n, rows, slots, stop, n_threads,
+                             capture, captured, jobs)
         self._advance(n)
         return n
 

@@ -32,20 +32,23 @@ results.
 
 The host leaves the cycle loop where it can see that nothing in it needs
 Python: a block observed natively (no generic component) whose lane form
-knows its inputs and stop cycles up front — the array driver and the
-registry stream testbenches (``StreamTestbench``, e.g. HVPeakF's).  Every
-lane of such a block stops at its budget or the lane form's last cycle, so
-the estimator hands the kernel's ``run`` entry point one segment of input
-rows per call — up to the end of the rows at hand (a stimulus chunk, or
+knows its inputs up front — the array driver, the registry stream
+testbenches (``StreamTestbench``, e.g. HVPeakF's) and the registry job
+testbenches (``JobsTestbench``, e.g. Vld's and DCT's).  The estimator hands the kernel's ``run`` entry point one
+segment per call — up to the end of the rows at hand (a stimulus chunk, or
 the stream's whole run), the next profile-window boundary or the end of
 the cycle-trace buffer — and the kernel drives, settles, captures the
-outputs the lane form checks, observes and clocks each lane block to the
-segment's end (:meth:`~repro.power.block.NativeEvaluator.run`); the lane
-form then checks the segment's captured rows.  Its wall time is
-``phase_s["run_s"]``, with the observe time inside it, so
-``macromodel_eval_s`` reads ~0 on such a run.  The ``off`` backend, job
-testbenches (``JobsTestbench``), per-lane testbench loops and generic
-components keep the per-cycle loop.
+outputs the lane form checks, runs the job handshake, observes and clocks
+each lane block to the segment's end
+(:meth:`~repro.power.block.NativeEvaluator.run`).  A stream lane stops at
+its budget or the lane form's last cycle; a job lane also stops on its
+last job's done, which the kernel writes into the lanes' stops, so a lane
+block stops with its last lane, and a segment ends once every lane has
+stopped.  The lane form then checks the
+segment's captured rows (a job form verifies the jobs done in it).  Its
+wall time is ``phase_s["run_s"]``, with the observe time inside it, so
+``macromodel_eval_s`` reads ~0 on such a run.  The ``off`` backend,
+per-lane testbench loops and generic components keep the per-cycle loop.
 """
 
 from __future__ import annotations
@@ -179,9 +182,10 @@ class BatchRTLPowerEstimator:
         #: ``simulate_s`` (the drive/settle/observe loop),
         #: ``macromodel_eval_s`` (time inside the observer) and
         #: ``testbench_s`` (time inside the lane form: bind, drive, check,
-        #: finish) — both slices of simulate_s; on a run to completion
-        #: (array-driver and stream-testbench blocks on a native kernel)
-        #: also ``run_s``, the kernel's ``run`` calls, which hold the
+        #: finish; on a run to completion also the segments' checks) — both
+        #: slices of simulate_s; on a run to completion (array-driver,
+        #: stream-testbench and job-testbench blocks on a native
+        #: kernel) also ``run_s``, the kernel's ``run`` calls, which hold the
         #: observe time (``macromodel_eval_s`` then reads ~0); shared across
         #: lanes, surfaced through ``EstimateResult.metadata["phase_s"]``
         self.last_phase_s: Dict[str, float] = {}
@@ -293,26 +297,29 @@ class BatchRTLPowerEstimator:
         clock = time.perf_counter
         block = observer.block
         if fused:
-            # run to completion: every lane finishes with the lane form's
-            # last cycle, so its stop is known up front, and each segment of
-            # input rows is one kernel call that drives, settles, captures
-            # the checked outputs, observes and clocks every lane block; the
-            # segment's checks then run over its captured rows
+            # run to completion: each segment is one kernel call that
+            # drives, settles, captures the checked outputs, handles the job
+            # handshake, observes and clocks every lane block; the segment's
+            # checks then run over what it captured.  A stream lane stops at
+            # the form's last cycle, known up front; a job lane also stops
+            # on its last done, which the kernel writes into ``stop``
             np.minimum(stop, lanes.n_cycles, out=stop)
-            end = int(stop.max())
             # one buffer for every segment's captured rows, sized like a
             # trace buffer (BLOCK_ELEMENTS lane-cycles per output); no
             # segment is longer than it
             captured = np.empty(
-                (min(end, max(1, power_block.BLOCK_ELEMENTS // n_lanes)),
+                (min(int(stop.max()), max(1, power_block.BLOCK_ELEMENTS // n_lanes)),
                  len(lanes.capture), n_lanes), dtype=np.int64)
-            while simulator.cycle < end:
+            while simulator.cycle < stop.max():
                 cycle = simulator.cycle
                 t0 = clock()
-                rows = lanes.rows_at(cycle)[:min(end - cycle, len(captured))]
+                rows = lanes.rows_at(cycle)
+                n = min(int(stop.max()) - cycle, len(captured))
+                if lanes.jobs is None:  # a stream segment ends with its rows
+                    n = min(n, len(rows))
                 t1 = clock()
-                n = block.run(v, rows, lanes.slots, stop, simulator.kernel_threads,
-                              lanes.capture, captured)
+                n = block.run(v, n, rows, lanes.slots, stop, simulator.kernel_threads,
+                              lanes.capture, captured, lanes.jobs)
                 t2 = clock()
                 lanes.check_rows(cycle, captured[:n], stop)
                 simulator.cycle += n

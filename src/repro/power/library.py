@@ -281,7 +281,27 @@ class PowerModelLibrary:
         return "\n".join(lines)
 
 
+#: technology -> macromodel key -> its seed model: the analytic models are
+#: a function of the technology and the component shape, so every seed
+#: library shares one model object per shape, and what is cached per model
+#: object (observe plans, byte tables) outlives a one-shot library
+_SEED_MODELS: Dict[Technology, Dict[tuple, PowerMacromodel]] = {}
+
+
 def build_seed_library(technology: Technology = CB130M_TECHNOLOGY) -> PowerModelLibrary:
-    """A library that synthesizes analytic models for any component on demand."""
+    """A library that synthesizes analytic models for any component on demand.
+
+    Each library counts its own hits and misses; a miss takes the model the
+    technology's earlier seed libraries built for that shape, if any.
+    """
     builder = SeedModelBuilder(technology)
-    return PowerModelLibrary(technology, provider=builder.build, name="seed")
+    models = _SEED_MODELS.setdefault(technology, {})
+
+    def provide(component: Component) -> PowerMacromodel:
+        key = component.macromodel_key()
+        model = models.get(key)
+        if model is None:
+            model = models[key] = builder.build(component)
+        return model
+
+    return PowerModelLibrary(technology, provider=provide, name="seed")

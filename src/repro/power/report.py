@@ -47,8 +47,11 @@ class ComponentPower:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ComponentPower":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in fields})
+        return cls(**{k: v for k, v in payload.items() if k in _COMPONENT_FIELDS})
+
+
+#: the field names a component payload is read back through
+_COMPONENT_FIELDS = frozenset(f.name for f in dataclasses.fields(ComponentPower))
 
 
 def _component_payload(name: str, component_type: str, energy_fj: float,
@@ -159,8 +162,7 @@ class PowerReport:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "PowerReport":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in payload.items() if k in fields}
+        kwargs = {k: v for k, v in payload.items() if k in _REPORT_FIELDS}
         kwargs["components"] = {
             name: ComponentPower.from_dict(component)
             for name, component in (payload.get("components") or {}).items()
@@ -207,3 +209,7 @@ class PowerReport:
                 f"{component.energy_fj:14.1f} {component.average_power_mw:12.5f} {share:6.1%}"
             )
         return "\n".join(lines)
+
+
+#: the field names a report payload is read back through
+_REPORT_FIELDS = frozenset(f.name for f in dataclasses.fields(PowerReport))

@@ -870,6 +870,11 @@ def compile_module_batch(
         n_slots += n_limbs
     try:
         em, holders = _lower_lanes(module, schedule, slot_of, limbs_of, n_slots, n_lanes)
+        # the start/done ports a job testbench (repro.sim.declarative) drives
+        ports = module.ports
+        em.kb.ir.job_handshake = (
+            "start" in ports and not ports["start"].is_output
+            and "done" in ports and ports["done"].is_output)
         source, namespace = numpy_source(em.kb.ir)
         namespace.update(_lidx=np.arange(n_lanes), __builtins__={})
         exec(compile(source, f"<batch:{module.name}>", "exec"), namespace)

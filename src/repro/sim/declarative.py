@@ -16,9 +16,14 @@ one declaration:
   and the per-cycle loop writes one cycle's rows and checks one cycle with
   the same check.
 * :class:`JobsTestbench` runs a list of jobs through a ``start``/``done``
-  handshake, with per-job input values and memory preloads.  Its lane form
-  drives the ``start`` row, reads the ``done`` row and does per-lane work
-  only on the rare done events: verify the job, load the next one.
+  handshake, with per-job input values and memory preloads.  A native lane
+  block runs it to completion too: the jobs lower once to per-job input
+  rows and preload words, the kernel's ``run`` drives the handshake as
+  per-lane state and records each done job's outputs and memories, and
+  each segment's records are verified afterwards in the loop's order.  The
+  per-cycle loop (the ``off`` backend) drives the ``start`` row, reads the
+  ``done`` row and does per-lane work only on the rare done events: verify
+  the job, load the next one.
 
 Lane-form memory preloads write the lane memory holder's ``(depth, lanes)``
 array (:class:`~repro.sim.batch.LaneMemoryState`) directly: every memory of
@@ -177,6 +182,8 @@ class _StreamLanes:
     """
 
     name = "stream"
+    #: one row of inputs per cycle: no job handshake
+    jobs = None
 
     def __init__(self, kind, testbenches, simulator, cycles: Optional[int]) -> None:
         self.testbenches = list(testbenches)
@@ -405,19 +412,43 @@ class _LaneResults:
         return holder.mem[offset:offset + count, self.lane].tolist()
 
 
+class _RecordResults:
+    """A job's results as the kernel recorded them on its done cycle: every
+    output, then the whole of every memory."""
+
+    def __init__(self, lanes: "_JobLanes", record: np.ndarray) -> None:
+        self.lanes = lanes
+        self.record = record
+
+    def output(self, name: str) -> int:
+        return int(self.record[self.lanes._output_at[name]])
+
+    def memory(self, suffix: str, count: int, offset: int = 0) -> List[int]:
+        holder, _ = self.lanes.holder(suffix)
+        start, depth = self.lanes._memory_at[id(holder.mem)]
+        return self.record[start:start + depth][offset:offset + count].tolist()
+
+
 class _JobLanes:
     """Lane form of a block of one :class:`JobsTestbench` type.
 
-    Per cycle: one read of the ``done`` row, and one ``start`` row write
-    while a pulse is due.  Per-lane Python runs only on done events, and on
-    the cycle after one, to drive the next job's inputs.  The lanes' job
-    indices and check counts live on their own testbenches, as in a scalar
-    run.
+    On a native kernel the lanes' jobs lower once into kernel state
+    (:attr:`jobs`, a C ``job_plan``): a ``(jobs + 1, input rows, lanes)``
+    table of the inputs held while each job runs (:meth:`rows_at`), each
+    ``(lane, job)``'s preload words, and per lane its job index, start
+    pulse and started flag.  The kernel's ``run`` then drives the handshake
+    itself and, on each done, records the outputs, every memory and the
+    cycle; :meth:`check_rows` verifies a segment's records afterwards, in
+    the per-cycle loop's order (done cycle, then lane).
+
+    On the ``off`` backend, the per-cycle loop: one read of the ``done``
+    row, and one ``start`` row write while a pulse is due.  Per-lane Python
+    runs only on done events, and on the cycle after one, to drive the next
+    job's inputs.  Either way the lanes' job indices and check counts live
+    on their own testbenches, as in a scalar run.
     """
 
     name = "jobs"
-    #: done events need Python: no run to completion
-    capture = None
 
     def __init__(self, testbenches, simulator) -> None:
         self.testbenches = list(testbenches)
@@ -433,6 +464,12 @@ class _JobLanes:
             testbench._restart()
             if testbench.n_jobs:
                 self._load(lane, testbench)
+        #: run to completion (see the class docstring): the per-cycle
+        #: capture rows (none: done events record their own) and the kernel's
+        #: job state; None when the per-cycle loop runs
+        self.capture = self.jobs = None
+        if simulator.kernel is not None:
+            self._lower()
 
     def holder(self, suffix: str) -> Tuple[LaneMemoryState, int]:
         """A memory's per-lane storage holder and its word mask."""
@@ -448,6 +485,108 @@ class _JobLanes:
             holder.mem[offset:offset + len(words), lane] = (
                 np.asarray(words, dtype=np.int64) & mask)
 
+    # ------------------------------------------------------ run to completion
+    def _lower(self) -> None:
+        """The jobs as kernel state; leaves the loop in place when a preload
+        falls outside its memory (the loop raises there) or an output is a
+        limb-store port."""
+        simulator, kernel = self.simulator, self.simulator.kernel
+        port_limbs, outputs = simulator._port_limbs, simulator._output_keys
+        if any(port_limbs[port] > 1 for port in outputs):
+            return
+        memories = kernel.ir.mem_arrays()
+        index_of = {id(array): index for index, array in enumerate(memories)}
+        n_lanes = len(self.testbenches)
+        n_jobs = np.array([tb.n_jobs for tb in self.testbenches], dtype=np.int64)
+        top = int(n_jobs.max())
+
+        # preloads of jobs 1.. (job 0's are loaded), as (memory, address,
+        # word) entries in write order, (lane, job) by (lane, job)
+        preload_at, entries = [0], []
+        for testbench in self.testbenches:
+            for job in range(top):
+                for suffix, offset, words in (testbench.job_memories(job)
+                                              if 0 < job < testbench.n_jobs else ()):
+                    holder, mask = self.holder(suffix)
+                    if not 0 <= offset <= offset + len(words) <= len(holder.mem):
+                        return
+                    index = index_of[id(holder.mem)]
+                    entries.extend((index, offset + k, int(word) & mask)
+                                   for k, word in enumerate(words))
+                preload_at.append(len(entries))
+        preloads = np.array(entries, dtype=np.int64).reshape(-1, 3).T.copy()
+
+        # the record of a done: every output, then every memory, whole
+        self._output_at = {port: k for k, port in enumerate(outputs)}
+        mem_depth = np.array([len(array) for array in memories], dtype=np.int64)
+        starts = len(outputs) + np.cumsum(mem_depth) - mem_depth
+        #: id of a memory's lane array -> (its start in a record, its depth)
+        self._memory_at = {id(array): (int(start), len(array))
+                           for array, start in zip(memories, starts)}
+        width = len(outputs) + int(mem_depth.sum())
+
+        # the inputs each lane holds while job j runs: the job's values over
+        # the ones held before (the loop drives job j's inputs and leaves the
+        # other ports alone), from the ports' values in the store
+        driven = [[tb.job_inputs(job) for job in range(max(tb.n_jobs, 1))]
+                  for tb in self.testbenches]
+        ports = list(dict.fromkeys(port for lane in driven for inputs in lane
+                                   for port in inputs))
+        keys = [simulator._input_port(port) for port in ports]
+        self.slots = np.array([slot + k for port, (slot, _) in zip(ports, keys)
+                               for k in range(port_limbs[port])], dtype=np.int64)
+        self.rows = np.empty((top + 1, len(self.slots), n_lanes), dtype=np.int64)
+        row = 0
+        for port, (slot, bits) in zip(ports, keys):
+            held = np.empty((top + 1, n_lanes), dtype=object)
+            reset = simulator._read(slot, port_limbs[port]).tolist()
+            for lane, jobs in enumerate(driven):
+                value = reset[lane]
+                for job in range(top + 1):
+                    if job < len(jobs) and port in jobs[job]:
+                        value = int(jobs[job][port]) & ((1 << bits) - 1)
+                    held[job, lane] = value
+            for k, limb in enumerate(_limb_rows(held, bits, port_limbs[port])):
+                self.rows[:, row + k] = limb
+            row += port_limbs[port]
+
+        self.n_cycles = np.where(n_jobs > 0, np.iinfo(np.int64).max, 1)
+        self._record = np.zeros((n_lanes, top, width), dtype=np.int64)
+        self._done_cycle = np.full((n_lanes, top), -1, dtype=np.int64)
+        #: the arrays the C job plan points at, kept alive with it
+        self._arrays = dict(
+            n_jobs=n_jobs,
+            job=np.zeros(n_lanes, dtype=np.int64),
+            pulse=(n_jobs > 0).astype(np.int64),
+            started=np.zeros(n_lanes, dtype=np.int64),
+            preload_at=np.array(preload_at, dtype=np.int64),
+            preload_mem=preloads[0], preload_addr=preloads[1], preload_word=preloads[2],
+            output_slot=np.array(list(outputs.values()), dtype=np.int64),
+            mem_depth=mem_depth,
+            record=self._record,
+            done_cycle=self._done_cycle,
+        )
+        self.jobs = kernel.plan(
+            "job_plan", start_slot=simulator._input_port(START)[0],
+            done_slot=outputs[DONE], n_jobs_max=top, n_outputs=len(outputs),
+            n_mems=len(memories), width=width, **self._arrays)
+        self.capture = np.zeros(0, dtype=np.int64)
+
+    def rows_at(self, cycle: int) -> np.ndarray:
+        """The input rows of every job, whatever the cycle: the kernel picks
+        each lane's row by its job."""
+        return self.rows
+
+    def check_rows(self, first_cycle: int, captured: np.ndarray, stop: np.ndarray) -> None:
+        """Verify the jobs done from ``first_cycle`` on, from their records,
+        in the loop's order: done cycle, then lane."""
+        lanes, jobs = np.nonzero(self._done_cycle >= first_cycle)
+        cycles = self._done_cycle[lanes, jobs]
+        for k in np.lexsort((lanes, cycles)).tolist():
+            lane, job = int(lanes[k]), int(jobs[k])
+            self._verify(lane, int(cycles[k]), _RecordResults(self, self._record[lane, job]))
+
+    # ------------------------------------------------------- per-cycle loop
     def drive(self, cycle: int, active: np.ndarray) -> None:
         if self._refresh:
             start = np.zeros(len(self.testbenches), dtype=np.int64)
@@ -470,15 +609,20 @@ class _JobLanes:
                 self._complete(lane, cycle)
         return self._finished
 
-    def _complete(self, lane: int, cycle: int) -> None:
+    def _verify(self, lane: int, cycle: int, results) -> None:
+        """Verify the lane's current job and count it."""
         testbench = self.testbenches[lane]
         job = testbench._job
         try:
-            testbench.verify(job, _LaneResults(self, lane))
+            testbench.verify(job, results)
         except AssertionError as error:
             raise AssertionError(f"lane {lane} cycle {cycle}: job {job}: {error}") from None
         testbench._checked += 1
         testbench._job += 1
+
+    def _complete(self, lane: int, cycle: int) -> None:
+        self._verify(lane, cycle, _LaneResults(self, lane))
+        testbench = self.testbenches[lane]
         self._started[lane] = False
         if testbench._job < testbench.n_jobs:
             self._load(lane, testbench)

@@ -314,6 +314,9 @@ class KernelIR:
     tables: List[np.ndarray] = field(default_factory=list)
     #: numpy dtype of the value store ("int64" lane stores or "int8" gates)
     dtype: str = "int64"
+    #: the module has a job testbench's ``start`` input and ``done`` output:
+    #: its native kernel's ``run`` carries the job handshake
+    job_handshake: bool = False
 
     # ----------------------------------------------------------- bind helpers
     def state_arrays(self) -> List[np.ndarray]:

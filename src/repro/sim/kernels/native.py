@@ -40,14 +40,18 @@ Every translation unit also carries fixed, design-independent entry points:
   :mod:`repro.power.block`), so its doubles are identical to the NumPy
   path's.
 * ``run`` (lane programs, which have a clock edge) — a whole segment of
-  cycles of input rows, run to completion block by block: per cycle it
-  copies the segment's rows into the input slots, calls ``settle_block``,
-  copies the settled capture rows (the outputs a testbench checks) out to a
-  caller-owned buffer, sets the block's 0/1 lane mask from the lanes' stop
-  cycles, calls ``observe_block`` and ``clock_edge_block``.  Each lane sees
-  the per-cycle loop's operations in its order, so every thread count gives
-  that loop's results, and the host makes one call per segment instead of
-  several per cycle.
+  cycles, run to completion block by block: per cycle it sets the block's
+  0/1 lane mask from the lanes' stop cycles (a block whose lanes have all
+  stopped is done), copies the input rows into the input slots (a stream's
+  row of that cycle, or, with a ``job_plan``, each lane's current job row
+  and start pulse), calls ``settle_block``, copies the settled capture rows
+  (the outputs a testbench checks) out to a caller-owned buffer, handles
+  the job handshake (on a started job's ``done``: record its outputs and
+  memories, then preload and arm the next job or stop the lane), calls
+  ``observe_block`` and ``clock_edge_block``.  Each lane sees the per-cycle
+  loop's operations in its order, so every thread count gives that loop's
+  results, and the host makes one call per segment instead of several per
+  cycle.
 
 They compile in the same compiler call as the phases, so power evaluation
 adds no compiler process.
@@ -403,15 +407,50 @@ void observe(const elem *restrict v, observe_plan *p)
 }
 """
 
+#: the job handshake of a run over a job testbench's lanes, filled in by
+#: :class:`repro.sim.declarative._JobLanes`; shared verbatim by the C source
+#: and the cffi declarations.  Per lane: the job it runs, whether its
+#: ``start`` pulse is due this cycle and whether its job has started; per
+#: ``(lane, job)``: the preload words written into the memories when the
+#: job is armed, and the record captured on its done cycle (the outputs,
+#: then every memory, whole) with that cycle
+_JOB_PLAN = """\
+typedef struct {
+    long long start_slot, done_slot;    /* store rows of start and done */
+    long long n_jobs_max;               /* most jobs of any lane */
+    const long long *n_jobs;            /* (lanes,) jobs of each lane */
+    long long *job;                     /* (lanes,) job each lane runs */
+    long long *pulse;                   /* (lanes,) 1: drive start now */
+    long long *started;                 /* (lanes,) 1: started, not done */
+    /* preloads of (lane, job) are entries preload_at[at] .. [at + 1] */
+    const long long *preload_at;        /* (lanes * n_jobs_max + 1,) */
+    const long long *preload_mem, *preload_addr, *preload_word;
+    long long n_outputs, n_mems, width; /* a record's fields and length */
+    const long long *output_slot;       /* (n_outputs,) store rows */
+    const long long *mem_depth;         /* (n_mems,) depth of each memory */
+    long long *record;                  /* (lanes, n_jobs_max, width) */
+    long long *done_cycle;              /* (lanes, n_jobs_max) */
+} job_plan;
+"""
+
 #: the run-to-completion entry point of every lane-program kernel (one with
-#: a settle and a clock-edge phase): ``n_cycles`` cycles of input rows, each
-#: cycle copied into the input slots, settled, its capture rows copied out
-#: (``n_capture`` 0: none), observed under the 0/1 mask ``cycle < stop[lane]``
-#: and clocked, one lane block at a time.  The order within a lane is the
+#: a settle and a clock-edge phase), over ``n_cycles`` cycles one lane block
+#: at a time.  Each cycle drives the input rows (a stream's row of that
+#: cycle; with a job plan, the row of each lane's current job and its start
+#: pulse), settles, copies the capture rows out (``n_capture`` 0: none),
+#: handles the job handshake (on ``done`` of a started job: the record and
+#: its cycle, then the next job's preloads and start pulse, or the lane's
+#: stop after its last job), observes under the 0/1 mask ``cycle <
+#: stop[lane]`` and clocks.  A block stops once every lane of it has
+#: stopped (a job lane's stop is known only on its last done), and the
+#: caller advances the plan's cycle count by the cycles the longest block
+#: ran (:meth:`NativeKernel.run`).  The order within a lane is the
 #: per-cycle loop's (drive, settle, check, observe, clock edge), and lane
-#: blocks touch disjoint lanes, so every thread count gives that loop's
-#: results
-_RUN_RUNTIME = """
+#: blocks touch disjoint lanes (rows, memory columns, job state and
+#: records), so every thread count gives that loop's results.  The job
+#: handshake compiles in only where ``JOBS`` is 1: a module with the
+#: ``start``/``done`` ports (:attr:`KernelIR.job_handshake`)
+_RUN_RUNTIME = _JOB_PLAN + """
 static void settle_block(elem *restrict, i64 *const *, i64 *const *,
                          i64 *restrict, i64, i64, i64, const void *);
 static void clock_edge_block(elem *restrict, i64 *const *, i64 *const *,
@@ -419,13 +458,63 @@ static void clock_edge_block(elem *restrict, i64 *const *, i64 *const *,
 
 typedef struct {
     observe_plan *p;
-    const long long *rows;  /* (n_cycles, n_rows, lanes) input rows */
+    job_plan *j;            /* the job handshake, or NULL: a stream */
+    const long long *rows;  /* (n_cycles, n_rows, lanes) input rows; with a
+                               job plan (jobs + 1, n_rows, lanes), per job */
     const long long *slot;  /* (n_rows,) store row each input row goes to */
-    const long long *stop;  /* (lanes,) the cycle each lane stops at */
+    long long *stop;        /* (lanes,) the cycle each lane stops at */
     const long long *capture;  /* (n_capture,) store rows copied out */
     long long *captured;    /* (n_cycles, n_capture, lanes) settled values */
     i64 n_rows, n_cycles, n_capture;
 } run_args;
+
+#if JOBS
+/* one cycle's input rows and start pulse of every job lane of a block */
+static void drive_jobs(const run_args *a, elem *restrict v, i64 L, i64 l0, i64 nb)
+{
+    job_plan *j = a->j;
+    const long long *job = j->job + l0;
+    for (i64 r = 0; r < a->n_rows; ++r) {
+        elem *restrict to = v + a->slot[r] * L + l0;
+        const long long *from = a->rows + r * L + l0;
+        for (i64 i = 0; i < nb; ++i)
+            to[i] = (elem)from[job[i] * a->n_rows * L + i];
+    }
+    for (i64 l = l0; l < l0 + nb; ++l) {
+        v[j->start_slot * L + l] = (elem)j->pulse[l];
+        j->started[l] |= j->pulse[l];
+        j->pulse[l] = 0;
+    }
+}
+
+/* the done events of a block's active job lanes on this settled cycle */
+static void finish_jobs(const run_args *a, const elem *restrict v,
+                        i64 *const *M, i64 L, i64 l0, i64 nb, i64 cycle)
+{
+    job_plan *j = a->j;
+    for (i64 lane = l0; lane < l0 + nb; ++lane) {
+        if (!v[j->done_slot * L + lane] || !j->started[lane] || cycle >= a->stop[lane])
+            continue;
+        const i64 job = j->job[lane], at = lane * j->n_jobs_max + job;
+        long long *record = j->record + at * j->width;
+        for (i64 c = 0; c < j->n_outputs; ++c)
+            *record++ = (long long)v[j->output_slot[c] * L + lane];
+        for (i64 m = 0; m < j->n_mems; ++m)
+            for (i64 w = 0; w < j->mem_depth[m]; ++w)
+                *record++ = M[m][w * L + lane];
+        j->done_cycle[at] = cycle;
+        j->started[lane] = 0;
+        j->job[lane] = job + 1;
+        if (job + 1 < j->n_jobs[lane]) {
+            for (i64 k = j->preload_at[at + 1]; k < j->preload_at[at + 2]; ++k)
+                M[j->preload_mem[k]][j->preload_addr[k] * L + lane] = j->preload_word[k];
+            j->pulse[lane] = 1;
+        } else {
+            a->stop[lane] = cycle + 1;
+        }
+    }
+}
+#endif
 
 static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
                       i64 *restrict W, i64 L, i64 l0, i64 tid, const void *args)
@@ -440,12 +529,27 @@ static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
     const long long *stop = a->stop + l0;
     for (i64 k = 0; k < a->n_cycles; ++k) {
         const i64 cycle = p->cycles + k;
-        const long long *rows = a->rows + k * a->n_rows * L + l0;
-        for (i64 r = 0; r < a->n_rows; ++r) {
-            elem *restrict to = v + a->slot[r] * L + l0;
-            const long long *restrict from = rows + r * L;
-            for (i64 i = 0; i < nb; ++i)
-                to[i] = (elem)from[i];
+        /* a lane that stops on this cycle's done is still observed on it */
+        int active = 0;
+        for (i64 i = 0; i < nb; ++i) {
+            mask[i] = cycle < stop[i] ? 1.0 : 0.0;
+            active |= cycle < stop[i];
+        }
+        if (!active)
+            break;
+#if JOBS
+        if (a->j)
+            drive_jobs(a, v, L, l0, nb);
+        else
+#endif
+        {
+            const long long *rows = a->rows + k * a->n_rows * L + l0;
+            for (i64 r = 0; r < a->n_rows; ++r) {
+                elem *restrict to = v + a->slot[r] * L + l0;
+                const long long *restrict from = rows + r * L;
+                for (i64 i = 0; i < nb; ++i)
+                    to[i] = (elem)from[i];
+            }
         }
         settle_block(v, S, M, W, L, l0, tid, 0);
         for (i64 c = 0; c < a->n_capture; ++c) {
@@ -454,24 +558,23 @@ static void run_block(elem *restrict v, i64 *const *S, i64 *const *M,
             for (i64 i = 0; i < nb; ++i)
                 to[i] = (long long)from[i];
         }
-        for (i64 i = 0; i < nb; ++i)
-            mask[i] = cycle < stop[i] ? 1.0 : 0.0;
+#if JOBS
+        if (a->j)
+            finish_jobs(a, v, M, L, l0, nb, cycle);
+#endif
         observe_block(v, p, l0, cycle, p->trace_row + k, toggles, toggled);
         clock_edge_block(v, S, M, W, L, l0, tid, 0);
     }
 }
 
 void run(elem *restrict v, i64 *const *S, i64 *const *M, i64 *restrict W,
-         i64 L, i64 nt, observe_plan *p, const long long *rows,
-         const long long *slot, i64 n_rows, i64 n_cycles, const long long *stop,
+         i64 L, i64 nt, observe_plan *p, job_plan *j, const long long *rows,
+         const long long *slot, i64 n_rows, i64 n_cycles, long long *stop,
          const long long *capture, i64 n_capture, long long *captured)
 {
-    const run_args a = {p, rows, slot, stop, capture, captured,
+    const run_args a = {p, j, rows, slot, stop, capture, captured,
                         n_rows, n_cycles, n_capture};
     dispatch(run_block, v, S, M, W, L, nt, &a);
-    p->cycles += n_cycles;
-    if (p->trace)
-        p->trace_row += n_cycles;
 }
 """
 
@@ -523,7 +626,8 @@ def generate_c_source(ir: KernelIR) -> str:
         _RUNTIME_PREAMBLE + _OBSERVE_RUNTIME,
     ]
     if has_run(ir):
-        lines.append(_RUN_RUNTIME)
+        # the job handshake compiles only into kernels that can run jobs
+        lines.extend([f"#define JOBS {int(ir.job_handshake)}", _RUN_RUNTIME])
     for index, table in enumerate(ir.tables):
         values = ", ".join(f"{int(value)}LL" for value in table)
         lines.append(f"static const i64 T{index}[{len(table)}] = {{{values}}};")
@@ -636,10 +740,10 @@ def _compile_library(source: str, ir: KernelIR):
     signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
     if has_run(ir):
         signatures.append(
-            f"void run({elem} *, long long **, long long **, long long *, "
-            f"long long, long long, observe_plan *, const long long *, "
-            f"const long long *, long long, long long, const long long *, "
-            f"const long long *, long long, long long *);"
+            f"{_JOB_PLAN}void run({elem} *, long long **, long long **, "
+            f"long long *, long long, long long, observe_plan *, job_plan *, "
+            f"const long long *, const long long *, long long, long long, "
+            f"long long *, const long long *, long long, long long *);"
         )
     ffi.cdef("\n".join(signatures))
     lib = ffi.dlopen(so_path)
@@ -737,12 +841,13 @@ class NativeKernel:
             )
         return self._ffi.cast(_C_ARRAY_TYPES[array.dtype.str], array.ctypes.data)
 
-    def observe_plan(self, **fields):
-        """A C ``observe_plan`` for :meth:`observe`: integer counts and arrays.
+    def plan(self, kind: str, **fields):
+        """A C ``observe_plan`` (for :meth:`observe` and :meth:`run`) or
+        ``job_plan`` (for :meth:`run`): integer counts and arrays.
 
         Array fields become pointers; the caller keeps the arrays alive.
         """
-        plan = self._ffi.new("observe_plan *")
+        plan = self._ffi.new(f"{kind} *")
         for name, value in fields.items():
             setattr(plan, name, self.c_array(value) if isinstance(value, np.ndarray)
                     else value)
@@ -752,37 +857,53 @@ class NativeKernel:
         """One cycle of the plan's power macromodels over every lane."""
         self._lib.observe(self._v_pointer(v), plan)
 
-    def run(self, v: np.ndarray, plan, rows: np.ndarray, slots: np.ndarray,
-            stop: np.ndarray, n_threads: int, capture: np.ndarray,
-            captured: np.ndarray) -> None:
-        """``len(rows)`` whole cycles over every lane, in one call.
+    def run(self, v: np.ndarray, plan, n_cycles: int, rows: np.ndarray,
+            slots: np.ndarray, stop: np.ndarray, n_threads: int,
+            capture: np.ndarray, captured: np.ndarray, jobs=None) -> int:
+        """Up to ``n_cycles`` whole cycles over every lane, in one call.
 
-        Each cycle writes ``rows[k]`` (``(n_rows, lanes)`` int64) into the
-        store rows ``slots``, settles, copies the store rows ``capture`` to
-        ``captured[k]`` (``(>= cycles, len(capture), lanes)`` int64; an
-        empty ``capture`` copies nothing), runs the plan's macromodels with
-        lane ``l`` masked in while ``plan.cycles < stop[l]``, and clocks.  The
-        plan needs one ``toggles``/``toggled`` stripe per worker
-        (:func:`worker_count` of ``n_threads`` and the lane count).
+        Each cycle writes input rows into the store rows ``slots``: a
+        stream's ``rows[k]`` (``(>= n_cycles, n_rows, lanes)`` int64), or,
+        with a ``job_plan`` ``jobs``, lane ``l``'s row of its current job
+        (``rows`` is ``(jobs + 1, n_rows, lanes)``) and its start pulse.  It
+        settles, copies the store rows ``capture`` to ``captured[k]`` (``(>=
+        cycles, len(capture), lanes)`` int64; an empty ``capture`` copies
+        nothing), handles the jobs' done events (which may lower ``stop``
+        in place), runs the plan's macromodels with lane ``l`` masked in
+        while ``plan.cycles < stop[l]``, and clocks.  The plan needs one
+        ``toggles``/``toggled`` stripe per worker (:func:`worker_count` of
+        ``n_threads`` and the lane count).  Returns the cycles run: fewer
+        than ``n_cycles`` once every lane has stopped.
         """
+        if jobs is not None and not self.ir.job_handshake:
+            raise ValueError("run got a job plan, but this kernel's module has "
+                             "no start/done handshake")
         n_rows = len(slots)
         lanes = v.shape[1]
         if (rows.ndim != 3 or rows.shape[1:] != (n_rows, lanes)
-                or stop.shape != (lanes,)):
+                or jobs is None and len(rows) < n_cycles
+                or stop.shape != (lanes,) or not stop.flags["WRITEABLE"]):
             raise ValueError(
-                f"run needs (cycles, {n_rows}, {lanes}) input rows and "
-                f"({lanes},) stops, got {rows.shape} and {stop.shape}"
+                f"run needs (>= {n_cycles}, {n_rows}, {lanes}) input rows and "
+                f"writable ({lanes},) stops, got {rows.shape} and {stop.shape}"
             )
         n_capture = len(capture)
         if (captured.ndim != 3 or captured.shape[1:] != (n_capture, lanes)
-                or len(captured) < len(rows)
+                or len(captured) < n_cycles
                 or n_capture and not 0 <= capture.min() <= capture.max() < len(v)):
             raise ValueError(
                 f"run needs store rows below {len(v)} to capture and a "
-                f"(>= {len(rows)}, {n_capture}, {lanes}) capture buffer, got "
+                f"(>= {n_cycles}, {n_capture}, {lanes}) capture buffer, got "
                 f"{capture.tolist()} and {captured.shape}"
             )
         self._lib.run(*self._threaded(v, n_threads), plan,
-                      self.c_array(rows), self.c_array(slots), n_rows, len(rows),
+                      self._ffi.NULL if jobs is None else jobs,
+                      self.c_array(rows), self.c_array(slots), n_rows, n_cycles,
                       self.c_array(stop), self.c_array(capture), n_capture,
                       self.c_array(captured))
+        # each block ran up to its lanes' last stop: the longest one, the run
+        ran = min(n_cycles, max(0, int(stop.max(initial=0)) - plan.cycles))
+        plan.cycles += ran
+        if plan.trace:
+            plan.trace_row += ran
+        return ran

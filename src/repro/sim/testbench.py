@@ -108,13 +108,16 @@ class LaneLoop:
     :class:`~repro.sim.batch.LaneView` — O(lanes) Python calls per cycle,
     the path for testbenches that declare no lane form of their own.
 
-    A lane form whose inputs and stop cycles are known up front can also
-    run to completion on a native kernel: it offers ``n_cycles`` (its last
-    cycle), ``slots`` and ``rows_at(cycle)`` (its input rows, as
+    A lane form whose inputs are known up front can also run to completion
+    on a native kernel: it offers ``n_cycles`` (its last cycle, or one per
+    lane), ``slots`` and ``rows_at(cycle)`` (its input rows, as
     :meth:`repro.stim.driver.BatchStimulusDriver.rows_at` returns them),
-    ``capture`` (the store rows its check reads, an int64 array) and
-    ``check_rows(first_cycle, captured, stop)``, which checks a segment of
-    captured rows.  ``capture`` is ``None`` on a form that cannot.
+    ``capture`` (the store rows its check reads each cycle, an int64
+    array), ``jobs`` (``None``, or the kernel's job handshake state: then
+    ``rows_at`` returns one row per job, and the kernel stops each lane
+    after its last job) and ``check_rows(first_cycle, captured, stop)``,
+    which checks a segment of captured rows.  ``capture`` is ``None`` on a
+    form that cannot.
     """
 
     #: reported as the lane reports' ``stimulus_driver`` note

@@ -43,6 +43,8 @@ class BatchStimulusDriver:
     name = "array"
     #: a stimulus spec checks no output: nothing to capture
     capture = np.zeros(0, dtype=np.int64)
+    #: a stream of rows, one per cycle: no job handshake
+    jobs = None
 
     def __init__(
         self,

@@ -151,6 +151,34 @@ def rtl_result():
     return estimate(RunSpec(design=DESIGN, engine="rtl", seed=3, max_cycles=CYCLES))
 
 
+def test_one_shot_estimates_share_the_observe_plan(monkeypatch):
+    """Each one-shot ``estimate`` builds its own seed library, but the seed
+    models are shared per technology, so the second call reuses the first
+    call's observe plan; each library still counts its own lookups."""
+    from repro.designs.registry import build_flat
+    from repro.power import block
+    from repro.power.library import build_seed_library
+
+    built = []
+
+    class Counting(block.ObservePlan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(block, "ObservePlan", Counting)
+    monkeypatch.setattr(block, "_PLANS", type(block._PLANS)())
+    spec = RunSpec(design="DCT", engine="rtl", seed=2, max_cycles=CYCLES)
+    first, second = estimate(spec), estimate(spec)
+    assert len(built) == 1
+    assert (dataclasses.replace(first.report, estimation_time_s=0.0)
+            == dataclasses.replace(second.report, estimation_time_s=0.0))
+    libraries = build_seed_library(), build_seed_library()
+    component = next(iter(build_flat("DCT").components.values()))
+    assert libraries[0].lookup(component) is libraries[1].lookup(component)
+    assert [(lib.hits, lib.misses) for lib in libraries] == [(0, 1), (0, 1)]
+
+
 def test_adapters_satisfy_protocol():
     for engine, cls in (("rtl", RTLEstimatorAdapter),
                         ("gate", GateLevelEstimatorAdapter),
