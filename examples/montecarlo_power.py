@@ -69,10 +69,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lanes", type=int, default=DEFAULT_LANES,
                         help="independent stimulus seeds (one lane each)")
-    parser.add_argument("--kernel-backend", default="auto",
+    parser.add_argument("--kernel-backend", default=None,
                         choices=("auto", "native", "off"),
                         help="fused lane-kernel backend; 'native' compiles "
-                             "the cycle into C (recommended at 8192+ lanes)")
+                             "the cycle into C first (recommended at 8192+ "
+                             "lanes), 'auto' runs 'off' while it compiles "
+                             "(default: $REPRO_KERNEL_BACKEND, else auto)")
     parser.add_argument("--kernel-threads", default=None,
                         help="native-kernel worker threads per settle/edge "
                              "('auto' = scale with cores and lanes; results "
@@ -102,7 +104,7 @@ def main() -> None:
     print(f"{n_lanes} lanes x {N_CYCLES} cycles in {elapsed:.2f} s "
           f"({n_lanes * N_CYCLES / elapsed:,.0f} lane-cycles/s, "
           f"stimulus driver: {reports[0].notes['stimulus_driver']}, "
-          f"kernel backend: {estimator.last_kernel_backend}, "
+          f"kernel: {estimator.last_kernel_decision}, "
           f"threads: {estimator.last_kernel_threads})")
     print()
     print(f"average power over {n_lanes} seeds (mW):")

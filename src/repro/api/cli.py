@@ -85,10 +85,12 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="cycle budget (default: the testbench's own)")
     parser.add_argument("--backend", choices=BACKENDS, default="auto",
                         help="simulation backend (default auto; batch = lane path)")
-    parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS, default="auto",
+    parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS, default=None,
                         help="fused lane-kernel backend for batch execution "
                              "(native = C via cffi, off = per-op dispatch; "
-                             "auto = native when a C compiler exists, else off)")
+                             "auto = off while the C kernel compiles in the "
+                             "background, then native; default: "
+                             "$REPRO_KERNEL_BACKEND, else auto)")
     parser.add_argument("--kernel-threads", type=_parse_kernel_threads,
                         default=None, metavar="N",
                         help="native-kernel worker threads across lane blocks "
@@ -833,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     cha.add_argument("--pairs", type=int, default=150,
                      help="training vector pairs per component")
     cha.add_argument("--seed", type=int, default=2005)
-    cha.add_argument("--kernel-backend", default="auto",
+    cha.add_argument("--kernel-backend", default=None,
                      choices=KERNEL_BACKENDS,
                      help="fused settle kernel for the gate-level reference "
                           "simulation (native = C via cffi)")

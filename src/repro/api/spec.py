@@ -23,11 +23,12 @@ from repro.power.profile import PowerProfile
 from repro.power.report import PowerReport
 #: lane-kernel backends selectable by ``RunSpec.kernel_backend`` (the fused
 #: settle/clock-edge kernels of :mod:`repro.sim.kernels`; only consulted on
-#: the batch lane path — ``auto`` = ``native`` when a C compiler is found,
-#: else ``off``; ``native`` = C via cffi, falling back to ``off`` without a
-#: working toolchain; ``off`` = per-op NumPy dispatch); re-exported from the
-#: kernels package so the list cannot drift
-from repro.sim.kernels import KERNEL_BACKENDS
+#: the batch lane path — ``auto`` = ``off`` while the C kernel compiles in
+#: the background, then ``native``, or ``off`` throughout when no C compiler
+#: is found; ``native`` = C via cffi, compiled first, falling back to
+#: ``off`` without a working toolchain; ``off`` = per-op NumPy dispatch);
+#: re-exported from the kernels package so the list cannot drift
+from repro.sim.kernels import KERNEL_BACKENDS, resolve_kernel_backend
 from repro.stim.spec import StimulusSpec
 
 #: engines selectable by ``RunSpec.engine``
@@ -110,8 +111,9 @@ class RunSpec:
     stimulus: Optional[StimulusSpec] = None
     max_cycles: Optional[int] = None
     backend: str = "auto"
-    #: fused lane-kernel backend for batch execution (see KERNEL_BACKENDS)
-    kernel_backend: str = "auto"
+    #: fused lane-kernel backend for batch execution (see KERNEL_BACKENDS;
+    #: ``None`` = the ``REPRO_KERNEL_BACKEND`` env, else ``auto``)
+    kernel_backend: Optional[str] = None
     #: native-kernel worker count for batch execution (``None`` = the
     #: ``REPRO_KERNEL_THREADS`` env / ``auto`` = one worker);
     #: any count is bit-identical — this is purely a throughput knob
@@ -149,11 +151,8 @@ class RunSpec:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {', '.join(BACKENDS)}"
             )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; expected one "
-                f"of {', '.join(KERNEL_BACKENDS)}"
-            )
+        object.__setattr__(self, "kernel_backend",
+                           resolve_kernel_backend(self.kernel_backend))
         if self.kernel_threads is not None and self.kernel_threads < 1:
             raise ValueError(
                 f"kernel_threads must be >= 1 (or None for auto), got "
@@ -299,8 +298,9 @@ class SweepSpec:
     seeds: Tuple[int, ...] = (0,)
     max_cycles: Optional[int] = None
     backend: str = "auto"
-    #: fused lane-kernel backend for multi-seed batch groups
-    kernel_backend: str = "auto"
+    #: fused lane-kernel backend for multi-seed batch groups (``None`` =
+    #: the ``REPRO_KERNEL_BACKEND`` env, else ``auto``)
+    kernel_backend: Optional[str] = None
     #: native-kernel worker count for multi-seed batch groups (None = auto)
     kernel_threads: Optional[int] = None
     library: str = "seed"
@@ -335,11 +335,8 @@ class SweepSpec:
                 raise ValueError(
                     f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
                 )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; expected one "
-                f"of {', '.join(KERNEL_BACKENDS)}"
-            )
+        object.__setattr__(self, "kernel_backend",
+                           resolve_kernel_backend(self.kernel_backend))
         if self.kernel_threads is not None and self.kernel_threads < 1:
             raise ValueError(
                 f"kernel_threads must be >= 1 (or None for auto), got "

@@ -222,6 +222,8 @@ class BlockEvaluator:
         self._values: list = []
         self._generic_energy: list = []
         self._masks: list = []
+        #: cycles pushed so far
+        self.cycles = 0
         self._last: Optional[np.ndarray] = None
         self._totals = np.zeros((self.n_components, n_lanes))
         self._peak = np.zeros(n_lanes)
@@ -232,6 +234,7 @@ class BlockEvaluator:
         """Record one cycle; evaluates the block once it is full."""
         self._values.append(values)
         self._generic_energy.append(generic_energy)
+        self.cycles += 1
         if active is not None:
             self._masks.append(active)
         if len(self._values) >= self.block_cycles:
@@ -325,6 +328,13 @@ class NativeEvaluator:
     :meth:`run` hands whole segments of cycles to the kernel's ``run``
     entry point instead (drive, settle, observe and clock edge of each lane
     block in one C call).
+
+    It continues ``block`` where that stopped: a run that starts on the
+    block evaluator (``auto`` while its kernel compiles) hands over at a
+    cycle boundary.  The block is flushed, and its state seeds this one:
+    the last cycle's values (the next toggles' reference), the running
+    totals, the peak, the cycle trace so far, the cycle count and the cycle
+    up to which the collectors were fed.  A fresh block seeds nothing.
     """
 
     def __init__(self, block: BlockEvaluator, kernel, rows: np.ndarray) -> None:
@@ -358,13 +368,21 @@ class NativeEvaluator:
         #: workers the toggle scratch has one stripe each for
         self._workers = 0
         self._scratch_for(1)
-        # the cycle trace fills fixed-size chunks, one row per cycle
+        # the cycle trace fills fixed-size chunks, one row per cycle, after
+        # the block's rows
         self._trace: List[np.ndarray] = []
         self._trace_rows = max(1, BLOCK_ELEMENTS // self._padded)
         self._filled = self._trace_rows
-        self.cycles = 0
-        # the collectors see the running totals at each window boundary
-        self._fed = 0
+        block.flush()
+        self._prefix = block.cycle_trace() if block.keep_cycle_trace else None
+        self.cycles = self._plan.cycles = block.cycles
+        if block._last is not None:
+            self._arrays["previous"][:, :lanes] = block._last
+        self._running[:, :lanes] = block._totals
+        self._peak[:lanes] = block._peak
+        # the collectors see the running totals at each window boundary;
+        # the block fed them up to its last cycle
+        self._fed = self.cycles
         self._feed_at = self._next_feed()
 
     def _scratch_for(self, n_threads: int) -> None:
@@ -467,7 +485,8 @@ class NativeEvaluator:
 
     def cycle_trace(self) -> np.ndarray:
         """``(cycles, lanes)`` total energy per cycle (needs ``keep_cycle_trace``)."""
-        if not self._trace:
-            return np.zeros((0, self.n_lanes))
-        rows = self._trace[:-1] + [self._trace[-1][:self._filled]]
-        return np.concatenate(rows)[:, :self.n_lanes]
+        rows = [self._prefix] if self._prefix is not None else []
+        if self._trace:
+            rows += [trace[:, :self.n_lanes] for trace in self._trace[:-1]]
+            rows.append(self._trace[-1][:self._filled, :self.n_lanes])
+        return np.concatenate(rows) if rows else np.zeros((0, self.n_lanes))

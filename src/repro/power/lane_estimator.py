@@ -49,6 +49,18 @@ segment's captured rows (a job form verifies the jobs done in it).  Its
 wall time is ``phase_s["run_s"]``, with the observe time inside it, so
 ``macromodel_eval_s`` reads ~0 on such a run.  The ``off`` backend,
 per-lane testbench loops and generic components keep the per-cycle loop.
+
+On the ``auto`` backend a block whose kernel is still compiling starts on
+the per-cycle loop over the NumPy program and polls the compile at each
+cycle boundary (:meth:`~repro.sim.batch.BatchSimulator.poll_kernel`).  Once
+the kernel is bound, it settles and clocks the same store from that cycle
+on, and the observer moves to it (:meth:`_MacromodelObserver.tier_up`): the
+block evaluator is flushed and its state seeds the native one.  A lane form
+that can run to completion continues the same call fused from that cycle; a
+job form, lowered only on a kernel, keeps the per-cycle loop for the rest of
+the call.  Every lane's results equal a pure ``off`` or ``native`` run's
+whatever cycle the kernel arrives at, and ``metadata["kernel_decision"]``
+names that cycle (``auto -> native from cycle 37``).
 """
 
 from __future__ import annotations
@@ -102,14 +114,22 @@ class _MacromodelObserver:
         ]
         self._previous: Optional[list] = None
         #: which evaluator runs the macromodels: "native" or "block"
-        native = simulator.kernel is not None and not block.generic
-        self.evaluator = "native" if native else "block"
-        if native:
-            self.block = NativeEvaluator(block, simulator.kernel, rows)
-            self._rows = None  # the kernel reads the store itself
-        else:
-            self.block = block
-            self._rows = rows
+        self.evaluator = "block"
+        self.block = block
+        self._rows = rows
+        if simulator.kernel is not None:
+            self.tier_up(simulator.kernel)
+
+    def tier_up(self, kernel) -> bool:
+        """Evaluate on ``kernel`` from the next cycle on, continuing the
+        block evaluator's results (a block with a generic component stays on
+        it); returns whether the native evaluator runs now."""
+        if self.block.generic:
+            return False
+        self.block = NativeEvaluator(self.block, kernel, self._rows)
+        self._rows = None  # the kernel reads the store itself
+        self.evaluator = "native"
+        return True
 
     @staticmethod
     def _port_value(v: np.ndarray, rows) -> np.ndarray:
@@ -241,9 +261,6 @@ class BatchRTLPowerEstimator:
                 kernel_threads=self.kernel_threads,
             )
         build_s = time.perf_counter() - start
-        self.last_kernel_backend = simulator.kernel_backend
-        self.last_kernel_decision = simulator.kernel_decision
-        self.last_kernel_threads = simulator.kernel_threads
 
         limits = [
             max_cycles if max_cycles is not None else tb.max_cycles
@@ -276,7 +293,6 @@ class BatchRTLPowerEstimator:
                 lanes_of.setdefault(key, []).append(lane)
         observer = _MacromodelObserver(
             self.monitored, simulator, any(keep), collectors.values())
-        self.last_macromodel_eval = observer.evaluator
         v = simulator._v
         #: the cycle each lane stops at: its budget until it finishes
         stop = np.array([
@@ -289,44 +305,20 @@ class BatchRTLPowerEstimator:
 
         # one span for the whole loop — never per cycle; the observer's and
         # the lane form's shares are accumulated with clock reads per cycle
-        fused = observer.evaluator == "native" and lanes.capture is not None
-        sim_span = obs.span(
-            "lanes.simulate", module=self.module.name, n_lanes=n_lanes,
-            macromodel_eval=observer.evaluator, fused=fused)
+        sim_span = obs.span("lanes.simulate", module=self.module.name, n_lanes=n_lanes)
         macromodel_s = run_s = 0.0
         clock = time.perf_counter
-        block = observer.block
-        if fused:
-            # run to completion: each segment is one kernel call that
-            # drives, settles, captures the checked outputs, handles the job
-            # handshake, observes and clocks every lane block; the segment's
-            # checks then run over what it captured.  A stream lane stops at
-            # the form's last cycle, known up front; a job lane also stops
-            # on its last done, which the kernel writes into ``stop``
-            np.minimum(stop, lanes.n_cycles, out=stop)
-            # one buffer for every segment's captured rows, sized like a
-            # trace buffer (BLOCK_ELEMENTS lane-cycles per output); no
-            # segment is longer than it
-            captured = np.empty(
-                (min(int(stop.max()), max(1, power_block.BLOCK_ELEMENTS // n_lanes)),
-                 len(lanes.capture), n_lanes), dtype=np.int64)
-            while simulator.cycle < stop.max():
-                cycle = simulator.cycle
-                t0 = clock()
-                rows = lanes.rows_at(cycle)
-                n = min(int(stop.max()) - cycle, len(captured))
-                if lanes.jobs is None:  # a stream segment ends with its rows
-                    n = min(n, len(rows))
-                t1 = clock()
-                n = block.run(v, n, rows, lanes.slots, stop, simulator.kernel_threads,
-                              lanes.capture, captured, lanes.jobs)
-                t2 = clock()
-                lanes.check_rows(cycle, captured[:n], stop)
-                simulator.cycle += n
-                testbench_s += (t1 - t0) + (clock() - t2)
-                run_s += t2 - t1
-        else:
+        fused = observer.evaluator == "native" and lanes.capture is not None
+        if not fused:
             while active.any():
+                # auto's kernel may finish compiling mid-run: from this
+                # cycle on it settles, clocks and observes; a form that can
+                # run to completion continues fused
+                if (simulator.compiling and simulator.poll_kernel()
+                        and observer.tier_up(simulator.kernel)
+                        and lanes.capture is not None):
+                    fused = True
+                    break
                 cycle = simulator.cycle
                 t0 = clock()
                 lanes.drive(cycle, active)
@@ -345,6 +337,37 @@ class BatchRTLPowerEstimator:
                 simulator.cycle += 1
                 stop[finishing] = cycle + 1
                 active = stop > simulator.cycle
+        block = observer.block
+        if fused:
+            # run to completion: each segment is one kernel call that
+            # drives, settles, captures the checked outputs, handles the job
+            # handshake, observes and clocks every lane block; the segment's
+            # checks then run over what it captured.  A stream lane stops at
+            # the form's last cycle, known up front; a job lane also stops
+            # on its last done, which the kernel writes into ``stop``
+            np.minimum(stop, lanes.n_cycles, out=stop)
+            # one buffer for every segment's captured rows, sized like a
+            # trace buffer (BLOCK_ELEMENTS lane-cycles per output); no
+            # segment is longer than it
+            captured = np.empty(
+                (max(1, min(int(stop.max()) - simulator.cycle,
+                            power_block.BLOCK_ELEMENTS // n_lanes)),
+                 len(lanes.capture), n_lanes), dtype=np.int64)
+            while simulator.cycle < stop.max():
+                cycle = simulator.cycle
+                t0 = clock()
+                rows = lanes.rows_at(cycle)
+                n = min(int(stop.max()) - cycle, len(captured))
+                if lanes.jobs is None:  # a stream segment ends with its rows
+                    n = min(n, len(rows))
+                t1 = clock()
+                n = block.run(v, n, rows, lanes.slots, stop, simulator.kernel_threads,
+                              lanes.capture, captured, lanes.jobs)
+                t2 = clock()
+                lanes.check_rows(cycle, captured[:n], stop)
+                simulator.cycle += n
+                testbench_s += (t1 - t0) + (clock() - t2)
+                run_s += t2 - t1
         t_close = clock()
         lanes.close()
         testbench_s += clock() - t_close
@@ -357,7 +380,13 @@ class BatchRTLPowerEstimator:
         block.flush()
         macromodel_s += clock() - t_observe
         elapsed = clock() - start
+        self.last_kernel_backend = simulator.kernel_backend
+        self.last_kernel_decision = simulator.kernel_decision
+        self.last_kernel_threads = simulator.kernel_threads
+        self.last_macromodel_eval = observer.evaluator
         sim_span.set(cycles=simulator.cycle,
+                     macromodel_eval=observer.evaluator, fused=fused,
+                     kernel_decision=simulator.kernel_decision,
                      macromodel_eval_s=round(macromodel_s, 6),
                      testbench_s=round(testbench_s, 6),
                      run_s=round(run_s, 6))

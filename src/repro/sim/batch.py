@@ -50,14 +50,20 @@ changes results — only speed.
 
 ``BatchSimulator(kernel_backend=...)`` selects between the NumPy program and
 the fused C kernel (:mod:`repro.sim.kernels`), with automatic fallback to
-the NumPy program when no C toolchain exists.
+the NumPy program when no C toolchain exists.  Both run one store in place,
+so ``auto`` is tiered: it runs the NumPy program while the program's kernel
+compiles in the background, and binds the kernel at the first cycle
+boundary after the compile has finished (:meth:`BatchSimulator.poll_kernel`).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
+from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add, and_, or_
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -716,6 +722,9 @@ class BatchProgram:
     #: compiled native kernel, shared by simulators over this program (safe:
     #: its state arrays never move)
     _kernel: object = None
+    #: the kernel's compile in flight: ``(pid, future)`` of the process that
+    #: started it (a forked child starts its own)
+    _compile: object = None
 
     def reset_state(self) -> None:
         """Return every lane of every sequential component to its reset state."""
@@ -908,6 +917,67 @@ def compile_module_batch(
 
 
 # ---------------------------------------------------------------------------
+# Native kernels of lane programs.
+# ---------------------------------------------------------------------------
+
+#: guards every program's kernel and the compile in flight for it
+_KERNEL_LOCK = threading.Lock()
+
+
+def _after_fork_in_child() -> None:
+    # the compile worker may have held the lock at the fork
+    global _KERNEL_LOCK
+    _KERNEL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _kernel_build(program: BatchProgram, background: bool) -> Future:
+    """The build of ``program``'s native kernel: done once the kernel is
+    built; else the compile of it in flight in this process (one compile per
+    program: a second request joins it); else a new compile, queued on the
+    background compile worker or, without ``background``, run here and now.
+    The future holds the kernel or the compile's error."""
+    from repro.sim import kernels
+
+    future: Future = Future()
+    with _KERNEL_LOCK:
+        if program._kernel is not None:
+            future.set_result(program._kernel)
+            return future
+        if program._compile is not None and program._compile[0] == os.getpid():
+            return program._compile[1]
+        if background:
+            future = kernels.compile_kernel_async(program.ir, program.n_lanes)
+        program._compile = (os.getpid(), future)
+    future.add_done_callback(partial(_kernel_built, program))
+    if not background:
+        try:
+            future.set_result(kernels.compile_kernel(program.ir, program.n_lanes))
+        except Exception as error:  # the caller's result() raises it
+            future.set_exception(error)
+    return future
+
+
+def _kernel_built(program: BatchProgram, future: Future) -> None:
+    """Keep a finished compile's kernel on its program; a failed one is
+    forgotten, so the next request compiles again."""
+    with _KERNEL_LOCK:
+        if program._compile is not None and program._compile[1] is future:
+            program._compile = None
+        if future.exception() is None:
+            program._kernel = future.result()
+
+
+def _finished_compile(simulator: "BatchSimulator") -> Optional[Future]:
+    """The compile ``auto`` waits for, once it has finished; polled at cycle
+    boundaries (the handover tests replace it to pick the swap cycle)."""
+    future = simulator._compile
+    return future if future.done() else None
+
+
+# ---------------------------------------------------------------------------
 # The batch simulator.
 # ---------------------------------------------------------------------------
 
@@ -960,29 +1030,26 @@ class BatchSimulator:
         self.kernel_fallback: Optional[str] = None
         #: how the backend was chosen (notably what "auto" resolved to and why)
         self.kernel_decision = f"{requested} (requested)"
-        if requested == "auto":
-            if kernels.find_compiler() is not None:
-                requested, why = "native", "C toolchain found"
-            else:
-                requested, why = "off", "no C toolchain"
-            self.kernel_decision = f"auto -> {requested} ({why})"
         #: worker count this simulator's native kernel calls run with (1 for off)
         self.kernel_threads = 1
-        if requested == "native":
+        self._threads = threads
+        #: the kernel compile "auto" runs the NumPy program during, until
+        #: :meth:`poll_kernel` binds its kernel (None: nothing to wait for)
+        self._compile: Optional[Future] = None
+        self.cycle = 0
+        if requested == "auto" and kernels.find_compiler() is None:
+            self.kernel_decision = "auto -> off (no C toolchain)"
+        elif requested == "auto":
+            self._compile = _kernel_build(self.program, background=True)
+            if self.poll_kernel():
+                self.kernel_decision = "auto -> native (kernel ready)"
+            elif self._compile is not None:
+                self.kernel_decision = "auto -> off (native kernel compiling)"
+        elif requested == "native":
             try:
-                if self.program._kernel is None:
-                    self.program._kernel = kernels.compile_kernel(self.program.ir, n_lanes)
+                self._bind(_kernel_build(self.program, background=False).result())
             except kernels.NativeToolchainError as error:
                 self.kernel_fallback = str(error)
-            else:
-                self.kernel = self.program._kernel
-                self.kernel_backend = "native"
-                # lane blocks fan out over OpenMP threads where the kernel
-                # was built with them; any count is bit-identical.  The
-                # kernel is shared by every simulator of this program, so
-                # each call passes this count.
-                self.kernel_threads = threads
-        self.cycle = 0
         self._v = np.zeros((self.program.n_slots, n_lanes), dtype=np.int64)
         slot_of = self.program.slot_of
         limbs_of = self.program.limbs_of
@@ -1099,6 +1166,44 @@ class BatchSimulator:
             net = self.module.nets[net]
         return self._read(self.program.slot_of[net], self.program.limbs_of.get(net, 1))
 
+    # ------------------------------------------------------------- kernels
+    def _bind(self, kernel) -> None:
+        self.kernel = kernel
+        self.kernel_backend = "native"
+        # lane blocks fan out over OpenMP threads where the kernel was built
+        # with them; any count is bit-identical.  The kernel is shared by
+        # every simulator of this program, so each call passes this count.
+        self.kernel_threads = self._threads
+
+    @property
+    def compiling(self) -> bool:
+        """Whether ``auto`` runs the NumPy program while the kernel compiles."""
+        return self._compile is not None
+
+    def poll_kernel(self) -> bool:
+        """Bind the native kernel once ``auto``'s background compile has
+        finished; call it between cycles.  Returns whether it bound the
+        kernel just now.  The kernel runs the same store and holders from
+        the next settle on, so the lanes continue bit for bit.  A failed
+        compile leaves the NumPy program in place and says why in
+        :attr:`kernel_fallback`."""
+        if self._compile is None:
+            return False
+        future = _finished_compile(self)
+        if future is None:
+            return False
+        self._compile = None
+        from repro.sim.kernels import NativeToolchainError
+
+        try:
+            self._bind(future.result())
+        except NativeToolchainError as error:
+            self.kernel_fallback = str(error)
+            self.kernel_decision = "auto -> off (native kernel build failed)"
+            return False
+        self.kernel_decision = f"auto -> native from cycle {self.cycle}"
+        return True
+
     # ------------------------------------------------------------ execution
     def settle(self) -> None:
         """Propagate combinational logic in every lane."""
@@ -1116,8 +1221,10 @@ class BatchSimulator:
 
     def step(self, inputs: Optional[Mapping[str, ArrayLike]] = None, cycles: int = 1) -> None:
         """Advance all lanes by ``cycles`` clock cycles: each cycle drives
-        ``inputs``, settles and clocks, on the kernel when one is bound."""
+        ``inputs``, settles and clocks, on the kernel when one is bound (and
+        binds ``auto``'s kernel once its compile has finished)."""
         for _ in range(cycles):
+            self.poll_kernel()
             if inputs:
                 self.set_inputs(inputs)
             self.settle()

@@ -20,10 +20,23 @@ the same program's state in turn, and a kernel binds its pointers once.
 
 Backend selection (``KERNEL_BACKENDS``):
 
-* ``"auto"``   — the C kernel when a C compiler is found, else plain batch,
-* ``"native"`` — the C kernel; falls back to plain batch when the host has
-  no working toolchain,
+* ``"auto"``   — tiered: the C kernel once it is built, the plain batch
+  path until then.  A program whose kernel is not built yet starts its
+  compile on the one background compile worker
+  (:func:`compile_kernel_async`) and runs on the NumPy program meanwhile;
+  the simulator takes the kernel over at a cycle boundary once the compile
+  has finished (:meth:`~repro.sim.batch.BatchSimulator.poll_kernel`).  Plain
+  batch throughout when no C compiler is found,
+* ``"native"`` — the C kernel, compiled before the first cycle (joining a
+  compile of the same program already in flight); falls back to plain
+  batch when the host has no working toolchain,
 * ``"off"``    — the plain batch path (per-op NumPy dispatch).
+
+Compile jobs queue on the one background worker thread, in order, so
+tiering never runs more than one background compiler at a time.  No
+compiler outlives the process: each runs in its own process group, which
+exit kills and reaps before it removes the build directory, and a forked
+child never waits for its parent's compiles (:mod:`repro.sim.kernels.native`).
 
 The environment variable ``REPRO_KERNEL_BACKEND`` sets the default for every
 :class:`~repro.sim.batch.BatchSimulator` that is not given an explicit
@@ -36,6 +49,9 @@ all and runs per seed on the scalar engine).
 from __future__ import annotations
 
 import os
+import queue
+import threading
+from concurrent.futures import Future
 from typing import Optional, Tuple, Union
 
 from repro import obs
@@ -44,6 +60,7 @@ from repro.sim.kernels.native import (
     BLOCK_LANES,
     NativeKernel,
     NativeToolchainError,
+    arrange_exit_cleanup,
     find_compiler,
     threading_mode,
     worker_count,
@@ -59,7 +76,8 @@ KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 #: process-lifetime count of kernel compilations (every
-#: :func:`compile_kernel` call — per-program caching happens in the caller);
+#: :func:`compile_kernel` and :func:`compile_kernel_async` call — per-program
+#: caching happens in the caller);
 #: the :mod:`repro.serve` coalescer reads this to prove N merged jobs shared
 #: one kernel build.  Lives in the :mod:`repro.obs` registry (labelled by
 #: backend); ``KERNEL_BUILD_COUNT`` stays readable as a module attribute via
@@ -142,12 +160,74 @@ def compile_kernel(ir: KernelIR, n_lanes: int) -> NativeKernel:
     Raises :class:`NativeToolchainError` when the host has no working C
     toolchain — the caller decides what "no kernel" means.
     """
+    _count_build()
+    return _build(ir, n_lanes)
+
+
+def compile_kernel_async(ir: KernelIR, n_lanes: int) -> "Future[NativeKernel]":
+    """:func:`compile_kernel` on the one background compile worker.
+
+    The build is counted (and a fault plan's ``kernel`` fault raised) here,
+    in the caller; the future holds the kernel, or the error the compile
+    raised.  A process that exits while the build is queued or running
+    kills its compiler and removes its files.
+    """
+    _count_build()
+    arrange_exit_cleanup()
+    return _WORKER.submit(_build, ir, n_lanes)
+
+
+def _count_build() -> None:
     from repro.resilience.faults import maybe_inject
 
     maybe_inject("kernel")
     _KERNEL_BUILDS.inc(backend="native")
+
+
+def _build(ir: KernelIR, n_lanes: int) -> NativeKernel:
     with obs.span("kernel.compile", backend="native", n_lanes=n_lanes):
         return NativeKernel(ir, n_lanes)
+
+
+class _CompileWorker:
+    """The process's one background compile thread, started on first use:
+    jobs run one at a time, in the order they were submitted.  A daemon, so
+    exit does not wait for a compile (the native module kills it)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._jobs: Optional[queue.SimpleQueue] = None
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        with self._lock:
+            if self._jobs is None:
+                self._jobs = queue.SimpleQueue()
+                threading.Thread(target=self._serve, args=(self._jobs,),
+                                 name="repro-kernel-compile", daemon=True).start()
+            self._jobs.put((future, fn, args))
+        return future
+
+    @staticmethod
+    def _serve(jobs: queue.SimpleQueue) -> None:
+        while True:
+            future, fn, args = jobs.get()
+            try:
+                future.set_result(fn(*args))
+            except BaseException as error:  # the future carries it to the caller
+                future.set_exception(error)
+
+
+_WORKER = _CompileWorker()
+
+
+def _after_fork_in_child() -> None:
+    # the parent's worker thread does not exist in the child
+    global _WORKER
+    _WORKER = _CompileWorker()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 __all__ = [
@@ -160,6 +240,7 @@ __all__ = [
     "NativeKernel",
     "NativeToolchainError",
     "compile_kernel",
+    "compile_kernel_async",
     "find_compiler",
     "resolve_kernel_backend",
     "resolve_kernel_threads",

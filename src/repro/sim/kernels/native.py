@@ -4,7 +4,12 @@ Prints a :class:`~repro.sim.kernels.ir.KernelIR` as one C translation unit,
 compiles it with the system C compiler (``cc``/``gcc``/``clang``, override
 with ``REPRO_KERNEL_CC``) and binds it through :mod:`cffi` in ABI mode.
 Compiled shared objects are cached per source hash, so every structurally
-identical module compiles exactly once per process.
+identical module compiles exactly once per process, however many threads ask
+for it (``auto``'s background worker and ``native`` callers may build at
+once).  Each compiler runs in its own process group with its temporaries in
+the process's build directory; at exit the process kills and reaps any
+compiler still running before it removes that directory, and a forked child
+builds on its own.
 
 Loop structure: lanes are processed in strip-mined blocks of
 :data:`BLOCK_LANES`; within a block, each IR statement is its own short
@@ -81,12 +86,16 @@ When no C compiler is available, callers fall back to the plain batch path
 from __future__ import annotations
 
 import atexit
+import contextlib
 import hashlib
+import multiprocessing.util
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
-from typing import Dict, List, Optional, Tuple
+import threading
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +134,21 @@ _THREADING_FLAGS = {
 #: probed threading tier of the host toolchain (None = not probed yet)
 _THREADING_MODE: Optional[str] = None
 
+#: guards the build state below (the build directory, the library cache, the
+#: builds and compiler processes in flight); held only briefly, never across
+#: a compile.  Kernels may build on several threads: auto's background
+#: worker and any caller that asks for ``native``
+_LOCK = threading.Lock()
+#: signalled whenever a build leaves the build directory
+_IDLE = threading.Condition(_LOCK)
+#: serializes the threading-tier probe
+_PROBE_LOCK = threading.Lock()
+#: held around the build steps that take a lock of another module (cffi's
+#: parser lock, an import, ``tempfile``'s): fork waits for it, so a child
+#: never inherits such a lock from a thread that does not exist in it.
+#: Compiles run outside it
+_FORK_GUARD = threading.Lock()
+
 
 def threading_mode() -> str:
     """The threading tier the native kernels compile with on this host.
@@ -135,22 +159,22 @@ def threading_mode() -> str:
     global _THREADING_MODE
     if _THREADING_MODE is not None:
         return _THREADING_MODE
-    mode = "serial"
-    compiler = find_compiler()
-    if compiler is not None:
-        directory = _build_dir()
-        c_path = os.path.join(directory, "probe_omp.c")
-        with open(c_path, "w") as handle:
-            handle.write("#include <omp.h>\n"
-                         "int repro_probe(void){return omp_get_max_threads();}\n")
-        result = subprocess.run(
-            [compiler, "-fopenmp", "-fPIC", "-shared", c_path,
-             "-o", os.path.join(directory, "probe_omp.so")],
-            capture_output=True, text=True,
-        )
-        if result.returncode == 0:
-            mode = "omp"
-    _THREADING_MODE = mode
+    with _PROBE_LOCK:
+        if _THREADING_MODE is not None:
+            return _THREADING_MODE
+        mode = "serial"
+        compiler = find_compiler()
+        if compiler is not None:
+            with _in_build_dir() as directory:
+                c_path = os.path.join(directory, "probe_omp.c")
+                with open(c_path, "w") as handle:
+                    handle.write("#include <omp.h>\n"
+                                 "int repro_probe(void){return omp_get_max_threads();}\n")
+                probe = _run_compiler([compiler, "-fopenmp", "-fPIC", "-shared", c_path,
+                                       "-o", os.path.join(directory, "probe_omp.so")])
+                if probe.returncode == 0:
+                    mode = "omp"
+        _THREADING_MODE = mode
     return mode
 
 
@@ -160,20 +184,28 @@ def worker_count(n_threads: int, n_lanes: int) -> int:
     return max(1, min(n_threads, -(-n_lanes // BLOCK_LANES)))
 
 
+#: (REPRO_KERNEL_CC, PATH) -> the compiler found for them
+_COMPILERS: Dict[Tuple[Optional[str], Optional[str]], Optional[str]] = {}
+
+
 def find_compiler() -> Optional[str]:
     """Path of the C compiler to use, or None when the host has none.
 
     ``REPRO_KERNEL_CC`` overrides discovery; pointing it at a nonexistent
     command disables the native backend (useful for testing the fallback).
+    The search runs once per process for each value of ``REPRO_KERNEL_CC``
+    and ``PATH``.
     """
     override = os.environ.get("REPRO_KERNEL_CC")
-    if override:
-        return shutil.which(override)
-    for candidate in ("cc", "gcc", "clang"):
-        path = shutil.which(candidate)
-        if path:
-            return path
-    return None
+    key = (override, os.environ.get("PATH"))
+    if key not in _COMPILERS:
+        found = None
+        for candidate in (override,) if override else ("cc", "gcc", "clang"):
+            found = shutil.which(candidate)
+            if found:
+                break
+        _COMPILERS[key] = found
+    return _COMPILERS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -674,81 +706,196 @@ def generate_c_source(ir: KernelIR) -> str:
 
 #: sha1(source) -> (ffi, dlopened lib); one compile per structure per process
 _LIB_CACHE: Dict[str, Tuple[object, object]] = {}
+#: sha1(source) -> the lock its one build holds; a second caller waits on it
+_BUILDING: Dict[str, threading.Lock] = {}
 _BUILD_DIR: Optional[str] = None
+#: builds inside the build directory now
+_BUSY = 0
+#: compiler processes running now, each the leader of its own process group
+_RUNNING: set = set()
+#: set at exit: no build or compiler starts after it
+_EXITING = False
 
 
-def _build_dir() -> str:
-    global _BUILD_DIR
-    if _BUILD_DIR is None:
-        _BUILD_DIR = tempfile.mkdtemp(prefix="repro-lane-kernels-")
-        atexit.register(shutil.rmtree, _BUILD_DIR, ignore_errors=True)
-    return _BUILD_DIR
+@contextlib.contextmanager
+def _in_build_dir() -> Iterator[str]:
+    """The build directory (made on first use), held while a build writes
+    it: exit removes it only once no build is inside."""
+    global _BUILD_DIR, _BUSY
+    with _LOCK:
+        if _EXITING:
+            raise NativeToolchainError("the process is exiting")
+        if _BUILD_DIR is None:
+            arrange_exit_cleanup()
+            with _FORK_GUARD:
+                _BUILD_DIR = tempfile.mkdtemp(prefix="repro-lane-kernels-")
+        _BUSY += 1
+    try:
+        yield _BUILD_DIR
+    finally:
+        with _LOCK:
+            _BUSY -= 1
+            _IDLE.notify_all()
+
+
+def _run_compiler(args: List[str]) -> subprocess.CompletedProcess:
+    """Run one compiler command to completion, inside the build directory.
+    It leads its own process group, so exit can kill it with every process
+    it started (cc1, as, ld), and keeps its temporary files in the build
+    directory, which exit removes."""
+    with _LOCK:
+        if _EXITING:
+            raise NativeToolchainError("the process is exiting")
+        process = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                   text=True, start_new_session=True,
+                                   env=dict(os.environ, TMPDIR=_BUILD_DIR))
+        _RUNNING.add(process)
+    try:
+        stdout, stderr = process.communicate()
+    finally:
+        with _LOCK:
+            _RUNNING.discard(process)
+    return subprocess.CompletedProcess(args, process.returncode, stdout, stderr)
+
+
+@atexit.register
+def _at_exit() -> None:
+    """Leave no compiler running and no build directory behind: kill every
+    compiler's process group and reap it, wait (bounded) for the builds to
+    leave the directory, then remove it.  Runs at exit (atexit, and the
+    finalizers of a multiprocessing worker); a second run finds nothing
+    left to do."""
+    global _EXITING
+    with _LOCK:
+        _EXITING = True
+        running = list(_RUNNING)
+    for process in running:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    with _IDLE:
+        _IDLE.wait_for(lambda: _BUSY == 0, timeout=10.0)
+        if _BUILD_DIR is not None and _BUSY == 0:
+            shutil.rmtree(_BUILD_DIR, ignore_errors=True)
+
+
+#: the process that registered :func:`_at_exit` as a multiprocessing finalizer
+_CLEANUP_PID: Optional[int] = None
+
+
+def arrange_exit_cleanup() -> None:
+    """Make sure :func:`_at_exit` runs when this process exits, also as a
+    multiprocessing worker, which leaves through ``os._exit``, past atexit,
+    but runs its finalizers.  Call it before a build can start on another
+    thread: exit then either cleans that build up or refuses it."""
+    global _CLEANUP_PID
+    if _CLEANUP_PID != os.getpid():
+        _CLEANUP_PID = os.getpid()
+        multiprocessing.util.Finalize(None, _at_exit, exitpriority=0)
+
+
+def _after_fork_in_child() -> None:
+    """A forked child builds on its own: fresh locks (another thread of the
+    parent may have held one at the fork), no builds or compilers of the
+    parent's to wait for or kill, and a build directory of its own (the
+    parent removes its one).  Libraries already loaded stay usable."""
+    global _LOCK, _IDLE, _PROBE_LOCK, _FORK_GUARD
+    global _BUILDING, _BUILD_DIR, _BUSY, _RUNNING, _EXITING
+    _LOCK = threading.Lock()
+    _IDLE = threading.Condition(_LOCK)
+    _PROBE_LOCK = threading.Lock()
+    _FORK_GUARD = threading.Lock()
+    _BUILDING, _BUILD_DIR, _BUSY, _RUNNING, _EXITING = {}, None, 0, set(), False
+
+
+os.register_at_fork(before=lambda: _FORK_GUARD.acquire(),
+                    after_in_parent=lambda: _FORK_GUARD.release(),
+                    after_in_child=_after_fork_in_child)
 
 
 def _compile_library(source: str, ir: KernelIR):
     mode = threading_mode()
     key = hashlib.sha1(f"{mode}\n{source}".encode()).hexdigest()
-    cached = _LIB_CACHE.get(key)
-    if cached is not None:
-        return cached
+    with _LOCK:
+        cached = _LIB_CACHE.get(key)
+        if cached is not None:
+            return cached
+        building = _BUILDING.setdefault(key, threading.Lock())
+    # one build per source: a caller that finds it in flight waits for it
+    with building:
+        with _LOCK:
+            cached = _LIB_CACHE.get(key)
+        if cached is None:
+            try:
+                cached = _build_library(key, source, ir, mode)
+                with _LOCK:
+                    _LIB_CACHE[key] = cached
+            finally:
+                with _LOCK:
+                    _BUILDING.pop(key, None)
+    return cached
 
+
+def _build_library(key: str, source: str, ir: KernelIR, mode: str):
     compiler = find_compiler()
     if compiler is None:
         raise NativeToolchainError(
             "no C compiler found (set REPRO_KERNEL_CC or install cc/gcc/clang)"
         )
     try:
-        import cffi
+        with _FORK_GUARD:
+            import cffi
     except ImportError as error:  # pragma: no cover - cffi ships with the env
         raise NativeToolchainError(f"cffi unavailable: {error}") from error
 
-    directory = _build_dir()
-    c_path = os.path.join(directory, f"kernel_{key}.c")
-    so_path = os.path.join(directory, f"kernel_{key}.so")
-    with open(c_path, "w") as handle:
-        handle.write(source)
-    # Vectorizing for the host ISA (-march=native -ftree-vectorize) buys
-    # ~1.5-2x at runtime but compile time grows superlinearly with the number
-    # of statement loops, so very large kernels settle for plain -O2 (still
-    # several times faster than the per-op path).  -march=native is safe
-    # here — this is JIT-style host compilation — and the flag-less retry
-    # covers compilers that do not understand it.  Only the generated
-    # statements (and table literals) count against the budget, not the
-    # fixed runtime (block dispatch, observe, run, table_sum).
-    n_generated = sum(map(len, ir.phases.values())) + len(ir.tables)
-    tune = ["-march=native", "-ftree-vectorize"] if n_generated <= _VECTORIZE_MAX_STATEMENTS else []
-    threading_flags = _THREADING_FLAGS[mode]
-    # -ffp-contract=off keeps observe's float operations separately
-    # rounded; it changes nothing in the integer kernel code
-    base = [compiler, "-O2", "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared",
-            *threading_flags, c_path, "-o", so_path]
-    result = subprocess.run(base[:1] + tune + base[1:], capture_output=True, text=True)
-    if result.returncode != 0 and tune:
-        result = subprocess.run(base, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise NativeToolchainError(
-            f"kernel compilation failed ({' '.join(base)}):\n{result.stderr}"
-        )
+    with _in_build_dir() as directory:
+        c_path = os.path.join(directory, f"kernel_{key}.c")
+        so_path = os.path.join(directory, f"kernel_{key}.so")
+        with open(c_path, "w") as handle:
+            handle.write(source)
+        # Vectorizing for the host ISA (-march=native -ftree-vectorize) buys
+        # ~1.5-2x at runtime but compile time grows superlinearly with the number
+        # of statement loops, so very large kernels settle for plain -O2 (still
+        # several times faster than the per-op path).  -march=native is safe
+        # here — this is JIT-style host compilation — and the flag-less retry
+        # covers compilers that do not understand it.  Only the generated
+        # statements (and table literals) count against the budget, not the
+        # fixed runtime (block dispatch, observe, run, table_sum).
+        n_generated = sum(map(len, ir.phases.values())) + len(ir.tables)
+        tune = ["-march=native", "-ftree-vectorize"] if n_generated <= _VECTORIZE_MAX_STATEMENTS else []
+        threading_flags = _THREADING_FLAGS[mode]
+        # -ffp-contract=off keeps observe's float operations separately
+        # rounded; it changes nothing in the integer kernel code
+        base = [compiler, "-O2", "-fwrapv", "-ffp-contract=off", "-fPIC", "-shared",
+                *threading_flags, c_path, "-o", so_path]
+        result = _run_compiler(base[:1] + tune + base[1:])
+        if result.returncode != 0 and tune:
+            result = _run_compiler(base)
+        if result.returncode != 0:
+            raise NativeToolchainError(
+                f"kernel compilation failed ({' '.join(base)}):\n{result.stderr}"
+            )
 
-    ffi = cffi.FFI()
-    elem = _ELEM_TYPES[ir.dtype]
-    signatures = [
-        f"void {name}({elem} *, long long **, long long **, long long *, "
-        f"long long, long long);"
-        for name in ir.phases
-    ]
-    signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
-    if has_run(ir):
-        signatures.append(
-            f"{_JOB_PLAN}void run({elem} *, long long **, long long **, "
-            f"long long *, long long, long long, observe_plan *, job_plan *, "
-            f"const long long *, const long long *, long long, long long, "
-            f"long long *, const long long *, long long, long long *);"
-        )
-    ffi.cdef("\n".join(signatures))
-    lib = ffi.dlopen(so_path)
-    _LIB_CACHE[key] = (ffi, lib)
-    return ffi, lib
+        elem = _ELEM_TYPES[ir.dtype]
+        signatures = [
+            f"void {name}({elem} *, long long **, long long **, long long *, "
+            f"long long, long long);"
+            for name in ir.phases
+        ]
+        signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
+        if has_run(ir):
+            signatures.append(
+                f"{_JOB_PLAN}void run({elem} *, long long **, long long **, "
+                f"long long *, long long, long long, observe_plan *, job_plan *, "
+                f"const long long *, const long long *, long long, long long, "
+                f"long long *, const long long *, long long, long long *);"
+            )
+        with _FORK_GUARD:
+            ffi = cffi.FFI()
+            ffi.cdef("\n".join(signatures))
+            return ffi, ffi.dlopen(so_path)
 
 
 class NativeKernel:

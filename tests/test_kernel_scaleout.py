@@ -424,14 +424,14 @@ def test_serial_tier_runs_every_thread_count_alike(monkeypatch):
     ``-fopenmp``; at 300 lanes (three blocks) its 2-worker calls leave the
     1-worker store, and a fused run at 2 workers gives the ``off`` reports."""
     commands = []
-    run = native.subprocess.run
+    run = native._run_compiler
 
-    def recording(command, *args, **kwargs):
+    def recording(command):
         commands.append(list(command))
-        return run(command, *args, **kwargs)
+        return run(command)
 
     monkeypatch.setattr(native, "threading_mode", lambda: "serial")
-    monkeypatch.setattr(native.subprocess, "run", recording)
+    monkeypatch.setattr(native, "_run_compiler", recording)
     module = get_design("HVPeakF").build()  # fresh: its kernel compiles now
     sequences = _input_sequences(module, np.random.default_rng(29),
                                  n_lanes=N_LANES_WIDE, n_cycles=N_CYCLES)

@@ -466,13 +466,13 @@ def test_kernels_compile_without_fp_contraction(monkeypatch):
     ir = compile_module_batch(build_flat("binary_search"), 1).ir
     native.threading_mode()  # probe outside the recorded calls
     calls = []
-    run = native.subprocess.run
+    run = native._run_compiler
 
-    def recording(command, *args, **kwargs):
+    def recording(command):
         calls.append(list(command))
-        return run(command, *args, **kwargs)
+        return run(command)
 
-    monkeypatch.setattr(native.subprocess, "run", recording)
+    monkeypatch.setattr(native, "_run_compiler", recording)
     source = native.generate_c_source(ir) + "\n/* uncached */\n"
     _, lib = native._compile_library(source, ir)
     assert calls and all("-ffp-contract=off" in command for command in calls)
