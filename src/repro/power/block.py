@@ -31,16 +31,16 @@ What to gather and how to evaluate it depends on the monitored components
 and their models only: :class:`ObservePlan` holds it, built once per module
 (:func:`observe_plan`) and shared by every run's evaluator.
 
-On a native lane kernel a plan without generic components runs in C, once
-per cycle, next to the design (:class:`NativeEvaluator`): every kernel
-carries a design-independent ``observe`` entry point
-(:mod:`repro.sim.kernels.native`) that reads the monitored nets straight
-from the value store, driven by :meth:`ObservePlan.flat`; a generic block
-observes through the :class:`BlockEvaluator`, still settling natively.  A
-spec-driven block goes further: :meth:`NativeEvaluator.run` hands whole
-segments of stimulus to the kernel's ``run`` entry point, which drives,
-settles, observes and clocks each 128-lane block in one call.  Per lane
-both perform flush's float operations in flush's order:
+Bound to a native lane kernel (:meth:`BlockEvaluator.bind`), a plan
+without generic components runs in C instead, next to the design and into
+the same result arrays: every kernel carries a design-independent
+``observe`` entry point (:mod:`repro.sim.kernels.native`) that evaluates
+one cycle straight from the value store, driven by :meth:`ObservePlan.flat`,
+and :meth:`BlockEvaluator.run` hands whole segments to its ``run`` entry
+point, which drives, settles, observes and clocks each 128-lane block in
+one call.  A run that starts on NumPy (``auto`` while its kernel compiles)
+binds at a cycle boundary and carries on, nothing copied.  Per lane the C
+code performs flush's float operations in flush's order:
 
 * a component's energy is its base plus one table lookup per chunk, in
   chunk order;
@@ -49,17 +49,17 @@ both perform flush's float operations in flush's order:
 * each running total adds the cycle's energy (``+=``), cycle after cycle;
 * ``peak = max(peak, total)``.
 
-So totals, peak, trace and profile windows equal the block evaluator's bit
-for bit.  One shortcut changes no output: a chunk whose byte is zero in
-every lane of a 128-lane block is skipped.  It would add ``table[0]``, a
-zero (the C code checks), and adding a zero can at most turn a component's
-``-0.0`` into ``+0.0``; the cycle and running totals start at ``+0.0``, so
-they are never ``-0.0`` and absorb either sign alike.  The kernels compile
-with ``-ffp-contract=off``, so no multiply-add is fused: one would round
-``energy * mask`` and its addition once instead of twice (exact only while
-the mask is 0/1).  The block evaluator stays the path of the ``off`` kernel
-backend, of the scalar estimator and of the gate-level estimator, which
-pushes every energy it computes as a generic one.
+So totals, peak, trace and profile windows are the same bits whichever
+program evaluated which cycles.  One shortcut changes no output: a chunk
+whose byte is zero in every lane of a 128-lane block is skipped.  It would
+add ``table[0]``, a zero (the C code checks), and adding a zero can at most
+turn a component's ``-0.0`` into ``+0.0``; the cycle and running totals
+start at ``+0.0``, so they are never ``-0.0`` and absorb either sign alike.
+The kernels compile with ``-ffp-contract=off``, so no multiply-add is
+fused: one would round ``energy * mask`` and its addition once instead of
+twice (exact only while the mask is 0/1).  The scalar estimator and the
+gate-level estimator (which pushes every energy as a generic one) never
+bind.
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ def observe_plan(module, monitored: Sequence[tuple]) -> ObservePlan:
 
 
 class BlockEvaluator:
-    """Per-cycle energies of ``monitored`` components, evaluated in blocks.
+    """Per-cycle energies of ``monitored`` components: one ledger, evaluated
+    in blocks by NumPy or, once bound to a lane kernel, each cycle in C.
 
     Each cycle :meth:`push` takes the monitored values as ``(n_nets,
     n_lanes)`` (a scalar run is one lane, and may push a tuple of port
@@ -196,6 +197,11 @@ class BlockEvaluator:
     kept until the next flush and must not be mutated.  ``plan`` is the
     prebuilt :class:`ObservePlan` of ``monitored`` (see :func:`observe_plan`),
     or None to build one.
+
+    The results live in the layout the kernel's ``observe_plan`` points at
+    (lane arrays padded to whole blocks of lanes, the cycle trace in
+    chunks), so a kernel bound mid-run (:meth:`bind`) continues them in
+    place.
     """
 
     def __init__(
@@ -224,34 +230,44 @@ class BlockEvaluator:
         self._masks: list = []
         #: cycles pushed so far
         self.cycles = 0
-        self._last: Optional[np.ndarray] = None
-        self._totals = np.zeros((self.n_components, n_lanes))
-        self._peak = np.zeros(n_lanes)
+        padded = self._padded = -(-n_lanes // BLOCK_LANES) * BLOCK_LANES
+        self._previous = np.zeros((len(self.nets), padded), dtype=np.int64)
+        self._running = np.zeros((self.n_components, padded))
+        self._peak = np.zeros(padded)
+        #: cycle-trace chunks, one row per cycle; the last holds ``_filled``
         self._trace: List[np.ndarray] = []
+        self._filled = 0
+        #: the cycle up to which the collectors have the running totals
+        self._fed = 0
+        #: the bound kernel and its C ``observe_plan`` (None: NumPy blocks)
+        self._kernel = self._c_plan = None
 
     # ----------------------------------------------------------- per cycle
     def push(self, values, generic_energy=(), active=None) -> None:
-        """Record one cycle; evaluates the block once it is full."""
+        """Record one cycle; evaluates the block once it is full.  On a bound
+        kernel ``values`` is the whole lane store, evaluated at once."""
+        if self._c_plan is not None:
+            return self._observe(values, active)
         self._values.append(values)
         self._generic_energy.append(generic_energy)
         self.cycles += 1
         if active is not None:
             self._masks.append(active)
         if len(self._values) >= self.block_cycles:
-            self.flush()
+            self._evaluate()
 
     # ----------------------------------------------------------- per block
-    def flush(self) -> None:
+    def _evaluate(self) -> None:
         """Evaluate the pending cycles and fold them into the results."""
-        if not self._values:
-            return
         k, lanes, n_nets = len(self._values), self.n_lanes, len(self.nets)
         current = np.asarray(self._values, dtype="<i8").reshape(k, n_nets, lanes)
         toggles = np.empty_like(current)
         np.bitwise_xor(current[1:], current[:-1], out=toggles[1:])
-        np.bitwise_xor(current[0], current[0] if self._last is None else self._last,
+        # a run's first cycle toggles nothing
+        previous = self._previous[:, :lanes]
+        np.bitwise_xor(current[0], previous if self.cycles > k else current[0],
                        out=toggles[0])
-        self._last = current[-1]
+        previous[...] = current[-1]
 
         # (components, cycles, lanes) in monitored order; a component's
         # energy is its base plus one table lookup per toggle byte, in order
@@ -273,125 +289,82 @@ class BlockEvaluator:
         total = np.zeros((k, lanes))
         for row in energy:
             total += row
-        np.maximum(self._peak, total.max(axis=0), out=self._peak)
+        peak = self._peak[:lanes]
+        np.maximum(peak, total.max(axis=0), out=peak)
         if self.keep_cycle_trace:
             self._trace.append(total)
+            self._filled = k
         # running totals: the previous block's, then the cycles one by one,
         # in order; each collector takes them at its window boundaries,
         # wherever they land in the block, and at the block's last cycle
-        energy[:, 0] += self._totals
+        totals = self._running[:, :lanes]
+        energy[:, 0] += totals
         running = np.add.accumulate(energy, axis=1, out=energy)
-        self._totals = running[:, -1].copy()
+        totals[...] = running[:, -1]
         for collector in self.collectors:
             done = 0
             while done < k:
                 step = min(collector.cycles_to_boundary, k - done)
                 done += step
                 collector.advance(step, running[:, done - 1])
+        self._fed = self.cycles
         self._values.clear()
         self._generic_energy.clear()
         self._masks.clear()
 
-    # ------------------------------------------------------------- results
-    @property
-    def totals(self) -> np.ndarray:
-        """``(n_components, lanes)`` energy per monitored component (fJ)."""
-        self.flush()
-        return self._totals
+    def flush(self) -> None:
+        """Evaluate the pending cycles and hand the cycles since the last
+        window boundary to the collectors."""
+        if self._values:
+            self._evaluate()
+        if self.collectors and self.cycles > self._fed:
+            self._feed()
 
-    @property
-    def peak(self) -> np.ndarray:
-        """``(lanes,)`` largest single-cycle total energy (fJ)."""
-        self.flush()
-        return self._peak
-
-    def cycle_trace(self) -> np.ndarray:
-        """``(cycles, lanes)`` total energy per cycle (needs ``keep_cycle_trace``)."""
-        self.flush()
-        if not self._trace:
-            return np.zeros((0, self.n_lanes))
-        return np.concatenate(self._trace)
-
-
-class NativeEvaluator:
-    """:class:`BlockEvaluator`'s plan evaluated each cycle by a lane kernel.
-
-    Every native lane kernel carries a design-independent ``observe`` entry
-    point (:mod:`repro.sim.kernels.native`); each :meth:`push` runs one cycle
-    of it straight over the kernel's value store, from the block evaluator's
-    plan as flat arrays (:meth:`ObservePlan.flat`).  It performs flush's
-    float operations in flush's order, so totals, peak, cycle trace and
-    profile windows equal the block evaluator's bit for bit.  It evaluates
-    table components only: a plan with a generic component stays on the
-    :class:`BlockEvaluator`.
-
-    :meth:`run` hands whole segments of cycles to the kernel's ``run``
-    entry point instead (drive, settle, observe and clock edge of each lane
-    block in one C call).
-
-    It continues ``block`` where that stopped: a run that starts on the
-    block evaluator (``auto`` while its kernel compiles) hands over at a
-    cycle boundary.  The block is flushed, and its state seeds this one:
-    the last cycle's values (the next toggles' reference), the running
-    totals, the peak, the cycle trace so far, the cycle count and the cycle
-    up to which the collectors were fed.  A fresh block seeds nothing.
-    """
-
-    def __init__(self, block: BlockEvaluator, kernel, rows: np.ndarray) -> None:
-        if block.generic:
+    # ------------------------------------------------------- on the kernel
+    def bind(self, kernel, rows: np.ndarray) -> None:
+        """Evaluate on ``kernel`` from the next cycle on, in C: each
+        :meth:`push` runs one cycle of its ``observe`` entry point, which
+        reads the monitored nets at the store rows ``rows``, and :meth:`run`
+        hands it whole segments.  The pending cycles are evaluated first;
+        the kernel then continues the same totals, peak, previous values,
+        trace and collector feed in place.  Table components only: a plan
+        with a generic component stays on NumPy."""
+        if self.generic:
             raise ValueError("the native observer evaluates table components only")
-        lanes = block.n_lanes
-        self.n_lanes = lanes
-        self.keep_cycle_trace = block.keep_cycle_trace
-        self.collectors = block.collectors
+        self.flush()
+        padded = self._padded
         self._kernel = kernel
         self._rows = np.asarray(rows, dtype=np.int64)
-        self._store: Optional[np.ndarray] = None
-        # the C side's lane arrays are padded to whole blocks of lanes
-        self._padded = -(-lanes // BLOCK_LANES) * BLOCK_LANES
-        self._mask = np.zeros(self._padded)
-        self._running = np.zeros((block.n_components, self._padded))
-        self._peak = np.zeros(self._padded)
-        self._n_nets = n_nets = len(block.nets)
+        self._store = None
+        self._mask = np.zeros(padded)
         #: the arrays the C plan points at, kept alive with it
         self._arrays = dict(
-            block.plan.flat(),
+            self.plan.flat(),
             net_slot=self._rows,
             mask=self._mask,
-            previous=np.zeros((n_nets, self._padded), dtype=np.int64),
+            previous=self._previous,
             running=self._running,
             peak=self._peak,
         )
-        self._plan = kernel.plan(
-            "observe_plan", n_lanes=lanes, n_nets=n_nets,
-            n_components=block.n_components, **self._arrays)
+        self._c_plan = kernel.plan(
+            "observe_plan", n_lanes=self.n_lanes, n_nets=len(self.nets),
+            n_components=self.n_components, cycles=self.cycles, **self._arrays)
         #: workers the toggle scratch has one stripe each for
         self._workers = 0
         self._scratch_for(1)
-        # the cycle trace fills fixed-size chunks, one row per cycle, after
-        # the block's rows
-        self._trace: List[np.ndarray] = []
-        self._trace_rows = max(1, BLOCK_ELEMENTS // self._padded)
-        self._filled = self._trace_rows
-        block.flush()
-        self._prefix = block.cycle_trace() if block.keep_cycle_trace else None
-        self.cycles = self._plan.cycles = block.cycles
-        if block._last is not None:
-            self._arrays["previous"][:, :lanes] = block._last
-        self._running[:, :lanes] = block._totals
-        self._peak[:lanes] = block._peak
-        # the collectors see the running totals at each window boundary;
-        # the block fed them up to its last cycle
-        self._fed = self.cycles
+        # the kernel fills trace chunks of its own, padded like the lanes
+        self._trace_rows = max(1, BLOCK_ELEMENTS // padded)
+        # the collectors take the running totals at each window boundary
         self._feed_at = self._next_feed()
 
     def _scratch_for(self, n_threads: int) -> None:
         """One ``toggles``/``toggled`` stripe per kernel worker."""
         if n_threads > self._workers:
-            for name, shape in (("toggles", (n_threads, self._n_nets, BLOCK_LANES)),
-                                ("toggled", (n_threads, self._n_nets))):
+            n_nets = len(self.nets)
+            for name, shape in (("toggles", (n_threads, n_nets, BLOCK_LANES)),
+                                ("toggled", (n_threads, n_nets))):
                 self._arrays[name] = np.zeros(shape, dtype=np.uint64)
-                setattr(self._plan, name, self._kernel.c_array(self._arrays[name]))
+                setattr(self._c_plan, name, self._kernel.c_array(self._arrays[name]))
             self._workers = n_threads
 
     def _next_feed(self) -> int:
@@ -400,8 +373,9 @@ class NativeEvaluator:
         return self.cycles + min(c.cycles_to_boundary for c in self.collectors)
 
     def _feed(self) -> None:
+        totals = self._running[:, :self.n_lanes]
         for collector in self.collectors:
-            collector.advance(self.cycles - self._fed, self.totals)
+            collector.advance(self.cycles - self._fed, totals)
         self._fed = self.cycles
         self._feed_at = self._next_feed()
 
@@ -417,12 +391,13 @@ class NativeEvaluator:
         self._store = v
 
     def _trace_room(self) -> int:
-        """Rows left in the cycle-trace buffer, opening a new one when full."""
-        if self._filled == self._trace_rows:
+        """Rows left in the kernel's trace chunk, opening a new one when
+        the last chunk is full (or was filled by NumPy)."""
+        if not self._trace or self._filled == len(self._trace[-1]):
             self._trace.append(np.empty((self._trace_rows, self._padded)))
-            self._plan.trace = self._kernel.c_array(self._trace[-1])
-            self._plan.trace_row = self._filled = 0
-        return self._trace_rows - self._filled
+            self._c_plan.trace = self._kernel.c_array(self._trace[-1])
+            self._c_plan.trace_row = self._filled = 0
+        return len(self._trace[-1]) - self._filled
 
     def _advance(self, n: int) -> None:
         self._filled += n
@@ -430,20 +405,21 @@ class NativeEvaluator:
         if self.cycles == self._feed_at:
             self._feed()
 
-    def push(self, v: np.ndarray, active=None) -> None:
-        """Evaluate one cycle of the store ``v`` (``active`` masks lanes)."""
+    def _observe(self, v: np.ndarray, active) -> None:
+        """One cycle of the store ``v`` on the kernel (``active`` masks lanes)."""
         if v is not self._store:
             self._check_store(v)
         self._mask[:self.n_lanes] = 1.0 if active is None else active
         if self.keep_cycle_trace:
             self._trace_room()
-        self._kernel.observe(v, self._plan)
+        self._kernel.observe(v, self._c_plan)
         self._advance(1)
 
     def run(self, v: np.ndarray, n_cycles: int, rows: np.ndarray, slots: np.ndarray,
             stop: np.ndarray, n_threads: int, capture: np.ndarray,
             captured: np.ndarray, jobs=None) -> int:
-        """Simulate and observe up to ``n_cycles`` cycles in one kernel call.
+        """Simulate and observe up to ``n_cycles`` cycles in one call of the
+        bound kernel's ``run``.
 
         ``rows`` is ``(>= n_cycles, len(slots), lanes)`` int64 stimulus,
         written into the store rows ``slots`` cycle by cycle, or, with a
@@ -452,7 +428,7 @@ class NativeEvaluator:
         masked in while its cycle is below ``stop[l]``, which the jobs'
         done events lower in place.  Each cycle's settled store rows
         ``capture`` land in ``captured[k]``.  The segment stops early at the
-        next profile-window boundary, the end of the cycle-trace buffer or
+        next profile-window boundary, the end of the cycle-trace chunk or
         once every lane has stopped; returns the cycles it ran.
         """
         if v is not self._store:
@@ -463,30 +439,30 @@ class NativeEvaluator:
         if self.keep_cycle_trace:
             n = min(n, self._trace_room())
         self._scratch_for(worker_count(n_threads, self.n_lanes))
-        n = self._kernel.run(v, self._plan, n, rows, slots, stop, n_threads,
+        n = self._kernel.run(v, self._c_plan, n, rows, slots, stop, n_threads,
                              capture, captured, jobs)
         self._advance(n)
         return n
 
-    def flush(self) -> None:
-        """Hand the cycles since the last window boundary to the collectors."""
-        if self.collectors and self.cycles > self._fed:
-            self._feed()
-
+    # ------------------------------------------------------------- results
     @property
     def totals(self) -> np.ndarray:
         """``(n_components, lanes)`` energy per monitored component (fJ)."""
+        self.flush()
         return self._running[:, :self.n_lanes]
 
     @property
     def peak(self) -> np.ndarray:
         """``(lanes,)`` largest single-cycle total energy (fJ)."""
+        self.flush()
         return self._peak[:self.n_lanes]
 
     def cycle_trace(self) -> np.ndarray:
         """``(cycles, lanes)`` total energy per cycle (needs ``keep_cycle_trace``)."""
-        rows = [self._prefix] if self._prefix is not None else []
-        if self._trace:
-            rows += [trace[:, :self.n_lanes] for trace in self._trace[:-1]]
-            rows.append(self._trace[-1][:self._filled, :self.n_lanes])
-        return np.concatenate(rows) if rows else np.zeros((0, self.n_lanes))
+        self.flush()
+        if not self._trace:
+            return np.zeros((0, self.n_lanes))
+        lanes = self.n_lanes
+        rows = [chunk[:, :lanes] for chunk in self._trace[:-1]]
+        rows.append(self._trace[-1][:self._filled, :lanes])
+        return np.concatenate(rows)

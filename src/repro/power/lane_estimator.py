@@ -5,16 +5,16 @@ style sweep runs the *same* flat module under N independent stimulus seeds; the
 scalar :class:`~repro.power.rtl_estimator.RTLPowerEstimator` would simulate the
 design N times.  This estimator instead lowers the design once into lane form
 (:mod:`repro.sim.batch`) and advances all N testbenches together — one settle
-per cycle for every lane.  Power observation runs next to the design: on a
-native lane kernel the kernel's own ``observe`` entry point evaluates the
-macromodels in C each cycle, straight from the value store
-(:class:`~repro.power.block.NativeEvaluator`); on the ``off`` backend, and
-for a block with a generic component on either backend, each cycle gathers
-the monitored nets of every lane (one fancy index over the value store) and
-:class:`~repro.power.block.BlockEvaluator` turns a block of cycles into
-per-component energies in one vectorized pass — the evaluator the scalar
-estimator uses.  Both run one plan in one float order, so each
-lane's energies equal a scalar run's bit for bit on either backend.
+per cycle for every lane.  Power observation runs next to the design, into one
+:class:`~repro.power.block.BlockEvaluator` (the evaluator the scalar
+estimator uses).  Bound to a native lane kernel, the kernel's own
+``observe`` entry point evaluates the macromodels into it in C each cycle,
+straight from the value store; on the ``off`` backend, and for a block with
+a generic component on either backend, each cycle gathers the monitored
+nets of every lane (one fancy index over the value store) and the
+evaluator turns a block of cycles into per-component energies in one
+vectorized pass.  Both run one plan in one float order, so each lane's
+energies equal a scalar run's bit for bit on either backend.
 ``_MacromodelObserver.observe`` stays the per-cycle entry point of the
 layer whichever evaluator runs.
 
@@ -40,7 +40,7 @@ the stream's whole run), the next profile-window boundary or the end of
 the cycle-trace buffer — and the kernel drives, settles, captures the
 outputs the lane form checks, runs the job handshake, observes and clocks
 each lane block to the segment's end
-(:meth:`~repro.power.block.NativeEvaluator.run`).  A stream lane stops at
+(:meth:`~repro.power.block.BlockEvaluator.run`).  A stream lane stops at
 its budget or the lane form's last cycle; a job lane also stops on its
 last job's done, which the kernel writes into the lanes' stops, so a lane
 block stops with its last lane, and a segment ends once every lane has
@@ -54,13 +54,15 @@ On the ``auto`` backend a block whose kernel is still compiling starts on
 the per-cycle loop over the NumPy program and polls the compile at each
 cycle boundary (:meth:`~repro.sim.batch.BatchSimulator.poll_kernel`).  Once
 the kernel is bound, it settles and clocks the same store from that cycle
-on, and the observer moves to it (:meth:`_MacromodelObserver.tier_up`): the
-block evaluator is flushed and its state seeds the native one.  A lane form
-that can run to completion continues the same call fused from that cycle; a
-job form, lowered only on a kernel, keeps the per-cycle loop for the rest of
-the call.  Every lane's results equal a pure ``off`` or ``native`` run's
-whatever cycle the kernel arrives at, and ``metadata["kernel_decision"]``
-names that cycle (``auto -> native from cycle 37``).
+on, and the observer binds the kernel to its evaluator
+(:meth:`_MacromodelObserver.tier_up`), which evaluates the pending cycles
+and lets the kernel continue the same arrays.  A lane form that can run to
+completion (the array driver, a stream form, or a job form, whose per-cycle
+loop keeps the job state in the arrays the kernel runs on) continues the
+same call fused from that cycle.  Every lane's results equal a pure
+``off`` or ``native`` run's whatever cycle the kernel arrives at, and
+``metadata["kernel_decision"]`` names that cycle (``auto -> native from
+cycle 37``).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from repro import obs
 from repro.netlist.module import Module
 from repro.power.library import PowerModelLibrary
 from repro.power import block as power_block
-from repro.power.block import BlockEvaluator, NativeEvaluator, observe_plan
+from repro.power.block import BlockEvaluator, observe_plan
 from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyCollector
 from repro.power.report import PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
@@ -86,14 +88,14 @@ from repro.sim.testbench import Testbench, lane_form
 class _MacromodelObserver:
     """Per-cycle power observation of every lane: the layer's entry point.
 
-    On a native lane kernel, with no generic component, a
-    :class:`~repro.power.block.NativeEvaluator` evaluates the components in
-    C each cycle, straight from the value store (``evaluator ==
-    "native"``); otherwise each cycle gathers the monitored nets with one
-    fancy index over the store, ``evaluate_lanes`` runs here for the generic
-    components (limb-store ports assembled into exact Python ints), and a
-    :class:`~repro.power.block.BlockEvaluator` evaluates a block of cycles
-    at a time (``"block"``).  :attr:`block` holds the results.
+    :attr:`block`, a :class:`~repro.power.block.BlockEvaluator`, holds the
+    results.  Bound to a native lane kernel, with no generic component, it
+    evaluates the components in C each cycle, straight from the value store
+    (``evaluator == "native"``); otherwise each cycle gathers the monitored
+    nets with one fancy index over the store, ``evaluate_lanes`` runs here
+    for the generic components (limb-store ports assembled into exact
+    Python ints), and the evaluator takes a block of cycles at a time
+    (``"block"``).
     """
 
     def __init__(self, monitored, simulator: BatchSimulator,
@@ -121,13 +123,12 @@ class _MacromodelObserver:
             self.tier_up(simulator.kernel)
 
     def tier_up(self, kernel) -> bool:
-        """Evaluate on ``kernel`` from the next cycle on, continuing the
-        block evaluator's results (a block with a generic component stays on
-        it); returns whether the native evaluator runs now."""
+        """Evaluate on ``kernel`` from the next cycle on, into the same
+        results (a block with a generic component stays on NumPy); returns
+        whether the kernel evaluates now."""
         if self.block.generic:
             return False
-        self.block = NativeEvaluator(self.block, kernel, self._rows)
-        self._rows = None  # the kernel reads the store itself
+        self.block.bind(kernel, self._rows)
         self.evaluator = "native"
         return True
 
@@ -141,8 +142,8 @@ class _MacromodelObserver:
 
     def observe(self, v: np.ndarray, active_f: np.ndarray) -> None:
         """Record this cycle's monitored values (``active_f`` masks lanes)."""
-        if self._rows is None:
-            return self.block.push(v, active_f)
+        if self.evaluator == "native":  # the kernel reads the store itself
+            return self.block.push(v, (), active_f)
         generic = []
         if self._generic:
             currents = [

@@ -828,6 +828,11 @@ def __getattr__(name: str) -> int:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: serializes :func:`compile_module_batch`'s cache lookups and builds, so
+#: threads asking for one module's program at once get one program
+_PROGRAM_LOCK = threading.Lock()
+
+
 def _cache(module: Module, entry: tuple) -> None:
     try:
         _BATCH_CACHE[module] = entry
@@ -856,64 +861,65 @@ def compile_module_batch(
             f"bits; lane programs hold nets of up to MAX_LIMB_WIDTH = "
             f"{MAX_LIMB_WIDTH} bits"
         )
-    if schedule is None:
-        schedule = schedule_for(module)
-    key = module_mutation_key(module)
-    cached = _BATCH_CACHE.get(module)
-    if cached is not None and cached[0] == key and cached[1] is schedule:
-        if cached[2] is None:  # refused at any lane count
-            raise BatchCompilationError(cached[3])
-        if cached[2] == n_lanes:
-            return cached[3]
-    build_span = obs.span("program.build", module=module.name, n_lanes=n_lanes)
+    with _PROGRAM_LOCK:
+        if schedule is None:
+            schedule = schedule_for(module)
+        key = module_mutation_key(module)
+        cached = _BATCH_CACHE.get(module)
+        if cached is not None and cached[0] == key and cached[1] is schedule:
+            if cached[2] is None:  # refused at any lane count
+                raise BatchCompilationError(cached[3])
+            if cached[2] == n_lanes:
+                return cached[3]
+        build_span = obs.span("program.build", module=module.name, n_lanes=n_lanes)
 
-    # wide nets (61..240 bits) take ceil(width / 60) consecutive limb slots
-    slot_of: Dict[Net, int] = {}
-    limbs_of: Dict[Net, int] = {}
-    n_slots = 0
-    for net in module.nets.values():
-        slot_of[net] = n_slots
-        n_limbs = _limb_count(net.width)
-        if n_limbs > 1:
-            limbs_of[net] = n_limbs
-        n_slots += n_limbs
-    try:
-        em, holders = _lower_lanes(module, schedule, slot_of, limbs_of, n_slots, n_lanes)
-        # the start/done ports a job testbench (repro.sim.declarative) drives
-        ports = module.ports
-        em.kb.ir.job_handshake = (
-            "start" in ports and not ports["start"].is_output
-            and "done" in ports and ports["done"].is_output)
-        source, namespace = numpy_source(em.kb.ir)
-        namespace.update(_lidx=np.arange(n_lanes), __builtins__={})
-        exec(compile(source, f"<batch:{module.name}>", "exec"), namespace)
-    except Exception as error:
-        build_span.set(error=type(error).__name__)
+        # wide nets (61..240 bits) take ceil(width / 60) consecutive limb slots
+        slot_of: Dict[Net, int] = {}
+        limbs_of: Dict[Net, int] = {}
+        n_slots = 0
+        for net in module.nets.values():
+            slot_of[net] = n_slots
+            n_limbs = _limb_count(net.width)
+            if n_limbs > 1:
+                limbs_of[net] = n_limbs
+            n_slots += n_limbs
+        try:
+            em, holders = _lower_lanes(module, schedule, slot_of, limbs_of, n_slots, n_lanes)
+            # the start/done ports a job testbench (repro.sim.declarative) drives
+            ports = module.ports
+            em.kb.ir.job_handshake = (
+                "start" in ports and not ports["start"].is_output
+                and "done" in ports and ports["done"].is_output)
+            source, namespace = numpy_source(em.kb.ir)
+            namespace.update(_lidx=np.arange(n_lanes), __builtins__={})
+            exec(compile(source, f"<batch:{module.name}>", "exec"), namespace)
+        except Exception as error:
+            build_span.set(error=type(error).__name__)
+            build_span.end()
+            if isinstance(error, BatchCompilationError):
+                _cache(module, (key, schedule, None, str(error)))
+                raise
+            raise BatchCompilationError(
+                f"failed to batch-compile module {module.name!r}: {error}"
+            ) from error
+
+        program = BatchProgram(
+            n_slots=n_slots,
+            n_lanes=n_lanes,
+            slot_of=slot_of,
+            limbs_of=limbs_of,
+            settle=namespace["_settle"],
+            clock_edge=namespace["_clock_edge"],
+            source=source,
+            n_fused=em.n_fused,
+            ir=em.kb.ir,
+            holders=holders,
+        )
+        _cache(module, (key, schedule, n_lanes, program))
+        _PROGRAM_BUILDS.inc()
+        build_span.set(n_fused=em.n_fused)
         build_span.end()
-        if isinstance(error, BatchCompilationError):
-            _cache(module, (key, schedule, None, str(error)))
-            raise
-        raise BatchCompilationError(
-            f"failed to batch-compile module {module.name!r}: {error}"
-        ) from error
-
-    program = BatchProgram(
-        n_slots=n_slots,
-        n_lanes=n_lanes,
-        slot_of=slot_of,
-        limbs_of=limbs_of,
-        settle=namespace["_settle"],
-        clock_edge=namespace["_clock_edge"],
-        source=source,
-        n_fused=em.n_fused,
-        ir=em.kb.ir,
-        holders=holders,
-    )
-    _cache(module, (key, schedule, n_lanes, program))
-    _PROGRAM_BUILDS.inc()
-    build_span.set(n_fused=em.n_fused)
-    build_span.end()
-    return program
+        return program
 
 
 # ---------------------------------------------------------------------------
@@ -925,9 +931,10 @@ _KERNEL_LOCK = threading.Lock()
 
 
 def _after_fork_in_child() -> None:
-    # the compile worker may have held the lock at the fork
-    global _KERNEL_LOCK
+    # another thread may have held a lock at the fork
+    global _KERNEL_LOCK, _PROGRAM_LOCK
     _KERNEL_LOCK = threading.Lock()
+    _PROGRAM_LOCK = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_after_fork_in_child)
@@ -1019,8 +1026,7 @@ class BatchSimulator:
         threads = kernels.resolve_kernel_threads(kernel_threads)
         self.module = module
         self.n_lanes = n_lanes
-        self.schedule = schedule if schedule is not None else schedule_for(module)
-        self.program = compile_module_batch(module, n_lanes, self.schedule)
+        self.program = compile_module_batch(module, n_lanes, schedule)
         #: the fused kernel executing settle/clock_edge, or None (plain batch)
         self.kernel: Optional["kernels.NativeKernel"] = None
         #: resolved kernel backend actually in effect ("native"/"off")

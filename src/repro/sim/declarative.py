@@ -16,14 +16,12 @@ one declaration:
   and the per-cycle loop writes one cycle's rows and checks one cycle with
   the same check.
 * :class:`JobsTestbench` runs a list of jobs through a ``start``/``done``
-  handshake, with per-job input values and memory preloads.  A native lane
-  block runs it to completion too: the jobs lower once to per-job input
-  rows and preload words, the kernel's ``run`` drives the handshake as
-  per-lane state and records each done job's outputs and memories, and
-  each segment's records are verified afterwards in the loop's order.  The
-  per-cycle loop (the ``off`` backend) drives the ``start`` row, reads the
-  ``done`` row and does per-lane work only on the rare done events: verify
-  the job, load the next one.
+  handshake, with per-job input values and memory preloads.  Its lane form
+  lowers the jobs once to per-job input rows, preload words and per-lane
+  job state that records each done job's outputs and memories.  A native
+  lane block runs it to completion too (the kernel's ``run`` drives the
+  handshake), the per-cycle loop runs the same handshake in NumPy over the
+  same state, and either way the records are verified in the loop's order.
 
 Lane-form memory preloads write the lane memory holder's ``(depth, lanes)``
 array (:class:`~repro.sim.batch.LaneMemoryState`) directly: every memory of
@@ -397,31 +395,20 @@ class _SimulatorResults:
         return [memory.read_word(offset + i) for i in range(count)]
 
 
-class _LaneResults:
-    """A job's results as one lane of a lane block holds them."""
-
-    def __init__(self, lanes: "_JobLanes", lane: int) -> None:
-        self.lanes = lanes
-        self.lane = lane
-
-    def output(self, name: str) -> int:
-        return int(self.lanes.simulator.get_output(name)[self.lane])
-
-    def memory(self, suffix: str, count: int, offset: int = 0) -> List[int]:
-        holder, _ = self.lanes.holder(suffix)
-        return holder.mem[offset:offset + count, self.lane].tolist()
-
-
 class _RecordResults:
-    """A job's results as the kernel recorded them on its done cycle: every
-    output, then the whole of every memory."""
+    """A job's results as recorded on its done cycle: every output, one
+    entry per limb, then the whole of every memory."""
 
     def __init__(self, lanes: "_JobLanes", record: np.ndarray) -> None:
         self.lanes = lanes
         self.record = record
 
     def output(self, name: str) -> int:
-        return int(self.record[self.lanes._output_at[name]])
+        at, n_limbs = self.lanes._output_at[name]
+        value = 0
+        for k, limb in enumerate(self.record[at:at + n_limbs].tolist()):
+            value |= limb << (LIMB_BITS * k)
+        return value
 
     def memory(self, suffix: str, count: int, offset: int = 0) -> List[int]:
         holder, _ = self.lanes.holder(suffix)
@@ -432,20 +419,19 @@ class _RecordResults:
 class _JobLanes:
     """Lane form of a block of one :class:`JobsTestbench` type.
 
-    On a native kernel the lanes' jobs lower once into kernel state
-    (:attr:`jobs`, a C ``job_plan``): a ``(jobs + 1, input rows, lanes)``
-    table of the inputs held while each job runs (:meth:`rows_at`), each
-    ``(lane, job)``'s preload words, and per lane its job index, start
-    pulse and started flag.  The kernel's ``run`` then drives the handshake
-    itself and, on each done, records the outputs, every memory and the
-    cycle; :meth:`check_rows` verifies a segment's records afterwards, in
-    the per-cycle loop's order (done cycle, then lane).
-
-    On the ``off`` backend, the per-cycle loop: one read of the ``done``
-    row, and one ``start`` row write while a pulse is due.  Per-lane Python
-    runs only on done events, and on the cycle after one, to drive the next
-    job's inputs.  Either way the lanes' job indices and check counts live
-    on their own testbenches, as in a scalar run.
+    The jobs lower once into job state both lane programs run on: a
+    ``(jobs + 1, input rows, lanes)`` table of the inputs held while each
+    job runs (:meth:`rows_at`), each ``(lane, job)``'s preload words, per
+    lane its job index, start pulse and started flag, and per ``(lane,
+    job)`` the record its done writes (every output, one entry per limb,
+    then every memory, whole) and the done cycle.  A native kernel's
+    ``run`` drives the handshake over these arrays through a C ``job_plan``
+    (:attr:`jobs`); the per-cycle loop runs its ``drive_jobs`` and
+    ``finish_jobs`` in NumPy over them (:meth:`drive`, :meth:`check`), so
+    a block whose kernel arrives mid-run continues fused where the loop
+    stopped.  :meth:`check_rows` verifies the records in the loop's order
+    (done cycle, then lane); job indices and check counts live on the
+    lanes' own testbenches, as in a scalar run.
     """
 
     name = "jobs"
@@ -454,22 +440,12 @@ class _JobLanes:
         self.testbenches = list(testbenches)
         self.simulator = simulator
         self._holders: Dict[str, Tuple[LaneMemoryState, int]] = {}
-        n = len(self.testbenches)
-        self._started = np.zeros(n, dtype=bool)
-        self._finished = np.array([tb.n_jobs == 0 for tb in self.testbenches])
-        #: lanes whose job inputs (and start pulse) the next drive writes
-        self._refresh = list(range(n))
-        self._pulsing = False
-        for lane, testbench in enumerate(self.testbenches):
+        for testbench in self.testbenches:
             testbench._restart()
-            if testbench.n_jobs:
-                self._load(lane, testbench)
-        #: run to completion (see the class docstring): the per-cycle
-        #: capture rows (none: done events record their own) and the kernel's
-        #: job state; None when the per-cycle loop runs
-        self.capture = self.jobs = None
-        if simulator.kernel is not None:
-            self._lower()
+        #: no per-cycle capture rows: each done records its own
+        self.capture = np.zeros(0, dtype=np.int64)
+        self._job_plan = None
+        self._lower()
 
     def holder(self, suffix: str) -> Tuple[LaneMemoryState, int]:
         """A memory's per-lane storage holder and its word mask."""
@@ -479,51 +455,59 @@ class _JobLanes:
             self._holders[suffix] = (holder, (1 << component.width) - 1)
         return self._holders[suffix]
 
-    def _load(self, lane: int, testbench: JobsTestbench) -> None:
-        for suffix, offset, words in testbench.job_memories(testbench._job):
-            holder, mask = self.holder(suffix)
-            holder.mem[offset:offset + len(words), lane] = (
-                np.asarray(words, dtype=np.int64) & mask)
-
-    # ------------------------------------------------------ run to completion
     def _lower(self) -> None:
-        """The jobs as kernel state; leaves the loop in place when a preload
-        falls outside its memory (the loop raises there) or an output is a
-        limb-store port."""
-        simulator, kernel = self.simulator, self.simulator.kernel
+        """The job state (see the class docstring), with every lane's first
+        job loaded; a preload outside its memory raises here."""
+        simulator = self.simulator
         port_limbs, outputs = simulator._port_limbs, simulator._output_keys
-        if any(port_limbs[port] > 1 for port in outputs):
-            return
-        memories = kernel.ir.mem_arrays()
+        self._memories = memories = simulator.program.ir.mem_arrays()
         index_of = {id(array): index for index, array in enumerate(memories)}
         n_lanes = len(self.testbenches)
         n_jobs = np.array([tb.n_jobs for tb in self.testbenches], dtype=np.int64)
-        top = int(n_jobs.max())
+        top = self._top = int(n_jobs.max())
 
-        # preloads of jobs 1.. (job 0's are loaded), as (memory, address,
-        # word) entries in write order, (lane, job) by (lane, job)
-        preload_at, entries = [0], []
-        for testbench in self.testbenches:
+        # each (lane, job)'s preloads as (memory, offset, masked words),
+        # (lane, job) by (lane, job), checked here; the kernel takes them as
+        # (memory, address, word) entries in write order
+        self._preloads: List[list] = []
+        preload_at = [0]
+        for lane, testbench in enumerate(self.testbenches):
             for job in range(top):
+                loads = []
                 for suffix, offset, words in (testbench.job_memories(job)
-                                              if 0 < job < testbench.n_jobs else ()):
+                                              if job < testbench.n_jobs else ()):
                     holder, mask = self.holder(suffix)
                     if not 0 <= offset <= offset + len(words) <= len(holder.mem):
-                        return
-                    index = index_of[id(holder.mem)]
-                    entries.extend((index, offset + k, int(word) & mask)
-                                   for k, word in enumerate(words))
-                preload_at.append(len(entries))
-        preloads = np.array(entries, dtype=np.int64).reshape(-1, 3).T.copy()
+                        raise ValueError(
+                            f"lane {lane} job {job}: {len(words)} preload words at "
+                            f"offset {offset} fall outside memory {suffix!r} of "
+                            f"depth {len(holder.mem)}")
+                    loads.append((index_of[id(holder.mem)], offset,
+                                  np.asarray(words, dtype=np.int64) & mask))
+                self._preloads.append(loads)
+                preload_at.append(preload_at[-1] + sum(len(load[2]) for load in loads))
+        loads = [load for lane_job in self._preloads for load in lane_job]
+        lengths = np.array([len(words) for _, _, words in loads], dtype=np.int64)
+        preload_mem = np.repeat(np.array([m for m, _, _ in loads], dtype=np.int64), lengths)
+        # word k of a load goes to the load's offset + k
+        firsts = np.cumsum(lengths) - lengths
+        preload_addr = np.arange(int(lengths.sum())) + np.repeat(
+            np.array([o for _, o, _ in loads], dtype=np.int64) - firsts, lengths)
+        preload_word = np.concatenate([np.zeros(0, dtype=np.int64)] + [w for *_, w in loads])
 
-        # the record of a done: every output, then every memory, whole
-        self._output_at = {port: k for k, port in enumerate(outputs)}
+        # the record of a done: every output, one entry per limb, then
+        # every memory, whole
+        output_slot: List[int] = []
+        self._output_at: Dict[str, Tuple[int, int]] = {}
+        for port, slot in outputs.items():
+            self._output_at[port] = (len(output_slot), port_limbs[port])
+            output_slot.extend(range(slot, slot + port_limbs[port]))
         mem_depth = np.array([len(array) for array in memories], dtype=np.int64)
-        starts = len(outputs) + np.cumsum(mem_depth) - mem_depth
+        starts = len(output_slot) + np.cumsum(mem_depth) - mem_depth
         #: id of a memory's lane array -> (its start in a record, its depth)
         self._memory_at = {id(array): (int(start), len(array))
                            for array, start in zip(memories, starts)}
-        width = len(outputs) + int(mem_depth.sum())
+        width = len(output_slot) + int(mem_depth.sum())
 
         # the inputs each lane holds while job j runs: the job's values over
         # the ones held before (the loop drives job j's inputs and leaves the
@@ -551,63 +535,102 @@ class _JobLanes:
             row += port_limbs[port]
 
         self.n_cycles = np.where(n_jobs > 0, np.iinfo(np.int64).max, 1)
-        self._record = np.zeros((n_lanes, top, width), dtype=np.int64)
-        self._done_cycle = np.full((n_lanes, top), -1, dtype=np.int64)
-        #: the arrays the C job plan points at, kept alive with it
+        self._start_slot = simulator._input_port(START)[0]
+        self._done_slot = outputs[DONE]
+        self._lanes = np.arange(n_lanes)
+        #: the arrays the handshake runs on, in either program; the C job
+        #: plan points at them
         self._arrays = dict(
             n_jobs=n_jobs,
             job=np.zeros(n_lanes, dtype=np.int64),
             pulse=(n_jobs > 0).astype(np.int64),
             started=np.zeros(n_lanes, dtype=np.int64),
             preload_at=np.array(preload_at, dtype=np.int64),
-            preload_mem=preloads[0], preload_addr=preloads[1], preload_word=preloads[2],
-            output_slot=np.array(list(outputs.values()), dtype=np.int64),
+            preload_mem=preload_mem, preload_addr=preload_addr, preload_word=preload_word,
+            output_slot=np.array(output_slot, dtype=np.int64),
             mem_depth=mem_depth,
-            record=self._record,
-            done_cycle=self._done_cycle,
+            record=np.zeros((n_lanes, top, width), dtype=np.int64),
+            done_cycle=np.full((n_lanes, top), -1, dtype=np.int64),
         )
-        self.jobs = kernel.plan(
-            "job_plan", start_slot=simulator._input_port(START)[0],
-            done_slot=outputs[DONE], n_jobs_max=top, n_outputs=len(outputs),
-            n_mems=len(memories), width=width, **self._arrays)
-        self.capture = np.zeros(0, dtype=np.int64)
+        #: whether the next drive writes the inputs and start pulses
+        self._dirty = True
+        for lane in np.flatnonzero(n_jobs).tolist():
+            self._preload(lane, 0)
+
+    def _preload(self, lane: int, job: int) -> None:
+        for memory, offset, words in self._preloads[lane * self._top + job]:
+            self._memories[memory][offset:offset + len(words), lane] = words
+
+    # ------------------------------------------------------ run to completion
+    @property
+    def jobs(self):
+        """The job state as a C ``job_plan`` of the simulator's kernel,
+        pointing at the same arrays (built on first use, once the kernel is
+        bound)."""
+        if self._job_plan is None:
+            arrays = self._arrays
+            self._job_plan = self.simulator.kernel.plan(
+                "job_plan", start_slot=self._start_slot, done_slot=self._done_slot,
+                n_jobs_max=self._top,
+                n_outputs=len(arrays["output_slot"]), n_mems=len(self._memories),
+                width=arrays["record"].shape[2], **arrays)
+        return self._job_plan
 
     def rows_at(self, cycle: int) -> np.ndarray:
-        """The input rows of every job, whatever the cycle: the kernel picks
-        each lane's row by its job."""
+        """The input rows of every job, whatever the cycle: each lane's row
+        is picked by its job."""
         return self.rows
 
-    def check_rows(self, first_cycle: int, captured: np.ndarray, stop: np.ndarray) -> None:
+    def check_rows(self, first_cycle: int, captured, stop) -> None:
         """Verify the jobs done from ``first_cycle`` on, from their records,
         in the loop's order: done cycle, then lane."""
-        lanes, jobs = np.nonzero(self._done_cycle >= first_cycle)
-        cycles = self._done_cycle[lanes, jobs]
+        done_cycle = self._arrays["done_cycle"]
+        lanes, jobs = np.nonzero(done_cycle >= first_cycle)
+        cycles = done_cycle[lanes, jobs]
+        record = self._arrays["record"]
         for k in np.lexsort((lanes, cycles)).tolist():
             lane, job = int(lanes[k]), int(jobs[k])
-            self._verify(lane, int(cycles[k]), _RecordResults(self, self._record[lane, job]))
+            self._verify(lane, int(cycles[k]), _RecordResults(self, record[lane, job]))
 
     # ------------------------------------------------------- per-cycle loop
     def drive(self, cycle: int, active: np.ndarray) -> None:
-        if self._refresh:
-            start = np.zeros(len(self.testbenches), dtype=np.int64)
-            for lane in self._refresh:
-                testbench = self.testbenches[lane]
-                self.simulator.set_lane_inputs(lane, testbench.job_inputs(testbench._job))
-                start[lane] = testbench._job < testbench.n_jobs
-            self._refresh = []
-            self.simulator.set_input(START, start)
-            self._started |= start != 0
-            self._pulsing = True
-        elif self._pulsing:
-            self.simulator.set_input(START, 0)
-            self._pulsing = False
+        """The kernel's ``drive_jobs``: every lane's current job inputs and
+        start pulse, written when a job changed and on the cycle after a
+        pulse (the rows are the same in between)."""
+        if not self._dirty:
+            return
+        v, arrays = self.simulator._v, self._arrays
+        v[self.slots] = self.rows[arrays["job"], :, self._lanes].T
+        pulse = arrays["pulse"]
+        v[self._start_slot] = pulse
+        arrays["started"] |= pulse
+        self._dirty = bool(pulse.any())
+        pulse[:] = 0
 
     def check(self, cycle: int, active: np.ndarray) -> np.ndarray:
-        done = self.simulator.get_output(DONE)
-        if done.any():
-            for lane in np.flatnonzero((done != 0) & active & self._started).tolist():
-                self._complete(lane, cycle)
-        return self._finished
+        """The kernel's ``finish_jobs``: record the jobs done on this settled
+        cycle, load and arm each lane's next job, then verify the records;
+        returns the lanes past their last job."""
+        arrays, v = self._arrays, self.simulator._v
+        done = v[self._done_slot] != 0
+        lanes = np.flatnonzero(done & active & (arrays["started"] != 0)) if done.any() else ()
+        if len(lanes):
+            jobs = arrays["job"][lanes]
+            record = arrays["record"]
+            record[lanes, jobs, :len(arrays["output_slot"])] = v[arrays["output_slot"]][:, lanes].T
+            for memory in self._memories:
+                start, depth = self._memory_at[id(memory)]
+                record[lanes, jobs, start:start + depth] = memory[:, lanes].T
+            arrays["done_cycle"][lanes, jobs] = cycle
+            arrays["started"][lanes] = 0
+            arrays["job"][lanes] = jobs + 1
+            for lane, job in zip(lanes.tolist(), (jobs + 1).tolist()):
+                if job < arrays["n_jobs"][lane]:
+                    self._preload(lane, job)
+                    arrays["pulse"][lane] = 1
+            self._dirty = True
+            self.check_rows(cycle, None, None)
+        return arrays["job"] >= arrays["n_jobs"]
 
     def _verify(self, lane: int, cycle: int, results) -> None:
         """Verify the lane's current job and count it."""
@@ -619,16 +642,6 @@ class _JobLanes:
             raise AssertionError(f"lane {lane} cycle {cycle}: job {job}: {error}") from None
         testbench._checked += 1
         testbench._job += 1
-
-    def _complete(self, lane: int, cycle: int) -> None:
-        self._verify(lane, cycle, _LaneResults(self, lane))
-        testbench = self.testbenches[lane]
-        self._started[lane] = False
-        if testbench._job < testbench.n_jobs:
-            self._load(lane, testbench)
-            self._refresh.append(lane)
-        else:
-            self._finished[lane] = True
 
     def close(self) -> None:
         return None

@@ -15,8 +15,10 @@ store:
    compiler and called through cffi (cached per source hash).
 
 Both printers write one int64 store in place: value rows, state rows and
-memories are allocated once, so the NumPy program and the C kernel can run
-the same program's state in turn, and a kernel binds its pointers once.
+memories are allocated once, as are a lane block's power results
+(:class:`~repro.power.block.BlockEvaluator`) and a job testbench's job
+state, so the NumPy program and the C kernel run the same state in turn
+and a kernel binds its pointers once, also when it arrives mid-run.
 
 Backend selection (``KERNEL_BACKENDS``):
 

@@ -39,7 +39,7 @@ Every translation unit also carries fixed, design-independent entry points:
   (``observe_block`` per lane block), read straight from the value store as
   the kernel's element type and driven by an ``observe_plan`` struct of
   flat arrays taken from :meth:`repro.power.block.ObservePlan.flat`
-  (:class:`~repro.power.block.NativeEvaluator` fills it in), table
+  (a bound :class:`~repro.power.block.BlockEvaluator` fills it in), table
   components only: the plan carries no generic energies.  It runs serially
   and performs the block evaluator's float operations in its order (see
   :mod:`repro.power.block`), so its doubles are identical to the NumPy
@@ -333,8 +333,8 @@ static void dispatch(block_fn fn, elem *restrict v, i64 *const *S,
 """
 
 #: the plan the ``observe`` and ``run`` entry points evaluate, filled in by
-#: :class:`repro.power.block.NativeEvaluator` from the block evaluator's
-#: flat plan; shared verbatim by the C source and the cffi declarations
+#: a bound :class:`repro.power.block.BlockEvaluator` over its own result
+#: arrays; shared verbatim by the C source and the cffi declarations
 _OBSERVE_PLAN = """\
 typedef struct {
     long long n_lanes, n_nets, n_components, cycles, trace_row;
@@ -439,8 +439,9 @@ void observe(const elem *restrict v, observe_plan *p)
 }
 """
 
-#: the job handshake of a run over a job testbench's lanes, filled in by
-#: :class:`repro.sim.declarative._JobLanes`; shared verbatim by the C source
+#: the job handshake of a run over a job testbench's lanes, pointing at
+#: :class:`repro.sim.declarative._JobLanes`'s job state (whose per-cycle
+#: loop runs the same handshake in NumPy); shared verbatim by the C source
 #: and the cffi declarations.  Per lane: the job it runs, whether its
 #: ``start`` pulse is due this cycle and whether its job has started; per
 #: ``(lane, job)``: the preload words written into the memories when the

@@ -3,16 +3,20 @@
 A native lane block of a :class:`~repro.sim.declarative.JobsTestbench`
 hands the ``start``/``done`` handshake, the job inputs and the memory
 preloads to the kernel's ``run`` entry point and verifies each segment's
-done records afterwards.  The contract checked
-here: reports (cycle traces included), profiles, check counts,
-``captured()`` values and mismatch text are ``==`` to the ``off``
-per-cycle loop's, whatever the lane count, thread count and budget, and a
-segment is one kernel call with no per-cycle settle, clock edge or observe.
+done records afterwards; the ``off`` per-cycle loop runs the same
+handshake in NumPy over the same job state.  The contract checked here:
+reports (cycle traces included), profiles, check counts, ``captured()``
+values and mismatch text are ``==`` between the two, whatever the lane
+count, thread count and budget, and equal to per-seed runs of the scalar
+testbench on the scalar compiled engine (an independent reference); a
+segment is one kernel call with no per-cycle settle, clock edge or
+observe.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import Counter
 
 import numpy as np
@@ -20,10 +24,12 @@ import pytest
 
 from repro.designs import binary_search, ispq
 from repro.designs.registry import build_flat, get_design
-from repro.power import ProfileConfig
+from repro.netlist.builder import NetlistBuilder
+from repro.power import ProfileConfig, RTLPowerEstimator
 from repro.power import block as power_block
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.sim.batch import compile_module_batch
+from repro.sim.declarative import JobsTestbench
 from repro.sim.kernels import compile_kernel, find_compiler, native
 
 needs_cc = pytest.mark.skipif(find_compiler() is None, reason="no C compiler on this host")
@@ -67,12 +73,40 @@ def _registry_lanes(design_name, n_lanes, budgets=None):
     return testbenches
 
 
-def _assert_fused_equals_loop(module, make, thread_counts):
+def _scalar_runs(module, testbenches, lanes):
+    """Lanes ``lanes`` of a block, each run alone on the scalar compiled
+    engine: report signature, profile and captured values."""
+    runs = []
+    for lane in lanes:
+        estimator = RTLPowerEstimator(module)
+        report = estimator.estimate(testbenches[lane], profile=PROFILES[lane % len(PROFILES)])
+        testbench = testbenches[lane]
+        runs.append((_signature(report), _profile(estimator.last_profile),
+                     (testbench.captured(), testbench._checked, testbench._job)))
+    return runs
+
+
+def _signature(report):
+    return (report.cycles, report.total_energy_fj, report.peak_power_mw,
+            {name: c.energy_fj for name, c in report.components.items()},
+            list(report.cycle_energy_fj))
+
+
+def _profile(profile):
+    return None if profile is None else (profile.window_cycles, profile.energy_fj)
+
+
+def _assert_fused_equals_loop(module, make, thread_counts, fused=True):
     want = _lane_run(module, make(), "off")[:3]
     assert any(r.cycle_energy_fj for r in want[0])
+    # every budget kind, and the block's last lane, against scalar runs
+    lanes = sorted({*range(min(6, len(want[0]))), len(want[0]) - 1})
+    assert _scalar_runs(module, make(), lanes) == [
+        (_signature(want[0][lane]), _profile(want[1][lane]), want[2][lane])
+        for lane in lanes]
     for n_threads in thread_counts:
         *got, estimator = _lane_run(module, make(), "native", n_threads)
-        assert "run_s" in estimator.last_phase_s  # the fused path ran
+        assert ("run_s" in estimator.last_phase_s) == fused  # the fused path ran
         assert got[0] == want[0], n_threads
         assert got[1] == want[1], n_threads
         assert got[2] == want[2], n_threads
@@ -144,6 +178,90 @@ def test_fused_job_mismatch_raises_the_loops_text(n_lanes):
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0].startswith("lane 2 cycle ")
     assert ": job 1: block 1: dequant mismatch" in outcomes[0][0]
+
+
+@pytest.mark.parametrize("backend", ("off", pytest.param("native", marks=needs_cc)))
+@pytest.mark.parametrize("offset", (-1, 1))
+def test_job_preloads_outside_their_memory_raise_when_lowered(backend, offset):
+    """A preload that starts below 0 or runs past its memory's depth raises
+    before any cycle runs, on either backend, naming where it is."""
+    testbenches = _registry_lanes("Ispq", 3)
+    memories = testbenches[2].job_memories
+    testbenches[2].job_memories = lambda job: [
+        (suffix, offset if job == 1 else start, words) for suffix, start, words in memories(job)]
+    estimator = BatchRTLPowerEstimator(build_flat("Ispq"), kernel_backend=backend)
+    message = (f"lane 2 job 1: 64 preload words at offset {offset} fall outside "
+               f"memory 'in_mem' of depth 64")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimator.estimate_all(testbenches)
+    assert [tb._checked for tb in testbenches] == [0, 0, 0]
+
+
+#: the generated job module's wide ports: two limbs of the lane store
+WIDE = 70
+STAMP = (1 << 69) | 12345
+
+
+def _wide_job_module(adder: bool):
+    """A start/done module with limb-store outputs: ``echo`` passes the
+    70-bit job input ``key`` through and ``stamp`` is a 70-bit constant
+    (so every monitored component is narrow); with ``adder``, a 70-bit
+    adder, a generic power component, also drives ``sum``.  A job is done
+    ``steps`` cycles after its start."""
+    b = NetlistBuilder("wide_job")
+    start = b.input("start", 1)
+    key = b.input("key", WIDE)
+    steps = b.input("steps", 3)
+    busy = b.register("reg_busy", 1)
+    count = b.register("reg_count", 3)
+    idle = b.eq(count, 0)
+    b.drive("reg_busy", d=b.mux(start, b.and_(busy, b.not_(idle)), 1))
+    b.drive("reg_count", d=b.mux(start, b.mux(idle, b.sub(count, 1), count), steps))
+    b.output("done", b.and_(busy, idle))
+    b.output("echo", key)
+    b.output("stamp", b.const(STAMP, WIDE))
+    if adder:
+        b.output("sum", b.add(key, b.const(STAMP, WIDE)))
+    return b.build()
+
+
+class _WideJobs(JobsTestbench):
+    """Jobs of the generated wide module: each checks its wide outputs."""
+
+    def __init__(self, keys, steps, adder: bool) -> None:
+        super().__init__(len(keys), "wide_job_tb")
+        self.keys, self.steps, self.adder = keys, steps, adder
+        self.max_cycles = 10 * max(1, len(keys))
+
+    def job_inputs(self, job):
+        return {"key": self.keys[job], "steps": self.steps[job]} if job < self.n_jobs else {}
+
+    def verify(self, job, dut) -> None:
+        echo = dut.output("echo")
+        assert echo == self.keys[job], f"echo {echo:#x}, expected {self.keys[job]:#x}"
+        assert dut.output("stamp") == STAMP
+        if self.adder:
+            assert dut.output("sum") == (self.keys[job] + STAMP) % (1 << WIDE)
+        self.capture(f"echo {job}", echo)
+
+
+@needs_cc
+@pytest.mark.parametrize("adder", (False, True))
+def test_limb_store_job_outputs(adder):
+    """Job outputs on limb-store ports are recorded one entry per limb and
+    assembled when verified: with narrow monitored components the block
+    runs fused; the generic 70-bit adder keeps the per-cycle loop."""
+    module = _wide_job_module(adder)
+
+    def make():
+        rng = random.Random(7)
+        return [_WideJobs([rng.getrandbits(WIDE) for _ in range(lane % 4)],
+                          [rng.randrange(8) for _ in range(lane % 4)], adder)
+                for lane in range(9)]
+
+    assert {tb.n_jobs for tb in make()} == {0, 1, 2, 3}
+    assert any(key >> 60 for tb in make() for key in tb.keys)
+    _assert_fused_equals_loop(module, make, (1,), fused=not adder)
 
 
 class _Spy:

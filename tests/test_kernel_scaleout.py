@@ -45,7 +45,6 @@ from repro.power import (
     characterize_many,
 )
 from repro.power import block as power_block
-from repro.power import lane_estimator
 from repro.power.lane_estimator import BatchRTLPowerEstimator
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.sim import BatchSimulator, Simulator, declarative
@@ -373,13 +372,13 @@ def test_kernel_calls_cap_workers_at_the_lane_block_count(monkeypatch):
     simulator and estimator keep the count they were given.  The library is
     faked before the huge count is used, so no C code runs with it."""
     evaluators = []
+    bind = power_block.BlockEvaluator.bind
 
-    class Recording(power_block.NativeEvaluator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            evaluators.append(self)
+    def recording(self, *args):
+        bind(self, *args)
+        evaluators.append(self)
 
-    monkeypatch.setattr(lane_estimator, "NativeEvaluator", Recording)
+    monkeypatch.setattr(power_block.BlockEvaluator, "bind", recording)
     entry = get_design("binary_search")  # its kernel has SSA scratch rows
     module = entry.build()  # a fresh module: a kernel of its own
     spec = entry.make_stimulus_spec().replace(n_cycles=8)

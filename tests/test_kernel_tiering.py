@@ -110,11 +110,9 @@ def _vld_lanes():
     return testbenches
 
 
-def _assert_every_swap_equal(monkeypatch, design, make, swaps, fused):
+def _assert_every_swap_equal(monkeypatch, design, make, swaps):
     """Pure ``off`` and pure ``native`` agree, and a run that swaps at any
-    of ``swaps`` gives their results; a form that can run to completion
-    (``fused``) continues fused after the swap, a job form lowered without
-    a kernel keeps the per-cycle loop."""
+    of ``swaps`` gives their results, continuing fused after the swap."""
     monkeypatch.setattr(power_block, "BLOCK_ELEMENTS", SMALL_BLOCKS)
     module = build_flat(design)
     want, _ = _run(module, make, "off")
@@ -136,31 +134,30 @@ def _assert_every_swap_equal(monkeypatch, design, make, swaps, fused):
         else:
             assert decision == "auto -> off (native kernel compiling)"
         assert estimator.last_kernel_backend == ("native" if swap < n_cycles else "off")
-        # a kernel bound before the lane form is built runs it fused anyway
-        assert ("run_s" in estimator.last_phase_s) == (
-            swap == 0 or fused and swap < n_cycles)
+        # every form here can run to completion: fused from the swap on
+        assert ("run_s" in estimator.last_phase_s) == (swap < n_cycles)
 
 
 @needs_cc
 def test_stream_lanes_hand_over_at_every_cycle(monkeypatch):
     _assert_every_swap_equal(monkeypatch, "HVPeakF", _stream_lanes,
-                             range(N_CYCLES + 2), fused=True)
+                             range(N_CYCLES + 2))
 
 
 @needs_cc
 def test_spec_lanes_hand_over_at_every_cycle(monkeypatch):
     _assert_every_swap_equal(monkeypatch, "HVPeakF", _spec_lanes,
-                             range(N_CYCLES + 2), fused=True)
+                             range(N_CYCLES + 2))
 
 
 @needs_cc
 def test_job_lanes_hand_over_at_every_cycle(monkeypatch):
-    """A job form lowered on ``off`` keeps the per-cycle loop: the kernel
-    takes over settle, clock edge and observe."""
+    """A job form started on ``off`` continues fused from the job state the
+    per-cycle loop left: mid-job, on a done cycle, between jobs."""
     n_cycles = max(r.cycles for r in _run(build_flat("binary_search"), _job_lanes,
                                           "off")[0][0])
     _assert_every_swap_equal(monkeypatch, "binary_search", _job_lanes,
-                             range(n_cycles + 2), fused=False)
+                             range(n_cycles + 2))
 
 
 @needs_cc
@@ -168,7 +165,7 @@ def test_vld_hands_over_before_during_and_after_its_job(monkeypatch):
     """Every 16th cycle of Vld's one long job, and every cycle around the
     done cycles (463, 466, 469) and the mid-job stop (200)."""
     swaps = sorted({*range(0, 472, 16), *range(196, 204), *range(460, 472)})
-    _assert_every_swap_equal(monkeypatch, "Vld", _vld_lanes, swaps, fused=False)
+    _assert_every_swap_equal(monkeypatch, "Vld", _vld_lanes, swaps)
 
 
 @needs_cc
@@ -250,10 +247,10 @@ def test_native_request_joins_the_compile_in_flight(monkeypatch):
 @needs_cc
 def test_concurrent_requests_build_each_kernel_once():
     """More requesting threads than cores, switching every microsecond:
-    one build of the program's kernel, one kernel object for every
-    simulator."""
-    module = get_design("binary_search").build()  # fresh: no kernel yet
-    compile_module_batch(module, 3)
+    one build of the lane program and one of its kernel, one program and
+    one kernel object for every simulator."""
+    module = get_design("binary_search").build()  # fresh: no program yet
+    programs_before = batch.PROGRAM_BUILD_COUNT
     before = kernels.KERNEL_BUILD_COUNT
     backends = ("auto", "native") * 3
     simulators = []
@@ -270,6 +267,8 @@ def test_concurrent_requests_build_each_kernel_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(simulators) == len(backends)
+    assert batch.PROGRAM_BUILD_COUNT == programs_before + 1
+    assert len({id(simulator.program) for simulator in simulators}) == 1
     assert kernels.KERNEL_BUILD_COUNT == before + 1
     for simulator in simulators:
         if simulator.compiling:

@@ -1,8 +1,8 @@
 """Differential tests for the block-deferred macromodel evaluator.
 
 ``repro.power.block.BlockEvaluator`` replaces per-cycle macromodel
-evaluation in both RTL estimators, and on a native lane kernel
-``NativeEvaluator`` runs its plan in C each cycle.  Three contracts:
+evaluation in both RTL estimators, and, bound to a native lane kernel, runs
+its plan in C each cycle into the same arrays.  Three contracts:
 
 * against :meth:`LinearTransitionModel.evaluate`, kept as the reference, every
   per-cycle energy, component total and peak agrees to rel 1e-12 (the
@@ -12,9 +12,10 @@ evaluation in both RTL estimators, and on a native lane kernel
 * between engines the results are *identical*: scalar ``compiled``,
   scalar ``interp``, a one-lane batch and every lane of an N-lane batch, at
   any block length;
-* the native evaluator is identical to the block evaluator, bit for bit:
-  totals, peak, cycle trace and profile windows, on any lane count, on every
-  registry design, at any kernel thread count.
+* the kernel's evaluation is identical to NumPy's, bit for bit: totals,
+  peak, cycle trace and profile windows, on any lane count, on every
+  registry design, at any kernel thread count, and when an evaluator binds
+  its kernel mid-run.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.power import (
     WindowedEnergyCollector,
 )
 from repro.power import build_seed_library, lane_estimator, rtl_estimator
-from repro.power.block import BlockEvaluator, NativeEvaluator
+from repro.power.block import BlockEvaluator
 from repro.power.macromodel import LinearTransitionModel
 from repro.sim import kernels
 from repro.sim.batch import compile_module_batch
@@ -337,10 +338,14 @@ def _same(a, b) -> bool:
     n_lanes=st.sampled_from([1, 127, 128, 129]),
     n_cycles=st.integers(1, 24),
     window=st.integers(1, 4),
+    swap=st.integers(0, 25),
     seed=st.integers(0, 2**16),
 )
 def test_native_evaluator_equals_block_evaluator(monitored, n_lanes, n_cycles,
-                                                 window, seed):
+                                                 window, swap, seed):
+    """The C ``observe`` performs flush's float operations in flush's order,
+    from cycle 0 on a bound evaluator and from cycle ``swap`` on one that
+    binds mid-run, after pending NumPy cycles (pushed in blocks of 3)."""
     rng = np.random.default_rng(seed)
 
     def evaluator():
@@ -352,8 +357,10 @@ def test_native_evaluator_equals_block_evaluator(monitored, n_lanes, n_cycles,
         return BlockEvaluator(monitored, n_lanes, collectors=collectors)
 
     block = evaluator()
-    plan = evaluator()
-    fast = NativeEvaluator(plan, _kernel(), np.arange(len(plan.nets)))
+    fast = evaluator()
+    fast.bind(_kernel(), np.arange(len(fast.nets)))
+    handed = evaluator()
+    handed.block_cycles = 3
     store = np.zeros((len(block.nets), n_lanes), dtype=np.int64)
     finish = rng.integers(1, n_cycles + 1, size=n_lanes)
     for cycle in range(n_cycles):
@@ -363,15 +370,21 @@ def test_native_evaluator_equals_block_evaluator(monitored, n_lanes, n_cycles,
             store[row, changed] = rng.integers(0, 1 << net.width, size=changed.sum())
         active = (cycle < finish).astype(np.float64)
         block.push(store.copy(), (), active)
-        fast.push(store, active)
+        fast.push(store, (), active)
+        if cycle == swap:
+            handed.bind(_kernel(), np.arange(len(handed.nets)))
+        handed.push(store if cycle >= swap else store.copy(), (), active)
     block.flush()
-    fast.flush()
-    assert _same(fast.totals, block.totals)
-    assert _same(fast.peak, block.peak)
-    assert _same(fast.cycle_trace(), block.cycle_trace())
-    for got, want in zip(fast.collectors, block.collectors):
-        assert (got.window_cycles, got.cycles) == (want.window_cycles, want.cycles)
-        assert _same(got.matrix(), want.matrix())
+    for got in (fast, handed):
+        got.flush()
+        assert got.cycles == block.cycles == n_cycles
+        assert _same(got.totals, block.totals)
+        assert _same(got.peak, block.peak)
+        assert _same(got.cycle_trace(), block.cycle_trace())
+        for collector, want in zip(got.collectors, block.collectors):
+            assert (collector.window_cycles, collector.cycles) == (
+                want.window_cycles, want.cycles)
+            assert _same(collector.matrix(), want.matrix())
 
 
 @needs_cc
@@ -383,7 +396,7 @@ def test_native_evaluator_refuses_generic_components():
               for cls in (LinearTransitionModel, _Generic)]
     block = BlockEvaluator([(component, model) for model in models], 1)
     with pytest.raises(ValueError, match="table components only"):
-        NativeEvaluator(block, _kernel(), np.arange(len(block.nets)))
+        block.bind(_kernel(), np.arange(len(block.nets)))
 
 
 #: every registry design, plus one carrying power-model hardware
@@ -483,13 +496,13 @@ def test_kernels_compile_without_fp_contraction(monkeypatch):
 def test_lane_estimate_compiles_one_kernel_per_program(monkeypatch):
     """observe rides in the kernel's own library: no second compile."""
     evaluators = []
+    bind = BlockEvaluator.bind
 
-    class Recording(NativeEvaluator):
-        def __init__(self, block, kernel, rows):
-            super().__init__(block, kernel, rows)
-            evaluators.append(kernel)
+    def recording(self, kernel, rows):
+        bind(self, kernel, rows)
+        evaluators.append(kernel)
 
-    monkeypatch.setattr(lane_estimator, "NativeEvaluator", Recording)
+    monkeypatch.setattr(BlockEvaluator, "bind", recording)
     entry = get_design("HVPeakF")
     module = entry.build()  # a fresh module: a fresh lane program
     before = kernels.KERNEL_BUILD_COUNT
