@@ -6,7 +6,7 @@ first answer.  ``auto`` is tiered: it answers on the NumPy program while the
 kernel compiles on the background worker, and hands over to the kernel at a
 cycle boundary once the compile has finished (:mod:`repro.sim.kernels`).
 
-Two measurements, each in a fresh process with an empty ``TMPDIR`` and no
+Three measurements, each in a fresh process with an empty ``TMPDIR`` and no
 ``REPRO_*`` setting:
 
 * the first answer: one ``estimate_many`` call of 16 lanes x 1 cycle on
@@ -16,7 +16,11 @@ Two measurements, each in a fresh process with an empty ``TMPDIR`` and no
   process exits without waiting for its compile);
 * a cold long run: 256 HVPeakF lanes x 8192 cycles on the array driver, for
   ``auto`` and ``native``: ``auto`` starts on the NumPy program and
-  continues on the fused kernel from the cycle its compile finishes on.
+  continues on the fused kernel from the cycle its compile finishes on;
+* a one-shot run: one default-spec ``estimate`` (``auto``, the whole
+  testbench) on HVPeakF, Vld and DCT, what a CLI or API run does.  Its
+  module's kernel is cold, so it answers on the compiled engine and queues
+  the kernel build after the answer, which the exit abandons.
 
 Each cell is the median of ``REPRO_BENCH_COLD_REPEATS`` processes (default
 3).  The harness asserts only what holds on any host: every backend's
@@ -25,8 +29,9 @@ the expected one, and each process left its ``TMPDIR`` empty (no build
 directory, no compiler temporary).  Writes ``benchmarks/results/
 cold_start.txt`` and the repo-root ``BENCH_cold_start.json``.  The gate
 compares its process and long-run wall times (``*_wall_s``); the first
-answers' call times (``first_answer_call_s_*``, tens of milliseconds on
-``auto`` and ``off``) and the native/auto ratios are recorded, not gated.
+answers' and one-shot runs' call times (``first_answer_call_s_*``,
+``oneshot_call_s_*``, tens of milliseconds) and the native/auto ratios are
+recorded, not gated.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ LONG_DECISIONS = {
     "auto": re.compile(r"auto -> native from cycle [1-9]\d*$"),
     "native": re.compile(r"native \(requested\)$"),
 }
+#: a fresh process's one-shot estimate: its kernel is never built in time
+ONESHOT_DECISION = "auto -> compiled (native kernel compiling)"
 
 #: one call in a fresh process; prints its wall time, decision and results
 _CHILD = """
@@ -85,29 +92,45 @@ print(json.dumps({
 }))
 """
 
+#: one default-spec estimate in a fresh process, printed like _CHILD's
+_ONESHOT_CHILD = """
+import json, sys, time
+from repro.api import RunSpec, estimate
 
-def _fresh_run(design: str, backend: str, lanes: int, cycles: int) -> dict:
-    """One call in a fresh process with an empty TMPDIR, which it must leave
-    empty."""
+start = time.perf_counter()
+result = estimate(RunSpec(design=sys.argv[1]))
+wall_s = time.perf_counter() - start
+print(json.dumps({
+    "wall_s": wall_s,
+    "decision": result.metadata.get("kernel_decision"),
+    "energies": [result.report.total_energy_fj],
+    "cycles": [result.report.cycles],
+}))
+"""
+
+
+def _fresh_run(child: str, *args) -> dict:
+    """One ``child`` script run in a fresh process with an empty TMPDIR,
+    which it must leave empty."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:
         env.update(PYTHONPATH=os.path.join(REPO_ROOT, "src"), TMPDIR=tmp)
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-c", _CHILD, design, backend, str(lanes), str(cycles)],
+            [sys.executable, "-c", child, *map(str, args)],
             env=env, capture_output=True, text=True, timeout=600)
         process_s = time.perf_counter() - start
         assert done.returncode == 0, done.stderr
         left = os.listdir(tmp)
-    assert left == [], f"{design}/{backend} left {left} in its TMPDIR"
+    assert left == [], f"{args} left {left} in its TMPDIR"
     result = json.loads(done.stdout.strip().splitlines()[-1])
     result["process_s"] = process_s
     return result
 
 
-def _cell(design: str, backend: str, lanes: int, cycles: int) -> dict:
+def _cell(*args, child: str = _CHILD) -> dict:
     """The median of REPEATS fresh runs; their results must agree."""
-    runs = [_fresh_run(design, backend, lanes, cycles) for _ in range(REPEATS)]
+    runs = [_fresh_run(child, *args) for _ in range(REPEATS)]
     for run in runs[1:]:
         assert (run["energies"], run["cycles"]) == (runs[0]["energies"], runs[0]["cycles"])
     return {
@@ -160,5 +183,14 @@ def test_cold_start():
         f"  native {long['native']['wall_s']:.3f} s, auto {long['auto']['wall_s']:.3f} s "
         f"(auto/native {ratio:.3f}); auto handed over: "
         + ", ".join(long["auto"]["decisions"]),
+        "",
+        "One-shot: one default-spec estimate (auto, whole testbench) "
+        "(call / whole process, s)",
     ]
+    for design in DESIGNS:
+        cell = _cell(design, child=_ONESHOT_CHILD)
+        assert set(cell["decisions"]) == {ONESHOT_DECISION}, cell["decisions"]
+        metrics[f"oneshot_call_s_{design}_auto"] = round(cell["wall_s"], 4)
+        metrics[f"oneshot_{design}_auto_wall_s"] = round(cell["process_s"], 4)
+        lines.append(f"{design:10s} {cell['wall_s']:8.3f}/{cell['process_s']:7.3f}")
     write_result("cold_start.txt", "\n".join(lines), metrics=metrics)

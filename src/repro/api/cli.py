@@ -84,7 +84,10 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-cycles", type=int, default=None,
                         help="cycle budget (default: the testbench's own)")
     parser.add_argument("--backend", choices=BACKENDS, default="auto",
-                        help="simulation backend (default auto; batch = lane path)")
+                        help="simulation backend (default auto: a one-lane "
+                             "fused block once the module's native kernel is "
+                             "built in this process, else compiled; batch = "
+                             "lane path)")
     parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS, default=None,
                         help="fused lane-kernel backend for batch execution "
                              "(native = C via cffi, off = per-op dispatch; "

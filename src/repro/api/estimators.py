@@ -11,6 +11,12 @@ resolve the simulation backend declaratively (``auto``/``compiled``/
 ``interp``/``batch``), and return the same :class:`EstimateResult` shape, so
 examples, benchmarks, the sweep runner and the CLI share one code path
 instead of hand-wiring each engine's constructor signature.
+
+On the RTL engine ``auto`` picks per call: a one-lane lane block, fused on
+the module's native kernel, once this process has built that kernel, and
+the scalar compiled engine otherwise; the result's
+``metadata["kernel_decision"]`` names the reason (see
+:class:`RTLEstimatorAdapter`).
 """
 
 from __future__ import annotations
@@ -222,8 +228,22 @@ class RTLEstimatorAdapter(_EngineAdapter):
 
     ``backend="batch"`` routes through the lane-vectorized
     :class:`~repro.power.lane_estimator.BatchRTLPowerEstimator` (one lane),
-    falling back to the scalar path when the module or testbench cannot run
-    on lanes; results are backend-independent either way.
+    falling back to the scalar compiled engine when the module or testbench
+    cannot run on lanes.  ``backend="auto"`` runs a spec as a one-lane block
+    (``batch[1]``) when that block runs fused on a native kernel this
+    process has already built (:meth:`_lane_route`), and on the scalar
+    compiled engine otherwise; a cold module's kernel build is then queued
+    on the background compile worker after the answer, so later calls find
+    it built.  Results are backend-independent either way.  An ``auto``
+    result's ``metadata["kernel_decision"]`` says where it ran and why:
+    ``auto -> native (kernel ready)`` (or ``native (requested)``) for the
+    block, else ``auto -> compiled (<reason>)`` with the reason ``native
+    kernel compiling``, ``native kernel build failed`` (not queued again),
+    ``no C toolchain``, ``kernel backend off``, ``per-lane testbench``,
+    ``generic component '<name>'`` or ``module does not lower to lanes``.
+    A block the lane path refuses mid-way runs each spec on the compiled
+    engine: ``<backend> -> compiled (LaneStateError)`` or
+    ``(BatchCompilationError)``.
     """
 
     engine = "rtl"
@@ -231,6 +251,14 @@ class RTLEstimatorAdapter(_EngineAdapter):
     def estimate(self, spec: RunSpec) -> EstimateResult:
         if spec.backend == "batch":
             return self.estimate_many([spec])[0]
+        return self._estimate(spec, route=spec.backend == "auto")
+
+    def _estimate(self, spec: RunSpec, route: bool,
+                  decision: Optional[str] = None) -> EstimateResult:
+        """``spec`` on the scalar engine (``interp`` when it names it, else
+        ``compiled``), or with ``route`` as a one-lane block where
+        :meth:`_lane_route` allows.  ``decision`` becomes the compiled
+        run's ``metadata["kernel_decision"]``."""
         self._check_spec(spec)
         est_span = obs.span("estimate", design=spec.design, engine=self.engine)
         start = time.perf_counter()
@@ -240,7 +268,13 @@ class RTLEstimatorAdapter(_EngineAdapter):
             testbench = self._resolve_testbench(spec)
         setup_s = time.perf_counter() - start
 
-        backend = "compiled" if spec.backend == "auto" else spec.backend
+        if route:
+            decision = self._lane_route(spec, flat, library, testbench)
+            if decision is None:
+                est_span.set(backend="batch[1]")
+                return self._run_block([spec], library, flat, [testbench], start,
+                                       setup_s, est_span)[0]
+        backend = "interp" if spec.backend == "interp" else "compiled"
         estimator = _get_rtl_estimator(flat, library, self.technology, backend)
         with obs.span("estimate.simulate", design=spec.design, backend=backend):
             report = estimator.estimate(
@@ -254,12 +288,58 @@ class RTLEstimatorAdapter(_EngineAdapter):
             "macromodel_eval": "block",
             "design": spec.design,
         }
+        if decision is not None:
+            metadata["kernel_decision"] = decision
         [result] = self._finish(
             [spec], [report], backend, start, setup_s, metadata,
             dict(estimator.last_phase_s), [estimator.last_profile])
         est_span.set(backend=backend)
         est_span.end()
+        if decision == _COMPILING:
+            # queued once the answer is in, so the compile never competes
+            # with it; one compile per program, which later calls join.  The
+            # build's errors and faults land in its future, not here
+            from repro.sim.batch import _kernel_build, compile_module_batch
+
+            _kernel_build(compile_module_batch(flat, 1), background=True)
         return result
+
+    def _lane_route(self, spec: RunSpec, flat: Module, library: PowerModelLibrary,
+                    testbench) -> Optional[str]:
+        """None when ``spec`` runs as a one-lane block, fused on the
+        module's native kernel, which this process has built; else the
+        ``kernel_decision`` of its compiled run, which says why: the kernel
+        backend is ``off``, the testbench's lane form is the per-lane loop,
+        there is no C toolchain, a monitored component is generic (observed
+        per cycle in NumPy), the module does not lower to lanes, the
+        kernel's last build failed, or it is not built yet
+        (:data:`_COMPILING`).
+        """
+        from repro.power.block import observe_plan
+        from repro.power.rtl_estimator import monitored_components
+        from repro.sim import kernels
+        from repro.sim.batch import BatchCompilationError, compile_module_batch
+
+        if spec.kernel_backend == "off":
+            return "auto -> compiled (kernel backend off)"
+        # a type with a lane form of its own (stream, job or array driver)
+        # knows its inputs up front; the default runs each lane's Python
+        if type(testbench).lanes.__func__ is Testbench.lanes.__func__:
+            return "auto -> compiled (per-lane testbench)"
+        if kernels.find_compiler() is None:
+            return "auto -> compiled (no C toolchain)"
+        generic = observe_plan(flat, monitored_components(flat, library)).generic
+        if generic:
+            return f"auto -> compiled (generic component {generic[0][0].name!r})"
+        try:
+            program = compile_module_batch(flat, 1)
+        except BatchCompilationError:
+            return "auto -> compiled (module does not lower to lanes)"
+        if program._kernel is not None:
+            return None
+        if program._build_error is not None:
+            return "auto -> compiled (native kernel build failed)"
+        return _COMPILING
 
     def warm(self, spec: RunSpec, n_lanes: int = 1) -> Dict[str, object]:
         """Build everything a lane run of ``spec`` would compile, cacheably.
@@ -326,9 +406,6 @@ class RTLEstimatorAdapter(_EngineAdapter):
                     "and kernel_threads (equal repro.api.coalesce_key) — "
                     f"got {coalesce_key(spec)} vs {first_key}"
                 )
-        from repro.power.lane_estimator import BatchRTLPowerEstimator
-        from repro.sim.batch import BatchCompilationError, LaneStateError
-
         many_span = obs.span(
             "estimate.batch", design=first.design, n_specs=len(specs))
         start = time.perf_counter()
@@ -336,7 +413,17 @@ class RTLEstimatorAdapter(_EngineAdapter):
             library = self.library_for(first)
             flat = self._resolve_flat(first)
             testbenches = [self._resolve_testbench(spec) for spec in specs]
-        setup_s = time.perf_counter() - start
+        return self._run_block(specs, library, flat, testbenches, start,
+                               time.perf_counter() - start, many_span)
+
+    def _run_block(self, specs: List[RunSpec], library, flat: Module, testbenches,
+                   start: float, setup_s: float, span) -> List[EstimateResult]:
+        """One lane block of ``specs``, or each spec on the compiled engine
+        when the lane path refuses the module or a testbench."""
+        from repro.power.lane_estimator import BatchRTLPowerEstimator
+        from repro.sim.batch import BatchCompilationError, LaneStateError
+
+        first = specs[0]
         # lane-mates may disagree on profiling: each lane collects with its
         # own config, as its scalar run would
         profile_cfgs = [_profile_config(spec) for spec in specs]
@@ -353,14 +440,15 @@ class RTLEstimatorAdapter(_EngineAdapter):
             )
             backend = f"batch[{len(specs)}]"
         except (BatchCompilationError, LaneStateError) as error:
-            many_span.set(fallback=type(error).__name__)
-            many_span.end()
-            fallbacks = []
-            for spec in specs:
-                result = self.estimate(spec.replace(backend="auto"))
-                result.spec = spec  # keep the caller's spec as the result key
-                fallbacks.append(result)
-            return fallbacks
+            span.set(fallback=type(error).__name__)
+            span.end()
+            # straight to the compiled engine: an auto spec routed here
+            # must not be routed again
+            return [
+                self._estimate(spec, route=False, decision=(
+                    f"{spec.backend} -> compiled ({type(error).__name__})"))
+                for spec in specs
+            ]
         metadata = {
             "n_monitored_components": reports[0].notes.get("n_monitored_components"),
             "batch_lanes": len(specs),
@@ -373,7 +461,7 @@ class RTLEstimatorAdapter(_EngineAdapter):
         results = self._finish(specs, reports, backend, start, setup_s / len(specs),
                                metadata, dict(estimator.last_phase_s),
                                estimator.last_profiles)
-        many_span.end()
+        span.end()
         return results
 
 
@@ -477,6 +565,10 @@ class EmulationEstimatorAdapter(_EngineAdapter):
         result.timing["host_simulation_s"] = emulation.host_simulation_s
         return result
 
+
+#: the ``kernel_decision`` of an ``auto`` run whose module's one-lane kernel
+#: is not built yet: it runs on the compiled engine and queues the build
+_COMPILING = "auto -> compiled (native kernel compiling)"
 
 #: engine key -> adapter class
 _ADAPTERS = {

@@ -95,9 +95,13 @@ class RunSpec:
     estimator, ``gate`` — the gate-level re-simulation baseline,
     ``emulation`` — the paper's instrumented-FPGA flow).  ``seed`` re-seeds
     the design's scaled-workload stimulus (``None`` = the design default);
-    ``backend`` picks the functional-simulation strategy (``auto`` resolves
-    to ``compiled``; ``batch`` runs the RTL engine over BatchSimulator
-    lanes).  ``stimulus`` replaces the design's built-in testbench with a
+    ``backend`` picks the functional-simulation strategy: ``batch`` runs the
+    RTL engine over BatchSimulator lanes; ``auto`` runs an RTL spec as a
+    one-lane ``batch`` block when that block runs fused on a native kernel
+    this process has already built, and on ``compiled`` otherwise (queueing
+    a cold module's kernel build), recording why in
+    ``metadata["kernel_decision"]``; the gate engine resolves ``auto`` to
+    ``compiled``.  ``stimulus`` replaces the design's built-in testbench with a
     declarative :class:`~repro.stim.spec.StimulusSpec` scenario (driven as a
     :class:`~repro.stim.testbench.SpecTestbench`, and as the vectorized
     array driver on the lane path); a plain dict payload is accepted and

@@ -70,6 +70,14 @@ class _MacromodelObserver(SimulationObserver):
         self.eval_s += time.perf_counter() - start
 
 
+def monitored_components(module: Module, library: PowerModelLibrary) -> List[tuple]:
+    """The (component, model) pairs of ``module``'s components that carry a
+    power model, in the order every estimator observes them."""
+    return [(component, library.lookup(component))
+            for component in module.components.values()
+            if component.monitored_ports()]
+
+
 class RTLPowerEstimator:
     """Macromodel-based RTL power estimator (the software baseline)."""
 
@@ -94,11 +102,7 @@ class RTLPowerEstimator:
         self.technology = technology
         self.library = library if library is not None else build_seed_library(technology)
         #: (component, model) pairs for every component carrying a power model
-        self.monitored: List[tuple] = []
-        for component in module.components.values():
-            if not component.monitored_ports():
-                continue
-            self.monitored.append((component, self.library.lookup(component)))
+        self.monitored: List[tuple] = monitored_components(module, self.library)
         #: windowed profile from the most recent profiled :meth:`estimate`
         self.last_profile: Optional[PowerProfile] = None
         #: wall-clock phases of the last :meth:`estimate`: ``simulate_s`` and

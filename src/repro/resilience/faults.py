@@ -14,9 +14,10 @@ with the rule grammar::
 
 * ``site`` names the injection point.  The built-in sites are ``worker``
   (worker entry, before the payload runs — task index and attempt number are
-  known there), ``kernel`` (lane-kernel compilation in
-  :func:`repro.sim.kernels.compile_kernel`) and ``cache`` (every
-  :class:`~repro.bench.cache.ResultCache` read/write).
+  known there), ``kernel`` (lane-kernel compilation: in the caller of
+  :func:`repro.sim.kernels.compile_kernel`, on the background compile
+  worker for :func:`~repro.sim.kernels.compile_kernel_async`) and
+  ``cache`` (every :class:`~repro.bench.cache.ResultCache` read/write).
 * ``@task`` restricts the rule to one task index (the resilient runner's
   payload order); without it the rule applies to every task at that site.
 * ``*N`` makes the fault transient: it fires for the first ``N`` attempts

@@ -725,6 +725,8 @@ class BatchProgram:
     #: the kernel's compile in flight: ``(pid, future)`` of the process that
     #: started it (a forked child starts its own)
     _compile: object = None
+    #: the error of this program's last failed compile, until one succeeds
+    _build_error: Optional[str] = None
 
     def reset_state(self) -> None:
         """Return every lane of every sequential component to its reset state."""
@@ -805,8 +807,10 @@ def _lower_lanes(
     return em, holders
 
 
-#: module -> (mutation_key, schedule, n_lanes, program); n_lanes is None
-#: and the program a refusal message for a module that does not lower
+#: module -> (mutation_key, schedule, programs): ``programs`` maps lane
+#: counts to programs, at most two: the one-lane program ``estimate``
+#: routes to and the last program of any other lane count; or it is the
+#: refusal message of a module that does not lower (at any lane count)
 _BATCH_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = weakref.WeakKeyDictionary()
 
 #: process-lifetime count of lane programs built (cache misses in
@@ -843,14 +847,16 @@ def _cache(module: Module, entry: tuple) -> None:
 def compile_module_batch(
     module: Module, n_lanes: int, schedule: Optional[Schedule] = None
 ) -> BatchProgram:
-    """Compile ``module`` into a lane-vectorized :class:`BatchProgram` (cached).
+    """Compile ``module`` into a lane-vectorized :class:`BatchProgram`, cached
+    per module: its one-lane program and its last program of another lane
+    count.
 
     The program owns per-lane sequential state, so — like the scalar
     ``Simulator`` over a shared module — only one :class:`BatchSimulator`
-    should actively drive a given module at a time.  Raises
-    :class:`BatchCompilationError` when a net is wider than
+    should actively drive a given module at a given lane count at a time.
+    Raises :class:`BatchCompilationError` when a net is wider than
     :data:`MAX_LIMB_WIDTH` or a component does not fuse; a refusal is
-    remembered, like a program, until the module or schedule changes.
+    remembered, at every lane count, until the module or schedule changes.
     """
     if n_lanes < 1:
         raise ValueError(f"batch compilation needs n_lanes >= 1, got {n_lanes}")
@@ -866,11 +872,13 @@ def compile_module_batch(
             schedule = schedule_for(module)
         key = module_mutation_key(module)
         cached = _BATCH_CACHE.get(module)
+        programs: Dict[int, BatchProgram] = {}
         if cached is not None and cached[0] == key and cached[1] is schedule:
-            if cached[2] is None:  # refused at any lane count
-                raise BatchCompilationError(cached[3])
-            if cached[2] == n_lanes:
-                return cached[3]
+            programs = cached[2]
+            if isinstance(programs, str):  # refused at any lane count
+                raise BatchCompilationError(programs)
+            if n_lanes in programs:
+                return programs[n_lanes]
         build_span = obs.span("program.build", module=module.name, n_lanes=n_lanes)
 
         # wide nets (61..240 bits) take ceil(width / 60) consecutive limb slots
@@ -897,7 +905,7 @@ def compile_module_batch(
             build_span.set(error=type(error).__name__)
             build_span.end()
             if isinstance(error, BatchCompilationError):
-                _cache(module, (key, schedule, None, str(error)))
+                _cache(module, (key, schedule, str(error)))
                 raise
             raise BatchCompilationError(
                 f"failed to batch-compile module {module.name!r}: {error}"
@@ -915,7 +923,12 @@ def compile_module_batch(
             ir=em.kb.ir,
             holders=holders,
         )
-        _cache(module, (key, schedule, n_lanes, program))
+        # a program's holders and kernel binding are lane-sized (the C
+        # library is shared by source): one-lane estimate calls and blocks
+        # of one other lane count keep a program each
+        programs = {n: other for n, other in programs.items()
+                    if (n == 1) != (n_lanes == 1)}
+        _cache(module, (key, schedule, {**programs, n_lanes: program}))
         _PROGRAM_BUILDS.inc()
         build_span.set(n_fused=em.n_fused)
         build_span.end()
@@ -968,13 +981,15 @@ def _kernel_build(program: BatchProgram, background: bool) -> Future:
 
 
 def _kernel_built(program: BatchProgram, future: Future) -> None:
-    """Keep a finished compile's kernel on its program; a failed one is
-    forgotten, so the next request compiles again."""
+    """Keep a finished compile's kernel on its program; a failed one leaves
+    its error there, and the next request compiles again."""
     with _KERNEL_LOCK:
         if program._compile is not None and program._compile[1] is future:
             program._compile = None
-        if future.exception() is None:
+        error = future.exception()
+        if error is None:
             program._kernel = future.result()
+        program._build_error = None if error is None else str(error)
 
 
 def _finished_compile(simulator: "BatchSimulator") -> Optional[Future]:

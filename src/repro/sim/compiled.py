@@ -22,6 +22,8 @@ observers, traces and waveform recorders run unchanged on either backend.
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
 from collections.abc import MutableMapping
 from dataclasses import dataclass
@@ -87,9 +89,27 @@ class SlotValues(MutableMapping):
 #: (and the component objects their programs close over) can be collected.
 _PROGRAM_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = weakref.WeakKeyDictionary()
 
+#: serializes :func:`compile_module`'s cache lookups and builds, so threads
+#: asking for one module's program at once get one program
+_PROGRAM_LOCK = threading.Lock()
+
+
+def _after_fork_in_child() -> None:
+    # another thread may have held the lock at the fork
+    global _PROGRAM_LOCK
+    _PROGRAM_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
 
 def compile_module(module: Module, schedule: Optional[Schedule] = None) -> CompiledProgram:
     """Compile ``module``'s schedule into a :class:`CompiledProgram` (cached)."""
+    with _PROGRAM_LOCK:
+        return _compile_module(module, schedule)
+
+
+def _compile_module(module: Module, schedule: Optional[Schedule]) -> CompiledProgram:
     if schedule is None:
         schedule = schedule_for(module)
     key = module_mutation_key(module)

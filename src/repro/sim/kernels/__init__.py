@@ -162,31 +162,28 @@ def compile_kernel(ir: KernelIR, n_lanes: int) -> NativeKernel:
     Raises :class:`NativeToolchainError` when the host has no working C
     toolchain — the caller decides what "no kernel" means.
     """
-    _count_build()
+    _KERNEL_BUILDS.inc(backend="native")
     return _build(ir, n_lanes)
 
 
 def compile_kernel_async(ir: KernelIR, n_lanes: int) -> "Future[NativeKernel]":
     """:func:`compile_kernel` on the one background compile worker.
 
-    The build is counted (and a fault plan's ``kernel`` fault raised) here,
-    in the caller; the future holds the kernel, or the error the compile
-    raised.  A process that exits while the build is queued or running
-    kills its compiler and removes its files.
+    The build is counted here, in the caller.  The future holds the kernel,
+    or the error the compile raised; a fault plan's ``kernel`` fault fires
+    on the worker too, so it fails or stalls the build, never the caller.
+    A process that exits while the build is queued or running kills its
+    compiler and removes its files.
     """
-    _count_build()
+    _KERNEL_BUILDS.inc(backend="native")
     arrange_exit_cleanup()
     return _WORKER.submit(_build, ir, n_lanes)
 
 
-def _count_build() -> None:
+def _build(ir: KernelIR, n_lanes: int) -> NativeKernel:
     from repro.resilience.faults import maybe_inject
 
     maybe_inject("kernel")
-    _KERNEL_BUILDS.inc(backend="native")
-
-
-def _build(ir: KernelIR, n_lanes: int) -> NativeKernel:
     with obs.span("kernel.compile", backend="native", n_lanes=n_lanes):
         return NativeKernel(ir, n_lanes)
 

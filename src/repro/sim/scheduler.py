@@ -12,6 +12,8 @@ A flat module's components are split into:
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
@@ -98,6 +100,19 @@ def levelize(module: Module) -> Schedule:
 #: module -> ((n_components, n_nets), schedule); weak so modules can be freed
 _SCHEDULE_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = weakref.WeakKeyDictionary()
 
+#: serializes :func:`schedule_for`'s cache lookups and levelizations, so
+#: threads asking for one module's schedule at once get one schedule
+_SCHEDULE_LOCK = threading.Lock()
+
+
+def _after_fork_in_child() -> None:
+    # another thread may have held the lock at the fork
+    global _SCHEDULE_LOCK
+    _SCHEDULE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
 
 def module_mutation_key(module: Module) -> tuple:
     """Staleness key shared by the schedule and compiled-program caches.
@@ -126,13 +141,14 @@ def schedule_for(module: Module) -> Schedule:
     supported post-simulation mutation pattern); modules rewired in place at
     constant size should call :func:`levelize` directly.
     """
-    key = module_mutation_key(module)
-    entry = _SCHEDULE_CACHE.get(module)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    schedule = levelize(module)
-    try:
-        _SCHEDULE_CACHE[module] = (key, schedule)
-    except TypeError:  # pragma: no cover - unweakrefable module subclass
-        pass
-    return schedule
+    with _SCHEDULE_LOCK:
+        key = module_mutation_key(module)
+        entry = _SCHEDULE_CACHE.get(module)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        schedule = levelize(module)
+        try:
+            _SCHEDULE_CACHE[module] = (key, schedule)
+        except TypeError:  # pragma: no cover - unweakrefable module subclass
+            pass
+        return schedule

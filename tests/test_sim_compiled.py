@@ -222,3 +222,37 @@ def test_compile_failure_falls_back_to_interp_with_reason(monkeypatch):
     recovered = Simulator(module)
     assert recovered.backend == "compiled"
     assert recovered.backend_fallback is None
+
+
+def test_scalar_caches_build_one_schedule_and_one_program_across_threads():
+    """Threads asking for one module's schedule and scalar program at once
+    (server threads lowering and compiling the same design) share one
+    schedule and one program: both caches build under a lock."""
+    import sys
+    import threading
+
+    module = flatten(get_design("DCT").build())  # a fresh module: both caches cold
+    n_threads = 4
+    barrier = threading.Barrier(n_threads, timeout=60)
+    schedules, programs = [], []
+
+    def work():
+        barrier.wait()
+        schedules.append(schedule_for(module))
+        barrier.wait()  # then all compile at once
+        programs.append(compile_module(module))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(schedules) == len(programs) == n_threads
+    assert len({id(schedule) for schedule in schedules}) == 1
+    assert len({id(program) for program in programs}) == 1
