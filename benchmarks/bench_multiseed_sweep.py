@@ -27,6 +27,10 @@ from conftest import write_result
 
 N_SEEDS = int(os.environ.get("REPRO_BENCH_SEEDS", "16"))
 
+#: warm-up blocks per design at most: enough for a background kernel
+#: compile to finish, bounded for a host where it never binds
+WARM_TRIES = 100
+
 #: designs with per-seed stimulus variation and moderate cycle counts
 _DESIGNS = ["binary_search", "HVPeakF", "Ispq"]
 
@@ -35,16 +39,30 @@ def _specs(design: str):
     return [RunSpec(design=design, engine="rtl", seed=seed) for seed in range(N_SEEDS)]
 
 
+def _warm_lanes(adapter, specs) -> None:
+    """Run the timed block's lane count until its kernel decision no longer
+    says the native kernel is compiling or arrived mid-run, so the timed
+    block starts on whatever the host settles on (on ``auto`` with a C
+    compiler: the native kernel)."""
+    for _ in range(WARM_TRIES):
+        decision = adapter.estimate_many(specs)[0].metadata["kernel_decision"]
+        if "compiling" not in decision and " from cycle " not in decision:
+            return
+        time.sleep(0.05)
+
+
 def test_multiseed_sweep_throughput(benchmark):
     adapter = RTLEstimatorAdapter()
     rows = {}
     total_scalar = 0.0
     total_batch = 0.0
     for design in _DESIGNS:
-        # warm both paths: flatten/schedule/codegen caches for this module;
+        # warm both paths: flatten/schedule/codegen caches for this module,
+        # and the lane kernel at the timed lane count, which ``auto``
+        # compiles in the background while its first blocks run on NumPy;
         # the per-seed loop names the compiled engine, which ``auto`` would
         # leave for one-lane kernel blocks once their background build is in
-        adapter.estimate_many(_specs(design)[:2])
+        _warm_lanes(adapter, _specs(design))
         adapter.estimate(_specs(design)[0].replace(backend="compiled"))
 
         start = time.perf_counter()
@@ -58,6 +76,7 @@ def test_multiseed_sweep_throughput(benchmark):
 
         cycles = sum(r.report.cycles for r in scalars)
         rows[design] = {
+            "kernel_decision": batched[0].metadata["kernel_decision"],
             "scalar_s": t_scalar,
             "batch_s": t_batch,
             "scalar_cycles_per_s": cycles / t_scalar,
@@ -89,12 +108,14 @@ def test_multiseed_sweep_throughput(benchmark):
         "Multi-seed RTL power sweep — BatchSimulator lanes vs per-seed scalar runs",
         f"({N_SEEDS} stimulus seeds per design; identical per-seed reports)",
         "",
-        f"{'design':14s} {'scalar cyc/s':>13s} {'lane cyc/s':>12s} {'speedup':>9s}",
+        f"{'design':14s} {'scalar cyc/s':>13s} {'lane cyc/s':>12s} {'speedup':>9s}"
+        f"  lane kernel",
     ]
     for design, row in rows.items():
         lines.append(
             f"{design:14s} {row['scalar_cycles_per_s']:13,.0f} "
             f"{row['batch_cycles_per_s']:12,.0f} {row['speedup']:8.1f}x"
+            f"  {row['kernel_decision']}"
         )
     lines += ["", f"aggregate speedup (sum of scalar / sum of lanes): {aggregate:.1f}x"]
     write_result(

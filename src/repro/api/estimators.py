@@ -22,7 +22,7 @@ the scalar compiled engine otherwise; the result's
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro import obs
 from repro.api.spec import ENGINES, EstimateResult, RunSpec
@@ -269,11 +269,11 @@ class RTLEstimatorAdapter(_EngineAdapter):
         setup_s = time.perf_counter() - start
 
         if route:
-            decision = self._lane_route(spec, flat, library, testbench)
+            decision, prepared = self._lane_route(spec, flat, library, testbench)
             if decision is None:
                 est_span.set(backend="batch[1]")
                 return self._run_block([spec], library, flat, [testbench], start,
-                                       setup_s, est_span)[0]
+                                       setup_s, est_span, **prepared)[0]
         backend = "interp" if spec.backend == "interp" else "compiled"
         estimator = _get_rtl_estimator(flat, library, self.technology, backend)
         with obs.span("estimate.simulate", design=spec.design, backend=backend):
@@ -305,15 +305,17 @@ class RTLEstimatorAdapter(_EngineAdapter):
         return result
 
     def _lane_route(self, spec: RunSpec, flat: Module, library: PowerModelLibrary,
-                    testbench) -> Optional[str]:
-        """None when ``spec`` runs as a one-lane block, fused on the
-        module's native kernel, which this process has built; else the
-        ``kernel_decision`` of its compiled run, which says why: the kernel
-        backend is ``off``, the testbench's lane form is the per-lane loop,
-        there is no C toolchain, a monitored component is generic (observed
-        per cycle in NumPy), the module does not lower to lanes, the
-        kernel's last build failed, or it is not built yet
-        (:data:`_COMPILING`).
+                    testbench) -> Tuple[Optional[str], Dict[str, object]]:
+        """``(None, set-up)`` when ``spec`` runs as a one-lane block, fused
+        on the module's native kernel, which this process has built; the
+        set-up (the monitored components and the one-lane program) goes to
+        :meth:`_run_block`, so the block looks neither up again.  Else
+        ``(decision, {})``, with the ``kernel_decision`` of its compiled
+        run, which says why: the kernel backend is ``off``, the testbench's
+        lane form is the per-lane loop, there is no C toolchain, a monitored
+        component is generic (observed per cycle in NumPy), the module does
+        not lower to lanes, the kernel's last build failed, or it is not
+        built yet (:data:`_COMPILING`).
         """
         from repro.power.block import observe_plan
         from repro.power.rtl_estimator import monitored_components
@@ -321,25 +323,26 @@ class RTLEstimatorAdapter(_EngineAdapter):
         from repro.sim.batch import BatchCompilationError, compile_module_batch
 
         if spec.kernel_backend == "off":
-            return "auto -> compiled (kernel backend off)"
+            return "auto -> compiled (kernel backend off)", {}
         # a type with a lane form of its own (stream, job or array driver)
         # knows its inputs up front; the default runs each lane's Python
         if type(testbench).lanes.__func__ is Testbench.lanes.__func__:
-            return "auto -> compiled (per-lane testbench)"
+            return "auto -> compiled (per-lane testbench)", {}
         if kernels.find_compiler() is None:
-            return "auto -> compiled (no C toolchain)"
-        generic = observe_plan(flat, monitored_components(flat, library)).generic
+            return "auto -> compiled (no C toolchain)", {}
+        monitored = monitored_components(flat, library)
+        generic = observe_plan(flat, monitored).generic
         if generic:
-            return f"auto -> compiled (generic component {generic[0][0].name!r})"
+            return f"auto -> compiled (generic component {generic[0][0].name!r})", {}
         try:
             program = compile_module_batch(flat, 1)
         except BatchCompilationError:
-            return "auto -> compiled (module does not lower to lanes)"
+            return "auto -> compiled (module does not lower to lanes)", {}
         if program._kernel is not None:
-            return None
+            return None, {"monitored": monitored, "program": program}
         if program._build_error is not None:
-            return "auto -> compiled (native kernel build failed)"
-        return _COMPILING
+            return "auto -> compiled (native kernel build failed)", {}
+        return _COMPILING, {}
 
     def warm(self, spec: RunSpec, n_lanes: int = 1) -> Dict[str, object]:
         """Build everything a lane run of ``spec`` would compile, cacheably.
@@ -412,14 +415,30 @@ class RTLEstimatorAdapter(_EngineAdapter):
         with obs.span("estimate.setup", design=first.design):
             library = self.library_for(first)
             flat = self._resolve_flat(first)
-            testbenches = [self._resolve_testbench(spec) for spec in specs]
+            testbenches = self._resolve_lanes(specs)
         return self._run_block(specs, library, flat, testbenches, start,
                                time.perf_counter() - start, many_span)
 
+    def _resolve_lanes(self, specs: List[RunSpec]):
+        """The lanes of a block of ``specs`` (one design): the design's
+        seeded block (:meth:`~repro.designs.registry.BenchmarkDesign.
+        make_seeded_block`, one registry lookup) when every spec takes the
+        registry's own stimulus, else one testbench per spec."""
+        if self._testbench_factory is None and all(spec.stimulus is None for spec in specs):
+            from repro.designs.registry import get
+
+            block = get(specs[0].design).make_seeded_block([spec.seed for spec in specs])
+            if block is not None:
+                return block
+        return [self._resolve_testbench(spec) for spec in specs]
+
     def _run_block(self, specs: List[RunSpec], library, flat: Module, testbenches,
-                   start: float, setup_s: float, span) -> List[EstimateResult]:
+                   start: float, setup_s: float, span, monitored=None,
+                   program=None) -> List[EstimateResult]:
         """One lane block of ``specs``, or each spec on the compiled engine
-        when the lane path refuses the module or a testbench."""
+        when the lane path refuses the module or a testbench.  ``monitored``
+        and ``program`` are the set-up :meth:`_lane_route` already looked
+        up."""
         from repro.power.lane_estimator import BatchRTLPowerEstimator
         from repro.sim.batch import BatchCompilationError, LaneStateError
 
@@ -431,7 +450,8 @@ class RTLEstimatorAdapter(_EngineAdapter):
             estimator = BatchRTLPowerEstimator(flat, library=library,
                                                technology=self.technology,
                                                kernel_backend=first.kernel_backend,
-                                               kernel_threads=first.kernel_threads)
+                                               kernel_threads=first.kernel_threads,
+                                               monitored=monitored, program=program)
             reports = estimator.estimate_all(
                 testbenches,
                 max_cycles=first.max_cycles,

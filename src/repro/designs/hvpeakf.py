@@ -14,14 +14,13 @@ of video peaking filters used in display pipelines.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.module import Module
-from repro.sim.declarative import StreamTestbench
-from repro.designs import stimuli
+from repro.sim.declarative import SeededStreams, StreamTestbench
 
 #: peaking gain and normalization shift: y = center + (GAIN * high) >> SHIFT
 GAIN = 3
@@ -29,6 +28,8 @@ SHIFT = 3
 PIXEL_WIDTH = 8
 #: internal signed arithmetic width
 WORK_WIDTH = 14
+#: stimulus seed of the standard testbench
+DEFAULT_SEED = 5
 
 
 def reference_filter(pixels: Sequence[int]) -> List[int]:
@@ -113,19 +114,28 @@ class PeakingFilterTestbench(StreamTestbench):
     """Streams pixels and checks the output against the software reference.
 
     The output for input pixel ``k`` appears one cycle later (registered
-    output), flagged by ``valid_out``.
+    output), flagged by ``valid_out``.  Its seeded stimulus is a random
+    pixel stream with ``valid`` held high.
     """
 
     idle = {"valid": 0}
     latency = 1
     gate = "valid_out"
     tail = 2
+    slack = 4
     item = "pixel"
+
+    @staticmethod
+    def seeded_streams(seeds, n_items, draw):
+        return {"pixel": draw(seeds, n_items, PIXEL_WIDTH), "valid": 1}
 
     def __init__(self, pixels: Sequence[int], name: str = "hvpeakf_tb") -> None:
         super().__init__({"pixel": pixels, "valid": 1}, name)
         self.pixels = self.streams["pixel"]
-        self.max_cycles = len(self.pixels) + 4
+
+    @classmethod
+    def from_streams(cls, streams):
+        return cls(streams["pixel"])
 
     @cached_property
     def expected(self) -> List[int]:
@@ -142,6 +152,14 @@ class PeakingFilterTestbench(StreamTestbench):
         return {"pixels_checked": self._checked}
 
 
-def testbench(n_pixels: int = 600, seed: int = 5) -> PeakingFilterTestbench:
-    """Standard stimulus: a pseudo-random pixel stream."""
-    return PeakingFilterTestbench(stimuli.random_pixels(n_pixels, seed=seed))
+def testbench(n_pixels: int = 600, seed: int = DEFAULT_SEED) -> PeakingFilterTestbench:
+    """Standard stimulus: a pseudo-random pixel stream, the one-lane case of
+    :func:`lanes`."""
+    return PeakingFilterTestbench.from_seed(seed, n_pixels)
+
+
+def lanes(seeds: Sequence[Optional[int]], n_pixels: int = 600) -> SeededStreams:
+    """A lane block of standard stimuli, one lane per seed (``None``:
+    :data:`DEFAULT_SEED`), drawn and lowered straight from the seeds."""
+    return SeededStreams(PeakingFilterTestbench,
+                         [DEFAULT_SEED if seed is None else seed for seed in seeds], n_pixels)

@@ -14,7 +14,7 @@ at the nominal workload, as documented in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.netlist.module import Module
 from repro.sim.testbench import Testbench
@@ -44,6 +44,16 @@ class BenchmarkDesign:
     #: workload is protocol-driven (memory preloads etc.) and has no
     #: meaningful port-stream form
     stimulus: Optional[Callable[[], "object"]] = None
+    #: returns a lane block of scaled-workload testbenches, one lane per
+    #: seed (``None``: the default stimulus), lowered straight from the
+    #: seeds (:class:`~repro.sim.declarative.SeededStreams`); ``None`` when
+    #: the design's lanes are built one testbench per seed
+    seeded_block: Optional[Callable[[Sequence[Optional[int]]], "object"]] = None
+
+    def make_seeded_block(self, seeds: Sequence[Optional[int]]):
+        """The design's seeded lane block for ``seeds``, or None when it
+        declares none (build one testbench per seed instead)."""
+        return None if self.seeded_block is None else self.seeded_block(seeds)
 
     def make_testbench(self, seed: Optional[int] = None) -> Testbench:
         """A fresh scaled-workload testbench, optionally re-seeded.
@@ -120,8 +130,9 @@ def _hvpeakf() -> BenchmarkDesign:
         name="HVPeakF",
         description="horizontal/vertical peaking (sharpening) image filter",
         build=hvpeakf.build,
-        testbench=lambda: hvpeakf.testbench(n_pixels=scaled_pixels, seed=5),
+        testbench=lambda: hvpeakf.testbench(n_pixels=scaled_pixels),
         testbench_seeded=lambda seed: hvpeakf.testbench(n_pixels=scaled_pixels, seed=seed),
+        seeded_block=lambda seeds: hvpeakf.lanes(seeds, n_pixels=scaled_pixels),
         stimulus=_hvpeakf_stimulus,
         nominal_cycles=nominal_pixels + 16,
         scaled_cycles=scaled_pixels + 16,

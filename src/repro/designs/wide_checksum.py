@@ -109,12 +109,12 @@ class WideChecksumTestbench(StreamTestbench):
     """
 
     idle = {"valid": 0}
+    slack = 2
     item = "word"
 
     def __init__(self, words: Sequence[int], name: str = "wide_checksum_tb") -> None:
         super().__init__({"data": words, "valid": 1}, name)
         self.words = self.streams["data"]
-        self.max_cycles = len(self.words) + 2
 
     @cached_property
     def expected(self) -> List[Dict[str, int]]:

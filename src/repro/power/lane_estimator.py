@@ -81,7 +81,8 @@ from repro.power.profile import PowerProfile, ProfileConfig, WindowedEnergyColle
 from repro.power.report import PowerReport
 from repro.power.rtl_estimator import RTLPowerEstimator
 from repro.power.technology import CB130M_TECHNOLOGY, Technology
-from repro.sim.batch import LIMB_BITS, BatchSimulator
+from repro.sim.batch import LIMB_BITS, BatchProgram, BatchSimulator
+from repro.sim.declarative import SeededStreams
 from repro.sim.testbench import Testbench, lane_form
 
 
@@ -168,6 +169,12 @@ class BatchRTLPowerEstimator:
     Raises :class:`~repro.sim.batch.BatchCompilationError` or
     :class:`~repro.sim.batch.LaneStateError` when the module or a testbench
     cannot run on the lane path — callers fall back to per-seed scalar runs.
+
+    A caller that has already looked the module's set-up up passes it in:
+    ``monitored`` (:func:`~repro.power.rtl_estimator.monitored_components`
+    of the module and library) and ``program``
+    (:func:`~repro.sim.batch.compile_module_batch` of the module at the lane
+    count it will run), so neither is looked up again.
     """
 
     #: reports carry the scalar estimator's name: same algorithm, same results
@@ -180,10 +187,14 @@ class BatchRTLPowerEstimator:
         technology: Technology = CB130M_TECHNOLOGY,
         kernel_backend: Optional[str] = None,
         kernel_threads: Optional[Union[int, str]] = None,
+        monitored: Optional[List[tuple]] = None,
+        program: Optional[BatchProgram] = None,
     ) -> None:
         # shares the monitored-component/model association (and the
         # hierarchical-module guard) with the scalar estimator
-        self._scalar = RTLPowerEstimator(module, library=library, technology=technology)
+        self._scalar = RTLPowerEstimator(module, library=library, technology=technology,
+                                         monitored=monitored)
+        self._program = program
         self.module = module
         self.technology = self._scalar.technology
         self.library = self._scalar.library
@@ -221,7 +232,7 @@ class BatchRTLPowerEstimator:
     # ------------------------------------------------------------------ API
     def estimate_all(
         self,
-        testbenches: Sequence[Testbench],
+        testbenches: Union[Sequence[Testbench], SeededStreams],
         max_cycles: Optional[int] = None,
         keep_cycle_trace: Union[bool, Sequence[bool]] = True,
         use_array_driver: Optional[bool] = None,
@@ -236,6 +247,9 @@ class BatchRTLPowerEstimator:
         baseline); ``True`` requires the spec-backed array driver
         (:class:`SpecTestbench` instances sharing one spec) and raises
         :class:`ValueError` otherwise.  Results are identical either way.
+        A :class:`~repro.sim.declarative.SeededStreams` block in place of
+        the testbenches runs its own lane form, lowered from its seeds; its
+        ``checked`` then holds each lane's check count.
 
         ``profile`` is one :class:`ProfileConfig` for every lane or one per
         lane (``None`` = that lane collects no profile); each lane's profile
@@ -256,22 +270,28 @@ class BatchRTLPowerEstimator:
             raise ValueError(
                 f"profile has {len(configs)} configs for {n_lanes} lanes")
         start = time.perf_counter()
+        program = self._program
         with obs.span("lanes.build", module=self.module.name, n_lanes=n_lanes):
             simulator = BatchSimulator(
                 self.module, n_lanes, kernel_backend=self.kernel_backend,
                 kernel_threads=self.kernel_threads,
+                program=program if program is not None and program.n_lanes == n_lanes else None,
             )
         build_s = time.perf_counter() - start
 
+        seeded = isinstance(testbenches, SeededStreams)
         limits = [
-            max_cycles if max_cycles is not None else tb.max_cycles
-            for tb in testbenches
+            max_cycles if max_cycles is not None else budget
+            for budget in ([testbenches.max_cycles] * n_lanes if seeded
+                           else [tb.max_cycles for tb in testbenches])
         ]
         known = [limit for limit in limits if limit is not None]
         horizon = max(known) if len(known) == n_lanes else None
         t_bench = time.perf_counter()
         if use_array_driver is False:
-            lanes = Testbench.lanes(testbenches, simulator, horizon)
+            lanes = Testbench.lanes(list(testbenches), simulator, horizon)
+        elif seeded:
+            lanes = testbenches.lanes(simulator, horizon)
         else:
             lanes = lane_form(testbenches, simulator, horizon)
             if use_array_driver is True and lanes.name != "array":

@@ -89,6 +89,7 @@ class RTLPowerEstimator:
         library: Optional[PowerModelLibrary] = None,
         technology: Technology = CB130M_TECHNOLOGY,
         backend: str = "compiled",
+        monitored: Optional[List[tuple]] = None,
     ) -> None:
         if module.is_hierarchical:
             raise ValueError(
@@ -101,8 +102,11 @@ class RTLPowerEstimator:
         self.module = module
         self.technology = technology
         self.library = library if library is not None else build_seed_library(technology)
-        #: (component, model) pairs for every component carrying a power model
-        self.monitored: List[tuple] = monitored_components(module, self.library)
+        #: (component, model) pairs for every component carrying a power
+        #: model; a caller that has looked them up for this module and
+        #: library passes them in
+        self.monitored: List[tuple] = (monitored_components(module, self.library)
+                                       if monitored is None else monitored)
         #: windowed profile from the most recent profiled :meth:`estimate`
         self.last_profile: Optional[PowerProfile] = None
         #: wall-clock phases of the last :meth:`estimate`: ``simulate_s`` and

@@ -868,9 +868,9 @@ def compile_module_batch(
             f"{MAX_LIMB_WIDTH} bits"
         )
     with _PROGRAM_LOCK:
-        if schedule is None:
-            schedule = schedule_for(module)
         key = module_mutation_key(module)
+        if schedule is None:
+            schedule = schedule_for(module, key)
         cached = _BATCH_CACHE.get(module)
         programs: Dict[int, BatchProgram] = {}
         if cached is not None and cached[0] == key and cached[1] is schedule:
@@ -1032,6 +1032,7 @@ class BatchSimulator:
         schedule: Optional[Schedule] = None,
         kernel_backend: Optional[str] = None,
         kernel_threads: Optional[Union[int, str]] = None,
+        program: Optional[BatchProgram] = None,
     ) -> None:
         if n_lanes < 1:
             raise ValueError(f"BatchSimulator needs n_lanes >= 1, got {n_lanes}")
@@ -1041,7 +1042,10 @@ class BatchSimulator:
         threads = kernels.resolve_kernel_threads(kernel_threads)
         self.module = module
         self.n_lanes = n_lanes
-        self.program = compile_module_batch(module, n_lanes, schedule)
+        #: the lane program: ``program`` when the caller has just had it
+        #: from :func:`compile_module_batch` for this module and lane count
+        self.program = (compile_module_batch(module, n_lanes, schedule)
+                        if program is None else program)
         #: the fused kernel executing settle/clock_edge, or None (plain batch)
         self.kernel: Optional["kernels.NativeKernel"] = None
         #: resolved kernel backend actually in effect ("native"/"off")

@@ -14,7 +14,12 @@ one declaration:
   a native lane block runs it to completion (one kernel ``run`` call per
   segment, then one vectorized check over the segment's captured outputs),
   and the per-cycle loop writes one cycle's rows and checks one cycle with
-  the same check.
+  the same check.  A type that declares its streams as a function of seeds
+  (``seeded_streams``) also lowers a :class:`SeededStreams` block straight
+  from its seeds: every lane's random values come from one draw
+  (:func:`repro.sim.kernels.draw_bits`, in the lane kernel when one is
+  bound), and no per-lane testbench is built unless something asks for
+  it.
 * :class:`JobsTestbench` runs a list of jobs through a ``start``/``done``
   handshake, with per-job input values and memory preloads.  Its lane form
   lowers the jobs once to per-job input rows, preload words and per-lane
@@ -30,11 +35,13 @@ a lane program has one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.sim.batch import LIMB_BITS, _LIMB_MASK, LaneMemoryState
+from repro.sim.kernels import draw_bits
 from repro.sim.testbench import Testbench
 
 #: the handshake ports of a job testbench
@@ -69,15 +76,30 @@ class StreamTestbench(Testbench):
       (the scalar oracle); :meth:`golden_lanes` is its block form;
     * ``latency`` — cycles from driving an item to its outputs; ``gate`` —
       an output that must be 1 for a cycle to be checked (``None``: always);
-    * ``tail`` — the run finishes ``tail`` cycles after the last item.
+    * ``tail`` — the run finishes ``tail`` cycles after the last item;
+      ``slack`` — the testbench's budget (``max_cycles``) is ``slack``
+      cycles past the last item (``None``: no budget of its own).
+
+    A type whose streams are a function of a seed may also declare
+    ``seeded_streams(seeds, n_items, draw)``: the streams of one lane per
+    seed, each port one int for every lane or an ``(n_items, lanes)``
+    array, with its random values from ``draw(seeds, n, width)``
+    (:func:`repro.sim.kernels.draw_bits`).  :meth:`from_seed` is then its
+    one-lane case and :class:`SeededStreams` a block of it, so the scalar
+    and the lane stimulus cannot drift apart.  Its :meth:`golden_lanes`
+    should read only ``streams``: a seeded block builds the per-lane
+    testbenches the default one stacks.
     """
 
     idle: Mapping[str, int] = {}
     latency = 0
     gate: Optional[str] = None
     tail = 0
+    slack: Optional[int] = None
     #: what one item is called in mismatch messages
     item = "item"
+    #: ``(seeds, n_items, draw) -> streams``, or None: not declared by seeds
+    seeded_streams: Optional[Callable] = None
 
     def __init__(self, streams: Mapping[str, Union[int, Sequence[int], np.ndarray]],
                  name: str) -> None:
@@ -90,8 +112,23 @@ class StreamTestbench(Testbench):
         if len(lengths) != 1:
             raise ValueError("streams need one common length")
         self.n_items = lengths.pop()
+        self.max_cycles = None if self.slack is None else self.n_items + self.slack
         self._checked = 0
         self._golden: Dict[str, Sequence[int]] = {}
+
+    @classmethod
+    def from_seed(cls, seed, n_items: int) -> "StreamTestbench":
+        """The testbench of ``seeded_streams`` for one seed."""
+        streams = cls.seeded_streams([seed], n_items, draw_bits)
+        return cls.from_streams({
+            port: values if isinstance(values, int) else values[:, 0]
+            for port, values in streams.items()
+        })
+
+    @classmethod
+    def from_streams(cls, streams: Mapping[str, Union[int, np.ndarray]]) -> "StreamTestbench":
+        """A testbench of one lane's declared streams (:meth:`from_seed`)."""
+        raise NotImplementedError
 
     def reference(self) -> Dict[str, Sequence[int]]:
         """Golden value of every item, per checked output port."""
@@ -147,7 +184,70 @@ class StreamTestbench(Testbench):
     def lanes(cls, testbenches, simulator, cycles: Optional[int] = None):
         if len({tb.n_items for tb in testbenches}) > 1:
             return super().lanes(testbenches, simulator, cycles)
-        return _StreamLanes(cls, testbenches, simulator, cycles)
+        n_items = testbenches[0].n_items
+        n_rows = min(n_items, _stream_cycles(cls, n_items, cycles))
+        streams = {}
+        for port, values in testbenches[0].streams.items():
+            per_lane = [tb.streams[port] for tb in testbenches]
+            streams[port] = (np.array(per_lane) if isinstance(values, int)
+                             else np.stack([lane[:n_rows] for lane in per_lane], axis=1))
+        return _StreamLanes(cls, list(testbenches), streams, n_items, simulator, cycles)
+
+
+def _stream_cycles(kind, n_items: int, cycles: Optional[int]) -> int:
+    """Cycles a stream lane block of ``n_items`` items runs under the bound
+    ``cycles``: at least one, as the per-cycle loop runs."""
+    finish = max(n_items + kind.tail, 1)
+    return finish if cycles is None else min(finish, cycles)
+
+
+class SeededStreams:
+    """A lane block of one seeded :class:`StreamTestbench` type, one lane
+    per seed: lane ``l`` is ``kind.from_seed(seeds[l], n_items)``.
+
+    Pass it to :meth:`BatchRTLPowerEstimator.estimate_all
+    <repro.power.lane_estimator.BatchRTLPowerEstimator.estimate_all>` in
+    place of a list of testbenches: its lane form draws every lane's
+    streams at once, only as many items as the cycle budget reaches, and
+    lowers them straight to the block's rows and golden arrays.  A lane's
+    testbench is built only when asked for (``block[lane]``), and after a
+    run carries that lane's check count, which :attr:`checked` holds for
+    every lane.
+    """
+
+    def __init__(self, kind, seeds: Sequence, n_items: int) -> None:
+        if kind.seeded_streams is None:
+            raise TypeError(f"{kind.__name__} declares no seeded_streams")
+        self.kind = kind
+        self.seeds = list(seeds)
+        self.n_items = n_items
+        #: every lane's budget, as its testbench's ``max_cycles``
+        self.max_cycles = None if kind.slack is None else n_items + kind.slack
+        #: items each lane checked in the last run (None: not run)
+        self.checked: Optional[np.ndarray] = None
+        self._built: Dict[int, StreamTestbench] = {}
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, lane: int) -> StreamTestbench:
+        testbench = self._built.get(lane)
+        if testbench is None:
+            testbench = self._built[lane] = self.kind.from_seed(self.seeds[lane], self.n_items)
+        if self.checked is not None:
+            testbench._checked = int(self.checked[lane])
+        return testbench
+
+    def __iter__(self):
+        return (self[lane] for lane in range(len(self)))
+
+    def lanes(self, simulator, cycles: Optional[int] = None) -> "_StreamLanes":
+        """The block's lane form, drawn in ``simulator``'s kernel when one
+        is bound."""
+        n_rows = min(self.n_items, _stream_cycles(self.kind, self.n_items, cycles))
+        draw = partial(draw_bits, kernel=simulator.kernel)
+        streams = self.kind.seeded_streams(self.seeds, n_rows, draw)
+        return _StreamLanes(self.kind, self, streams, self.n_items, simulator, cycles)
 
 
 def _limb_rows(values, width: int, n_limbs: int) -> list:
@@ -183,21 +283,19 @@ class _StreamLanes:
     #: one row of inputs per cycle: no job handshake
     jobs = None
 
-    def __init__(self, kind, testbenches, simulator, cycles: Optional[int]) -> None:
-        self.testbenches = list(testbenches)
+    def __init__(self, kind, testbenches, declared, n_items: int, simulator,
+                 cycles: Optional[int]) -> None:
+        # ``testbenches``: the lanes' testbenches, or a SeededStreams block;
+        # ``declared``: per input port, the ``(rows, lanes)`` stream, or one
+        # value per lane (an int: the same in every lane)
+        self.testbenches = testbenches
         self.simulator = simulator
-        n_items = testbenches[0].n_items
         self.latency, self.gate, self.item = kind.latency, kind.gate, kind.item
-        # a run lasts at least one cycle, as the per-cycle loop does
-        finish = max(n_items + kind.tail, 1)
-        self.n_cycles = finish if cycles is None else min(finish, cycles)
+        self.n_cycles = _stream_cycles(kind, n_items, cycles)
         n_rows = min(n_items, self.n_cycles)
-        declared = testbenches[0].streams
-        # ``(rows, lanes)`` values of the varying ports, one stack per port
-        streams = {
-            port: np.stack([tb.streams[port][:n_rows] for tb in testbenches], axis=1)
-            for port, values in declared.items() if not isinstance(values, int)
-        }
+        # ``(rows, lanes)`` values of the varying ports
+        streams = {port: values for port, values in declared.items()
+                   if not isinstance(values, int) and values.ndim == 2}
         ports = list(declared) + [port for port in kind.idle if port not in declared]
         port_limbs, v = simulator._port_limbs, simulator._v
         keys = [simulator._input_port(port) for port in ports]
@@ -212,8 +310,7 @@ class _StreamLanes:
             if port in streams:
                 head = _limb_rows(streams[port], width, n_limbs)
             elif port in declared:
-                head = _limb_rows(np.array([tb.streams[port] for tb in testbenches]),
-                                  width, n_limbs)
+                head = _limb_rows(declared[port], width, n_limbs)
             else:  # driven only when idle: holds its reset value until then
                 head = [v[slot + k] for k in range(n_limbs)]
             idle = (_limb_rows(kind.idle[port], width, n_limbs)
@@ -228,7 +325,7 @@ class _StreamLanes:
             row += n_limbs
         self.n_checked = n_items if cycles is None else max(
             0, min(n_items, cycles - self.latency))
-        self._golden = kind.golden_lanes(testbenches, streams, self.n_checked)
+        self._golden = kind.golden_lanes(self.testbenches, streams, self.n_checked)
         self._capture_ports = list(self._golden)
         if self.gate is not None:
             self._capture_ports.insert(0, self.gate)
@@ -238,7 +335,7 @@ class _StreamLanes:
         self.capture = (
             None if any(port_limbs[port] > 1 for port in self._capture_ports)
             else np.array([outputs[port] for port in self._capture_ports], dtype=np.int64))
-        self._checked = np.zeros(len(self.testbenches), dtype=np.int64)
+        self._checked = np.zeros(len(testbenches), dtype=np.int64)
 
     def rows_at(self, cycle: int) -> np.ndarray:
         """The input rows from ``cycle`` to the end of the run."""
@@ -292,6 +389,9 @@ class _StreamLanes:
         return cycle + 1 >= self.n_cycles
 
     def close(self) -> None:
+        if isinstance(self.testbenches, SeededStreams):
+            self.testbenches.checked = self._checked
+            return
         for testbench, checked in zip(self.testbenches, self._checked.tolist()):
             testbench._checked = checked
 

@@ -40,6 +40,11 @@ compiler outlives the process: each runs in its own process group, which
 exit kills and reaps before it removes the build directory, and a forked
 child never waits for its parent's compiles (:mod:`repro.sim.kernels.native`).
 
+Every kernel also carries the seeded stimulus draw: :func:`draw_words`
+draws ``random.Random``'s words for a whole lane block in the bound
+kernel's C ``mt_draw``, and with one reused ``random.Random`` when no
+kernel is bound, with the same result.
+
 The environment variable ``REPRO_KERNEL_BACKEND`` sets the default for every
 :class:`~repro.sim.batch.BatchSimulator` that is not given an explicit
 ``kernel_backend``.  Kernels are bit-identical to the batch path by
@@ -52,9 +57,12 @@ from __future__ import annotations
 
 import os
 import queue
+import random
 import threading
 from concurrent.futures import Future
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import obs
 from repro.sim.kernels.ir import KernelIR, KernelUnsupportedError
@@ -156,6 +164,40 @@ def resolve_kernel_threads(requested: Optional[Union[int, str]] = None) -> int:
     return int(requested)
 
 
+def draw_words(seeds: Sequence, n: int,
+               kernel: Optional[NativeKernel] = None) -> np.ndarray:
+    """``(n, lanes)`` uint32: lane ``l``'s first ``n`` 32-bit outputs of
+    ``random.Random(seeds[l])``, the words ``getrandbits(32 * n)`` packs
+    little-endian.
+
+    With a ``kernel`` and int seeds every lane draws in one call of its C
+    ``mt_draw``; otherwise (no kernel bound, or a seed the C draw does not
+    take) one reused :class:`random.Random` is re-seeded per lane, and all
+    lanes' bytes are read with one ``frombuffer``.  Both give the same
+    array.
+    """
+    if kernel is not None and seeds and all(isinstance(seed, int) for seed in seeds):
+        words = kernel.draw_words(list(seeds), n)
+        if words is not None:
+            return words
+    rng = random.Random()
+    chunks = []
+    for seed in seeds:
+        rng.seed(seed)
+        chunks.append(rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
+    return np.frombuffer(b"".join(chunks), dtype="<u4").reshape(len(seeds), n).T
+
+
+def draw_bits(seeds: Sequence, n: int, width: int,
+              kernel: Optional[NativeKernel] = None) -> np.ndarray:
+    """``(n, lanes)`` int64: lane ``l``'s first ``n`` values of
+    ``random.Random(seeds[l]).getrandbits(width)`` (``1 <= width <= 32``:
+    each is one output's top ``width`` bits), drawn by :func:`draw_words`."""
+    if not 1 <= width <= 32:
+        raise ValueError(f"draw_bits draws 1..32-bit values, got width {width}")
+    return (draw_words(seeds, n, kernel) >> (32 - width)).astype(np.int64)
+
+
 def compile_kernel(ir: KernelIR, n_lanes: int) -> NativeKernel:
     """Compile kernel IR into a native (C) lane kernel.
 
@@ -240,6 +282,8 @@ __all__ = [
     "NativeToolchainError",
     "compile_kernel",
     "compile_kernel_async",
+    "draw_bits",
+    "draw_words",
     "find_compiler",
     "resolve_kernel_backend",
     "resolve_kernel_threads",

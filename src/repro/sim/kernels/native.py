@@ -58,8 +58,12 @@ Every translation unit also carries fixed, design-independent entry points:
   results, and the host makes one call per segment instead of several per
   cycle.
 
+* ``mt_draw`` — the seeded stimulus draw: one MT19937 per lane, seeded
+  and drawn bit for bit as :class:`random.Random` does, with the lanes as
+  the inner loop of every step (see :func:`repro.sim.kernels.draw_words`).
+
 They compile in the same compiler call as the phases, so power evaluation
-adds no compiler process.
+and the seeded draw add no compiler process.
 
 Correctness notes:
 
@@ -114,7 +118,8 @@ class NativeToolchainError(Exception):
 _ELEM_TYPES = {"int64": "long long", "int8": "signed char"}
 
 #: numpy dtype -> C pointer type of the arrays an ``observe_plan`` points at
-_C_ARRAY_TYPES = {"<i8": "long long *", "<u8": "unsigned long long *", "<f8": "double *"}
+_C_ARRAY_TYPES = {"<i8": "long long *", "<u8": "unsigned long long *", "<f8": "double *",
+                  "<u4": "unsigned int *"}
 
 #: lanes per strip-mined block: large enough to vectorize and amortize loop
 #: overhead, small enough that a block's touched row segments stay in cache
@@ -638,6 +643,107 @@ static void table_sum(i64 *restrict acc, const sum_term *terms, i64 n,
 }
 """
 
+#: MT19937, the generator of :class:`random.Random`: its state words, and
+#: lanes per block of the lane-vectorized draw (a block's state,
+#: ``(MT_N, MT_LANES)`` words, stays in cache)
+MT_N = 624
+MT_LANES = 32
+
+#: the seeded draw of every kernel translation unit: ``mt_draw`` seeds one
+#: MT19937 per lane as ``random.Random(seed)`` does (``init_by_array`` over
+#: the 32-bit words of ``abs(seed)``, at most ``MT_N`` of them) and writes
+#: each lane's first ``n`` outputs, ``(n, lanes)``: the words
+#: ``getrandbits(32 * n)`` packs little-endian.  Lanes are the inner loop
+#: of every step, one block of ``MT_LANES`` at a time in the caller's
+#: ``(MT_N, MT_LANES)`` scratch state; the ``init_genrand(19650218)``
+#: prefix of the seeding is the same for every lane and runs once per call
+_MT_RUNTIME = f"""
+typedef unsigned int u32;
+enum {{ MT_N = {MT_N}, MT_M = 397, MT_LANES = {MT_LANES} }};
+
+/* the next MT_N words of a block's generators, in place */
+static void mt_twist(u32 *restrict mt)
+{{
+    for (i64 k = 0; k < MT_N; ++k) {{
+        u32 *restrict to = mt + k * MT_LANES;
+        const u32 *next = mt + (k + 1) % MT_N * MT_LANES;
+        const u32 *far = mt + (k + MT_M) % MT_N * MT_LANES;
+        for (i64 i = 0; i < MT_LANES; ++i) {{
+            const u32 y = (to[i] & 0x80000000U) | (next[i] & 0x7fffffffU);
+            to[i] = far[i] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+        }}
+    }}
+}}
+
+/* keys: (key words, L); lane l's key is its first key_len[l] (1..MT_N) */
+void mt_draw(const u32 *keys, const long long *key_len, i64 L, i64 n, u32 *out,
+             u32 *mt)
+{{
+    u32 prefix[MT_N];
+    prefix[0] = 19650218U;
+    for (i64 k = 1; k < MT_N; ++k)
+        prefix[k] = 1812433253U * (prefix[k - 1] ^ (prefix[k - 1] >> 30)) + (u32)k;
+    for (i64 l0 = 0; l0 < L && n > 0; l0 += MT_LANES) {{
+        const i64 nb = (L - l0) < MT_LANES ? (L - l0) : MT_LANES;
+        i64 j[MT_LANES], len[MT_LANES];
+        for (i64 i = 0; i < MT_LANES; ++i) {{
+            j[i] = 0;
+            len[i] = i < nb ? key_len[l0 + i] : 1;
+        }}
+        for (i64 k = 0; k < MT_N; ++k)
+            for (i64 i = 0; i < MT_LANES; ++i)
+                mt[k * MT_LANES + i] = prefix[k];
+        /* init_by_array: every key is at most MT_N words, so the key loop
+           runs MT_N steps in every lane; lanes past nb mix key word 0 of
+           lane l0 and are never written out */
+        i64 at = 1;
+        for (i64 k = 0; k < MT_N; ++k) {{
+            u32 *restrict to = mt + at * MT_LANES;
+            const u32 *from = to - MT_LANES;
+            for (i64 i = 0; i < MT_LANES; ++i) {{
+                const u32 key = keys[j[i] * L + l0 + (i < nb ? i : 0)];
+                to[i] = (to[i] ^ ((from[i] ^ (from[i] >> 30)) * 1664525U)) + key + (u32)j[i];
+                j[i] = j[i] + 1 < len[i] ? j[i] + 1 : 0;
+            }}
+            if (++at >= MT_N) {{
+                for (i64 i = 0; i < MT_LANES; ++i)
+                    mt[i] = mt[(MT_N - 1) * MT_LANES + i];
+                at = 1;
+            }}
+        }}
+        for (i64 k = 0; k < MT_N - 1; ++k) {{
+            u32 *restrict to = mt + at * MT_LANES;
+            const u32 *from = to - MT_LANES;
+            for (i64 i = 0; i < MT_LANES; ++i)
+                to[i] = (to[i] ^ ((from[i] ^ (from[i] >> 30)) * 1566083941U)) - (u32)at;
+            if (++at >= MT_N) {{
+                for (i64 i = 0; i < MT_LANES; ++i)
+                    mt[i] = mt[(MT_N - 1) * MT_LANES + i];
+                at = 1;
+            }}
+        }}
+        for (i64 i = 0; i < MT_LANES; ++i)
+            mt[i] = 0x80000000U;
+        /* draw: twist, then temper the next MT_N words of every lane */
+        for (i64 w0 = 0; w0 < n; w0 += MT_N) {{
+            mt_twist(mt);
+            const i64 nw = (n - w0) < MT_N ? (n - w0) : MT_N;
+            for (i64 w = 0; w < nw; ++w) {{
+                const u32 *restrict from = mt + w * MT_LANES;
+                u32 *restrict to = out + (w0 + w) * L + l0;
+                for (i64 i = 0; i < nb; ++i) {{
+                    u32 y = from[i];
+                    y ^= y >> 11;
+                    y ^= (y << 7) & 0x9d2c5680U;
+                    y ^= (y << 15) & 0xefc60000U;
+                    to[i] = y ^ (y >> 18);
+                }}
+            }}
+        }}
+    }}
+}}
+"""
+
 #: the phases ``run`` drives
 _RUN_PHASES = ("settle", "clock_edge")
 
@@ -656,7 +762,7 @@ def generate_c_source(ir: KernelIR) -> str:
         f"typedef {elem} elem;",
         f"enum {{ B = {BLOCK_LANES}, SCRATCH_ROWS = {scratch_rows(ir)} }};",
         "",
-        _RUNTIME_PREAMBLE + _OBSERVE_RUNTIME,
+        _RUNTIME_PREAMBLE + _OBSERVE_RUNTIME + _MT_RUNTIME,
     ]
     if has_run(ir):
         # the job handshake compiles only into kernels that can run jobs
@@ -886,6 +992,8 @@ def _build_library(key: str, source: str, ir: KernelIR, mode: str):
             for name in ir.phases
         ]
         signatures.append(f"{_OBSERVE_PLAN}void observe(const {elem} *, observe_plan *);")
+        signatures.append("void mt_draw(const unsigned int *, const long long *, long long, "
+                          "long long, unsigned int *, unsigned int *);")
         if has_run(ir):
             signatures.append(
                 f"{_JOB_PLAN}void run({elem} *, long long **, long long **, "
@@ -976,7 +1084,8 @@ class NativeKernel:
 
     # ------------------------------------------------ macromodel observation
     def c_array(self, array: Optional[np.ndarray]):
-        """A C pointer to a contiguous int64/uint64/float64 array (None = NULL).
+        """A C pointer to a contiguous int64/uint64/float64/uint32 array
+        (None = NULL).
 
         The caller keeps ``array`` alive for as long as C may use the pointer.
         """
@@ -984,7 +1093,7 @@ class NativeKernel:
             return self._ffi.NULL
         if not array.flags["C_CONTIGUOUS"] or array.dtype.str not in _C_ARRAY_TYPES:
             raise NativeToolchainError(
-                f"observe arrays must be C-contiguous int64/uint64/float64, "
+                f"kernel arrays must be C-contiguous int64/uint64/float64/uint32, "
                 f"got {array.dtype}"
             )
         return self._ffi.cast(_C_ARRAY_TYPES[array.dtype.str], array.ctypes.data)
@@ -1000,6 +1109,30 @@ class NativeKernel:
             setattr(plan, name, self.c_array(value) if isinstance(value, np.ndarray)
                     else value)
         return plan
+
+    # ---------------------------------------------------------- seeded draw
+    def draw_words(self, seeds: List[int], n: int) -> Optional[np.ndarray]:
+        """``(n, lanes)`` uint32: lane ``l``'s first ``n`` outputs of
+        ``random.Random(seeds[l])`` (int seeds), all lanes in one ``mt_draw``
+        call; None when a key is longer than MT19937's ``MT_N`` state words
+        (``abs(seed) >= 2 ** (32 * MT_N)``), which this draw does not seed."""
+        magnitudes = [abs(seed) for seed in seeds]
+        n_keys = max(1, -(-max(magnitudes).bit_length() // 32))
+        if n_keys > MT_N:
+            return None
+        if n_keys == 1:
+            keys = np.array(magnitudes, dtype=np.uint32)[None]
+            lengths = np.ones(len(seeds), dtype=np.int64)
+        else:
+            keys = np.array([[(m >> (32 * k)) & 0xFFFFFFFF for m in magnitudes]
+                             for k in range(n_keys)], dtype=np.uint32)
+            lengths = np.array([max(1, -(-m.bit_length() // 32)) for m in magnitudes],
+                               dtype=np.int64)
+        out = np.empty((n, len(seeds)), dtype=np.uint32)
+        state = np.empty(MT_N * MT_LANES, dtype=np.uint32)
+        self._lib.mt_draw(self.c_array(keys), self.c_array(lengths), len(seeds), n,
+                          self.c_array(out), self.c_array(state))
+        return out
 
     def observe(self, v: np.ndarray, plan) -> None:
         """One cycle of the plan's power macromodels over every lane."""

@@ -17,7 +17,7 @@ import threading
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.netlist.components import Component
 from repro.netlist.module import Module
@@ -132,17 +132,19 @@ def module_mutation_key(module: Module) -> tuple:
     return tuple(parts)
 
 
-def schedule_for(module: Module) -> Schedule:
+def schedule_for(module: Module, key: Optional[tuple] = None) -> Schedule:
     """Per-process cached :func:`levelize`.
 
     Registry designs are re-simulated dozens of times across the benchmark
     suite; the cache makes levelization a once-per-module cost.  The cache is
     invalidated when the module's component/net counts change (the only
     supported post-simulation mutation pattern); modules rewired in place at
-    constant size should call :func:`levelize` directly.
+    constant size should call :func:`levelize` directly.  ``key`` is the
+    module's :func:`module_mutation_key` when the caller has just built it.
     """
     with _SCHEDULE_LOCK:
-        key = module_mutation_key(module)
+        if key is None:
+            key = module_mutation_key(module)
         entry = _SCHEDULE_CACHE.get(module)
         if entry is not None and entry[0] == key:
             return entry[1]

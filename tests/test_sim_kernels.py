@@ -500,13 +500,14 @@ def test_kernel_source_is_one_per_design_structure(name):
 
 @pytest.mark.parametrize("name", sorted(all_designs()))
 def test_kernel_prints_each_statement_once(name):
-    """One exported C function per IR phase, plus ``observe`` and ``run``,
-    and every IR statement's loop printed exactly once, in its own phase's
-    function (``run`` calls the phases' block functions)."""
+    """One exported C function per IR phase, plus ``observe``, ``run`` and
+    the seeded draw ``mt_draw``, and every IR statement's loop printed
+    exactly once, in its own phase's function (``run`` calls the phases'
+    block functions)."""
     ir = batch.compile_module_batch(build_flat(name), 7).ir
     source = native.generate_c_source(ir)
     exported = re.findall(r"^void (\w+)\(", source, re.MULTILINE)
-    assert sorted(exported) == sorted([*ir.phases, "observe", "run"])
+    assert sorted(exported) == sorted([*ir.phases, "observe", "run", "mt_draw"])
     assert "cycle" not in exported
     loops = Counter(
         line[4:] for line in source.splitlines()
